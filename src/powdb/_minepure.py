@@ -1,4 +1,4 @@
-"""Pure-Python nonce search, the fallback when the compiled kernel is absent.
+"""The nonce search: one window of candidate nonces over hashlib SHA-256.
 
 Seeds one hashlib context with the block prefix and clones it per nonce, so
 each attempt only hashes the decimal nonce suffix.

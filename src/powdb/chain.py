@@ -143,7 +143,7 @@ def meets_difficulty(hash_hex: str, difficulty_bits: int) -> bool:
 
 
 def digest_meets_difficulty(digest: bytes, difficulty_bits: int) -> bool:
-    """Same predicate over a raw 32-byte digest (used by the mining backends)."""
+    """Same predicate over a raw 32-byte digest (used by the nonce search)."""
     if difficulty_bits == 0:
         return True
     full, rem = divmod(difficulty_bits, 8)

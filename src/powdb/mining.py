@@ -1,30 +1,15 @@
-"""Mining backend selection and the batched nonce-search driver.
-
-The compiled kernel is preferred when the extension built; otherwise the
-hashlib fallback is used. `POWDB_PURE=1` forces the fallback, which the
-benchmark uses to compare both paths.
-"""
+"""Batched, cancellable nonce search: find_nonce runs the hashlib search window by window."""
 
 from __future__ import annotations
 
-import os
+# _minepure stays its own module, because perfbench/backends.py imports it.
+from powdb import _minepure
+from powdb.chain import MAX_NONCE
 
-from powdb._minepure import search_nonce as _pure_search
-
-if os.environ.get("POWDB_PURE") == "1":
-    _search = _pure_search
-    BACKEND = "pure"
-else:
-    try:
-        from powdb._minecore import search_nonce as _core_search
-
-        _search = _core_search
-        BACKEND = "compiled"
-    except ImportError:
-        _search = _pure_search
-        BACKEND = "pure"
-
-MAX_NONCE = 2**64 - 1
+# Looked up by find_nonce at call time, because perfbench/spans.py patches it.
+_search = _minepure.search_nonce
+# Kept as a constant, because perfbench/run.py and backends.py read it.
+BACKEND = "pure"
 
 # Nonce attempts between cancel polls. Must stay at or below 2**16 so a
 # competing block can stop a miner promptly.
@@ -33,12 +18,6 @@ CANCEL_CHECK_INTERVAL = 4096
 
 class NonceSpaceExhausted(RuntimeError):
     """The full 64-bit nonce space held no qualifying hash."""
-
-
-def search_nonce(prefix: bytes, difficulty_bits: int, start_nonce: int,
-                 count: int) -> tuple[int, bytes] | None:
-    """One search window on the selected backend."""
-    return _search(prefix, difficulty_bits, start_nonce, count)
 
 
 def find_nonce(prefix: bytes, difficulty_bits: int, cancel=None,

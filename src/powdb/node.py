@@ -101,8 +101,6 @@ class NodeHooks:
 
     on_chain_extended: object = None  # fn(node, new_blocks: list[Block], source: str)
     on_reorg: object = None  # fn(node, depth: int)
-    on_reject: object = None  # fn(node, reason: VerifyReason)
-    on_envelope_dropped: object = None  # fn(node)
     trace: object = None  # fn(event: str, **details)
 
 
@@ -269,8 +267,6 @@ class NodeCore:
         env = decode_envelope(raw)
         if env is None or not verify_envelope(env):
             self.dropped_envelopes += 1
-            if self.hooks.on_envelope_dropped:
-                self.hooks.on_envelope_dropped(self)
             return "dropped"
         return self.on_envelope(conn, env)
 
@@ -382,8 +378,6 @@ class NodeCore:
     def _count_reject(self, reason: VerifyReason) -> None:
         self.rejected_invalid_blocks += 1
         self.rejects_by_reason[reason.value] = self.rejects_by_reason.get(reason.value, 0) + 1
-        if self.hooks.on_reject:
-            self.hooks.on_reject(self, reason)
 
     # -- sync --------------------------------------------------------------------
 
@@ -585,18 +579,18 @@ class NodeCore:
 
     def _execute_call(self, block: Block, tx: dict):
         cid = tx["contract_id"]
-
-        def provider(contract_id):
-            source = self.store.get_contract(contract_id)
-            return None if source is None else json.loads(source)
-
+        # The store decides whether the contract exists on this chain; a
+        # cached compile may outlive its deploy across a reorg.
+        source = self.store.get_contract(cid)
+        if source is None:
+            return ContractNotFound(cid)
         try:
-            compiled = cached_lookup(self.cache, cid, provider)
+            compiled = cached_lookup(self.cache, cid, lambda _cid: json.loads(source))
             execute(compiled, tx["args"],
                     lambda key: self.store.get_state(cid, key),
                     lambda key, value: self.store.put_state(cid, key, value, block.index))
             return None
-        except (ContractError, ContractNotFound) as exc:
+        except ContractError as exc:
             return exc
 
     # -- client surface -------------------------------------------------------------

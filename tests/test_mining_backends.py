@@ -1,4 +1,4 @@
-"""The compiled kernel and the pure fallback must be interchangeable."""
+"""The hashlib nonce search against an independent oracle, and find_nonce."""
 
 import hashlib
 import random
@@ -6,14 +6,7 @@ import random
 import pytest
 
 from powdb import mining
-from powdb._minepure import search_nonce as pure_search
-
-try:
-    from powdb._minecore import search_nonce as core_search
-    BACKENDS = [("pure", pure_search), ("compiled", core_search)]
-except ImportError:  # pragma: no cover - extension builds in CI and dev
-    core_search = None
-    BACKENDS = [("pure", pure_search)]
+from powdb._minepure import search_nonce
 
 
 def reference_search(prefix, bits, start, count):
@@ -26,45 +19,34 @@ def reference_search(prefix, bits, start, count):
     return None
 
 
-@pytest.mark.parametrize("name,search", BACKENDS)
-class TestBackends:
-    def test_difficulty_zero_hits_immediately(self, name, search):
-        hit = search(b"abc\x1f", 0, 0, 10)
+class TestSearch:
+    def test_difficulty_zero_hits_immediately(self):
+        hit = search_nonce(b"abc\x1f", 0, 0, 10)
         assert hit is not None
         assert hit[0] == 0
 
-    def test_matches_reference_on_random_prefixes(self, name, search):
+    def test_matches_reference_on_random_prefixes(self):
         rng = random.Random(1234)
         for _ in range(25):
             prefix = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 40)))
             prefix = prefix.replace(b"\x1f", b"-")
             bits = rng.choice([4, 6, 8, 10])
             expected = reference_search(prefix, bits, 0, 1 << 16)
-            got = search(prefix, bits, 0, 1 << 16)
+            got = search_nonce(prefix, bits, 0, 1 << 16)
             assert got == expected
 
-    def test_window_start_offsets(self, name, search):
+    def test_window_start_offsets(self):
         prefix = b"1\x1f2\x1fdata\x1f" + b"0" * 64 + b"\x1f8\x1f"
         full = reference_search(prefix, 8, 0, 1 << 14)
         assert full is not None
         first, _ = full
         # a window starting past the first hit finds the next one
-        nxt = search(prefix, 8, first + 1, 1 << 14)
+        nxt = search_nonce(prefix, 8, first + 1, 1 << 14)
         ref = reference_search(prefix, 8, first + 1, 1 << 14)
         assert nxt == ref
 
-    def test_empty_window_misses(self, name, search):
-        assert search(b"xyz", 30, 0, 64) is None
-
-
-@pytest.mark.skipif(core_search is None, reason="compiled kernel unavailable")
-def test_backends_agree_exactly():
-    rng = random.Random(99)
-    for _ in range(40):
-        prefix = bytes(rng.randrange(1, 256) for _ in range(rng.randrange(1, 64)))
-        bits = rng.randrange(0, 13)
-        start = rng.randrange(0, 1000)
-        assert core_search(prefix, bits, start, 4096) == pure_search(prefix, bits, start, 4096)
+    def test_empty_window_misses(self):
+        assert search_nonce(b"xyz", 30, 0, 64) is None
 
 
 class FlagCancel:

@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from powdb.chain import ChainParams
+from powdb.chain import ChainParams, genesis_block
+from powdb.consensus import create_new_block, mine_block
 from powdb.contracts import ContractCache, cached_lookup, contract_id_for, execute
 from powdb.node import (
     NodeConfig,
@@ -292,6 +293,27 @@ class TestReorgStateRebuild:
                         lambda key, value, _c=cid: replayed.__setitem__((_c, key), value))
         assert replayed == a.store.all_state()
         assert a.store.get_state(COUNTER_ID, "total") == 60
+
+    def test_cached_contract_without_deploy_on_adopted_chain_is_not_run(self):
+        # a has COUNTER compiled in its cache; the heavier chain calls it but
+        # never deploys it, so on that chain the call must fail on every node
+        a, a_queue = make_node()
+        submit_and_run(a, a_queue, {"kind": "deploy", "contract": COUNTER})
+        submit_and_run(a, a_queue, {"kind": "call", "contract_id": COUNTER_ID, "args": [1]})
+        assert a.cache.counters()["compiles"] == 1
+
+        heavier = [genesis_block()]
+        call = validate_tx_payload({"kind": "call", "contract_id": COUNTER_ID, "args": [5]},
+                                   lambda _: True)
+        for i, data in enumerate(["x", "y", call]):
+            block = create_new_block(data, heavier[-1], 8, 1000 + i)
+            heavier.append(mine_block(block))
+
+        b, _ = make_node()
+        assert a.adopt_if_heavier(heavier) == "adopted"
+        assert b.adopt_if_heavier(heavier) == "adopted"
+        assert a.store.tip().hash == b.store.tip().hash == heavier[-1].hash
+        assert a.store.all_state() == b.store.all_state() == {}
 
 
 class TestDurability:
