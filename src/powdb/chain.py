@@ -7,6 +7,7 @@ consensus and storage layers build on these primitives.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, replace
 
 # Field separator inside the hash preimage. Block data must never contain
@@ -18,7 +19,7 @@ ZERO_HASH = "0" * 64
 
 GENESIS_DATA = "GENESIS"
 
-_HEX_DIGITS = set("0123456789abcdef")
+_HEX_HASH = re.compile(r"[0-9a-f]{64}")
 
 MAX_NONCE = 2**64 - 1
 MAX_DIFFICULTY_BITS = 32
@@ -70,8 +71,7 @@ class ChainParams:
 
 
 def is_hex_hash(value: str) -> bool:
-    return (isinstance(value, str) and len(value) == 64
-            and all(c in _HEX_DIGITS for c in value))
+    return isinstance(value, str) and _HEX_HASH.fullmatch(value) is not None
 
 
 def validate_block_shape(block: Block) -> None:

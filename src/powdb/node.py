@@ -220,12 +220,7 @@ class NodeCore:
     def _startup(self) -> None:
         if self.store.get_block_count() == 0:
             self.store.add_block(genesis_block())
-        blocks = self.store.get_all_blocks()
-        self.dstate = replay_difficulty(blocks, self.params)
-        # replay any contract payloads committed but not yet applied
-        applied = self.store.get_applied_index()
-        for idx in range(applied + 1, len(blocks)):
-            self._apply_block_payload(blocks[idx])
+        self.dstate = replay_difficulty(self.store.get_all_blocks(), self.params)
 
     def close(self) -> None:
         self._closed = True
@@ -366,7 +361,7 @@ class NodeCore:
         err = verify_block(block, tip, self.params.min_difficulty)
         if err is None:
             self._cancel_mining()
-            self._commit_block(block, exclude_conn=conn, mined_locally=False)
+            self._commit_block(block, tip, exclude_conn=conn, mined_locally=False)
             return "appended"
         if err.reason is VerifyReason.PREV_HASH_MISMATCH:
             # same height, different parent: the sender is on another fork
@@ -434,7 +429,10 @@ class NodeCore:
             common += 1
         depth = len(local) - common
         self._cancel_mining()
-        self.store.replace_chain(selected, rebuild_state=self._rebuild_state(selected))
+        with self.store.transaction():
+            self.store.replace_chain(selected)
+            for block in selected[1:]:
+                self._apply_block_payload(block)
         self.dstate = replay_difficulty(selected, self.params)
         if depth > 0 and self.hooks.on_reorg:
             self.hooks.on_reorg(self, depth)
@@ -443,13 +441,6 @@ class NodeCore:
         # let neighbors discover the better chain through the usual gap rule
         self.broadcast_block(selected[-1])
         return "adopted"
-
-    def _rebuild_state(self, blocks: list[Block]):
-        def rebuild(store: BlockStore) -> None:
-            for block in blocks[1:]:
-                self._apply_block_payload(block)
-
-        return rebuild
 
     # -- transaction pipeline ----------------------------------------------------
 
@@ -519,9 +510,10 @@ class NodeCore:
         if mined is not None:
             if self.hooks.trace:
                 self.hooks.trace("verify_block", index=mined.index, source="local")
-            err = verify_block(mined, self.store.tip(), self.params.min_difficulty)
+            tip = self.store.tip()
+            err = verify_block(mined, tip, self.params.min_difficulty)
             if err is None:
-                self._commit_block(mined, mined_locally=True, reply=task.reply)
+                self._commit_block(mined, tip, mined_locally=True, reply=task.reply)
                 self._maybe_start_mining()
                 return
         # cancelled, or the tip moved while the result was in flight
@@ -535,15 +527,16 @@ class NodeCore:
 
     # -- the commit path (steps 3..6 of the request flow) -------------------------
 
-    def _commit_block(self, block: Block, *, mined_locally: bool,
+    def _commit_block(self, block: Block, prev: Block, *, mined_locally: bool,
                       exclude_conn=None, reply=None) -> None:
+        """Append `block` on top of `prev` with its contract effects, in one transaction."""
         if self.hooks.trace:
             self.hooks.trace("add_block", index=block.index)
-        self.store.add_block(block)
-        prev = self.store.get_block(block.index - 1)
+        with self.store.transaction():
+            self.store.add_block(block)
+            self.broadcast_block(block, exclude_conn=exclude_conn)
+            self._apply_block_payload(block)
         self.dstate = difficulty_after_append(self.dstate, block, prev, self.params)
-        self.broadcast_block(block, exclude_conn=exclude_conn)
-        self._apply_block_payload(block)
         if self.hooks.on_chain_extended:
             self.hooks.on_chain_extended(self, [block], "mined" if mined_locally else "gossip")
         if reply is not None:
@@ -551,27 +544,29 @@ class NodeCore:
                    "result": {"block_index": block.index, "block_hash": block.hash}})
 
     def _apply_block_payload(self, block: Block) -> None:
-        """Steps 5 and 6: execute the contract payload, persist the state."""
+        """Steps 5 and 6: execute the contract payload, persist the state.
+
+        Runs inside the caller's store transaction, so the effects commit
+        with the block that carries them.
+        """
         tx = parse_tx_data(block.data)
         if self.hooks.trace:
             self.hooks.trace("execute_contracts", index=block.index,
                              kind=tx["kind"] if tx else None)
-        with self.store.transaction():
-            error = None
-            if tx is not None and tx["kind"] == "deploy":
-                try:
-                    compiled = compile_contract(tx["contract"])
-                    self.store.put_contract(
-                        compiled.contract_id,
-                        canonical_json(tx["contract"]).decode("utf-8"),
-                        block.index)
-                except ContractError as exc:
-                    error = exc
-            elif tx is not None and tx["kind"] == "call":
-                error = self._execute_call(block, tx)
-            if self.hooks.trace:
-                self.hooks.trace("persist_state", index=block.index)
-            self.store.set_applied_index(block.index)
+        error = None
+        if tx is not None and tx["kind"] == "deploy":
+            try:
+                compiled = compile_contract(tx["contract"])
+                self.store.put_contract(
+                    compiled.contract_id,
+                    canonical_json(tx["contract"]).decode("utf-8"),
+                    block.index)
+            except ContractError as exc:
+                error = exc
+        elif tx is not None and tx["kind"] == "call":
+            error = self._execute_call(block, tx)
+        if self.hooks.trace:
+            self.hooks.trace("persist_state", index=block.index)
         if error is not None:
             self.exec_log.append({"block_index": block.index, "kind": tx["kind"],
                                   "error": getattr(error, "reason", None).value
@@ -659,6 +654,8 @@ class NodeCore:
         try:
             conn.send_message(env.encode())
             return True
+        except wire.ProtocolError:
+            return False  # the frame is over the size cap; the link itself is fine
         except (ConnectionError, OSError):
             self.peers.drop_conn(conn)
             self._conns.pop(id(conn), None)

@@ -151,10 +151,6 @@ class MemNetwork:
     def heal(self) -> None:
         self._groups = None
 
-    @property
-    def partitioned(self) -> bool:
-        return self._groups is not None
-
 
 class _SimMiningHandle:
     def __init__(self):

@@ -2,8 +2,10 @@
 
 One sqlite file per node holds the block table, the contract key-value
 state, deployed contract sources and bookkeeping metadata. Every mutation
-runs inside a single transaction guarded by one lock, so a crash at any
-point leaves the previous committed state.
+runs inside a transaction guarded by one lock, so a crash at any point
+leaves the previous committed state. Transactions nest: a caller that
+wraps a block append (or a chain swap) and the contract effects of its
+payloads in one `transaction()` commits them together or not at all.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ class BlockStore:
 
     All mutations are serialized behind one reentrant lock; readers see only
     committed state. Sub-steps of an append run inside one transaction, with
-    an optional crash hook between them for fault-injection tests.
+    an optional crash hook between them for fault-injection tests. The
+    store never executes payloads: a block and the state its payload writes
+    are atomic because the caller runs both in one `transaction()`.
     """
 
     def __init__(self, path: str | Path = ":memory:"):
@@ -163,11 +167,11 @@ class BlockStore:
                 raise NotFoundError("store holds no blocks")
             return self.get_block(count - 1)
 
-    def replace_chain(self, new_chain: list[Block], rebuild_state=None) -> None:
+    def replace_chain(self, new_chain: list[Block]) -> None:
         """Atomically swap the whole chain, wiping contract state and sources.
 
-        `rebuild_state(store)` runs inside the same transaction so the caller
-        can re-execute contract payloads; a failure rolls everything back.
+        A caller that re-executes the new chain's payloads does so inside
+        its own enclosing transaction, so a failure rolls everything back.
         The new chain must be structurally linked and keep the stored genesis.
         """
         if not new_chain:
@@ -192,9 +196,6 @@ class BlockStore:
                           b.difficulty, b.nonce) for b in new_chain])
                     self._set_meta("count", str(len(new_chain)))
                     self._set_meta("tip_hash", new_chain[-1].hash)
-                    self._set_meta("state_applied", "0")
-                    if rebuild_state is not None:
-                        rebuild_state(self)
             except sqlite3.Error as exc:
                 raise StoreError(f"replace failed: {exc}") from exc
 
@@ -247,16 +248,6 @@ class BlockStore:
                     (contract_id, source_json, deployed_at))
 
     # -- bookkeeping ------------------------------------------------------
-
-    def get_applied_index(self) -> int:
-        """Highest block index whose contract payload has been executed."""
-        value = self._get_meta("state_applied")
-        return int(value) if value is not None else 0
-
-    def set_applied_index(self, index: int) -> None:
-        with self._lock:
-            with self.transaction():
-                self._set_meta("state_applied", str(index))
 
     def _get_meta(self, key: str) -> str | None:
         with self._lock:

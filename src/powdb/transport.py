@@ -69,7 +69,9 @@ class TcpTransport:
         self._on_message = on_message
         self._on_disconnect = on_disconnect
         self._server: socket.socket | None = None
+        # live threads, plus any that finished since the last one started
         self._threads: list[threading.Thread] = []
+        self._threads_lock = threading.Lock()
         self._stopping = threading.Event()
 
     def listen(self, addr: str) -> str:
@@ -83,8 +85,7 @@ class TcpTransport:
         bound = f"{host}:{server.getsockname()[1]}"
         thread = threading.Thread(target=self._accept_loop, name=f"accept:{bound}",
                                   daemon=True)
-        thread.start()
-        self._threads.append(thread)
+        self._start(thread)
         return bound
 
     def dial(self, addr: str, timeout: float = 5.0) -> TcpConnection:
@@ -115,10 +116,15 @@ class TcpTransport:
             self._spawn_reader(conn, sock)
 
     def _spawn_reader(self, conn: TcpConnection, sock: socket.socket) -> None:
-        thread = threading.Thread(target=self._reader_loop, args=(conn, sock),
-                                  name=f"reader:{conn.label}", daemon=True)
-        thread.start()
-        self._threads.append(thread)
+        self._start(threading.Thread(target=self._reader_loop, args=(conn, sock),
+                                     name=f"reader:{conn.label}", daemon=True))
+
+    def _start(self, thread: threading.Thread) -> None:
+        # dial() and the accept loop spawn readers from different threads
+        with self._threads_lock:
+            self._threads = [t for t in self._threads if t.is_alive()]
+            self._threads.append(thread)
+            thread.start()
 
     def _reader_loop(self, conn: TcpConnection, sock: socket.socket) -> None:
         read_exact = socket_read_exact(sock)

@@ -17,6 +17,7 @@ from powdb.chain import (
     cumulative_work,
     digest_meets_difficulty,
     genesis_block,
+    is_hex_hash,
     meets_difficulty,
     validate_block_shape,
 )
@@ -248,3 +249,17 @@ class TestChainParams:
 
     def test_sealed_blocks_pass_shape_check(self):
         validate_block_shape(genesis_block())
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("0123456789abcdef" * 4, True),
+    ("0123456789ABCDEF" * 4, False),
+    ("a" * 63, False),
+    ("a" * 65, False),
+    ("a" * 64 + "\n", False),
+    ("a" * 63 + "\u0663", False),  # ARABIC-INDIC DIGIT THREE
+    (b"a" * 64, False),
+    (None, False),
+])
+def test_is_hex_hash(value, expected):
+    assert is_hex_hash(value) is expected

@@ -1,11 +1,15 @@
 """Peer management, handshake, block gossip and chain synchronization."""
 
 import json
+import socket
+import sys
+import threading
 
 from powdb import wire
 from powdb.chain import block_to_json, genesis_block
 from powdb.consensus import create_new_block, mine_block
 from powdb.net import PeerState, PeerTable, RecentSet
+from powdb.transport import TcpTransport, parse_hostport
 from powdb.wire import MessageEnvelope, NodeIdentity, sign_envelope
 
 
@@ -218,7 +222,7 @@ class TestSync:
             tip = core.store.tip()
             block = mine_block(create_new_block(
                 f"{prefix}-{i}", tip, core.dstate.effective_bits(), 100 + i))
-            core._commit_block(block, mined_locally=True)
+            core._commit_block(block, tip, mined_locally=True)
 
     def test_shorter_node_adopts_longer_chain(self, cluster_factory):
         cluster = cluster_factory(2)
@@ -303,3 +307,59 @@ class TestSync:
         cluster.pump()
         assert c.store.get_block_count() == 5
         assert len(set(cluster.heads())) == 1
+
+
+class TestTcpTransport:
+    def test_finished_reader_threads_are_pruned(self):
+        received = threading.Semaphore(0)
+        transport = TcpTransport(on_connection=lambda conn: None,
+                                 on_message=lambda conn, raw: received.release(),
+                                 on_disconnect=lambda conn: None)
+        addr = parse_hostport(transport.listen("127.0.0.1:0"))
+        try:
+            for _ in range(20):
+                with socket.create_connection(addr, timeout=5) as client:
+                    client.sendall(wire.frame(b"hello"))
+                    assert received.acquire(timeout=5)
+                    readers = [t for t in transport._threads
+                               if t.name.startswith("reader:")]
+                    live = sum(t.is_alive() for t in readers)
+                    assert len(transport._threads) <= live + 1  # + the accept loop
+                for thread in readers:
+                    thread.join(timeout=5)
+                    assert not thread.is_alive()
+        finally:
+            transport.stop()
+
+    def test_concurrent_dials_and_accepts_track_every_thread(self):
+        received = threading.Semaphore(0)
+        transport = TcpTransport(on_connection=lambda conn: None,
+                                 on_message=lambda conn, raw: received.release(),
+                                 on_disconnect=lambda conn: None)
+        addr = transport.listen("127.0.0.1:0")
+        conns = []
+
+        def dial_some():
+            for _ in range(5):
+                conn = transport.dial(addr)
+                conn.send_message(b"hello")
+                conns.append(conn)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            dialers = [threading.Thread(target=dial_some) for _ in range(4)]
+            for thread in dialers:
+                thread.start()
+            for thread in dialers:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            for _ in range(20):
+                assert received.acquire(timeout=5)
+            # each connection has a reader on both ends, all still running
+            assert sum(t.is_alive() for t in transport._threads) == 2 * 20 + 1
+        finally:
+            sys.setswitchinterval(interval)
+            for conn in conns:
+                conn.close()
+            transport.stop()

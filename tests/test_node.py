@@ -332,20 +332,47 @@ class TestDurability:
         assert reopened.store.get_all_blocks() == chain_before
         assert reopened.store.all_state() == state_before
 
-    def test_startup_replays_unapplied_payloads(self, store_path):
+    def test_block_and_state_commit_together(self, store_path, monkeypatch):
+        class StoreDown(Exception):
+            pass
+
         core, queue = make_node(store=BlockStore(store_path))
         submit_and_run(core, queue, {"kind": "deploy", "contract": COUNTER})
         submit_and_run(core, queue, {"kind": "call", "contract_id": COUNTER_ID,
                                      "args": [5]})
-        # wind the applied marker back, as if we crashed between commit and apply
-        core.store.set_applied_index(1)
-        core.store._conn.execute("DELETE FROM state")
-        core.store.close()
+        audit = BlockStore(store_path)
+        info_before, state_before = audit.chain_info(), audit.all_state()
 
-        reopened, _queue = make_node(store=BlockStore(store_path))
-        assert reopened.store.get_state(COUNTER_ID, "count") == 1
-        assert reopened.store.get_state(COUNTER_ID, "total") == 5
-        assert reopened.store.get_applied_index() == 2
+        def put_state(*_args):
+            raise StoreDown()
+
+        monkeypatch.setattr(core.store, "put_state", put_state)
+        core.submit_tx({"kind": "call", "contract_id": COUNTER_ID, "args": [7]})
+        with pytest.raises(StoreDown):
+            queue.run()
+        # a block is never durable without the state its payload wrote
+        assert audit.chain_info() == info_before
+        assert audit.all_state() == state_before
+        audit.close()
+
+
+class TestOversizedFrame:
+    def test_send_over_frame_cap_keeps_link_and_block_commits(self):
+        from powdb.wire import ProtocolError
+
+        core, queue = make_node()
+
+        class CappedConn:
+            def send_message(self, raw):
+                raise ProtocolError("frame exceeds the 16 MiB cap")
+
+        conn = CappedConn()
+        core.peers.mark_connected("mem:peer", "p" * 64, conn, 0)
+        assert core._send(conn, "PING", {}) is False
+        result = submit_and_run(core, queue, {"kind": "raw", "data": "big"})
+        assert result["ok"] is True
+        assert core.store.get_block_count() == 2
+        assert [r.conn for r in core.peers.connected()] == [conn]
 
 
 class TestQueries:

@@ -149,14 +149,11 @@ class TestReplaceChain:
         store.put_state("c" * 64, "stale", 9, 1)
         newer = linked_chain([4, 4])
 
-        def rebuild(s):
-            s.put_state("c" * 64, "fresh", 42, 2)
-            s.set_applied_index(2)
-
-        store.replace_chain(newer, rebuild_state=rebuild)
+        with store.transaction():
+            store.replace_chain(newer)
+            store.put_state("c" * 64, "fresh", 42, 2)
         assert store.get_state("c" * 64, "stale") is None
         assert store.get_state("c" * 64, "fresh") == 42
-        assert store.get_applied_index() == 2
 
     def test_rebuild_failure_rolls_everything_back(self, store_path):
         store = BlockStore(store_path)
@@ -165,11 +162,10 @@ class TestReplaceChain:
             store.add_block(blk)
         store.put_state("c" * 64, "keep", 7, 1)
 
-        def exploding(_):
-            raise SimulatedCrash()
-
         with pytest.raises(SimulatedCrash):
-            store.replace_chain(linked_chain([4, 4], data_prefix="new"), rebuild_state=exploding)
+            with store.transaction():
+                store.replace_chain(linked_chain([4, 4], data_prefix="new"))
+                raise SimulatedCrash()
         assert store.get_all_blocks() == old
         assert store.get_state("c" * 64, "keep") == 7
 
