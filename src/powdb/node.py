@@ -64,8 +64,6 @@ logger = logging.getLogger(__name__)
 HANDSHAKE_TIMEOUT_MS = 5000
 SYNC_RETRY_MS = 2000
 
-TX_KINDS = ("raw", "deploy", "call")
-
 
 class BadConfigError(Exception):
     """Invalid node configuration (exit code 2)."""
@@ -96,19 +94,9 @@ class NodeConfig:
 
 
 @dataclass
-class NodeHooks:
-    """Optional instrumentation points; the simulator fills these in."""
-
-    on_chain_extended: object = None  # fn(node, new_blocks: list[Block], source: str)
-    on_reorg: object = None  # fn(node, depth: int)
-    trace: object = None  # fn(event: str, **details)
-
-
-@dataclass
 class _MiningTask:
     token: int
     tx: dict
-    data: str
     block: Block
     reply: object  # callable | None
     handle: object = None
@@ -128,16 +116,16 @@ class _ConnInfo:
 def parse_tx_data(data: str) -> dict | None:
     """Recover the structured payload from a block's data string.
 
-    Returns None for opaque strings (the genesis payload, foreign data);
-    those blocks simply carry no contract action.
+    Returns None for opaque strings (the genesis payload, foreign data) and
+    for any payload that `validate_tx_payload` rejects; those blocks simply
+    carry no contract action, on every node alike.
     """
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError:
+        validate_tx_payload(obj, lambda _cid: True)
+    except (ValueError, RecursionError):  # JSONDecodeError and TxRejected included
         return None
-    if isinstance(obj, dict) and obj.get("kind") in TX_KINDS:
-        return obj
-    return None
+    return obj
 
 
 def validate_tx_payload(tx, known_contract) -> str:
@@ -199,9 +187,9 @@ class NodeCore:
 
         self.peers = PeerTable(self_addr=listen_addr)
         self.cache = ContractCache()
-        self.hooks = NodeHooks()
-        self.exec_log: list[dict] = []
-        self.rejected_invalid_blocks = 0
+        # fn(node, new_blocks, reorg_depth), called once per chain change
+        self.on_chain_change = None
+        self.exec_errors: dict[str, int] = {}
         self.rejects_by_reason: dict[str, int] = {}
         self.dropped_envelopes = 0
 
@@ -332,8 +320,6 @@ class NodeCore:
         """NEW_BLOCK to every connected peer, once per block hash ever."""
         if not self._dedup.add(block.hash):
             return 0
-        if self.hooks.trace:
-            self.hooks.trace("broadcast_block", index=block.index)
         payload = {"block": block_to_json(block)}
         sent = 0
         for record in list(self.peers.connected()):
@@ -356,12 +342,10 @@ class NodeCore:
         if block.index > tip.index + 1:
             self.request_sync(conn)
             return "sync_triggered"
-        if self.hooks.trace:
-            self.hooks.trace("verify_block", index=block.index, source="gossip")
         err = verify_block(block, tip, self.params.min_difficulty)
         if err is None:
             self._cancel_mining()
-            self._commit_block(block, tip, exclude_conn=conn, mined_locally=False)
+            self._commit_block(block, tip, exclude_conn=conn)
             return "appended"
         if err.reason is VerifyReason.PREV_HASH_MISMATCH:
             # same height, different parent: the sender is on another fork
@@ -371,7 +355,6 @@ class NodeCore:
         return "ignored"
 
     def _count_reject(self, reason: VerifyReason) -> None:
-        self.rejected_invalid_blocks += 1
         self.rejects_by_reason[reason.value] = self.rejects_by_reason.get(reason.value, 0) + 1
 
     # -- sync --------------------------------------------------------------------
@@ -434,10 +417,8 @@ class NodeCore:
             for block in selected[1:]:
                 self._apply_block_payload(block)
         self.dstate = replay_difficulty(selected, self.params)
-        if depth > 0 and self.hooks.on_reorg:
-            self.hooks.on_reorg(self, depth)
-        if self.hooks.on_chain_extended:
-            self.hooks.on_chain_extended(self, selected[common:], "sync")
+        if self.on_chain_change:
+            self.on_chain_change(self, selected[common:], depth)
         # let neighbors discover the better chain through the usual gap rule
         self.broadcast_block(selected[-1])
         return "adopted"
@@ -457,8 +438,6 @@ class NodeCore:
 
     def submit_tx(self, tx, reply=None) -> None:
         """Validate, queue and (when the miner is free) mine one transaction."""
-        if self.hooks.trace:
-            self.hooks.trace("client_request", kind=tx.get("kind") if isinstance(tx, dict) else None)
         try:
             validate_tx_payload(tx, self._known_contract)
         except TxRejected as exc:
@@ -486,12 +465,9 @@ class NodeCore:
         tip = self.store.tip()
         bits = self.dstate.effective_bits()
         block = create_new_block(data, tip, bits, self.clock() // 1000)
-        if self.hooks.trace:
-            self.hooks.trace("create_block", index=block.index)
-            self.hooks.trace("mine_block", index=block.index, difficulty=bits)
         self._next_token += 1
-        task = _MiningTask(token=self._next_token, tx=tx, data=data, block=block,
-                           reply=reply, retried=retried)
+        task = _MiningTask(token=self._next_token, tx=tx, block=block, reply=reply,
+                           retried=retried)
         self._task = task
         token = task.token
         task.handle = self.miner.start(block, lambda mined: self.on_mine_result(token, mined))
@@ -508,12 +484,10 @@ class NodeCore:
         if self._closed:
             return
         if mined is not None:
-            if self.hooks.trace:
-                self.hooks.trace("verify_block", index=mined.index, source="local")
             tip = self.store.tip()
             err = verify_block(mined, tip, self.params.min_difficulty)
             if err is None:
-                self._commit_block(mined, tip, mined_locally=True, reply=task.reply)
+                self._commit_block(mined, tip, reply=task.reply)
                 self._maybe_start_mining()
                 return
         # cancelled, or the tip moved while the result was in flight
@@ -527,18 +501,16 @@ class NodeCore:
 
     # -- the commit path (steps 3..6 of the request flow) -------------------------
 
-    def _commit_block(self, block: Block, prev: Block, *, mined_locally: bool,
-                      exclude_conn=None, reply=None) -> None:
+    def _commit_block(self, block: Block, prev: Block, *, exclude_conn=None,
+                      reply=None) -> None:
         """Append `block` on top of `prev` with its contract effects, in one transaction."""
-        if self.hooks.trace:
-            self.hooks.trace("add_block", index=block.index)
         with self.store.transaction():
             self.store.add_block(block)
             self.broadcast_block(block, exclude_conn=exclude_conn)
             self._apply_block_payload(block)
         self.dstate = difficulty_after_append(self.dstate, block, prev, self.params)
-        if self.hooks.on_chain_extended:
-            self.hooks.on_chain_extended(self, [block], "mined" if mined_locally else "gossip")
+        if self.on_chain_change:
+            self.on_chain_change(self, [block], 0)
         if reply is not None:
             reply({"ok": True, "what": "tx",
                    "result": {"block_index": block.index, "block_hash": block.hash}})
@@ -550,27 +522,19 @@ class NodeCore:
         with the block that carries them.
         """
         tx = parse_tx_data(block.data)
-        if self.hooks.trace:
-            self.hooks.trace("execute_contracts", index=block.index,
-                             kind=tx["kind"] if tx else None)
-        error = None
-        if tx is not None and tx["kind"] == "deploy":
-            try:
-                compiled = compile_contract(tx["contract"])
-                self.store.put_contract(
-                    compiled.contract_id,
-                    canonical_json(tx["contract"]).decode("utf-8"),
-                    block.index)
-            except ContractError as exc:
-                error = exc
-        elif tx is not None and tx["kind"] == "call":
-            error = self._execute_call(block, tx)
-        if self.hooks.trace:
-            self.hooks.trace("persist_state", index=block.index)
+        if tx is None or tx["kind"] == "raw":
+            return
+        if tx["kind"] == "deploy":
+            # parse_tx_data has compiled the source, so the deploy cannot fail
+            self.store.put_contract(contract_id_for(tx["contract"]),
+                                    canonical_json(tx["contract"]).decode("utf-8"),
+                                    block.index)
+            return
+        error = self._execute_call(block, tx)
         if error is not None:
-            self.exec_log.append({"block_index": block.index, "kind": tx["kind"],
-                                  "error": getattr(error, "reason", None).value
-                                  if isinstance(error, ContractError) else str(error)})
+            reason = (error.reason.value if isinstance(error, ContractError)
+                      else type(error).__name__)
+            self.exec_errors[reason] = self.exec_errors.get(reason, 0) + 1
 
     def _execute_call(self, block: Block, tx: dict):
         cid = tx["contract_id"]
@@ -606,6 +570,8 @@ class NodeCore:
         self._send(conn, wire.RESPONSE, self.handle_query(what, params))
 
     def handle_query(self, what, params) -> dict:
+        if not isinstance(params, dict):
+            return {"ok": False, "what": what, "error": "params must be an object"}
         if what == "chain":
             return {"ok": True, "what": what,
                     "result": {"blocks": [block_to_json(b) for b in self.store.get_all_blocks()]}}
@@ -613,6 +579,8 @@ class NodeCore:
             index = params.get("index")
             if not isinstance(index, int) or isinstance(index, bool):
                 return {"ok": False, "what": what, "error": "params.index must be an integer"}
+            if not 0 <= index < 2**63:  # beyond any chain, and beyond SQLite's integers
+                return {"ok": False, "what": what, "error": "not-found"}
             try:
                 return {"ok": True, "what": what,
                         "result": {"block": block_to_json(self.store.get_block(index))}}
@@ -638,14 +606,11 @@ class NodeCore:
                 "difficulty_milli": round(self.dstate.d_current * 1000),
                 "cache": self.cache.counters(),
                 "pending_txs": len(self._pending) + (1 if self._task else 0),
-                "rejected_invalid_blocks": self.rejected_invalid_blocks,
+                "rejected_invalid_blocks": sum(self.rejects_by_reason.values()),
                 "dropped_envelopes": self.dropped_envelopes,
-                "exec_errors": len(self.exec_log),
+                "exec_errors": sum(self.exec_errors.values()),
             }}
         return {"ok": False, "what": what, "error": f"unknown query {what!r}"}
-
-    def head(self) -> Block:
-        return self.store.tip()
 
     # -- plumbing ---------------------------------------------------------------------
 

@@ -229,8 +229,6 @@ class _Harness:
         self.reorgs = 0
         self.max_reorg_depth = 0
         self.samples: list[dict] = []
-        self.n_total_reads = 0
-        self.n_inconsistent_reads = 0
         self.writes = []  # dicts: submitted_ms, node, status, block_hash
         self.read_latencies: list[int] = []
         self.malicious_emitted: set[str] = set()
@@ -252,21 +250,19 @@ class _Harness:
             )
             core.node_index = i
             if i in self.honest:
-                core.hooks.on_chain_extended = self._on_chain_extended
-                core.hooks.on_reorg = self._on_reorg
+                core.on_chain_change = self._on_chain_change
             self.nodes.append(core)
             self.net.listen(self.addrs[i], core)
 
-    # -- hooks -------------------------------------------------------------
+    # -- chain changes -----------------------------------------------------
 
-    def _on_chain_extended(self, core: NodeCore, blocks: list[Block], source: str) -> None:
+    def _on_chain_change(self, core: NodeCore, blocks: list[Block], reorg_depth: int) -> None:
+        if reorg_depth > 0:
+            self.reorgs += 1
+            self.max_reorg_depth = max(self.max_reorg_depth, reorg_depth)
         for block in blocks:
             per_node = self.accept_times.setdefault(block.hash, {})
             per_node.setdefault(core.node_index, self.queue.now)
-
-    def _on_reorg(self, core: NodeCore, depth: int) -> None:
-        self.reorgs += 1
-        self.max_reorg_depth = max(self.max_reorg_depth, depth)
 
     # -- schedule ----------------------------------------------------------
 
@@ -347,8 +343,6 @@ class _Harness:
         sample = {"t_ms": self.queue.now, "heads": heads, "mode_hash": mode,
                   "n_inconsistent": inconsistent, "n_nodes": len(heads)}
         self.samples.append(sample)
-        self.n_total_reads += len(heads)
-        self.n_inconsistent_reads += inconsistent
         return sample
 
     # -- adversary ---------------------------------------------------------
@@ -422,7 +416,6 @@ class _Harness:
             else:
                 unconfirmed += 1
 
-        rejected = sum(self.nodes[i].rejected_invalid_blocks for i in self.honest)
         dropped = sum(self.nodes[i].dropped_envelopes for i in self.honest)
         rejects_by_reason: dict[str, int] = {}
         for i in self.honest:
@@ -430,8 +423,10 @@ class _Harness:
                 rejects_by_reason[reason] = rejects_by_reason.get(reason, 0) + count
 
         duration_s = self.config.duration_ms / 1000
-        c_value = (consistency_level(self.n_inconsistent_reads, self.n_total_reads)
-                   if self.n_total_reads else None)
+        n_total_reads = sum(s["n_nodes"] for s in self.samples)
+        n_inconsistent_reads = sum(s["n_inconsistent"] for s in self.samples)
+        c_value = (consistency_level(n_inconsistent_reads, n_total_reads)
+                   if n_total_reads else None)
         report = {
             "config": self.config.to_json(),
             "seed": self.config.seed,
@@ -451,8 +446,8 @@ class _Harness:
                 "p95": percentile(self.read_latencies, 0.95),
             },
             "consistency": {
-                "n_total": self.n_total_reads,
-                "n_inconsistent": self.n_inconsistent_reads,
+                "n_total": n_total_reads,
+                "n_inconsistent": n_inconsistent_reads,
                 "c": c_value,
                 "final_sample_c": (consistency_level(final_sample["n_inconsistent"],
                                                      final_sample["n_nodes"])
@@ -461,7 +456,7 @@ class _Harness:
             },
             "fork_count": self.reorgs,
             "max_reorg_depth": self.max_reorg_depth,
-            "rejected_invalid_blocks": rejected,
+            "rejected_invalid_blocks": sum(rejects_by_reason.values()),
             "rejects_by_reason": rejects_by_reason,
             "dropped_envelopes": dropped,
             "honest_nodes": self.honest,

@@ -78,9 +78,13 @@ class TcpTransport:
         """Bind and start accepting; returns the bound host:port."""
         host, port = parse_hostport(addr)
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        server.bind((host, port))
-        server.listen(32)
+        try:
+            server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            server.bind((host, port))
+            server.listen(32)
+        except BaseException:
+            server.close()  # not yet in self._server, so stop() would never close it
+            raise
         self._server = server
         bound = f"{host}:{server.getsockname()[1]}"
         thread = threading.Thread(target=self._accept_loop, name=f"accept:{bound}",

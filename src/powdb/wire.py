@@ -167,7 +167,7 @@ def decode_envelope(raw: bytes) -> MessageEnvelope | None:
     """Parse one wire message; None when the JSON or shape is invalid."""
     try:
         obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
         return None
     if not isinstance(obj, dict):
         return None

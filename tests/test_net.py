@@ -1,9 +1,11 @@
 """Peer management, handshake, block gossip and chain synchronization."""
 
+import gc
 import json
 import socket
 import sys
 import threading
+import warnings
 
 from powdb import wire
 from powdb.chain import block_to_json, genesis_block
@@ -200,7 +202,6 @@ class TestHandleNewBlock:
         conn = b.peers.get("mem:0").conn
         outcome = b.handle_new_block(conn, self.envelope_for(a, fake))
         assert outcome == "ignored"
-        assert b.rejected_invalid_blocks == 1
         assert b.rejects_by_reason == {"InsufficientWork": 1}
         assert b.store.get_block_count() == before
 
@@ -212,7 +213,7 @@ class TestHandleNewBlock:
         env = self.envelope_for(a, genesis_block())
         conn = b.peers.get("mem:0").conn
         assert b.handle_new_block(conn, env) == "ignored"
-        assert b.rejected_invalid_blocks == 0
+        assert b.rejects_by_reason == {}
 
 
 class TestSync:
@@ -222,7 +223,7 @@ class TestSync:
             tip = core.store.tip()
             block = mine_block(create_new_block(
                 f"{prefix}-{i}", tip, core.dstate.effective_bits(), 100 + i))
-            core._commit_block(block, tip, mined_locally=True)
+            core._commit_block(block, tip)
 
     def test_shorter_node_adopts_longer_chain(self, cluster_factory):
         cluster = cluster_factory(2)
@@ -330,6 +331,29 @@ class TestTcpTransport:
                     assert not thread.is_alive()
         finally:
             transport.stop()
+
+    def test_failed_listen_closes_its_socket(self):
+        def quiet():
+            return TcpTransport(on_connection=lambda conn: None,
+                                on_message=lambda conn, raw: None,
+                                on_disconnect=lambda conn: None)
+
+        holder, second = quiet(), quiet()
+        addr = holder.listen("127.0.0.1:0")
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    second.listen(addr)
+                except OSError:
+                    pass
+                else:
+                    raise AssertionError("listening on a busy address succeeded")
+                gc.collect()
+        finally:
+            second.stop()
+            holder.stop()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_concurrent_dials_and_accepts_track_every_thread(self):
         received = threading.Semaphore(0)

@@ -4,7 +4,9 @@ import time
 
 import pytest
 
-from powdb.chain import ChainParams, genesis_block
+from powdb import node as node_module
+from powdb import wire
+from powdb.chain import ChainParams, block_to_json, genesis_block
 from powdb.consensus import create_new_block, mine_block
 from powdb.contracts import ContractCache, cached_lookup, contract_id_for, execute
 from powdb.node import (
@@ -18,7 +20,7 @@ from powdb.node import (
 from powdb.sim import sim_hashrate_per_ms
 from powdb.simnet import EventQueue, SimMiner
 from powdb.store import BlockStore
-from powdb.wire import NodeIdentity, canonical_json
+from powdb.wire import NodeIdentity, canonical_json, decode_envelope, sign_envelope
 
 from conftest import TEST_PARAMS
 
@@ -126,7 +128,7 @@ class TestSingleNodeFlow:
                                               "args": []})
         assert result["ok"] is True  # the block commits; the execution failed
         assert core.store.get_state(cid, "x") is None
-        assert core.exec_log and core.exec_log[-1]["error"] == "Overflow"
+        assert core.exec_errors == {"Overflow": 1}
 
     def test_rejected_payload_never_mines(self):
         core, queue = make_node()
@@ -173,27 +175,127 @@ class TestSingleNodeFlow:
         assert core.store.get_state(COUNTER_ID, "total") == 9
 
 
+PEER = NodeIdentity.from_seed(b"\x07" * 32)
+
+
+class Capture:
+    """A connection that keeps what the node sends on it."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send_message(self, raw):
+        self.sent.append(raw)
+
+    def close(self):
+        pass
+
+
+def from_peer(core, conn, kind, payload):
+    return core.on_message(conn, sign_envelope(kind, 1, payload, PEER).encode())
+
+
 class TestWireTxIntake:
     def test_invalid_tx_over_wire_gets_error_response(self):
-        from powdb import wire as wiremod
-        from powdb.wire import NodeIdentity as Identity, decode_envelope, sign_envelope
-
         core, _queue = make_node()
-        sent = []
-
-        class Capture:
-            def send_message(self, raw):
-                sent.append(raw)
-
-        client = Identity.from_seed(b"\x09" * 32)
-        env = sign_envelope(wiremod.TX, 1, {"tx": {"kind": "nope"}}, client)
-        core.on_message(Capture(), env.encode())
-        assert len(sent) == 1
-        response = decode_envelope(sent[0])
-        assert response.kind == wiremod.RESPONSE
+        conn = Capture()
+        from_peer(core, conn, wire.TX, {"tx": {"kind": "nope"}})
+        assert len(conn.sent) == 1
+        response = decode_envelope(conn.sent[0])
+        assert response.kind == wire.RESPONSE
         assert response.payload["ok"] is False
         assert "unknown transaction kind" in response.payload["error"]
         assert core.store.get_block_count() == 1
+
+
+class TestPeerBlockPayloads:
+    """A peer's block is checked like a client transaction before it runs."""
+
+    MALFORMED = {
+        "call-without-fields": '{"kind":"call"}',
+        "deploy-without-contract": '{"kind":"deploy"}',
+        "string-args": canonical_json({"kind": "call", "contract_id": COUNTER_ID,
+                                       "args": "12"}).decode(),
+        "deep-nesting": '{"kind":"deploy","contract":' + "[" * 200_000 + "]" * 200_000 + "}",
+        "float-arg": '{"args":[1.5],"contract_id":"%s","kind":"call"}' % COUNTER_ID,
+        "bool-arg": canonical_json({"kind": "call", "contract_id": COUNTER_ID,
+                                    "args": [True]}).decode(),
+    }
+
+    @pytest.mark.parametrize("data", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_payload_appends_as_opaque_data(self, data):
+        core, queue = make_node()
+        submit_and_run(core, queue, {"kind": "deploy", "contract": COUNTER})
+        state, contracts = core.store.all_state(), core.store.get_contract(COUNTER_ID)
+        tip = core.store.tip()
+        block = mine_block(create_new_block(data, tip, core.dstate.effective_bits(),
+                                            tip.timestamp + 1))
+        outcome = from_peer(core, Capture(), wire.NEW_BLOCK, {"block": block_to_json(block)})
+        assert outcome == "appended"
+        assert core.store.tip().hash == block.hash
+        assert parse_tx_data(block.data) is None
+        assert core.store.all_state() == state
+        assert core.store.get_contract(COUNTER_ID) == contracts
+
+
+class TestQueryInput:
+    """Every QUERY gets a RESPONSE, so a client never waits out its timeout."""
+
+    @pytest.mark.parametrize("what,params,error", [
+        ("block", -1, "params must be an object"),
+        ("block", [1], "params must be an object"),
+        ("state", "x", "params must be an object"),
+        ("chain", True, "params must be an object"),
+        ("block", {"index": 2**70}, "not-found"),
+        ("block", {"index": 2**63}, "not-found"),
+        ("block", {"index": -1}, "not-found"),
+    ])
+    def test_bad_params_answer_not_ok(self, what, params, error):
+        core, _queue = make_node()
+        conn = Capture()
+        from_peer(core, conn, wire.QUERY, {"what": what, "params": params})
+        assert len(conn.sent) == 1
+        response = decode_envelope(conn.sent[0])
+        assert response.kind == wire.RESPONSE
+        assert response.payload == {"ok": False, "what": what, "error": error}
+
+
+class TestHostileInput:
+    """No signed peer message, whatever its payload, raises or moves the chain."""
+
+    VALUES = (None, 0, -1, 2**70, True, "x", [], [1], {})
+    HANDLER_KEYS = ("listen_addr", "addrs", "block", "from_index", "blocks", "tx",
+                    "what", "params")
+
+    @classmethod
+    def payloads(cls):
+        for value in cls.VALUES:
+            yield value
+            for key in cls.HANDLER_KEYS:
+                # node_id lets HELLO get past its sender check
+                yield {"node_id": PEER.node_id, key: value}
+            for what in ("block", "state"):
+                yield {"what": what, "params": value}
+            yield {"what": "block", "params": {"index": value}}
+
+    @pytest.mark.parametrize("kind", sorted(wire.KINDS))
+    def test_handlers_survive_every_payload(self, kind):
+        core, _queue = make_node()
+        before = (core.store.chain_info(), core.store.all_state())
+        failures = []
+        for payload in self.payloads():
+            try:
+                from_peer(core, Capture(), kind, payload)
+            except Exception as exc:  # collect them all for one readable report
+                failures.append(f"{payload!r}: {exc!r}")
+        assert failures == []
+        assert (core.store.chain_info(), core.store.all_state()) == before
+
+    def test_deeply_nested_envelope_is_dropped(self):
+        core, _queue = make_node()
+        raw = (b'{"kind":"PING","payload":' + b"[" * 200_000 + b"]" * 200_000
+               + b',"sender":"00","signature":"00","timestamp":1}')
+        assert core.on_message(Capture(), raw) == "dropped"
 
 
 class TestSixStepOrder:
@@ -208,22 +310,43 @@ class TestSixStepOrder:
         "persist_state": 6,
     }
 
-    def test_steps_execute_in_request_flow_order(self):
-        core, queue = make_node()
+    @staticmethod
+    def record_flow(core, monkeypatch) -> list[str]:
+        """Wrap the real call behind each step; each call appends its step name."""
         events = []
-        core.hooks.trace = lambda name, **kw: events.append(name)
+
+        def wrap(owner, attr, name):
+            real = getattr(owner, attr)
+
+            def recorded(*args, **kwargs):
+                events.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, recorded)
+
+        wrap(core, "submit_tx", "client_request")
+        wrap(node_module, "create_new_block", "create_block")
+        wrap(core.miner, "start", "mine_block")
+        wrap(node_module, "verify_block", "verify_block")
+        wrap(core.store, "add_block", "add_block")
+        wrap(core, "broadcast_block", "broadcast_block")
+        wrap(core, "_apply_block_payload", "execute_contracts")
+        wrap(core.store, "put_contract", "persist_state")
+        wrap(core.store, "put_state", "persist_state")
+        return events
+
+    def test_steps_execute_in_request_flow_order(self, monkeypatch):
+        core, queue = make_node()
+        events = self.record_flow(core, monkeypatch)
         submit_and_run(core, queue, {"kind": "deploy", "contract": COUNTER})
         steps = [self.STEP_OF[e] for e in events if e in self.STEP_OF]
         assert steps == sorted(steps)
         assert steps[0] == 1 and steps[-1] == 6
 
-    def test_contract_execution_only_after_acceptance(self):
+    def test_contract_execution_only_after_acceptance(self, monkeypatch):
         core, queue = make_node()
-        events = []
-        core.hooks.trace = lambda name, **kw: events.append(name)
-        submit_and_run(core, queue, {"kind": "call", "contract_id": COUNTER_ID,
-                                     "args": [1]} if False else
-                       {"kind": "raw", "data": "plain"})
+        events = self.record_flow(core, monkeypatch)
+        submit_and_run(core, queue, {"kind": "raw", "data": "plain"})
         assert events.index("verify_block") < events.index("add_block")
         assert events.index("add_block") < events.index("execute_contracts")
 
