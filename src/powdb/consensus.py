@@ -154,17 +154,33 @@ def verify_block(block: Block, current_head: Block,
     return None
 
 
-def verify_chain(chain: list[Block], params: ChainParams) -> VerifyError | None:
-    """Full block-by-block verification from the shared genesis."""
+def verify_chain(chain: list[Block], params: ChainParams,
+                 known: int = 0) -> VerifyError | None:
+    """Block-by-block verification from the shared genesis.
+
+    The first `known` blocks are taken as already verified (the caller holds
+    them), so checking starts at block `known`; genesis is checked only when
+    `known` is 0.
+    """
     if not chain:
         return VerifyError(VerifyReason.MALFORMED_BLOCK, "empty chain")
-    if chain[0] != genesis_block():
+    if known == 0 and chain[0] != genesis_block():
         return VerifyError(VerifyReason.MALFORMED_BLOCK, "genesis differs from the shared root")
-    for i in range(1, len(chain)):
+    for i in range(max(known, 1), len(chain)):
         err = verify_block(chain[i], chain[i - 1], params.min_difficulty)
         if err is not None:
             return VerifyError(err.reason, f"block {chain[i].index}: {err.detail}")
     return None
+
+
+def shared_prefix(a: list[Block], b: list[Block]) -> int:
+    """How many leading blocks the two chains have in common."""
+    common = 0
+    for ours, theirs in zip(a, b):
+        if ours != theirs:
+            break
+        common += 1
+    return common
 
 
 def choose_chain(local: list[Block], candidate: list[Block],
@@ -172,9 +188,11 @@ def choose_chain(local: list[Block], candidate: list[Block],
     """Greatest cumulative work wins; ties and lesser work keep the local chain.
 
     Returns (selected chain, error); the error is set when the candidate
-    failed verification, in which case the local chain is kept.
+    failed verification, in which case the local chain is kept. The local
+    chain holds only verified blocks, so the prefix the candidate shares with
+    it is not verified again.
     """
-    err = verify_chain(candidate, params)
+    err = verify_chain(candidate, params, shared_prefix(local, candidate))
     if err is not None:
         return local, err
     if cumulative_work(candidate) > cumulative_work(local):

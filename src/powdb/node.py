@@ -34,6 +34,7 @@ from powdb.consensus import (
     difficulty_after_append,
     mine_block,
     replay_difficulty,
+    shared_prefix,
     verify_block,
 )
 from powdb.contracts import (
@@ -320,14 +321,13 @@ class NodeCore:
         """NEW_BLOCK to every connected peer, once per block hash ever."""
         if not self._dedup.add(block.hash):
             return 0
-        payload = {"block": block_to_json(block)}
-        sent = 0
-        for record in list(self.peers.connected()):
-            if record.conn is None or record.conn is exclude_conn:
-                continue
-            if self._send(record.conn, wire.NEW_BLOCK, payload):
-                sent += 1
-        return sent
+        conns = [record.conn for record in self.peers.connected()
+                 if record.conn is not None and record.conn is not exclude_conn]
+        if not conns:
+            return 0
+        # one signed envelope, the same bytes for every peer
+        raw = self._encode(wire.NEW_BLOCK, {"block": block_to_json(block)})
+        return sum(self._send_raw(conn, raw) for conn in conns)
 
     def handle_new_block(self, conn, env: MessageEnvelope) -> str:
         payload = env.payload if isinstance(env.payload, dict) else {}
@@ -405,11 +405,7 @@ class NodeCore:
             return "rejected"
         if selected is local:
             return "unchanged"
-        common = 0
-        for ours, theirs in zip(local, selected):
-            if ours.hash != theirs.hash:
-                break
-            common += 1
+        common = shared_prefix(local, selected)
         depth = len(local) - common
         self._cancel_mining()
         with self.store.transaction():
@@ -567,7 +563,13 @@ class NodeCore:
         payload = env.payload if isinstance(env.payload, dict) else {}
         what = payload.get("what")
         params = payload.get("params") or {}
-        self._send(conn, wire.RESPONSE, self.handle_query(what, params))
+        raw = self._encode(wire.RESPONSE, self.handle_query(what, params))
+        try:
+            wire.check_frame_size(raw)
+        except wire.ProtocolError as exc:
+            # e.g. a chain too long for one frame: answer, never leave the client waiting
+            raw = self._encode(wire.RESPONSE, {"ok": False, "what": what, "error": str(exc)})
+        self._send_raw(conn, raw)
 
     def handle_query(self, what, params) -> dict:
         if not isinstance(params, dict):
@@ -614,10 +616,16 @@ class NodeCore:
 
     # -- plumbing ---------------------------------------------------------------------
 
+    def _encode(self, kind: str, payload) -> bytes:
+        """Sign `payload` as one envelope and return its wire bytes."""
+        return sign_envelope(kind, self.clock(), payload, self.identity).encode()
+
     def _send(self, conn, kind: str, payload) -> bool:
-        env = sign_envelope(kind, self.clock(), payload, self.identity)
+        return self._send_raw(conn, self._encode(kind, payload))
+
+    def _send_raw(self, conn, raw: bytes) -> bool:
         try:
-            conn.send_message(env.encode())
+            conn.send_message(raw)
             return True
         except wire.ProtocolError:
             return False  # the frame is over the size cap; the link itself is fine

@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import random
 
+from powdb import wire
 from powdb.consensus import mine_block
 
 
@@ -67,6 +68,7 @@ class MemConnection:
         self.label = f"{local_addr}->{remote_addr}"
 
     def send_message(self, message: bytes) -> None:
+        wire.check_frame_size(message)  # the cap a TCP frame has, checked first as there
         if self.closed or self.peer is None or self.peer.closed:
             raise ConnectionError(f"connection {self.label} is closed")
         self.network.deliver(self, self.peer, message)

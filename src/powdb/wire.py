@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from cryptography.exceptions import InvalidSignature
@@ -68,13 +68,39 @@ def _check_canonical(value, path="$"):
     raise EncodingError(f"unencodable type at {path}: {type(value).__name__}")
 
 
+_PLAIN_SCALARS = frozenset({str, int, bool, type(None)})
+
+
+def _is_plain(value) -> bool:
+    """True for exact str/int/bool/None, lists and str-keyed dicts of them.
+
+    A fast pre-check with no path strings; anything it refuses (floats,
+    subclasses, tuples, ...) goes to `_check_canonical`, which decides.
+    """
+    kind = type(value)
+    if kind is dict:
+        for key, item in value.items():
+            if type(key) is not str:
+                return False
+            if type(item) not in _PLAIN_SCALARS and not _is_plain(item):
+                return False
+        return True
+    if kind is list:
+        for item in value:
+            if type(item) not in _PLAIN_SCALARS and not _is_plain(item):
+                return False
+        return True
+    return kind in _PLAIN_SCALARS
+
+
 def canonical_json(value) -> bytes:
     """UTF-8 JSON with bytewise-sorted keys and no insignificant whitespace.
 
     All numbers must be integers; floats are rejected so two nodes can never
     disagree on a digest over the same logical value.
     """
-    _check_canonical(value)
+    if not _is_plain(value):
+        _check_canonical(value)
     return json.dumps(value, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=False).encode("utf-8")
 
@@ -122,6 +148,10 @@ class MessageEnvelope:
     timestamp: int  # Unix milliseconds, informational
     payload: object  # kind-specific JSON value
     signature: str  # 128 hex chars
+    # canonical payload bytes, set only by sign_envelope; a replaced or
+    # hand-built envelope starts without them
+    _payload_json: bytes | None = field(default=None, init=False, compare=False,
+                                        repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -133,20 +163,41 @@ class MessageEnvelope:
         }
 
     def encode(self) -> bytes:
-        return canonical_json(self.to_json())
+        """canonical_json(self.to_json()), reusing the signed payload bytes.
+
+        The keys sort as kind, payload, sender, signature, timestamp.
+        """
+        body = self._payload_json
+        if body is None or type(self.timestamp) is not int:
+            return canonical_json(self.to_json())
+        return b"".join([b'{"kind":', _json_str(self.kind), b',"payload":', body,
+                         b',"sender":', _json_str(self.sender), b',"signature":',
+                         _json_str(self.signature), b',"timestamp":',
+                         str(self.timestamp).encode(), b"}"])
+
+
+def _json_str(text: str) -> bytes:
+    return json.dumps(text, ensure_ascii=False).encode("utf-8")
+
+
+def _preimage(kind: str, timestamp: int, body: bytes) -> bytes:
+    return SEP.join([kind.encode(), str(timestamp).encode(), body])
 
 
 def signing_bytes(kind: str, timestamp: int, payload) -> bytes:
     """The signature preimage: kind, timestamp, canonical payload."""
-    return SEP.join([kind.encode(), str(timestamp).encode(), canonical_json(payload)])
+    return _preimage(kind, timestamp, canonical_json(payload))
 
 
 def sign_envelope(kind: str, timestamp: int, payload, identity: NodeIdentity) -> MessageEnvelope:
     if kind not in KINDS:
         raise EncodingError(f"unknown message kind {kind!r}")
-    sig = identity.sign(signing_bytes(kind, timestamp, payload))
-    return MessageEnvelope(sender=identity.node_id, kind=kind, timestamp=timestamp,
-                           payload=payload, signature=sig.hex())
+    body = canonical_json(payload)
+    sig = identity.sign(_preimage(kind, timestamp, body))
+    env = MessageEnvelope(sender=identity.node_id, kind=kind, timestamp=timestamp,
+                          payload=payload, signature=sig.hex())
+    object.__setattr__(env, "_payload_json", body)
+    return env
 
 
 def verify_envelope(env: MessageEnvelope) -> bool:
@@ -184,10 +235,15 @@ def decode_envelope(raw: bytes) -> MessageEnvelope | None:
                            signature=obj["signature"])
 
 
-def frame(message: bytes) -> bytes:
-    """Prepend the 4-byte big-endian length."""
+def check_frame_size(message: bytes) -> None:
+    """Raise ProtocolError when `message` is over the frame cap."""
     if len(message) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {len(message)} bytes exceeds the 16 MiB cap")
+
+
+def frame(message: bytes) -> bytes:
+    """Prepend the 4-byte big-endian length."""
+    check_frame_size(message)
     return _LEN.pack(len(message)) + message
 
 

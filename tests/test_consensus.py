@@ -317,6 +317,82 @@ class TestChooseChain:
             assert cumulative_work(selected) >= cumulative_work(local)
 
 
+class TestChooseChainSharedPrefix:
+    """Blocks the candidate shares with the local chain are not verified again."""
+
+    PARAMS = TestChooseChain.PARAMS
+
+    @pytest.fixture
+    def verified(self, monkeypatch):
+        import powdb.consensus as consensus
+
+        seen = []
+
+        def recording(block, head, min_difficulty=1):
+            seen.append(block.index)
+            return verify_block(block, head, min_difficulty)
+
+        monkeypatch.setattr(consensus, "verify_block", recording)
+        return seen
+
+    def test_only_the_new_suffix_is_verified(self, verified):
+        candidate = mined_chain([4] * 6)
+        local = candidate[:4]
+        selected, err = choose_chain(local, candidate, self.PARAMS)
+        assert (selected, err) == (candidate, None)
+        assert verified == [4, 5, 6]
+
+    def test_fork_is_verified_from_the_fork_point(self, verified):
+        local = mined_chain([4] * 4)
+        candidate = local[:3]  # genesis, 1 and 2 are shared
+        for i in range(4):
+            candidate.append(mine_block(create_new_block(f"fork-{i}", candidate[-1], 4,
+                                                         50 + i)))
+        selected, err = choose_chain(local, candidate, self.PARAMS)
+        assert (selected, err) == (candidate, None)
+        assert verified == [3, 4, 5, 6]
+
+    @pytest.mark.parametrize("cut", [1, 3, 5])
+    def test_equal_or_prefix_candidate_keeps_local_unverified(self, verified, cut):
+        local = mined_chain([4] * 4)
+        selected, err = choose_chain(local, local[:cut], self.PARAMS)
+        assert selected is local and err is None
+        assert verified == []
+
+    @staticmethod
+    def _rehashed(blk, **changes):
+        blk = replace(blk, **changes)
+        return blk.with_hash(block_hash(blk))
+
+    @pytest.mark.parametrize("reason,bad", [
+        (VerifyReason.HASH_MISMATCH, lambda blk: replace(blk, data="swapped")),
+        (VerifyReason.PREV_HASH_MISMATCH, lambda blk: replace(blk, prev_hash="0" * 64)),
+        (VerifyReason.WRONG_INDEX, lambda blk: replace(blk, index=blk.index + 1)),
+        (VerifyReason.INSUFFICIENT_WORK,
+         lambda blk: TestChooseChainSharedPrefix._rehashed(blk, difficulty=30)),
+        (VerifyReason.MALFORMED_BLOCK, lambda blk: replace(blk, hash="zz")),
+    ], ids=["hash", "prev-hash", "index", "work", "malformed"])
+    def test_bad_block_past_the_prefix_keeps_reason_and_detail(self, reason, bad):
+        full_chain = mined_chain([4] * 5)
+        local = full_chain[:4]
+        candidate = local + [bad(full_chain[4])] + full_chain[5:]
+        selected, err = choose_chain(local, candidate, self.PARAMS)
+        assert selected is local
+        assert err.reason is reason
+        assert err.detail.startswith("block ")
+        assert err == verify_chain(candidate, self.PARAMS)  # as verified from genesis
+
+    def test_foreign_genesis_keeps_reason_and_detail(self):
+        local = mined_chain([4, 4])
+        fake_root = replace(GENESIS, data="OTHER")
+        fake_root = fake_root.with_hash(block_hash(fake_root))
+        candidate = [fake_root] + local[1:]
+        selected, err = choose_chain(local, candidate, self.PARAMS)
+        assert selected is local
+        assert (err.reason, err.detail) == (VerifyReason.MALFORMED_BLOCK,
+                                            "genesis differs from the shared root")
+
+
 class TestVerifyChain:
     def test_full_chain_verifies(self):
         assert verify_chain(mined_chain([4, 5, 6]), ChainParams()) is None

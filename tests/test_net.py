@@ -7,6 +7,9 @@ import sys
 import threading
 import warnings
 
+import pytest
+
+from powdb import node as node_module
 from powdb import wire
 from powdb.chain import block_to_json, genesis_block
 from powdb.consensus import create_new_block, mine_block
@@ -139,6 +142,38 @@ class TestBroadcast:
         assert node.broadcast_block(block) == 2
         assert node.broadcast_block(block) == 0
 
+    def test_one_signature_and_the_same_bytes_for_every_peer(self, cluster_factory,
+                                                               monkeypatch):
+        cluster = self.mesh(cluster_factory, 5)
+        node = cluster.nodes[0]
+        signed, delivered = [], []
+        real_sign, real_deliver = node_module.sign_envelope, cluster.net.deliver
+
+        def counting_sign(*args):
+            signed.append(args[0])
+            return real_sign(*args)
+
+        def recording_deliver(src, dst, message):
+            delivered.append((dst.local_addr, message))
+            real_deliver(src, dst, message)
+
+        monkeypatch.setattr(node_module, "sign_envelope", counting_sign)
+        monkeypatch.setattr(cluster.net, "deliver", recording_deliver)
+        block = mine_block(create_new_block("x", node.store.tip(), 4, 1))
+        assert node.broadcast_block(block) == 4
+        assert signed == [wire.NEW_BLOCK]
+        assert sorted(addr for addr, _ in delivered) == ["mem:1", "mem:2", "mem:3", "mem:4"]
+        assert len({message for _, message in delivered}) == 1
+        env = wire.decode_envelope(delivered[0][1])
+        assert wire.verify_envelope(env)
+        assert env.payload == {"block": block_to_json(block)}
+
+    def test_no_peers_signs_nothing(self, cluster_factory, monkeypatch):
+        node = cluster_factory(1).nodes[0]
+        monkeypatch.setattr(node_module, "sign_envelope", None)  # any call would fail
+        block = mine_block(create_new_block("x", node.store.tip(), 4, 1))
+        assert node.broadcast_block(block) == 0
+
     def test_dead_peer_marked_failed_others_unaffected(self, cluster_factory):
         cluster = self.mesh(cluster_factory, 5)
         node = cluster.nodes[0]
@@ -150,6 +185,25 @@ class TestBroadcast:
         assert node.broadcast_block(block) == 3
         assert node.peers.get("mem:3").state is PeerState.FAILED
         assert node.peers.get("mem:1").state is PeerState.CONNECTED
+
+
+class TestSimFrameCap:
+    def test_oversized_send_returns_false_and_keeps_the_link(self, cluster_factory,
+                                                              monkeypatch):
+        cluster = cluster_factory(2)
+        conn = cluster.connect(0, 1)
+        cluster.pump()
+        node = cluster.nodes[0]
+        queued = len(cluster.queue)
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 64)  # every envelope is over it
+        with pytest.raises(wire.ProtocolError):
+            conn.send_message(b"x" * 65)
+        assert node._send(conn, wire.PING, {}) is False
+        assert len(cluster.queue) == queued  # nothing went on the link
+        monkeypatch.undo()
+        assert not conn.closed
+        assert [r.conn for r in node.peers.connected()] == [conn]
+        assert node._send(conn, wire.PING, {}) is True
 
 
 class TestHandleNewBlock:

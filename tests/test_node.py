@@ -498,6 +498,30 @@ class TestOversizedFrame:
         assert [r.conn for r in core.peers.connected()] == [conn]
 
 
+class TestOversizedQueryResponse:
+    def test_answer_over_the_frame_cap_becomes_a_small_error(self, monkeypatch):
+        core, queue = make_node()
+        for data in ("one", "two"):
+            submit_and_run(core, queue, {"kind": "raw", "data": data})
+
+        class CappedConn(Capture):
+            def send_message(self, raw):
+                wire.check_frame_size(raw)
+                super().send_message(raw)
+
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 900)
+        conn = CappedConn()
+        from_peer(core, conn, wire.QUERY, {"what": "chain", "params": {}})
+        assert len(conn.sent) == 1
+        response = decode_envelope(conn.sent[0])
+        assert response.kind == wire.RESPONSE
+        assert response.payload["ok"] is False
+        assert response.payload["what"] == "chain"
+        assert "exceeds the 16 MiB cap" in response.payload["error"]
+        from_peer(core, conn, wire.QUERY, {"what": "block", "params": {"index": 1}})
+        assert decode_envelope(conn.sent[1]).payload["ok"] is True
+
+
 class TestQueries:
     def test_stats_on_fresh_node(self):
         core, _queue = make_node()

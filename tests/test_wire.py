@@ -4,9 +4,12 @@ import hashlib
 import io
 import json
 import random
+from dataclasses import replace
+from enum import IntEnum
 
 import pytest
 
+from powdb import wire
 from powdb.wire import (
     EncodingError,
     MessageEnvelope,
@@ -140,6 +143,83 @@ class TestCanonicalJson:
 
     def test_unicode_kept_raw(self):
         assert canonical_json({"k": "é"}) == '{"k":"é"}'.encode("utf-8")
+
+
+class _Level(IntEnum):
+    LOW = 1
+
+
+def _reference_canonical_json(value) -> bytes:
+    """The full-walk encoder: path-tracking check, then the dump."""
+    wire._check_canonical(value)
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False).encode("utf-8")
+
+
+def _outcome(encode, value):
+    try:
+        return "ok", encode(value)
+    except EncodingError as exc:
+        return type(exc), str(exc)
+
+
+class TestCanonicalFastPath:
+    """The fast pre-check never changes a result, an error type or a message."""
+
+    @pytest.mark.parametrize("value", [
+        {"a": [1, {"b": 2.5}]},
+        {"a": {1: "x"}},
+        {"a": {True: "x"}},
+        {"a": {_Level.LOW: "x"}},
+        {"a": (1, 2)},
+        {"a": {1, 2}},
+        {"a": [_Level.LOW]},
+        {"é": ["ü", None, True, -2**70, {"z": {}, "y": []}]},
+    ], ids=["nested-float", "int-key", "bool-key", "intenum-key", "tuple", "set",
+            "intenum-value", "plain"])
+    def test_same_outcome_as_full_walk(self, value):
+        assert _outcome(canonical_json, value) == _outcome(_reference_canonical_json, value)
+
+    def test_errors_name_the_path(self):
+        with pytest.raises(EncodingError, match=r"non-integer number at \$\.a\[1\]\.b: 2\.5"):
+            canonical_json({"a": [1, {"b": 2.5}]})
+
+
+class TestEncodeReusesSignedBytes:
+    """encode() splices the signed payload bytes and must equal the full encoding."""
+
+    PAYLOADS = [
+        {},
+        {"block": {"index": 1, "data": "naïve ✓ \u2028 \"quoted\" \\", "nonce": 2**63}},
+        {"blocks": [{"a": [1, [2, [3, None]]], "b": {"c": {"d": True}}}] * 3},
+        {"what": "chain", "params": {"ключ": "値", "empty": [], "neg": -7}},
+    ]
+
+    def setup_method(self):
+        self.identity = NodeIdentity.from_seed(b"\x11" * 32)
+
+    @pytest.mark.parametrize("payload", PAYLOADS)
+    def test_signed_decoded_and_hand_built_envelopes(self, payload):
+        env = sign_envelope("QUERY", 1234, payload, self.identity)
+        raw = env.encode()
+        assert raw == canonical_json(env.to_json())
+        decoded = decode_envelope(raw)
+        assert decoded == env
+        assert decoded.encode() == raw
+        hand_built = MessageEnvelope(env.sender, env.kind, env.timestamp, env.payload,
+                                     env.signature)
+        assert hand_built.encode() == raw
+
+    def test_replaced_envelope_carries_no_stale_bytes(self):
+        env = sign_envelope("TX", 5, {"tx": {"kind": "raw", "data": "é"}}, self.identity)
+        for tampered in (replace(env, payload={"tx": {"kind": "raw", "data": "e"}}),
+                         replace(env, signature="00" * 64),
+                         replace(env, timestamp=6),
+                         replace(env, kind="PING"),
+                         MessageEnvelope(env.sender, env.kind, True, env.payload,
+                                         env.signature)):
+            assert tampered.encode() == canonical_json(tampered.to_json())
+            assert tampered.encode() != env.encode()
 
 
 class TestSigning:
