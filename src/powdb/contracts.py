@@ -276,10 +276,6 @@ class ContractCache:
     def counters(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "compiles": self.compiles}
 
-    def clear(self) -> None:
-        with self._lock:
-            self.entries.clear()
-
 
 def cached_lookup(cache: ContractCache, contract_id: str, source_provider) -> CompiledContract:
     """Fetch the compiled form, compiling at most once per distinct id.

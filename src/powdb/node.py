@@ -105,10 +105,10 @@ class _MiningTask:
 
 
 class _ConnInfo:
-    def __init__(self, outbound: bool, dialed_addr: str | None, now_ms: int):
+    def __init__(self, conn, outbound: bool, dialed_addr: str | None, now_ms: int):
+        self.conn = conn
         self.outbound = outbound
         self.dialed_addr = dialed_addr
-        self.peer_addr: str | None = None
         self.hello_sent = False
         self.established = False
         self.opened_ms = now_ms
@@ -174,8 +174,7 @@ class NodeCore:
     """All node behavior behind transport-, clock- and miner-abstractions."""
 
     def __init__(self, identity: NodeIdentity, store: BlockStore, params: ChainParams,
-                 clock, miner, *, listen_addr: str = "", mine_enabled: bool = True,
-                 name: str = ""):
+                 clock, miner, *, listen_addr: str = "", mine_enabled: bool = True):
         params.validate()
         self.identity = identity
         self.store = store
@@ -184,7 +183,6 @@ class NodeCore:
         self.miner = miner
         self.mine_enabled = mine_enabled
         self.listen_addr = listen_addr
-        self.name = name or identity.node_id[:8]
 
         self.peers = PeerTable(self_addr=listen_addr)
         self.cache = ContractCache()
@@ -220,29 +218,27 @@ class NodeCore:
 
     def connect_peer(self, conn, addr: str) -> None:
         """An outbound connection we dialed: open the handshake."""
-        self._conns[id(conn)] = _ConnInfo(outbound=True, dialed_addr=addr,
+        self._conns[id(conn)] = _ConnInfo(conn, outbound=True, dialed_addr=addr,
                                           now_ms=self.clock())
         self.peers.add_peer(addr)
         self._send_hello(conn)
 
     def on_inbound_connection(self, conn) -> None:
-        self._conns[id(conn)] = _ConnInfo(outbound=False, dialed_addr=None,
+        self._conns[id(conn)] = _ConnInfo(conn, outbound=False, dialed_addr=None,
                                           now_ms=self.clock())
 
     def on_disconnect(self, conn) -> None:
-        self._conns.pop(id(conn), None)
-        self._sync_sent_ms.pop(id(conn), None)
-        self.peers.drop_conn(conn)
+        self._forget(conn)
 
     def check_timeouts(self) -> None:
-        """Fail outbound handshakes that never produced a HELLO."""
+        """Fail and close outbound handshakes that never produced a HELLO."""
         now = self.clock()
-        for conn_id, info in list(self._conns.items()):
+        for info in list(self._conns.values()):
             if (info.outbound and not info.established
                     and now - info.opened_ms > HANDSHAKE_TIMEOUT_MS):
                 if info.dialed_addr:
                     self.peers.mark_failed(info.dialed_addr)
-                self._conns.pop(conn_id, None)
+                self._drop_conn(info.conn)
 
     # -- message intake ------------------------------------------------------
 
@@ -265,7 +261,7 @@ class NodeCore:
         elif kind == wire.NEW_BLOCK:
             return self.handle_new_block(conn, env)
         elif kind == wire.GET_BLOCKS:
-            self._serve_sync(conn, env)
+            self._serve_sync(conn)
         elif kind == wire.BLOCKS:
             return self._handle_sync_response(conn, env)
         elif kind == wire.TX:
@@ -294,9 +290,8 @@ class NodeCore:
             return
         info = self._conns.get(id(conn))
         if info is None:
-            info = _ConnInfo(outbound=False, dialed_addr=None, now_ms=self.clock())
+            info = _ConnInfo(conn, outbound=False, dialed_addr=None, now_ms=self.clock())
             self._conns[id(conn)] = info
-        info.peer_addr = payload["listen_addr"]
         info.established = True
         self.peers.mark_connected(payload["listen_addr"], env.sender, conn, self.clock())
         if not info.hello_sent:
@@ -365,7 +360,7 @@ class NodeCore:
         if last is not None and now - last < SYNC_RETRY_MS:
             return False
         self._sync_sent_ms[id(conn)] = now
-        return self._send(conn, wire.GET_BLOCKS, {"from_index": 0})
+        return self._send(conn, wire.GET_BLOCKS, {})
 
     def request_sync_all(self) -> int:
         """Partition-healing aid: pull chains from every connected peer."""
@@ -376,13 +371,9 @@ class NodeCore:
                 count += 1
         return count
 
-    def _serve_sync(self, conn, env: MessageEnvelope) -> None:
-        payload = env.payload if isinstance(env.payload, dict) else {}
-        from_index = payload.get("from_index", 0)
-        if not isinstance(from_index, int) or isinstance(from_index, bool) or from_index < 0:
-            from_index = 0
-        blocks = self.store.get_all_blocks()[from_index:]
-        self._send(conn, wire.BLOCKS, {"blocks": [block_to_json(b) for b in blocks]})
+    def _serve_sync(self, conn) -> None:
+        self._send(conn, wire.BLOCKS,
+                   {"blocks": [block_to_json(b) for b in self.store.get_all_blocks()]})
 
     def _handle_sync_response(self, conn, env: MessageEnvelope) -> str:
         self._sync_sent_ms.pop(id(conn), None)
@@ -630,16 +621,21 @@ class NodeCore:
         except wire.ProtocolError:
             return False  # the frame is over the size cap; the link itself is fine
         except (ConnectionError, OSError):
-            self.peers.drop_conn(conn)
-            self._conns.pop(id(conn), None)
+            self._forget(conn)
             return False
 
     def _drop_conn(self, conn) -> None:
-        self._conns.pop(id(conn), None)
+        self._forget(conn)
         try:
             conn.close()
         except OSError:
             pass
+
+    def _forget(self, conn) -> None:
+        """Drop all per-link state: handshake record, sync timer, peer entry."""
+        self._conns.pop(id(conn), None)
+        self._sync_sent_ms.pop(id(conn), None)
+        self.peers.drop_conn(conn)
 
 
 class _ThreadMinerHandle:

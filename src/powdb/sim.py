@@ -246,7 +246,6 @@ class _Harness:
                 miner=SimMiner(self.queue, rate),
                 listen_addr=self.addrs[i],
                 mine_enabled=True,
-                name=f"node{i}",
             )
             core.node_index = i
             if i in self.honest:

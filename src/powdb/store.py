@@ -1,11 +1,13 @@
 """Durable, atomic persistence for the chain and contract state.
 
 One sqlite file per node holds the block table, the contract key-value
-state, deployed contract sources and bookkeeping metadata. Every mutation
-runs inside a transaction guarded by one lock, so a crash at any point
-leaves the previous committed state. Transactions nest: a caller that
-wraps a block append (or a chain swap) and the contract effects of its
-payloads in one `transaction()` commits them together or not at all.
+state and deployed contract sources. The block table is the only record
+of the chain: count and tip are read from it, so an append is one insert.
+Every mutation runs inside a transaction guarded by one lock, so a crash
+at any point leaves the previous committed state. Transactions nest: a
+caller that wraps a block append (or a chain swap) and the contract
+effects of its payloads in one `transaction()` commits them together or
+not at all.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ CREATE TABLE IF NOT EXISTS blocks (
     difficulty INTEGER NOT NULL,
     nonce      INTEGER NOT NULL
 );
-CREATE TABLE IF NOT EXISTS meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
 CREATE TABLE IF NOT EXISTS state (
     contract_id TEXT NOT NULL,
     key         TEXT NOT NULL,
@@ -45,6 +43,8 @@ CREATE TABLE IF NOT EXISTS contracts (
 );
 """
 
+_SELECT_BLOCKS = "SELECT idx, timestamp, data, prev_hash, hash, difficulty, nonce FROM blocks"
+
 
 class StoreError(Exception):
     """Persistence failure; the store is unchanged."""
@@ -58,8 +58,8 @@ class BlockStore:
     """Single-file embedded store owned by one node process.
 
     All mutations are serialized behind one reentrant lock; readers see only
-    committed state. Sub-steps of an append run inside one transaction, with
-    an optional crash hook between them for fault-injection tests. The
+    committed state. An append is one insert inside one transaction, with
+    an optional crash hook before its commit for fault-injection tests. The
     store never executes payloads: a block and the state its payload writes
     are atomic because the caller runs both in one `transaction()`.
     """
@@ -122,50 +122,38 @@ class BlockStore:
                         (block.index, block.timestamp, block.data, block.prev_hash,
                          block.hash, block.difficulty, block.nonce))
                     self._hook("block_inserted")
-                    self._set_meta("count", str(count + 1))
-                    self._hook("count_updated")
-                    self._set_meta("tip_hash", block.hash)
-                    self._hook("tip_updated")
             except sqlite3.Error as exc:
                 raise StoreError(f"append failed: {exc}") from exc
 
     def get_block_count(self) -> int:
-        value = self._get_meta("count")
-        return int(value) if value is not None else 0
+        return self.chain_info()[0]
 
     def chain_info(self) -> tuple[int, str | None]:
-        """Count and tip hash read under one lock acquisition."""
+        """Count and tip hash, read from the tip row in one query."""
         with self._lock:
-            return self.get_block_count(), self._get_meta("tip_hash")
-
-    def get_latest_block_hash(self) -> str:
-        tip = self._get_meta("tip_hash")
-        if tip is None:
-            raise NotFoundError("store holds no blocks")
-        return tip
+            row = self._conn.execute(
+                "SELECT idx, hash FROM blocks ORDER BY idx DESC LIMIT 1").fetchone()
+        # indices are dense from 0 (add_block and replace_chain enforce it)
+        return (row[0] + 1, row[1]) if row is not None else (0, None)
 
     def get_block(self, index: int) -> Block:
         with self._lock:
-            row = self._conn.execute(
-                "SELECT idx, timestamp, data, prev_hash, hash, difficulty, nonce"
-                " FROM blocks WHERE idx = ?", (index,)).fetchone()
+            row = self._conn.execute(_SELECT_BLOCKS + " WHERE idx = ?", (index,)).fetchone()
         if row is None:
             raise NotFoundError(f"no block at index {index}")
         return _row_to_block(row)
 
     def get_all_blocks(self) -> list[Block]:
         with self._lock:
-            rows = self._conn.execute(
-                "SELECT idx, timestamp, data, prev_hash, hash, difficulty, nonce"
-                " FROM blocks ORDER BY idx").fetchall()
+            rows = self._conn.execute(_SELECT_BLOCKS + " ORDER BY idx").fetchall()
         return [_row_to_block(r) for r in rows]
 
     def tip(self) -> Block:
         with self._lock:
-            count = self.get_block_count()
-            if count == 0:
-                raise NotFoundError("store holds no blocks")
-            return self.get_block(count - 1)
+            row = self._conn.execute(_SELECT_BLOCKS + " ORDER BY idx DESC LIMIT 1").fetchone()
+        if row is None:
+            raise NotFoundError("store holds no blocks")
+        return _row_to_block(row)
 
     def replace_chain(self, new_chain: list[Block]) -> None:
         """Atomically swap the whole chain, wiping contract state and sources.
@@ -194,8 +182,6 @@ class BlockStore:
                         "INSERT INTO blocks VALUES (?,?,?,?,?,?,?)",
                         [(b.index, b.timestamp, b.data, b.prev_hash, b.hash,
                           b.difficulty, b.nonce) for b in new_chain])
-                    self._set_meta("count", str(len(new_chain)))
-                    self._set_meta("tip_hash", new_chain[-1].hash)
             except sqlite3.Error as exc:
                 raise StoreError(f"replace failed: {exc}") from exc
 
@@ -210,13 +196,12 @@ class BlockStore:
 
     def put_state(self, contract_id: str, key: str, value: int, version: int) -> None:
         """Write one state cell; `version` is the block index of this write."""
-        with self._lock:
-            with self.transaction():
-                self._conn.execute(
-                    "INSERT INTO state VALUES (?,?,?,?)"
-                    " ON CONFLICT (contract_id, key) DO UPDATE"
-                    " SET value = excluded.value, version = excluded.version",
-                    (contract_id, key, value, version))
+        with self.transaction():
+            self._conn.execute(
+                "INSERT INTO state VALUES (?,?,?,?)"
+                " ON CONFLICT (contract_id, key) DO UPDATE"
+                " SET value = excluded.value, version = excluded.version",
+                (contract_id, key, value, version))
 
     def get_state_version(self, contract_id: str, key: str) -> int | None:
         with self._lock:
@@ -241,25 +226,10 @@ class BlockStore:
         return row[0] if row is not None else None
 
     def put_contract(self, contract_id: str, source_json: str, deployed_at: int) -> None:
-        with self._lock:
-            with self.transaction():
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO contracts VALUES (?,?,?)",
-                    (contract_id, source_json, deployed_at))
-
-    # -- bookkeeping ------------------------------------------------------
-
-    def _get_meta(self, key: str) -> str | None:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT value FROM meta WHERE key = ?", (key,)).fetchone()
-        return row[0] if row is not None else None
-
-    def _set_meta(self, key: str, value: str) -> None:
-        self._conn.execute(
-            "INSERT INTO meta VALUES (?,?)"
-            " ON CONFLICT (key) DO UPDATE SET value = excluded.value",
-            (key, value))
+        with self.transaction():
+            self._conn.execute(
+                "INSERT OR IGNORE INTO contracts VALUES (?,?,?)",
+                (contract_id, source_json, deployed_at))
 
 
 def _row_to_block(row) -> Block:

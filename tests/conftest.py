@@ -1,6 +1,8 @@
 """Shared fixtures, chain builders and an in-memory node cluster."""
 
 import hashlib
+import os
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,15 @@ from powdb.simnet import EventQueue, MemNetwork, SimMiner
 from powdb.sim import sim_hashrate_per_ms
 from powdb.store import BlockStore
 from powdb.wire import NodeIdentity
+
+
+def pytest_configure(config):
+    # `pythonpath` in pyproject.toml reaches only this process; the child
+    # interpreters some tests start must import powdb from this checkout too
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    if src not in paths:
+        os.environ["PYTHONPATH"] = os.pathsep.join([src, *paths])
 
 
 def linked_chain(difficulties, data_prefix="data", start_ts=1000):
@@ -54,8 +65,7 @@ class Cluster:
             core = NodeCore(identity=identity, store=BlockStore(":memory:"),
                             params=params, clock=lambda: self.queue.now,
                             miner=SimMiner(self.queue, rate),
-                            listen_addr=self.addrs[i], mine_enabled=mine_enabled,
-                            name=f"n{i}")
+                            listen_addr=self.addrs[i], mine_enabled=mine_enabled)
             self.nodes.append(core)
             self.net.listen(self.addrs[i], core)
 

@@ -195,14 +195,6 @@ class TestCache:
         cached_lookup(cache, contract_id_for(other), self.provider(mapping))
         assert cache.compiles == 2
 
-    def test_cleared_cache_recompiles(self):
-        cache = ContractCache()
-        provider = self.provider({SET_X_5_ID: self.SOURCE})
-        cached_lookup(cache, SET_X_5_ID, provider)
-        cache.clear()
-        cached_lookup(cache, SET_X_5_ID, provider)
-        assert cache.compiles == 2
-
     def test_hits_plus_misses_equals_lookups(self):
         cache = ContractCache()
         provider = self.provider({SET_X_5_ID: self.SOURCE})

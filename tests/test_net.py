@@ -120,6 +120,64 @@ class TestHandshake:
         assert node.peers.get("mem:1").state is PeerState.FAILED
 
 
+class TestLinkTeardown:
+    """Every way a link ends leaves no per-link state behind."""
+
+    PEER = NodeIdentity.from_seed(b"\x66" * 32)
+
+    class Link:
+        def __init__(self):
+            self.closed = False
+            self.broken = False
+
+        def send_message(self, _raw):
+            if self.broken:
+                raise ConnectionError("peer went away")
+
+        def close(self):
+            self.closed = True
+
+    def hello(self, node_id):
+        return sign_envelope(wire.HELLO, 1, {"listen_addr": "mem:9", "node_id": node_id},
+                             self.PEER)
+
+    def on_disconnect(self, cluster, node, conn):
+        node.on_disconnect(conn)
+
+    def send_failure(self, cluster, node, conn):
+        conn.broken = True
+        node.on_envelope(conn, sign_envelope(wire.PING, 1, {}, self.PEER))
+
+    def bad_hello(self, cluster, node, conn):
+        node.on_envelope(conn, self.hello("00" * 32))
+
+    def handshake_timeout(self, cluster, node, conn):
+        cluster.queue.now += node_module.HANDSHAKE_TIMEOUT_MS + 1
+        node.check_timeouts()
+
+    @pytest.mark.parametrize("teardown", ["on_disconnect", "send_failure", "bad_hello",
+                                          "handshake_timeout"])
+    def test_no_link_state_survives(self, cluster_factory, teardown):
+        cluster = cluster_factory(1)
+        node = cluster.nodes[0]
+        conn = self.Link()
+        node.connect_peer(conn, "mem:9")
+        if teardown == "handshake_timeout":
+            node.request_sync(conn)  # a sync timer, but no HELLO ever comes back
+        else:
+            node.on_envelope(conn, self.hello(self.PEER.node_id))
+            assert node.peers.get("mem:9").state is PeerState.CONNECTED
+        assert id(conn) in node._conns and id(conn) in node._sync_sent_ms
+
+        getattr(self, teardown)(cluster, node, conn)
+        assert id(conn) not in node._conns
+        assert id(conn) not in node._sync_sent_ms
+        assert node.peers.get("mem:9").conn is None
+        assert node.peers.get("mem:9").state is not PeerState.CONNECTED
+        if teardown in ("bad_hello", "handshake_timeout"):
+            assert conn.closed
+
+
 class TestBroadcast:
     def mesh(self, cluster_factory, n):
         cluster = cluster_factory(n)

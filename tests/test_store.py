@@ -2,6 +2,7 @@
 
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -60,12 +61,13 @@ class TestAppendAndFetch:
     def test_latest_hash(self, store_path):
         store = BlockStore(store_path)
         with pytest.raises(NotFoundError):
-            store.get_latest_block_hash()
+            store.tip()
+        assert store.chain_info() == (0, None)
         chain = linked_chain([4])
         store.add_block(chain[0])
-        assert store.get_latest_block_hash() == chain[0].hash
+        assert store.chain_info()[1] == store.tip().hash == chain[0].hash
         store.add_block(chain[1])
-        assert store.get_latest_block_hash() == chain[1].hash
+        assert store.chain_info()[1] == store.tip().hash == chain[1].hash
 
     def test_get_block(self, store_path):
         store = BlockStore(store_path)
@@ -109,7 +111,7 @@ class TestReplaceChain:
             store.add_block(blk)
         store.replace_chain(chain)
         assert store.get_all_blocks() == chain
-        assert store.get_latest_block_hash() == chain[-1].hash
+        assert store.chain_info()[1] == store.tip().hash == chain[-1].hash
 
     def test_longer_chain_adopted(self, store_path):
         store = BlockStore(store_path)
@@ -119,6 +121,16 @@ class TestReplaceChain:
         store.replace_chain(newer)
         assert store.get_block_count() == 5
         assert store.get_all_blocks() == newer
+
+    def test_shorter_chain_adopted(self, store_path):
+        store = BlockStore(store_path)
+        for blk in linked_chain([4, 4, 4], data_prefix="old"):
+            store.add_block(blk)
+        heavier = linked_chain([12], data_prefix="new")
+        store.replace_chain(heavier)
+        assert store.chain_info() == (2, heavier[-1].hash)
+        assert store.tip() == heavier[-1]
+        assert store.get_all_blocks() == heavier
 
     def test_foreign_genesis_rejected(self, store_path):
         from dataclasses import replace
@@ -170,6 +182,72 @@ class TestReplaceChain:
         assert store.get_state("c" * 64, "keep") == 7
 
 
+def traced(store) -> list[str]:
+    """Record every SQL statement the store's connection runs from now on."""
+    statements = []
+    store._conn.set_trace_callback(statements.append)
+    return statements
+
+
+class TestChainRecord:
+    """The block table is the only record of the chain."""
+
+    WRITES = ("INSERT", "UPDATE", "DELETE", "REPLACE")
+
+    def test_append_is_one_insert(self, store_path):
+        store = BlockStore(store_path)
+        chain = linked_chain([4])
+        store.add_block(chain[0])
+        statements = traced(store)
+        store.add_block(chain[1])
+        writes = [sql for sql in statements if sql.split()[0].upper() in self.WRITES]
+        assert len(writes) == 1
+        assert writes[0].startswith("INSERT INTO blocks")
+
+    @pytest.mark.parametrize("read", ["tip", "chain_info"])
+    def test_tip_read_is_one_select(self, store_path, read):
+        store = BlockStore(store_path)
+        for blk in linked_chain([4, 4]):
+            store.add_block(blk)
+        statements = traced(store)
+        getattr(store, read)()
+        assert len(statements) == 1
+        assert statements[0].startswith("SELECT")
+
+    def test_file_with_meta_table_opens(self, store_path):
+        """A file from a build that kept count and tip in a `meta` table
+        opens, reads both from `blocks`, and takes the next append."""
+        chain = linked_chain([4, 4, 4])
+        conn = sqlite3.connect(store_path)
+        conn.executescript("""
+            CREATE TABLE blocks (idx INTEGER PRIMARY KEY, timestamp INTEGER NOT NULL,
+                data TEXT NOT NULL, prev_hash TEXT NOT NULL, hash TEXT NOT NULL,
+                difficulty INTEGER NOT NULL, nonce INTEGER NOT NULL);
+            CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+            CREATE TABLE state (contract_id TEXT NOT NULL, key TEXT NOT NULL,
+                value INTEGER NOT NULL, version INTEGER NOT NULL,
+                PRIMARY KEY (contract_id, key));
+            CREATE TABLE contracts (contract_id TEXT PRIMARY KEY, source TEXT NOT NULL,
+                deployed_at INTEGER NOT NULL);
+        """)
+        conn.executemany("INSERT INTO blocks VALUES (?,?,?,?,?,?,?)",
+                         [(b.index, b.timestamp, b.data, b.prev_hash, b.hash,
+                           b.difficulty, b.nonce) for b in chain[:3]])
+        conn.executemany("INSERT INTO meta VALUES (?,?)",
+                         [("count", "3"), ("tip_hash", chain[2].hash), ("state_applied", "1")])
+        conn.commit()
+        conn.close()
+
+        store = BlockStore(store_path)
+        assert store.chain_info() == (3, chain[2].hash)
+        assert store.tip() == chain[2]
+        store.add_block(chain[3])
+        store.close()
+        reopened = BlockStore(store_path)
+        assert reopened.chain_info() == (4, chain[3].hash)
+        assert reopened.get_all_blocks() == chain
+
+
 class TestState:
     CID = "ab" * 32
 
@@ -207,11 +285,11 @@ class TestState:
 
 
 class TestCrashAtomicity:
-    STEPS = ("block_inserted", "count_updated", "tip_updated")
+    STEPS = ("block_inserted",)
 
     def test_injected_crash_between_substeps_never_corrupts(self, tmp_path):
-        """Crash at every sub-step boundary of every append of a 35-block
-        chain: 105 injection points, each followed by a reopen-and-audit."""
+        """Crash before the commit of every append of a 35-block chain:
+        35 injection points, each followed by a reopen-and-audit."""
         chain = linked_chain([4] * 34)
         path = tmp_path / "victim.db"
         store = BlockStore(path)
@@ -236,7 +314,7 @@ class TestCrashAtomicity:
                     assert audit.get_block(count - 1).hash == tip
                 audit.close()
             store.add_block(blk)
-        assert injections == 105
+        assert injections == 35
         assert store.get_all_blocks() == chain
 
     @pytest.mark.parametrize("step", STEPS)
