@@ -1,77 +1,8 @@
-"""Peer table and gossip bookkeeping."""
+"""Recently-seen block cache for gossip."""
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from enum import Enum
-
-
-class PeerState(Enum):
-    KNOWN = "known"
-    CONNECTED = "connected"
-    FAILED = "failed"
-
-
-@dataclass
-class PeerRecord:
-    addr: str
-    node_id: str | None = None
-    last_seen_ms: int = 0
-    state: PeerState = PeerState.KNOWN
-    conn: object = field(default=None, repr=False)
-
-
-class PeerTable:
-    """At most one record per address; the node's own address never enters."""
-
-    def __init__(self, self_addr: str):
-        self.self_addr = self_addr
-        self._records: dict[str, PeerRecord] = {}
-
-    def add_peer(self, addr: str) -> bool:
-        """Insert a known-peer record; idempotent, self-address ignored."""
-        if not addr or addr == self.self_addr:
-            return False
-        if addr not in self._records:
-            self._records[addr] = PeerRecord(addr=addr)
-        return True
-
-    def mark_connected(self, addr: str, node_id: str, conn, now_ms: int) -> None:
-        if addr == self.self_addr:
-            return
-        record = self._records.setdefault(addr, PeerRecord(addr=addr))
-        record.node_id = node_id
-        record.state = PeerState.CONNECTED
-        record.conn = conn
-        record.last_seen_ms = now_ms
-
-    def mark_failed(self, addr: str) -> None:
-        record = self._records.get(addr)
-        if record is not None:
-            record.state = PeerState.FAILED
-            record.conn = None
-
-    def drop_conn(self, conn) -> None:
-        for record in self._records.values():
-            if record.conn is conn:
-                record.state = PeerState.FAILED
-                record.conn = None
-
-    def get(self, addr: str) -> PeerRecord | None:
-        return self._records.get(addr)
-
-    def addrs(self) -> list[str]:
-        return list(self._records)
-
-    def connected(self) -> list[PeerRecord]:
-        return [r for r in self._records.values() if r.state is PeerState.CONNECTED]
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, addr: str) -> bool:
-        return addr in self._records
 
 
 class RecentSet:

@@ -48,7 +48,7 @@ from powdb.contracts import (
     contract_id_for,
     execute,
 )
-from powdb.net import PeerTable, RecentSet
+from powdb.net import RecentSet
 from powdb.store import BlockStore, NotFoundError, StoreError
 from powdb.transport import TcpTransport
 from powdb.wire import (
@@ -104,14 +104,14 @@ class _MiningTask:
     retried: bool = False
 
 
-class _ConnInfo:
-    def __init__(self, conn, outbound: bool, dialed_addr: str | None, now_ms: int):
-        self.conn = conn
-        self.outbound = outbound
-        self.dialed_addr = dialed_addr
-        self.hello_sent = False
-        self.established = False
-        self.opened_ms = now_ms
+@dataclass
+class _Link:
+    """Everything the node keeps about one connection."""
+    conn: object
+    outbound: bool
+    opened_ms: int
+    established: bool = False  # the peer's HELLO arrived
+    sync_sent_ms: int | None = None
 
 
 def parse_tx_data(data: str) -> dict | None:
@@ -184,7 +184,6 @@ class NodeCore:
         self.mine_enabled = mine_enabled
         self.listen_addr = listen_addr
 
-        self.peers = PeerTable(self_addr=listen_addr)
         self.cache = ContractCache()
         # fn(node, new_blocks, reorg_depth), called once per chain change
         self.on_chain_change = None
@@ -192,12 +191,11 @@ class NodeCore:
         self.rejects_by_reason: dict[str, int] = {}
         self.dropped_envelopes = 0
 
-        self._conns: dict[int, _ConnInfo] = {}
+        self._links: dict[int, _Link] = {}  # by id(conn), oldest first
         self._dedup = RecentSet(1024)
         self._pending: deque[tuple[dict, object]] = deque()
         self._task: _MiningTask | None = None
         self._next_token = 0
-        self._sync_sent_ms: dict[int, int] = {}
         self._closed = False
 
         self._startup()
@@ -216,29 +214,28 @@ class NodeCore:
 
     # -- connection events ---------------------------------------------------
 
-    def connect_peer(self, conn, addr: str) -> None:
+    def connect_peer(self, conn) -> None:
         """An outbound connection we dialed: open the handshake."""
-        self._conns[id(conn)] = _ConnInfo(conn, outbound=True, dialed_addr=addr,
-                                          now_ms=self.clock())
-        self.peers.add_peer(addr)
+        self._links[id(conn)] = _Link(conn, outbound=True, opened_ms=self.clock())
         self._send_hello(conn)
 
     def on_inbound_connection(self, conn) -> None:
-        self._conns[id(conn)] = _ConnInfo(conn, outbound=False, dialed_addr=None,
-                                          now_ms=self.clock())
+        self._links[id(conn)] = _Link(conn, outbound=False, opened_ms=self.clock())
 
     def on_disconnect(self, conn) -> None:
         self._forget(conn)
 
     def check_timeouts(self) -> None:
-        """Fail and close outbound handshakes that never produced a HELLO."""
+        """Close outbound handshakes that never produced a HELLO."""
         now = self.clock()
-        for info in list(self._conns.values()):
-            if (info.outbound and not info.established
-                    and now - info.opened_ms > HANDSHAKE_TIMEOUT_MS):
-                if info.dialed_addr:
-                    self.peers.mark_failed(info.dialed_addr)
-                self._drop_conn(info.conn)
+        for link in list(self._links.values()):
+            if (link.outbound and not link.established
+                    and now - link.opened_ms > HANDSHAKE_TIMEOUT_MS):
+                self._drop_conn(link.conn)
+
+    def connected(self) -> list:
+        """The conns of established links, oldest first."""
+        return [link.conn for link in self._links.values() if link.established]
 
     # -- message intake ------------------------------------------------------
 
@@ -256,8 +253,6 @@ class NodeCore:
         kind = env.kind
         if kind == wire.HELLO:
             self._handle_hello(conn, env)
-        elif kind == wire.PEERS:
-            self._handle_peers(env)
         elif kind == wire.NEW_BLOCK:
             return self.handle_new_block(conn, env)
         elif kind == wire.GET_BLOCKS:
@@ -276,10 +271,8 @@ class NodeCore:
     # -- handshake -----------------------------------------------------------
 
     def _send_hello(self, conn) -> None:
-        info = self._conns.get(id(conn))
-        payload = {"listen_addr": self.listen_addr, "node_id": self.identity.node_id}
-        if self._send(conn, wire.HELLO, payload) and info is not None:
-            info.hello_sent = True
+        self._send(conn, wire.HELLO,
+                   {"listen_addr": self.listen_addr, "node_id": self.identity.node_id})
 
     def _handle_hello(self, conn, env: MessageEnvelope) -> None:
         payload = env.payload
@@ -288,36 +281,22 @@ class NodeCore:
                 or payload.get("node_id") != env.sender):
             self._drop_conn(conn)
             return
-        info = self._conns.get(id(conn))
-        if info is None:
-            info = _ConnInfo(conn, outbound=False, dialed_addr=None, now_ms=self.clock())
-            self._conns[id(conn)] = info
-        info.established = True
-        self.peers.mark_connected(payload["listen_addr"], env.sender, conn, self.clock())
-        if not info.hello_sent:
-            self._send_hello(conn)
-        known = [a for a in self.peers.addrs() if a != payload["listen_addr"]]
-        self._send(conn, wire.PEERS, {"addrs": known})
+        link = self._links.setdefault(id(conn), _Link(conn, outbound=False,
+                                                      opened_ms=self.clock()))
+        if not link.outbound and not link.established:
+            self._send_hello(conn)  # the dialer sent its HELLO when the link opened
+        link.established = True
         # both ends pull the other's chain once, so a fresh link converges
         # without waiting for the next broadcast
         self.request_sync(conn)
 
-    def _handle_peers(self, env: MessageEnvelope) -> None:
-        payload = env.payload
-        if not isinstance(payload, dict) or not isinstance(payload.get("addrs"), list):
-            return
-        for addr in payload["addrs"]:
-            if isinstance(addr, str):
-                self.peers.add_peer(addr)
-
     # -- gossip ----------------------------------------------------------------
 
     def broadcast_block(self, block: Block, exclude_conn=None) -> int:
-        """NEW_BLOCK to every connected peer, once per block hash ever."""
+        """NEW_BLOCK on every established link, once per block hash ever."""
         if not self._dedup.add(block.hash):
             return 0
-        conns = [record.conn for record in self.peers.connected()
-                 if record.conn is not None and record.conn is not exclude_conn]
+        conns = [conn for conn in self.connected() if conn is not exclude_conn]
         if not conns:
             return 0
         # one signed envelope, the same bytes for every peer
@@ -334,7 +313,8 @@ class NodeCore:
         tip = self.store.tip()
         if block.index <= tip.index:
             return "ignored"
-        if block.index > tip.index + 1:
+        if block.index > tip.index + 1 or block.prev_hash != tip.hash:
+            # a gap, or the sender is on another fork: pull its chain
             self.request_sync(conn)
             return "sync_triggered"
         err = verify_block(block, tip, self.params.min_difficulty)
@@ -342,10 +322,6 @@ class NodeCore:
             self._cancel_mining()
             self._commit_block(block, tip, exclude_conn=conn)
             return "appended"
-        if err.reason is VerifyReason.PREV_HASH_MISMATCH:
-            # same height, different parent: the sender is on another fork
-            self.request_sync(conn)
-            return "sync_triggered"
         self._count_reject(err.reason)
         return "ignored"
 
@@ -355,28 +331,28 @@ class NodeCore:
     # -- sync --------------------------------------------------------------------
 
     def request_sync(self, conn) -> bool:
-        now = self.clock()
-        last = self._sync_sent_ms.get(id(conn))
-        if last is not None and now - last < SYNC_RETRY_MS:
-            return False
-        self._sync_sent_ms[id(conn)] = now
+        link = self._links.get(id(conn))
+        if link is not None:
+            now = self.clock()
+            if link.sync_sent_ms is not None and now - link.sync_sent_ms < SYNC_RETRY_MS:
+                return False
+            link.sync_sent_ms = now
         return self._send(conn, wire.GET_BLOCKS, {})
 
     def request_sync_all(self) -> int:
         """Partition-healing aid: pull chains from every connected peer."""
-        self._sync_sent_ms.clear()
-        count = 0
-        for record in list(self.peers.connected()):
-            if record.conn is not None and self.request_sync(record.conn):
-                count += 1
-        return count
+        for link in self._links.values():
+            link.sync_sent_ms = None
+        return sum(self.request_sync(conn) for conn in self.connected())
 
     def _serve_sync(self, conn) -> None:
         self._send(conn, wire.BLOCKS,
                    {"blocks": [block_to_json(b) for b in self.store.get_all_blocks()]})
 
     def _handle_sync_response(self, conn, env: MessageEnvelope) -> str:
-        self._sync_sent_ms.pop(id(conn), None)
+        link = self._links.get(id(conn))
+        if link is not None:
+            link.sync_sent_ms = None
         payload = env.payload if isinstance(env.payload, dict) else {}
         raw_blocks = payload.get("blocks")
         if not isinstance(raw_blocks, list):
@@ -406,7 +382,7 @@ class NodeCore:
         self.dstate = replay_difficulty(selected, self.params)
         if self.on_chain_change:
             self.on_chain_change(self, selected[common:], depth)
-        # let neighbors discover the better chain through the usual gap rule
+        # let neighbors discover the better chain through the usual sync trigger
         self.broadcast_block(selected[-1])
         return "adopted"
 
@@ -593,7 +569,7 @@ class NodeCore:
             return {"ok": True, "what": what, "result": {
                 "count": count,
                 "tip_hash": tip,
-                "peer_count": len(self.peers),
+                "peer_count": len(self.connected()),
                 # envelopes carry integers only: milli-bits for the real value
                 "difficulty": self.dstate.effective_bits(),
                 "difficulty_milli": round(self.dstate.d_current * 1000),
@@ -632,10 +608,8 @@ class NodeCore:
             pass
 
     def _forget(self, conn) -> None:
-        """Drop all per-link state: handshake record, sync timer, peer entry."""
-        self._conns.pop(id(conn), None)
-        self._sync_sent_ms.pop(id(conn), None)
-        self.peers.drop_conn(conn)
+        """Drop all per-link state."""
+        self._links.pop(id(conn), None)
 
 
 class _ThreadMinerHandle:
@@ -717,11 +691,10 @@ class NodeRuntime:
     def _dial(self, addr: str) -> None:
         try:
             conn = self.transport.dial(addr)
-        except OSError:
-            self.submit(lambda: self.core.peers.add_peer(addr))
-            self.submit(lambda: self.core.peers.mark_failed(addr))
+        except OSError as exc:
+            logger.warning("cannot dial peer %s: %s", addr, exc)
             return
-        self.submit(lambda: self.core.connect_peer(conn, addr))
+        self.submit(lambda: self.core.connect_peer(conn))
 
     def _command_loop(self) -> None:
         last_sweep = time.monotonic()

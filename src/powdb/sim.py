@@ -273,7 +273,7 @@ class _Harness:
                 for j in range(i + 1, config.node_count):
                     conn = self.net.dial(self.nodes[i], self.addrs[i], self.addrs[j])
                     if conn is not None:
-                        self.nodes[i].connect_peer(conn, self.addrs[j])
+                        self.nodes[i].connect_peer(conn)
 
         self.queue.at(0, connect_all)
 
@@ -382,12 +382,11 @@ class _Harness:
             env = MessageEnvelope(env.sender, env.kind, env.timestamp,
                                   env.payload, flipped)
         raw = env.encode()
-        for record in core.peers.connected():
-            if record.conn is not None:
-                try:
-                    record.conn.send_message(raw)
-                except ConnectionError:
-                    pass
+        for conn in core.connected():
+            try:
+                conn.send_message(raw)
+            except ConnectionError:
+                pass
 
     # -- run and report ------------------------------------------------------
 

@@ -43,17 +43,6 @@ class EventQueue:
             if self.processed > max_events:
                 raise RuntimeError(f"simulation exceeded {max_events} events")
 
-    def run_until(self, t_ms: int, max_events: int = 5_000_000) -> None:
-        """Process every event with time <= t_ms."""
-        while self._heap and self._heap[0][0] <= t_ms:
-            t, _seq, fn = heapq.heappop(self._heap)
-            self.now = t
-            fn()
-            self.processed += 1
-            if self.processed > max_events:
-                raise RuntimeError(f"simulation exceeded {max_events} events")
-        self.now = max(self.now, t_ms)
-
 
 class MemConnection:
     """One direction-pair endpoint of an in-memory link."""

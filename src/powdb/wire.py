@@ -22,7 +22,6 @@ SEP = b"\x1f"
 
 # Envelope kinds; the kind fixes the payload schema.
 HELLO = "HELLO"
-PEERS = "PEERS"
 NEW_BLOCK = "NEW_BLOCK"
 GET_BLOCKS = "GET_BLOCKS"
 BLOCKS = "BLOCKS"
@@ -32,8 +31,8 @@ RESPONSE = "RESPONSE"
 PING = "PING"
 PONG = "PONG"
 
-KINDS = frozenset({HELLO, PEERS, NEW_BLOCK, GET_BLOCKS, BLOCKS, TX, QUERY,
-                   RESPONSE, PING, PONG})
+KINDS = frozenset({HELLO, NEW_BLOCK, GET_BLOCKS, BLOCKS, TX, QUERY, RESPONSE,
+                   PING, PONG})
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 

@@ -72,14 +72,11 @@ class Cluster:
     def connect(self, i, j):
         conn = self.net.dial(self.nodes[i], self.addrs[i], self.addrs[j])
         assert conn is not None
-        self.nodes[i].connect_peer(conn, self.addrs[j])
+        self.nodes[i].connect_peer(conn)
         return conn
 
-    def pump(self, until_ms=None):
-        if until_ms is None:
-            self.queue.run()
-        else:
-            self.queue.run_until(until_ms)
+    def pump(self):
+        self.queue.run()
 
     def heads(self):
         return [core.store.chain_info()[1] for core in self.nodes]

@@ -44,6 +44,8 @@ class NodeProc:
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
+        self.proc.stdout.close()
+        self.proc.stderr.close()
 
 
 @pytest.fixture

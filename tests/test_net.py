@@ -13,35 +13,9 @@ from powdb import node as node_module
 from powdb import wire
 from powdb.chain import block_to_json, genesis_block
 from powdb.consensus import create_new_block, mine_block
-from powdb.net import PeerState, PeerTable, RecentSet
+from powdb.net import RecentSet
 from powdb.transport import TcpTransport, parse_hostport
 from powdb.wire import MessageEnvelope, NodeIdentity, sign_envelope
-
-
-class TestPeerTable:
-    def test_add_twice_keeps_one_record(self):
-        table = PeerTable("me:1")
-        table.add_peer("peer:2")
-        table.add_peer("peer:2")
-        assert len(table) == 1
-
-    def test_own_addr_ignored(self):
-        table = PeerTable("me:1")
-        table.add_peer("me:1")
-        assert len(table) == 0
-
-    def test_fresh_addr_grows_table(self):
-        table = PeerTable("me:1")
-        before = len(table)
-        table.add_peer("peer:9")
-        assert len(table) == before + 1
-
-    def test_state_transitions(self):
-        table = PeerTable("me:1")
-        table.mark_connected("peer:2", "ab" * 32, conn=object(), now_ms=5)
-        assert table.get("peer:2").state is PeerState.CONNECTED
-        table.mark_failed("peer:2")
-        assert table.get("peer:2").state is PeerState.FAILED
 
 
 class TestRecentSet:
@@ -61,24 +35,11 @@ class TestRecentSet:
 class TestHandshake:
     def test_two_nodes_record_each_other(self, cluster_factory):
         cluster = cluster_factory(2)
-        cluster.connect(0, 1)
+        conn = cluster.connect(0, 1)
         cluster.pump()
         a, b = cluster.nodes
-        assert a.peers.get("mem:1").state is PeerState.CONNECTED
-        assert a.peers.get("mem:1").node_id == b.identity.node_id
-        assert b.peers.get("mem:0").state is PeerState.CONNECTED
-        assert b.peers.get("mem:0").node_id == a.identity.node_id
-
-    def test_third_node_learns_both_via_peers_merge(self, cluster_factory):
-        cluster = cluster_factory(3)
-        cluster.connect(0, 1)
-        cluster.pump()
-        cluster.connect(2, 0)
-        cluster.pump()
-        # node 2 handshook only with 0 but merged 0's address list
-        assert "mem:0" in cluster.nodes[2].peers
-        assert "mem:1" in cluster.nodes[2].peers
-        assert cluster.nodes[2].peers.get("mem:1").state is PeerState.KNOWN
+        assert a.connected() == [conn]
+        assert b.connected() == [conn.peer]
 
     def test_bad_signature_hello_adds_no_record(self, cluster_factory):
         cluster = cluster_factory(2)
@@ -98,7 +59,7 @@ class TestHandshake:
         target.on_inbound_connection(conn)
         outcome = target.on_message(conn, tampered.encode())
         assert outcome == "dropped"
-        assert "mem:8" not in target.peers
+        assert target.connected() == []
         assert target.dropped_envelopes == 1
 
     def test_handshake_timeout_marks_failed(self, cluster_factory):
@@ -114,10 +75,12 @@ class TestHandshake:
                 self.closed = True
 
         node = cluster.nodes[0]
-        node.connect_peer(BlackholeConn(), "mem:1")
+        conn = BlackholeConn()
+        node.connect_peer(conn)
         cluster.queue.now = 10_000
         node.check_timeouts()
-        assert node.peers.get("mem:1").state is PeerState.FAILED
+        assert id(conn) not in node._links
+        assert conn.closed
 
 
 class TestLinkTeardown:
@@ -161,19 +124,17 @@ class TestLinkTeardown:
         cluster = cluster_factory(1)
         node = cluster.nodes[0]
         conn = self.Link()
-        node.connect_peer(conn, "mem:9")
+        node.connect_peer(conn)
         if teardown == "handshake_timeout":
             node.request_sync(conn)  # a sync timer, but no HELLO ever comes back
         else:
             node.on_envelope(conn, self.hello(self.PEER.node_id))
-            assert node.peers.get("mem:9").state is PeerState.CONNECTED
-        assert id(conn) in node._conns and id(conn) in node._sync_sent_ms
+            assert node.connected() == [conn]
+        assert node._links[id(conn)].sync_sent_ms is not None
 
         getattr(self, teardown)(cluster, node, conn)
-        assert id(conn) not in node._conns
-        assert id(conn) not in node._sync_sent_ms
-        assert node.peers.get("mem:9").conn is None
-        assert node.peers.get("mem:9").state is not PeerState.CONNECTED
+        assert id(conn) not in node._links
+        assert node.connected() == []
         if teardown in ("bad_hello", "handshake_timeout"):
             assert conn.closed
 
@@ -235,14 +196,26 @@ class TestBroadcast:
     def test_dead_peer_marked_failed_others_unaffected(self, cluster_factory):
         cluster = self.mesh(cluster_factory, 5)
         node = cluster.nodes[0]
-        # kill the link to node 3 underneath the peer table
-        record = node.peers.get("mem:3")
-        record.conn.closed = True
-        record.conn.peer.closed = True
+        # break the link to node 3 without telling node 0
+        links = {conn.remote_addr: conn for conn in node.connected()}
+        links["mem:3"].closed = True
+        links["mem:3"].peer.closed = True
         block = mine_block(create_new_block("x", node.store.tip(), 4, 1))
         assert node.broadcast_block(block) == 3
-        assert node.peers.get("mem:3").state is PeerState.FAILED
-        assert node.peers.get("mem:1").state is PeerState.CONNECTED
+        assert links["mem:3"] not in node.connected()
+        assert links["mem:1"] in node.connected()
+
+    def test_block_crosses_the_second_link_after_the_first_closes(self, cluster_factory):
+        # both nodes dialed, so two links join the same pair of nodes
+        cluster = cluster_factory(2)
+        first = cluster.connect(0, 1)
+        cluster.connect(1, 0)
+        cluster.pump()
+        first.close()
+        cluster.pump()
+        cluster.submit(0, {"kind": "raw", "data": "via the other link"})
+        cluster.pump()
+        assert cluster.nodes[1].store.get_block_count() == 2
 
 
 class TestSimFrameCap:
@@ -260,7 +233,7 @@ class TestSimFrameCap:
         assert len(cluster.queue) == queued  # nothing went on the link
         monkeypatch.undo()
         assert not conn.closed
-        assert [r.conn for r in node.peers.connected()] == [conn]
+        assert node.connected() == [conn]
         assert node._send(conn, wire.PING, {}) is True
 
 
@@ -293,7 +266,7 @@ class TestHandleNewBlock:
             blk = mine_block(create_new_block(f"p{i}", tip, 4, 10 + i))
             blocks.append(blk)
             tip = blk
-        conn = b.peers.get("mem:0").conn
+        [conn] = b.connected()
         outcome = b.handle_new_block(conn, self.envelope_for(a, blocks[-1]))
         assert outcome == "sync_triggered"
 
@@ -311,7 +284,7 @@ class TestHandleNewBlock:
                 break
             data += "."
         before = b.store.get_block_count()
-        conn = b.peers.get("mem:0").conn
+        [conn] = b.connected()
         outcome = b.handle_new_block(conn, self.envelope_for(a, fake))
         assert outcome == "ignored"
         assert b.rejects_by_reason == {"InsufficientWork": 1}
@@ -323,7 +296,7 @@ class TestHandleNewBlock:
         cluster.pump()
         a, b = cluster.nodes
         env = self.envelope_for(a, genesis_block())
-        conn = b.peers.get("mem:0").conn
+        [conn] = b.connected()
         assert b.handle_new_block(conn, env) == "ignored"
         assert b.rejects_by_reason == {}
 

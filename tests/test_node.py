@@ -264,7 +264,7 @@ class TestHostileInput:
     """No signed peer message, whatever its payload, raises or moves the chain."""
 
     VALUES = (None, 0, -1, 2**70, True, "x", [], [1], {})
-    HANDLER_KEYS = ("listen_addr", "addrs", "block", "from_index", "blocks", "tx",
+    HANDLER_KEYS = ("listen_addr", "block", "from_index", "blocks", "tx",
                     "what", "params")
 
     @classmethod
@@ -490,12 +490,13 @@ class TestOversizedFrame:
                 raise ProtocolError("frame exceeds the 16 MiB cap")
 
         conn = CappedConn()
-        core.peers.mark_connected("mem:peer", "p" * 64, conn, 0)
+        core.on_inbound_connection(conn)
+        from_peer(core, conn, wire.HELLO, {"listen_addr": "mem:peer", "node_id": PEER.node_id})
         assert core._send(conn, "PING", {}) is False
         result = submit_and_run(core, queue, {"kind": "raw", "data": "big"})
         assert result["ok"] is True
         assert core.store.get_block_count() == 2
-        assert [r.conn for r in core.peers.connected()] == [conn]
+        assert core.connected() == [conn]
 
 
 class TestOversizedQueryResponse:
@@ -608,8 +609,8 @@ class TestTcpRuntime:
         b.start()
         try:
             assert self.wait_until(
-                lambda: a.listen_addr in b.core.peers
-                and b.listen_addr in a.core.peers), "mutual peer records"
+                lambda: len(b.core.connected()) == 1
+                and len(a.core.connected()) == 1), "an established link on each side"
 
             result = client_request(b.listen_addr, "TX",
                                     {"tx": {"kind": "raw", "data": "over-tcp"}})

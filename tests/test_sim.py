@@ -155,16 +155,6 @@ class TestSimnet:
         queue.run()
         assert order == [0, 1, 2, 3, 4]
 
-    def test_run_until_leaves_future_events(self):
-        queue = EventQueue()
-        fired = []
-        queue.at(5, lambda: fired.append(5))
-        queue.at(15, lambda: fired.append(15))
-        queue.run_until(10)
-        assert fired == [5] and queue.now == 10
-        queue.run()
-        assert fired == [5, 15]
-
     def test_partition_blocks_cross_group_delivery(self):
         queue = EventQueue()
         net = MemNetwork(queue, random.Random(1), latency_ms=1)
