@@ -96,11 +96,11 @@ class NodeConfig:
 
 @dataclass
 class _MiningTask:
-    token: int
+    """One accepted transaction, from intake until it commits or fails."""
     tx: dict
-    block: Block
-    reply: object  # callable | None
-    handle: object = None
+    data: str  # the block data string validate_tx_payload returned
+    reply: object  # fn(result dict)
+    handle: object = None  # the miner's handle while a job runs
     retried: bool = False
 
 
@@ -132,8 +132,8 @@ def parse_tx_data(data: str) -> dict | None:
 def validate_tx_payload(tx, known_contract) -> str:
     """Shape-check a transaction and return the block data string.
 
-    `known_contract(contract_id)` says whether a call target exists or is
-    already in the pipeline. Raises TxRejected.
+    `known_contract(contract_id)` says whether a call target exists or its
+    deploy is already queued. Raises TxRejected.
     """
     if not isinstance(tx, dict) or "kind" not in tx:
         raise TxRejected("transaction must be an object with a 'kind'")
@@ -193,9 +193,8 @@ class NodeCore:
 
         self._links: dict[int, _Link] = {}  # by id(conn), oldest first
         self._dedup = RecentSet(1024)
-        self._pending: deque[tuple[dict, object]] = deque()
-        self._task: _MiningTask | None = None
-        self._next_token = 0
+        # accepted, unmined transactions in arrival order; the head is mining
+        self._queue: deque[_MiningTask] = deque()
         self._closed = False
 
         self._startup()
@@ -209,8 +208,7 @@ class NodeCore:
 
     def close(self) -> None:
         self._closed = True
-        if self._task is not None and self._task.handle is not None:
-            self._task.handle.cancel()
+        self._cancel_mining()
 
     # -- connection events ---------------------------------------------------
 
@@ -263,9 +261,7 @@ class NodeCore:
             self._handle_tx(conn, env)
         elif kind == wire.QUERY:
             self._handle_query(conn, env)
-        elif kind == wire.PING:
-            self._send(conn, wire.PONG, {})
-        # PONG and RESPONSE need no action on a server
+        # RESPONSE needs no action on a server
         return "handled"
 
     # -- handshake -----------------------------------------------------------
@@ -391,81 +387,61 @@ class NodeCore:
     def _known_contract(self, contract_id: str) -> bool:
         if self.store.get_contract(contract_id) is not None:
             return True
-        for tx, _reply in self._pending:
-            if tx["kind"] == "deploy" and contract_id_for(tx["contract"]) == contract_id:
-                return True
-        if self._task is not None and self._task.tx["kind"] == "deploy":
-            if contract_id_for(self._task.tx["contract"]) == contract_id:
-                return True
-        return False
+        return any(task.tx["kind"] == "deploy"
+                   and contract_id_for(task.tx["contract"]) == contract_id
+                   for task in self._queue)
 
-    def submit_tx(self, tx, reply=None) -> None:
-        """Validate, queue and (when the miner is free) mine one transaction."""
+    def submit_tx(self, tx, reply) -> None:
+        """Validate and queue one transaction; mine it when it reaches the head."""
         try:
-            validate_tx_payload(tx, self._known_contract)
+            data = validate_tx_payload(tx, self._known_contract)
         except TxRejected as exc:
-            if reply is not None:
-                reply({"ok": False, "what": "tx", "error": str(exc)})
-                return
-            raise
-        if not self.mine_enabled:
-            if reply is not None:
-                reply({"ok": False, "what": "tx", "error": "mining disabled on this node"})
-                return
-            raise TxRejected("mining disabled on this node")
-        self._pending.append((tx, reply))
-        self._maybe_start_mining()
-
-    def _maybe_start_mining(self) -> None:
-        if (self._task is not None or not self._pending or not self.mine_enabled
-                or self._closed):
+            reply({"ok": False, "what": "tx", "error": str(exc)})
             return
-        tx, reply = self._pending.popleft()
-        self._start_task(tx, reply, retried=False)
+        if not self.mine_enabled:
+            reply({"ok": False, "what": "tx", "error": "mining disabled on this node"})
+            return
+        self._queue.append(_MiningTask(tx, data, reply))
+        self._mine_head()
 
-    def _start_task(self, tx, reply, retried: bool) -> None:
-        data = validate_tx_payload(tx, lambda _cid: True)
-        tip = self.store.tip()
-        bits = self.dstate.effective_bits()
-        block = create_new_block(data, tip, bits, self.clock() // 1000)
-        self._next_token += 1
-        task = _MiningTask(token=self._next_token, tx=tx, block=block, reply=reply,
-                           retried=retried)
-        self._task = task
-        token = task.token
-        task.handle = self.miner.start(block, lambda mined: self.on_mine_result(token, mined))
+    def _mine_head(self) -> None:
+        """Mine the head of the queue on the current tip, unless it is mining."""
+        if self._closed or not self._queue or self._queue[0].handle is not None:
+            return
+        task = self._queue[0]
+        block = create_new_block(task.data, self.store.tip(),
+                                 self.dstate.effective_bits(), self.clock() // 1000)
+        task.handle = self.miner.start(block, lambda mined: self.on_mine_result(task, mined))
 
     def _cancel_mining(self) -> None:
-        if self._task is not None and self._task.handle is not None:
-            self._task.handle.cancel()
+        if self._queue and self._queue[0].handle is not None:
+            self._queue[0].handle.cancel()
 
-    def on_mine_result(self, token: int, mined: Block | None) -> None:
-        task = self._task
-        if task is None or task.token != token:
-            return  # completion of an already-cancelled task
-        self._task = None
-        if self._closed:
-            return
+    def on_mine_result(self, task: _MiningTask, mined: Block | None) -> None:
+        if self._closed or not self._queue or self._queue[0] is not task:
+            return  # a late completion of a task that is already done
         if mined is not None:
             tip = self.store.tip()
-            err = verify_block(mined, tip, self.params.min_difficulty)
-            if err is None:
-                self._commit_block(mined, tip, reply=task.reply)
-                self._maybe_start_mining()
+            if verify_block(mined, tip, self.params.min_difficulty) is None:
+                self._queue.popleft()
+                self._commit_block(mined, tip)
+                task.reply({"ok": True, "what": "tx",
+                            "result": {"block_index": mined.index, "block_hash": mined.hash}})
+                self._mine_head()
                 return
         # cancelled, or the tip moved while the result was in flight
         if task.retried:
-            if task.reply is not None:
-                task.reply({"ok": False, "what": "tx",
-                            "error": "retriable: competing blocks kept winning"})
-            self._maybe_start_mining()
-            return
-        self._start_task(task.tx, task.reply, retried=True)
+            self._queue.popleft()
+            task.reply({"ok": False, "what": "tx",
+                        "error": "retriable: competing blocks kept winning"})
+        else:
+            task.retried = True
+            task.handle = None
+        self._mine_head()
 
     # -- the commit path (steps 3..6 of the request flow) -------------------------
 
-    def _commit_block(self, block: Block, prev: Block, *, exclude_conn=None,
-                      reply=None) -> None:
+    def _commit_block(self, block: Block, prev: Block, *, exclude_conn=None) -> None:
         """Append `block` on top of `prev` with its contract effects, in one transaction."""
         with self.store.transaction():
             self.store.add_block(block)
@@ -474,9 +450,6 @@ class NodeCore:
         self.dstate = difficulty_after_append(self.dstate, block, prev, self.params)
         if self.on_chain_change:
             self.on_chain_change(self, [block], 0)
-        if reply is not None:
-            reply({"ok": True, "what": "tx",
-                   "result": {"block_index": block.index, "block_hash": block.hash}})
 
     def _apply_block_payload(self, block: Block) -> None:
         """Steps 5 and 6: execute the contract payload, persist the state.
@@ -574,7 +547,7 @@ class NodeCore:
                 "difficulty": self.dstate.effective_bits(),
                 "difficulty_milli": round(self.dstate.d_current * 1000),
                 "cache": self.cache.counters(),
-                "pending_txs": len(self._pending) + (1 if self._task else 0),
+                "pending_txs": len(self._queue),
                 "rejected_invalid_blocks": sum(self.rejects_by_reason.values()),
                 "dropped_envelopes": self.dropped_envelopes,
                 "exec_errors": sum(self.exec_errors.values()),

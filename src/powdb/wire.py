@@ -28,11 +28,8 @@ BLOCKS = "BLOCKS"
 TX = "TX"
 QUERY = "QUERY"
 RESPONSE = "RESPONSE"
-PING = "PING"
-PONG = "PONG"
 
-KINDS = frozenset({HELLO, NEW_BLOCK, GET_BLOCKS, BLOCKS, TX, QUERY, RESPONSE,
-                   PING, PONG})
+KINDS = frozenset({HELLO, NEW_BLOCK, GET_BLOCKS, BLOCKS, TX, QUERY, RESPONSE})
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
@@ -202,14 +199,15 @@ def sign_envelope(kind: str, timestamp: int, payload, identity: NodeIdentity) ->
 def verify_envelope(env: MessageEnvelope) -> bool:
     """True iff the signature verifies under the sender's public key.
 
-    Malformed hex or keys count as verification failure, never an exception.
+    Malformed hex or keys, and payloads nested too deep to re-encode, count
+    as verification failure, never an exception.
     """
     try:
         public = Ed25519PublicKey.from_public_bytes(bytes.fromhex(env.sender))
         sig = bytes.fromhex(env.signature)
         public.verify(sig, signing_bytes(env.kind, env.timestamp, env.payload))
         return True
-    except (InvalidSignature, ValueError, TypeError, EncodingError):
+    except (InvalidSignature, ValueError, TypeError, EncodingError, RecursionError):
         return False
 
 
@@ -225,7 +223,7 @@ def decode_envelope(raw: bytes) -> MessageEnvelope | None:
         return None
     if not isinstance(obj["sender"], str) or not isinstance(obj["signature"], str):
         return None
-    if obj["kind"] not in KINDS:
+    if not isinstance(obj["kind"], str) or obj["kind"] not in KINDS:
         return None
     if not isinstance(obj["timestamp"], int) or isinstance(obj["timestamp"], bool):
         return None

@@ -109,7 +109,8 @@ class TestLinkTeardown:
 
     def send_failure(self, cluster, node, conn):
         conn.broken = True
-        node.on_envelope(conn, sign_envelope(wire.PING, 1, {}, self.PEER))
+        # the node answers with BLOCKS, and that send fails
+        node.on_envelope(conn, sign_envelope(wire.GET_BLOCKS, 1, {}, self.PEER))
 
     def bad_hello(self, cluster, node, conn):
         node.on_envelope(conn, self.hello("00" * 32))
@@ -229,12 +230,12 @@ class TestSimFrameCap:
         monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 64)  # every envelope is over it
         with pytest.raises(wire.ProtocolError):
             conn.send_message(b"x" * 65)
-        assert node._send(conn, wire.PING, {}) is False
+        assert node._send(conn, wire.QUERY, {}) is False
         assert len(cluster.queue) == queued  # nothing went on the link
         monkeypatch.undo()
         assert not conn.closed
         assert node.connected() == [conn]
-        assert node._send(conn, wire.PING, {}) is True
+        assert node._send(conn, wire.QUERY, {}) is True
 
 
 class TestHandleNewBlock:

@@ -28,14 +28,14 @@ COUNTER = [["add", "count", 1], ["add", "total", ["arg", 0]]]
 COUNTER_ID = contract_id_for(COUNTER)
 
 
-def make_node(store=None, params=TEST_PARAMS, mine=True):
+def make_node(store=None, params=TEST_PARAMS, mine=True, miner=None):
     queue = EventQueue()
     core = NodeCore(
         identity=NodeIdentity.from_seed(b"\x42" * 32),
         store=store or BlockStore(":memory:"),
         params=params,
         clock=lambda: queue.now,
-        miner=SimMiner(queue, sim_hashrate_per_ms(params)),
+        miner=miner or SimMiner(queue, sim_hashrate_per_ms(params)),
         listen_addr="mem:solo",
         mine_enabled=mine,
     )
@@ -291,11 +291,20 @@ class TestHostileInput:
         assert failures == []
         assert (core.store.chain_info(), core.store.all_state()) == before
 
-    def test_deeply_nested_envelope_is_dropped(self):
+    MALFORMED_RAW = {
+        "deep-nesting": (b'{"kind":"QUERY","payload":' + b"[" * 200_000 + b"]" * 200_000
+                         + b',"sender":"00","signature":"00","timestamp":1}'),
+        "kind-list": (b'{"kind":[1],"payload":{},"sender":"00","signature":"00",'
+                      b'"timestamp":1}'),
+        "kind-object": (b'{"kind":{"a":1},"payload":{},"sender":"00","signature":"00",'
+                        b'"timestamp":1}'),
+    }
+
+    @pytest.mark.parametrize("raw", MALFORMED_RAW.values(), ids=MALFORMED_RAW.keys())
+    def test_deeply_nested_envelope_is_dropped(self, raw):
         core, _queue = make_node()
-        raw = (b'{"kind":"PING","payload":' + b"[" * 200_000 + b"]" * 200_000
-               + b',"sender":"00","signature":"00","timestamp":1}')
         assert core.on_message(Capture(), raw) == "dropped"
+        assert core.dropped_envelopes == 1
 
 
 class TestSixStepOrder:
@@ -470,7 +479,7 @@ class TestDurability:
             raise StoreDown()
 
         monkeypatch.setattr(core.store, "put_state", put_state)
-        core.submit_tx({"kind": "call", "contract_id": COUNTER_ID, "args": [7]})
+        core.submit_tx({"kind": "call", "contract_id": COUNTER_ID, "args": [7]}, lambda _: None)
         with pytest.raises(StoreDown):
             queue.run()
         # a block is never durable without the state its payload wrote
@@ -492,7 +501,7 @@ class TestOversizedFrame:
         conn = CappedConn()
         core.on_inbound_connection(conn)
         from_peer(core, conn, wire.HELLO, {"listen_addr": "mem:peer", "node_id": PEER.node_id})
-        assert core._send(conn, "PING", {}) is False
+        assert core._send(conn, "QUERY", {}) is False
         result = submit_and_run(core, queue, {"kind": "raw", "data": "big"})
         assert result["ok"] is True
         assert core.store.get_block_count() == 2
@@ -583,6 +592,74 @@ class TestMiningContention:
         # loser retried on the new tip; both landed unless the retry lost again
         assert count == 1 + committed
         assert committed >= 1
+
+
+class HandMiner:
+    """A miner whose jobs end only when the test calls their `done`."""
+
+    class Job:
+        def __init__(self, block, done):
+            self.block, self.done = block, done
+            self.cancelled = False
+
+        def cancel(self):
+            self.cancelled = True
+
+    def __init__(self):
+        self.jobs = []
+
+    def start(self, block, done):
+        self.jobs.append(self.Job(block, done))
+        return self.jobs[-1]
+
+
+class TestMiningRetry:
+    """A transaction whose block loses is mined once more, then fails retriable."""
+
+    @staticmethod
+    def peer_block(core, data):
+        tip = core.store.tip()
+        block = mine_block(create_new_block(data, tip, core.dstate.effective_bits(),
+                                            tip.timestamp + 1))
+        assert from_peer(core, Capture(), wire.NEW_BLOCK,
+                         {"block": block_to_json(block)}) == "appended"
+
+    def test_lost_race_retries_once_then_fails(self):
+        miner = HandMiner()
+        core, _queue = make_node(miner=miner)
+
+        def pending():
+            return core.handle_query("stats", {})["result"]["pending_txs"]
+
+        a, b = [], []
+        core.submit_tx({"kind": "raw", "data": "a"}, a.append)
+        core.submit_tx({"kind": "raw", "data": "b"}, b.append)
+        assert pending() == 2
+        assert [job.block.index for job in miner.jobs] == [1]
+
+        first = miner.jobs[0]
+        self.peer_block(core, "peer-1")
+        assert first.cancelled
+        first.done(None)
+        assert [job.block.index for job in miner.jobs] == [1, 2]  # `a` again, on the new tip
+        assert a == [] and pending() == 2
+
+        self.peer_block(core, "peer-2")
+        assert miner.jobs[1].cancelled
+        miner.jobs[1].done(None)
+        assert a == [{"ok": False, "what": "tx",
+                      "error": "retriable: competing blocks kept winning"}]
+        assert pending() == 1
+
+        job = miner.jobs[2]
+        assert job.block.index == 3
+        job.done(mine_block(job.block))
+        assert b[0]["ok"] is True and b[0]["result"]["block_index"] == 3
+        assert pending() == 0
+
+        before = (core.store.chain_info(), list(a), list(b), len(miner.jobs))
+        first.done(mine_block(first.block))  # late completion of the first job
+        assert (core.store.chain_info(), a, b, len(miner.jobs)) == before
 
 
 class TestTcpRuntime:

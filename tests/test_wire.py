@@ -14,8 +14,8 @@ from powdb.wire import (
     EncodingError,
     MessageEnvelope,
     NodeIdentity,
-    PING,
     ProtocolError,
+    QUERY,
     canonical_json,
     decode_envelope,
     deframe,
@@ -215,7 +215,7 @@ class TestEncodeReusesSignedBytes:
         for tampered in (replace(env, payload={"tx": {"kind": "raw", "data": "e"}}),
                          replace(env, signature="00" * 64),
                          replace(env, timestamp=6),
-                         replace(env, kind="PING"),
+                         replace(env, kind="QUERY"),
                          MessageEnvelope(env.sender, env.kind, True, env.payload,
                                          env.signature)):
             assert tampered.encode() == canonical_json(tampered.to_json())
@@ -227,7 +227,7 @@ class TestSigning:
         self.identity = NodeIdentity.from_seed(bytes(range(32)))
 
     def test_signing_bytes_layout(self):
-        assert signing_bytes(PING, 0, {}) == b"PING\x1f0\x1f{}"
+        assert signing_bytes(QUERY, 0, {}) == b"QUERY\x1f0\x1f{}"
 
     def test_payload_key_order_irrelevant(self):
         a = signing_bytes("QUERY", 5, {"b": 1, "a": 2})
@@ -235,16 +235,16 @@ class TestSigning:
         assert a == b
 
     def test_kind_changes_bytes(self):
-        assert signing_bytes("PING", 0, {}) != signing_bytes("PONG", 0, {})
+        assert signing_bytes("QUERY", 0, {}) != signing_bytes("RESPONSE", 0, {})
 
     def test_sign_then_verify(self):
-        env = sign_envelope(PING, 12, {}, self.identity)
+        env = sign_envelope(QUERY, 12, {}, self.identity)
         assert env.sender == self.identity.node_id
         assert verify_envelope(env)
 
     def test_deterministic_signatures(self):
-        env1 = sign_envelope(PING, 12, {"a": 1}, self.identity)
-        env2 = sign_envelope(PING, 12, {"a": 1}, self.identity)
+        env1 = sign_envelope(QUERY, 12, {"a": 1}, self.identity)
+        env2 = sign_envelope(QUERY, 12, {"a": 1}, self.identity)
         assert env1.signature == env2.signature
 
     def test_cross_check_with_independent_verifier(self):
@@ -268,17 +268,25 @@ class TestSigning:
 
     def test_sender_swap_detected(self):
         other = NodeIdentity.from_seed(bytes(reversed(range(32))))
-        env = sign_envelope("PING", 3, {}, self.identity)
+        env = sign_envelope("QUERY", 3, {}, self.identity)
         swapped = MessageEnvelope(other.node_id, env.kind, env.timestamp,
                                   env.payload, env.signature)
         assert not verify_envelope(swapped)
 
     def test_malformed_hex_is_failure_not_crash(self):
-        env = sign_envelope("PING", 3, {}, self.identity)
+        env = sign_envelope("QUERY", 3, {}, self.identity)
         assert not verify_envelope(MessageEnvelope("zz", env.kind, env.timestamp,
                                                    env.payload, env.signature))
         assert not verify_envelope(MessageEnvelope(env.sender, env.kind, env.timestamp,
                                                    env.payload, "nothex"))
+
+    def test_too_deep_payload_is_failure_not_crash(self):
+        env = sign_envelope("QUERY", 3, {}, self.identity)
+        payload = []
+        for _ in range(5000):
+            payload = [payload]
+        assert not verify_envelope(MessageEnvelope(env.sender, env.kind, env.timestamp,
+                                                   payload, env.signature))
 
     def test_identity_file_round_trip(self, tmp_path):
         path = tmp_path / "node.key"
@@ -346,10 +354,11 @@ class TestEnvelopeRoundTrip:
         assert decode_envelope(b"not json") is None
         assert decode_envelope(b"[1,2]") is None
         assert decode_envelope(b'{"sender":"a"}') is None
-        good = sign_envelope("PING", 1, {}, NodeIdentity.from_seed(b"\x01" * 32))
-        obj = good.to_json()
-        obj["kind"] = "NOPE"
-        assert decode_envelope(json.dumps(obj).encode()) is None
+        good = sign_envelope("QUERY", 1, {}, NodeIdentity.from_seed(b"\x01" * 32))
+        for kind in ("NOPE", [1], {"a": 1}):
+            obj = good.to_json()
+            obj["kind"] = kind
+            assert decode_envelope(json.dumps(obj).encode()) is None
         obj = good.to_json()
         obj["timestamp"] = "12"
         assert decode_envelope(json.dumps(obj).encode()) is None
