@@ -70,11 +70,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--peer", action="append", default=[], metavar="H:P",
                      help="bootstrap peer, repeatable")
     run.add_argument("--db", required=True, metavar="PATH")
-    run.add_argument("--difficulty", type=int, default=8,
+    run.add_argument("--difficulty", type=int, default=ChainParams.initial_difficulty,
                      help="initial proof-of-work bits")
-    run.add_argument("--min-difficulty", type=int, default=1)
-    run.add_argument("--max-difficulty", type=int, default=24)
-    run.add_argument("--target-interval", type=int, default=2000, metavar="MS",
+    run.add_argument("--min-difficulty", type=int, default=ChainParams.min_difficulty)
+    run.add_argument("--max-difficulty", type=int, default=ChainParams.max_difficulty)
+    run.add_argument("--target-interval", type=int,
+                     default=ChainParams.target_block_interval_ms, metavar="MS",
                      help="retarget goal for the time between blocks")
     run.add_argument("--key", default=None, metavar="PATH",
                      help="identity key file, generated when missing")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from powdb import mining
@@ -38,25 +38,13 @@ class VerifyError:
         return f"{self.reason.value}: {self.detail}" if self.detail else self.reason.value
 
 
-@dataclass(frozen=True)
-class DifficultyState:
-    """Real-valued difficulty plus the retarget inputs.
+def effective_bits(d: float) -> int:
+    """Round a real-valued difficulty to whole bits, ties upward.
 
     The difficulty stays a float between retargets because integer bits would
-    quantize the multiplicative update too coarsely; it is rounded to whole
-    bits only when a block is actually mined or checked.
+    quantize the multiplicative update too coarsely; it is rounded only when a
+    block is actually mined or checked.
     """
-
-    d_current: float
-    t_target_ms: int
-    t_actual_last_ms: int | None = None
-
-    def effective_bits(self) -> int:
-        return effective_bits(self.d_current)
-
-
-def effective_bits(d: float) -> int:
-    """Round to nearest whole bits, ties upward."""
     return math.floor(d + 0.5)
 
 
@@ -65,45 +53,39 @@ def retarget_raw(d_current: float, t_target_ms: float, t_actual_ms: float) -> fl
     return d_current * (t_target_ms / t_actual_ms)
 
 
-def adjust_difficulty(state: DifficultyState, params: ChainParams) -> DifficultyState:
+def adjust_difficulty(d: float, t_actual_ms: int, params: ChainParams) -> float:
     """Apply one retarget step with the per-step clamp and the bit bounds.
 
     A measured interval of zero (two blocks in the same second) is clamped up
     to 1 ms, which drives the factor to the upper clamp.
     """
-    t_actual = state.t_actual_last_ms if state.t_actual_last_ms is not None else state.t_target_ms
-    t_actual = max(1, t_actual)
     lo, hi = params.retarget_clamp
-    factor = min(max(state.t_target_ms / t_actual, lo), hi)
-    d_new = min(max(state.d_current * factor, float(params.min_difficulty)),
-                float(params.max_difficulty))
-    return replace(state, d_current=d_new, t_actual_last_ms=t_actual)
+    factor = min(max(params.target_block_interval_ms / max(1, t_actual_ms), lo), hi)
+    return min(max(d * factor, float(params.min_difficulty)), float(params.max_difficulty))
 
 
-def difficulty_after_append(state: DifficultyState, new_block: Block,
-                            prev_block: Block, params: ChainParams) -> DifficultyState:
+def difficulty_after_append(d: float, new_block: Block, prev_block: Block,
+                            params: ChainParams) -> float:
     """Retarget after appending `new_block` on top of `prev_block`.
 
     The interval against the hard-coded genesis is not a mining-time sample,
     so the first retarget happens once two mined blocks exist.
     """
     if prev_block.index == 0:
-        return state
-    t_actual_ms = (new_block.timestamp - prev_block.timestamp) * 1000
-    return adjust_difficulty(replace(state, t_actual_last_ms=max(1, t_actual_ms)), params)
+        return d
+    return adjust_difficulty(d, (new_block.timestamp - prev_block.timestamp) * 1000, params)
 
 
-def replay_difficulty(blocks: list[Block], params: ChainParams) -> DifficultyState:
-    """Recompute the difficulty state a node holds after adopting `blocks`.
+def replay_difficulty(blocks: list[Block], params: ChainParams) -> float:
+    """Recompute the difficulty a node holds after adopting `blocks`.
 
     Deterministic across nodes because intervals come from block timestamps,
     never local receipt times.
     """
-    state = DifficultyState(float(params.initial_difficulty),
-                            params.target_block_interval_ms)
+    d = float(params.initial_difficulty)
     for i in range(1, len(blocks)):
-        state = difficulty_after_append(state, blocks[i], blocks[i - 1], params)
-    return state
+        d = difficulty_after_append(d, blocks[i], blocks[i - 1], params)
+    return d
 
 
 def create_new_block(data: str, head: Block, difficulty: int, timestamp: int) -> Block:

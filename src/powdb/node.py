@@ -32,6 +32,7 @@ from powdb.consensus import (
     choose_chain,
     create_new_block,
     difficulty_after_append,
+    effective_bits,
     mine_block,
     replay_difficulty,
     shared_prefix,
@@ -174,7 +175,7 @@ class NodeCore:
     """All node behavior behind transport-, clock- and miner-abstractions."""
 
     def __init__(self, identity: NodeIdentity, store: BlockStore, params: ChainParams,
-                 clock, miner, *, listen_addr: str = "", mine_enabled: bool = True):
+                 clock, miner, *, mine_enabled: bool = True):
         params.validate()
         self.identity = identity
         self.store = store
@@ -182,7 +183,6 @@ class NodeCore:
         self.clock = clock
         self.miner = miner
         self.mine_enabled = mine_enabled
-        self.listen_addr = listen_addr
 
         self.cache = ContractCache()
         # fn(node, new_blocks, reorg_depth), called once per chain change
@@ -204,11 +204,13 @@ class NodeCore:
     def _startup(self) -> None:
         if self.store.get_block_count() == 0:
             self.store.add_block(genesis_block())
-        self.dstate = replay_difficulty(self.store.get_all_blocks(), self.params)
+        self.difficulty = replay_difficulty(self.store.get_all_blocks(), self.params)
 
     def close(self) -> None:
         self._closed = True
         self._cancel_mining()
+        for link in list(self._links.values()):
+            self._drop_conn(link.conn)
 
     # -- connection events ---------------------------------------------------
 
@@ -267,14 +269,10 @@ class NodeCore:
     # -- handshake -----------------------------------------------------------
 
     def _send_hello(self, conn) -> None:
-        self._send(conn, wire.HELLO,
-                   {"listen_addr": self.listen_addr, "node_id": self.identity.node_id})
+        self._send(conn, wire.HELLO, {})
 
     def _handle_hello(self, conn, env: MessageEnvelope) -> None:
-        payload = env.payload
-        if (not isinstance(payload, dict)
-                or not isinstance(payload.get("listen_addr"), str)
-                or payload.get("node_id") != env.sender):
+        if env.payload != {}:
             self._drop_conn(conn)
             return
         link = self._links.setdefault(id(conn), _Link(conn, outbound=False,
@@ -375,7 +373,7 @@ class NodeCore:
             self.store.replace_chain(selected)
             for block in selected[1:]:
                 self._apply_block_payload(block)
-        self.dstate = replay_difficulty(selected, self.params)
+        self.difficulty = replay_difficulty(selected, self.params)
         if self.on_chain_change:
             self.on_chain_change(self, selected[common:], depth)
         # let neighbors discover the better chain through the usual sync trigger
@@ -410,7 +408,7 @@ class NodeCore:
             return
         task = self._queue[0]
         block = create_new_block(task.data, self.store.tip(),
-                                 self.dstate.effective_bits(), self.clock() // 1000)
+                                 effective_bits(self.difficulty), self.clock() // 1000)
         task.handle = self.miner.start(block, lambda mined: self.on_mine_result(task, mined))
 
     def _cancel_mining(self) -> None:
@@ -447,7 +445,7 @@ class NodeCore:
             self.store.add_block(block)
             self.broadcast_block(block, exclude_conn=exclude_conn)
             self._apply_block_payload(block)
-        self.dstate = difficulty_after_append(self.dstate, block, prev, self.params)
+        self.difficulty = difficulty_after_append(self.difficulty, block, prev, self.params)
         if self.on_chain_change:
             self.on_chain_change(self, [block], 0)
 
@@ -544,8 +542,8 @@ class NodeCore:
                 "tip_hash": tip,
                 "peer_count": len(self.connected()),
                 # envelopes carry integers only: milli-bits for the real value
-                "difficulty": self.dstate.effective_bits(),
-                "difficulty_milli": round(self.dstate.d_current * 1000),
+                "difficulty": effective_bits(self.difficulty),
+                "difficulty_milli": round(self.difficulty * 1000),
                 "cache": self.cache.counters(),
                 "pending_txs": len(self._queue),
                 "rejected_invalid_blocks": sum(self.rejects_by_reason.values()),
@@ -647,7 +645,6 @@ class NodeRuntime:
             params=config.params,
             clock=lambda: int(time.time() * 1000),
             miner=ThreadMiner(self.submit),
-            listen_addr=self.listen_addr,
             mine_enabled=config.mine_enabled,
         )
 

@@ -15,7 +15,8 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from powdb.chain import (
@@ -26,7 +27,7 @@ from powdb.chain import (
     cumulative_work,
     meets_difficulty,
 )
-from powdb.consensus import create_new_block, mine_block
+from powdb.consensus import create_new_block, effective_bits, mine_block
 from powdb.node import NodeCore, parse_tx_data
 from powdb.simnet import EventQueue, MemNetwork, SimMiner
 from powdb.store import BlockStore
@@ -74,6 +75,50 @@ class PartitionWindow:
     start_ms: int
     end_ms: int
     groups: list[list[int]]
+
+
+# Scenario file key -> ScenarioConfig field, at the top level and per
+# section. `chain_params` and partition windows use the field names of
+# ChainParams and PartitionWindow. Defaults live on those classes alone.
+_TOP_KEYS = {"node_count": "node_count", "seed": "seed", "duration_ms": "duration_ms"}
+_SECTIONS = {
+    "workload": {"write_interval_ms": "write_interval_ms",
+                 "read_interval_ms": "read_interval_ms"},
+    "malicious": {"fraction": "malicious_fraction", "behavior": "malicious_behaviors"},
+    "link": {"latency_ms": "link_latency_ms", "loss_rate": "link_loss_rate"},
+}
+
+
+def _fields(cls, section: str, obj, keys: dict[str, str] | None = None) -> dict:
+    """The fields of `cls` that one file section states, each checked against
+    its annotation. `keys` maps file keys to field names; None means they
+    are the same."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{section} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    keys = keys or {name: name for name in hints}
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    fields = {}
+    for key, value in obj.items():
+        hint = hints[keys[key]]
+        if not _has_type(value, hint):
+            raise ConfigError(f"{section} key {key!r} has the wrong type: {value!r}")
+        fields[keys[key]] = tuple(value) if typing.get_origin(hint) is tuple else value
+    return fields
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation; a bool is no number."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if origin is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_has_type, value, args)))
+    types = (int, float) if hint is float else hint
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 @dataclass
@@ -126,72 +171,37 @@ class ScenarioConfig:
         return int(self.malicious_fraction * self.node_count)
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ScenarioConfig":
+    def from_json(cls, obj) -> "ScenarioConfig":
+        """Read a scenario file; a key it omits keeps the field's default."""
         if not isinstance(obj, dict):
             raise ConfigError("scenario must be a JSON object")
-        known = {"node_count", "seed", "duration_ms", "chain_params", "workload",
-                 "partitions", "malicious", "link"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
+        nested = {"chain_params", "partitions", *_SECTIONS}
+        kwargs = _fields(cls, "scenario", {k: v for k, v in obj.items() if k not in nested},
+                         _TOP_KEYS)
+        for section, keys in _SECTIONS.items():
+            kwargs.update(_fields(cls, section, obj.get(section, {}), keys))
+        windows = obj.get("partitions", [])
+        if not isinstance(windows, list):
+            raise ConfigError("partitions must be a JSON list")
         try:
-            chain = obj.get("chain_params", {})
-            clamp = chain.get("retarget_clamp", [0.5, 2.0])
-            params = ChainParams(
-                target_block_interval_ms=chain.get("target_block_interval_ms", 2000),
-                initial_difficulty=chain.get("initial_difficulty", 8),
-                min_difficulty=chain.get("min_difficulty", 1),
-                max_difficulty=chain.get("max_difficulty", 24),
-                retarget_clamp=(clamp[0], clamp[1]),
-            )
-            workload = obj.get("workload", {})
-            malicious = obj.get("malicious", {})
-            behavior = malicious.get("behavior", [])
-            behaviors = [behavior] if isinstance(behavior, str) else list(behavior)
-            link = obj.get("link", {})
-            partitions = [
-                PartitionWindow(start_ms=w["start_ms"], end_ms=w["end_ms"],
-                                groups=[list(g) for g in w["groups"]])
-                for w in obj.get("partitions", [])
-            ]
-            config = cls(
-                node_count=obj["node_count"],
-                duration_ms=obj["duration_ms"],
-                seed=obj.get("seed", 0),
-                params=params,
-                write_interval_ms=workload.get("write_interval_ms", 2000),
-                read_interval_ms=workload.get("read_interval_ms", 500),
-                partitions=partitions,
-                malicious_fraction=malicious.get("fraction", 0.0),
-                malicious_behaviors=behaviors,
-                link_latency_ms=link.get("latency_ms", 10),
-                link_loss_rate=link.get("loss_rate", 0.0),
-            )
-        except (KeyError, TypeError, IndexError, AttributeError) as exc:
-            raise ConfigError(f"malformed scenario: {exc!r}") from exc
+            kwargs["params"] = ChainParams(**_fields(ChainParams, "chain_params",
+                                                     obj.get("chain_params", {})))
+            kwargs["partitions"] = [PartitionWindow(**_fields(PartitionWindow,
+                                                              "partition window", w))
+                                    for w in windows]
+            config = cls(**kwargs)
+        except TypeError as exc:  # a required key is missing
+            raise ConfigError(f"malformed scenario: {exc}") from exc
         config.validate()
         return config
 
     def to_json(self) -> dict:
-        return {
-            "node_count": self.node_count,
-            "seed": self.seed,
-            "duration_ms": self.duration_ms,
-            "chain_params": {
-                "target_block_interval_ms": self.params.target_block_interval_ms,
-                "initial_difficulty": self.params.initial_difficulty,
-                "min_difficulty": self.params.min_difficulty,
-                "max_difficulty": self.params.max_difficulty,
-                "retarget_clamp": list(self.params.retarget_clamp),
-            },
-            "workload": {"write_interval_ms": self.write_interval_ms,
-                         "read_interval_ms": self.read_interval_ms},
-            "partitions": [{"start_ms": w.start_ms, "end_ms": w.end_ms,
-                            "groups": w.groups} for w in self.partitions],
-            "malicious": {"fraction": self.malicious_fraction,
-                          "behavior": self.malicious_behaviors},
-            "link": {"latency_ms": self.link_latency_ms, "loss_rate": self.link_loss_rate},
-        }
+        obj = {key: getattr(self, name) for key, name in _TOP_KEYS.items()}
+        for section, keys in _SECTIONS.items():
+            obj[section] = {key: getattr(self, name) for key, name in keys.items()}
+        obj["chain_params"] = asdict(self.params)
+        obj["partitions"] = [asdict(window) for window in self.partitions]
+        return obj
 
 
 def sim_hashrate_per_ms(params: ChainParams) -> float:
@@ -209,7 +219,6 @@ class _Harness:
         master = random.Random(config.seed)
         self.rng_link = random.Random(master.randrange(2**63))
         self.rng_roles = random.Random(master.randrange(2**63))
-        self.rng_malicious = random.Random(master.randrange(2**63))
         self.net = MemNetwork(self.queue, self.rng_link,
                               latency_ms=config.link_latency_ms,
                               loss_rate=config.link_loss_rate)
@@ -244,7 +253,6 @@ class _Harness:
                 params=config.params,
                 clock=lambda: self.queue.now,
                 miner=SimMiner(self.queue, rate),
-                listen_addr=self.addrs[i],
                 mine_enabled=True,
             )
             core.node_index = i
@@ -353,7 +361,7 @@ class _Harness:
         """Emit one protocol-violating message from `node_index` to its peers."""
         core = self.nodes[node_index]
         tip = core.store.tip()
-        bits = max(core.dstate.effective_bits(), self.config.params.min_difficulty)
+        bits = max(effective_bits(core.difficulty), self.config.params.min_difficulty)
         marker = f"MAL:{node_index}:{self.malicious_emissions}"
         self.malicious_emissions += 1
         ts = self.queue.now // 1000

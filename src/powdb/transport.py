@@ -104,6 +104,11 @@ class TcpTransport:
         self._stopping.set()
         if self._server is not None:
             try:
+                # close() alone does not wake a thread blocked in accept()
+                self._server.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
                 self._server.close()
             except OSError:
                 pass

@@ -64,8 +64,7 @@ class Cluster:
                 hashlib.sha256(f"cluster|{seed}|{i}".encode()).digest())
             core = NodeCore(identity=identity, store=BlockStore(":memory:"),
                             params=params, clock=lambda: self.queue.now,
-                            miner=SimMiner(self.queue, rate),
-                            listen_addr=self.addrs[i], mine_enabled=mine_enabled)
+                            miner=SimMiner(self.queue, rate), mine_enabled=mine_enabled)
             self.nodes.append(core)
             self.net.listen(self.addrs[i], core)
 

@@ -14,7 +14,6 @@ import pytest
 
 from powdb.chain import ChainParams, block_from_json, genesis_block
 from powdb.consensus import (
-    DifficultyState,
     VerifyReason,
     adjust_difficulty,
     create_new_block,
@@ -73,12 +72,12 @@ def test_01_difficulty_retarget_exactness():
         for _ in range(10_000):
             d = rng.uniform(2, 20)
             t_actual = rng.randrange(1, 25_000)
-            new = adjust_difficulty(DifficultyState(d, 5000, t_actual), params)
-            assert params.min_difficulty <= new.d_current <= params.max_difficulty
+            new = adjust_difficulty(d, t_actual, params)
+            assert params.min_difficulty <= new <= params.max_difficulty
             if t_actual > 5000:
-                assert new.d_current <= d + 1e-9, "slower blocks must never raise difficulty"
+                assert new <= d + 1e-9, "slower blocks must never raise difficulty"
             elif t_actual < 5000:
-                assert new.d_current >= d - 1e-9, "faster blocks must never lower difficulty"
+                assert new >= d - 1e-9, "faster blocks must never lower difficulty"
 
 
 def test_02_consistency_metric_exactness():

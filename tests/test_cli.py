@@ -80,11 +80,21 @@ class TestSimCli:
         result = powdb("sim", "run", str(bad), "--out", str(tmp_path / "r.json"))
         assert result.returncode == 2
 
+    def test_mistyped_scenario_value_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"node_count": 3, "duration_ms": "5000"}')
+        result = powdb("sim", "run", str(bad), "--out", str(tmp_path / "r.json"))
+        assert result.returncode == 2
+        assert "bad scenario" in result.stderr
+
     def test_shipped_scenarios_parse(self, tmp_path):
-        for name in ("partition_short.json", "partition_medium.json",
-                     "partition_long.json", "adversarial.json"):
-            from powdb.sim import ScenarioConfig
-            ScenarioConfig.from_json(json.loads((SCENARIOS / name).read_text()))
+        from powdb.sim import ScenarioConfig
+
+        for path in sorted(SCENARIOS.glob("*.json")):
+            text = json.loads(path.read_text())
+            config = ScenarioConfig.from_json(text)
+            # the file states every key, so writing the config back gives the file
+            assert json.loads(json.dumps(config.to_json())) == text, path.name
 
 
 class TestNodeAndClientCli:

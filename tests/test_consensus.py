@@ -16,7 +16,6 @@ from powdb.chain import (
     meets_difficulty,
 )
 from powdb.consensus import (
-    DifficultyState,
     VerifyReason,
     adjust_difficulty,
     choose_chain,
@@ -186,26 +185,19 @@ class TestAdjustDifficulty:
                          min_difficulty=1, max_difficulty=32)
 
     def test_on_target_is_identity(self):
-        state = DifficultyState(8.0, 10_000, 10_000)
-        assert adjust_difficulty(state, self.PARAMS).d_current == 8.0
+        assert adjust_difficulty(8.0, 10_000, self.PARAMS) == 8.0
 
     def test_double_interval_halves(self):
-        state = DifficultyState(8.0, 10_000, 20_000)
-        new = adjust_difficulty(state, self.PARAMS)
-        assert abs(new.d_current - 4.0) < 1e-12
+        assert abs(adjust_difficulty(8.0, 20_000, self.PARAMS) - 4.0) < 1e-12
 
     def test_raw_formula_exact(self):
         assert abs(retarget_raw(8.0, 10_000, 20_000) - 4.0) < 1e-12
 
     def test_fast_block_clamped_to_double(self):
-        state = DifficultyState(8.0, 10_000, 100)
-        new = adjust_difficulty(state, self.PARAMS)
-        assert new.d_current == 16.0
+        assert adjust_difficulty(8.0, 100, self.PARAMS) == 16.0
 
     def test_zero_interval_clamped_to_one_ms(self):
-        state = DifficultyState(8.0, 10_000, 0)
-        new = adjust_difficulty(state, self.PARAMS)
-        assert new.d_current == 16.0  # factor still capped at 2.0
+        assert adjust_difficulty(8.0, 0, self.PARAMS) == 16.0  # factor still capped at 2.0
 
     def test_direction_property(self):
         rng = random.Random(1)
@@ -214,12 +206,12 @@ class TestAdjustDifficulty:
         for _ in range(10_000):
             d = rng.uniform(2, 20)
             t_actual = rng.randrange(1, 20_000)
-            new = adjust_difficulty(DifficultyState(d, 5000, t_actual), params)
-            assert params.min_difficulty <= new.d_current <= params.max_difficulty
+            new = adjust_difficulty(d, t_actual, params)
+            assert params.min_difficulty <= new <= params.max_difficulty
             if t_actual > 5000:
-                assert new.d_current <= d + 1e-9
+                assert new <= d + 1e-9
             elif t_actual < 5000:
-                assert new.d_current >= d - 1e-9
+                assert new >= d - 1e-9
 
     def test_effective_bits_rounds_ties_up(self):
         assert effective_bits(7.5) == 8
@@ -232,14 +224,14 @@ class TestAdjustDifficulty:
                              min_difficulty=1, max_difficulty=20)
         rng = random.Random(42)
         rate_per_ms = 1024 / 1000.0
-        state = DifficultyState(float(params.initial_difficulty), 1000)
+        d = float(params.initial_difficulty)
         intervals = []
         for _ in range(200):
-            p = 2.0 ** -effective_bits(state.d_current)
+            p = 2.0 ** -effective_bits(d)
             attempts = int(math.log(rng.random()) / math.log(1.0 - p)) + 1
             t_ms = max(1, round(attempts / rate_per_ms))
             intervals.append(t_ms)
-            state = adjust_difficulty(replace(state, t_actual_last_ms=t_ms), params)
+            d = adjust_difficulty(d, t_ms, params)
         settled = sorted(intervals[50:])
         median = settled[len(settled) // 2]
         assert 500 <= median <= 2000
@@ -247,18 +239,15 @@ class TestAdjustDifficulty:
     def test_skip_retarget_for_first_mined_block(self):
         params = ChainParams()
         chain = mined_chain([8], start_ts=10**9)
-        state = DifficultyState(8.0, params.target_block_interval_ms)
-        after = difficulty_after_append(state, chain[1], chain[0], params)
-        assert after.d_current == 8.0
+        assert difficulty_after_append(8.0, chain[1], chain[0], params) == 8.0
 
     def test_replay_matches_incremental(self):
         params = ChainParams(target_block_interval_ms=2000)
         chain = mined_chain([8, 8, 8, 8, 8], start_ts=5000)
-        state = DifficultyState(float(params.initial_difficulty),
-                                params.target_block_interval_ms)
+        d = float(params.initial_difficulty)
         for i in range(1, len(chain)):
-            state = difficulty_after_append(state, chain[i], chain[i - 1], params)
-        assert replay_difficulty(chain, params).d_current == state.d_current
+            d = difficulty_after_append(d, chain[i], chain[i - 1], params)
+        assert replay_difficulty(chain, params) == d
 
 
 class TestChooseChain:

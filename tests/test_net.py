@@ -12,7 +12,7 @@ import pytest
 from powdb import node as node_module
 from powdb import wire
 from powdb.chain import block_to_json, genesis_block
-from powdb.consensus import create_new_block, mine_block
+from powdb.consensus import create_new_block, effective_bits, mine_block
 from powdb.net import RecentSet
 from powdb.transport import TcpTransport, parse_hostport
 from powdb.wire import MessageEnvelope, NodeIdentity, sign_envelope
@@ -45,14 +45,15 @@ class TestHandshake:
         cluster = cluster_factory(2)
         target = cluster.nodes[0]
         rogue = NodeIdentity.from_seed(b"\x55" * 32)
-        env = sign_envelope(wire.HELLO, 1,
-                            {"listen_addr": "mem:9", "node_id": rogue.node_id}, rogue)
-        tampered = MessageEnvelope(env.sender, env.kind, env.timestamp,
-                                   {"listen_addr": "mem:8", "node_id": rogue.node_id},
+        env = sign_envelope(wire.HELLO, 1, {}, rogue)
+        tampered = MessageEnvelope(env.sender, env.kind, env.timestamp, {"forged": 1},
                                    env.signature)
 
         class FakeConn:
             def send_message(self, _raw):
+                pass
+
+            def close(self):
                 pass
 
         conn = FakeConn()
@@ -100,9 +101,8 @@ class TestLinkTeardown:
         def close(self):
             self.closed = True
 
-    def hello(self, node_id):
-        return sign_envelope(wire.HELLO, 1, {"listen_addr": "mem:9", "node_id": node_id},
-                             self.PEER)
+    def hello(self, payload):
+        return sign_envelope(wire.HELLO, 1, payload, self.PEER)
 
     def on_disconnect(self, cluster, node, conn):
         node.on_disconnect(conn)
@@ -113,7 +113,7 @@ class TestLinkTeardown:
         node.on_envelope(conn, sign_envelope(wire.GET_BLOCKS, 1, {}, self.PEER))
 
     def bad_hello(self, cluster, node, conn):
-        node.on_envelope(conn, self.hello("00" * 32))
+        node.on_envelope(conn, self.hello({"node_id": self.PEER.node_id}))
 
     def handshake_timeout(self, cluster, node, conn):
         cluster.queue.now += node_module.HANDSHAKE_TIMEOUT_MS + 1
@@ -129,7 +129,7 @@ class TestLinkTeardown:
         if teardown == "handshake_timeout":
             node.request_sync(conn)  # a sync timer, but no HELLO ever comes back
         else:
-            node.on_envelope(conn, self.hello(self.PEER.node_id))
+            node.on_envelope(conn, self.hello({}))
             assert node.connected() == [conn]
         assert node._links[id(conn)].sync_sent_ms is not None
 
@@ -308,7 +308,7 @@ class TestSync:
         for i in range(n):
             tip = core.store.tip()
             block = mine_block(create_new_block(
-                f"{prefix}-{i}", tip, core.dstate.effective_bits(), 100 + i))
+                f"{prefix}-{i}", tip, effective_bits(core.difficulty), 100 + i))
             core._commit_block(block, tip)
 
     def test_shorter_node_adopts_longer_chain(self, cluster_factory):
@@ -379,7 +379,7 @@ class TestSync:
             cluster.pump()
         heads = cluster.heads()
         assert len(set(heads)) == 1
-        difficulties = {core.dstate.d_current for core in cluster.nodes}
+        difficulties = {core.difficulty for core in cluster.nodes}
         assert len(difficulties) == 1
 
     def test_rebroadcast_after_adoption_propagates(self, cluster_factory):

@@ -7,7 +7,7 @@ import pytest
 from powdb import node as node_module
 from powdb import wire
 from powdb.chain import ChainParams, block_to_json, genesis_block
-from powdb.consensus import create_new_block, mine_block
+from powdb.consensus import create_new_block, effective_bits, mine_block
 from powdb.contracts import ContractCache, cached_lookup, contract_id_for, execute
 from powdb.node import (
     NodeConfig,
@@ -36,7 +36,6 @@ def make_node(store=None, params=TEST_PARAMS, mine=True, miner=None):
         params=params,
         clock=lambda: queue.now,
         miner=miner or SimMiner(queue, sim_hashrate_per_ms(params)),
-        listen_addr="mem:solo",
         mine_enabled=mine,
     )
     return core, queue
@@ -228,7 +227,7 @@ class TestPeerBlockPayloads:
         submit_and_run(core, queue, {"kind": "deploy", "contract": COUNTER})
         state, contracts = core.store.all_state(), core.store.get_contract(COUNTER_ID)
         tip = core.store.tip()
-        block = mine_block(create_new_block(data, tip, core.dstate.effective_bits(),
+        block = mine_block(create_new_block(data, tip, effective_bits(core.difficulty),
                                             tip.timestamp + 1))
         outcome = from_peer(core, Capture(), wire.NEW_BLOCK, {"block": block_to_json(block)})
         assert outcome == "appended"
@@ -264,16 +263,14 @@ class TestHostileInput:
     """No signed peer message, whatever its payload, raises or moves the chain."""
 
     VALUES = (None, 0, -1, 2**70, True, "x", [], [1], {})
-    HANDLER_KEYS = ("listen_addr", "block", "from_index", "blocks", "tx",
-                    "what", "params")
+    HANDLER_KEYS = ("block", "blocks", "tx", "what", "params")
 
     @classmethod
     def payloads(cls):
         for value in cls.VALUES:
             yield value
             for key in cls.HANDLER_KEYS:
-                # node_id lets HELLO get past its sender check
-                yield {"node_id": PEER.node_id, key: value}
+                yield {key: value}
             for what in ("block", "state"):
                 yield {"what": what, "params": value}
             yield {"what": "block", "params": {"index": value}}
@@ -498,9 +495,12 @@ class TestOversizedFrame:
             def send_message(self, raw):
                 raise ProtocolError("frame exceeds the 16 MiB cap")
 
+            def close(self):
+                pass
+
         conn = CappedConn()
         core.on_inbound_connection(conn)
-        from_peer(core, conn, wire.HELLO, {"listen_addr": "mem:peer", "node_id": PEER.node_id})
+        from_peer(core, conn, wire.HELLO, {})
         assert core._send(conn, "QUERY", {}) is False
         result = submit_and_run(core, queue, {"kind": "raw", "data": "big"})
         assert result["ok"] is True
@@ -619,7 +619,7 @@ class TestMiningRetry:
     @staticmethod
     def peer_block(core, data):
         tip = core.store.tip()
-        block = mine_block(create_new_block(data, tip, core.dstate.effective_bits(),
+        block = mine_block(create_new_block(data, tip, effective_bits(core.difficulty),
                                             tip.timestamp + 1))
         assert from_peer(core, Capture(), wire.NEW_BLOCK,
                          {"block": block_to_json(block)}) == "appended"
@@ -704,6 +704,31 @@ class TestTcpRuntime:
         finally:
             a.stop()
             b.stop()
+
+    def test_stop_closes_links_and_ends_threads(self, tmp_path):
+        a = NodeRuntime(NodeConfig(listen_addr="127.0.0.1:0", db_path=str(tmp_path / "a.db"),
+                                   mine_enabled=False))
+        a.start()
+        b = NodeRuntime(NodeConfig(listen_addr="127.0.0.1:0", peers=[a.listen_addr],
+                                   db_path=str(tmp_path / "b.db"), mine_enabled=False))
+        b.start()
+        try:
+            assert self.wait_until(
+                lambda: len(b.core.connected()) == 1
+                and len(a.core.connected()) == 1), "an established link on each side"
+            threads = [t for runtime in (a, b)
+                       for t in [runtime._loop_thread, *runtime.transport._threads]]
+            assert sorted(t.name.split(":")[0] for t in threads) == [
+                "accept", "accept", "node-loop", "node-loop", "reader", "reader"]
+            a.stop()
+            assert self.wait_until(lambda: b.core.connected() == [], timeout=2.0), \
+                "the peer saw the link close"
+        finally:
+            a.stop()
+            b.stop()
+        for thread in threads:
+            thread.join(timeout=2.0)
+        assert [t.name for t in threads if t.is_alive()] == []
 
     def test_restart_preserves_tip_over_tcp(self, tmp_path):
         from powdb.cli import client_request

@@ -109,7 +109,19 @@ class TestConfigValidation:
     def test_wrong_section_types_rejected(self):
         for key, bogus in [("chain_params", "fast"), ("workload", [1]),
                            ("malicious", 3), ("link", "lan"),
-                           ("partitions", [{"start_ms": 1}])]:
+                           ("partitions", [{"start_ms": 1}]),
+                           # a misspelt key in any section or window
+                           ("chain_params", {"min_dificulty": 3}),
+                           ("workload", {"write_interval": 500}),
+                           ("malicious", {"fractoin": 0.1}),
+                           ("link", {"latency": 50}),
+                           ("partitions", [{"start_ms": 0, "end_ms": 5,
+                                            "groups": [[0, 1, 2]], "label": "x"}]),
+                           # a value of the wrong type or shape
+                           ("chain_params", {"retarget_clamp": [0.5, 2.0, 4.0]}),
+                           ("duration_ms", "5000"),
+                           ("node_count", True),
+                           ("malicious", {"fraction": 0.5, "behavior": "invalid_pow"})]:
             with pytest.raises(ConfigError):
                 ScenarioConfig.from_json({"node_count": 3, "duration_ms": 1000,
                                           key: bogus})
