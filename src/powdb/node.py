@@ -50,7 +50,7 @@ from powdb.contracts import (
     execute,
 )
 from powdb.net import RecentSet
-from powdb.store import BlockStore, NotFoundError, StoreError
+from powdb.store import BlockStore, NotFoundError
 from powdb.transport import TcpTransport
 from powdb.wire import (
     MessageEnvelope,
@@ -65,6 +65,16 @@ logger = logging.getLogger(__name__)
 
 HANDSHAKE_TIMEOUT_MS = 5000
 SYNC_RETRY_MS = 2000
+
+# A GET_BLOCKS locator names the last LOCATOR_DENSE heights of the chain,
+# then heights spaced exponentially further back, ending at genesis. No
+# chain under 2**63 blocks needs more than 72 entries; a node answers no
+# locator longer than MAX_LOCATOR.
+LOCATOR_DENSE = 10
+MAX_LOCATOR = 128
+# What a block's JSON takes on the wire besides its data, rounded up; it
+# sizes a BLOCKS page against its byte budget.
+BLOCK_JSON_BYTES = 320
 
 
 class BadConfigError(Exception):
@@ -113,6 +123,37 @@ class _Link:
     opened_ms: int
     established: bool = False  # the peer's HELLO arrived
     sync_sent_ms: int | None = None
+
+
+def locator_heights(tip: int) -> list[int]:
+    """The heights a locator names for a chain whose tip is at `tip`."""
+    heights, step = [], 1
+    while tip > 0:
+        heights.append(tip)
+        if len(heights) >= LOCATOR_DENSE:
+            step *= 2
+        tip -= step
+    heights.append(0)
+    return heights
+
+
+def _is_height(value) -> bool:
+    """An integer (not a bool) that can index a stored block."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**63
+
+
+def _parse_locator(payload) -> list[tuple[int, str]] | None:
+    """The (height, hash) pairs of a GET_BLOCKS payload, or None if malformed."""
+    locator = payload.get("locator") if isinstance(payload, dict) else None
+    if not isinstance(locator, list) or len(locator) > MAX_LOCATOR:
+        return None
+    entries = []
+    for entry in locator:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and _is_height(entry[0]) and isinstance(entry[1], str)):
+            return None
+        entries.append((entry[0], entry[1]))
+    return entries
 
 
 def parse_tx_data(data: str) -> dict | None:
@@ -256,7 +297,7 @@ class NodeCore:
         elif kind == wire.NEW_BLOCK:
             return self.handle_new_block(conn, env)
         elif kind == wire.GET_BLOCKS:
-            self._serve_sync(conn)
+            self._serve_sync(conn, env)
         elif kind == wire.BLOCKS:
             return self._handle_sync_response(conn, env)
         elif kind == wire.TX:
@@ -325,13 +366,17 @@ class NodeCore:
     # -- sync --------------------------------------------------------------------
 
     def request_sync(self, conn) -> bool:
+        """Send a locator of our chain; the peer answers with what follows it."""
         link = self._links.get(id(conn))
         if link is not None:
             now = self.clock()
             if link.sync_sent_ms is not None and now - link.sync_sent_ms < SYNC_RETRY_MS:
                 return False
             link.sync_sent_ms = now
-        return self._send(conn, wire.GET_BLOCKS, {})
+        heights = locator_heights(self.store.get_block_count() - 1)
+        hashes = self.store.get_hashes(heights)
+        return self._send(conn, wire.GET_BLOCKS,
+                          {"locator": [[height, hashes[height]] for height in heights]})
 
     def request_sync_all(self) -> int:
         """Partition-healing aid: pull chains from every connected peer."""
@@ -339,27 +384,64 @@ class NodeCore:
             link.sync_sent_ms = None
         return sum(self.request_sync(conn) for conn in self.connected())
 
-    def _serve_sync(self, conn) -> None:
+    def _serve_sync(self, conn, env: MessageEnvelope) -> None:
+        """Answer a locator with one page of the blocks after the fork point.
+
+        The fork point is the highest locator height whose hash is ours;
+        every chain shares genesis, so it is 0 when none matches. The page
+        holds at least one block and, past the first, stays within an
+        eighth of the frame cap: JSON escaping can make a data character
+        take 6 bytes, so even then the page fits in one frame.
+        """
+        locator = _parse_locator(env.payload)
+        if locator is None:
+            return  # no reply: a request costs at most MAX_LOCATOR lookups
+        ours = self.store.get_hashes([height for height, _ in locator])
+        after = max((height for height, hash_hex in locator if ours.get(height) == hash_hex),
+                    default=0)
+        budget = wire.MAX_FRAME_BYTES // 8
+        # one row past the most a page can hold tells whether more follow
+        rows = self.store.get_blocks(after + 1, after + 2 + budget // BLOCK_JSON_BYTES)
+        page, size = [], 0
+        for block in rows:
+            size += BLOCK_JSON_BYTES + len(block.data)
+            if page and size > budget:
+                break
+            page.append(block_to_json(block))
         self._send(conn, wire.BLOCKS,
-                   {"blocks": [block_to_json(b) for b in self.store.get_all_blocks()]})
+                   {"after": after, "blocks": page, "more": len(page) < len(rows)})
 
     def _handle_sync_response(self, conn, env: MessageEnvelope) -> str:
         link = self._links.get(id(conn))
         if link is not None:
             link.sync_sent_ms = None
         payload = env.payload if isinstance(env.payload, dict) else {}
-        raw_blocks = payload.get("blocks")
-        if not isinstance(raw_blocks, list):
+        after, raw_blocks, more = payload.get("after"), payload.get("blocks"), payload.get("more")
+        if not _is_height(after) or not isinstance(raw_blocks, list) or not isinstance(more, bool):
             return "ignored"
         try:
-            candidate = [block_from_json(b) for b in raw_blocks]
+            blocks = [block_from_json(b) for b in raw_blocks]
         except MalformedBlockError:
             self._count_reject(VerifyReason.MALFORMED_BLOCK)
             return "ignored"
-        return self.adopt_if_heavier(candidate)
+        local = self.store.get_blocks(after)
+        if not local or (blocks and blocks[0].prev_hash != local[0].hash):
+            # since we asked, a reorg took the fork point off our chain or
+            # left our tip below it: the reply no longer fits
+            return "ignored"
+        outcome = self.adopt_if_heavier(local, local[:1] + blocks)
+        if more and outcome == "adopted":
+            self.request_sync(conn)  # the next page
+        return outcome
 
-    def adopt_if_heavier(self, candidate: list[Block]) -> str:
-        local = self.store.get_all_blocks()
+    def adopt_if_heavier(self, local: list[Block], candidate: list[Block]) -> str:
+        """Switch to `candidate` if it carries more work than `local`.
+
+        `local` is the stored chain from some index on, and `candidate`
+        starts at the block `local` starts with, so only the two suffixes
+        are verified and weighed. A candidate that extends the tip is
+        appended; any other replaces the chain and replays every payload.
+        """
         selected, err = choose_chain(local, candidate, self.params)
         if err is not None:
             self._count_reject(err.reason)
@@ -369,11 +451,21 @@ class NodeCore:
         common = shared_prefix(local, selected)
         depth = len(local) - common
         self._cancel_mining()
-        with self.store.transaction():
-            self.store.replace_chain(selected)
-            for block in selected[1:]:
-                self._apply_block_payload(block)
-        self.difficulty = replay_difficulty(selected, self.params)
+        if depth == 0:
+            with self.store.transaction():
+                for block in selected[common:]:
+                    self.store.add_block(block)
+                    self._apply_block_payload(block)
+            for prev, block in zip(selected[common - 1:], selected[common:]):
+                self.difficulty = difficulty_after_append(self.difficulty, block, prev,
+                                                          self.params)
+        else:
+            chain = self.store.get_blocks(0, local[0].index) + selected
+            with self.store.transaction():
+                self.store.replace_chain(chain)
+                for block in chain[1:]:
+                    self._apply_block_payload(block)
+            self.difficulty = replay_difficulty(chain, self.params)
         if self.on_chain_change:
             self.on_chain_change(self, selected[common:], depth)
         # let neighbors discover the better chain through the usual sync trigger

@@ -144,9 +144,23 @@ class BlockStore:
         return _row_to_block(row)
 
     def get_all_blocks(self) -> list[Block]:
+        return self.get_blocks(0)
+
+    def get_blocks(self, start: int, stop: int = 2**63 - 1) -> list[Block]:
+        """The blocks with start <= index < stop, in order; to the tip by default."""
         with self._lock:
-            rows = self._conn.execute(_SELECT_BLOCKS + " ORDER BY idx").fetchall()
+            rows = self._conn.execute(
+                _SELECT_BLOCKS + " WHERE idx >= ? AND idx < ? ORDER BY idx",
+                (start, stop)).fetchall()
         return [_row_to_block(r) for r in rows]
+
+    def get_hashes(self, indices: list[int]) -> dict[int, str]:
+        """The hash of each stored block among `indices`, by index, in one query."""
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT idx, hash FROM blocks WHERE idx IN (%s)" % ",".join("?" * len(indices)),
+                indices).fetchall()
+        return dict(rows)
 
     def tip(self) -> Block:
         with self._lock:

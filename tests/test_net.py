@@ -12,7 +12,8 @@ import pytest
 from powdb import node as node_module
 from powdb import wire
 from powdb.chain import block_to_json, genesis_block
-from powdb.consensus import create_new_block, effective_bits, mine_block
+from powdb.consensus import create_new_block, effective_bits, mine_block, replay_difficulty
+from powdb.contracts import contract_id_for
 from powdb.net import RecentSet
 from powdb.transport import TcpTransport, parse_hostport
 from powdb.wire import MessageEnvelope, NodeIdentity, sign_envelope
@@ -110,7 +111,8 @@ class TestLinkTeardown:
     def send_failure(self, cluster, node, conn):
         conn.broken = True
         # the node answers with BLOCKS, and that send fails
-        node.on_envelope(conn, sign_envelope(wire.GET_BLOCKS, 1, {}, self.PEER))
+        locator = {"locator": [[0, genesis_block().hash]]}
+        node.on_envelope(conn, sign_envelope(wire.GET_BLOCKS, 1, locator, self.PEER))
 
     def bad_hello(self, cluster, node, conn):
         node.on_envelope(conn, self.hello({"node_id": self.PEER.node_id}))
@@ -333,25 +335,73 @@ class TestSync:
         assert a.store.tip().hash == a_tip
         assert b.store.tip().hash == b_tip
 
-    def test_get_blocks_with_empty_payload_serves_full_chain(self, cluster_factory):
+    def test_get_blocks_serves_the_suffix_after_the_locator(self, cluster_factory):
         cluster = cluster_factory(2)
         a, b = cluster.nodes
         self.grow(a, 2, "a")
+        chain = a.store.get_all_blocks()
 
-        sent = []
+        def serve(locator):
+            sent = []
 
-        class Capture:
-            def send_message(self, raw):
-                sent.append(raw)
+            class Capture:
+                def send_message(self, raw):
+                    sent.append(raw)
 
-        env = sign_envelope(wire.GET_BLOCKS, 1, {}, b.identity)
-        a.on_envelope(Capture(), env)
-        assert len(sent) == 1
-        reply = json.loads(sent[0])
-        assert reply["kind"] == "BLOCKS"
-        blocks = reply["payload"]["blocks"]
-        assert len(blocks) == 3
-        assert blocks[0]["index"] == 0
+            a.on_envelope(Capture(), sign_envelope(wire.GET_BLOCKS, 1,
+                                                   {"locator": locator}, b.identity))
+            assert len(sent) == 1
+            reply = json.loads(sent[0])
+            assert reply["kind"] == "BLOCKS"
+            return reply["payload"]
+
+        # the highest height whose hash matches picks the fork point
+        known = [[2, "f" * 64], [1, chain[1].hash], [0, chain[0].hash]]
+        assert serve(known) == {"after": 1, "blocks": [block_to_json(chain[2])],
+                                "more": False}
+        # a locator of a fresh node gets everything after genesis
+        assert serve([[0, chain[0].hash]])["blocks"] == [block_to_json(blk) for blk in chain[1:]]
+        # nothing new past a locator that names our tip
+        assert serve([[2, chain[2].hash]]) == {"after": 2, "blocks": [], "more": False}
+
+    def test_fresh_node_joins_over_several_pages(self, cluster_factory, monkeypatch):
+        # a whole chain over the frame cap reaches a new node one page at a time
+        cluster = cluster_factory(2)
+        a, b = cluster.nodes
+        counter = [["add", "count", 1], ["add", "total", ["arg", 0]]]
+        cid = contract_id_for(counter)
+        txs = [{"kind": "raw", "data": f"r{i}"} for i in range(30)]
+        txs[12] = {"kind": "deploy", "contract": counter}
+        txs[20] = {"kind": "call", "contract_id": cid, "args": [7]}
+        txs[25] = {"kind": "call", "contract_id": cid, "args": [5]}
+        for tx in txs:
+            results = cluster.submit(0, tx)
+            cluster.pump()
+            assert results[0]["ok"]
+        assert a.store.get_block_count() == 31
+
+        frames = []
+        real_deliver = cluster.net.deliver
+
+        def recording_deliver(src, dst, message):
+            frames.append((wire.decode_envelope(message).kind, len(message)))
+            real_deliver(src, dst, message)
+
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 4096)
+        monkeypatch.setattr(cluster.net, "deliver", recording_deliver)
+        whole = len(wire.canonical_json([block_to_json(blk) for blk in a.store.get_all_blocks()]))
+        assert whole > wire.MAX_FRAME_BYTES
+        cluster.connect(1, 0)
+        cluster.pump()
+
+        assert b.store.get_all_blocks() == a.store.get_all_blocks()
+        assert b.difficulty == a.difficulty == replay_difficulty(b.store.get_all_blocks(),
+                                                                 b.params)
+        assert b.store.all_state() == a.store.all_state() == {(cid, "count"): 2,
+                                                             (cid, "total"): 12}
+        pages = [size for kind, size in frames if kind == wire.BLOCKS]
+        assert len(pages) >= 5
+        assert max(pages) <= wire.MAX_FRAME_BYTES
 
     def test_ten_node_line_gossip_converges(self, cluster_factory):
         # worst-case connectivity: a 10-node line; a block committed at one

@@ -263,7 +263,7 @@ class TestHostileInput:
     """No signed peer message, whatever its payload, raises or moves the chain."""
 
     VALUES = (None, 0, -1, 2**70, True, "x", [], [1], {})
-    HANDLER_KEYS = ("block", "blocks", "tx", "what", "params")
+    HANDLER_KEYS = ("block", "blocks", "tx", "what", "params", "locator", "after", "more")
 
     @classmethod
     def payloads(cls):
@@ -287,6 +287,37 @@ class TestHostileInput:
                 failures.append(f"{payload!r}: {exc!r}")
         assert failures == []
         assert (core.store.chain_info(), core.store.all_state()) == before
+
+    GENESIS = [0, genesis_block().hash]
+    # locator -> whether it gets a reply
+    HOSTILE_LOCATORS = {
+        "height-2**70": ([[2**70, "0" * 64], GENESIS], False),
+        "height-2**63": ([[2**63, "0" * 64], GENESIS], False),
+        "height-minus-1": ([[-1, "0" * 64], GENESIS], False),
+        "height-true": ([[True, "0" * 64], GENESIS], False),
+        "hash-not-a-string": ([[1, 1], GENESIS], False),
+        "entry-not-a-pair": ([[1], GENESIS], False),
+        "non-hex-hash": ([[1, "not hex"], GENESIS], True),
+        "no-entry-matches": ([[1, "f" * 64]], True),
+        "empty": ([], True),
+        "longest-answered": ([GENESIS] * node_module.MAX_LOCATOR, True),
+        "10000-entries": ([GENESIS] * 10_000, False),
+    }
+
+    @pytest.mark.parametrize("locator,answered", HOSTILE_LOCATORS.values(),
+                             ids=HOSTILE_LOCATORS.keys())
+    def test_hostile_locator(self, locator, answered):
+        core, queue = make_node()
+        for i in range(3):
+            submit_and_run(core, queue, {"kind": "raw", "data": f"r{i}"})
+        chain = core.store.get_all_blocks()
+        conn = Capture()
+        from_peer(core, conn, wire.GET_BLOCKS, {"locator": locator})
+        assert core.store.get_all_blocks() == chain
+        assert len(conn.sent) == answered
+        if answered:  # nothing the peer named matches: the suffix after genesis
+            assert decode_envelope(conn.sent[0]).payload == {
+                "after": 0, "blocks": [block_to_json(b) for b in chain[1:]], "more": False}
 
     MALFORMED_RAW = {
         "deep-nesting": (b'{"kind":"QUERY","payload":' + b"[" * 200_000 + b"]" * 200_000
@@ -439,10 +470,51 @@ class TestReorgStateRebuild:
             heavier.append(mine_block(block))
 
         b, _ = make_node()
-        assert a.adopt_if_heavier(heavier) == "adopted"
-        assert b.adopt_if_heavier(heavier) == "adopted"
+        assert a.adopt_if_heavier(a.store.get_all_blocks(), heavier) == "adopted"
+        assert b.adopt_if_heavier(b.store.get_all_blocks(), heavier) == "adopted"
         assert a.store.tip().hash == b.store.tip().hash == heavier[-1].hash
         assert a.store.all_state() == b.store.all_state() == {}
+
+
+class TestStaleSyncReply:
+    """A BLOCKS reply that no longer fits the chain is dropped, not counted."""
+
+    @staticmethod
+    def chain(base, n, bits, tag):
+        blocks = list(base)
+        for i in range(n):
+            blocks.append(mine_block(create_new_block(f"{tag}{i}", blocks[-1], bits,
+                                                      1000 + len(blocks))))
+        return blocks
+
+    @staticmethod
+    def adopt(core, chain):
+        assert core.adopt_if_heavier(core.store.get_all_blocks(), chain) == "adopted"
+
+    def reply_to(self, requester, server):
+        """The server's BLOCKS answer to the requester's GET_BLOCKS, as wire bytes."""
+        ask, answer = Capture(), Capture()
+        requester.request_sync(ask)
+        server.on_message(answer, ask.sent[0])
+        [raw] = answer.sent
+        return raw
+
+    @pytest.mark.parametrize("shared", [2, 5], ids=["fork-point-reorged-away",
+                                                    "fork-point-past-the-tip"])
+    def test_reply_after_a_reorg_is_ignored(self, cluster_factory, shared):
+        requester, server = cluster_factory(2).nodes
+        ours = self.chain([genesis_block()], shared, 4, "a")
+        self.adopt(requester, ours)
+        self.adopt(server, self.chain(ours, 2, 4, "b"))
+        reply = self.reply_to(requester, server)
+        assert decode_envelope(reply).payload["after"] == shared
+
+        # before the reply lands, a heavier two-block chain replaces ours
+        heavier = self.chain([genesis_block()], 2, 10, "c")
+        self.adopt(requester, heavier)
+        assert requester.on_message(Capture(), reply) == "ignored"
+        assert requester.store.get_all_blocks() == heavier
+        assert requester.rejects_by_reason == {}
 
 
 class TestDurability:

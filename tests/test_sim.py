@@ -1,10 +1,13 @@
 """Simulation harness: determinism, partitions, adversaries, the consistency metric."""
 
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from powdb import wire
 from powdb.chain import ChainParams
 from powdb.sim import (
     ConfigError,
@@ -18,6 +21,8 @@ from powdb.sim import (
     write_report,
 )
 from powdb.simnet import EventQueue, MemNetwork, SimMiner
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 SIM_PARAMS = ChainParams(target_block_interval_ms=2000, initial_difficulty=8,
                          min_difficulty=6, max_difficulty=10)
@@ -331,6 +336,25 @@ class TestScenarios:
         assert report["malicious_blocks_in_canonical"] == 0
         assert report["rejected_invalid_blocks"] > 0
         assert report["consistency"]["final_sample_c"] == 1.0
+
+    def test_adversarial_sync_traffic_stays_small(self, monkeypatch):
+        # every bad_prev_hash block sets off a sync round; each round must
+        # cost the suffix after the fork point, not the whole chain
+        sync_bytes = Counter()
+        real_deliver = MemNetwork.deliver
+
+        def counting_deliver(net, src, dst, message):
+            kind = wire.decode_envelope(message).kind
+            if kind in (wire.GET_BLOCKS, wire.BLOCKS):
+                sync_bytes[kind] += len(message)
+            real_deliver(net, src, dst, message)
+
+        monkeypatch.setattr(MemNetwork, "deliver", counting_deliver)
+        config = ScenarioConfig.from_json(
+            json.loads((SCENARIOS / "adversarial.json").read_text()))
+        run_scenario(config)
+        assert sync_bytes[wire.GET_BLOCKS] > 0 and sync_bytes[wire.BLOCKS] > 0
+        assert sum(sync_bytes.values()) < 1_500_000
 
     def test_report_files(self, tmp_path):
         report = run_scenario(quick_config(duration_ms=10_000))

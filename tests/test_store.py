@@ -89,6 +89,18 @@ class TestAppendAndFetch:
         assert fetched == chain
         assert fetched == [store.get_block(i) for i in range(store.get_block_count())]
 
+    def test_range_and_hash_reads(self, store_path):
+        store = BlockStore(store_path)
+        chain = linked_chain([4, 4, 4, 4])
+        for blk in chain:
+            store.add_block(blk)
+        assert store.get_blocks(0) == chain
+        assert store.get_blocks(2) == chain[2:]
+        assert store.get_blocks(1, 3) == chain[1:3]
+        assert store.get_blocks(5) == store.get_blocks(3, 3) == []
+        assert store.get_hashes([4, 0, 9]) == {4: chain[4].hash, 0: chain[0].hash}
+        assert store.get_hashes([]) == {}
+
     def test_round_trip_across_restart_random_chains(self, store_path, tmp_path):
         import random
         rng = random.Random(5)
