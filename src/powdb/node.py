@@ -2,16 +2,15 @@
 
 NodeCore is a single-threaded state machine. Runtimes feed it events
 (connections, messages, mining completions) from exactly one execution
-context: the TCP runtime funnels everything through a command queue, the
-simulator calls it from its event loop. Because of that the core itself
-needs no locks and behaves identically in both worlds.
+context: the TCP runtime from its selector loop, the simulator from its
+event queue. Because of that the core itself needs no locks and behaves
+identically in both worlds.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import queue
 import threading
 import time
 from collections import deque
@@ -461,10 +460,11 @@ class NodeCore:
                                                           self.params)
         else:
             chain = self.store.get_blocks(0, local[0].index) + selected
+            kept = local[0].index + common  # blocks below it were applied before
             with self.store.transaction():
                 self.store.replace_chain(chain)
                 for block in chain[1:]:
-                    self._apply_block_payload(block)
+                    self._apply_block_payload(block, count_errors=block.index >= kept)
             self.difficulty = replay_difficulty(chain, self.params)
         if self.on_chain_change:
             self.on_chain_change(self, selected[common:], depth)
@@ -541,11 +541,12 @@ class NodeCore:
         if self.on_chain_change:
             self.on_chain_change(self, [block], 0)
 
-    def _apply_block_payload(self, block: Block) -> None:
+    def _apply_block_payload(self, block: Block, *, count_errors: bool = True) -> None:
         """Steps 5 and 6: execute the contract payload, persist the state.
 
         Runs inside the caller's store transaction, so the effects commit
-        with the block that carries them.
+        with the block that carries them. A replayed block whose failure was
+        counted when it was first applied passes `count_errors=False`.
         """
         tx = parse_tx_data(block.data)
         if tx is None or tx["kind"] == "raw":
@@ -557,7 +558,7 @@ class NodeCore:
                                     block.index)
             return
         error = self._execute_call(block, tx)
-        if error is not None:
+        if error is not None and count_errors:
             reason = (error.reason.value if isinstance(error, ContractError)
                       else type(error).__name__)
             self.exec_errors[reason] = self.exec_errors.get(reason, 0) + 1
@@ -675,40 +676,35 @@ class NodeCore:
         self._links.pop(id(conn), None)
 
 
-class _ThreadMinerHandle:
-    def __init__(self, cancel_event: threading.Event):
-        self._cancel = cancel_event
-
-    def cancel(self) -> None:
-        self._cancel.set()
+class _ThreadMinerHandle(threading.Event):
+    """The cancel signal of one mining job; the core calls `cancel()`."""
+    cancel = threading.Event.set
 
 
 class ThreadMiner:
     """Background mining thread for the live node; one task at a time."""
 
     def __init__(self, submit):
-        self._submit = submit  # fn(closure) -> runs it on the command loop
+        self._submit = submit  # fn(closure) -> runs it on the node's loop
 
     def start(self, block: Block, done) -> _ThreadMinerHandle:
-        cancel = threading.Event()
+        handle = _ThreadMinerHandle()
 
         def work():
-            mined = mine_block(block, cancel=cancel)
+            mined = mine_block(block, cancel=handle)
             self._submit(lambda: done(mined))
 
         threading.Thread(target=work, name=f"miner:{block.index}", daemon=True).start()
-        return _ThreadMinerHandle(cancel)
+        return handle
 
 
 class NodeRuntime:
-    """TCP wiring: command queue, transport threads, periodic timeout sweeps."""
+    """TCP wiring: one selector loop drives the core; the miner is the only other thread."""
 
     def __init__(self, config: NodeConfig):
         config.validate()
         self.config = config
-        self._commands: queue.Queue = queue.Queue()
         self._stop = threading.Event()
-        self._loop_thread: threading.Thread | None = None
 
         self.store = BlockStore(config.db_path)
         try:
@@ -720,17 +716,6 @@ class NodeRuntime:
             self.store.close()
             raise BadConfigError(str(exc)) from exc
 
-        self.transport = TcpTransport(
-            on_connection=lambda conn: self.submit(lambda: self.core.on_inbound_connection(conn)),
-            on_message=lambda conn, raw: self.submit(lambda: self.core.on_message(conn, raw)),
-            on_disconnect=lambda conn: self.submit(lambda: self.core.on_disconnect(conn)),
-        )
-        try:
-            self.listen_addr = self.transport.listen(config.listen_addr)
-        except (OSError, ValueError) as exc:
-            self.store.close()
-            raise NetworkStartupError(f"cannot listen on {config.listen_addr}: {exc}") from exc
-
         self.core = NodeCore(
             identity=identity,
             store=self.store,
@@ -739,48 +724,31 @@ class NodeRuntime:
             miner=ThreadMiner(self.submit),
             mine_enabled=config.mine_enabled,
         )
+        self.transport = TcpTransport(self.core)
+        try:
+            self.listen_addr = self.transport.listen(config.listen_addr)
+        except (OSError, ValueError) as exc:
+            self.transport.stop()
+            self.store.close()
+            raise NetworkStartupError(f"cannot listen on {config.listen_addr}: {exc}") from exc
 
     def submit(self, fn) -> None:
-        self._commands.put(fn)
+        self.transport.submit(fn)
 
     def start(self) -> None:
-        self._loop_thread = threading.Thread(target=self._command_loop,
-                                             name="node-loop", daemon=True)
-        self._loop_thread.start()
         for addr in self.config.peers:
-            self._dial(addr)
+            self.submit(lambda addr=addr: self._dial(addr))
+        self.transport.start(tick=self.core.check_timeouts)
 
     def _dial(self, addr: str) -> None:
         try:
-            conn = self.transport.dial(addr)
+            self.core.connect_peer(self.transport.dial(addr))
         except OSError as exc:
             logger.warning("cannot dial peer %s: %s", addr, exc)
-            return
-        self.submit(lambda: self.core.connect_peer(conn))
-
-    def _command_loop(self) -> None:
-        last_sweep = time.monotonic()
-        while not self._stop.is_set():
-            try:
-                fn = self._commands.get(timeout=0.2)
-            except queue.Empty:
-                fn = None
-            if fn is not None:
-                try:
-                    fn()
-                except Exception:  # one bad command must not kill the node
-                    logger.exception("command failed")
-            if time.monotonic() - last_sweep > 1.0:
-                last_sweep = time.monotonic()
-                try:
-                    self.core.check_timeouts()
-                except Exception:
-                    logger.exception("timeout sweep failed")
 
     def run_forever(self) -> None:
         try:
-            while not self._stop.is_set():
-                time.sleep(0.2)
+            self._stop.wait()
         except KeyboardInterrupt:
             pass
         finally:
@@ -789,14 +757,7 @@ class NodeRuntime:
     def stop(self) -> None:
         if self._stop.is_set():
             return
-        done = threading.Event()
-        self._commands.put(lambda: (self.core.close(), done.set()))
-        if self._loop_thread is not None and self._loop_thread.is_alive():
-            done.wait(timeout=2.0)
-        else:
-            self.core.close()
         self._stop.set()
-        if self._loop_thread is not None:
-            self._loop_thread.join(timeout=2.0)
+        self.submit(self.core.close)
         self.transport.stop()
         self.store.close()

@@ -2,20 +2,25 @@
 
 The node core only ever sees objects with `send_message` / `close`; the
 in-memory transport used by the simulator lives in `powdb.simnet` and obeys
-the same contract. TCP connections frame each message with a 4-byte length
-and run one reader thread per connection that feeds whole messages to the
-owner's callbacks.
+the same contract. TCP connections frame each message with a 4-byte length.
+One selector loop on one thread owns the listening socket, every connection
+and a wake-up socket pair, and calls the owner as `MemNetwork` does.
 """
 
 from __future__ import annotations
 
 import logging
+import selectors
 import socket
 import threading
+import time
+from collections import deque
 
-from powdb.wire import ProtocolError, deframe, frame, socket_read_exact
+from powdb.wire import ProtocolError, frame, split_frames
 
 logger = logging.getLogger(__name__)
+
+TICK_S = 1.0  # seconds between two calls of the loop's tick
 
 
 def parse_hostport(addr: str) -> tuple[str, int]:
@@ -25,20 +30,27 @@ def parse_hostport(addr: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def _guarded(fn, *args) -> None:
+    try:
+        fn(*args)
+    except Exception:  # one failing callback must not end the loop
+        logger.exception("callback failed")
+
+
 class TcpConnection:
     """One framed, bidirectional message stream."""
 
-    def __init__(self, sock: socket.socket, label: str):
+    def __init__(self, sock: socket.socket, label: str, selector: selectors.BaseSelector):
         self._sock = sock
-        self._write_lock = threading.Lock()
+        self._selector = selector
+        self._received = bytearray()  # the start of a frame not yet whole
         self.label = label
         self.closed = False
 
     def send_message(self, message: bytes) -> None:
         data = frame(message)
         try:
-            with self._write_lock:
-                self._sock.sendall(data)
+            self._sock.sendall(data)
         except OSError as exc:
             self.close()
             raise ConnectionError(f"send to {self.label} failed: {exc}") from exc
@@ -46,10 +58,8 @@ class TcpConnection:
     def close(self) -> None:
         if not self.closed:
             self.closed = True
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+            # leave the selector first: the next accept may reuse the fd number
+            self._selector.unregister(self._sock)
             self._sock.close()
 
     def __repr__(self) -> str:
@@ -57,22 +67,18 @@ class TcpConnection:
 
 
 class TcpTransport:
-    """Listener plus dialer; all events are delivered via owner callbacks.
+    """Listener plus dialer; every call to `owner` comes from the loop thread."""
 
-    The callbacks (`on_connection`, `on_message`, `on_disconnect`) are invoked
-    from transport threads; the node runtime marshals them onto its command
-    queue so the core stays single-threaded.
-    """
-
-    def __init__(self, on_connection, on_message, on_disconnect):
-        self._on_connection = on_connection
-        self._on_message = on_message
-        self._on_disconnect = on_disconnect
-        self._server: socket.socket | None = None
-        # live threads, plus any that finished since the last one started
-        self._threads: list[threading.Thread] = []
-        self._threads_lock = threading.Lock()
-        self._stopping = threading.Event()
+    def __init__(self, owner):
+        self._owner = owner
+        self._selector = selectors.DefaultSelector()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
+        self._selector.register(self._wake_r, selectors.EVENT_READ,
+                                lambda: self._wake_r.recv(4096))
+        self._calls: deque = deque()
+        self._running = True
+        self._threads: list[threading.Thread] = []  # the loop, once started
 
     def listen(self, addr: str) -> str:
         """Bind and start accepting; returns the bound host:port."""
@@ -83,71 +89,89 @@ class TcpTransport:
             server.bind((host, port))
             server.listen(32)
         except BaseException:
-            server.close()  # not yet in self._server, so stop() would never close it
+            server.close()  # not yet registered, so stop() would never close it
             raise
-        self._server = server
-        bound = f"{host}:{server.getsockname()[1]}"
-        thread = threading.Thread(target=self._accept_loop, name=f"accept:{bound}",
-                                  daemon=True)
-        self._start(thread)
-        return bound
+        server.setblocking(False)
+        self._selector.register(server, selectors.EVENT_READ, lambda: self._accept(server))
+        return f"{host}:{server.getsockname()[1]}"
 
     def dial(self, addr: str, timeout: float = 5.0) -> TcpConnection:
-        host, port = parse_hostport(addr)
-        sock = socket.create_connection((host, port), timeout=timeout)
+        """Connect to `addr`; call it on the loop thread or before `start`."""
+        sock = socket.create_connection(parse_hostport(addr), timeout=timeout)
         sock.settimeout(None)
-        conn = TcpConnection(sock, label=addr)
-        self._spawn_reader(conn, sock)
-        return conn
+        return self._register(sock, addr)
+
+    def submit(self, fn) -> None:
+        """Run `fn()` on the loop thread; safe from any thread."""
+        self._calls.append(fn)
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # the pair is full, so the loop wakes anyway, or it is closed
+
+    def start(self, tick) -> None:
+        """Start the loop; it calls `tick()` every TICK_S seconds."""
+        thread = threading.Thread(target=self._loop, args=(tick,), name="node-loop",
+                                  daemon=True)
+        self._threads.append(thread)
+        thread.start()
 
     def stop(self) -> None:
-        self._stopping.set()
-        if self._server is not None:
-            try:
-                # close() alone does not wake a thread blocked in accept()
-                self._server.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._server.close()
-            except OSError:
-                pass
+        """End the loop after the calls submitted so far; close every socket."""
+        self.submit(self._halt)
+        for thread in self._threads:
+            thread.join(timeout=2.0)
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._wake_w.close()
+        self._selector.close()
 
-    def _accept_loop(self) -> None:
-        assert self._server is not None
-        while not self._stopping.is_set():
-            try:
-                sock, peer = self._server.accept()
-            except OSError:
+    def _halt(self) -> None:
+        self._running = False
+
+    def _loop(self, tick) -> None:
+        next_tick = time.monotonic() + TICK_S
+        while self._running:
+            # Only the calls queued before this poll run after it; input that
+            # arrives while they wait is served first, in arrival order.
+            due = len(self._calls)
+            timeout = 0 if due else max(0.0, next_tick - time.monotonic())
+            for key, _events in self._selector.select(timeout):
+                key.data()
+            for _ in range(due):
+                _guarded(self._calls.popleft())
+            if time.monotonic() >= next_tick:
+                next_tick = time.monotonic() + TICK_S
+                _guarded(tick)
+
+    def _register(self, sock: socket.socket, label: str) -> TcpConnection:
+        conn = TcpConnection(sock, label, self._selector)
+        self._selector.register(sock, selectors.EVENT_READ, lambda: self._read(conn))
+        return conn
+
+    def _accept(self, server: socket.socket) -> None:
+        try:
+            sock, peer = server.accept()
+        except OSError:
+            return  # the peer gave up before we got to it
+        _guarded(self._owner.on_inbound_connection,
+                 self._register(sock, f"{peer[0]}:{peer[1]}"))
+
+    def _read(self, conn: TcpConnection) -> None:
+        if conn.closed:
+            return  # a callback earlier in this pass closed it
+        try:
+            chunk = conn._sock.recv(64 * 1024)
+            if not chunk:
+                raise ConnectionError("closed by the peer")
+            conn._received += chunk
+            messages = split_frames(conn._received)
+        except (ProtocolError, OSError) as exc:
+            logger.debug("dropping %s: %s", conn.label, exc)
+            conn.close()
+            _guarded(self._owner.on_disconnect, conn)
+            return
+        for message in messages:
+            if conn.closed:
                 return
-            conn = TcpConnection(sock, label=f"{peer[0]}:{peer[1]}")
-            self._on_connection(conn)
-            self._spawn_reader(conn, sock)
-
-    def _spawn_reader(self, conn: TcpConnection, sock: socket.socket) -> None:
-        self._start(threading.Thread(target=self._reader_loop, args=(conn, sock),
-                                     name=f"reader:{conn.label}", daemon=True))
-
-    def _start(self, thread: threading.Thread) -> None:
-        # dial() and the accept loop spawn readers from different threads
-        with self._threads_lock:
-            self._threads = [t for t in self._threads if t.is_alive()]
-            self._threads.append(thread)
-            thread.start()
-
-    def _reader_loop(self, conn: TcpConnection, sock: socket.socket) -> None:
-        read_exact = socket_read_exact(sock)
-        while True:
-            try:
-                message = deframe(read_exact)
-            except (ProtocolError, OSError) as exc:
-                if not conn.closed and not self._stopping.is_set():
-                    logger.debug("dropping %s: %s", conn.label, exc)
-                conn.close()
-                self._on_disconnect(conn)
-                return
-            if message is None:
-                conn.close()
-                self._on_disconnect(conn)
-                return
-            self._on_message(conn, message)
+            _guarded(self._owner.on_message, conn, message)

@@ -264,6 +264,23 @@ def deframe(read_exact) -> bytes | None:
     return body
 
 
+def split_frames(buffer: bytearray) -> list[bytes]:
+    """Remove the whole frames at the front of `buffer` and return them; a
+    partial frame stays. A header over the cap raises before its body arrives."""
+    messages, start = [], 0
+    while len(buffer) - start >= _LEN.size:
+        (length,) = _LEN.unpack_from(buffer, start)
+        if length > MAX_FRAME_BYTES:
+            raise ProtocolError(f"declared frame of {length} bytes exceeds the 16 MiB cap")
+        end = start + _LEN.size + length
+        if len(buffer) < end:
+            break
+        messages.append(bytes(buffer[start + _LEN.size:end]))
+        start = end
+    del buffer[:start]
+    return messages
+
+
 def socket_read_exact(sock):
     """Adapter giving deframe() an exact-read function over a socket."""
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import os
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,19 @@ def pytest_configure(config):
     paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     if src not in paths:
         os.environ["PYTHONPATH"] = os.pathsep.join([src, *paths])
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_node_loop():
+    """Fail a test that leaves a live node's loop thread running."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 2.0
+    for thread in set(threading.enumerate()) - before:
+        if thread.name == "node-loop":
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            if thread.is_alive():
+                pytest.fail("a node-loop thread outlived its test; stop() every runtime")
 
 
 def linked_chain(difficulties, data_prefix="data", start_ts=1000):

@@ -3,8 +3,10 @@
 import gc
 import json
 import socket
+import queue
 import sys
 import threading
+import time
 import warnings
 
 import pytest
@@ -446,35 +448,55 @@ class TestSync:
         assert len(set(cluster.heads())) == 1
 
 
+class Recorder:
+    """A TcpTransport owner that records every event; the loop thread calls it."""
+
+    def __init__(self):
+        self.events = queue.Queue()  # (name, conn, raw)
+
+    def on_inbound_connection(self, conn):
+        self.events.put(("inbound", conn, None))
+
+    def on_message(self, conn, raw):
+        self.events.put(("message", conn, raw))
+
+    def on_disconnect(self, conn):
+        self.events.put(("disconnect", conn, None))
+
+    def next(self, name):
+        """The next event, which must be `name`."""
+        event = self.events.get(timeout=5)
+        assert event[0] == name, event
+        return event
+
+
+def started(owner):
+    transport = TcpTransport(owner)
+    addr = transport.listen("127.0.0.1:0")
+    transport.start(tick=lambda: None)
+    return transport, addr
+
+
 class TestTcpTransport:
-    def test_finished_reader_threads_are_pruned(self):
-        received = threading.Semaphore(0)
-        transport = TcpTransport(on_connection=lambda conn: None,
-                                 on_message=lambda conn, raw: received.release(),
-                                 on_disconnect=lambda conn: None)
-        addr = parse_hostport(transport.listen("127.0.0.1:0"))
+    def test_connections_start_no_threads(self):
+        owner = Recorder()
+        transport, addr = started(owner)
+        threads = threading.active_count()
         try:
-            for _ in range(20):
-                with socket.create_connection(addr, timeout=5) as client:
-                    client.sendall(wire.frame(b"hello"))
-                    assert received.acquire(timeout=5)
-                    readers = [t for t in transport._threads
-                               if t.name.startswith("reader:")]
-                    live = sum(t.is_alive() for t in readers)
-                    assert len(transport._threads) <= live + 1  # + the accept loop
-                for thread in readers:
-                    thread.join(timeout=5)
-                    assert not thread.is_alive()
+            for i in range(20):
+                with socket.create_connection(parse_hostport(addr), timeout=5) as client:
+                    client.sendall(wire.frame(b"hello %d" % i))
+                    _, conn, _ = owner.next("inbound")
+                    assert owner.next("message") == ("message", conn, b"hello %d" % i)
+                    assert threading.active_count() == threads
+                assert owner.next("disconnect")[1] is conn and conn.closed
+            assert [t.name for t in transport._threads] == ["node-loop"]
         finally:
             transport.stop()
+        assert not transport._threads[0].is_alive()
 
     def test_failed_listen_closes_its_socket(self):
-        def quiet():
-            return TcpTransport(on_connection=lambda conn: None,
-                                on_message=lambda conn, raw: None,
-                                on_disconnect=lambda conn: None)
-
-        holder, second = quiet(), quiet()
+        holder, second = TcpTransport(Recorder()), TcpTransport(Recorder())
         addr = holder.listen("127.0.0.1:0")
         try:
             with warnings.catch_warnings(record=True) as caught:
@@ -491,19 +513,20 @@ class TestTcpTransport:
             holder.stop()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
-    def test_concurrent_dials_and_accepts_track_every_thread(self):
-        received = threading.Semaphore(0)
-        transport = TcpTransport(on_connection=lambda conn: None,
-                                 on_message=lambda conn, raw: received.release(),
-                                 on_disconnect=lambda conn: None)
-        addr = transport.listen("127.0.0.1:0")
-        conns = []
+    def test_dials_from_many_threads_run_on_the_loop(self):
+        owner = Recorder()
+        transport, addr = started(owner)
+        threads = threading.active_count()
+        dialed = queue.Queue()
+
+        def dial_and_send():
+            conn = transport.dial(addr)
+            dialed.put((threading.current_thread().name, conn))
+            conn.send_message(b"hello")
 
         def dial_some():
             for _ in range(5):
-                conn = transport.dial(addr)
-                conn.send_message(b"hello")
-                conns.append(conn)
+                transport.submit(dial_and_send)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -514,12 +537,33 @@ class TestTcpTransport:
             for thread in dialers:
                 thread.join(timeout=10)
                 assert not thread.is_alive()
-            for _ in range(20):
-                assert received.acquire(timeout=5)
-            # each connection has a reader on both ends, all still running
-            assert sum(t.is_alive() for t in transport._threads) == 2 * 20 + 1
+            events = [owner.events.get(timeout=5)[0] for _ in range(40)]
+            assert sorted(events) == ["inbound"] * 20 + ["message"] * 20
+            assert {dialed.get(timeout=5)[0] for _ in range(20)} == {"node-loop"}
+            assert threading.active_count() == threads
         finally:
             sys.setswitchinterval(interval)
-            for conn in conns:
-                conn.close()
             transport.stop()
+
+    def test_input_that_arrives_first_is_served_before_a_later_call(self):
+        # While A's handler runs, it queues a call C and message B arrives.
+        # B arrived before the loop polled again, so B comes before C.
+        order = []
+        done = threading.Event()
+
+        class Owner(Recorder):
+            def on_message(self, conn, raw):
+                order.append(raw)
+                if raw == b"A":
+                    transport.submit(lambda: (order.append(b"C"), done.set()))
+                    client.sendall(wire.frame(b"B"))
+                    time.sleep(0.2)  # B is in the socket's buffer before A's handler ends
+
+        transport, addr = started(Owner())
+        try:
+            with socket.create_connection(parse_hostport(addr), timeout=5) as client:
+                client.sendall(wire.frame(b"A"))
+                assert done.wait(timeout=5)
+        finally:
+            transport.stop()
+        assert order == [b"A", b"B", b"C"]

@@ -1,5 +1,7 @@
 """Node orchestration: the request flow, state replay, durability, TCP runtime."""
 
+import socket
+import threading
 import time
 
 import pytest
@@ -20,6 +22,7 @@ from powdb.node import (
 from powdb.sim import sim_hashrate_per_ms
 from powdb.simnet import EventQueue, SimMiner
 from powdb.store import BlockStore
+from powdb.transport import parse_hostport
 from powdb.wire import NodeIdentity, canonical_json, decode_envelope, sign_envelope
 
 from conftest import TEST_PARAMS
@@ -475,6 +478,22 @@ class TestReorgStateRebuild:
         assert a.store.tip().hash == b.store.tip().hash == heavier[-1].hash
         assert a.store.all_state() == b.store.all_state() == {}
 
+    def test_replayed_block_counts_its_failed_call_once(self):
+        core, _queue = make_node()
+        call = validate_tx_payload({"kind": "call", "contract_id": COUNTER_ID, "args": [1]},
+                                   lambda _: True)
+        first = [genesis_block()]
+        for i, data in enumerate([call, "x"]):
+            first.append(mine_block(create_new_block(data, first[-1], 4, 1000 + i)))
+        assert core.adopt_if_heavier(core.store.get_all_blocks(), first) == "adopted"
+        assert core.exec_errors == {"ContractNotFound": 1}
+
+        # the heavier fork keeps the call block and replaces the block after it
+        fork = first[:2] + [mine_block(create_new_block("y", first[1], 10, 2000))]
+        assert core.adopt_if_heavier(core.store.get_all_blocks(), fork) == "adopted"
+        assert core.store.tip().hash == fork[-1].hash
+        assert core.exec_errors == {"ContractNotFound": 1}
+
 
 class TestStaleSyncReply:
     """A BLOCKS reply that no longer fits the chain is dropped, not counted."""
@@ -788,10 +807,8 @@ class TestTcpRuntime:
             assert self.wait_until(
                 lambda: len(b.core.connected()) == 1
                 and len(a.core.connected()) == 1), "an established link on each side"
-            threads = [t for runtime in (a, b)
-                       for t in [runtime._loop_thread, *runtime.transport._threads]]
-            assert sorted(t.name.split(":")[0] for t in threads) == [
-                "accept", "accept", "node-loop", "node-loop", "reader", "reader"]
+            threads = [t for runtime in (a, b) for t in runtime.transport._threads]
+            assert [t.name for t in threads] == ["node-loop", "node-loop"]
             a.stop()
             assert self.wait_until(lambda: b.core.connected() == [], timeout=2.0), \
                 "the peer saw the link close"
@@ -801,6 +818,61 @@ class TestTcpRuntime:
         for thread in threads:
             thread.join(timeout=2.0)
         assert [t.name for t in threads if t.is_alive()] == []
+
+    @staticmethod
+    def request(sock, kind, payload, step=None):
+        """Send one signed request, `step` bytes at a time, and read the answer."""
+        data = wire.frame(sign_envelope(kind, 1, payload, PEER).encode())
+        step = step or len(data)
+        for i in range(0, len(data), step):
+            sock.sendall(data[i:i + step])
+        return decode_envelope(wire.deframe(wire.socket_read_exact(sock)))
+
+    @pytest.fixture
+    def runtime(self, tmp_path):
+        runtime = NodeRuntime(NodeConfig(listen_addr="127.0.0.1:0",
+                                         db_path=str(tmp_path / "n.db"), mine_enabled=False))
+        runtime.start()
+        yield runtime
+        runtime.stop()
+
+    def client(self, runtime):
+        return socket.create_connection(parse_hostport(runtime.listen_addr), timeout=5)
+
+    def stats(self, runtime):
+        with self.client(runtime) as sock:
+            return self.request(sock, wire.QUERY, {"what": "stats"}).payload
+
+    def test_idle_clients_start_no_threads(self, runtime):
+        threads = threading.active_count()
+        clients = [self.client(runtime) for _ in range(16)]
+        try:
+            assert self.wait_until(lambda: len(runtime.core._links) == 16, timeout=5)
+            assert threading.active_count() == threads
+            assert self.stats(runtime)["ok"] is True
+        finally:
+            for sock in clients:
+                sock.close()
+
+    def test_request_sent_one_byte_at_a_time_is_answered(self, runtime):
+        with self.client(runtime) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            answer = self.request(sock, wire.QUERY, {"what": "stats"}, step=1)
+        assert answer.kind == wire.RESPONSE and answer.payload["ok"] is True
+
+    def test_oversized_frame_drops_only_that_client(self, runtime):
+        with self.client(runtime) as sock:
+            sock.sendall((wire.MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+            assert sock.recv(1) == b""  # closed before any body arrives
+            assert self.stats(runtime)["ok"] is True
+
+    def test_dropped_link_leaves_the_selector_before_its_fd_is_reused(self, runtime):
+        for _ in range(10):
+            with self.client(runtime) as sock:
+                # a HELLO whose payload is not {} drops the link
+                sock.sendall(wire.frame(sign_envelope(wire.HELLO, 1, {"x": 1}, PEER).encode()))
+                assert sock.recv(1) == b""
+            assert self.stats(runtime)["ok"] is True
 
     def test_restart_preserves_tip_over_tcp(self, tmp_path):
         from powdb.cli import client_request

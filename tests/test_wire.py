@@ -22,6 +22,7 @@ from powdb.wire import (
     frame,
     sign_envelope,
     signing_bytes,
+    split_frames,
     verify_envelope,
 )
 
@@ -338,6 +339,37 @@ class TestFraming:
     def test_oversized_outbound_rejected(self):
         with pytest.raises(ProtocolError):
             frame(b"x" * (16 * 1024 * 1024 + 1))
+
+
+class TestSplitFrames:
+    def test_one_byte_at_a_time_yields_each_message_once(self):
+        messages = [b"one", b"", b"three" * 50]
+        stream = b"".join(frame(m) for m in messages)
+        buffer, got = bytearray(), []
+        for i in range(len(stream)):
+            buffer += stream[i:i + 1]
+            got += split_frames(buffer)
+        assert got == messages and buffer == b""
+
+    def test_three_frames_in_one_chunk(self):
+        buffer = bytearray(frame(b"a") + frame(b"") + frame(b"bc"))
+        assert split_frames(buffer) == [b"a", b"", b"bc"]
+        assert buffer == b""
+
+    @pytest.mark.parametrize("tail", [b"\x00\x00", b"\x00\x00\x00\x05abc"],
+                             ids=["partial-header", "partial-body"])
+    def test_trailing_partial_frame_stays(self, tail):
+        buffer = bytearray(frame(b"whole") + tail)
+        assert split_frames(buffer) == [b"whole"]
+        assert buffer == tail
+        assert split_frames(buffer) == [] and buffer == tail
+
+    def test_oversized_declared_length_raises_before_the_body(self):
+        buffer = bytearray((wire.MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+        with pytest.raises(ProtocolError):
+            split_frames(buffer)
+        # a declared length at the cap waits for its body instead
+        assert split_frames(bytearray(wire.MAX_FRAME_BYTES.to_bytes(4, "big"))) == []
 
 
 class TestEnvelopeRoundTrip:
