@@ -141,6 +141,11 @@ def _is_height(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**63
 
 
+def _is_stale(index, tip_index: int) -> bool:
+    """A block height at or below the tip's: such a block cannot change the chain."""
+    return _is_height(index) and index <= tip_index
+
+
 def _parse_locator(payload) -> list[tuple[int, str]] | None:
     """The (height, hash) pairs of a GET_BLOCKS payload, or None if malformed."""
     locator = payload.get("locator") if isinstance(payload, dict) else None
@@ -280,8 +285,14 @@ class NodeCore:
     # -- message intake ------------------------------------------------------
 
     def on_message(self, conn, raw: bytes) -> str:
-        """Single entry point for wire input; invalid signatures die here."""
+        """Single entry point for wire input: decode, drop a stale NEW_BLOCK by
+        its index alone, then check the signature; invalid signatures die here."""
         env = decode_envelope(raw)
+        if env is not None and env.kind == wire.NEW_BLOCK:
+            block = env.payload.get("block") if isinstance(env.payload, dict) else None
+            if (isinstance(block, dict)
+                    and _is_stale(block.get("index"), self.store.get_block_count() - 1)):
+                return "ignored"  # a relay that cannot change state costs no verify
         if env is None or not verify_envelope(env):
             self.dropped_envelopes += 1
             return "dropped"
@@ -345,7 +356,7 @@ class NodeCore:
             self._count_reject(VerifyReason.MALFORMED_BLOCK)
             return "ignored"
         tip = self.store.tip()
-        if block.index <= tip.index:
+        if _is_stale(block.index, tip.index):
             return "ignored"
         if block.index > tip.index + 1 or block.prev_hash != tip.hash:
             # a gap, or the sender is on another fork: pull its chain

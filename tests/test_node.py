@@ -3,6 +3,7 @@
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -336,6 +337,75 @@ class TestHostileInput:
         core, _queue = make_node()
         assert core.on_message(Capture(), raw) == "dropped"
         assert core.dropped_envelopes == 1
+
+
+def forged(kind, payload):
+    """Raw bytes of a PEER envelope whose signature has one hex digit flipped."""
+    env = sign_envelope(kind, 1, payload, PEER)
+    flipped = ("1" if env.signature[0] == "0" else "0") + env.signature[1:]
+    return replace(env, signature=flipped).encode()
+
+
+class TestIntakeOrder:
+    """on_message decodes, drops a stale NEW_BLOCK by its index, then verifies."""
+
+    @pytest.fixture
+    def core(self, monkeypatch):
+        core, queue = make_node()
+        for i in range(3):
+            submit_and_run(core, queue, {"kind": "raw", "data": f"r{i}"})
+        self.verifies = 0
+        real_verify = node_module.verify_envelope
+
+        def counting_verify(env):
+            self.verifies += 1
+            return real_verify(env)
+
+        monkeypatch.setattr(node_module, "verify_envelope", counting_verify)
+        return core
+
+    @pytest.mark.parametrize("fields", [{}, {"hash": "not hex"}], ids=["valid", "malformed"])
+    def test_signed_stale_block_costs_no_verify(self, core, fields):
+        # a stale height is ignored before anything else about the block is read
+        stale = {**block_to_json(core.store.get_block(2)), **fields}
+        assert from_peer(core, Capture(), wire.NEW_BLOCK, {"block": stale}) == "ignored"
+        assert self.verifies == 0
+        assert core.dropped_envelopes == 0 and core.rejects_by_reason == {}
+
+    def test_forged_stale_block_is_ignored_not_counted(self, core):
+        stale = block_to_json(core.store.get_block(3))
+        assert core.on_message(Capture(), forged(wire.NEW_BLOCK, {"block": stale})) == "ignored"
+        assert core.dropped_envelopes == 0
+
+    def test_forged_next_block_is_dropped(self, core):
+        chain = core.store.get_all_blocks()
+        tip = chain[-1]
+        block = mine_block(create_new_block("peer", tip, effective_bits(core.difficulty),
+                                            tip.timestamp + 1))
+        raw = forged(wire.NEW_BLOCK, {"block": block_to_json(block)})
+        assert core.on_message(Capture(), raw) == "dropped"
+        assert self.verifies == 1
+        assert core.dropped_envelopes == 1
+        assert core.store.get_all_blocks() == chain
+
+    STALE = block_to_json(genesis_block())
+    HOSTILE_BLOCKS = {
+        "block-list": [STALE],
+        "block-string": "block",
+        "index-missing": {k: v for k, v in STALE.items() if k != "index"},
+        "index-true": {**STALE, "index": True},
+        "index-string": {**STALE, "index": "3"},
+        "index-minus-1": {**STALE, "index": -1},
+        "index-2**70": {**STALE, "index": 2**70},
+    }
+
+    @pytest.mark.parametrize("block", HOSTILE_BLOCKS.values(), ids=HOSTILE_BLOCKS.keys())
+    def test_hostile_shapes_reach_the_signature_check(self, core, block):
+        chain = core.store.get_all_blocks()
+        assert core.on_message(Capture(), forged(wire.NEW_BLOCK, {"block": block})) == "dropped"
+        assert self.verifies == 1
+        assert core.dropped_envelopes == 1
+        assert core.store.get_all_blocks() == chain
 
 
 class TestSixStepOrder:

@@ -3,10 +3,12 @@
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from powdb import node as node_module
 from powdb import wire
 from powdb.chain import ChainParams
 from powdb.sim import (
@@ -355,6 +357,25 @@ class TestScenarios:
         run_scenario(config)
         assert sync_bytes[wire.GET_BLOCKS] > 0 and sync_bytes[wire.BLOCKS] > 0
         assert sum(sync_bytes.values()) < 1_500_000
+
+    def test_mesh_checks_each_new_block_signature_about_once(self, monkeypatch):
+        # every node relays every block to every peer; a relay of a height
+        # the receiver holds must be dropped before its signature is checked
+        block_verifies = 0
+        real_verify = node_module.verify_envelope
+
+        def counting_verify(env):
+            nonlocal block_verifies
+            block_verifies += env.kind == wire.NEW_BLOCK
+            return real_verify(env)
+
+        monkeypatch.setattr(node_module, "verify_envelope", counting_verify)
+        shape = json.loads((SCENARIOS / "partition_short.json").read_text())
+        config = replace(ScenarioConfig.from_json(shape), node_count=20, partitions=[])
+        report = run_scenario(config)
+        assert report["consistency"]["final_sample_c"] == 1.0
+        n, length = config.node_count, report["canonical"]["length"]
+        assert block_verifies <= 2 * (n - 1) * length
 
     def test_report_files(self, tmp_path):
         report = run_scenario(quick_config(duration_ms=10_000))
