@@ -77,10 +77,9 @@ def difficulty_after_append(d: float, new_block: Block, prev_block: Block,
 
 
 def replay_difficulty(blocks: list[Block], params: ChainParams) -> float:
-    """Recompute the difficulty a node holds after adopting `blocks`.
-
-    Deterministic across nodes because intervals come from block timestamps,
-    never local receipt times.
+    """The difficulty after `blocks`, recomputed from genesis; tests hold each
+    stored difficulty to it, and no node code calls it. Deterministic across
+    nodes because intervals come from block timestamps, never receipt times.
     """
     d = float(params.initial_difficulty)
     for i in range(1, len(blocks)):

@@ -33,7 +33,6 @@ from powdb.consensus import (
     difficulty_after_append,
     effective_bits,
     mine_block,
-    replay_difficulty,
     shared_prefix,
     verify_block,
 )
@@ -248,8 +247,8 @@ class NodeCore:
 
     def _startup(self) -> None:
         if self.store.get_block_count() == 0:
-            self.store.add_block(genesis_block())
-        self.difficulty = replay_difficulty(self.store.get_all_blocks(), self.params)
+            self.store.add_block(genesis_block(), float(self.params.initial_difficulty))
+        self.difficulty = self.store.tip_retarget()
 
     def close(self) -> None:
         self._closed = True
@@ -365,7 +364,7 @@ class NodeCore:
         err = verify_block(block, tip, self.params.min_difficulty)
         if err is None:
             self._cancel_mining()
-            self._commit_block(block, tip, exclude_conn=conn)
+            self._commit(tip, [block], exclude_conn=conn)
             return "appended"
         self._count_reject(err.reason)
         return "ignored"
@@ -449,8 +448,9 @@ class NodeCore:
 
         `local` is the stored chain from some index on, and `candidate`
         starts at the block `local` starts with, so only the two suffixes
-        are verified and weighed. A candidate that extends the tip is
-        appended; any other replaces the chain and replays every payload.
+        are verified and weighed. Adopting drops the local blocks past the
+        fork point (none when the candidate extends the tip) and appends the
+        candidate's: it costs the two suffixes, never the whole chain.
         """
         selected, err = choose_chain(local, candidate, self.params)
         if err is not None:
@@ -459,28 +459,9 @@ class NodeCore:
         if selected is local:
             return "unchanged"
         common = shared_prefix(local, selected)
-        depth = len(local) - common
         self._cancel_mining()
-        if depth == 0:
-            with self.store.transaction():
-                for block in selected[common:]:
-                    self.store.add_block(block)
-                    self._apply_block_payload(block)
-            for prev, block in zip(selected[common - 1:], selected[common:]):
-                self.difficulty = difficulty_after_append(self.difficulty, block, prev,
-                                                          self.params)
-        else:
-            chain = self.store.get_blocks(0, local[0].index) + selected
-            kept = local[0].index + common  # blocks below it were applied before
-            with self.store.transaction():
-                self.store.replace_chain(chain)
-                for block in chain[1:]:
-                    self._apply_block_payload(block, count_errors=block.index >= kept)
-            self.difficulty = replay_difficulty(chain, self.params)
-        if self.on_chain_change:
-            self.on_chain_change(self, selected[common:], depth)
-        # let neighbors discover the better chain through the usual sync trigger
-        self.broadcast_block(selected[-1])
+        # the new tip's broadcast sends neighbors to the usual sync trigger
+        self._commit(selected[common - 1], selected[common:], local[common:])
         return "adopted"
 
     # -- transaction pipeline ----------------------------------------------------
@@ -525,7 +506,7 @@ class NodeCore:
             tip = self.store.tip()
             if verify_block(mined, tip, self.params.min_difficulty) is None:
                 self._queue.popleft()
-                self._commit_block(mined, tip)
+                self._commit(tip, [mined])
                 task.reply({"ok": True, "what": "tx",
                             "result": {"block_index": mined.index, "block_hash": mined.hash}})
                 self._mine_head()
@@ -542,22 +523,29 @@ class NodeCore:
 
     # -- the commit path (steps 3..6 of the request flow) -------------------------
 
-    def _commit_block(self, block: Block, prev: Block, *, exclude_conn=None) -> None:
-        """Append `block` on top of `prev` with its contract effects, in one transaction."""
+    def _commit(self, prev: Block, blocks: list[Block], dropped=(), *, exclude_conn=None):
+        """Every chain change: drop the stored tail `dropped` (empty when `blocks`
+        extend the tip), then append `blocks` on top of `prev` with their contract
+        effects, all in one transaction. Only the last block is broadcast."""
         with self.store.transaction():
-            self.store.add_block(block)
-            self.broadcast_block(block, exclude_conn=exclude_conn)
-            self._apply_block_payload(block)
-        self.difficulty = difficulty_after_append(self.difficulty, block, prev, self.params)
+            difficulty = self.store.replace_chain(dropped) if dropped else self.difficulty
+            for block in blocks:
+                difficulty = difficulty_after_append(difficulty, block, prev, self.params)
+                self.store.add_block(block, difficulty)
+                if block is blocks[-1]:
+                    self.broadcast_block(block, exclude_conn=exclude_conn)
+                self._apply_block_payload(block)
+                prev = block
+        self.difficulty = difficulty
         if self.on_chain_change:
-            self.on_chain_change(self, [block], 0)
+            self.on_chain_change(self, blocks, len(dropped))
 
-    def _apply_block_payload(self, block: Block, *, count_errors: bool = True) -> None:
+    def _apply_block_payload(self, block: Block) -> None:
         """Steps 5 and 6: execute the contract payload, persist the state.
 
         Runs inside the caller's store transaction, so the effects commit
-        with the block that carries them. A replayed block whose failure was
-        counted when it was first applied passes `count_errors=False`.
+        with the block that carries them. A block is applied once, when it
+        joins the chain; a reorg drops only the effects of the blocks it drops.
         """
         tx = parse_tx_data(block.data)
         if tx is None or tx["kind"] == "raw":
@@ -569,7 +557,7 @@ class NodeCore:
                                     block.index)
             return
         error = self._execute_call(block, tx)
-        if error is not None and count_errors:
+        if error is not None:
             reason = (error.reason.value if isinstance(error, ContractError)
                       else type(error).__name__)
             self.exec_errors[reason] = self.exec_errors.get(reason, 0) + 1

@@ -3,11 +3,12 @@
 One sqlite file per node holds the block table, the contract key-value
 state and deployed contract sources. The block table is the only record
 of the chain: count and tip are read from it, so an append is one insert.
+A block row keeps the difficulty after it, and a state or contract row the
+index of the block that wrote it, so dropping a tail deletes only its rows.
 Every mutation runs inside a transaction guarded by one lock, so a crash
 at any point leaves the previous committed state. Transactions nest: a
-caller that wraps a block append (or a chain swap) and the contract
-effects of its payloads in one `transaction()` commits them together or
-not at all.
+caller that wraps a tail drop, block appends and the contract effects of
+their payloads in one `transaction()` commits them together or not at all.
 """
 
 from __future__ import annotations
@@ -17,30 +18,34 @@ import threading
 from contextlib import contextmanager
 from pathlib import Path
 
-from powdb.chain import Block, MalformedBlockError, check_linkage
+from powdb.chain import Block
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS blocks (
+# The layout a store file carries in `PRAGMA user_version`.
+LAYOUT = 1
+_SCHEMA = f"""
+CREATE TABLE blocks (
     idx        INTEGER PRIMARY KEY,
     timestamp  INTEGER NOT NULL,
     data       TEXT    NOT NULL,
     prev_hash  TEXT    NOT NULL,
     hash       TEXT    NOT NULL,
     difficulty INTEGER NOT NULL,
-    nonce      INTEGER NOT NULL
+    nonce      INTEGER NOT NULL,
+    retarget   REAL    NOT NULL  -- the chain's difficulty after this block
 );
-CREATE TABLE IF NOT EXISTS state (
+CREATE TABLE state (
     contract_id TEXT NOT NULL,
     key         TEXT NOT NULL,
     value       INTEGER NOT NULL,
-    version     INTEGER NOT NULL,
-    PRIMARY KEY (contract_id, key)
+    version     INTEGER NOT NULL,  -- the index of the block that wrote it
+    PRIMARY KEY (contract_id, key, version)
 );
-CREATE TABLE IF NOT EXISTS contracts (
+CREATE TABLE contracts (
     contract_id TEXT PRIMARY KEY,
     source      TEXT NOT NULL,
     deployed_at INTEGER NOT NULL
 );
+PRAGMA user_version = {LAYOUT}
 """
 
 _SELECT_BLOCKS = "SELECT idx, timestamp, data, prev_hash, hash, difficulty, nonce FROM blocks"
@@ -66,16 +71,24 @@ class BlockStore:
 
     def __init__(self, path: str | Path = ":memory:"):
         self.path = str(path)
+        self._lock = threading.RLock()
+        self._txn_depth = 0
+        self._crash_hook = None  # test-only: callable(step_label)
         try:
             self._conn = sqlite3.connect(self.path, check_same_thread=False,
                                          isolation_level=None)
             self._conn.execute("PRAGMA synchronous=FULL")
-            self._conn.executescript(_SCHEMA)
+            with self.transaction():  # an empty file gets the tables
+                layout = self._conn.execute("PRAGMA user_version").fetchone()[0]
+                if not layout and not self._conn.execute("SELECT * FROM sqlite_master").fetchone():
+                    for statement in _SCHEMA.split(";"):  # executescript would commit
+                        self._conn.execute(statement)
+                    layout = LAYOUT
         except sqlite3.Error as exc:
             raise StoreError(f"cannot open store at {self.path}: {exc}") from exc
-        self._lock = threading.RLock()
-        self._txn_depth = 0
-        self._crash_hook = None  # test-only: callable(step_label)
+        if layout != LAYOUT:  # any other layout is refused, the file unchanged
+            self._conn.close()
+            raise StoreError(f"{self.path} does not hold store layout {LAYOUT}")
 
     def close(self) -> None:
         self._conn.close()
@@ -109,8 +122,8 @@ class BlockStore:
 
     # -- block chain ------------------------------------------------------
 
-    def add_block(self, block: Block) -> None:
-        """Append one block; index must equal the current count."""
+    def add_block(self, block: Block, retarget: float) -> None:
+        """Append one block and the chain's difficulty after it at index == count."""
         with self._lock:
             count = self.get_block_count()
             if block.index != count:
@@ -118,9 +131,9 @@ class BlockStore:
             try:
                 with self.transaction():
                     self._conn.execute(
-                        "INSERT INTO blocks VALUES (?,?,?,?,?,?,?)",
+                        "INSERT INTO blocks VALUES (?,?,?,?,?,?,?,?)",
                         (block.index, block.timestamp, block.data, block.prev_hash,
-                         block.hash, block.difficulty, block.nonce))
+                         block.hash, block.difficulty, block.nonce, retarget))
                     self._hook("block_inserted")
             except sqlite3.Error as exc:
                 raise StoreError(f"append failed: {exc}") from exc
@@ -133,7 +146,7 @@ class BlockStore:
         with self._lock:
             row = self._conn.execute(
                 "SELECT idx, hash FROM blocks ORDER BY idx DESC LIMIT 1").fetchone()
-        # indices are dense from 0 (add_block and replace_chain enforce it)
+        # indices are dense from 0 (add_block appends, replace_chain drops a tail)
         return (row[0] + 1, row[1]) if row is not None else (0, None)
 
     def get_block(self, index: int) -> Block:
@@ -169,66 +182,64 @@ class BlockStore:
             raise NotFoundError("store holds no blocks")
         return _row_to_block(row)
 
-    def replace_chain(self, new_chain: list[Block]) -> None:
-        """Atomically swap the whole chain, wiping contract state and sources.
-
-        A caller that re-executes the new chain's payloads does so inside
-        its own enclosing transaction, so a failure rolls everything back.
-        The new chain must be structurally linked and keep the stored genesis.
-        """
-        if not new_chain:
-            raise StoreError("replacement chain may not be empty")
-        try:
-            check_linkage(new_chain)
-        except MalformedBlockError as exc:
-            raise StoreError(f"replacement chain rejected: {exc}") from exc
-        if new_chain[0].index != 0:
-            raise StoreError("replacement chain must start at the genesis index")
+    def tip_retarget(self) -> float:
+        """The chain's difficulty after the tip block; the store holds a block."""
         with self._lock:
-            if self.get_block_count() > 0 and self.get_block(0) != new_chain[0]:
-                raise StoreError("replacement chain has a different genesis")
+            return self._conn.execute(
+                "SELECT retarget FROM blocks ORDER BY idx DESC LIMIT 1").fetchone()[0]
+
+    def replace_chain(self, tail: list[Block]) -> float:
+        """Drop `tail`, the stored blocks from some index >= 1 to the tip, and
+        the state and contracts they wrote; return the difficulty after the
+        new tip. A caller appends the replacing blocks inside its own
+        enclosing transaction, so a failure rolls everything back.
+        """
+        if not tail or tail[0].index < 1:
+            raise StoreError("the dropped tail must start after genesis")
+        start = tail[0].index
+        with self._lock:
+            if self.get_blocks(start) != tail:
+                raise StoreError(f"the blocks from index {start} are not the stored tail")
             try:
                 with self.transaction():
-                    self._conn.execute("DELETE FROM blocks")
-                    self._conn.execute("DELETE FROM state")
-                    self._conn.execute("DELETE FROM contracts")
-                    self._conn.executemany(
-                        "INSERT INTO blocks VALUES (?,?,?,?,?,?,?)",
-                        [(b.index, b.timestamp, b.data, b.prev_hash, b.hash,
-                          b.difficulty, b.nonce) for b in new_chain])
+                    for table, index in (("blocks", "idx"), ("state", "version"),
+                                         ("contracts", "deployed_at")):
+                        self._conn.execute(f"DELETE FROM {table} WHERE {index} >= ?", (start,))
             except sqlite3.Error as exc:
                 raise StoreError(f"replace failed: {exc}") from exc
+            return self.tip_retarget()
 
     # -- contract state ---------------------------------------------------
 
     def get_state(self, contract_id: str, key: str) -> int | None:
         with self._lock:
             row = self._conn.execute(
-                "SELECT value FROM state WHERE contract_id = ? AND key = ?",
-                (contract_id, key)).fetchone()
+                "SELECT value FROM state WHERE contract_id = ? AND key = ?"
+                " ORDER BY version DESC LIMIT 1", (contract_id, key)).fetchone()
         return row[0] if row is not None else None
 
     def put_state(self, contract_id: str, key: str, value: int, version: int) -> None:
-        """Write one state cell; `version` is the block index of this write."""
+        """Write one cell as of block `version`; a drop of that block uncovers the older value."""
         with self.transaction():
             self._conn.execute(
                 "INSERT INTO state VALUES (?,?,?,?)"
-                " ON CONFLICT (contract_id, key) DO UPDATE"
-                " SET value = excluded.value, version = excluded.version",
+                " ON CONFLICT (contract_id, key, version) DO UPDATE SET value = excluded.value",
                 (contract_id, key, value, version))
 
     def get_state_version(self, contract_id: str, key: str) -> int | None:
         with self._lock:
             row = self._conn.execute(
-                "SELECT version FROM state WHERE contract_id = ? AND key = ?",
+                "SELECT MAX(version) FROM state WHERE contract_id = ? AND key = ?",
                 (contract_id, key)).fetchone()
-        return row[0] if row is not None else None
+        return row[0]
 
     def all_state(self) -> dict[tuple[str, str], int]:
         with self._lock:
+            # sqlite takes the bare `value` from the row that holds the MAX
             rows = self._conn.execute(
-                "SELECT contract_id, key, value FROM state").fetchall()
-        return {(cid, key): value for cid, key, value in rows}
+                "SELECT contract_id, key, value, MAX(version) FROM state"
+                " GROUP BY contract_id, key").fetchall()
+        return {(cid, key): value for cid, key, value, _version in rows}
 
     # -- contract sources -------------------------------------------------
 

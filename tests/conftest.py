@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from powdb.chain import Block, ChainParams, block_hash, genesis_block
+from powdb.consensus import create_new_block, mine_block
 from powdb.node import NodeCore
 from powdb.simnet import EventQueue, MemNetwork, SimMiner
 from powdb.sim import sim_hashrate_per_ms
@@ -50,6 +51,20 @@ def linked_chain(difficulties, data_prefix="data", start_ts=1000):
                     prev_hash=blocks[-1].hash, hash="", difficulty=d, nonce=0)
         blocks.append(blk.with_hash(block_hash(blk)))
     return blocks
+
+
+def extend(base, datas, bits, spacing=1):
+    """`base` plus one mined block per data string, each `spacing` seconds
+    after its parent."""
+    blocks = list(base)
+    for data in datas:
+        tip = blocks[-1]
+        blocks.append(mine_block(create_new_block(data, tip, bits, tip.timestamp + spacing)))
+    return blocks
+
+
+# The difficulty after each block, for store tests that never retarget.
+RETARGET = 4.0
 
 
 @pytest.fixture

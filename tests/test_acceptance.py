@@ -40,7 +40,7 @@ from powdb.sim import (
 )
 from powdb.store import BlockStore
 
-from conftest import linked_chain
+from conftest import RETARGET, linked_chain
 from test_contracts import random_contract
 
 GENESIS_ORACLE = "59f26e7ddc5e0efd36a420a4785746f5c0d9905185c2643db1df47774532c970"
@@ -291,7 +291,7 @@ def test_09_durability(tmp_path):
 
                 store._crash_hook = boom
                 with pytest.raises(Crash):
-                    store.add_block(block)
+                    store.add_block(block, RETARGET)
                 store._crash_hook = None
                 injected += 1
                 audit = BlockStore(victim_path)
@@ -300,7 +300,7 @@ def test_09_durability(tmp_path):
                 if count:
                     assert audit.get_block(count - 1).hash == tip_hash
                 audit.close()
-            store.add_block(block)
+            store.add_block(block, RETARGET)
         assert injected == 35
 
 

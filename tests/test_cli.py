@@ -3,6 +3,7 @@
 import json
 import signal
 import socket
+import sqlite3
 import subprocess
 import sys
 import time
@@ -174,6 +175,17 @@ class TestNodeAndClientCli:
         result = powdb("node", "run", "--listen", "127.0.0.1:0",
                        "--db", str(tmp_path / "no" / "such" / "dir" / "x.db"))
         assert result.returncode == 4
+
+    def test_store_of_another_layout_exits_4(self, tmp_path):
+        db = tmp_path / "old.db"
+        conn = sqlite3.connect(db)
+        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+        conn.close()
+        before = db.read_bytes()
+        result = powdb("node", "run", "--listen", "127.0.0.1:0", "--db", str(db))
+        assert result.returncode == 4
+        assert "store failure" in result.stderr and "layout" in result.stderr
+        assert db.read_bytes() == before
 
     def test_bad_difficulty_exits_2(self, tmp_path):
         result = powdb("node", "run", "--listen", "127.0.0.1:0",

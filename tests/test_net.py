@@ -313,7 +313,7 @@ class TestSync:
             tip = core.store.tip()
             block = mine_block(create_new_block(
                 f"{prefix}-{i}", tip, effective_bits(core.difficulty), 100 + i))
-            core._commit_block(block, tip)
+            core._commit(tip, [block])
 
     def test_shorter_node_adopts_longer_chain(self, cluster_factory):
         cluster = cluster_factory(2)

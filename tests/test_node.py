@@ -10,7 +10,7 @@ import pytest
 from powdb import node as node_module
 from powdb import wire
 from powdb.chain import ChainParams, block_to_json, genesis_block
-from powdb.consensus import create_new_block, effective_bits, mine_block
+from powdb.consensus import create_new_block, effective_bits, mine_block, replay_difficulty
 from powdb.contracts import ContractCache, cached_lookup, contract_id_for, execute
 from powdb.node import (
     NodeConfig,
@@ -26,7 +26,7 @@ from powdb.store import BlockStore
 from powdb.transport import parse_hostport
 from powdb.wire import NodeIdentity, canonical_json, decode_envelope, sign_envelope
 
-from conftest import TEST_PARAMS
+from conftest import TEST_PARAMS, extend
 
 COUNTER = [["add", "count", 1], ["add", "total", ["arg", 0]]]
 COUNTER_ID = contract_id_for(COUNTER)
@@ -491,8 +491,9 @@ class TestStatePurity:
 
 class TestReorgStateRebuild:
     def test_adopted_chain_state_matches_sequential_replay(self, cluster_factory):
-        # a reorg wipes and re-executes all contract payloads; the result must
-        # equal a plain sequential replay of the adopted chain
+        # a reorg drops the effects of the replaced blocks and executes only the
+        # new ones; the result must equal a plain sequential replay of the
+        # adopted chain
         cluster = cluster_factory(2)
         a, b = cluster.nodes
         # b builds the heavier history with contract activity, a diverges
@@ -563,6 +564,87 @@ class TestReorgStateRebuild:
         assert core.adopt_if_heavier(core.store.get_all_blocks(), fork) == "adopted"
         assert core.store.tip().hash == fork[-1].hash
         assert core.exec_errors == {"ContractNotFound": 1}
+
+
+class TestChainChange:
+    """A reorg drops only the replaced tail; nothing replays the chain from genesis."""
+
+    def test_reorg_writes_as_many_rows_on_a_long_chain_as_on_a_short_one(self):
+        longest = extend([genesis_block()], [f"b{i}" for i in range(2000)], 4)
+        changed = {}
+        for length in (50, 2000):
+            core, _queue = make_node()
+            chain = longest[:length + 1]
+            assert core.adopt_if_heavier(core.store.get_all_blocks(), chain) == "adopted"
+            fork = extend(chain[:-2], ["f0", "f1"], 8)  # replaces the last two blocks
+            local = core.store.get_blocks(length - 2)
+            before = core.store._conn.total_changes
+            assert core.adopt_if_heavier(local, fork[length - 2:]) == "adopted"
+            changed[length] = core.store._conn.total_changes - before
+            assert core.store.tip() == fork[-1]
+        assert changed[50] == changed[2000]
+
+    def test_restart_after_a_reorg_reads_the_difficulty_from_the_tip(self, store_path,
+                                                                     monkeypatch):
+        core, _queue = make_node(store=BlockStore(store_path))
+        chain = [genesis_block()]
+        for i, spacing in enumerate([1, 1, 5, 1, 3, 2, 1]):  # the retarget moves both ways
+            chain = extend(chain, [f"a{i}"], 4, spacing)
+        assert core.adopt_if_heavier(core.store.get_all_blocks(), chain) == "adopted"
+        fork = extend(chain[:5], ["f0", "f1", "f2"], 6, spacing=4)
+        assert core.adopt_if_heavier(core.store.get_blocks(4), fork[4:]) == "adopted"
+        expected = replay_difficulty(fork, TEST_PARAMS)
+        assert expected != replay_difficulty(chain, TEST_PARAMS)
+        assert core.difficulty == expected
+        core.store.close()
+
+        def whole_chain(_store):
+            raise AssertionError("startup read the whole chain")
+
+        monkeypatch.setattr(BlockStore, "get_all_blocks", whole_chain)
+        reopened, _queue = make_node(store=BlockStore(store_path))
+        monkeypatch.undo()
+        assert reopened.difficulty == expected
+        assert reopened.store.get_all_blocks() == fork
+        reopened.store.close()
+
+    def test_failed_reorg_changes_nothing(self, store_path, monkeypatch):
+        class StoreDown(Exception):
+            pass
+
+        other = [["add", "other", 1]]
+        core, queue = make_node(store=BlockStore(store_path))
+        submit_and_run(core, queue, {"kind": "deploy", "contract": COUNTER})
+        submit_and_run(core, queue, {"kind": "call", "contract_id": COUNTER_ID, "args": [5]})
+        submit_and_run(core, queue, {"kind": "deploy", "contract": other})
+        chain, state, difficulty = (core.store.get_all_blocks(), core.store.all_state(),
+                                    core.difficulty)
+        audit = BlockStore(store_path)
+        call = validate_tx_payload({"kind": "call", "contract_id": COUNTER_ID, "args": [7]},
+                                   lambda _: True)
+        # the fork keeps the deploy at block 1 and replaces the call and the
+        # second deploy; its own call, in its second block, fails to persist
+        fork = extend(chain[:2], ["x", call, "y"], 10, spacing=4)
+        assert replay_difficulty(fork[:3], TEST_PARAMS) != difficulty
+
+        def put_state(*_args):
+            raise StoreDown()
+
+        monkeypatch.setattr(core.store, "put_state", put_state)
+        with pytest.raises(StoreDown):
+            core.adopt_if_heavier(core.store.get_blocks(1), fork[1:])
+        for store in (core.store, audit):
+            assert store.get_all_blocks() == chain
+            assert store.all_state() == state
+            assert store.get_contract(contract_id_for(other)) is not None
+        assert core.difficulty == difficulty
+        audit.close()
+
+        monkeypatch.undo()  # with the store back, the same fork is adopted
+        assert core.adopt_if_heavier(core.store.get_blocks(1), fork[1:]) == "adopted"
+        assert core.store.get_contract(contract_id_for(other)) is None
+        assert core.store.all_state() == {(COUNTER_ID, "count"): 1, (COUNTER_ID, "total"): 7}
+        assert core.difficulty == replay_difficulty(fork, TEST_PARAMS)
 
 
 class TestStaleSyncReply:

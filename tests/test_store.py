@@ -10,9 +10,9 @@ import threading
 import pytest
 
 from powdb.chain import genesis_block
-from powdb.store import BlockStore, NotFoundError, StoreError
+from powdb.store import LAYOUT, BlockStore, NotFoundError, StoreError
 
-from conftest import linked_chain
+from conftest import RETARGET, linked_chain
 
 
 class SimulatedCrash(Exception):
@@ -22,29 +22,29 @@ class SimulatedCrash(Exception):
 class TestAppendAndFetch:
     def test_append_genesis_to_empty(self, store_path):
         store = BlockStore(store_path)
-        store.add_block(genesis_block())
+        store.add_block(genesis_block(), RETARGET)
         assert store.get_block_count() == 1
 
     def test_gap_append_rejected(self, store_path):
         store = BlockStore(store_path)
         chain = linked_chain([4, 4, 4, 4, 4])
         for blk in chain[:3]:
-            store.add_block(blk)
+            store.add_block(blk, RETARGET)
         with pytest.raises(StoreError):
-            store.add_block(chain[5])
+            store.add_block(chain[5], RETARGET)
         assert store.get_block_count() == 3
 
     def test_duplicate_index_rejected(self, store_path):
         store = BlockStore(store_path)
-        store.add_block(genesis_block())
+        store.add_block(genesis_block(), RETARGET)
         with pytest.raises(StoreError):
-            store.add_block(genesis_block())
+            store.add_block(genesis_block(), RETARGET)
 
     def test_reopen_yields_identical_blocks(self, store_path):
         chain = linked_chain([4, 5, 6])
         store = BlockStore(store_path)
         for blk in chain:
-            store.add_block(blk)
+            store.add_block(blk, RETARGET)
         store.close()
         reopened = BlockStore(store_path)
         assert reopened.get_all_blocks() == chain
@@ -53,7 +53,7 @@ class TestAppendAndFetch:
         store = BlockStore(store_path)
         assert store.get_block_count() == 0
         for blk in linked_chain([4, 4]):
-            store.add_block(blk)
+            store.add_block(blk, RETARGET)
         assert store.get_block_count() == 3
         store.get_all_blocks()
         assert store.get_block_count() == 3  # reads leave count alone
@@ -64,16 +64,16 @@ class TestAppendAndFetch:
             store.tip()
         assert store.chain_info() == (0, None)
         chain = linked_chain([4])
-        store.add_block(chain[0])
+        store.add_block(chain[0], RETARGET)
         assert store.chain_info()[1] == store.tip().hash == chain[0].hash
-        store.add_block(chain[1])
+        store.add_block(chain[1], RETARGET)
         assert store.chain_info()[1] == store.tip().hash == chain[1].hash
 
     def test_get_block(self, store_path):
         store = BlockStore(store_path)
         chain = linked_chain([4, 4])
         for blk in chain:
-            store.add_block(blk)
+            store.add_block(blk, RETARGET)
         assert store.get_block(0) == genesis_block()
         assert store.get_block(2) == chain[2]
         with pytest.raises(NotFoundError):
@@ -84,7 +84,7 @@ class TestAppendAndFetch:
         assert store.get_all_blocks() == []
         chain = linked_chain([4, 4, 4])
         for blk in chain:
-            store.add_block(blk)
+            store.add_block(blk, RETARGET)
         fetched = store.get_all_blocks()
         assert fetched == chain
         assert fetched == [store.get_block(i) for i in range(store.get_block_count())]
@@ -93,7 +93,7 @@ class TestAppendAndFetch:
         store = BlockStore(store_path)
         chain = linked_chain([4, 4, 4, 4])
         for blk in chain:
-            store.add_block(blk)
+            store.add_block(blk, RETARGET)
         assert store.get_blocks(0) == chain
         assert store.get_blocks(2) == chain[2:]
         assert store.get_blocks(1, 3) == chain[1:3]
@@ -110,88 +110,142 @@ class TestAppendAndFetch:
                                  data_prefix=f"r{round_no}")
             store = BlockStore(path)
             for blk in chain:
-                store.add_block(blk)
+                store.add_block(blk, RETARGET)
             store.close()
             assert BlockStore(path).get_all_blocks() == chain
 
 
 class TestReplaceChain:
-    def test_identical_replacement_is_noop(self, store_path):
-        chain = linked_chain([4, 4, 4])
+    """replace_chain drops a stored tail with the state and contracts it wrote."""
+
+    CID = "c" * 64
+
+    @staticmethod
+    def filled(store_path, chain):
         store = BlockStore(store_path)
         for blk in chain:
-            store.add_block(blk)
-        store.replace_chain(chain)
+            store.add_block(blk, RETARGET + blk.index)  # a distinct difficulty per block
+        return store
+
+    def test_identical_replacement_is_noop(self, store_path):
+        chain = linked_chain([4, 4, 4])
+        store = self.filled(store_path, chain)
+        assert store.replace_chain(chain[2:]) == RETARGET + 1
+        for blk in chain[2:]:
+            store.add_block(blk, RETARGET + blk.index)
         assert store.get_all_blocks() == chain
         assert store.chain_info()[1] == store.tip().hash == chain[-1].hash
+        assert store.tip_retarget() == RETARGET + 3
 
     def test_longer_chain_adopted(self, store_path):
-        store = BlockStore(store_path)
-        for blk in linked_chain([4, 4], data_prefix="old"):
-            store.add_block(blk)
+        old = linked_chain([4, 4], data_prefix="old")
+        store = self.filled(store_path, old)
         newer = linked_chain([4, 4, 4, 4], data_prefix="new")
-        store.replace_chain(newer)
+        assert store.replace_chain(old[1:]) == RETARGET
+        for blk in newer[1:]:
+            store.add_block(blk, 7.5)
         assert store.get_block_count() == 5
         assert store.get_all_blocks() == newer
+        assert store.tip_retarget() == 7.5
 
     def test_shorter_chain_adopted(self, store_path):
-        store = BlockStore(store_path)
-        for blk in linked_chain([4, 4, 4], data_prefix="old"):
-            store.add_block(blk)
-        heavier = linked_chain([12], data_prefix="new")
-        store.replace_chain(heavier)
-        assert store.chain_info() == (2, heavier[-1].hash)
+        old = linked_chain([4, 4, 4], data_prefix="old")
+        store = self.filled(store_path, old)
+        heavier = linked_chain([4, 12], data_prefix="old")  # shares block 1 with old
+        assert heavier[1] == old[1]
+        assert store.replace_chain(old[2:]) == RETARGET + 1
+        store.add_block(heavier[2], 9.25)
+        assert store.chain_info() == (3, heavier[-1].hash)
         assert store.tip() == heavier[-1]
         assert store.get_all_blocks() == heavier
+        assert store.tip_retarget() == 9.25
 
-    def test_foreign_genesis_rejected(self, store_path):
+    def test_tail_at_genesis_refused(self, store_path):
         from dataclasses import replace
         from powdb.chain import block_hash
-        store = BlockStore(store_path)
         old = linked_chain([4])
-        for blk in old:
-            store.add_block(blk)
+        store = self.filled(store_path, old)
         fake_root = replace(genesis_block(), data="OTHER", hash="")
         fake_root = fake_root.with_hash(block_hash(fake_root))
-        with pytest.raises(StoreError):
-            store.replace_chain([fake_root])
+        for tail in (old, [fake_root], []):
+            with pytest.raises(StoreError):
+                store.replace_chain(tail)
         assert store.get_all_blocks() == old
 
-    def test_broken_linkage_rejected(self, store_path):
-        store = BlockStore(store_path)
-        for blk in linked_chain([4]):
-            store.add_block(blk)
+    def test_tail_not_stored_refused(self, store_path):
         chain = linked_chain([4, 4, 4])
-        with pytest.raises(StoreError):
-            store.replace_chain([chain[0], chain[2]])
-        assert store.get_block_count() == 2
+        store = self.filled(store_path, chain)
+        store.put_state(self.CID, "x", 1, 3)
+        other = linked_chain([4, 4, 4], data_prefix="other")
+        not_tails = {
+            "short-of-the-tip": chain[1:3],
+            "broken-linkage": [chain[1], chain[3]],
+            "another-fork": other[2:],
+            "past-the-tip": linked_chain([4, 4, 4, 4])[3:],
+        }
+        for name, tail in not_tails.items():
+            with pytest.raises(StoreError):
+                store.replace_chain(tail)
+            assert store.get_all_blocks() == chain, name
+        assert store.get_state(self.CID, "x") == 1
 
     def test_rebuild_callback_runs_in_same_transaction(self, store_path):
-        store = BlockStore(store_path)
-        for blk in linked_chain([4]):
-            store.add_block(blk)
-        store.put_state("c" * 64, "stale", 9, 1)
-        newer = linked_chain([4, 4])
+        old = linked_chain([4, 4], data_prefix="old")
+        store = self.filled(store_path, old)
+        store.put_state(self.CID, "stale", 9, 2)
+        newer = linked_chain([4, 4], data_prefix="new")
+        audit = BlockStore(store_path)
 
         with store.transaction():
-            store.replace_chain(newer)
-            store.put_state("c" * 64, "fresh", 42, 2)
-        assert store.get_state("c" * 64, "stale") is None
-        assert store.get_state("c" * 64, "fresh") == 42
+            store.replace_chain(old[1:])
+            store.add_block(newer[1], 6.0)
+            store.put_state(self.CID, "fresh", 42, 1)
+            # an independent connection sees none of it before the commit
+            assert audit.get_all_blocks() == old
+            assert audit.all_state() == {(self.CID, "stale"): 9}
+        assert audit.get_all_blocks() == newer[:2]
+        assert audit.all_state() == {(self.CID, "fresh"): 42}
+        audit.close()
 
     def test_rebuild_failure_rolls_everything_back(self, store_path):
-        store = BlockStore(store_path)
-        old = linked_chain([4], data_prefix="old")
-        for blk in old:
-            store.add_block(blk)
-        store.put_state("c" * 64, "keep", 7, 1)
+        old = linked_chain([4, 4], data_prefix="old")
+        store = self.filled(store_path, old)
+        store.put_state(self.CID, "keep", 7, 2)
+        store.put_contract(self.CID, "[]", 2)
 
         with pytest.raises(SimulatedCrash):
             with store.transaction():
-                store.replace_chain(linked_chain([4, 4], data_prefix="new"))
+                store.replace_chain(old[1:])
+                store.add_block(linked_chain([4], data_prefix="new")[1], 6.0)
+                store.put_state(self.CID, "keep", 8, 1)
                 raise SimulatedCrash()
         assert store.get_all_blocks() == old
-        assert store.get_state("c" * 64, "keep") == 7
+        assert store.get_state(self.CID, "keep") == 7
+        assert store.get_state_version(self.CID, "keep") == 2
+        assert store.get_contract(self.CID) == "[]"
+        assert store.tip_retarget() == RETARGET + 2
+
+    def test_dropped_write_uncovers_the_older_value(self, store_path):
+        chain = linked_chain([4, 4, 4])
+        store = self.filled(store_path, chain)
+        for version, value in ((1, 5), (2, 6), (3, 7)):
+            store.put_state(self.CID, "x", value, version)
+        store.put_state(self.CID, "y", 1, 3)
+        store.replace_chain(chain[2:])
+        assert store.get_state(self.CID, "x") == 5
+        assert store.get_state_version(self.CID, "x") == 1
+        assert store.get_state(self.CID, "y") is None
+        assert store.all_state() == {(self.CID, "x"): 5}
+
+    def test_contract_deployed_in_the_tail_is_gone(self, store_path):
+        chain = linked_chain([4, 4, 4])
+        store = self.filled(store_path, chain)
+        for deployed_at in (1, 2, 3):
+            store.put_contract(str(deployed_at) * 64, "[]", deployed_at)
+        store.replace_chain(chain[2:])
+        assert store.get_contract("1" * 64) == "[]"
+        assert store.get_contract("2" * 64) is None
+        assert store.get_contract("3" * 64) is None
 
 
 def traced(store) -> list[str]:
@@ -209,9 +263,9 @@ class TestChainRecord:
     def test_append_is_one_insert(self, store_path):
         store = BlockStore(store_path)
         chain = linked_chain([4])
-        store.add_block(chain[0])
+        store.add_block(chain[0], RETARGET)
         statements = traced(store)
-        store.add_block(chain[1])
+        store.add_block(chain[1], RETARGET)
         writes = [sql for sql in statements if sql.split()[0].upper() in self.WRITES]
         assert len(writes) == 1
         assert writes[0].startswith("INSERT INTO blocks")
@@ -220,15 +274,21 @@ class TestChainRecord:
     def test_tip_read_is_one_select(self, store_path, read):
         store = BlockStore(store_path)
         for blk in linked_chain([4, 4]):
-            store.add_block(blk)
+            store.add_block(blk, RETARGET)
         statements = traced(store)
         getattr(store, read)()
         assert len(statements) == 1
         assert statements[0].startswith("SELECT")
 
-    def test_file_with_meta_table_opens(self, store_path):
-        """A file from a build that kept count and tip in a `meta` table
-        opens, reads both from `blocks`, and takes the next append."""
+    def test_new_file_carries_the_layout(self, store_path):
+        BlockStore(store_path).close()
+        conn = sqlite3.connect(store_path)
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == LAYOUT == 1
+        conn.close()
+
+    def test_file_with_meta_table_is_refused_unchanged(self, store_path):
+        """A file from a build that kept count and tip in a `meta` table, and
+        state cells without their history, is refused and left as it was."""
         chain = linked_chain([4, 4, 4])
         conn = sqlite3.connect(store_path)
         conn.executescript("""
@@ -249,15 +309,18 @@ class TestChainRecord:
                          [("count", "3"), ("tip_hash", chain[2].hash), ("state_applied", "1")])
         conn.commit()
         conn.close()
+        before = store_path.read_bytes()
 
-        store = BlockStore(store_path)
-        assert store.chain_info() == (3, chain[2].hash)
-        assert store.tip() == chain[2]
-        store.add_block(chain[3])
-        store.close()
-        reopened = BlockStore(store_path)
-        assert reopened.chain_info() == (4, chain[3].hash)
-        assert reopened.get_all_blocks() == chain
+        with pytest.raises(StoreError, match="layout"):
+            BlockStore(store_path)
+        assert store_path.read_bytes() == before
+
+    def test_file_of_a_newer_layout_is_refused(self, store_path):
+        conn = sqlite3.connect(store_path)
+        conn.execute(f"PRAGMA user_version = {LAYOUT + 1}")
+        conn.close()
+        with pytest.raises(StoreError, match="layout"):
+            BlockStore(store_path)
 
 
 class TestState:
@@ -315,7 +378,7 @@ class TestCrashAtomicity:
 
                 store._crash_hook = crash
                 with pytest.raises(SimulatedCrash):
-                    store.add_block(blk)
+                    store.add_block(blk, RETARGET)
                 store._crash_hook = None
                 injections += 1
                 # audit through an independent connection on the same file
@@ -325,7 +388,7 @@ class TestCrashAtomicity:
                 if count > 0:
                     assert audit.get_block(count - 1).hash == tip
                 audit.close()
-            store.add_block(blk)
+            store.add_block(blk, RETARGET)
         assert injections == 35
         assert store.get_all_blocks() == chain
 
@@ -338,19 +401,19 @@ class TestCrashAtomicity:
 import os, signal, sys
 sys.path.insert(0, {str(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))!r})
 from powdb.store import BlockStore
-from tests.conftest import linked_chain
+from tests.conftest import RETARGET, linked_chain
 
 chain = linked_chain([4] * 4)
 store = BlockStore({str(path)!r})
 for blk in chain[:3]:
-    store.add_block(blk)
+    store.add_block(blk, RETARGET)
 
 def die(label):
     if label == {step!r}:
         os.kill(os.getpid(), signal.SIGKILL)
 
 store._crash_hook = die
-store.add_block(chain[3])
+store.add_block(chain[3], RETARGET)
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
         assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
@@ -371,7 +434,7 @@ class TestSerializedAccess:
         def writer():
             try:
                 for blk in chain:
-                    store.add_block(blk)
+                    store.add_block(blk, RETARGET)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
             finally:
