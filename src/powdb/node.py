@@ -5,6 +5,10 @@ NodeCore is a single-threaded state machine. Runtimes feed it events
 context: the TCP runtime from its selector loop, the simulator from its
 event queue. Because of that the core itself needs no locks and behaves
 identically in both worlds.
+
+Every block joins the chain through `NodeCore.adopt_if_heavier`, whether
+gossiped, synced or mined here, and the store is the only record of the
+chain: its blocks, and the difficulty after each of them.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ from powdb.consensus import (
     effective_bits,
     mine_block,
     shared_prefix,
-    verify_block,
+    # not called here: blocks are verified through choose_chain; the name is
+    # bound for perfbench/spans.py, which wraps powdb.node:verify_block
+    verify_block,  # noqa: F401
 )
 from powdb.contracts import (
     ContractCache,
@@ -73,6 +79,10 @@ MAX_LOCATOR = 128
 # What a block's JSON takes on the wire besides its data, rounded up; it
 # sizes a BLOCKS page against its byte budget.
 BLOCK_JSON_BYTES = 320
+# What a frame that carries one block (NEW_BLOCK, a one-block BLOCKS page, a
+# block query's RESPONSE) takes besides the block's escaped data: at most
+# 600 bytes with every field at its maximum, rounded up.
+BLOCK_ENVELOPE_BYTES = 1024
 
 
 class BadConfigError(Exception):
@@ -248,7 +258,11 @@ class NodeCore:
     def _startup(self) -> None:
         if self.store.get_block_count() == 0:
             self.store.add_block(genesis_block(), float(self.params.initial_difficulty))
-        self.difficulty = self.store.tip_retarget()
+
+    @property
+    def difficulty(self) -> float:
+        """The chain's difficulty after the tip, as the store records it."""
+        return self.store.tip_retarget()
 
     def close(self) -> None:
         self._closed = True
@@ -354,20 +368,14 @@ class NodeCore:
         except MalformedBlockError:
             self._count_reject(VerifyReason.MALFORMED_BLOCK)
             return "ignored"
-        tip = self.store.tip()
-        if _is_stale(block.index, tip.index):
+        if _is_stale(block.index, self.store.get_block_count() - 1):
             return "ignored"
-        if block.index > tip.index + 1 or block.prev_hash != tip.hash:
+        outcome = self.adopt_if_heavier(block.index - 1, [block], exclude_conn=conn)
+        if outcome == "unlinked":
             # a gap, or the sender is on another fork: pull its chain
             self.request_sync(conn)
             return "sync_triggered"
-        err = verify_block(block, tip, self.params.min_difficulty)
-        if err is None:
-            self._cancel_mining()
-            self._commit(tip, [block], exclude_conn=conn)
-            return "appended"
-        self._count_reject(err.reason)
-        return "ignored"
+        return "appended" if outcome == "adopted" else "ignored"
 
     def _count_reject(self, reason: VerifyReason) -> None:
         self.rejects_by_reason[reason.value] = self.rejects_by_reason.get(reason.value, 0) + 1
@@ -433,26 +441,27 @@ class NodeCore:
         except MalformedBlockError:
             self._count_reject(VerifyReason.MALFORMED_BLOCK)
             return "ignored"
-        local = self.store.get_blocks(after)
-        if not local or (blocks and blocks[0].prev_hash != local[0].hash):
-            # since we asked, a reorg took the fork point off our chain or
-            # left our tip below it: the reply no longer fits
-            return "ignored"
-        outcome = self.adopt_if_heavier(local, local[:1] + blocks)
+        outcome = self.adopt_if_heavier(after, blocks)
         if more and outcome == "adopted":
             self.request_sync(conn)  # the next page
-        return outcome
+        # unlinked: since we asked, a reorg took the fork point off our chain
+        # or left our tip below it, so the reply no longer fits
+        return "ignored" if outcome == "unlinked" else outcome
 
-    def adopt_if_heavier(self, local: list[Block], candidate: list[Block]) -> str:
-        """Switch to `candidate` if it carries more work than `local`.
+    def adopt_if_heavier(self, after: int, blocks: list[Block], *, exclude_conn=None) -> str:
+        """The one way blocks join the chain, gossiped, synced or mined here.
 
-        `local` is the stored chain from some index on, and `candidate`
-        starts at the block `local` starts with, so only the two suffixes
-        are verified and weighed. Adopting drops the local blocks past the
-        fork point (none when the candidate extends the tip) and appends the
-        candidate's: it costs the two suffixes, never the whole chain.
+        "unlinked" when `blocks[0]` does not follow the stored block at
+        `after`. Otherwise only the stored blocks after `after` and `blocks`
+        are verified and weighed, never the whole chain. A failed check is a
+        counted reject ("rejected"); no more work keeps the chain
+        ("unchanged"); a heavier suffix is "adopted": mining stops, and one
+        transaction drops the stored blocks past the fork point and appends.
         """
-        selected, err = choose_chain(local, candidate, self.params)
+        local = self.store.get_blocks(after)
+        if not local or (blocks and blocks[0].prev_hash != local[0].hash):
+            return "unlinked"
+        selected, err = choose_chain(local, local[:1] + blocks, self.params)
         if err is not None:
             self._count_reject(err.reason)
             return "rejected"
@@ -461,7 +470,8 @@ class NodeCore:
         common = shared_prefix(local, selected)
         self._cancel_mining()
         # the new tip's broadcast sends neighbors to the usual sync trigger
-        self._commit(selected[common - 1], selected[common:], local[common:])
+        self._commit(selected[common - 1], selected[common:], local[common:],
+                     exclude_conn=exclude_conn)
         return "adopted"
 
     # -- transaction pipeline ----------------------------------------------------
@@ -477,6 +487,10 @@ class NodeCore:
         """Validate and queue one transaction; mine it when it reaches the head."""
         try:
             data = validate_tx_payload(tx, self._known_contract)
+            # a block carries its data JSON-escaped once more; past this size
+            # its NEW_BLOCK or BLOCKS frame would exceed the cap and never leave
+            if len(canonical_json(data)) > wire.MAX_FRAME_BYTES - BLOCK_ENVELOPE_BYTES:
+                raise TxRejected("transaction too large for a block frame")
         except TxRejected as exc:
             reply({"ok": False, "what": "tx", "error": str(exc)})
             return
@@ -502,23 +516,18 @@ class NodeCore:
     def on_mine_result(self, task: _MiningTask, mined: Block | None) -> None:
         if self._closed or not self._queue or self._queue[0] is not task:
             return  # a late completion of a task that is already done
-        if mined is not None:
-            tip = self.store.tip()
-            if verify_block(mined, tip, self.params.min_difficulty) is None:
-                self._queue.popleft()
-                self._commit(tip, [mined])
-                task.reply({"ok": True, "what": "tx",
-                            "result": {"block_index": mined.index, "block_hash": mined.hash}})
-                self._mine_head()
-                return
-        # cancelled, or the tip moved while the result was in flight
-        if task.retried:
+        task.handle = None  # the job is over: adopting its block cancels nothing
+        if mined is not None and self.adopt_if_heavier(mined.index - 1, [mined]) == "adopted":
+            self._queue.popleft()
+            task.reply({"ok": True, "what": "tx",
+                        "result": {"block_index": mined.index, "block_hash": mined.hash}})
+        elif task.retried:
+            # cancelled, or the chain moved and the mined block did not win
             self._queue.popleft()
             task.reply({"ok": False, "what": "tx",
                         "error": "retriable: competing blocks kept winning"})
         else:
             task.retried = True
-            task.handle = None
         self._mine_head()
 
     # -- the commit path (steps 3..6 of the request flow) -------------------------
@@ -536,7 +545,6 @@ class NodeCore:
                     self.broadcast_block(block, exclude_conn=exclude_conn)
                 self._apply_block_payload(block)
                 prev = block
-        self.difficulty = difficulty
         if self.on_chain_change:
             self.on_chain_change(self, blocks, len(dropped))
 

@@ -8,6 +8,7 @@ verification are dropped at this boundary and never reach a handler.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -129,8 +130,10 @@ class NodeIdentity:
                 raise ValueError(f"key file {path} is not a 32-byte hex seed: {exc}") from exc
         identity = cls.generate()
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(identity._private.private_bytes_raw().hex() + "\n")
-        path.chmod(0o600)
+        # created with its owner-only mode, so the seed is never readable by others
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+        with os.fdopen(fd, "w") as out:
+            out.write(identity._private.private_bytes_raw().hex() + "\n")
         return identity
 
     def sign(self, message: bytes) -> bytes:

@@ -242,6 +242,57 @@ class TestSimFrameCap:
         assert node._send(conn, wire.QUERY, {}) is True
 
 
+class TestTxSizeLimit:
+    """A transaction is refused unless its block, whose data the wire escapes
+    once more, fits one frame as NEW_BLOCK and as a BLOCKS page."""
+
+    CAP = 8192
+
+    @staticmethod
+    def quotes(n):
+        return {"kind": "raw", "data": '"' * n}
+
+    def block_data_bytes(self, n):
+        data = node_module.validate_tx_payload(self.quotes(n), lambda _cid: True)
+        return len(wire.canonical_json(data))
+
+    def test_tx_whose_block_cannot_leave_is_refused(self, cluster_factory, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", self.CAP)
+        cluster = cluster_factory(2)
+        a, b = cluster.nodes
+        cluster.connect(0, 1)
+        cluster.pump()
+        tx = self.quotes(3000)
+        assert len(sign_envelope(wire.TX, 1, {"tx": tx}, a.identity).encode()) < self.CAP
+        results = cluster.submit(0, tx)
+        cluster.pump()
+        assert results[0]["ok"] is False
+        assert "too large" in results[0]["error"]
+        assert a.store.get_block_count() == b.store.get_block_count() == 1
+
+    def test_largest_accepted_tx_reaches_peers_by_gossip_and_sync(self, cluster_factory,
+                                                                  monkeypatch):
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", self.CAP)
+        largest = max(n for n in range(self.CAP // 2)  # a quote takes 2+ bytes
+                      if self.block_data_bytes(n) <= self.CAP - node_module.BLOCK_ENVELOPE_BYTES)
+        cluster = cluster_factory(3)
+        a, b, c = cluster.nodes
+        cluster.connect(0, 1)
+        cluster.pump()
+        assert cluster.submit(0, self.quotes(largest + 1))[0]["ok"] is False
+        results = cluster.submit(0, self.quotes(largest))
+        cluster.pump()
+        assert results[0]["ok"] is True
+        assert b.store.get_all_blocks() == a.store.get_all_blocks()  # by gossip
+        for i in range(3):
+            cluster.submit(0, {"kind": "raw", "data": f"after-{i}"})
+            cluster.pump()
+        cluster.connect(2, 0)  # a fresh node pulls the chain page by page
+        cluster.pump()
+        assert c.store.get_all_blocks() == a.store.get_all_blocks()
+        assert a.store.get_block_count() == 5
+
+
 class TestHandleNewBlock:
     def envelope_for(self, sender_core, block):
         return sign_envelope(wire.NEW_BLOCK, 1, {"block": block_to_json(block)},

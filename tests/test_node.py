@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from powdb import consensus
 from powdb import node as node_module
 from powdb import wire
 from powdb.chain import ChainParams, block_to_json, genesis_block
@@ -437,7 +438,7 @@ class TestSixStepOrder:
         wrap(core, "submit_tx", "client_request")
         wrap(node_module, "create_new_block", "create_block")
         wrap(core.miner, "start", "mine_block")
-        wrap(node_module, "verify_block", "verify_block")
+        wrap(consensus, "verify_block", "verify_block")
         wrap(core.store, "add_block", "add_block")
         wrap(core, "broadcast_block", "broadcast_block")
         wrap(core, "_apply_block_payload", "execute_contracts")
@@ -544,8 +545,8 @@ class TestReorgStateRebuild:
             heavier.append(mine_block(block))
 
         b, _ = make_node()
-        assert a.adopt_if_heavier(a.store.get_all_blocks(), heavier) == "adopted"
-        assert b.adopt_if_heavier(b.store.get_all_blocks(), heavier) == "adopted"
+        assert a.adopt_if_heavier(0, heavier[1:]) == "adopted"
+        assert b.adopt_if_heavier(0, heavier[1:]) == "adopted"
         assert a.store.tip().hash == b.store.tip().hash == heavier[-1].hash
         assert a.store.all_state() == b.store.all_state() == {}
 
@@ -556,12 +557,12 @@ class TestReorgStateRebuild:
         first = [genesis_block()]
         for i, data in enumerate([call, "x"]):
             first.append(mine_block(create_new_block(data, first[-1], 4, 1000 + i)))
-        assert core.adopt_if_heavier(core.store.get_all_blocks(), first) == "adopted"
+        assert core.adopt_if_heavier(0, first[1:]) == "adopted"
         assert core.exec_errors == {"ContractNotFound": 1}
 
         # the heavier fork keeps the call block and replaces the block after it
         fork = first[:2] + [mine_block(create_new_block("y", first[1], 10, 2000))]
-        assert core.adopt_if_heavier(core.store.get_all_blocks(), fork) == "adopted"
+        assert core.adopt_if_heavier(0, fork[1:]) == "adopted"
         assert core.store.tip().hash == fork[-1].hash
         assert core.exec_errors == {"ContractNotFound": 1}
 
@@ -575,11 +576,10 @@ class TestChainChange:
         for length in (50, 2000):
             core, _queue = make_node()
             chain = longest[:length + 1]
-            assert core.adopt_if_heavier(core.store.get_all_blocks(), chain) == "adopted"
+            assert core.adopt_if_heavier(0, chain[1:]) == "adopted"
             fork = extend(chain[:-2], ["f0", "f1"], 8)  # replaces the last two blocks
-            local = core.store.get_blocks(length - 2)
             before = core.store._conn.total_changes
-            assert core.adopt_if_heavier(local, fork[length - 2:]) == "adopted"
+            assert core.adopt_if_heavier(length - 2, fork[length - 1:]) == "adopted"
             changed[length] = core.store._conn.total_changes - before
             assert core.store.tip() == fork[-1]
         assert changed[50] == changed[2000]
@@ -590,9 +590,9 @@ class TestChainChange:
         chain = [genesis_block()]
         for i, spacing in enumerate([1, 1, 5, 1, 3, 2, 1]):  # the retarget moves both ways
             chain = extend(chain, [f"a{i}"], 4, spacing)
-        assert core.adopt_if_heavier(core.store.get_all_blocks(), chain) == "adopted"
+        assert core.adopt_if_heavier(0, chain[1:]) == "adopted"
         fork = extend(chain[:5], ["f0", "f1", "f2"], 6, spacing=4)
-        assert core.adopt_if_heavier(core.store.get_blocks(4), fork[4:]) == "adopted"
+        assert core.adopt_if_heavier(4, fork[5:]) == "adopted"
         expected = replay_difficulty(fork, TEST_PARAMS)
         assert expected != replay_difficulty(chain, TEST_PARAMS)
         assert core.difficulty == expected
@@ -632,7 +632,7 @@ class TestChainChange:
 
         monkeypatch.setattr(core.store, "put_state", put_state)
         with pytest.raises(StoreDown):
-            core.adopt_if_heavier(core.store.get_blocks(1), fork[1:])
+            core.adopt_if_heavier(1, fork[2:])
         for store in (core.store, audit):
             assert store.get_all_blocks() == chain
             assert store.all_state() == state
@@ -641,10 +641,109 @@ class TestChainChange:
         audit.close()
 
         monkeypatch.undo()  # with the store back, the same fork is adopted
-        assert core.adopt_if_heavier(core.store.get_blocks(1), fork[1:]) == "adopted"
+        assert core.adopt_if_heavier(1, fork[2:]) == "adopted"
         assert core.store.get_contract(contract_id_for(other)) is None
         assert core.store.all_state() == {(COUNTER_ID, "count"): 1, (COUNTER_ID, "total"): 7}
         assert core.difficulty == replay_difficulty(fork, TEST_PARAMS)
+
+
+class HeldJob:
+    """One mining job of a HeldMiner; it finishes when the test calls `done`."""
+
+    def __init__(self, block, done):
+        self.block, self.done, self.cancelled = block, done, False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class HeldMiner:
+    def __init__(self):
+        self.jobs = []
+
+    def start(self, block, done):
+        self.jobs.append(HeldJob(block, done))
+        return self.jobs[-1]
+
+
+class TestOneIntakePath:
+    """Every block joins the chain through adopt_if_heavier, once."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        core, queue = make_node()
+        calls = []
+        real = core.adopt_if_heavier
+
+        def spy(after, blocks, **kwargs):
+            outcome = real(after, blocks, **kwargs)
+            calls.append((after, [block.index for block in blocks], outcome))
+            return outcome
+
+        monkeypatch.setattr(core, "adopt_if_heavier", spy)
+        return core, queue, calls
+
+    def test_gossiped_block(self, spied):
+        core, _queue, calls = spied
+        block = extend([genesis_block()], ["gossip"], 4)[1]
+        assert from_peer(core, Capture(), wire.NEW_BLOCK,
+                         {"block": block_to_json(block)}) == "appended"
+        assert calls == [(0, [1], "adopted")]
+
+    def test_sync_page(self, spied):
+        core, _queue, calls = spied
+        chain = extend([genesis_block()], ["s0", "s1"], 4)
+        page = {"after": 0, "blocks": [block_to_json(b) for b in chain[1:]], "more": False}
+        assert from_peer(core, Capture(), wire.BLOCKS, page) == "adopted"
+        assert calls == [(0, [1, 2], "adopted")]
+
+    def test_mined_block(self, spied):
+        core, queue, calls = spied
+        assert submit_and_run(core, queue, {"kind": "raw", "data": "mined"})["ok"] is True
+        assert calls == [(0, [1], "adopted")]
+
+
+class TestLateOwnBlock:
+    """A block mined here that finishes after a peer's block took its height
+    competes with that block by work, like any other block."""
+
+    TX = {"kind": "raw", "data": "own"}
+
+    def race(self, peer_bits):
+        """The node mines at 6 bits; a peer's block at `peer_bits` arrives
+        first, and the job finishes before its cancel reaches it."""
+        miner = HeldMiner()
+        core, _queue = make_node(miner=miner)
+        depths, replies = [], []
+        core.on_chain_change = lambda _core, _blocks, depth: depths.append(depth)
+        core.submit_tx(self.TX, replies.append)
+        [job] = miner.jobs
+        assert job.block.difficulty == 6
+        peer = mine_block(create_new_block("peer", genesis_block(), peer_bits,
+                                           job.block.timestamp))
+        assert from_peer(core, Capture(), wire.NEW_BLOCK,
+                         {"block": block_to_json(peer)}) == "appended"
+        assert job.cancelled
+        job.done(mine_block(job.block))
+        return core, miner, depths, replies, peer
+
+    def test_heavier_own_block_is_adopted(self):
+        core, miner, depths, replies, peer = self.race(peer_bits=4)
+        own = core.store.tip()
+        assert own.data == canonical_json(self.TX).decode() and own.difficulty == 6
+        assert replies == [{"ok": True, "what": "tx",
+                            "result": {"block_index": 1, "block_hash": own.hash}}]
+        assert depths == [0, 1]  # the peer's block, then a reorg of depth 1
+        assert core.rejects_by_reason == {}
+        assert len(miner.jobs) == 1  # nothing is mined again
+
+    def test_tie_keeps_the_peer_block_and_retries(self):
+        core, miner, depths, replies, peer = self.race(peer_bits=6)
+        assert core.store.get_all_blocks() == [genesis_block(), peer]
+        assert replies == [] and depths == [0]
+        assert core.rejects_by_reason == {}
+        [_, retry] = miner.jobs
+        assert retry.block.prev_hash == peer.hash and not retry.cancelled
 
 
 class TestStaleSyncReply:
@@ -660,7 +759,7 @@ class TestStaleSyncReply:
 
     @staticmethod
     def adopt(core, chain):
-        assert core.adopt_if_heavier(core.store.get_all_blocks(), chain) == "adopted"
+        assert core.adopt_if_heavier(0, chain[1:]) == "adopted"
 
     def reply_to(self, requester, server):
         """The server's BLOCKS answer to the requester's GET_BLOCKS, as wire bytes."""

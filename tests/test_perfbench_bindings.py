@@ -6,20 +6,22 @@ would otherwise surface only when the benchmark runs. This test only reads
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import powdb.node
 import powdb.wire
 from powdb.chain import genesis_block
 from powdb.node import NodeCore
-from powdb.sim import sim_hashrate_per_ms
+from powdb.sim import ScenarioConfig, run_scenario, sim_hashrate_per_ms
 from powdb.simnet import EventQueue, SimMiner
 from powdb.store import BlockStore
 from powdb.wire import NodeIdentity
 
 from conftest import TEST_PARAMS, extend
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_traced_install_finds_every_binding_and_uninstalls(monkeypatch):
@@ -46,12 +48,12 @@ def test_traced_reorg_counts_the_dropped_tail(monkeypatch):
                     store=BlockStore(":memory:"), params=TEST_PARAMS, clock=lambda: queue.now,
                     miner=SimMiner(queue, sim_hashrate_per_ms(TEST_PARAMS)))
     chain = extend([genesis_block()], ["a", "b", "c", "d"], 4)
-    assert core.adopt_if_heavier(core.store.get_all_blocks(), chain) == "adopted"
+    assert core.adopt_if_heavier(0, chain[1:]) == "adopted"
     fork = extend(chain[:3], ["x", "y", "z"], 8)  # replaces the last two blocks
     tracer = spans.Tracer()
     try:
         spans.install(tracer, live_node=False)
-        assert core.adopt_if_heavier(core.store.get_blocks(2), fork[2:]) == "adopted"
+        assert core.adopt_if_heavier(2, fork[3:]) == "adopted"
     finally:
         tracer.uninstall()
     summary = tracer.summary()
@@ -59,3 +61,21 @@ def test_traced_reorg_counts_the_dropped_tail(monkeypatch):
     assert summary["counters"]["store.replace_chain.blocks"] == 2
     assert core.store.get_all_blocks() == fork
     core.store.close()
+
+
+def test_adversarial_scenario_leaves_no_traced_layer_idle(monkeypatch):
+    """The traced benchmark's own self-check, on a short adversarial run: a
+    change that stops calling a wrapped layer fails here, not only when the
+    traced benchmark runs."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    scenario = json.loads((ROOT / "scenarios" / "adversarial.json").read_text())
+    config = ScenarioConfig.from_json({**scenario, "duration_ms": 30_000})
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, live_node=False)
+        report = run_scenario(config)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.summary(), puts=report["writes"]["submitted"])
+    spans.check_busy("sim_adversarial", metrics)

@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import random
+import stat
 from dataclasses import replace
 from enum import IntEnum
+from pathlib import Path
 
 import pytest
 
@@ -295,6 +297,17 @@ class TestSigning:
         second = NodeIdentity.load_or_create(path)
         assert first.node_id == second.node_id
         assert len(first.node_id) == 64
+
+    def test_new_key_file_is_owner_only_from_the_start(self, tmp_path, monkeypatch):
+        # no later chmod: the file is never readable by others, not even briefly
+        def no_chmod(*_args, **_kwargs):
+            raise AssertionError("the key file was created with a wider mode")
+
+        monkeypatch.setattr(Path, "chmod", no_chmod)
+        path = tmp_path / "node.key"
+        created = NodeIdentity.load_or_create(path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert NodeIdentity.load_or_create(path).node_id == created.node_id
 
     def test_private_key_never_in_envelope(self):
         env = sign_envelope("HELLO", 1, {"listen_addr": "a:1", "node_id": self.identity.node_id},
