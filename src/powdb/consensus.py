@@ -27,6 +27,8 @@ class VerifyReason(Enum):
     HASH_MISMATCH = "HashMismatch"
     INSUFFICIENT_WORK = "InsufficientWork"
     MALFORMED_BLOCK = "MalformedBlock"
+    # a gossiped block whose parent its sender's sync reply did not supply
+    PARENT_NOT_SERVED = "ParentNotServed"
 
 
 @dataclass(frozen=True)

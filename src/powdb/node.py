@@ -69,6 +69,9 @@ logger = logging.getLogger(__name__)
 
 HANDSHAKE_TIMEOUT_MS = 5000
 SYNC_RETRY_MS = 2000
+# After this many syncs in a row whose replies did not reach the block that
+# set them off, a link's unlinked blocks are counted rejects, not syncs.
+MAX_UNSERVED = 3
 
 # A GET_BLOCKS locator names the last LOCATOR_DENSE heights of the chain,
 # then heights spaced exponentially further back, ending at genesis. No
@@ -131,6 +134,8 @@ class _Link:
     opened_ms: int
     established: bool = False  # the peer's HELLO arrived
     sync_sent_ms: int | None = None
+    wanted: str | None = None  # hash of the gossiped block that set off the pending sync
+    unserved: int = 0  # syncs in a row whose reply did not reach their `wanted`
 
 
 def locator_heights(tip: int) -> list[int]:
@@ -301,24 +306,28 @@ class NodeCore:
         """Single entry point for wire input: decode, drop a stale NEW_BLOCK by
         its index alone, then check the signature; invalid signatures die here."""
         env = decode_envelope(raw)
+        tip_index = None
         if env is not None and env.kind == wire.NEW_BLOCK:
+            tip_index = self.store.get_block_count() - 1
             block = env.payload.get("block") if isinstance(env.payload, dict) else None
-            if (isinstance(block, dict)
-                    and _is_stale(block.get("index"), self.store.get_block_count() - 1)):
+            if isinstance(block, dict) and _is_stale(block.get("index"), tip_index):
                 return "ignored"  # a relay that cannot change state costs no verify
         if env is None or not verify_envelope(env):
             self.dropped_envelopes += 1
             return "dropped"
-        return self.on_envelope(conn, env)
+        return self.on_envelope(conn, env, tip_index=tip_index)
 
-    def on_envelope(self, conn, env: MessageEnvelope) -> str:
+    def on_envelope(self, conn, env: MessageEnvelope, *, tip_index: int | None = None) -> str:
+        """Act on a verified envelope. `tip_index`, when given, is the tip
+        height read since the envelope arrived; a NEW_BLOCK then needs no
+        second read."""
         if env.sender == self.identity.node_id:
             return "self"  # our own broadcast reflected back
         kind = env.kind
         if kind == wire.HELLO:
             self._handle_hello(conn, env)
         elif kind == wire.NEW_BLOCK:
-            return self.handle_new_block(conn, env)
+            return self.handle_new_block(conn, env, tip_index=tip_index)
         elif kind == wire.GET_BLOCKS:
             self._serve_sync(conn, env)
         elif kind == wire.BLOCKS:
@@ -361,19 +370,28 @@ class NodeCore:
         raw = self._encode(wire.NEW_BLOCK, {"block": block_to_json(block)})
         return sum(self._send_raw(conn, raw) for conn in conns)
 
-    def handle_new_block(self, conn, env: MessageEnvelope) -> str:
+    def handle_new_block(self, conn, env: MessageEnvelope, *,
+                         tip_index: int | None = None) -> str:
         payload = env.payload if isinstance(env.payload, dict) else {}
         try:
             block = block_from_json(payload.get("block"))
         except MalformedBlockError:
             self._count_reject(VerifyReason.MALFORMED_BLOCK)
             return "ignored"
-        if _is_stale(block.index, self.store.get_block_count() - 1):
+        if tip_index is None:
+            tip_index = self.store.get_block_count() - 1
+        if _is_stale(block.index, tip_index):
             return "ignored"
         outcome = self.adopt_if_heavier(block.index - 1, [block], exclude_conn=conn)
         if outcome == "unlinked":
-            # a gap, or the sender is on another fork: pull its chain
-            self.request_sync(conn)
+            # a gap, or the sender is on another fork: pull its chain, unless
+            # its last MAX_UNSERVED syncs never reached the block behind them
+            link = self._links.get(id(conn))
+            if link is not None and link.unserved >= MAX_UNSERVED:
+                self._count_reject(VerifyReason.PARENT_NOT_SERVED)
+                return "ignored"
+            if self.request_sync(conn) and link is not None:
+                link.wanted = block.hash
             return "sync_triggered"
         return "appended" if outcome == "adopted" else "ignored"
 
@@ -434,16 +452,25 @@ class NodeCore:
             link.sync_sent_ms = None
         payload = env.payload if isinstance(env.payload, dict) else {}
         after, raw_blocks, more = payload.get("after"), payload.get("blocks"), payload.get("more")
-        if not _is_height(after) or not isinstance(raw_blocks, list) or not isinstance(more, bool):
-            return "ignored"
-        try:
-            blocks = [block_from_json(b) for b in raw_blocks]
-        except MalformedBlockError:
-            self._count_reject(VerifyReason.MALFORMED_BLOCK)
-            return "ignored"
-        outcome = self.adopt_if_heavier(after, blocks)
+        blocks, outcome = [], "ignored"
+        if _is_height(after) and isinstance(raw_blocks, list) and isinstance(more, bool):
+            try:
+                blocks = [block_from_json(b) for b in raw_blocks]
+            except MalformedBlockError:
+                self._count_reject(VerifyReason.MALFORMED_BLOCK)
+            else:
+                outcome = self.adopt_if_heavier(after, blocks)
         if more and outcome == "adopted":
-            self.request_sync(conn)  # the next page
+            self.request_sync(conn)  # the next page: the sync goes on
+        elif link is not None and link.wanted is not None:
+            # this reply ends a sync a gossiped block set off: it either
+            # reached that block or the block's parent was not served
+            if outcome == "adopted" or any(b.hash == link.wanted for b in blocks):
+                link.unserved = 0
+            else:
+                link.unserved += 1
+                self._count_reject(VerifyReason.PARENT_NOT_SERVED)
+            link.wanted = None
         # unlinked: since we asked, a reorg took the fork point off our chain
         # or left our tip below it, so the reply no longer fits
         return "ignored" if outcome == "unlinked" else outcome

@@ -1,6 +1,7 @@
 """Peer management, handshake, block gossip and chain synchronization."""
 
 import gc
+import hashlib
 import json
 import socket
 import queue
@@ -13,12 +14,14 @@ import pytest
 
 from powdb import node as node_module
 from powdb import wire
-from powdb.chain import block_to_json, genesis_block
+from powdb.chain import Block, block_to_json, genesis_block
 from powdb.consensus import create_new_block, effective_bits, mine_block, replay_difficulty
 from powdb.contracts import contract_id_for
 from powdb.net import RecentSet
 from powdb.transport import TcpTransport, parse_hostport
 from powdb.wire import MessageEnvelope, NodeIdentity, sign_envelope
+
+from conftest import extend
 
 
 class TestRecentSet:
@@ -355,6 +358,163 @@ class TestHandleNewBlock:
         [conn] = b.connected()
         assert b.handle_new_block(conn, env) == "ignored"
         assert b.rejects_by_reason == {}
+
+    def test_delivered_block_reads_the_tip_height_once(self, cluster_factory, monkeypatch):
+        # the stale drop in on_message reads the tip height; handle_new_block
+        # takes that reading instead of querying the store again
+        cluster = cluster_factory(2)
+        cluster.connect(0, 1)
+        cluster.pump()
+        a, b = cluster.nodes
+        block = mine_block(create_new_block("next", b.store.tip(), 4, 10))
+        tip_queries = []
+        real_chain_info, real_adopt = b.store.chain_info, b.adopt_if_heavier
+
+        def counting_chain_info():
+            tip_queries.append("chain_info")
+            return real_chain_info()
+
+        def recording_adopt(*args, **kwargs):
+            tip_queries.append("adopt")
+            return real_adopt(*args, **kwargs)
+
+        monkeypatch.setattr(b.store, "chain_info", counting_chain_info)
+        monkeypatch.setattr(b, "adopt_if_heavier", recording_adopt)
+        [conn] = b.connected()
+        assert b.on_message(conn, self.envelope_for(a, block).encode()) == "appended"
+        assert tip_queries[:tip_queries.index("adopt")] == ["chain_info"]
+
+
+def orphan(core, n):
+    """A mined block one past `core`'s tip whose parent exists nowhere."""
+    tip = core.store.tip()
+    return mine_block(Block(index=tip.index + 1, timestamp=tip.timestamp + 1,
+                            data=f"orphan-{n}", hash="", difficulty=4, nonce=0,
+                            prev_hash=hashlib.sha256(f"orphan-{n}".encode()).hexdigest()))
+
+
+class TestUnservedParents:
+    """A link whose sync replies never reach the gossiped block that set
+    them off stops setting off syncs after MAX_UNSERVED of them."""
+
+    LIMIT = node_module.MAX_UNSERVED
+
+    @pytest.fixture(autouse=True)
+    def pair(self, cluster_factory, monkeypatch):
+        """Nodes a and b on one link; `requests` records the GET_BLOCKS b sends."""
+        self.cluster = cluster = cluster_factory(2)
+        cluster.connect(0, 1)
+        cluster.pump()
+        a, b = self.a, self.b = cluster.nodes
+        self.requests = []
+        real_deliver = cluster.net.deliver
+
+        def recording_deliver(src, dst, message):
+            if src.owner is b and wire.decode_envelope(message).kind == wire.GET_BLOCKS:
+                self.requests.append(message)
+            real_deliver(src, dst, message)
+
+        monkeypatch.setattr(cluster.net, "deliver", recording_deliver)
+        [self.a_conn], [b_conn] = a.connected(), b.connected()
+        self.link = b._links[id(b_conn)]
+
+    def gossip(self, block):
+        """a relays `block` to b."""
+        self.a_conn.send_message(sign_envelope(wire.NEW_BLOCK, self.cluster.queue.now,
+                                               {"block": block_to_json(block)},
+                                               self.a.identity).encode())
+        self.cluster.pump()
+
+    def gap(self, n):
+        """Commit n blocks on a at once, so that only the last is gossiped."""
+        blocks = extend(self.a.store.get_all_blocks(), [f"gap-{i}" for i in range(n)],
+                        effective_bits(self.a.difficulty))
+        self.a._commit(blocks[-n - 1], blocks[-n:])
+        self.cluster.pump()
+
+    def reply(self, payload):
+        """b takes a BLOCKS reply from a."""
+        return self.b.on_envelope(self.link.conn, sign_envelope(
+            wire.BLOCKS, self.cluster.queue.now, payload, self.a.identity))
+
+    def test_peer_that_never_serves_the_parent_stops_setting_off_syncs(self):
+        b, link = self.b, self.link
+        for n in range(self.LIMIT + 2):
+            self.gossip(orphan(b, n))
+        assert len(self.requests) == self.LIMIT
+        # each orphan counted once: by its reply, or at once past the limit
+        assert b.rejects_by_reason == {"ParentNotServed": self.LIMIT + 2}
+        assert b.handle_query("stats", {})["result"]["rejected_invalid_blocks"] == self.LIMIT + 2
+        assert (link.unserved, link.wanted) == (self.LIMIT, None)
+        assert b.store.get_block_count() == 1
+
+    def test_honest_gap_syncs_and_counts_nothing(self):
+        self.gap(3)
+        assert len(self.requests) == 1
+        assert self.b.store.get_all_blocks() == self.a.store.get_all_blocks()
+        assert self.b.rejects_by_reason == {}
+        assert (self.link.unserved, self.link.wanted) == (0, None)
+
+    def test_reached_block_resets_the_count(self):
+        a, b, link = self.a, self.b, self.link
+        for n in range(self.LIMIT - 1):
+            self.gossip(orphan(b, n))
+        assert link.unserved == self.LIMIT - 1
+        self.gap(2)  # b's sync reply adopts
+        assert link.unserved == 0
+        # a reply that holds the wanted block resets too, adopted or not
+        link.unserved, link.wanted = self.LIMIT - 1, a.store.tip().hash
+        served = [block_to_json(blk) for blk in a.store.get_blocks(1)]
+        assert self.reply({"after": 0, "blocks": served, "more": False}) == "unchanged"
+        assert (link.unserved, link.wanted) == (0, None)
+        for n in range(self.LIMIT):
+            self.gossip(orphan(b, 10 + n))
+        assert len(self.requests) == 2 * self.LIMIT  # each one sets off a sync
+        assert b.rejects_by_reason == {"ParentNotServed": 2 * self.LIMIT - 1}
+
+    def test_link_open_and_heal_syncs_ignore_the_limit(self):
+        for n in range(self.LIMIT):
+            self.gossip(orphan(self.b, n))
+        assert len(self.requests) == self.LIMIT
+        assert self.b.request_sync_all() == 1
+        self.cluster.pump()
+        self.a._send_hello(self.a_conn)  # the peer opens the link again
+        self.cluster.pump()
+        self.cluster.connect(0, 1)  # and a second link
+        self.cluster.pump()
+        assert len(self.requests) == self.LIMIT + 3
+        assert self.link.unserved == self.LIMIT
+
+    def test_rate_limited_request_sets_no_wanted(self):
+        b, link = self.b, self.link
+        assert b.request_sync(link.conn)  # a sync of b's own is pending
+        outcome = b.handle_new_block(link.conn, sign_envelope(
+            wire.NEW_BLOCK, 1, {"block": block_to_json(orphan(b, 0))}, self.a.identity))
+        assert outcome == "sync_triggered"
+        assert link.wanted is None
+        self.cluster.pump()
+        assert len(self.requests) == 1
+        assert b.rejects_by_reason == {}
+        assert link.unserved == 0
+
+    def test_reply_that_asks_for_the_next_page_is_not_judged(self):
+        b, link = self.b, self.link
+        wanted = link.wanted = orphan(b, 0).hash
+        page = extend(b.store.get_all_blocks(), ["p0", "p1"], effective_bits(b.difficulty))
+        adopting = [block_to_json(blk) for blk in page[1:]]
+        assert self.reply({"after": 0, "blocks": adopting, "more": True}) == "adopted"
+        assert len(self.requests) == 1  # the next page is asked for; the sync goes on
+        assert (link.wanted, link.unserved, b.rejects_by_reason) == (wanted, 0, {})
+        assert self.reply({"after": 2, "blocks": [], "more": False}) == "unchanged"
+        assert (link.wanted, link.unserved) == (None, 1)
+        assert b.rejects_by_reason == {"ParentNotServed": 1}
+        # a `more` reply that adopts nothing asks for no next page, so it
+        # ends the sync and is judged: a peer cannot dodge the count by
+        # answering every request with `more` and no block
+        link.wanted = orphan(b, 1).hash
+        assert self.reply({"after": 0, "blocks": [], "more": True}) == "unchanged"
+        assert (link.wanted, link.unserved) == (None, 2)
+        assert len(self.requests) == 1
 
 
 class TestSync:

@@ -15,7 +15,7 @@ from powdb.sim import ScenarioConfig, report_to_json_bytes, run_scenario
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 REPORT_SHA256 = {
-    "adversarial": "2d27d0bfc11e62813e8e416fa2bee6ce5158b23a3b7828223d0211f406915c37",
+    "adversarial": "7a4daff418d46e6074b28210c2deec5f35b07dcd9ec939d4c7e6872f4d41b23c",
     "baseline": "a5e4c81da9be5e930d66525eefce1b368d8248755ef9301383e38cdd6312274d",
     "partition_long": "37ac5b3154cb084d0e587d8dc7e2437ab9e2a57d53b69c13e0f0ac6d1fbfc11c",
     "partition_medium": "cb4cfc4d9559fddf73c6e90edd3adbca98b32f810e50d260f27e3f80a316ffe1",

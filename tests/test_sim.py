@@ -321,6 +321,9 @@ class TestScenarios:
         if expect == "rejected":
             assert report["rejected_invalid_blocks"] > 0
             assert "InsufficientWork" in report["rejects_by_reason"]
+        elif expect == "synced":
+            # its blocks set off syncs whose replies never reach them
+            assert "ParentNotServed" in report["rejects_by_reason"]
         elif expect == "dropped":
             assert report["dropped_envelopes"] > 0
         honest_heads = [report["final_heads"][i] for i in report["honest_nodes"]]
@@ -340,23 +343,30 @@ class TestScenarios:
         assert report["consistency"]["final_sample_c"] == 1.0
 
     def test_adversarial_sync_traffic_stays_small(self, monkeypatch):
-        # every bad_prev_hash block sets off a sync round; each round must
-        # cost the suffix after the fork point, not the whole chain
-        sync_bytes = Counter()
+        # a sync round costs the suffix after the fork point, not the whole
+        # chain; past the link open and the final heal, a bad_prev_hash peer
+        # sets off MAX_UNSERVED rounds per link and then none
+        sync_bytes, requests = Counter(), 0
         real_deliver = MemNetwork.deliver
 
         def counting_deliver(net, src, dst, message):
+            nonlocal requests
             kind = wire.decode_envelope(message).kind
             if kind in (wire.GET_BLOCKS, wire.BLOCKS):
                 sync_bytes[kind] += len(message)
+                requests += kind == wire.GET_BLOCKS
             real_deliver(net, src, dst, message)
 
         monkeypatch.setattr(MemNetwork, "deliver", counting_deliver)
         config = ScenarioConfig.from_json(
             json.loads((SCENARIOS / "adversarial.json").read_text()))
-        run_scenario(config)
+        report = run_scenario(config)
         assert sync_bytes[wire.GET_BLOCKS] > 0 and sync_bytes[wire.BLOCKS] > 0
-        assert sum(sync_bytes.values()) < 1_500_000
+        assert sum(sync_bytes.values()) < 240_000
+        n = config.node_count
+        unserving = list(report["malicious_behavior_by_node"].values()).count("bad_prev_hash")
+        assert unserving >= 1
+        assert requests <= n * (n - 1) * 2 + node_module.MAX_UNSERVED * (n - 1) * unserving
 
     def test_mesh_checks_each_new_block_signature_about_once(self, monkeypatch):
         # every node relays every block to every peer; a relay of a height
