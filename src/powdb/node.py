@@ -55,7 +55,7 @@ from powdb.contracts import (
 )
 from powdb.net import RecentSet
 from powdb.store import BlockStore, NotFoundError
-from powdb.transport import TcpTransport
+from powdb.transport import TICK_S, TcpTransport
 from powdb.wire import (
     MessageEnvelope,
     NodeIdentity,
@@ -86,6 +86,10 @@ BLOCK_JSON_BYTES = 320
 # block query's RESPONSE) takes besides the block's escaped data: at most
 # 600 bytes with every field at its maximum, rounded up.
 BLOCK_ENVELOPE_BYTES = 1024
+# A configured peer whose link is closed is dialed again from the loop's
+# tick. After each failed dial the wait before the next one doubles, from
+# one tick (TICK_S) up to this many seconds; a dial that connects resets it.
+REDIAL_MAX_S = 30.0
 
 
 class BadConfigError(Exception):
@@ -155,9 +159,13 @@ def _is_height(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**63
 
 
-def _is_stale(index, tip_index: int) -> bool:
-    """A block height at or below the tip's: such a block cannot change the chain."""
-    return _is_height(index) and index <= tip_index
+def _parse_tip(payload) -> tuple[int, str] | None:
+    """The (height, hash) of a HELLO payload, or None if malformed."""
+    tip = payload.get("tip") if isinstance(payload, dict) and len(payload) == 1 else None
+    if not (isinstance(tip, list) and len(tip) == 2
+            and _is_height(tip[0]) and is_hex_hash(tip[1])):
+        return None
+    return tip[0], tip[1]
 
 
 def _parse_locator(payload) -> list[tuple[int, str]] | None:
@@ -303,14 +311,15 @@ class NodeCore:
     # -- message intake ------------------------------------------------------
 
     def on_message(self, conn, raw: bytes) -> str:
-        """Single entry point for wire input: decode, drop a stale NEW_BLOCK by
-        its index alone, then check the signature; invalid signatures die here."""
+        """Single entry point for wire input: decode, drop a NEW_BLOCK this
+        node holds, then check the signature; invalid signatures die here."""
         env = decode_envelope(raw)
         tip_index = None
         if env is not None and env.kind == wire.NEW_BLOCK:
             tip_index = self.store.get_block_count() - 1
             block = env.payload.get("block") if isinstance(env.payload, dict) else None
-            if isinstance(block, dict) and _is_stale(block.get("index"), tip_index):
+            if isinstance(block, dict) and self._is_held(block.get("index"), block.get("hash"),
+                                                         tip_index):
                 return "ignored"  # a relay that cannot change state costs no verify
         if env is None or not verify_envelope(env):
             self.dropped_envelopes += 1
@@ -342,10 +351,12 @@ class NodeCore:
     # -- handshake -----------------------------------------------------------
 
     def _send_hello(self, conn) -> None:
-        self._send(conn, wire.HELLO, {})
+        count, tip_hash = self.store.chain_info()
+        self._send(conn, wire.HELLO, {"tip": [count - 1, tip_hash]})
 
     def _handle_hello(self, conn, env: MessageEnvelope) -> None:
-        if env.payload != {}:
+        tip = _parse_tip(env.payload)
+        if tip is None:
             self._drop_conn(conn)
             return
         link = self._links.setdefault(id(conn), _Link(conn, outbound=False,
@@ -353,9 +364,11 @@ class NodeCore:
         if not link.outbound and not link.established:
             self._send_hello(conn)  # the dialer sent its HELLO when the link opened
         link.established = True
-        # both ends pull the other's chain once, so a fresh link converges
-        # without waiting for the next broadcast
-        self.request_sync(conn)
+        # pull the peer's chain when we lack its tip; when we hold it, the
+        # peer is the one behind, and our HELLO sets off its pull
+        height, tip_hash = tip
+        if self.store.get_hashes([height]).get(height) != tip_hash:
+            self.request_sync(conn)
 
     # -- gossip ----------------------------------------------------------------
 
@@ -380,7 +393,7 @@ class NodeCore:
             return "ignored"
         if tip_index is None:
             tip_index = self.store.get_block_count() - 1
-        if _is_stale(block.index, tip_index):
+        if self._is_held(block.index, block.hash, tip_index):
             return "ignored"
         outcome = self.adopt_if_heavier(block.index - 1, [block], exclude_conn=conn)
         if outcome == "unlinked":
@@ -394,6 +407,14 @@ class NodeCore:
                 link.wanted = block.hash
             return "sync_triggered"
         return "appended" if outcome == "adopted" else "ignored"
+
+    def _is_held(self, index, hash_hex, tip_index: int) -> bool:
+        """Whether a block, read unverified, cannot change the chain: it sits
+        at a held height and its hash is malformed or the one stored there.
+        Any other block at a held height may start a heavier fork."""
+        if not (_is_height(index) and index <= tip_index):
+            return False
+        return not is_hex_hash(hash_hex) or self.store.get_hashes([index]).get(index) == hash_hex
 
     def _count_reject(self, reason: VerifyReason) -> None:
         self.rejects_by_reason[reason.value] = self.rejects_by_reason.get(reason.value, 0) + 1
@@ -412,12 +433,6 @@ class NodeCore:
         hashes = self.store.get_hashes(heights)
         return self._send(conn, wire.GET_BLOCKS,
                           {"locator": [[height, hashes[height]] for height in heights]})
-
-    def request_sync_all(self) -> int:
-        """Partition-healing aid: pull chains from every connected peer."""
-        for link in self._links.values():
-            link.sync_sent_ms = None
-        return sum(self.request_sync(conn) for conn in self.connected())
 
     def _serve_sync(self, conn, env: MessageEnvelope) -> None:
         """Answer a locator with one page of the blocks after the fork point.
@@ -710,6 +725,15 @@ class NodeCore:
         self._links.pop(id(conn), None)
 
 
+@dataclass
+class _Peer:
+    """A configured peer address, its link, and when to dial it again."""
+    addr: str
+    conn: object = None
+    backoff_s: float = 0.0  # the wait the last failed dial set; 0 after a dial connects
+    due: float = 0.0  # time.monotonic() before which it is not dialed again
+
+
 class _ThreadMinerHandle(threading.Event):
     """The cancel signal of one mining job; the core calls `cancel()`."""
     cancel = threading.Event.set
@@ -739,6 +763,7 @@ class NodeRuntime:
         config.validate()
         self.config = config
         self._stop = threading.Event()
+        self._peers = [_Peer(addr) for addr in config.peers]
 
         self.store = BlockStore(config.db_path)
         try:
@@ -770,15 +795,30 @@ class NodeRuntime:
         self.transport.submit(fn)
 
     def start(self) -> None:
-        for addr in self.config.peers:
-            self.submit(lambda addr=addr: self._dial(addr))
-        self.transport.start(tick=self.core.check_timeouts)
+        for peer in self._peers:
+            self.submit(lambda peer=peer: self._dial(peer))
+        self.transport.start(tick=self._tick)
 
-    def _dial(self, addr: str) -> None:
+    def _tick(self) -> None:
+        self.core.check_timeouts()
+        if self._stop.is_set():
+            return  # the core is closing: open no new links
+        now = time.monotonic()
+        for peer in self._peers:
+            if (peer.conn is None or peer.conn.closed) and now >= peer.due:
+                self._dial(peer)
+
+    def _dial(self, peer: _Peer) -> None:
         try:
-            self.core.connect_peer(self.transport.dial(addr))
+            peer.conn = self.transport.dial(peer.addr)
         except OSError as exc:
-            logger.warning("cannot dial peer %s: %s", addr, exc)
+            peer.backoff_s = min(2 * peer.backoff_s or TICK_S, REDIAL_MAX_S)
+            peer.due = time.monotonic() + peer.backoff_s
+            logger.warning("cannot dial peer %s: %s; next try in %.0f s",
+                           peer.addr, exc, peer.backoff_s)
+            return
+        peer.backoff_s = 0.0
+        self.core.connect_peer(peer.conn)
 
     def run_forever(self) -> None:
         try:

@@ -29,7 +29,7 @@ from powdb.chain import (
 )
 from powdb.consensus import create_new_block, effective_bits, mine_block
 from powdb.node import NodeCore, parse_tx_data
-from powdb.simnet import EventQueue, MemNetwork, SimMiner
+from powdb.simnet import EventQueue, MemConnection, MemNetwork, SimMiner
 from powdb.store import BlockStore
 from powdb.wire import NEW_BLOCK, MessageEnvelope, NodeIdentity, sign_envelope
 
@@ -224,6 +224,7 @@ class _Harness:
                               loss_rate=config.link_loss_rate)
         self.addrs = [f"sim:{i}" for i in range(config.node_count)]
         self.nodes: list[NodeCore] = []
+        self.links: dict[tuple[int, int], MemConnection] = {}  # (dialer, listener) -> dialer's end
 
         count = config.malicious_count
         self.malicious = sorted(self.rng_roles.sample(range(config.node_count), count))
@@ -275,15 +276,7 @@ class _Harness:
 
     def schedule(self) -> None:
         config = self.config
-        # full-mesh bootstrap at t=0
-        def connect_all():
-            for i in range(config.node_count):
-                for j in range(i + 1, config.node_count):
-                    conn = self.net.dial(self.nodes[i], self.addrs[i], self.addrs[j])
-                    if conn is not None:
-                        self.nodes[i].connect_peer(conn)
-
-        self.queue.at(0, connect_all)
+        self.queue.at(0, self._connect)  # the full mesh
 
         writer_seq = 0
         t = config.write_interval_ms
@@ -310,13 +303,24 @@ class _Harness:
                 self.queue.at(t, self._make_malicious_step(node_index, behavior))
                 t += config.write_interval_ms
 
-        # end-of-run convergence round: same mechanism as partition healing
-        self.queue.at(config.duration_ms, self._heal)
+    def _connect(self) -> None:
+        """Dial every pair of nodes without an open link; each new link runs
+        HELLO, which pulls the chain of a peer whose tip the node lacks."""
+        n = self.config.node_count
+        for i in range(n):
+            for j in range(i + 1, n):
+                link = self.links.get((i, j))
+                if link is not None and not link.closed:
+                    continue
+                conn = self.net.dial(self.nodes[i], self.addrs[i], self.addrs[j])
+                if conn is not None:
+                    self.links[i, j] = conn
+                    self.nodes[i].connect_peer(conn)
 
     def _heal(self) -> None:
+        """End a partition: the links it cut are dialed again, as on TCP."""
         self.net.heal()
-        for core in self.nodes:
-            core.request_sync_all()
+        self._connect()
 
     def _make_write(self, seq: int, node_index: int):
         def write():
@@ -401,6 +405,9 @@ class _Harness:
     def run(self) -> dict:
         self.schedule()
         self.queue.run()
+        # the run ends at duration_ms even when the last event comes earlier,
+        # so events that only observe the run (a benchmark's marks) move nothing
+        self.queue.now = max(self.queue.now, self.config.duration_ms)
         final_sample = self._record_sample()
 
         chains = {i: self.nodes[i].store.get_all_blocks() for i in self.honest}

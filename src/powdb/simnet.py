@@ -79,8 +79,11 @@ class MemConnection:
 class MemNetwork:
     """Address-routed message transport with partitions, latency and loss.
 
-    Partition semantics: messages crossing group boundaries are silently
-    dropped (the sender observes success); in-group delivery is untouched.
+    Partition semantics: a partition closes every open link that crosses
+    its groups, and both ends' owners get `on_disconnect`, as when a TCP
+    link breaks. A message in flight on such a link is dropped and counted
+    in `dropped_by_partition`, and a dial across the partition fails. In-group
+    links are untouched. `heal` reopens nothing: the owners dial again.
     """
 
     def __init__(self, queue: EventQueue, rng: random.Random,
@@ -91,6 +94,7 @@ class MemNetwork:
         self.loss_rate = loss_rate
         self._listeners: dict[str, object] = {}
         self._groups: list[set[str]] | None = None
+        self._dialed: list[MemConnection] = []  # the dialer's end of every link
         self.dropped_by_partition = 0
         self.dropped_by_loss = 0
 
@@ -101,11 +105,12 @@ class MemNetwork:
 
     def dial(self, src_owner, src_addr: str, dst_addr: str) -> MemConnection | None:
         dst_owner = self._listeners.get(dst_addr)
-        if dst_owner is None:
+        if dst_owner is None or not self.reachable(src_addr, dst_addr):
             return None
         near = MemConnection(self, src_addr, dst_addr, src_owner)
         far = MemConnection(self, dst_addr, src_addr, dst_owner)
         near.peer, far.peer = far, near
+        self._dialed.append(near)
         self.queue.after(self.latency_ms, lambda: dst_owner.on_inbound_connection(far))
         return near
 
@@ -118,15 +123,14 @@ class MemNetwork:
         return False
 
     def deliver(self, src: MemConnection, dst: MemConnection, message: bytes) -> None:
-        if not self.reachable(src.local_addr, dst.local_addr):
-            self.dropped_by_partition += 1
-            return
         if self.loss_rate > 0 and self.rng.random() < self.loss_rate:
             self.dropped_by_loss += 1
             return
 
         def arrive():
-            if not dst.closed and self.reachable(src.local_addr, dst.local_addr):
+            if not self.reachable(src.local_addr, dst.local_addr):
+                self.dropped_by_partition += 1  # the partition cut the link meanwhile
+            elif not dst.closed:
                 dst.owner.on_message(dst, message)
 
         self.queue.after(self.latency_ms, arrive)
@@ -138,6 +142,11 @@ class MemNetwork:
                 raise ValueError("partition groups overlap")
             seen |= group
         self._groups = [set(g) for g in groups]
+        self._dialed = [conn for conn in self._dialed if not conn.closed]
+        for conn in self._dialed:
+            if not self.reachable(conn.local_addr, conn.remote_addr):
+                conn.close()  # the far end's owner hears of it one latency later
+                self.queue.after(self.latency_ms, lambda c=conn: c.owner.on_disconnect(c))
 
     def heal(self) -> None:
         self._groups = None

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from powdb.chain import Block, block_to_json, genesis_block
 from powdb.consensus import create_new_block, effective_bits, mine_block, replay_difficulty
 from powdb.contracts import contract_id_for
 from powdb.net import RecentSet
+from powdb.simnet import MemNetwork
 from powdb.transport import TcpTransport, parse_hostport
 from powdb.wire import MessageEnvelope, NodeIdentity, sign_envelope
 
@@ -107,6 +109,9 @@ class TestLinkTeardown:
         def close(self):
             self.closed = True
 
+    # a tip the node does not hold, so the HELLO starts a sync
+    AHEAD = {"tip": [5, "ab" * 32]}
+
     def hello(self, payload):
         return sign_envelope(wire.HELLO, 1, payload, self.PEER)
 
@@ -136,7 +141,7 @@ class TestLinkTeardown:
         if teardown == "handshake_timeout":
             node.request_sync(conn)  # a sync timer, but no HELLO ever comes back
         else:
-            node.on_envelope(conn, self.hello({}))
+            node.on_envelope(conn, self.hello(self.AHEAD))
             assert node.connected() == [conn]
         assert node._links[id(conn)].sync_sent_ms is not None
 
@@ -145,6 +150,24 @@ class TestLinkTeardown:
         assert node.connected() == []
         if teardown in ("bad_hello", "handshake_timeout"):
             assert conn.closed
+
+    BAD_TIPS = {
+        "tip-missing": {},
+        "extra-key": {**AHEAD, "node_id": PEER.node_id},
+        "height-bool": {"tip": [True, "ab" * 32]},
+        "hash-not-hex": {"tip": [5, "xy" * 32]},
+        "tip-too-short": {"tip": [5]},
+        "tip-too-long": {"tip": [5, "ab" * 32, 0]},
+    }
+
+    @pytest.mark.parametrize("payload", BAD_TIPS.values(), ids=BAD_TIPS.keys())
+    def test_hello_without_a_well_formed_tip_drops_the_link(self, cluster_factory, payload):
+        node = cluster_factory(1).nodes[0]
+        conn = self.Link()
+        node.on_inbound_connection(conn)
+        node.on_envelope(conn, self.hello(payload))
+        assert id(conn) not in node._links
+        assert conn.closed
 
 
 class TestBroadcast:
@@ -385,6 +408,64 @@ class TestHandleNewBlock:
         assert tip_queries[:tip_queries.index("adopt")] == ["chain_info"]
 
 
+class TestForkChoiceOnGossip:
+    def test_heavier_fork_at_held_heights_wins(self, cluster_factory):
+        # a's chain is taller, b's has more work: a relay of b's tip carries
+        # a height a holds, and still reaches a's fork choice
+        cluster = cluster_factory(2)
+        cluster.connect(0, 1)
+        cluster.pump()
+        a, b = cluster.nodes
+        low = cluster.params.min_difficulty
+        light = extend([genesis_block()], [f"light-{i}" for i in range(4)], low)
+        heavy = extend([genesis_block()], ["heavy-0", "heavy-1"], low + 8)
+        assert a.adopt_if_heavier(0, light[1:]) == "adopted"
+        assert b.adopt_if_heavier(0, heavy[1:]) == "adopted"
+        cluster.pump()
+        assert cluster.heads() == [heavy[-1].hash] * 2
+        assert a.rejects_by_reason == b.rejects_by_reason == {}
+
+
+class TestLinkOpenSync:
+    """HELLO carries the sender's tip; only the end that lacks it syncs."""
+
+    @pytest.fixture(autouse=True)
+    def requests(self, monkeypatch):
+        """The GET_BLOCKS each node sends, counted by its address."""
+        self.sent = Counter()
+        real_deliver = MemNetwork.deliver
+
+        def counting_deliver(net, src, dst, message):
+            if wire.decode_envelope(message).kind == wire.GET_BLOCKS:
+                self.sent[src.local_addr] += 1
+            real_deliver(net, src, dst, message)
+
+        monkeypatch.setattr(MemNetwork, "deliver", counting_deliver)
+
+    def test_mesh_of_fresh_nodes_sends_no_sync(self, cluster_factory):
+        cluster = cluster_factory(10)
+        for i in range(10):
+            for j in range(i + 1, 10):
+                cluster.connect(i, j)
+        cluster.pump()
+        assert all(len(core.connected()) == 9 for core in cluster.nodes)
+        assert self.sent == Counter()
+
+    @pytest.mark.parametrize("dialer", ["behind", "ahead"])
+    def test_only_the_node_behind_syncs(self, cluster_factory, dialer):
+        cluster = cluster_factory(2)
+        ahead, behind = cluster.nodes
+        chain = extend([genesis_block()], ["a0", "a1", "a2"], cluster.params.min_difficulty)
+        assert ahead.adopt_if_heavier(0, chain[1:]) == "adopted"
+        if dialer == "behind":
+            cluster.connect(1, 0)
+        else:
+            cluster.connect(0, 1)
+        cluster.pump()
+        assert behind.store.get_all_blocks() == chain
+        assert self.sent == Counter({"mem:1": 1})
+
+
 def orphan(core, n):
     """A mined block one past `core`'s tip whose parent exists nowhere."""
     tip = core.store.tip()
@@ -472,18 +553,28 @@ class TestUnservedParents:
         assert len(self.requests) == 2 * self.LIMIT  # each one sets off a sync
         assert b.rejects_by_reason == {"ParentNotServed": 2 * self.LIMIT - 1}
 
-    def test_link_open_and_heal_syncs_ignore_the_limit(self):
+    def test_new_link_starts_with_no_unserved_syncs(self):
+        # the count belongs to one connection: when the link is cut and
+        # dialed again, gossip on the new link sets off syncs again
         for n in range(self.LIMIT):
             self.gossip(orphan(self.b, n))
         assert len(self.requests) == self.LIMIT
-        assert self.b.request_sync_all() == 1
+        self.gossip(orphan(self.b, self.LIMIT))
+        assert len(self.requests) == self.LIMIT
+        net = self.cluster.net
+        net.set_partition([{"mem:0"}, {"mem:1"}])  # cuts the link
         self.cluster.pump()
-        self.a._send_hello(self.a_conn)  # the peer opens the link again
+        assert self.a.connected() == self.b.connected() == []
+        net.heal()
+        self.a_conn = self.cluster.connect(0, 1)
         self.cluster.pump()
-        self.cluster.connect(0, 1)  # and a second link
-        self.cluster.pump()
-        assert len(self.requests) == self.LIMIT + 3
-        assert self.link.unserved == self.LIMIT
+        [b_conn] = self.b.connected()
+        link = self.b._links[id(b_conn)]
+        assert link.unserved == 0
+        assert len(self.requests) == self.LIMIT  # both hold genesis only: no link-open sync
+        self.gossip(orphan(self.b, self.LIMIT + 1))
+        assert len(self.requests) == self.LIMIT + 1
+        assert link.unserved == 1
 
     def test_rate_limited_request_sets_no_wanted(self):
         b, link = self.b, self.link

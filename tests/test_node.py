@@ -9,6 +9,7 @@ import pytest
 
 from powdb import consensus
 from powdb import node as node_module
+from powdb import transport as transport_module
 from powdb import wire
 from powdb.chain import ChainParams, block_to_json, genesis_block
 from powdb.consensus import create_new_block, effective_bits, mine_block, replay_difficulty
@@ -348,7 +349,7 @@ def forged(kind, payload):
 
 
 class TestIntakeOrder:
-    """on_message decodes, drops a stale NEW_BLOCK by its index, then verifies."""
+    """on_message decodes, drops a NEW_BLOCK it holds, then verifies."""
 
     @pytest.fixture
     def core(self, monkeypatch):
@@ -367,7 +368,8 @@ class TestIntakeOrder:
 
     @pytest.mark.parametrize("fields", [{}, {"hash": "not hex"}], ids=["valid", "malformed"])
     def test_signed_stale_block_costs_no_verify(self, core, fields):
-        # a stale height is ignored before anything else about the block is read
+        # at a held height, the stored hash or a malformed one is ignored
+        # before anything else about the block is read
         stale = {**block_to_json(core.store.get_block(2)), **fields}
         assert from_peer(core, Capture(), wire.NEW_BLOCK, {"block": stale}) == "ignored"
         assert self.verifies == 0
@@ -842,7 +844,7 @@ class TestOversizedFrame:
 
         conn = CappedConn()
         core.on_inbound_connection(conn)
-        from_peer(core, conn, wire.HELLO, {})
+        from_peer(core, conn, wire.HELLO, {"tip": [0, genesis_block().hash]})
         assert core._send(conn, "QUERY", {}) is False
         result = submit_and_run(core, queue, {"kind": "raw", "data": "big"})
         assert result["ok"] is True
@@ -1069,6 +1071,46 @@ class TestTcpRuntime:
         for thread in threads:
             thread.join(timeout=2.0)
         assert [t.name for t in threads if t.is_alive()] == []
+
+    def test_configured_peer_is_dialed_again_until_it_answers(self, tmp_path, monkeypatch,
+                                                              caplog):
+        # a short tick keeps the backoff's waits short
+        monkeypatch.setattr(transport_module, "TICK_S", 0.05)
+        monkeypatch.setattr(node_module, "TICK_S", 0.05)
+        with socket.socket() as probe:  # a free port nothing listens on yet
+            probe.bind(("127.0.0.1", 0))
+            a_addr = "127.0.0.1:%d" % probe.getsockname()[1]
+        params = ChainParams(initial_difficulty=6, min_difficulty=4, max_difficulty=10)
+        b = NodeRuntime(NodeConfig(listen_addr="127.0.0.1:0", peers=[a_addr], params=params,
+                                   db_path=str(tmp_path / "b.db"), mine_enabled=False))
+        a = None
+        b.start()
+        try:
+            assert self.wait_until(lambda: "cannot dial peer" in caplog.text, timeout=5)
+            a = NodeRuntime(NodeConfig(listen_addr=a_addr, params=params,
+                                       db_path=str(tmp_path / "a.db"), mine_enabled=False))
+            chain = extend([genesis_block()], ["a0", "a1"], params.min_difficulty)
+            assert a.core.adopt_if_heavier(0, chain[1:]) == "adopted"
+            a.start()
+            assert self.wait_until(lambda: b.core.store.tip().hash == chain[-1].hash,
+                                   timeout=10), "b linked up and pulled a's chain"
+
+            # a drops the link, then grows while no link carries its gossip
+            longer = extend(chain, ["a2", "a3"], params.min_difficulty)
+
+            def drop_then_grow():
+                for conn in a.core.connected():
+                    a.core._drop_conn(conn)
+                a.core.adopt_if_heavier(2, longer[3:])
+
+            a.submit(drop_then_grow)
+            assert self.wait_until(lambda: b.core.store.tip().hash == longer[-1].hash,
+                                   timeout=10), "b dialed again and pulled the new tip"
+            assert self.wait_until(lambda: len(a.core.connected()) == 1, timeout=5)
+        finally:
+            b.stop()
+            if a is not None:
+                a.stop()
 
     @staticmethod
     def request(sock, kind, payload, step=None):

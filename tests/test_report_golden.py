@@ -15,10 +15,10 @@ from powdb.sim import ScenarioConfig, report_to_json_bytes, run_scenario
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 REPORT_SHA256 = {
-    "adversarial": "7a4daff418d46e6074b28210c2deec5f35b07dcd9ec939d4c7e6872f4d41b23c",
-    "baseline": "a5e4c81da9be5e930d66525eefce1b368d8248755ef9301383e38cdd6312274d",
-    "partition_long": "37ac5b3154cb084d0e587d8dc7e2437ab9e2a57d53b69c13e0f0ac6d1fbfc11c",
-    "partition_medium": "cb4cfc4d9559fddf73c6e90edd3adbca98b32f810e50d260f27e3f80a316ffe1",
+    "adversarial": "9415c5e5170eddb141dfab29cd1a78d074e8eecf55a0b32a35bc178c90eb6a1d",
+    "baseline": "a39dc589d1501cd88debe5436a92dee555a2fc1c552fa8e2c83414ed39f8708f",
+    "partition_long": "da2ed17bb2724d5001c17fd80b12d032b519972c1106d0895363020b7076e53b",
+    "partition_medium": "21d7b09fd9470d329f2bc029eefc14324418d0d21dbdfe205a5e11fac523ee44",
     "partition_short": "0e51a8a76058456c063186176decbd2965f579ead7904bb70c1ff0cebbb4c716",
 }
 
