@@ -21,7 +21,10 @@ GENESIS_DATA = "GENESIS"
 
 _HEX_HASH = re.compile(r"[0-9a-f]{64}")
 
-MAX_NONCE = 2**64 - 1
+# The largest index, timestamp and nonce a block may carry: SQLite's largest
+# integer, so that every block that passes the shape check can be stored.
+MAX_BLOCK_INT = 2**63 - 1
+MAX_NONCE = MAX_BLOCK_INT
 MAX_DIFFICULTY_BITS = 32
 
 
@@ -74,16 +77,21 @@ def is_hex_hash(value: str) -> bool:
     return isinstance(value, str) and _HEX_HASH.fullmatch(value) is not None
 
 
+def is_block_int(value) -> bool:
+    """An integer (not a bool) in [0, MAX_BLOCK_INT]."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_BLOCK_INT
+
+
 def validate_block_shape(block: Block) -> None:
     """Check field-level contracts; raises MalformedBlockError.
 
     This is the structural gate run before the consensus checks, so garbage
     off the wire never reaches the hashing code.
     """
-    if not isinstance(block.index, int) or isinstance(block.index, bool) or block.index < 0:
-        raise MalformedBlockError(f"index must be a non-negative integer, got {block.index!r}")
-    if not isinstance(block.timestamp, int) or isinstance(block.timestamp, bool) or block.timestamp < 0:
-        raise MalformedBlockError(f"timestamp must be a non-negative integer, got {block.timestamp!r}")
+    for name in ("index", "timestamp"):
+        value = getattr(block, name)
+        if not is_block_int(value):
+            raise MalformedBlockError(f"{name} must be an integer in [0, 2**63), got {value!r}")
     if not isinstance(block.data, str):
         raise MalformedBlockError("data must be a string")
     if SEP_CHAR in block.data:
@@ -95,8 +103,8 @@ def validate_block_shape(block: Block) -> None:
     if (not isinstance(block.difficulty, int) or isinstance(block.difficulty, bool)
             or not 0 <= block.difficulty <= MAX_DIFFICULTY_BITS):
         raise MalformedBlockError(f"difficulty must be an integer in [0, 32], got {block.difficulty!r}")
-    if not isinstance(block.nonce, int) or isinstance(block.nonce, bool) or not 0 <= block.nonce <= MAX_NONCE:
-        raise MalformedBlockError(f"nonce must be a 64-bit unsigned integer, got {block.nonce!r}")
+    if not is_block_int(block.nonce):
+        raise MalformedBlockError(f"nonce must be an integer in [0, 2**63), got {block.nonce!r}")
 
 
 def mining_prefix_bytes(block: Block) -> bytes:

@@ -17,7 +17,7 @@ CANCEL_CHECK_INTERVAL = 4096
 
 
 class NonceSpaceExhausted(RuntimeError):
-    """The full 64-bit nonce space held no qualifying hash."""
+    """No nonce in [0, MAX_NONCE] gave a qualifying hash."""
 
 
 def find_nonce(prefix: bytes, difficulty_bits: int, cancel=None,

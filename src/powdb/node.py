@@ -9,6 +9,12 @@ identically in both worlds.
 Every block joins the chain through `NodeCore.adopt_if_heavier`, whether
 gossiped, synced or mined here, and the store is the only record of the
 chain: its blocks, and the difficulty after each of them.
+
+A gossiped block pays for its Ed25519 signature check last: the held
+check, the block's shape, its parent lookup, the limited-link cut and the
+fork choice's checks all run first, and the signature is checked only
+before the block changes the chain, is kept as no heavier, or sets off a
+sync. Every other message is verified as it arrives.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from powdb.chain import (
     block_from_json,
     block_to_json,
     genesis_block,
+    is_block_int,
     is_hex_hash,
 )
 from powdb.consensus import (
@@ -154,16 +161,11 @@ def locator_heights(tip: int) -> list[int]:
     return heights
 
 
-def _is_height(value) -> bool:
-    """An integer (not a bool) that can index a stored block."""
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**63
-
-
 def _parse_tip(payload) -> tuple[int, str] | None:
     """The (height, hash) of a HELLO payload, or None if malformed."""
     tip = payload.get("tip") if isinstance(payload, dict) and len(payload) == 1 else None
     if not (isinstance(tip, list) and len(tip) == 2
-            and _is_height(tip[0]) and is_hex_hash(tip[1])):
+            and is_block_int(tip[0]) and is_hex_hash(tip[1])):
         return None
     return tip[0], tip[1]
 
@@ -176,7 +178,7 @@ def _parse_locator(payload) -> list[tuple[int, str]] | None:
     entries = []
     for entry in locator:
         if not (isinstance(entry, list) and len(entry) == 2
-                and _is_height(entry[0]) and isinstance(entry[1], str)):
+                and is_block_int(entry[0]) and isinstance(entry[1], str)):
             return None
         entries.append((entry[0], entry[1]))
     return entries
@@ -311,32 +313,25 @@ class NodeCore:
     # -- message intake ------------------------------------------------------
 
     def on_message(self, conn, raw: bytes) -> str:
-        """Single entry point for wire input: decode, drop a NEW_BLOCK this
-        node holds, then check the signature; invalid signatures die here."""
+        """Single entry point for wire input. A NEW_BLOCK goes on unverified,
+        for handle_new_block to check its signature last; any other envelope
+        is verified here, and dies here if its signature fails."""
         env = decode_envelope(raw)
-        tip_index = None
-        if env is not None and env.kind == wire.NEW_BLOCK:
-            tip_index = self.store.get_block_count() - 1
-            block = env.payload.get("block") if isinstance(env.payload, dict) else None
-            if isinstance(block, dict) and self._is_held(block.get("index"), block.get("hash"),
-                                                         tip_index):
-                return "ignored"  # a relay that cannot change state costs no verify
-        if env is None or not verify_envelope(env):
+        if env is None or (env.kind != wire.NEW_BLOCK and not verify_envelope(env)):
             self.dropped_envelopes += 1
             return "dropped"
-        return self.on_envelope(conn, env, tip_index=tip_index)
+        return self.on_envelope(conn, env, verified=env.kind != wire.NEW_BLOCK)
 
-    def on_envelope(self, conn, env: MessageEnvelope, *, tip_index: int | None = None) -> str:
-        """Act on a verified envelope. `tip_index`, when given, is the tip
-        height read since the envelope arrived; a NEW_BLOCK then needs no
-        second read."""
+    def on_envelope(self, conn, env: MessageEnvelope, *, verified: bool = True) -> str:
+        """Act on an envelope. Only a NEW_BLOCK may come with `verified`
+        False; an envelope that comes verified is not checked again."""
         if env.sender == self.identity.node_id:
             return "self"  # our own broadcast reflected back
         kind = env.kind
         if kind == wire.HELLO:
             self._handle_hello(conn, env)
         elif kind == wire.NEW_BLOCK:
-            return self.handle_new_block(conn, env, tip_index=tip_index)
+            return self.handle_new_block(conn, env, verified=verified)
         elif kind == wire.GET_BLOCKS:
             self._serve_sync(conn, env)
         elif kind == wire.BLOCKS:
@@ -383,19 +378,25 @@ class NodeCore:
         raw = self._encode(wire.NEW_BLOCK, {"block": block_to_json(block)})
         return sum(self._send_raw(conn, raw) for conn in conns)
 
-    def handle_new_block(self, conn, env: MessageEnvelope, *,
-                         tip_index: int | None = None) -> str:
+    def handle_new_block(self, conn, env: MessageEnvelope, *, verified: bool = True) -> str:
+        """A gossiped block, cheapest check first: the held check, the shape,
+        the parent lookup and, for a linked block, the fork choice's checks,
+        or, for an unlinked one, the limited-link cut. The signature of an
+        unverified envelope is checked only after all of them, before the
+        block is adopted or sets off a sync, so a block that fails a check
+        is counted under its reason even when its envelope is forged."""
         payload = env.payload if isinstance(env.payload, dict) else {}
+        raw = payload.get("block")
+        if isinstance(raw, dict) and self._is_held(raw.get("index"), raw.get("hash")):
+            return "ignored"  # a relay that cannot change the chain
         try:
-            block = block_from_json(payload.get("block"))
+            block = block_from_json(raw)
         except MalformedBlockError:
             self._count_reject(VerifyReason.MALFORMED_BLOCK)
             return "ignored"
-        if tip_index is None:
-            tip_index = self.store.get_block_count() - 1
-        if self._is_held(block.index, block.hash, tip_index):
-            return "ignored"
-        outcome = self.adopt_if_heavier(block.index - 1, [block], exclude_conn=conn)
+        unverified = None if verified else env
+        outcome = self.adopt_if_heavier(block.index - 1, [block], exclude_conn=conn,
+                                        unverified=unverified)
         if outcome == "unlinked":
             # a gap, or the sender is on another fork: pull its chain, unless
             # its last MAX_UNSERVED syncs never reached the block behind them
@@ -403,18 +404,30 @@ class NodeCore:
             if link is not None and link.unserved >= MAX_UNSERVED:
                 self._count_reject(VerifyReason.PARENT_NOT_SERVED)
                 return "ignored"
+            if unverified is not None and not self._authentic(unverified):
+                return "dropped"
             if self.request_sync(conn) and link is not None:
                 link.wanted = block.hash
             return "sync_triggered"
+        if outcome == "dropped":
+            return outcome
         return "appended" if outcome == "adopted" else "ignored"
 
-    def _is_held(self, index, hash_hex, tip_index: int) -> bool:
-        """Whether a block, read unverified, cannot change the chain: it sits
-        at a held height and its hash is malformed or the one stored there.
+    def _is_held(self, index, hash_hex) -> bool:
+        """Whether a block, read unverified, cannot change the chain: the store
+        holds a block at its index, and its hash is that block's or malformed.
         Any other block at a held height may start a heavier fork."""
-        if not (_is_height(index) and index <= tip_index):
+        if not is_block_int(index):
             return False
-        return not is_hex_hash(hash_hex) or self.store.get_hashes([index]).get(index) == hash_hex
+        stored = self.store.get_hashes([index]).get(index)
+        return stored is not None and (stored == hash_hex or not is_hex_hash(hash_hex))
+
+    def _authentic(self, env: MessageEnvelope) -> bool:
+        """Check a gossiped block's signature; a forged envelope is counted."""
+        if verify_envelope(env):
+            return True
+        self.dropped_envelopes += 1
+        return False
 
     def _count_reject(self, reason: VerifyReason) -> None:
         self.rejects_by_reason[reason.value] = self.rejects_by_reason.get(reason.value, 0) + 1
@@ -468,7 +481,7 @@ class NodeCore:
         payload = env.payload if isinstance(env.payload, dict) else {}
         after, raw_blocks, more = payload.get("after"), payload.get("blocks"), payload.get("more")
         blocks, outcome = [], "ignored"
-        if _is_height(after) and isinstance(raw_blocks, list) and isinstance(more, bool):
+        if is_block_int(after) and isinstance(raw_blocks, list) and isinstance(more, bool):
             try:
                 blocks = [block_from_json(b) for b in raw_blocks]
             except MalformedBlockError:
@@ -490,15 +503,18 @@ class NodeCore:
         # or left our tip below it, so the reply no longer fits
         return "ignored" if outcome == "unlinked" else outcome
 
-    def adopt_if_heavier(self, after: int, blocks: list[Block], *, exclude_conn=None) -> str:
+    def adopt_if_heavier(self, after: int, blocks: list[Block], *, exclude_conn=None,
+                         unverified: MessageEnvelope | None = None) -> str:
         """The one way blocks join the chain, gossiped, synced or mined here.
 
         "unlinked" when `blocks[0]` does not follow the stored block at
         `after`. Otherwise only the stored blocks after `after` and `blocks`
         are verified and weighed, never the whole chain. A failed check is a
-        counted reject ("rejected"); no more work keeps the chain
-        ("unchanged"); a heavier suffix is "adopted": mining stops, and one
-        transaction drops the stored blocks past the fork point and appends.
+        counted reject ("rejected"). `unverified` is the envelope that
+        carried `blocks`, if its signature is not yet checked: it is checked
+        now, and a forged one is "dropped". Then no more work keeps the
+        chain ("unchanged"); a heavier suffix is "adopted": mining stops, and
+        one transaction drops the stored blocks past the fork point and appends.
         """
         local = self.store.get_blocks(after)
         if not local or (blocks and blocks[0].prev_hash != local[0].hash):
@@ -507,6 +523,8 @@ class NodeCore:
         if err is not None:
             self._count_reject(err.reason)
             return "rejected"
+        if unverified is not None and not self._authentic(unverified):
+            return "dropped"
         if selected is local:
             return "unchanged"
         common = shared_prefix(local, selected)

@@ -383,8 +383,9 @@ class TestHandleNewBlock:
         assert b.rejects_by_reason == {}
 
     def test_delivered_block_reads_the_tip_height_once(self, cluster_factory, monkeypatch):
-        # the stale drop in on_message reads the tip height; handle_new_block
-        # takes that reading instead of querying the store again
+        # the held check reads the stored hash at the block's own height, so
+        # nothing reads the tip before the fork choice; the one read is the
+        # store's own, when add_block checks the block follows the tip
         cluster = cluster_factory(2)
         cluster.connect(0, 1)
         cluster.pump()
@@ -405,7 +406,7 @@ class TestHandleNewBlock:
         monkeypatch.setattr(b, "adopt_if_heavier", recording_adopt)
         [conn] = b.connected()
         assert b.on_message(conn, self.envelope_for(a, block).encode()) == "appended"
-        assert tip_queries[:tip_queries.index("adopt")] == ["chain_info"]
+        assert tip_queries == ["adopt", "chain_info"]
 
 
 class TestForkChoiceOnGossip:

@@ -11,7 +11,15 @@ from powdb import consensus
 from powdb import node as node_module
 from powdb import transport as transport_module
 from powdb import wire
-from powdb.chain import ChainParams, block_to_json, genesis_block
+from powdb._minepure import search_nonce
+from powdb.chain import (
+    ChainParams,
+    block_hash,
+    block_to_json,
+    genesis_block,
+    meets_difficulty,
+    mining_prefix_bytes,
+)
 from powdb.consensus import create_new_block, effective_bits, mine_block, replay_difficulty
 from powdb.contracts import ContractCache, cached_lookup, contract_id_for, execute
 from powdb.node import (
@@ -325,6 +333,29 @@ class TestHostileInput:
             assert decode_envelope(conn.sent[0]).payload == {
                 "after": 0, "blocks": [block_to_json(b) for b in chain[1:]], "more": False}
 
+    @pytest.mark.parametrize("field", ["index", "timestamp", "nonce"])
+    @pytest.mark.parametrize("kind", [wire.NEW_BLOCK, wire.BLOCKS])
+    def test_block_integer_past_sqlite_range_is_malformed(self, kind, field):
+        # a block at the tip's difficulty on the tip, one field at 2**63:
+        # its shape is refused before the store or the miner is touched
+        core, queue = make_node()
+        submit_and_run(core, queue, {"kind": "raw", "data": "r0"})
+        core.submit_tx({"kind": "raw", "data": "pending"}, lambda _result: None)
+        [task] = core._queue
+        chain = core.store.get_all_blocks()
+        tip = chain[-1]
+        block = replace(create_new_block("big", tip, effective_bits(core.difficulty),
+                                         tip.timestamp + 1), **{field: 2**63})
+        nonce, digest = search_nonce(mining_prefix_bytes(block), block.difficulty,
+                                     block.nonce, 2**16)
+        block = block.with_nonce(nonce).with_hash(digest.hex())
+        payload = ({"block": block_to_json(block)} if kind == wire.NEW_BLOCK
+                   else {"after": tip.index, "blocks": [block_to_json(block)], "more": False})
+        assert from_peer(core, Capture(), kind, payload) == "ignored"
+        assert core.rejects_by_reason == {"MalformedBlock": 1}
+        assert core.store.get_all_blocks() == chain
+        assert not task.handle.finished
+
     MALFORMED_RAW = {
         "deep-nesting": (b'{"kind":"QUERY","payload":' + b"[" * 200_000 + b"]" * 200_000
                          + b',"sender":"00","signature":"00","timestamp":1}'),
@@ -348,8 +379,20 @@ def forged(kind, payload):
     return replace(env, signature=flipped).encode()
 
 
+def unlinked_block(core):
+    """A mined block one past `core`'s tip whose parent exists nowhere."""
+    tip = core.store.tip()
+    block = create_new_block("orphan", tip, effective_bits(core.difficulty), tip.timestamp + 1)
+    return mine_block(replace(block, prev_hash="f" * 64))
+
+
 class TestIntakeOrder:
-    """on_message decodes, drops a NEW_BLOCK it holds, then verifies."""
+    """A NEW_BLOCK's signature is its last check: the held check, the shape,
+    the parent lookup, the limited-link cut and the fork choice's checks
+    all run first. The signature is checked only before a block is adopted
+    or kept as "unchanged", or before an unlinked one sets off a sync.
+    Most tests send a forged envelope, so the count they expect shows that
+    the cheaper check ran, and decided, before the signature's."""
 
     @pytest.fixture
     def core(self, monkeypatch):
@@ -366,6 +409,15 @@ class TestIntakeOrder:
         monkeypatch.setattr(node_module, "verify_envelope", counting_verify)
         return core
 
+    def linked_conn(self, core):
+        """An established link, whose sent frames the test reads."""
+        conn = Capture()
+        tip = core.store.tip()
+        assert from_peer(core, conn, wire.HELLO, {"tip": [tip.index, tip.hash]}) == "handled"
+        self.verifies = 0
+        conn.sent.clear()
+        return conn
+
     @pytest.mark.parametrize("fields", [{}, {"hash": "not hex"}], ids=["valid", "malformed"])
     def test_signed_stale_block_costs_no_verify(self, core, fields):
         # at a held height, the stored hash or a malformed one is ignored
@@ -381,14 +433,33 @@ class TestIntakeOrder:
         assert core.dropped_envelopes == 0
 
     def test_forged_next_block_is_dropped(self, core):
+        # the block passes every check and is heavier: only the signature
+        # keeps it off the chain, away from peers and from the miner
         chain = core.store.get_all_blocks()
+        other = self.linked_conn(core)
+        core.submit_tx({"kind": "raw", "data": "pending"}, lambda _result: None)
+        [task] = core._queue
         tip = chain[-1]
         block = mine_block(create_new_block("peer", tip, effective_bits(core.difficulty),
                                             tip.timestamp + 1))
         raw = forged(wire.NEW_BLOCK, {"block": block_to_json(block)})
         assert core.on_message(Capture(), raw) == "dropped"
         assert self.verifies == 1
-        assert core.dropped_envelopes == 1
+        assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
+        assert core.store.get_all_blocks() == chain
+        assert other.sent == []  # no relay
+        assert not task.handle.finished  # mining goes on
+
+    def test_forged_rival_of_equal_work_is_dropped(self, core):
+        # a valid block that ties the tip would keep the chain "unchanged";
+        # its forged envelope is still checked and counted
+        chain = core.store.get_all_blocks()
+        parent, tip = chain[-2:]
+        rival = mine_block(create_new_block("rival", parent, tip.difficulty, tip.timestamp))
+        raw = forged(wire.NEW_BLOCK, {"block": block_to_json(rival)})
+        assert core.on_message(Capture(), raw) == "dropped"
+        assert self.verifies == 1
+        assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
         assert core.store.get_all_blocks() == chain
 
     STALE = block_to_json(genesis_block())
@@ -403,12 +474,62 @@ class TestIntakeOrder:
     }
 
     @pytest.mark.parametrize("block", HOSTILE_BLOCKS.values(), ids=HOSTILE_BLOCKS.keys())
-    def test_hostile_shapes_reach_the_signature_check(self, core, block):
+    def test_hostile_shape_is_counted_before_any_verify(self, core, block):
         chain = core.store.get_all_blocks()
-        assert core.on_message(Capture(), forged(wire.NEW_BLOCK, {"block": block})) == "dropped"
-        assert self.verifies == 1
-        assert core.dropped_envelopes == 1
+        assert core.on_message(Capture(), forged(wire.NEW_BLOCK, {"block": block})) == "ignored"
+        assert self.verifies == 0
+        assert core.rejects_by_reason == {"MalformedBlock": 1}
+        assert core.dropped_envelopes == 0
         assert core.store.get_all_blocks() == chain
+
+    def test_invalid_pow_is_counted_before_any_verify(self, core):
+        tip = core.store.tip()
+        bits = effective_bits(core.difficulty)
+        block = create_new_block("cheap", tip, bits, tip.timestamp + 1)
+        while meets_difficulty(block_hash(block), bits):
+            block = block.with_nonce(block.nonce + 1)
+        block = block.with_hash(block_hash(block))
+        raw = forged(wire.NEW_BLOCK, {"block": block_to_json(block)})
+        assert core.on_message(Capture(), raw) == "ignored"
+        assert self.verifies == 0
+        assert core.rejects_by_reason == {"InsufficientWork": 1}
+        assert core.dropped_envelopes == 0
+        assert core.store.tip() == tip
+
+    def test_unlinked_block_on_a_limited_link_is_counted_before_any_verify(self, core):
+        conn = self.linked_conn(core)
+        core._links[id(conn)].unserved = node_module.MAX_UNSERVED
+        raw = forged(wire.NEW_BLOCK, {"block": block_to_json(unlinked_block(core))})
+        assert core.on_message(conn, raw) == "ignored"
+        assert self.verifies == 0
+        assert core.rejects_by_reason == {"ParentNotServed": 1}
+        assert core.dropped_envelopes == 0
+        assert conn.sent == []
+
+    def test_forged_unlinked_block_sets_off_no_sync(self, core):
+        conn = self.linked_conn(core)
+        raw = forged(wire.NEW_BLOCK, {"block": block_to_json(unlinked_block(core))})
+        assert core.on_message(conn, raw) == "dropped"
+        assert self.verifies == 1
+        assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
+        assert conn.sent == []  # no GET_BLOCKS
+        assert core._links[id(conn)].wanted is None
+
+    def test_each_block_envelope_is_verified_once(self, core):
+        # on_message checks a NEW_BLOCK's signature itself; an envelope
+        # handed to on_envelope comes verified and is not checked again
+        conn = self.linked_conn(core)
+        block = unlinked_block(core)
+        assert from_peer(core, conn, wire.NEW_BLOCK,
+                         {"block": block_to_json(block)}) == "sync_triggered"
+        assert self.verifies == 1
+        tip = core.store.tip()
+        block = mine_block(create_new_block("peer", tip, effective_bits(core.difficulty),
+                                            tip.timestamp + 1))
+        env = sign_envelope(wire.NEW_BLOCK, 1, {"block": block_to_json(block)}, PEER)
+        assert core.on_envelope(conn, env) == "appended"
+        assert self.verifies == 1
+        assert core.store.tip() == block
 
 
 class TestSixStepOrder:
