@@ -14,7 +14,8 @@ A gossiped block pays for its Ed25519 signature check last: the held
 check, the block's shape, its parent lookup, the limited-link cut and the
 fork choice's checks all run first, and the signature is checked only
 before the block changes the chain, is kept as no heavier, or sets off a
-sync. Every other message is verified as it arrives.
+sync; an unlinked block that arrives while the link's sync is pending sets
+off none and is not checked. Every other message is verified as it arrives.
 """
 
 from __future__ import annotations
@@ -320,18 +321,18 @@ class NodeCore:
         if env is None or (env.kind != wire.NEW_BLOCK and not verify_envelope(env)):
             self.dropped_envelopes += 1
             return "dropped"
-        return self.on_envelope(conn, env, verified=env.kind != wire.NEW_BLOCK)
+        return self.on_envelope(conn, env)
 
-    def on_envelope(self, conn, env: MessageEnvelope, *, verified: bool = True) -> str:
-        """Act on an envelope. Only a NEW_BLOCK may come with `verified`
-        False; an envelope that comes verified is not checked again."""
+    def on_envelope(self, conn, env: MessageEnvelope) -> str:
+        """Act on an envelope whose signature is already checked, unless it
+        is a NEW_BLOCK: handle_new_block checks that one itself."""
         if env.sender == self.identity.node_id:
             return "self"  # our own broadcast reflected back
         kind = env.kind
         if kind == wire.HELLO:
             self._handle_hello(conn, env)
         elif kind == wire.NEW_BLOCK:
-            return self.handle_new_block(conn, env, verified=verified)
+            return self.handle_new_block(conn, env)
         elif kind == wire.GET_BLOCKS:
             self._serve_sync(conn, env)
         elif kind == wire.BLOCKS:
@@ -378,13 +379,14 @@ class NodeCore:
         raw = self._encode(wire.NEW_BLOCK, {"block": block_to_json(block)})
         return sum(self._send_raw(conn, raw) for conn in conns)
 
-    def handle_new_block(self, conn, env: MessageEnvelope, *, verified: bool = True) -> str:
+    def handle_new_block(self, conn, env: MessageEnvelope) -> str:
         """A gossiped block, cheapest check first: the held check, the shape,
         the parent lookup and, for a linked block, the fork choice's checks,
-        or, for an unlinked one, the limited-link cut. The signature of an
-        unverified envelope is checked only after all of them, before the
-        block is adopted or sets off a sync, so a block that fails a check
-        is counted under its reason even when its envelope is forged."""
+        or, for an unlinked one, the limited-link cut and the pending-sync
+        check. The envelope's signature is checked only after all of them,
+        before the block is adopted or sets off a sync, so a block that
+        fails a check is counted under its reason even when its envelope is
+        forged."""
         payload = env.payload if isinstance(env.payload, dict) else {}
         raw = payload.get("block")
         if isinstance(raw, dict) and self._is_held(raw.get("index"), raw.get("hash")):
@@ -394,9 +396,8 @@ class NodeCore:
         except MalformedBlockError:
             self._count_reject(VerifyReason.MALFORMED_BLOCK)
             return "ignored"
-        unverified = None if verified else env
         outcome = self.adopt_if_heavier(block.index - 1, [block], exclude_conn=conn,
-                                        unverified=unverified)
+                                        unverified=env)
         if outcome == "unlinked":
             # a gap, or the sender is on another fork: pull its chain, unless
             # its last MAX_UNSERVED syncs never reached the block behind them
@@ -404,7 +405,9 @@ class NodeCore:
             if link is not None and link.unserved >= MAX_UNSERVED:
                 self._count_reject(VerifyReason.PARENT_NOT_SERVED)
                 return "ignored"
-            if unverified is not None and not self._authentic(unverified):
+            if link is not None and self._sync_pending(link):
+                return "sync_triggered"  # the sync in flight may reach it
+            if not self._authentic(env):
                 return "dropped"
             if self.request_sync(conn) and link is not None:
                 link.wanted = block.hash
@@ -438,14 +441,18 @@ class NodeCore:
         """Send a locator of our chain; the peer answers with what follows it."""
         link = self._links.get(id(conn))
         if link is not None:
-            now = self.clock()
-            if link.sync_sent_ms is not None and now - link.sync_sent_ms < SYNC_RETRY_MS:
+            if self._sync_pending(link):
                 return False
-            link.sync_sent_ms = now
+            link.sync_sent_ms = self.clock()
         heights = locator_heights(self.store.get_block_count() - 1)
         hashes = self.store.get_hashes(heights)
         return self._send(conn, wire.GET_BLOCKS,
                           {"locator": [[height, hashes[height]] for height in heights]})
+
+    def _sync_pending(self, link: _Link) -> bool:
+        """Whether the link's last GET_BLOCKS is unanswered and not yet due a retry."""
+        return (link.sync_sent_ms is not None
+                and self.clock() - link.sync_sent_ms < SYNC_RETRY_MS)
 
     def _serve_sync(self, conn, env: MessageEnvelope) -> None:
         """Answer a locator with one page of the blocks after the fork point.

@@ -390,7 +390,9 @@ class TestIntakeOrder:
     """A NEW_BLOCK's signature is its last check: the held check, the shape,
     the parent lookup, the limited-link cut and the fork choice's checks
     all run first. The signature is checked only before a block is adopted
-    or kept as "unchanged", or before an unlinked one sets off a sync.
+    or kept as "unchanged", or before an unlinked one sets off a sync; while
+    the link's last sync is pending, an unlinked block sends nothing and is
+    not checked at all.
     Most tests send a forged envelope, so the count they expect shows that
     the cheaper check ran, and decided, before the signature's."""
 
@@ -515,9 +517,23 @@ class TestIntakeOrder:
         assert conn.sent == []  # no GET_BLOCKS
         assert core._links[id(conn)].wanted is None
 
+    def test_unlinked_block_during_a_pending_sync_costs_no_verify(self, core):
+        # the first unlinked block sets off a sync; until it is answered or
+        # due a retry, another one could send nothing, so it is not verified
+        conn = self.linked_conn(core)
+        block = unlinked_block(core)
+        assert from_peer(core, conn, wire.NEW_BLOCK,
+                         {"block": block_to_json(block)}) == "sync_triggered"
+        assert self.verifies == 1 and len(conn.sent) == 1
+        raw = forged(wire.NEW_BLOCK, {"block": block_to_json(block)})
+        assert core.on_message(conn, raw) == "sync_triggered"
+        assert self.verifies == 1 and len(conn.sent) == 1
+        assert core.dropped_envelopes == 0 and core.rejects_by_reason == {}
+        assert core._links[id(conn)].wanted == block.hash
+
     def test_each_block_envelope_is_verified_once(self, core):
-        # on_message checks a NEW_BLOCK's signature itself; an envelope
-        # handed to on_envelope comes verified and is not checked again
+        # a NEW_BLOCK's signature is checked once, by handle_new_block,
+        # whether it comes in through on_message or on_envelope
         conn = self.linked_conn(core)
         block = unlinked_block(core)
         assert from_peer(core, conn, wire.NEW_BLOCK,
@@ -528,7 +544,7 @@ class TestIntakeOrder:
                                             tip.timestamp + 1))
         env = sign_envelope(wire.NEW_BLOCK, 1, {"block": block_to_json(block)}, PEER)
         assert core.on_envelope(conn, env) == "appended"
-        assert self.verifies == 1
+        assert self.verifies == 2
         assert core.store.tip() == block
 
 
