@@ -10,6 +10,8 @@ import hashlib
 import re
 from dataclasses import dataclass, replace
 
+from powdb import wire
+
 # Field separator inside the hash preimage. Block data must never contain
 # this byte or the serialization would stop being injective.
 SEP = b"\x1f"
@@ -96,6 +98,8 @@ def validate_block_shape(block: Block) -> None:
         raise MalformedBlockError("data must be a string")
     if SEP_CHAR in block.data:
         raise MalformedBlockError("data must not contain the 0x1f separator byte")
+    if not wire.fits_block_frame(block.data):
+        raise MalformedBlockError("data too large for a one-block frame")
     if not is_hex_hash(block.prev_hash):
         raise MalformedBlockError(f"prev_hash must be 64 lowercase hex chars, got {block.prev_hash!r}")
     if not is_hex_hash(block.hash):

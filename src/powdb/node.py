@@ -90,10 +90,6 @@ MAX_LOCATOR = 128
 # What a block's JSON takes on the wire besides its data, rounded up; it
 # sizes a BLOCKS page against its byte budget.
 BLOCK_JSON_BYTES = 320
-# What a frame that carries one block (NEW_BLOCK, a one-block BLOCKS page, a
-# block query's RESPONSE) takes besides the block's escaped data: at most
-# 600 bytes with every field at its maximum, rounded up.
-BLOCK_ENVELOPE_BYTES = 1024
 # A configured peer whose link is closed is dialed again from the loop's
 # tick. After each failed dial the wait before the next one doubles, from
 # one tick (TICK_S) up to this many seconds; a dial that connects resets it.
@@ -144,7 +140,7 @@ class _Link:
     conn: object
     outbound: bool
     opened_ms: int
-    established: bool = False  # the peer's HELLO arrived
+    established: bool = False  # a first GET_BLOCKS or a BLOCKS reply arrived on it
     sync_sent_ms: int | None = None
     wanted: str | None = None  # hash of the gossiped block that set off the pending sync
     unserved: int = 0  # syncs in a row whose reply did not reach their `wanted`
@@ -160,15 +156,6 @@ def locator_heights(tip: int) -> list[int]:
         tip -= step
     heights.append(0)
     return heights
-
-
-def _parse_tip(payload) -> tuple[int, str] | None:
-    """The (height, hash) of a HELLO payload, or None if malformed."""
-    tip = payload.get("tip") if isinstance(payload, dict) and len(payload) == 1 else None
-    if not (isinstance(tip, list) and len(tip) == 2
-            and is_block_int(tip[0]) and is_hex_hash(tip[1])):
-        return None
-    return tip[0], tip[1]
 
 
 def _parse_locator(payload) -> list[tuple[int, str]] | None:
@@ -289,9 +276,9 @@ class NodeCore:
     # -- connection events ---------------------------------------------------
 
     def connect_peer(self, conn) -> None:
-        """An outbound connection we dialed: open the handshake."""
+        """An outbound connection we dialed: its first GET_BLOCKS opens the link."""
         self._links[id(conn)] = _Link(conn, outbound=True, opened_ms=self.clock())
-        self._send_hello(conn)
+        self.request_sync(conn)
 
     def on_inbound_connection(self, conn) -> None:
         self._links[id(conn)] = _Link(conn, outbound=False, opened_ms=self.clock())
@@ -300,7 +287,7 @@ class NodeCore:
         self._forget(conn)
 
     def check_timeouts(self) -> None:
-        """Close outbound handshakes that never produced a HELLO."""
+        """Close outbound links whose link-open GET_BLOCKS got no BLOCKS reply."""
         now = self.clock()
         for link in list(self._links.values()):
             if (link.outbound and not link.established
@@ -329,9 +316,7 @@ class NodeCore:
         if env.sender == self.identity.node_id:
             return "self"  # our own broadcast reflected back
         kind = env.kind
-        if kind == wire.HELLO:
-            self._handle_hello(conn, env)
-        elif kind == wire.NEW_BLOCK:
+        if kind == wire.NEW_BLOCK:
             return self.handle_new_block(conn, env)
         elif kind == wire.GET_BLOCKS:
             self._serve_sync(conn, env)
@@ -343,28 +328,6 @@ class NodeCore:
             self._handle_query(conn, env)
         # RESPONSE needs no action on a server
         return "handled"
-
-    # -- handshake -----------------------------------------------------------
-
-    def _send_hello(self, conn) -> None:
-        count, tip_hash = self.store.chain_info()
-        self._send(conn, wire.HELLO, {"tip": [count - 1, tip_hash]})
-
-    def _handle_hello(self, conn, env: MessageEnvelope) -> None:
-        tip = _parse_tip(env.payload)
-        if tip is None:
-            self._drop_conn(conn)
-            return
-        link = self._links.setdefault(id(conn), _Link(conn, outbound=False,
-                                                      opened_ms=self.clock()))
-        if not link.outbound and not link.established:
-            self._send_hello(conn)  # the dialer sent its HELLO when the link opened
-        link.established = True
-        # pull the peer's chain when we lack its tip; when we hold it, the
-        # peer is the one behind, and our HELLO sets off its pull
-        height, tip_hash = tip
-        if self.store.get_hashes([height]).get(height) != tip_hash:
-            self.request_sync(conn)
 
     # -- gossip ----------------------------------------------------------------
 
@@ -398,10 +361,10 @@ class NodeCore:
             return "ignored"
         outcome = self.adopt_if_heavier(block.index - 1, [block], exclude_conn=conn,
                                         unverified=env)
+        link = self._links.get(id(conn))
         if outcome == "unlinked":
             # a gap, or the sender is on another fork: pull its chain, unless
             # its last MAX_UNSERVED syncs never reached the block behind them
-            link = self._links.get(id(conn))
             if link is not None and link.unserved >= MAX_UNSERVED:
                 self._count_reject(VerifyReason.PARENT_NOT_SERVED)
                 return "ignored"
@@ -412,16 +375,21 @@ class NodeCore:
             if self.request_sync(conn) and link is not None:
                 link.wanted = block.hash
             return "sync_triggered"
-        if outcome == "dropped":
-            return outcome
-        return "appended" if outcome == "adopted" else "ignored"
+        if outcome == "adopted":
+            if link is not None:
+                link.unserved = 0  # the link serves linked blocks again
+            return "appended"
+        return outcome if outcome == "dropped" else "ignored"
 
     def _is_held(self, index, hash_hex) -> bool:
-        """Whether a block, read unverified, cannot change the chain: the store
-        holds a block at its index, and its hash is that block's or malformed.
-        Any other block at a held height may start a heavier fork."""
+        """Whether a block, read unverified, cannot change the chain: it is at
+        index 0, where every chain holds genesis, or the store holds a block at
+        its index and its hash is that block's or malformed. Any other block at
+        a held height may start a heavier fork."""
         if not is_block_int(index):
             return False
+        if index == 0:
+            return True
         stored = self.store.get_hashes([index]).get(index)
         return stored is not None and (stored == hash_hex or not is_hex_hash(hash_hex))
 
@@ -438,7 +406,7 @@ class NodeCore:
     # -- sync --------------------------------------------------------------------
 
     def request_sync(self, conn) -> bool:
-        """Send a locator of our chain; the peer answers with what follows it."""
+        """Send a locator of our chain, tip first; the peer answers with what follows it."""
         link = self._links.get(id(conn))
         if link is not None:
             if self._sync_pending(link):
@@ -462,8 +430,15 @@ class NodeCore:
         holds at least one block and, past the first, stays within an
         eighth of the frame cap: JSON escaping can make a data character
         take 6 bytes, so even then the page fits in one frame.
+        A link's first request opens it: an empty or malformed locator drops
+        the link, and we pull back when we lack its first entry, the peer's tip.
         """
+        link = self._links.get(id(conn))
+        opening = link is not None and not link.established
         locator = _parse_locator(env.payload)
+        if opening and not locator:
+            self._drop_conn(conn)
+            return
         if locator is None:
             return  # no reply: a request costs at most MAX_LOCATOR lookups
         ours = self.store.get_hashes([height for height, _ in locator])
@@ -480,11 +455,17 @@ class NodeCore:
             page.append(block_to_json(block))
         self._send(conn, wire.BLOCKS,
                    {"after": after, "blocks": page, "more": len(page) < len(rows)})
+        if opening:
+            link.established = True
+            height, tip_hash = locator[0]
+            if ours.get(height) != tip_hash:
+                self.request_sync(conn)
 
     def _handle_sync_response(self, conn, env: MessageEnvelope) -> str:
         link = self._links.get(id(conn))
         if link is not None:
             link.sync_sent_ms = None
+            link.established = True  # the reply to a dialer's link-open request
         payload = env.payload if isinstance(env.payload, dict) else {}
         after, raw_blocks, more = payload.get("after"), payload.get("blocks"), payload.get("more")
         blocks, outcome = [], "ignored"
@@ -556,7 +537,7 @@ class NodeCore:
             data = validate_tx_payload(tx, self._known_contract)
             # a block carries its data JSON-escaped once more; past this size
             # its NEW_BLOCK or BLOCKS frame would exceed the cap and never leave
-            if len(canonical_json(data)) > wire.MAX_FRAME_BYTES - BLOCK_ENVELOPE_BYTES:
+            if not wire.fits_block_frame(data):
                 raise TxRejected("transaction too large for a block frame")
         except TxRejected as exc:
             reply({"ok": False, "what": "tx", "error": str(exc)})

@@ -304,8 +304,8 @@ class _Harness:
                 t += config.write_interval_ms
 
     def _connect(self) -> None:
-        """Dial every pair of nodes without an open link; each new link runs
-        HELLO, which pulls the chain of a peer whose tip the node lacks."""
+        """Dial every pair of nodes without an open link; each new link opens
+        with a sync request both ways, unless an end already holds the other's tip."""
         n = self.config.node_count
         for i in range(n):
             for j in range(i + 1, n):

@@ -22,7 +22,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 SEP = b"\x1f"
 
 # Envelope kinds; the kind fixes the payload schema.
-HELLO = "HELLO"
 NEW_BLOCK = "NEW_BLOCK"
 GET_BLOCKS = "GET_BLOCKS"
 BLOCKS = "BLOCKS"
@@ -30,9 +29,13 @@ TX = "TX"
 QUERY = "QUERY"
 RESPONSE = "RESPONSE"
 
-KINDS = frozenset({HELLO, NEW_BLOCK, GET_BLOCKS, BLOCKS, TX, QUERY, RESPONSE})
+KINDS = frozenset({NEW_BLOCK, GET_BLOCKS, BLOCKS, TX, QUERY, RESPONSE})
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+# What a frame that carries one block (NEW_BLOCK, a one-block BLOCKS page, a
+# block query's RESPONSE) takes besides the block's escaped data: at most
+# 600 bytes with every field at its maximum, rounded up.
+BLOCK_ENVELOPE_BYTES = 1024
 
 _LEN = struct.Struct(">I")
 
@@ -100,6 +103,15 @@ def canonical_json(value) -> bytes:
         _check_canonical(value)
     return json.dumps(value, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=False).encode("utf-8")
+
+
+def fits_block_frame(data: str) -> bool:
+    """Whether a block carrying `data` fits one frame, also as a one-block
+    BLOCKS page: its data, JSON-escaped, takes at most MAX_FRAME_BYTES -
+    BLOCK_ENVELOPE_BYTES. A character escapes to at most 6 bytes, so data
+    shorter than a sixth of that is never encoded here."""
+    limit = MAX_FRAME_BYTES - BLOCK_ENVELOPE_BYTES
+    return 6 * len(data) + 2 <= limit or len(canonical_json(data)) <= limit
 
 
 class NodeIdentity:

@@ -13,6 +13,7 @@ from collections import Counter
 
 import pytest
 
+from powdb import consensus
 from powdb import node as node_module
 from powdb import wire
 from powdb.chain import Block, block_to_json, genesis_block
@@ -49,11 +50,11 @@ class TestHandshake:
         assert a.connected() == [conn]
         assert b.connected() == [conn.peer]
 
-    def test_bad_signature_hello_adds_no_record(self, cluster_factory):
+    def test_bad_signature_request_adds_no_record(self, cluster_factory):
         cluster = cluster_factory(2)
         target = cluster.nodes[0]
         rogue = NodeIdentity.from_seed(b"\x55" * 32)
-        env = sign_envelope(wire.HELLO, 1, {}, rogue)
+        env = sign_envelope(wire.GET_BLOCKS, 1, {"locator": [[0, genesis_block().hash]]}, rogue)
         tampered = MessageEnvelope(env.sender, env.kind, env.timestamp, {"forged": 1},
                                    env.signature)
 
@@ -78,7 +79,7 @@ class TestHandshake:
             closed = False
 
             def send_message(self, _raw):
-                pass  # swallow everything: the HELLO never arrives anywhere
+                pass  # swallow everything: the request never arrives anywhere
 
             def close(self):
                 self.closed = True
@@ -109,11 +110,12 @@ class TestLinkTeardown:
         def close(self):
             self.closed = True
 
-    # a tip the node does not hold, so the HELLO starts a sync
-    AHEAD = {"tip": [5, "ab" * 32]}
+    # a locator whose tip the node does not hold, so the request opening
+    # the link makes the node pull back
+    AHEAD = {"locator": [[5, "ab" * 32], [0, genesis_block().hash]]}
 
-    def hello(self, payload):
-        return sign_envelope(wire.HELLO, 1, payload, self.PEER)
+    def request(self, payload):
+        return sign_envelope(wire.GET_BLOCKS, 1, payload, self.PEER)
 
     def on_disconnect(self, cluster, node, conn):
         node.on_disconnect(conn)
@@ -122,50 +124,50 @@ class TestLinkTeardown:
         conn.broken = True
         # the node answers with BLOCKS, and that send fails
         locator = {"locator": [[0, genesis_block().hash]]}
-        node.on_envelope(conn, sign_envelope(wire.GET_BLOCKS, 1, locator, self.PEER))
+        node.on_envelope(conn, self.request(locator))
 
-    def bad_hello(self, cluster, node, conn):
-        node.on_envelope(conn, self.hello({"node_id": self.PEER.node_id}))
+    def bad_locator(self, cluster, node, conn):
+        node.on_envelope(conn, self.request({"locator": []}))
 
     def handshake_timeout(self, cluster, node, conn):
         cluster.queue.now += node_module.HANDSHAKE_TIMEOUT_MS + 1
         node.check_timeouts()
 
-    @pytest.mark.parametrize("teardown", ["on_disconnect", "send_failure", "bad_hello",
+    @pytest.mark.parametrize("teardown", ["on_disconnect", "send_failure", "bad_locator",
                                           "handshake_timeout"])
     def test_no_link_state_survives(self, cluster_factory, teardown):
         cluster = cluster_factory(1)
         node = cluster.nodes[0]
         conn = self.Link()
-        node.connect_peer(conn)
-        if teardown == "handshake_timeout":
-            node.request_sync(conn)  # a sync timer, but no HELLO ever comes back
+        if teardown in ("bad_locator", "handshake_timeout"):
+            node.connect_peer(conn)  # a sync timer, and no BLOCKS reply yet
         else:
-            node.on_envelope(conn, self.hello(self.AHEAD))
+            node.on_inbound_connection(conn)
+            node.on_envelope(conn, self.request(self.AHEAD))
             assert node.connected() == [conn]
         assert node._links[id(conn)].sync_sent_ms is not None
 
         getattr(self, teardown)(cluster, node, conn)
         assert id(conn) not in node._links
         assert node.connected() == []
-        if teardown in ("bad_hello", "handshake_timeout"):
+        if teardown in ("bad_locator", "handshake_timeout"):
             assert conn.closed
 
-    BAD_TIPS = {
-        "tip-missing": {},
-        "extra-key": {**AHEAD, "node_id": PEER.node_id},
-        "height-bool": {"tip": [True, "ab" * 32]},
-        "hash-not-hex": {"tip": [5, "xy" * 32]},
-        "tip-too-short": {"tip": [5]},
-        "tip-too-long": {"tip": [5, "ab" * 32, 0]},
+    BAD_LOCATORS = {
+        "empty": {"locator": []},
+        "not-a-list": {"locator": "ab" * 32},
+        "bad-entry": {"locator": [[5]]},
+        "height-bool": {"locator": [[True, "ab" * 32]]},
+        "hash-not-a-string": {"locator": [[5, 5]]},
+        "too-long": {"locator": [[h, "ab" * 32] for h in range(node_module.MAX_LOCATOR + 1)]},
     }
 
-    @pytest.mark.parametrize("payload", BAD_TIPS.values(), ids=BAD_TIPS.keys())
-    def test_hello_without_a_well_formed_tip_drops_the_link(self, cluster_factory, payload):
+    @pytest.mark.parametrize("payload", BAD_LOCATORS.values(), ids=BAD_LOCATORS.keys())
+    def test_malformed_first_locator_drops_the_link(self, cluster_factory, payload):
         node = cluster_factory(1).nodes[0]
         conn = self.Link()
         node.on_inbound_connection(conn)
-        node.on_envelope(conn, self.hello(payload))
+        node.on_envelope(conn, self.request(payload))
         assert id(conn) not in node._links
         assert conn.closed
 
@@ -300,7 +302,7 @@ class TestTxSizeLimit:
                                                                   monkeypatch):
         monkeypatch.setattr(wire, "MAX_FRAME_BYTES", self.CAP)
         largest = max(n for n in range(self.CAP // 2)  # a quote takes 2+ bytes
-                      if self.block_data_bytes(n) <= self.CAP - node_module.BLOCK_ENVELOPE_BYTES)
+                      if self.block_data_bytes(n) <= self.CAP - wire.BLOCK_ENVELOPE_BYTES)
         cluster = cluster_factory(3)
         a, b, c = cluster.nodes
         cluster.connect(0, 1)
@@ -317,6 +319,66 @@ class TestTxSizeLimit:
         cluster.pump()
         assert c.store.get_all_blocks() == a.store.get_all_blocks()
         assert a.store.get_block_count() == 5
+
+
+class TestBlockSizeRule:
+    """A block whose data, JSON-escaped, takes more than MAX_FRAME_BYTES -
+    BLOCK_ENVELOPE_BYTES is malformed, so every valid block fits one frame
+    as NEW_BLOCK and as a one-block BLOCKS page."""
+
+    CAP = 8192
+    BOUND = CAP - wire.BLOCK_ENVELOPE_BYTES
+
+    @pytest.fixture(autouse=True)
+    def counters(self, monkeypatch):
+        """The cap patched; Ed25519 and block verifies counted."""
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", self.CAP)
+        self.calls = Counter()
+
+        def counting(name, real):
+            def wrapper(*args):
+                self.calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(node_module, "verify_envelope",
+                            counting("signature", node_module.verify_envelope))
+        monkeypatch.setattr(consensus, "verify_block",
+                            counting("block", consensus.verify_block))
+
+    def block(self, core, escaped_bytes):
+        """The next block on `core`'s tip, whose escaped data takes `escaped_bytes`."""
+        quotes, plain = divmod(escaped_bytes - 2, 2)  # a quote escapes to 2 bytes
+        data = '"' * quotes + "x" * plain
+        assert len(wire.canonical_json(data)) == escaped_bytes
+        tip = core.store.tip()
+        return mine_block(create_new_block(data, tip, effective_bits(core.difficulty),
+                                           tip.timestamp + 1))
+
+    @pytest.mark.parametrize("kind", [wire.NEW_BLOCK, wire.BLOCKS])
+    def test_block_one_byte_over_the_bound_is_malformed(self, cluster_factory, kind):
+        a, b = cluster_factory(2).nodes
+        big = block_to_json(self.block(b, self.BOUND + 1))
+        payload = ({"block": big} if kind == wire.NEW_BLOCK
+                   else {"after": 0, "blocks": [big], "more": False})
+        raw = sign_envelope(kind, 1, payload, a.identity).encode()
+        assert len(raw) < self.CAP  # the frame itself is allowed
+        assert b.on_message(object(), raw) == "ignored"
+        assert b.rejects_by_reason == {"MalformedBlock": 1}
+        assert b.store.get_block_count() == 1
+        # a sync reply's signature is checked as it arrives, a gossiped
+        # block's only after its block passes; no block is verified
+        assert self.calls == (Counter(signature=1) if kind == wire.BLOCKS else Counter())
+
+    def test_block_at_the_bound_reaches_a_node_that_missed_it_by_sync(self, cluster_factory):
+        cluster = cluster_factory(2)
+        a, b = cluster.nodes
+        largest = self.block(a, self.BOUND)
+        assert a.adopt_if_heavier(0, [largest]) == "adopted"  # no link: b misses its gossip
+        cluster.connect(1, 0)  # b's link-open request gets a one-block page
+        cluster.pump()
+        assert b.store.get_all_blocks() == [genesis_block(), largest]
+        assert a.rejects_by_reason == b.rejects_by_reason == {}
 
 
 class TestHandleNewBlock:
@@ -428,29 +490,41 @@ class TestForkChoiceOnGossip:
 
 
 class TestLinkOpenSync:
-    """HELLO carries the sender's tip; only the end that lacks it syncs."""
+    """A link opens with the dialer's GET_BLOCKS, whose locator starts at the
+    dialer's tip; the listener pulls back only when it lacks that tip."""
 
     @pytest.fixture(autouse=True)
-    def requests(self, monkeypatch):
-        """The GET_BLOCKS each node sends, counted by its address."""
-        self.sent = Counter()
+    def sent(self, monkeypatch):
+        """Every envelope sent, as (kind, sender address, receiver address)."""
+        self.sent = []
         real_deliver = MemNetwork.deliver
 
-        def counting_deliver(net, src, dst, message):
-            if wire.decode_envelope(message).kind == wire.GET_BLOCKS:
-                self.sent[src.local_addr] += 1
+        def recording_deliver(net, src, dst, message):
+            self.sent.append((wire.decode_envelope(message).kind, src.local_addr,
+                              dst.local_addr))
             real_deliver(net, src, dst, message)
 
-        monkeypatch.setattr(MemNetwork, "deliver", counting_deliver)
+        monkeypatch.setattr(MemNetwork, "deliver", recording_deliver)
 
-    def test_mesh_of_fresh_nodes_sends_no_sync(self, cluster_factory):
+    def requests(self):
+        """The GET_BLOCKS each node sent, counted by its address."""
+        return Counter(src for kind, src, _dst in self.sent if kind == wire.GET_BLOCKS)
+
+    def test_mesh_of_fresh_nodes_sends_one_request_per_link(self, cluster_factory):
         cluster = cluster_factory(10)
-        for i in range(10):
-            for j in range(i + 1, 10):
-                cluster.connect(i, j)
+        links = [(i, j) for i in range(10) for j in range(i + 1, 10)]
+        for i, j in links:
+            cluster.connect(i, j)
         cluster.pump()
         assert all(len(core.connected()) == 9 for core in cluster.nodes)
-        assert self.sent == Counter()
+        expected = ([(wire.GET_BLOCKS, f"mem:{i}", f"mem:{j}") for i, j in links]
+                    + [(wire.BLOCKS, f"mem:{j}", f"mem:{i}") for i, j in links])
+        assert sorted(self.sent) == sorted(expected)
+        # nothing else goes out until a block is mined
+        self.sent.clear()
+        cluster.submit(0, {"kind": "raw", "data": "first"})
+        cluster.pump()
+        assert {kind for kind, _src, _dst in self.sent} == {wire.NEW_BLOCK}
 
     @pytest.mark.parametrize("dialer", ["behind", "ahead"])
     def test_only_the_node_behind_syncs(self, cluster_factory, dialer):
@@ -460,11 +534,27 @@ class TestLinkOpenSync:
         assert ahead.adopt_if_heavier(0, chain[1:]) == "adopted"
         if dialer == "behind":
             cluster.connect(1, 0)
+            expected = Counter({"mem:1": 1})
         else:
             cluster.connect(0, 1)
+            # the dialer's request opens the link; the node behind pulls back
+            expected = Counter({"mem:0": 1, "mem:1": 1})
         cluster.pump()
         assert behind.store.get_all_blocks() == chain
-        assert self.sent == Counter({"mem:1": 1})
+        assert self.requests() == expected
+
+    def test_dialer_behind_holds_the_tip_after_one_round_trip(self, cluster_factory):
+        cluster = cluster_factory(2)
+        ahead, behind = cluster.nodes
+        chain = extend([genesis_block()], ["a0", "a1", "a2"], cluster.params.min_difficulty)
+        assert ahead.adopt_if_heavier(0, chain[1:]) == "adopted"
+        adopted_at = []
+        behind.on_chain_change = lambda _node, _blocks, _depth: adopted_at.append(
+            cluster.queue.now)
+        cluster.connect(1, 0)
+        cluster.pump()
+        assert behind.store.chain_info()[1] == chain[-1].hash
+        assert adopted_at == [2 * cluster.net.latency_ms]
 
 
 def orphan(core, n):
@@ -553,6 +643,19 @@ class TestUnservedParents:
             self.gossip(orphan(b, 10 + n))
         assert len(self.requests) == 2 * self.LIMIT  # each one sets off a sync
         assert b.rejects_by_reason == {"ParentNotServed": 2 * self.LIMIT - 1}
+
+    def test_adopted_gossip_resets_the_count(self):
+        b, link = self.b, self.link
+        for n in range(self.LIMIT):
+            self.gossip(orphan(b, n))
+        assert link.unserved == self.LIMIT
+        # a block that links to b's tip joins the chain: the link serves again
+        linked = extend(b.store.get_all_blocks(), ["linked"], effective_bits(b.difficulty))[-1]
+        self.gossip(linked)
+        assert b.store.tip() == linked
+        assert link.unserved == 0
+        self.gossip(orphan(b, self.LIMIT))
+        assert len(self.requests) == self.LIMIT + 1  # the next orphan sets off a sync
 
     def test_new_link_starts_with_no_unserved_syncs(self):
         # the count belongs to one connection: when the link is cut and

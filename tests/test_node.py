@@ -13,6 +13,7 @@ from powdb import transport as transport_module
 from powdb import wire
 from powdb._minepure import search_nonce
 from powdb.chain import (
+    Block,
     ChainParams,
     block_hash,
     block_to_json,
@@ -414,8 +415,11 @@ class TestIntakeOrder:
     def linked_conn(self, core):
         """An established link, whose sent frames the test reads."""
         conn = Capture()
+        core.on_inbound_connection(conn)
         tip = core.store.tip()
-        assert from_peer(core, conn, wire.HELLO, {"tip": [tip.index, tip.hash]}) == "handled"
+        locator = {"locator": [[tip.index, tip.hash]]}
+        assert from_peer(core, conn, wire.GET_BLOCKS, locator) == "handled"
+        assert core.connected() == [conn]
         self.verifies = 0
         conn.sent.clear()
         return conn
@@ -497,6 +501,20 @@ class TestIntakeOrder:
         assert core.rejects_by_reason == {"InsufficientWork": 1}
         assert core.dropped_envelopes == 0
         assert core.store.tip() == tip
+
+    def test_new_block_at_index_0_reads_no_chain(self, core, monkeypatch):
+        # every chain holds genesis: a rival at index 0 is held whatever its
+        # hash, so it costs neither a read of the chain nor a verify
+        rival = mine_block(Block(index=0, timestamp=1, data="rival", hash="", difficulty=4,
+                                 nonce=0, prev_hash=genesis_block().hash))
+        reads = []
+        real_get_blocks = core.store.get_blocks
+        monkeypatch.setattr(core.store, "get_blocks",
+                            lambda *args: reads.append(args) or real_get_blocks(*args))
+        raw = forged(wire.NEW_BLOCK, {"block": block_to_json(rival)})
+        assert core.on_message(Capture(), raw) == "ignored"
+        assert reads == [] and self.verifies == 0
+        assert core.rejects_by_reason == {} and core.dropped_envelopes == 0
 
     def test_unlinked_block_on_a_limited_link_is_counted_before_any_verify(self, core):
         conn = self.linked_conn(core)
@@ -981,7 +999,7 @@ class TestOversizedFrame:
 
         conn = CappedConn()
         core.on_inbound_connection(conn)
-        from_peer(core, conn, wire.HELLO, {"tip": [0, genesis_block().hash]})
+        from_peer(core, conn, wire.GET_BLOCKS, {"locator": [[0, genesis_block().hash]]})
         assert core._send(conn, "QUERY", {}) is False
         result = submit_and_run(core, queue, {"kind": "raw", "data": "big"})
         assert result["ok"] is True
@@ -1299,8 +1317,9 @@ class TestTcpRuntime:
     def test_dropped_link_leaves_the_selector_before_its_fd_is_reused(self, runtime):
         for _ in range(10):
             with self.client(runtime) as sock:
-                # a HELLO whose payload is not {} drops the link
-                sock.sendall(wire.frame(sign_envelope(wire.HELLO, 1, {"x": 1}, PEER).encode()))
+                # a first GET_BLOCKS without a locator drops the link
+                sock.sendall(wire.frame(
+                    sign_envelope(wire.GET_BLOCKS, 1, {"x": 1}, PEER).encode()))
                 assert sock.recv(1) == b""
             assert self.stats(runtime)["ok"] is True
 

@@ -353,28 +353,41 @@ class TestScenarios:
         assert report["consistency"]["final_sample_c"] == 1.0
 
     def test_adversarial_sync_traffic_stays_small(self, monkeypatch):
-        # a sync round costs the suffix after the fork point, not the whole
-        # chain; links open while every node holds only genesis, so no
-        # HELLO syncs, and a bad_prev_hash peer sets off MAX_UNSERVED
-        # rounds per link and then none
-        sync_bytes, requests = Counter(), 0
+        # a link opens with one GET_BLOCKS and its BLOCKS reply; links open
+        # while every node holds only genesis, so none pulls back. Past
+        # that, a sync round costs the suffix after the fork point, not the
+        # whole chain, and a bad_prev_hash peer sets off MAX_UNSERVED rounds
+        # per link and then none
+        link_open, sync_bytes, requests = Counter(), Counter(), 0
+        link_open_bytes, opened = 0, set()
         real_deliver = MemNetwork.deliver
 
         def counting_deliver(net, src, dst, message):
-            nonlocal requests
+            nonlocal requests, link_open_bytes
             kind = wire.decode_envelope(message).kind
             if kind in (wire.GET_BLOCKS, wire.BLOCKS):
-                sync_bytes[kind] += len(message)
-                requests += kind == wire.GET_BLOCKS
+                # the first of each kind on a link: the dialer's request and its reply
+                first = (kind, frozenset({id(src), id(dst)}))
+                if first not in opened:
+                    opened.add(first)
+                    link_open[kind] += 1
+                    link_open_bytes += len(message)
+                else:
+                    sync_bytes[kind] += len(message)
+                    requests += kind == wire.GET_BLOCKS
             real_deliver(net, src, dst, message)
 
         monkeypatch.setattr(MemNetwork, "deliver", counting_deliver)
         config = ScenarioConfig.from_json(
             json.loads((SCENARIOS / "adversarial.json").read_text()))
         report = run_scenario(config)
+        n = config.node_count
+        links = n * (n - 1) // 2
+        assert link_open == Counter({wire.GET_BLOCKS: links, wire.BLOCKS: links})
+        # no more than the two HELLOs per link the handshake took before
+        assert link_open_bytes <= 30_465
         assert sync_bytes[wire.GET_BLOCKS] > 0 and sync_bytes[wire.BLOCKS] > 0
         assert sum(sync_bytes.values()) < 20_000
-        n = config.node_count
         unserving = list(report["malicious_behavior_by_node"].values()).count("bad_prev_hash")
         assert unserving >= 1
         assert requests <= node_module.MAX_UNSERVED * (n - 1) * unserving

@@ -310,7 +310,7 @@ class TestSigning:
         assert NodeIdentity.load_or_create(path).node_id == created.node_id
 
     def test_private_key_never_in_envelope(self):
-        env = sign_envelope("HELLO", 1, {"listen_addr": "a:1", "node_id": self.identity.node_id},
+        env = sign_envelope("GET_BLOCKS", 1, {"locator": [], "node_id": self.identity.node_id},
                             self.identity)
         blob = env.encode().decode("utf-8")
         assert bytes(range(32)).hex() not in blob
