@@ -98,6 +98,10 @@ def validate_block_shape(block: Block) -> None:
         raise MalformedBlockError("data must be a string")
     if SEP_CHAR in block.data:
         raise MalformedBlockError("data must not contain the 0x1f separator byte")
+    try:
+        block.data.encode("utf-8")  # a lone surrogate, which JSON can carry, does not
+    except UnicodeEncodeError:
+        raise MalformedBlockError("data must be Unicode text that encodes as UTF-8") from None
     if not wire.fits_block_frame(block.data):
         raise MalformedBlockError("data too large for a one-block frame")
     if not is_hex_hash(block.prev_hash):
@@ -155,13 +159,10 @@ def meets_difficulty(hash_hex: str, difficulty_bits: int) -> bool:
 
 
 def digest_meets_difficulty(digest: bytes, difficulty_bits: int) -> bool:
-    """Same predicate over a raw 32-byte digest (used by the nonce search)."""
-    if difficulty_bits == 0:
-        return True
-    full, rem = divmod(difficulty_bits, 8)
-    if any(digest[i] for i in range(full)):
-        return False
-    return rem == 0 or (digest[full] >> (8 - rem)) == 0
+    """Same predicate over a raw 32-byte digest (used by the nonce search),
+    for `difficulty_bits` in [0, 32]: the first 32 bits, shifted past the
+    ones that may be set, leave zero."""
+    return int.from_bytes(digest[:4], "big") >> (32 - difficulty_bits) == 0
 
 
 def genesis_block() -> Block:

@@ -10,18 +10,25 @@ Every block joins the chain through `NodeCore.adopt_if_heavier`, whether
 gossiped, synced or mined here, and the store is the only record of the
 chain: its blocks, and the difficulty after each of them.
 
-A gossiped block pays for its Ed25519 signature check last: the held
-check, the block's shape, its parent lookup, the limited-link cut and the
-fork choice's checks all run first, and the signature is checked only
-before the block changes the chain, is kept as no heavier, or sets off a
-sync; an unlinked block that arrives while the link's sync is pending sets
-off none and is not checked. Every other message is verified as it arrives.
+A link between nodes is authenticated once: its first GET_BLOCKS and the
+BLOCKS reply are Ed25519-signed and carry ephemeral key shares, and every
+later frame on it carries a rising counter and an HMAC tag under the
+direction's link key (see wire). A client's link never runs the handshake,
+so its requests and replies stay signed, and it carries no blocks.
+
+A gossiped block pays for its tag check last: the held check, the block's
+shape, its parent lookup, the limited-link cut and the fork choice's checks
+all run first, and the tag is checked only before the block changes the
+chain, is kept as no heavier, or sets off a sync; an unlinked block that
+arrives while the link's sync is pending sets off none and is not checked.
+Every other message is checked as it arrives.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import threading
 import time
 from collections import deque
@@ -65,11 +72,14 @@ from powdb.net import RecentSet
 from powdb.store import BlockStore, NotFoundError
 from powdb.transport import TICK_S, TcpTransport
 from powdb.wire import (
+    KeyShare,
+    LinkKey,
     MessageEnvelope,
     NodeIdentity,
     canonical_json,
     decode_envelope,
     sign_envelope,
+    tagged_frames,
     verify_envelope,
 )
 
@@ -140,10 +150,18 @@ class _Link:
     conn: object
     outbound: bool
     opened_ms: int
-    established: bool = False  # a first GET_BLOCKS or a BLOCKS reply arrived on it
+    share: KeyShare | None = None  # a dialer's key share, until the reply keys the link
+    keys: tuple[LinkKey, LinkKey] | None = None  # (send, receive) once the handshake is done
+    sent: int = 0  # the counter of the last frame tagged for this link
+    received: int = 0  # the counter of the last frame on it whose tag checked
     sync_sent_ms: int | None = None
     wanted: str | None = None  # hash of the gossiped block that set off the pending sync
     unserved: int = 0  # syncs in a row whose reply did not reach their `wanted`
+
+    @property
+    def established(self) -> bool:
+        """The handshake is done: the link carries blocks."""
+        return self.keys is not None
 
 
 def locator_heights(tip: int) -> list[int]:
@@ -170,6 +188,23 @@ def _parse_locator(payload) -> list[tuple[int, str]] | None:
             return None
         entries.append((entry[0], entry[1]))
     return entries
+
+
+def _rises(link: _Link, env: MessageEnvelope) -> bool:
+    """Whether a keyed link's envelope carries a counter past the last one
+    whose tag checked: a replayed or reflected frame does not."""
+    return type(env.counter) is int and env.counter > link.received
+
+
+def _unkeyed_may_carry(link: _Link | None, env: MessageEnvelope) -> bool:
+    """Whether a link the handshake has not keyed may carry `env`: no
+    NEW_BLOCK, and a sync message only at link open, the dialer's GET_BLOCKS
+    on an inbound link or the BLOCKS reply on an outbound one."""
+    if env.kind == wire.GET_BLOCKS:
+        return link is not None and not link.outbound
+    if env.kind == wire.BLOCKS:
+        return link is not None and link.outbound
+    return env.kind != wire.NEW_BLOCK
 
 
 def parse_tx_data(data: str) -> dict | None:
@@ -232,9 +267,10 @@ class NodeCore:
     """All node behavior behind transport-, clock- and miner-abstractions."""
 
     def __init__(self, identity: NodeIdentity, store: BlockStore, params: ChainParams,
-                 clock, miner, *, mine_enabled: bool = True):
+                 clock, miner, *, mine_enabled: bool = True, random_bytes=os.urandom):
         params.validate()
         self.identity = identity
+        self.random_bytes = random_bytes  # fn(n) -> n bytes, for ephemeral link keys
         self.store = store
         self.params = params
         self.clock = clock
@@ -277,7 +313,8 @@ class NodeCore:
 
     def connect_peer(self, conn) -> None:
         """An outbound connection we dialed: its first GET_BLOCKS opens the link."""
-        self._links[id(conn)] = _Link(conn, outbound=True, opened_ms=self.clock())
+        self._links[id(conn)] = _Link(conn, outbound=True, opened_ms=self.clock(),
+                                      share=KeyShare(self.random_bytes))
         self.request_sync(conn)
 
     def on_inbound_connection(self, conn) -> None:
@@ -301,20 +338,29 @@ class NodeCore:
     # -- message intake ------------------------------------------------------
 
     def on_message(self, conn, raw: bytes) -> str:
-        """Single entry point for wire input. A NEW_BLOCK goes on unverified,
-        for handle_new_block to check its signature last; any other envelope
-        is verified here, and dies here if its signature fails."""
+        """Single entry point for wire input. On a keyed link, a frame whose
+        counter does not rise is dropped and counted at once. A link without
+        keys carries no block, and a sync message only to open the link; any
+        other block or sync frame on it cannot be checked and is ignored.
+        A NEW_BLOCK then goes on unchecked, for handle_new_block to check
+        its tag last; any other envelope is checked here."""
         env = decode_envelope(raw)
-        if env is None or (env.kind != wire.NEW_BLOCK and not verify_envelope(env)):
+        link = self._links.get(id(conn))
+        keyed = link is not None and link.keys is not None
+        if env is None or (keyed and not _rises(link, env)):
             self.dropped_envelopes += 1
+            return "dropped"
+        if not keyed and not _unkeyed_may_carry(link, env):
+            return "ignored"
+        if env.kind != wire.NEW_BLOCK and not self._authentic(link, env):
             return "dropped"
         return self.on_envelope(conn, env)
 
     def on_envelope(self, conn, env: MessageEnvelope) -> str:
-        """Act on an envelope whose signature is already checked, unless it
-        is a NEW_BLOCK: handle_new_block checks that one itself."""
-        if env.sender == self.identity.node_id:
-            return "self"  # our own broadcast reflected back
+        """Act on an envelope that is already checked, unless it is a
+        NEW_BLOCK: handle_new_block checks that one itself."""
+        if env.sender == self.identity.node_id and env.counter is None:
+            return "self"  # our own link-open request: we dialed ourselves
         kind = env.kind
         if kind == wire.NEW_BLOCK:
             return self.handle_new_block(conn, env)
@@ -335,18 +381,14 @@ class NodeCore:
         """NEW_BLOCK on every established link, once per block hash ever."""
         if not self._dedup.add(block.hash):
             return 0
-        conns = [conn for conn in self.connected() if conn is not exclude_conn]
-        if not conns:
-            return 0
-        # one signed envelope, the same bytes for every peer
-        raw = self._encode(wire.NEW_BLOCK, {"block": block_to_json(block)})
-        return sum(self._send_raw(conn, raw) for conn in conns)
+        frames = self.frames(wire.NEW_BLOCK, {"block": block_to_json(block)}, exclude_conn)
+        return sum(self._send_raw(conn, raw) for conn, raw in frames)
 
     def handle_new_block(self, conn, env: MessageEnvelope) -> str:
         """A gossiped block, cheapest check first: the held check, the shape,
         the parent lookup and, for a linked block, the fork choice's checks,
         or, for an unlinked one, the limited-link cut and the pending-sync
-        check. The envelope's signature is checked only after all of them,
+        check. The envelope's tag is checked only after all of them,
         before the block is adopted or sets off a sync, so a block that
         fails a check is counted under its reason even when its envelope is
         forged."""
@@ -359,9 +401,9 @@ class NodeCore:
         except MalformedBlockError:
             self._count_reject(VerifyReason.MALFORMED_BLOCK)
             return "ignored"
-        outcome = self.adopt_if_heavier(block.index - 1, [block], exclude_conn=conn,
-                                        unverified=env)
         link = self._links.get(id(conn))
+        outcome = self.adopt_if_heavier(block.index - 1, [block], exclude_conn=conn,
+                                        unverified=(link, env))
         if outcome == "unlinked":
             # a gap, or the sender is on another fork: pull its chain, unless
             # its last MAX_UNSERVED syncs never reached the block behind them
@@ -370,7 +412,7 @@ class NodeCore:
                 return "ignored"
             if link is not None and self._sync_pending(link):
                 return "sync_triggered"  # the sync in flight may reach it
-            if not self._authentic(env):
+            if not self._authentic(link, env):
                 return "dropped"
             if self.request_sync(conn) and link is not None:
                 link.wanted = block.hash
@@ -393,12 +435,20 @@ class NodeCore:
         stored = self.store.get_hashes([index]).get(index)
         return stored is not None and (stored == hash_hex or not is_hex_hash(hash_hex))
 
-    def _authentic(self, env: MessageEnvelope) -> bool:
-        """Check a gossiped block's signature; a forged envelope is counted."""
-        if verify_envelope(env):
-            return True
-        self.dropped_envelopes += 1
-        return False
+    def _authentic(self, link: _Link | None, env: MessageEnvelope) -> bool:
+        """Check an envelope: on a keyed link, its counter rises and its tag
+        checks under the link's receive key, and the counter is kept; on any
+        other, its Ed25519 signature checks. A forged or replayed envelope
+        is counted."""
+        if link is None or link.keys is None:
+            ok = verify_envelope(env)
+        else:
+            ok = _rises(link, env) and verify_envelope(env, link.keys[1])
+            if ok:
+                link.received = env.counter
+        if not ok:
+            self.dropped_envelopes += 1
+        return ok
 
     def _count_reject(self, reason: VerifyReason) -> None:
         self.rejects_by_reason[reason.value] = self.rejects_by_reason.get(reason.value, 0) + 1
@@ -414,8 +464,10 @@ class NodeCore:
             link.sync_sent_ms = self.clock()
         heights = locator_heights(self.store.get_block_count() - 1)
         hashes = self.store.get_hashes(heights)
-        return self._send(conn, wire.GET_BLOCKS,
-                          {"locator": [[height, hashes[height]] for height in heights]})
+        payload = {"locator": [[height, hashes[height]] for height in heights]}
+        if link is not None and link.share is not None:
+            payload["key"] = link.share.public  # the link-open request
+        return self._send(conn, wire.GET_BLOCKS, payload)
 
     def _sync_pending(self, link: _Link) -> bool:
         """Whether the link's last GET_BLOCKS is unanswered and not yet due a retry."""
@@ -430,15 +482,21 @@ class NodeCore:
         holds at least one block and, past the first, stays within an
         eighth of the frame cap: JSON escaping can make a data character
         take 6 bytes, so even then the page fits in one frame.
-        A link's first request opens it: an empty or malformed locator drops
-        the link, and we pull back when we lack its first entry, the peer's tip.
+        A link's first request opens it: an empty or malformed locator, or a
+        key share that yields no link keys, drops the link. The reply carries
+        our share, and we pull back when we lack the locator's first entry,
+        the peer's tip.
         """
         link = self._links.get(id(conn))
         opening = link is not None and not link.established
         locator = _parse_locator(env.payload)
-        if opening and not locator:
-            self._drop_conn(conn)
-            return
+        if opening:
+            share = KeyShare(self.random_bytes)
+            keys = locator and share.link_keys(env.payload.get("key"), self.identity.node_id,
+                                               env.sender, dialer=False)
+            if not keys:  # no locator, or no keys
+                self._drop_conn(conn)
+                return
         if locator is None:
             return  # no reply: a request costs at most MAX_LOCATOR lookups
         ours = self.store.get_hashes([height for height, _ in locator])
@@ -453,20 +511,29 @@ class NodeCore:
             if page and size > budget:
                 break
             page.append(block_to_json(block))
-        self._send(conn, wire.BLOCKS,
-                   {"after": after, "blocks": page, "more": len(page) < len(rows)})
+        reply = {"after": after, "blocks": page, "more": len(page) < len(rows)}
         if opening:
-            link.established = True
+            reply["key"] = share.public
+        self._send(conn, wire.BLOCKS, reply)  # signed at link open: the link has no keys yet
+        if opening:
+            link.keys = keys
             height, tip_hash = locator[0]
             if ours.get(height) != tip_hash:
                 self.request_sync(conn)
 
     def _handle_sync_response(self, conn, env: MessageEnvelope) -> str:
         link = self._links.get(id(conn))
+        payload = env.payload if isinstance(env.payload, dict) else {}
+        if link is not None and not link.established:
+            # the reply to our link-open request: its share keys the link
+            link.keys = link.share and link.share.link_keys(
+                payload.get("key"), self.identity.node_id, env.sender, dialer=True)
+            if link.keys is None:
+                self._drop_conn(conn)
+                return "ignored"
+            link.share = None
         if link is not None:
             link.sync_sent_ms = None
-            link.established = True  # the reply to a dialer's link-open request
-        payload = env.payload if isinstance(env.payload, dict) else {}
         after, raw_blocks, more = payload.get("after"), payload.get("blocks"), payload.get("more")
         blocks, outcome = [], "ignored"
         if is_block_int(after) and isinstance(raw_blocks, list) and isinstance(more, bool):
@@ -492,15 +559,15 @@ class NodeCore:
         return "ignored" if outcome == "unlinked" else outcome
 
     def adopt_if_heavier(self, after: int, blocks: list[Block], *, exclude_conn=None,
-                         unverified: MessageEnvelope | None = None) -> str:
+                         unverified: tuple[_Link | None, MessageEnvelope] | None = None) -> str:
         """The one way blocks join the chain, gossiped, synced or mined here.
 
         "unlinked" when `blocks[0]` does not follow the stored block at
         `after`. Otherwise only the stored blocks after `after` and `blocks`
         are verified and weighed, never the whole chain. A failed check is a
-        counted reject ("rejected"). `unverified` is the envelope that
-        carried `blocks`, if its signature is not yet checked: it is checked
-        now, and a forged one is "dropped". Then no more work keeps the
+        counted reject ("rejected"). `unverified` is the link and the
+        envelope that carried `blocks`, if the envelope is not yet checked:
+        it is checked now, and a forged one is "dropped". Then no more work keeps the
         chain ("unchanged"); a heavier suffix is "adopted": mining stops, and
         one transaction drops the stored blocks past the fork point and appends.
         """
@@ -511,7 +578,7 @@ class NodeCore:
         if err is not None:
             self._count_reject(err.reason)
             return "rejected"
-        if unverified is not None and not self._authentic(unverified):
+        if unverified is not None and not self._authentic(*unverified):
             return "dropped"
         if selected is local:
             return "unchanged"
@@ -649,12 +716,13 @@ class NodeCore:
         payload = env.payload if isinstance(env.payload, dict) else {}
         what = payload.get("what")
         params = payload.get("params") or {}
-        raw = self._encode(wire.RESPONSE, self.handle_query(what, params))
+        raw = self.envelope(conn, wire.RESPONSE, self.handle_query(what, params)).encode()
         try:
             wire.check_frame_size(raw)
         except wire.ProtocolError as exc:
             # e.g. a chain too long for one frame: answer, never leave the client waiting
-            raw = self._encode(wire.RESPONSE, {"ok": False, "what": what, "error": str(exc)})
+            raw = self.envelope(conn, wire.RESPONSE,
+                                {"ok": False, "what": what, "error": str(exc)}).encode()
         self._send_raw(conn, raw)
 
     def handle_query(self, what, params) -> dict:
@@ -702,12 +770,29 @@ class NodeCore:
 
     # -- plumbing ---------------------------------------------------------------------
 
-    def _encode(self, kind: str, payload) -> bytes:
-        """Sign `payload` as one envelope and return its wire bytes."""
-        return sign_envelope(kind, self.clock(), payload, self.identity).encode()
+    def envelope(self, conn, kind: str, payload) -> MessageEnvelope:
+        """`payload` as it leaves on `conn`: tagged as the link's next frame
+        once the link is keyed, signed otherwise."""
+        link = self._links.get(id(conn))
+        if link is None or link.keys is None:
+            return sign_envelope(kind, self.clock(), payload, self.identity)
+        link.sent += 1
+        return sign_envelope(kind, self.clock(), payload, self.identity, link.keys[0],
+                             link.sent)
+
+    def frames(self, kind: str, payload, exclude_conn=None) -> list[tuple[object, bytes]]:
+        """`payload` for every established link but `exclude_conn`, as (conn,
+        wire bytes): encoded once, and tagged as each link's next frame."""
+        links = [link for link in self._links.values()
+                 if link.established and link.conn is not exclude_conn]
+        for link in links:
+            link.sent += 1
+        raws = tagged_frames(kind, self.clock(), payload, self.identity,
+                             [(link.keys[0], link.sent) for link in links])
+        return [(link.conn, raw) for link, raw in zip(links, raws)]
 
     def _send(self, conn, kind: str, payload) -> bool:
-        return self._send_raw(conn, self._encode(kind, payload))
+        return self._send_raw(conn, self.envelope(conn, kind, payload).encode())
 
     def _send_raw(self, conn, raw: bytes) -> bool:
         try:

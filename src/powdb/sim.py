@@ -31,7 +31,9 @@ from powdb.consensus import create_new_block, effective_bits, mine_block
 from powdb.node import NodeCore, parse_tx_data
 from powdb.simnet import EventQueue, MemConnection, MemNetwork, SimMiner
 from powdb.store import BlockStore
-from powdb.wire import NEW_BLOCK, MessageEnvelope, NodeIdentity, sign_envelope
+# sign_envelope is not called here: malicious nodes send through their
+# cores' links; the name is bound for perfbench/spans.py, which wraps it
+from powdb.wire import NEW_BLOCK, NodeIdentity, sign_envelope  # noqa: F401
 
 MAX_NODES = 64
 
@@ -219,6 +221,7 @@ class _Harness:
         master = random.Random(config.seed)
         self.rng_link = random.Random(master.randrange(2**63))
         self.rng_roles = random.Random(master.randrange(2**63))
+        self.rng_keys = random.Random(master.randrange(2**63))  # ephemeral link keys
         self.net = MemNetwork(self.queue, self.rng_link,
                               latency_ms=config.link_latency_ms,
                               loss_rate=config.link_loss_rate)
@@ -255,6 +258,7 @@ class _Harness:
                 clock=lambda: self.queue.now,
                 miner=SimMiner(self.queue, rate),
                 mine_enabled=True,
+                random_bytes=self.rng_keys.randbytes,
             )
             core.node_index = i
             if i in self.honest:
@@ -387,14 +391,10 @@ class _Harness:
             tamper_envelope = True
 
         self.malicious_emitted.add(block.hash)
-        env = sign_envelope(NEW_BLOCK, self.queue.now,
-                            {"block": block_to_json(block)}, core.identity)
-        if tamper_envelope:
-            flipped = ("0" if env.signature[0] != "0" else "1") + env.signature[1:]
-            env = MessageEnvelope(env.sender, env.kind, env.timestamp,
-                                  env.payload, flipped)
-        raw = env.encode()
-        for conn in core.connected():
+        for conn, raw in core.frames(NEW_BLOCK, {"block": block_to_json(block)}):
+            if tamper_envelope:  # change the first hex digit of the link's tag
+                at = raw.rindex(b'"signature":"') + len(b'"signature":"')
+                raw = raw[:at] + (b"1" if raw[at:at + 1] == b"0" else b"0") + raw[at + 1:]
             try:
                 conn.send_message(raw)
             except ConnectionError:

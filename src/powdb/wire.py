@@ -1,12 +1,22 @@
-"""Signed message envelopes: canonical JSON, Ed25519 identities, stream framing.
+"""Message envelopes: canonical JSON, Ed25519 identities, link keys, stream framing.
 
-Every message between nodes travels as a MessageEnvelope whose signature
-covers the kind, timestamp and canonicalized payload. Envelopes failing
-verification are dropped at this boundary and never reach a handler.
+Every message between nodes travels as a MessageEnvelope over the kind,
+timestamp and canonicalized payload. A link between two nodes opens with
+two Ed25519-signed messages, the dialer's first GET_BLOCKS and the
+listener's BLOCKS reply, and each carries an ephemeral X25519 key share.
+From the shared secret, both shares and both node ids, each end derives one
+HMAC-SHA256 key per direction (HKDF, RFC 5869). Every later envelope on the
+link carries a counter that rises with each send and, in place of the
+signature, a tag over the counter, kind, timestamp and canonical payload
+under its direction's key. A client's request and its reply stay signed.
+Envelopes failing their check are dropped at this boundary and never reach
+a handler.
 """
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import json
 import os
 import struct
@@ -17,6 +27,10 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
+)
+from cryptography.hazmat.primitives.asymmetric.x25519 import (
+    X25519PrivateKey,
+    X25519PublicKey,
 )
 
 SEP = b"\x1f"
@@ -97,12 +111,14 @@ def canonical_json(value) -> bytes:
     """UTF-8 JSON with bytewise-sorted keys and no insignificant whitespace.
 
     All numbers must be integers; floats are rejected so two nodes can never
-    disagree on a digest over the same logical value.
+    disagree on a digest over the same logical value. A lone surrogate, which
+    JSON text can carry as an escape, keeps its \\uXXXX escape, so every
+    value a decoded envelope holds encodes.
     """
     if not _is_plain(value):
         _check_canonical(value)
     return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
+                      ensure_ascii=False).encode("utf-8", "backslashreplace")
 
 
 def fits_block_frame(data: str) -> bool:
@@ -158,37 +174,49 @@ class MessageEnvelope:
     kind: str
     timestamp: int  # Unix milliseconds, informational
     payload: object  # kind-specific JSON value
-    signature: str  # 128 hex chars
+    signature: str  # 128 hex chars of an Ed25519 signature, or 64 of a link tag
+    counter: int | None = None  # a tagged envelope's place in its link's direction
     # canonical payload bytes, set only by sign_envelope; a replaced or
     # hand-built envelope starts without them
     _payload_json: bytes | None = field(default=None, init=False, compare=False,
                                         repr=False)
 
     def to_json(self) -> dict:
-        return {
+        obj = {
             "sender": self.sender,
             "kind": self.kind,
             "timestamp": self.timestamp,
             "payload": self.payload,
             "signature": self.signature,
         }
+        if self.counter is not None:
+            obj["counter"] = self.counter
+        return obj
 
     def encode(self) -> bytes:
-        """canonical_json(self.to_json()), reusing the signed payload bytes.
+        """canonical_json(self.to_json()), reusing the payload bytes that
+        sign_envelope encoded.
 
-        The keys sort as kind, payload, sender, signature, timestamp.
+        The keys sort as counter, kind, payload, sender, signature, timestamp.
         """
-        body = self._payload_json
-        if body is None or type(self.timestamp) is not int:
+        body, counter = self._payload_json, self.counter
+        if (body is None or type(self.timestamp) is not int
+                or (counter is not None and type(counter) is not int)):
             return canonical_json(self.to_json())
-        return b"".join([b'{"kind":', _json_str(self.kind), b',"payload":', body,
-                         b',"sender":', _json_str(self.sender), b',"signature":',
-                         _json_str(self.signature), b',"timestamp":',
-                         str(self.timestamp).encode(), b"}"])
+        head = b"" if counter is None else b'"counter":%d,' % counter
+        return b'{%b"kind":%b,"payload":%b,"sender":%b,"signature":%b,"timestamp":%d}' % (
+            head, _json_str(self.kind), body, _json_str(self.sender),
+            _json_str(self.signature), self.timestamp)
+
+
+_FIELDS = frozenset({"sender", "kind", "timestamp", "payload", "signature"})
 
 
 def _json_str(text: str) -> bytes:
-    return json.dumps(text, ensure_ascii=False).encode("utf-8")
+    """`text` as canonical_json writes it."""
+    if text.isascii() and (text.isalnum() or text.isidentifier()):
+        return b'"%b"' % text.encode()  # a kind, or hex: nothing to escape
+    return json.dumps(text, ensure_ascii=False).encode("utf-8", "backslashreplace")
 
 
 def _preimage(kind: str, timestamp: int, body: bytes) -> bytes:
@@ -200,18 +228,82 @@ def signing_bytes(kind: str, timestamp: int, payload) -> bytes:
     return _preimage(kind, timestamp, canonical_json(payload))
 
 
-def sign_envelope(kind: str, timestamp: int, payload, identity: NodeIdentity) -> MessageEnvelope:
+class LinkKey:
+    """One direction's HMAC-SHA256 key. The inner and outer padded keys are
+    hashed once, as RFC 2104 section 4 suggests, so a tag costs two hash
+    copies instead of two extra compressions."""
+
+    _IPAD = bytes(b ^ 0x36 for b in range(256))  # translate tables: XOR every byte
+    _OPAD = bytes(b ^ 0x5C for b in range(256))
+
+    def __init__(self, key: bytes):
+        padded = key.ljust(64, b"\0")  # SHA-256's block size; link keys are 32 bytes
+        self._inner = hashlib.sha256(padded.translate(self._IPAD))
+        self._outer = hashlib.sha256(padded.translate(self._OPAD))
+
+    def tag(self, counter: int, preimage: bytes) -> str:
+        """The tag over the counter and the signature preimage, as hex."""
+        inner = self._inner.copy()
+        inner.update(b"%d" % counter + SEP)
+        inner.update(preimage)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.hexdigest()
+
+
+def sign_envelope(kind: str, timestamp: int, payload, identity: NodeIdentity,
+                  key: LinkKey | None = None, counter: int | None = None) -> MessageEnvelope:
+    """An envelope from `identity`, Ed25519-signed; or, given a link's send
+    `key`, tagged as that direction's frame `counter`."""
     if kind not in KINDS:
         raise EncodingError(f"unknown message kind {kind!r}")
     body = canonical_json(payload)
-    sig = identity.sign(_preimage(kind, timestamp, body))
+    preimage = _preimage(kind, timestamp, body)
+    if key is None:
+        signature = identity.sign(preimage).hex()
+    else:
+        signature = key.tag(counter, preimage)
     env = MessageEnvelope(sender=identity.node_id, kind=kind, timestamp=timestamp,
-                          payload=payload, signature=sig.hex())
+                          payload=payload, signature=signature, counter=counter)
     object.__setattr__(env, "_payload_json", body)
     return env
 
 
-def verify_envelope(env: MessageEnvelope) -> bool:
+def tagged_frames(kind: str, timestamp: int, payload, identity: NodeIdentity,
+                  tags: list[tuple[LinkKey, int]]) -> list[bytes]:
+    """The wire bytes of `payload` for each (send key, counter) in `tags`,
+    as a broadcast sends it on every link. Each equals sign_envelope(kind,
+    timestamp, payload, identity, key, counter).encode(); the payload is
+    encoded once and no envelope is built."""
+    if kind not in KINDS:
+        raise EncodingError(f"unknown message kind {kind!r}")
+    if not tags:
+        return []
+    body = canonical_json(payload)
+    preimage = _preimage(kind, timestamp, body)
+    middle = b',"kind":%b,"payload":%b,"sender":%b,"signature":"' % (
+        _json_str(kind), body, _json_str(identity.node_id))
+    tail = b'","timestamp":%d}' % timestamp
+    return [b'{"counter":%d%b%b%b' % (counter, middle, key.tag(counter, preimage).encode(), tail)
+            for key, counter in tags]
+
+
+def verify_envelope(env: MessageEnvelope, key: LinkKey | None = None) -> bool:
+    """True iff the envelope checks: given a link's receive `key`, its tag
+    over its counter; otherwise its Ed25519 signature. A malformed tag or
+    counter, or a payload that cannot be re-encoded, fails, never raises."""
+    if key is None:
+        return verify_signature(env)
+    if type(env.counter) is not int:
+        return False
+    try:
+        expected = key.tag(env.counter, signing_bytes(env.kind, env.timestamp, env.payload))
+        return hmac.compare_digest(expected, env.signature)
+    except (ValueError, TypeError, EncodingError, RecursionError):
+        return False
+
+
+def verify_signature(env: MessageEnvelope) -> bool:
     """True iff the signature verifies under the sender's public key.
 
     Malformed hex or keys, and payloads nested too deep to re-encode, count
@@ -226,15 +318,51 @@ def verify_envelope(env: MessageEnvelope) -> bool:
         return False
 
 
+class KeyShare:
+    """One end's ephemeral X25519 key for one link's handshake."""
+
+    # HKDF's extract salt; fixed, as the shares make each secret fresh
+    SALT = b"powdb link keys v1"
+
+    def __init__(self, random_bytes):
+        """`random_bytes(n)` gives n random bytes: os.urandom for a live node."""
+        self._secret = X25519PrivateKey.from_private_bytes(random_bytes(32))
+        self.public = self._secret.public_key().public_bytes_raw().hex()
+
+    def link_keys(self, peer_public, own_id: str, peer_id: str,
+                  dialer: bool) -> tuple[LinkKey, LinkKey] | None:
+        """This end's (send key, receive key), or None when the peer's share
+        is not a hex X25519 key or yields no shared secret.
+
+        HKDF-SHA256 (RFC 5869) over the shared secret: one extract, then one
+        expand block per direction, whose info names both node ids and both
+        shares, dialer first, and the direction.
+        """
+        try:
+            peer_raw = bytes.fromhex(peer_public)
+            shared = self._secret.exchange(X25519PublicKey.from_public_bytes(peer_raw))
+        except (ValueError, TypeError):
+            return None
+        own = own_id.encode() + bytes.fromhex(self.public)
+        peer = peer_id.encode() + peer_raw
+        transcript = own + peer if dialer else peer + own
+        prk = hmac.digest(self.SALT, shared, "sha256")
+        to_listener = LinkKey(hmac.digest(prk, transcript + b"dialer to listener\x01", "sha256"))
+        to_dialer = LinkKey(hmac.digest(prk, transcript + b"listener to dialer\x01", "sha256"))
+        return (to_listener, to_dialer) if dialer else (to_dialer, to_listener)
+
+
 def decode_envelope(raw: bytes) -> MessageEnvelope | None:
     """Parse one wire message; None when the JSON or shape is invalid."""
     try:
         obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):  # bad UTF-8 or JSON, or an integer too long to read
         return None
     if not isinstance(obj, dict):
         return None
-    if set(obj) != {"sender", "kind", "timestamp", "payload", "signature"}:
+    tagged = "counter" in obj
+    counter = obj.pop("counter", None)
+    if set(obj) != _FIELDS or (tagged and type(counter) is not int):
         return None
     if not isinstance(obj["sender"], str) or not isinstance(obj["signature"], str):
         return None
@@ -244,7 +372,7 @@ def decode_envelope(raw: bytes) -> MessageEnvelope | None:
         return None
     return MessageEnvelope(sender=obj["sender"], kind=obj["kind"],
                            timestamp=obj["timestamp"], payload=obj["payload"],
-                           signature=obj["signature"])
+                           signature=obj["signature"], counter=counter)
 
 
 def check_frame_size(message: bytes) -> None:

@@ -2,8 +2,10 @@
 
 import hashlib
 import os
+import random
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,8 @@ from powdb.node import NodeCore
 from powdb.simnet import EventQueue, MemNetwork, SimMiner
 from powdb.sim import sim_hashrate_per_ms
 from powdb.store import BlockStore
-from powdb.wire import NodeIdentity
+from powdb import wire
+from powdb.wire import KeyShare, NodeIdentity, decode_envelope, sign_envelope
 
 
 def pytest_configure(config):
@@ -76,13 +79,85 @@ TEST_PARAMS = ChainParams(target_block_interval_ms=2000, initial_difficulty=6,
                           min_difficulty=4, max_difficulty=10)
 
 
+class Capture:
+    """A connection that keeps what the node sends on it."""
+
+    def __init__(self):
+        self.sent = []
+        self.closed = False
+
+    def send_message(self, raw):
+        self.sent.append(raw)
+
+    def close(self):
+        self.closed = True
+
+
+def flipped(signature):
+    """A signature or tag with its first hex digit changed."""
+    return ("1" if signature[0] == "0" else "0") + signature[1:]
+
+
+class PeerEnd:
+    """A peer's end of one link to `core`, played by hand.
+
+    `open` dials `core` over `conn` and runs the handshake as a node does:
+    a signed GET_BLOCKS with this end's key share opens the link, and the
+    node's signed BLOCKS reply, with its share, keys it. After that each
+    frame from `envelope` or `send` carries this end's next counter and a
+    tag. `conn` keeps what the node sends in `conn.sent`, as Capture does.
+    """
+
+    def __init__(self, core, identity, conn=None, seed=0):
+        self.core, self.identity = core, identity
+        self.conn = Capture() if conn is None else conn
+        self.share = KeyShare(random.Random(seed).randbytes)
+        self.keys = None  # (send, receive), once the node has answered
+        self.sent = 0
+
+    def opening(self, **fields):
+        """The link-open GET_BLOCKS: a locator of the node's own tip, so the
+        node does not pull back, and this end's share; `fields` replace
+        entries of that payload."""
+        tip = self.core.store.tip()
+        payload = {"locator": [[tip.index, tip.hash]], "key": self.share.public, **fields}
+        return sign_envelope(wire.GET_BLOCKS, 1, payload, self.identity)
+
+    def open(self, **fields):
+        """Connect, open the link, and key this end from the node's reply,
+        which is taken off `conn.sent`."""
+        self.core.on_inbound_connection(self.conn)
+        assert self.core.on_message(self.conn, self.opening(**fields).encode()) == "handled"
+        reply = decode_envelope(self.conn.sent.pop(0))
+        assert reply.kind == wire.BLOCKS and wire.verify_envelope(reply)
+        self.keys = self.share.link_keys(reply.payload["key"], self.identity.node_id,
+                                         reply.sender, dialer=True)
+        return self
+
+    def envelope(self, kind, payload, counter=None, key=None):
+        """`payload` tagged as this end's next frame, or with the `counter`
+        and `key` given."""
+        if counter is None:
+            self.sent += 1
+            counter = self.sent
+        return sign_envelope(kind, 1, payload, self.identity, key or self.keys[0], counter)
+
+    def send(self, kind, payload):
+        """The node's outcome for `payload` sent as this end's next frame."""
+        return self.core.on_message(self.conn, self.envelope(kind, payload).encode())
+
+    def forged(self, kind, payload):
+        """Wire bytes of this end's next frame with its tag changed."""
+        env = self.envelope(kind, payload)
+        return replace(env, signature=flipped(env.signature)).encode()
+
+
 class Cluster:
     """A handful of NodeCores over the in-memory transport, pumped manually."""
 
     def __init__(self, n, params=TEST_PARAMS, seed=1, latency_ms=5, loss_rate=0.0,
                  mine_enabled=True):
         self.queue = EventQueue()
-        import random
         self.net = MemNetwork(self.queue, random.Random(seed),
                               latency_ms=latency_ms, loss_rate=loss_rate)
         self.params = params
@@ -94,7 +169,8 @@ class Cluster:
                 hashlib.sha256(f"cluster|{seed}|{i}".encode()).digest())
             core = NodeCore(identity=identity, store=BlockStore(":memory:"),
                             params=params, clock=lambda: self.queue.now,
-                            miner=SimMiner(self.queue, rate), mine_enabled=mine_enabled)
+                            miner=SimMiner(self.queue, rate), mine_enabled=mine_enabled,
+                            random_bytes=random.Random(f"cluster|{seed}|{i}").randbytes)
             self.nodes.append(core)
             self.net.listen(self.addrs[i], core)
 

@@ -146,6 +146,19 @@ class TestMeetsDifficulty:
             d = rng.randrange(33)
             assert meets_difficulty(digest.hex(), d) == digest_meets_difficulty(digest, d)
 
+    def test_digest_form_agrees_at_every_boundary(self):
+        # digests whose first set bit is bit p, for p from 0 to 32, or that
+        # are all zero, against every difficulty from 0 to 32
+        rng = random.Random(7)
+        values = [0] + [(1 << (255 - p)) | (tail >> (p + 1))
+                        for p in range(33) for tail in (0, rng.getrandbits(256))]
+        for value in values:
+            digest = value.to_bytes(32, "big")
+            for d in range(33):
+                expected = meets_difficulty(digest.hex(), d)
+                assert digest_meets_difficulty(digest, d) == expected
+                assert expected == (value >> (256 - d) == 0)
+
     def test_malformed_hex_raises(self):
         with pytest.raises(ValueError):
             meets_difficulty("zz" * 32, 4)

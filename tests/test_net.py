@@ -24,7 +24,7 @@ from powdb.simnet import MemNetwork
 from powdb.transport import TcpTransport, parse_hostport
 from powdb.wire import MessageEnvelope, NodeIdentity, sign_envelope
 
-from conftest import extend
+from conftest import Capture, PeerEnd, extend
 
 
 class TestRecentSet:
@@ -98,60 +98,66 @@ class TestLinkTeardown:
 
     PEER = NodeIdentity.from_seed(b"\x66" * 32)
 
-    class Link:
-        def __init__(self):
-            self.closed = False
-            self.broken = False
+    class Link(Capture):
+        broken = False
 
-        def send_message(self, _raw):
+        def send_message(self, raw):
             if self.broken:
                 raise ConnectionError("peer went away")
-
-        def close(self):
-            self.closed = True
+            super().send_message(raw)
 
     # a locator whose tip the node does not hold, so the request opening
     # the link makes the node pull back
-    AHEAD = {"locator": [[5, "ab" * 32], [0, genesis_block().hash]]}
+    AHEAD = [[5, "ab" * 32], [0, genesis_block().hash]]
+    # an X25519 share of the all-zero point, which yields no shared secret
+    LOW_ORDER = "00" * 32
 
-    def request(self, payload):
-        return sign_envelope(wire.GET_BLOCKS, 1, payload, self.PEER)
+    def on_disconnect(self, cluster, node, peer):
+        node.on_disconnect(peer.conn)
 
-    def on_disconnect(self, cluster, node, conn):
-        node.on_disconnect(conn)
-
-    def send_failure(self, cluster, node, conn):
-        conn.broken = True
+    def send_failure(self, cluster, node, peer):
+        peer.conn.broken = True
         # the node answers with BLOCKS, and that send fails
-        locator = {"locator": [[0, genesis_block().hash]]}
-        node.on_envelope(conn, self.request(locator))
+        peer.send(wire.GET_BLOCKS, {"locator": [[0, genesis_block().hash]]})
 
-    def bad_locator(self, cluster, node, conn):
-        node.on_envelope(conn, self.request({"locator": []}))
+    def bad_locator(self, cluster, node, peer):
+        node.on_message(peer.conn, peer.opening(locator=[]).encode())
 
-    def handshake_timeout(self, cluster, node, conn):
+    def bad_share(self, cluster, node, peer):
+        node.on_message(peer.conn, peer.opening(key=self.LOW_ORDER).encode())
+
+    def bad_reply_share(self, cluster, node, peer):
+        # the BLOCKS reply to the node's link-open request
+        reply = {"after": 0, "blocks": [], "more": False, "key": self.LOW_ORDER}
+        node.on_message(peer.conn, sign_envelope(wire.BLOCKS, 1, reply, self.PEER).encode())
+
+    def handshake_timeout(self, cluster, node, peer):
         cluster.queue.now += node_module.HANDSHAKE_TIMEOUT_MS + 1
         node.check_timeouts()
 
     @pytest.mark.parametrize("teardown", ["on_disconnect", "send_failure", "bad_locator",
+                                          "bad_share", "bad_reply_share",
                                           "handshake_timeout"])
     def test_no_link_state_survives(self, cluster_factory, teardown):
         cluster = cluster_factory(1)
         node = cluster.nodes[0]
-        conn = self.Link()
-        if teardown in ("bad_locator", "handshake_timeout"):
-            node.connect_peer(conn)  # a sync timer, and no BLOCKS reply yet
+        peer = PeerEnd(node, self.PEER, self.Link())
+        if teardown in ("bad_locator", "bad_share"):
+            node.on_inbound_connection(peer.conn)  # its link-open request is bad
+        elif teardown in ("bad_reply_share", "handshake_timeout"):
+            node.connect_peer(peer.conn)  # a sync timer, and no BLOCKS reply yet
+            assert node._links[id(peer.conn)].sync_sent_ms is not None
         else:
-            node.on_inbound_connection(conn)
-            node.on_envelope(conn, self.request(self.AHEAD))
-            assert node.connected() == [conn]
-        assert node._links[id(conn)].sync_sent_ms is not None
+            peer.open(locator=self.AHEAD)  # keyed, and the node pulls back
+            link = node._links[id(peer.conn)]
+            assert node.connected() == [peer.conn]
+            assert link.keys is not None and link.sync_sent_ms is not None
 
-        getattr(self, teardown)(cluster, node, conn)
-        assert id(conn) not in node._links
+        getattr(self, teardown)(cluster, node, peer)
+        assert id(peer.conn) not in node._links
         assert node.connected() == []
-        if teardown in ("bad_locator", "handshake_timeout"):
-            assert conn.closed
+        if teardown not in ("on_disconnect", "send_failure"):
+            assert peer.conn.closed
 
     BAD_LOCATORS = {
         "empty": {"locator": []},
@@ -165,11 +171,38 @@ class TestLinkTeardown:
     @pytest.mark.parametrize("payload", BAD_LOCATORS.values(), ids=BAD_LOCATORS.keys())
     def test_malformed_first_locator_drops_the_link(self, cluster_factory, payload):
         node = cluster_factory(1).nodes[0]
-        conn = self.Link()
-        node.on_inbound_connection(conn)
-        node.on_envelope(conn, self.request(payload))
-        assert id(conn) not in node._links
-        assert conn.closed
+        peer = PeerEnd(node, self.PEER, self.Link())
+        node.on_inbound_connection(peer.conn)
+        assert node.on_message(peer.conn, peer.opening(**payload).encode()) == "handled"
+        assert id(peer.conn) not in node._links
+        assert peer.conn.closed and peer.conn.sent == []
+
+    BAD_SHARES = {
+        "missing": None,
+        "not-a-string": 5,
+        "31-bytes": "ab" * 31,
+        "not-hex": "zz" * 32,
+        "low-order-point": LOW_ORDER,
+    }
+
+    @pytest.mark.parametrize("share", BAD_SHARES.values(), ids=BAD_SHARES.keys())
+    def test_malformed_key_share_drops_the_link(self, cluster_factory, share):
+        # a link-open request, or the reply to one, whose share yields no keys
+        node = cluster_factory(1).nodes[0]
+        listening, dialing = self.Link(), self.Link()
+        node.on_inbound_connection(listening)
+        node.connect_peer(dialing)
+        request = {"locator": [[0, genesis_block().hash]], "key": share}
+        reply = {"after": 0, "blocks": [], "more": False, "key": share}
+        for payload in (request, reply):
+            if share is None:
+                del payload["key"]
+        node.on_message(listening, sign_envelope(wire.GET_BLOCKS, 1, request,
+                                                 self.PEER).encode())
+        node.on_message(dialing, sign_envelope(wire.BLOCKS, 1, reply, self.PEER).encode())
+        assert node._links == {}
+        assert listening.closed and listening.sent == []
+        assert dialing.closed and node.dropped_envelopes == 0
 
 
 class TestBroadcast:
@@ -194,31 +227,34 @@ class TestBroadcast:
         assert node.broadcast_block(block) == 2
         assert node.broadcast_block(block) == 0
 
-    def test_one_signature_and_the_same_bytes_for_every_peer(self, cluster_factory,
-                                                               monkeypatch):
+    def test_one_payload_encoding_and_one_tag_per_peer(self, cluster_factory, monkeypatch):
         cluster = self.mesh(cluster_factory, 5)
         node = cluster.nodes[0]
-        signed, delivered = [], []
-        real_sign, real_deliver = node_module.sign_envelope, cluster.net.deliver
+        encoded, delivered, ed25519 = [], [], []
+        real_canonical, real_deliver = wire.canonical_json, cluster.net.deliver
 
-        def counting_sign(*args):
-            signed.append(args[0])
-            return real_sign(*args)
+        def counting_canonical(value):
+            encoded.append(value)
+            return real_canonical(value)
 
         def recording_deliver(src, dst, message):
-            delivered.append((dst.local_addr, message))
+            delivered.append((dst, message))
             real_deliver(src, dst, message)
 
-        monkeypatch.setattr(node_module, "sign_envelope", counting_sign)
+        monkeypatch.setattr(wire, "canonical_json", counting_canonical)
         monkeypatch.setattr(cluster.net, "deliver", recording_deliver)
+        monkeypatch.setattr(NodeIdentity, "sign", lambda *args: ed25519.append(args))
         block = mine_block(create_new_block("x", node.store.tip(), 4, 1))
         assert node.broadcast_block(block) == 4
-        assert signed == [wire.NEW_BLOCK]
-        assert sorted(addr for addr, _ in delivered) == ["mem:1", "mem:2", "mem:3", "mem:4"]
-        assert len({message for _, message in delivered}) == 1
-        env = wire.decode_envelope(delivered[0][1])
-        assert wire.verify_envelope(env)
-        assert env.payload == {"block": block_to_json(block)}
+        assert encoded == [{"block": block_to_json(block)}] and ed25519 == []
+        assert sorted(dst.local_addr for dst, _ in delivered) == ["mem:1", "mem:2", "mem:3",
+                                                                  "mem:4"]
+        for dst, message in delivered:  # each under its own link's key
+            env = wire.decode_envelope(message)
+            keys = dst.owner._links[id(dst)].keys
+            assert wire.verify_envelope(env, keys[1])
+            assert env.payload == {"block": block_to_json(block)}
+        assert len({message for _, message in delivered}) == 4
 
     def test_no_peers_signs_nothing(self, cluster_factory, monkeypatch):
         node = cluster_factory(1).nodes[0]
@@ -331,7 +367,7 @@ class TestBlockSizeRule:
 
     @pytest.fixture(autouse=True)
     def counters(self, monkeypatch):
-        """The cap patched; Ed25519 and block verifies counted."""
+        """The cap patched; envelope checks and block verifies counted."""
         monkeypatch.setattr(wire, "MAX_FRAME_BYTES", self.CAP)
         self.calls = Counter()
 
@@ -342,7 +378,7 @@ class TestBlockSizeRule:
             return wrapper
 
         monkeypatch.setattr(node_module, "verify_envelope",
-                            counting("signature", node_module.verify_envelope))
+                            counting("envelope", node_module.verify_envelope))
         monkeypatch.setattr(consensus, "verify_block",
                             counting("block", consensus.verify_block))
 
@@ -357,18 +393,23 @@ class TestBlockSizeRule:
 
     @pytest.mark.parametrize("kind", [wire.NEW_BLOCK, wire.BLOCKS])
     def test_block_one_byte_over_the_bound_is_malformed(self, cluster_factory, kind):
-        a, b = cluster_factory(2).nodes
+        cluster = cluster_factory(2)
+        a, b = cluster.nodes
+        cluster.connect(0, 1)
+        cluster.pump()
+        [a_conn], [b_conn] = a.connected(), b.connected()
+        self.calls.clear()
         big = block_to_json(self.block(b, self.BOUND + 1))
         payload = ({"block": big} if kind == wire.NEW_BLOCK
                    else {"after": 0, "blocks": [big], "more": False})
-        raw = sign_envelope(kind, 1, payload, a.identity).encode()
+        raw = a.envelope(a_conn, kind, payload).encode()
         assert len(raw) < self.CAP  # the frame itself is allowed
-        assert b.on_message(object(), raw) == "ignored"
+        assert b.on_message(b_conn, raw) == "ignored"
         assert b.rejects_by_reason == {"MalformedBlock": 1}
         assert b.store.get_block_count() == 1
-        # a sync reply's signature is checked as it arrives, a gossiped
-        # block's only after its block passes; no block is verified
-        assert self.calls == (Counter(signature=1) if kind == wire.BLOCKS else Counter())
+        # a sync reply's tag is checked as it arrives, a gossiped block's
+        # only after its block passes; no block is verified
+        assert self.calls == (Counter(envelope=1) if kind == wire.BLOCKS else Counter())
 
     def test_block_at_the_bound_reaches_a_node_that_missed_it_by_sync(self, cluster_factory):
         cluster = cluster_factory(2)
@@ -383,8 +424,9 @@ class TestBlockSizeRule:
 
 class TestHandleNewBlock:
     def envelope_for(self, sender_core, block):
-        return sign_envelope(wire.NEW_BLOCK, 1, {"block": block_to_json(block)},
-                             sender_core.identity)
+        """`block` gossiped as the next frame on `sender_core`'s one link."""
+        [conn] = sender_core.connected()
+        return sender_core.envelope(conn, wire.NEW_BLOCK, {"block": block_to_json(block)})
 
     def test_next_index_block_appended_and_relayed(self, cluster_factory):
         # line topology 0-1-2: a block committed at 0 must reach 2 via 1
@@ -592,9 +634,8 @@ class TestUnservedParents:
 
     def gossip(self, block):
         """a relays `block` to b."""
-        self.a_conn.send_message(sign_envelope(wire.NEW_BLOCK, self.cluster.queue.now,
-                                               {"block": block_to_json(block)},
-                                               self.a.identity).encode())
+        self.a_conn.send_message(self.a.envelope(self.a_conn, wire.NEW_BLOCK,
+                                                 {"block": block_to_json(block)}).encode())
         self.cluster.pump()
 
     def gap(self, n):
@@ -606,8 +647,8 @@ class TestUnservedParents:
 
     def reply(self, payload):
         """b takes a BLOCKS reply from a."""
-        return self.b.on_envelope(self.link.conn, sign_envelope(
-            wire.BLOCKS, self.cluster.queue.now, payload, self.a.identity))
+        return self.b.on_envelope(self.link.conn,
+                                  self.a.envelope(self.a_conn, wire.BLOCKS, payload))
 
     def test_peer_that_never_serves_the_parent_stops_setting_off_syncs(self):
         b, link = self.b, self.link
@@ -683,8 +724,8 @@ class TestUnservedParents:
     def test_rate_limited_request_sets_no_wanted(self):
         b, link = self.b, self.link
         assert b.request_sync(link.conn)  # a sync of b's own is pending
-        outcome = b.handle_new_block(link.conn, sign_envelope(
-            wire.NEW_BLOCK, 1, {"block": block_to_json(orphan(b, 0))}, self.a.identity))
+        outcome = b.handle_new_block(link.conn, self.a.envelope(
+            self.a_conn, wire.NEW_BLOCK, {"block": block_to_json(orphan(b, 0))}))
         assert outcome == "sync_triggered"
         assert link.wanted is None
         self.cluster.pump()
@@ -810,6 +851,33 @@ class TestSync:
         pages = [size for kind, size in frames if kind == wire.BLOCKS]
         assert len(pages) >= 5
         assert max(pages) <= wire.MAX_FRAME_BYTES
+
+    def test_lossy_links_refuse_no_frame_after_a_gap(self, cluster_factory, monkeypatch):
+        # a lost frame leaves a gap in its link's counters; the frames after
+        # it still rise, so none is refused
+        cluster = cluster_factory(4, loss_rate=0.2, seed=3)
+        net, frames = cluster.net, {}
+        real_deliver = net.deliver
+
+        def recording_deliver(src, dst, message):
+            lost = net.dropped_by_loss
+            real_deliver(src, dst, message)
+            counter = wire.decode_envelope(message).counter
+            if counter is not None:
+                frames.setdefault(id(src), []).append(net.dropped_by_loss > lost)
+
+        monkeypatch.setattr(net, "deliver", recording_deliver)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                cluster.connect(i, j)
+        cluster.pump()
+        for seq in range(12):
+            cluster.submit(seq % 4, {"kind": "raw", "data": f"lossy-{seq}"})
+            cluster.pump()
+        gaps = sum(lost and not later for sent in frames.values()
+                   for lost, later in zip(sent, sent[1:]))
+        assert gaps > 0
+        assert [core.dropped_envelopes for core in cluster.nodes] == [0, 0, 0, 0]
 
     def test_ten_node_line_gossip_converges(self, cluster_factory):
         # worst-case connectivity: a 10-node line; a block committed at one

@@ -37,7 +37,7 @@ from powdb.store import BlockStore
 from powdb.transport import parse_hostport
 from powdb.wire import NodeIdentity, canonical_json, decode_envelope, sign_envelope
 
-from conftest import TEST_PARAMS, extend
+from conftest import TEST_PARAMS, Capture, PeerEnd, extend
 
 COUNTER = [["add", "count", 1], ["add", "total", ["arg", 0]]]
 COUNTER_ID = contract_id_for(COUNTER)
@@ -192,21 +192,19 @@ class TestSingleNodeFlow:
 PEER = NodeIdentity.from_seed(b"\x07" * 32)
 
 
-class Capture:
-    """A connection that keeps what the node sends on it."""
-
-    def __init__(self):
-        self.sent = []
-
-    def send_message(self, raw):
-        self.sent.append(raw)
-
-    def close(self):
-        pass
+def peer_end(core, conn):
+    """PEER's end of its keyed link to `core` over `conn`, opened on first use."""
+    if getattr(conn, "peer_end", None) is None:
+        conn.peer_end = PeerEnd(core, PEER, conn).open()
+    return conn.peer_end
 
 
 def from_peer(core, conn, kind, payload):
-    return core.on_message(conn, sign_envelope(kind, 1, payload, PEER).encode())
+    """The outcome of PEER sending `payload` on `conn`: a client request
+    signed, any other message tagged on the link PEER opened there."""
+    if kind in (wire.TX, wire.QUERY):
+        return core.on_message(conn, sign_envelope(kind, 1, payload, PEER).encode())
+    return peer_end(core, conn).send(kind, payload)
 
 
 class TestWireTxIntake:
@@ -364,6 +362,9 @@ class TestHostileInput:
                       b'"timestamp":1}'),
         "kind-object": (b'{"kind":{"a":1},"payload":{},"sender":"00","signature":"00",'
                         b'"timestamp":1}'),
+        # past the digits Python reads into an int by default
+        "timestamp-5001-digits": (b'{"kind":"QUERY","payload":{},"sender":"00",'
+                                  b'"signature":"00","timestamp":1' + b"0" * 5000 + b"}"),
     }
 
     @pytest.mark.parametrize("raw", MALFORMED_RAW.values(), ids=MALFORMED_RAW.keys())
@@ -373,13 +374,6 @@ class TestHostileInput:
         assert core.dropped_envelopes == 1
 
 
-def forged(kind, payload):
-    """Raw bytes of a PEER envelope whose signature has one hex digit flipped."""
-    env = sign_envelope(kind, 1, payload, PEER)
-    flipped = ("1" if env.signature[0] == "0" else "0") + env.signature[1:]
-    return replace(env, signature=flipped).encode()
-
-
 def unlinked_block(core):
     """A mined block one past `core`'s tip whose parent exists nowhere."""
     tip = core.store.tip()
@@ -387,70 +381,84 @@ def unlinked_block(core):
     return mine_block(replace(block, prev_hash="f" * 64))
 
 
+def next_block(core, data="peer"):
+    """A mined block on `core`'s tip at its difficulty."""
+    tip = core.store.tip()
+    return mine_block(create_new_block(data, tip, effective_bits(core.difficulty),
+                                       tip.timestamp + 1))
+
+
 class TestIntakeOrder:
-    """A NEW_BLOCK's signature is its last check: the held check, the shape,
+    """A NEW_BLOCK's tag is its last check: the held check, the shape,
     the parent lookup, the limited-link cut and the fork choice's checks
-    all run first. The signature is checked only before a block is adopted
+    all run first. The tag is checked only before a block is adopted
     or kept as "unchanged", or before an unlinked one sets off a sync; while
     the link's last sync is pending, an unlinked block sends nothing and is
     not checked at all.
-    Most tests send a forged envelope, so the count they expect shows that
-    the cheaper check ran, and decided, before the signature's."""
+    Every test sends on a link PEER opened with the handshake, and most send
+    a forged frame, its tag changed, so the count they expect shows that the
+    cheaper check ran, and decided, before the tag's. `verifies` counts the
+    node's checks of an envelope, tag or signature; `signatures` the Ed25519
+    verifies among them, which a keyed link never needs."""
 
     @pytest.fixture
     def core(self, monkeypatch):
         core, queue = make_node()
         for i in range(3):
             submit_and_run(core, queue, {"kind": "raw", "data": f"r{i}"})
-        self.verifies = 0
-        real_verify = node_module.verify_envelope
+        self.peer = PeerEnd(core, PEER).open()
+        self.conn = self.peer.conn
+        self.verifies = self.signatures = 0
+        real_verify, real_signature = node_module.verify_envelope, wire.verify_signature
 
-        def counting_verify(env):
+        def counting_verify(*args):
             self.verifies += 1
-            return real_verify(env)
+            return real_verify(*args)
+
+        def counting_signature(env):
+            self.signatures += 1
+            return real_signature(env)
 
         monkeypatch.setattr(node_module, "verify_envelope", counting_verify)
+        monkeypatch.setattr(wire, "verify_signature", counting_signature)
         return core
 
-    def linked_conn(self, core):
-        """An established link, whose sent frames the test reads."""
-        conn = Capture()
-        core.on_inbound_connection(conn)
-        tip = core.store.tip()
-        locator = {"locator": [[tip.index, tip.hash]]}
-        assert from_peer(core, conn, wire.GET_BLOCKS, locator) == "handled"
-        assert core.connected() == [conn]
-        self.verifies = 0
-        conn.sent.clear()
+    def second_link(self, core):
+        """Another established link, whose sent frames the test reads."""
+        conn = PeerEnd(core, PEER, seed=1).open().conn
+        assert core.connected() == [self.conn, conn]
+        self.verifies = self.signatures = 0
         return conn
+
+    def forged(self, kind, payload):
+        return self.peer.forged(kind, payload)
 
     @pytest.mark.parametrize("fields", [{}, {"hash": "not hex"}], ids=["valid", "malformed"])
     def test_signed_stale_block_costs_no_verify(self, core, fields):
         # at a held height, the stored hash or a malformed one is ignored
         # before anything else about the block is read
         stale = {**block_to_json(core.store.get_block(2)), **fields}
-        assert from_peer(core, Capture(), wire.NEW_BLOCK, {"block": stale}) == "ignored"
+        assert self.peer.send(wire.NEW_BLOCK, {"block": stale}) == "ignored"
         assert self.verifies == 0
         assert core.dropped_envelopes == 0 and core.rejects_by_reason == {}
 
     def test_forged_stale_block_is_ignored_not_counted(self, core):
         stale = block_to_json(core.store.get_block(3))
-        assert core.on_message(Capture(), forged(wire.NEW_BLOCK, {"block": stale})) == "ignored"
+        raw = self.forged(wire.NEW_BLOCK, {"block": stale})
+        assert core.on_message(self.conn, raw) == "ignored"
         assert core.dropped_envelopes == 0
 
     def test_forged_next_block_is_dropped(self, core):
-        # the block passes every check and is heavier: only the signature
-        # keeps it off the chain, away from peers and from the miner
+        # the block passes every check and is heavier: only the tag keeps
+        # it off the chain, away from peers and from the miner, and its
+        # check is no Ed25519 verify
         chain = core.store.get_all_blocks()
-        other = self.linked_conn(core)
+        other = self.second_link(core)
         core.submit_tx({"kind": "raw", "data": "pending"}, lambda _result: None)
         [task] = core._queue
-        tip = chain[-1]
-        block = mine_block(create_new_block("peer", tip, effective_bits(core.difficulty),
-                                            tip.timestamp + 1))
-        raw = forged(wire.NEW_BLOCK, {"block": block_to_json(block)})
-        assert core.on_message(Capture(), raw) == "dropped"
-        assert self.verifies == 1
+        raw = self.forged(wire.NEW_BLOCK, {"block": block_to_json(next_block(core))})
+        assert core.on_message(self.conn, raw) == "dropped"
+        assert self.verifies == 1 and self.signatures == 0
         assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
         assert core.store.get_all_blocks() == chain
         assert other.sent == []  # no relay
@@ -462,9 +470,9 @@ class TestIntakeOrder:
         chain = core.store.get_all_blocks()
         parent, tip = chain[-2:]
         rival = mine_block(create_new_block("rival", parent, tip.difficulty, tip.timestamp))
-        raw = forged(wire.NEW_BLOCK, {"block": block_to_json(rival)})
-        assert core.on_message(Capture(), raw) == "dropped"
-        assert self.verifies == 1
+        raw = self.forged(wire.NEW_BLOCK, {"block": block_to_json(rival)})
+        assert core.on_message(self.conn, raw) == "dropped"
+        assert self.verifies == 1 and self.signatures == 0
         assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
         assert core.store.get_all_blocks() == chain
 
@@ -482,7 +490,7 @@ class TestIntakeOrder:
     @pytest.mark.parametrize("block", HOSTILE_BLOCKS.values(), ids=HOSTILE_BLOCKS.keys())
     def test_hostile_shape_is_counted_before_any_verify(self, core, block):
         chain = core.store.get_all_blocks()
-        assert core.on_message(Capture(), forged(wire.NEW_BLOCK, {"block": block})) == "ignored"
+        assert core.on_message(self.conn, self.forged(wire.NEW_BLOCK, {"block": block})) == "ignored"
         assert self.verifies == 0
         assert core.rejects_by_reason == {"MalformedBlock": 1}
         assert core.dropped_envelopes == 0
@@ -495,8 +503,8 @@ class TestIntakeOrder:
         while meets_difficulty(block_hash(block), bits):
             block = block.with_nonce(block.nonce + 1)
         block = block.with_hash(block_hash(block))
-        raw = forged(wire.NEW_BLOCK, {"block": block_to_json(block)})
-        assert core.on_message(Capture(), raw) == "ignored"
+        raw = self.forged(wire.NEW_BLOCK, {"block": block_to_json(block)})
+        assert core.on_message(self.conn, raw) == "ignored"
         assert self.verifies == 0
         assert core.rejects_by_reason == {"InsufficientWork": 1}
         assert core.dropped_envelopes == 0
@@ -511,15 +519,15 @@ class TestIntakeOrder:
         real_get_blocks = core.store.get_blocks
         monkeypatch.setattr(core.store, "get_blocks",
                             lambda *args: reads.append(args) or real_get_blocks(*args))
-        raw = forged(wire.NEW_BLOCK, {"block": block_to_json(rival)})
-        assert core.on_message(Capture(), raw) == "ignored"
+        raw = self.forged(wire.NEW_BLOCK, {"block": block_to_json(rival)})
+        assert core.on_message(self.conn, raw) == "ignored"
         assert reads == [] and self.verifies == 0
         assert core.rejects_by_reason == {} and core.dropped_envelopes == 0
 
     def test_unlinked_block_on_a_limited_link_is_counted_before_any_verify(self, core):
-        conn = self.linked_conn(core)
+        conn = self.conn
         core._links[id(conn)].unserved = node_module.MAX_UNSERVED
-        raw = forged(wire.NEW_BLOCK, {"block": block_to_json(unlinked_block(core))})
+        raw = self.forged(wire.NEW_BLOCK, {"block": block_to_json(unlinked_block(core))})
         assert core.on_message(conn, raw) == "ignored"
         assert self.verifies == 0
         assert core.rejects_by_reason == {"ParentNotServed": 1}
@@ -527,10 +535,10 @@ class TestIntakeOrder:
         assert conn.sent == []
 
     def test_forged_unlinked_block_sets_off_no_sync(self, core):
-        conn = self.linked_conn(core)
-        raw = forged(wire.NEW_BLOCK, {"block": block_to_json(unlinked_block(core))})
+        conn = self.conn
+        raw = self.forged(wire.NEW_BLOCK, {"block": block_to_json(unlinked_block(core))})
         assert core.on_message(conn, raw) == "dropped"
-        assert self.verifies == 1
+        assert self.verifies == 1 and self.signatures == 0
         assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
         assert conn.sent == []  # no GET_BLOCKS
         assert core._links[id(conn)].wanted is None
@@ -538,32 +546,99 @@ class TestIntakeOrder:
     def test_unlinked_block_during_a_pending_sync_costs_no_verify(self, core):
         # the first unlinked block sets off a sync; until it is answered or
         # due a retry, another one could send nothing, so it is not verified
-        conn = self.linked_conn(core)
+        conn = self.conn
         block = unlinked_block(core)
-        assert from_peer(core, conn, wire.NEW_BLOCK,
-                         {"block": block_to_json(block)}) == "sync_triggered"
+        assert self.peer.send(wire.NEW_BLOCK, {"block": block_to_json(block)}) == "sync_triggered"
         assert self.verifies == 1 and len(conn.sent) == 1
-        raw = forged(wire.NEW_BLOCK, {"block": block_to_json(block)})
+        raw = self.forged(wire.NEW_BLOCK, {"block": block_to_json(block)})
         assert core.on_message(conn, raw) == "sync_triggered"
         assert self.verifies == 1 and len(conn.sent) == 1
         assert core.dropped_envelopes == 0 and core.rejects_by_reason == {}
         assert core._links[id(conn)].wanted == block.hash
 
     def test_each_block_envelope_is_verified_once(self, core):
-        # a NEW_BLOCK's signature is checked once, by handle_new_block,
-        # whether it comes in through on_message or on_envelope
-        conn = self.linked_conn(core)
+        # a NEW_BLOCK's tag is checked once, by handle_new_block, whether it
+        # comes in through on_message or on_envelope
+        conn = self.conn
         block = unlinked_block(core)
-        assert from_peer(core, conn, wire.NEW_BLOCK,
-                         {"block": block_to_json(block)}) == "sync_triggered"
+        assert self.peer.send(wire.NEW_BLOCK, {"block": block_to_json(block)}) == "sync_triggered"
         assert self.verifies == 1
-        tip = core.store.tip()
-        block = mine_block(create_new_block("peer", tip, effective_bits(core.difficulty),
-                                            tip.timestamp + 1))
-        env = sign_envelope(wire.NEW_BLOCK, 1, {"block": block_to_json(block)}, PEER)
+        block = next_block(core)
+        env = self.peer.envelope(wire.NEW_BLOCK, {"block": block_to_json(block)})
         assert core.on_envelope(conn, env) == "appended"
-        assert self.verifies == 2
+        assert self.verifies == 2 and self.signatures == 0
         assert core.store.tip() == block
+
+    @pytest.mark.parametrize("counter", ["same", "lower"])
+    @pytest.mark.parametrize("kind", [wire.NEW_BLOCK, wire.GET_BLOCKS])
+    def test_replayed_frame_is_dropped(self, core, kind, counter):
+        # a frame whose counter does not rise is dropped before any check:
+        # the same frame again, or an earlier one held back
+        tip = core.store.tip()
+        payload = ({"block": block_to_json(next_block(core))} if kind == wire.NEW_BLOCK
+                   else {"locator": [[tip.index, tip.hash]]})
+        earlier = self.peer.envelope(wire.QUERY, {"what": "stats"}).encode()
+        raw = self.peer.envelope(kind, payload).encode()
+        assert core.on_message(self.conn, raw) in ("appended", "handled")
+        chain, sent = core.store.get_all_blocks(), list(self.conn.sent)
+        replayed = raw if counter == "same" else earlier
+        assert core.on_message(self.conn, replayed) == "dropped"
+        assert self.verifies == 1 and self.conn.sent == sent
+        assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
+        assert core.store.get_all_blocks() == chain
+
+    @pytest.mark.parametrize("frame", ["other-direction", "reflected"])
+    @pytest.mark.parametrize("kind", [wire.NEW_BLOCK, wire.GET_BLOCKS])
+    def test_frame_under_the_wrong_key_is_dropped(self, core, kind, frame):
+        # PEER's frame tagged with the key of the node's direction, or the
+        # node's own frame sent back to it: the tag fails, costing no
+        # Ed25519 verify, and the frame is counted
+        chain = core.store.get_all_blocks()
+        tip = chain[-1]
+        payload = ({"block": block_to_json(next_block(core))} if kind == wire.NEW_BLOCK
+                   else {"locator": [[tip.index, tip.hash]]})
+        if frame == "other-direction":
+            raw = self.peer.envelope(kind, payload, key=self.peer.keys[1]).encode()
+        else:
+            core._send(self.conn, kind, payload)
+            raw = self.conn.sent.pop()
+        assert core.on_message(self.conn, raw) == "dropped"
+        assert self.verifies == 1 and self.signatures == 0
+        assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
+        assert self.conn.sent == []
+        assert core.store.get_all_blocks() == chain
+
+    @pytest.mark.parametrize("kind", [wire.NEW_BLOCK, wire.BLOCKS])
+    def test_block_on_a_link_without_keys_is_ignored(self, core, kind):
+        # a client's link never runs the handshake: it carries no blocks,
+        # and a signed block on it is not even checked
+        conn = Capture()
+        core.on_inbound_connection(conn)
+        chain = core.store.get_all_blocks()
+        block = block_to_json(next_block(core))
+        payload = ({"block": block} if kind == wire.NEW_BLOCK
+                   else {"after": chain[-1].index, "blocks": [block], "more": False})
+        raw = sign_envelope(kind, 1, payload, PEER).encode()
+        assert core.on_message(conn, raw) == "ignored"
+        assert self.verifies == 0 and conn.sent == []
+        assert core.dropped_envelopes == 0 and core.rejects_by_reason == {}
+        assert core.store.get_all_blocks() == chain
+
+    @pytest.mark.parametrize("kind", [wire.NEW_BLOCK, wire.BLOCKS])
+    def test_data_that_is_not_unicode_text_is_malformed(self, core, kind):
+        # JSON text can carry a lone surrogate as an escape; no block may
+        # hold one, as its hash preimage would not encode
+        chain = core.store.get_all_blocks()
+        tip = chain[-1]
+        block = replace(next_block(core), data="\ud800")
+        payload = ({"block": block_to_json(block)} if kind == wire.NEW_BLOCK
+                   else {"after": tip.index, "blocks": [block_to_json(block)], "more": False})
+        raw = self.peer.envelope(kind, payload).encode()
+        assert b"\\ud800" in raw  # the escape, as a peer would send it
+        assert core.on_message(self.conn, raw) == "ignored"
+        assert core.rejects_by_reason == {"MalformedBlock": 1}
+        assert core.dropped_envelopes == 0
+        assert core.store.get_all_blocks() == chain
 
 
 class TestSixStepOrder:
@@ -919,12 +994,14 @@ class TestStaleSyncReply:
         assert core.adopt_if_heavier(0, chain[1:]) == "adopted"
 
     def reply_to(self, requester, server):
-        """The server's BLOCKS answer to the requester's GET_BLOCKS, as wire bytes."""
+        """The requester dials the server; the server's BLOCKS answer to its
+        link-open GET_BLOCKS, as wire bytes, and the requester's end."""
         ask, answer = Capture(), Capture()
-        requester.request_sync(ask)
+        requester.connect_peer(ask)
+        server.on_inbound_connection(answer)
         server.on_message(answer, ask.sent[0])
         [raw] = answer.sent
-        return raw
+        return raw, ask
 
     @pytest.mark.parametrize("shared", [2, 5], ids=["fork-point-reorged-away",
                                                     "fork-point-past-the-tip"])
@@ -933,13 +1010,14 @@ class TestStaleSyncReply:
         ours = self.chain([genesis_block()], shared, 4, "a")
         self.adopt(requester, ours)
         self.adopt(server, self.chain(ours, 2, 4, "b"))
-        reply = self.reply_to(requester, server)
+        reply, conn = self.reply_to(requester, server)
         assert decode_envelope(reply).payload["after"] == shared
 
         # before the reply lands, a heavier two-block chain replaces ours
         heavier = self.chain([genesis_block()], 2, 10, "c")
         self.adopt(requester, heavier)
-        assert requester.on_message(Capture(), reply) == "ignored"
+        assert requester.on_message(conn, reply) == "ignored"
+        assert requester.connected() == [conn]
         assert requester.store.get_all_blocks() == heavier
         assert requester.rejects_by_reason == {}
 
@@ -999,7 +1077,8 @@ class TestOversizedFrame:
 
         conn = CappedConn()
         core.on_inbound_connection(conn)
-        from_peer(core, conn, wire.GET_BLOCKS, {"locator": [[0, genesis_block().hash]]})
+        # the link opens, though the node's reply is refused too
+        assert core.on_message(conn, PeerEnd(core, PEER, conn).opening().encode()) == "handled"
         assert core._send(conn, "QUERY", {}) is False
         result = submit_and_run(core, queue, {"kind": "raw", "data": "big"})
         assert result["ok"] is True
@@ -1322,6 +1401,21 @@ class TestTcpRuntime:
                     sign_envelope(wire.GET_BLOCKS, 1, {"x": 1}, PEER).encode()))
                 assert sock.recv(1) == b""
             assert self.stats(runtime)["ok"] is True
+
+    def test_link_without_the_handshake_carries_requests_but_no_blocks(self, runtime):
+        # a client never runs the handshake: its signed requests are
+        # answered, signed, and a block it sends is ignored unread
+        block = mine_block(create_new_block("unkeyed", genesis_block(), 8, 1))
+        with self.client(runtime) as sock:
+            sock.sendall(wire.frame(sign_envelope(
+                wire.NEW_BLOCK, 1, {"block": block_to_json(block)}, PEER).encode()))
+            answer = self.request(sock, wire.TX, {"tx": {"kind": "raw", "data": "x"}})
+            assert answer.payload["error"] == "mining disabled on this node"
+            stats = self.request(sock, wire.QUERY, {"what": "stats"})
+        assert answer.counter is None and wire.verify_envelope(answer)
+        assert stats.counter is None and wire.verify_envelope(stats)
+        assert stats.payload["result"]["count"] == 1
+        assert stats.payload["result"]["rejected_invalid_blocks"] == 0
 
     def test_restart_preserves_tip_over_tcp(self, tmp_path):
         from powdb.cli import client_request

@@ -23,6 +23,7 @@ from powdb.sim import (
     write_report,
 )
 from powdb.simnet import EventQueue, MemNetwork, SimMiner
+from powdb.wire import NodeIdentity
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -384,13 +385,48 @@ class TestScenarios:
         n = config.node_count
         links = n * (n - 1) // 2
         assert link_open == Counter({wire.GET_BLOCKS: links, wire.BLOCKS: links})
-        # no more than the two HELLOs per link the handshake took before
-        assert link_open_bytes <= 30_465
+        # no more than the two HELLOs per link the handshake took before,
+        # plus a key share in each message: ',"key":' and 64 hex digits
+        assert link_open_bytes <= 30_465 + 2 * links * 73
         assert sync_bytes[wire.GET_BLOCKS] > 0 and sync_bytes[wire.BLOCKS] > 0
         assert sum(sync_bytes.values()) < 20_000
         unserving = list(report["malicious_behavior_by_node"].values()).count("bad_prev_hash")
         assert unserving >= 1
         assert requests <= node_module.MAX_UNSERVED * (n - 1) * unserving
+
+    def test_adversarial_ed25519_work_is_one_sign_and_one_verify_per_link_end(
+            self, monkeypatch):
+        # each link is authenticated once: its link-open request and the
+        # reply are signed, and every later frame, a malicious node's
+        # tampered one too, carries a tag. Signing every envelope took
+        # 1,489 signs and 2,043 verifies here
+        counts = Counter()
+        real_sign, real_signature = NodeIdentity.sign, wire.verify_signature
+        real_verify = node_module.verify_envelope
+
+        def counting_sign(identity, message):
+            counts["sign"] += 1
+            return real_sign(identity, message)
+
+        def counting_signature(env):
+            counts["verify"] += 1
+            return real_signature(env)
+
+        def counting_verify(env, *key):
+            counts["tag"] += bool(key)
+            return real_verify(env, *key)
+
+        monkeypatch.setattr(NodeIdentity, "sign", counting_sign)
+        monkeypatch.setattr(wire, "verify_signature", counting_signature)
+        monkeypatch.setattr(node_module, "verify_envelope", counting_verify)
+        config = ScenarioConfig.from_json(
+            json.loads((SCENARIOS / "adversarial.json").read_text()))
+        report = run_scenario(config)
+        n = config.node_count
+        link_ends = n * (n - 1)
+        assert counts["sign"] <= link_ends and counts["verify"] <= link_ends
+        assert counts["tag"] > 1_000
+        assert report["dropped_envelopes"] > 0  # tampered tags are still caught
 
     def test_adversarial_blocks_cost_no_verify_when_a_cheaper_check_rejects_them(
             self, monkeypatch):
@@ -402,10 +438,10 @@ class TestScenarios:
         block_verifies = 0
         real_verify = node_module.verify_envelope
 
-        def counting_verify(env):
+        def counting_verify(env, *key):
             nonlocal block_verifies
             block_verifies += env.kind == wire.NEW_BLOCK
-            return real_verify(env)
+            return real_verify(env, *key)
 
         monkeypatch.setattr(node_module, "verify_envelope", counting_verify)
         config = ScenarioConfig.from_json(
@@ -420,10 +456,10 @@ class TestScenarios:
         block_verifies = 0
         real_verify = node_module.verify_envelope
 
-        def counting_verify(env):
+        def counting_verify(env, *key):
             nonlocal block_verifies
             block_verifies += env.kind == wire.NEW_BLOCK
-            return real_verify(env)
+            return real_verify(env, *key)
 
         monkeypatch.setattr(node_module, "verify_envelope", counting_verify)
         shape = json.loads((SCENARIOS / "partition_short.json").read_text())

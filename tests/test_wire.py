@@ -1,6 +1,7 @@
 """Canonical JSON, envelope signing and stream framing."""
 
 import hashlib
+import hmac
 import io
 import json
 import random
@@ -14,6 +15,8 @@ import pytest
 from powdb import wire
 from powdb.wire import (
     EncodingError,
+    KeyShare,
+    LinkKey,
     MessageEnvelope,
     NodeIdentity,
     ProtocolError,
@@ -147,6 +150,12 @@ class TestCanonicalJson:
     def test_unicode_kept_raw(self):
         assert canonical_json({"k": "é"}) == '{"k":"é"}'.encode("utf-8")
 
+    def test_lone_surrogate_keeps_its_escape(self):
+        # JSON text can carry one, and what it decodes to must re-encode
+        value = json.loads(b'{"k\\udfff":"a\\ud800b"}')
+        assert canonical_json(value) == b'{"k\\udfff":"a\\ud800b"}'
+        assert json.loads(canonical_json(value)) == value
+
 
 class _Level(IntEnum):
     LOW = 1
@@ -196,6 +205,8 @@ class TestEncodeReusesSignedBytes:
         {"block": {"index": 1, "data": "naïve ✓ \u2028 \"quoted\" \\", "nonce": 2**63}},
         {"blocks": [{"a": [1, [2, [3, None]]], "b": {"c": {"d": True}}}] * 3},
         {"what": "chain", "params": {"ключ": "値", "empty": [], "neg": -7}},
+        {"what": "lone \ud800 surrogate"},
+        {"what": "100% \"done\" %s %b %d"},
     ]
 
     def setup_method(self):
@@ -203,15 +214,26 @@ class TestEncodeReusesSignedBytes:
 
     @pytest.mark.parametrize("payload", PAYLOADS)
     def test_signed_decoded_and_hand_built_envelopes(self, payload):
-        env = sign_envelope("QUERY", 1234, payload, self.identity)
-        raw = env.encode()
-        assert raw == canonical_json(env.to_json())
-        decoded = decode_envelope(raw)
-        assert decoded == env
-        assert decoded.encode() == raw
-        hand_built = MessageEnvelope(env.sender, env.kind, env.timestamp, env.payload,
-                                     env.signature)
-        assert hand_built.encode() == raw
+        # signed, and tagged as a link's frame
+        for key, counter in ((None, None), (LinkKey(b"\x22" * 32), 2**63)):
+            env = sign_envelope("QUERY", 1234, payload, self.identity, key, counter)
+            raw = env.encode()
+            assert raw == canonical_json(env.to_json())
+            decoded = decode_envelope(raw)
+            assert decoded == env
+            assert decoded.encode() == raw
+            assert verify_envelope(decoded, key)
+            hand_built = MessageEnvelope(env.sender, env.kind, env.timestamp, env.payload,
+                                         env.signature, env.counter)
+            assert hand_built.encode() == raw
+
+    @pytest.mark.parametrize("payload", PAYLOADS)
+    def test_tagged_frames_are_the_tagged_envelopes(self, payload):
+        tags = [(LinkKey(bytes([i]) * 32), counter) for i, counter in ((1, 1), (2, 2**63))]
+        frames = wire.tagged_frames("NEW_BLOCK", 77, payload, self.identity, tags)
+        assert frames == [sign_envelope("NEW_BLOCK", 77, payload, self.identity, key,
+                                        counter).encode() for key, counter in tags]
+        assert wire.tagged_frames("NEW_BLOCK", 77, payload, self.identity, []) == []
 
     def test_replaced_envelope_carries_no_stale_bytes(self):
         env = sign_envelope("TX", 5, {"tx": {"kind": "raw", "data": "é"}}, self.identity)
@@ -314,6 +336,73 @@ class TestSigning:
                             self.identity)
         blob = env.encode().decode("utf-8")
         assert bytes(range(32)).hex() not in blob
+
+
+class TestLinkKeys:
+    """The handshake's key derivation, and the tags made with its keys."""
+
+    DIALER, LISTENER = (NodeIdentity.from_seed(bytes([i]) * 32).node_id for i in (1, 2))
+
+    @staticmethod
+    def share(seed):
+        return KeyShare(random.Random(seed).randbytes)
+
+    def pair(self, dialer_seed=1, listener_seed=2):
+        dialer, listener = self.share(dialer_seed), self.share(listener_seed)
+        return (dialer.link_keys(listener.public, self.DIALER, self.LISTENER, dialer=True),
+                listener.link_keys(dialer.public, self.LISTENER, self.DIALER, dialer=False))
+
+    @staticmethod
+    def tag(key, counter=1, message=b"m"):
+        return key.tag(counter, message)
+
+    def test_each_direction_has_one_key_both_ends_share(self):
+        (d_send, d_recv), (l_send, l_recv) = self.pair()
+        assert self.tag(d_send) == self.tag(l_recv)
+        assert self.tag(l_send) == self.tag(d_recv)
+        assert self.tag(d_send) != self.tag(l_send)
+
+    def test_keys_bind_the_shares_and_the_node_ids(self):
+        (d_send, _), _ = self.pair()
+        (fresh_send, _), _ = self.pair(dialer_seed=3)
+        dialer, listener = self.share(1), self.share(2)
+        other_id = NodeIdentity.from_seed(b"\x09" * 32).node_id
+        renamed_send, _ = dialer.link_keys(listener.public, self.DIALER, other_id, dialer=True)
+        assert len({self.tag(d_send), self.tag(fresh_send), self.tag(renamed_send)}) == 3
+
+    @pytest.mark.parametrize("peer_public", [None, 5, "ab" * 31, "zz" * 32, "00" * 32],
+                             ids=["none", "int", "31-bytes", "not-hex", "low-order-point"])
+    def test_malformed_share_gives_no_keys(self, peer_public):
+        assert self.share(1).link_keys(peer_public, self.DIALER, self.LISTENER, True) is None
+
+    def test_tag_is_hmac_sha256_over_the_counter_and_preimage(self):
+        raw = bytes(range(32))
+        preimage = signing_bytes("NEW_BLOCK", 5, {"block": 1})
+        expected = hmac.digest(raw, b"17\x1f" + preimage, "sha256").hex()
+        assert LinkKey(raw).tag(17, preimage) == expected
+
+    def test_any_change_to_a_tagged_envelope_fails_its_check(self):
+        (send, other), (_, recv) = self.pair()
+        identity = NodeIdentity.from_seed(b"\x01" * 32)
+        env = sign_envelope("NEW_BLOCK", 5, {"block": {"index": 1}}, identity, send, 3)
+        assert verify_envelope(env, recv)
+        for changed in (replace(env, counter=4), replace(env, counter=None),
+                        replace(env, timestamp=6), replace(env, kind="BLOCKS"),
+                        replace(env, payload={"block": {"index": 2}}),
+                        replace(env, signature="é" + env.signature[1:]),
+                        replace(env, signature=env.signature[:-2])):
+            assert not verify_envelope(changed, recv)
+        assert not verify_envelope(env, other)  # the other direction's key
+        assert not verify_envelope(env)  # a tag is no signature
+
+    def test_decode_keeps_the_counter_and_refuses_a_bad_one(self):
+        (send, _), _ = self.pair()
+        env = sign_envelope("QUERY", 1, {}, NodeIdentity.from_seed(b"\x01" * 32), send, 9)
+        assert decode_envelope(env.encode()).counter == 9
+        for counter in (None, True, "9", 9.0):
+            obj = env.to_json()
+            obj["counter"] = counter
+            assert decode_envelope(json.dumps(obj).encode()) is None
 
 
 class TestFraming:
