@@ -11,10 +11,12 @@ gossiped, synced or mined here, and the store is the only record of the
 chain: its blocks, and the difficulty after each of them.
 
 A link between nodes is authenticated once: its first GET_BLOCKS and the
-BLOCKS reply are Ed25519-signed and carry ephemeral key shares, and every
-later frame on it carries a rising counter and an HMAC tag under the
-direction's link key (see wire). A client's link never runs the handshake,
-so its requests and replies stay signed, and it carries no blocks.
+BLOCKS reply are Ed25519-signed and carry each node's key share and a fresh
+nonce, and every later frame on it carries a rising counter and an HMAC tag
+under the direction's link key (see wire). A dialer that lost the reply
+sends the same request again, and gets the same reply. A client's link
+never runs the handshake, so its requests and replies stay signed, and it
+carries no blocks.
 
 A gossiped block pays for its tag check last: the held check, the block's
 shape, its parent lookup, the limited-link cut and the fork choice's checks
@@ -79,7 +81,6 @@ from powdb.wire import (
     canonical_json,
     decode_envelope,
     sign_envelope,
-    tagged_frames,
     verify_envelope,
 )
 
@@ -150,7 +151,8 @@ class _Link:
     conn: object
     outbound: bool
     opened_ms: int
-    share: KeyShare | None = None  # a dialer's key share, until the reply keys the link
+    hello: dict | None = None  # this end's handshake fields: the node's key and a nonce
+    opened_by: tuple | None = None  # an inbound link's: the key and nonce that opened it
     keys: tuple[LinkKey, LinkKey] | None = None  # (send, receive) once the handshake is done
     sent: int = 0  # the counter of the last frame tagged for this link
     received: int = 0  # the counter of the last frame on it whose tag checked
@@ -194,6 +196,15 @@ def _rises(link: _Link, env: MessageEnvelope) -> bool:
     """Whether a keyed link's envelope carries a counter past the last one
     whose tag checked: a replayed or reflected frame does not."""
     return type(env.counter) is int and env.counter > link.received
+
+
+def _repeats_open(link: _Link, env: MessageEnvelope) -> bool:
+    """Whether `env` is the request that opened an inbound link, sent again
+    because the dialer lost our reply: a signed GET_BLOCKS with the same
+    key and nonce."""
+    payload = env.payload
+    return (env.kind == wire.GET_BLOCKS and env.counter is None and isinstance(payload, dict)
+            and link.opened_by == (payload.get("key"), payload.get("nonce")))
 
 
 def _unkeyed_may_carry(link: _Link | None, env: MessageEnvelope) -> bool:
@@ -270,7 +281,8 @@ class NodeCore:
                  clock, miner, *, mine_enabled: bool = True, random_bytes=os.urandom):
         params.validate()
         self.identity = identity
-        self.random_bytes = random_bytes  # fn(n) -> n bytes, for ephemeral link keys
+        self.random_bytes = random_bytes  # fn(n) -> n bytes, for link keys and nonces
+        self._share: KeyShare | None = None  # made at the first link open
         self.store = store
         self.params = params
         self.clock = clock
@@ -314,7 +326,7 @@ class NodeCore:
     def connect_peer(self, conn) -> None:
         """An outbound connection we dialed: its first GET_BLOCKS opens the link."""
         self._links[id(conn)] = _Link(conn, outbound=True, opened_ms=self.clock(),
-                                      share=KeyShare(self.random_bytes))
+                                      hello=self._hello())
         self.request_sync(conn)
 
     def on_inbound_connection(self, conn) -> None:
@@ -339,18 +351,22 @@ class NodeCore:
 
     def on_message(self, conn, raw: bytes) -> str:
         """Single entry point for wire input. On a keyed link, a frame whose
-        counter does not rise is dropped and counted at once. A link without
-        keys carries no block, and a sync message only to open the link; any
+        counter does not rise is dropped and counted at once, unless it
+        repeats the request that opened the link. A link without keys
+        carries no block, and a sync message only to open the link; any
         other block or sync frame on it cannot be checked and is ignored.
         A NEW_BLOCK then goes on unchecked, for handle_new_block to check
         its tag last; any other envelope is checked here."""
         env = decode_envelope(raw)
         link = self._links.get(id(conn))
         keyed = link is not None and link.keys is not None
-        if env is None or (keyed and not _rises(link, env)):
+        if env is None or (keyed and not _rises(link, env) and not _repeats_open(link, env)):
             self.dropped_envelopes += 1
             return "dropped"
         if not keyed and not _unkeyed_may_carry(link, env):
+            if link is not None and link.outbound and env.counter is not None:
+                # the peer's end is keyed, so our link-open reply was lost: ask again
+                self.request_sync(conn)
             return "ignored"
         if env.kind != wire.NEW_BLOCK and not self._authentic(link, env):
             return "dropped"
@@ -378,11 +394,17 @@ class NodeCore:
     # -- gossip ----------------------------------------------------------------
 
     def broadcast_block(self, block: Block, exclude_conn=None) -> int:
-        """NEW_BLOCK on every established link, once per block hash ever."""
+        """NEW_BLOCK on every established link, once per block hash ever. A
+        dialed link still without keys has its link-open request sent again,
+        once SYNC_RETRY_MS has passed: the request or its reply may be lost."""
         if not self._dedup.add(block.hash):
             return 0
         frames = self.frames(wire.NEW_BLOCK, {"block": block_to_json(block)}, exclude_conn)
-        return sum(self._send_raw(conn, raw) for conn, raw in frames)
+        sent = sum(self._send_raw(conn, raw) for conn, raw in frames)
+        for link in list(self._links.values()):
+            if link.outbound and not link.established:
+                self.request_sync(link.conn)
+        return sent
 
     def handle_new_block(self, conn, env: MessageEnvelope) -> str:
         """A gossiped block, cheapest check first: the held check, the shape,
@@ -438,9 +460,9 @@ class NodeCore:
     def _authentic(self, link: _Link | None, env: MessageEnvelope) -> bool:
         """Check an envelope: on a keyed link, its counter rises and its tag
         checks under the link's receive key, and the counter is kept; on any
-        other, its Ed25519 signature checks. A forged or replayed envelope
-        is counted."""
-        if link is None or link.keys is None:
+        other, or when it repeats the link's opening request, its Ed25519
+        signature checks. A forged or replayed envelope is counted."""
+        if link is None or link.keys is None or _repeats_open(link, env):
             ok = verify_envelope(env)
         else:
             ok = _rises(link, env) and verify_envelope(env, link.keys[1])
@@ -465,8 +487,8 @@ class NodeCore:
         heights = locator_heights(self.store.get_block_count() - 1)
         hashes = self.store.get_hashes(heights)
         payload = {"locator": [[height, hashes[height]] for height in heights]}
-        if link is not None and link.share is not None:
-            payload["key"] = link.share.public  # the link-open request
+        if link is not None and link.outbound and not link.established:
+            payload.update(link.hello)  # the link-open request
         return self._send(conn, wire.GET_BLOCKS, payload)
 
     def _sync_pending(self, link: _Link) -> bool:
@@ -483,17 +505,20 @@ class NodeCore:
         eighth of the frame cap: JSON escaping can make a data character
         take 6 bytes, so even then the page fits in one frame.
         A link's first request opens it: an empty or malformed locator, or a
-        key share that yields no link keys, drops the link. The reply carries
-        our share, and we pull back when we lack the locator's first entry,
-        the peer's tip.
+        key share and nonce that yield no link keys, drop the link. The reply
+        is signed and carries our share and nonce, and we pull back when we
+        lack the locator's first entry, the peer's tip. The same request
+        sent again gets the same fields in a signed reply.
         """
         link = self._links.get(id(conn))
         opening = link is not None and not link.established
+        repeat = link is not None and link.established and _repeats_open(link, env)
         locator = _parse_locator(env.payload)
         if opening:
-            share = KeyShare(self.random_bytes)
-            keys = locator and share.link_keys(env.payload.get("key"), self.identity.node_id,
-                                               env.sender, dialer=False)
+            link.hello = self._hello()
+            keys = locator and self._share.link_keys(link.hello, env.payload,
+                                                     self.identity.node_id, env.sender,
+                                                     dialer=False)
             if not keys:  # no locator, or no keys
                 self._drop_conn(conn)
                 return
@@ -512,11 +537,16 @@ class NodeCore:
                 break
             page.append(block_to_json(block))
         reply = {"after": after, "blocks": page, "more": len(page) < len(rows)}
-        if opening:
-            reply["key"] = share.public
-        self._send(conn, wire.BLOCKS, reply)  # signed at link open: the link has no keys yet
+        if opening or repeat:
+            reply.update(link.hello)
+            # signed: the dialer's end of the link has no keys before it reads this
+            raw = sign_envelope(wire.BLOCKS, self.clock(), reply, self.identity).encode()
+        else:
+            raw = self.envelope(conn, wire.BLOCKS, reply).encode()
+        self._send_raw(conn, raw)
         if opening:
             link.keys = keys
+            link.opened_by = (env.payload["key"], env.payload["nonce"])
             height, tip_hash = locator[0]
             if ours.get(height) != tip_hash:
                 self.request_sync(conn)
@@ -525,13 +555,12 @@ class NodeCore:
         link = self._links.get(id(conn))
         payload = env.payload if isinstance(env.payload, dict) else {}
         if link is not None and not link.established:
-            # the reply to our link-open request: its share keys the link
-            link.keys = link.share and link.share.link_keys(
-                payload.get("key"), self.identity.node_id, env.sender, dialer=True)
+            # the reply to our link-open request: its share and nonce key the link
+            link.keys = link.hello and self._share.link_keys(
+                link.hello, payload, self.identity.node_id, env.sender, dialer=True)
             if link.keys is None:
                 self._drop_conn(conn)
                 return "ignored"
-            link.share = None
         if link is not None:
             link.sync_sent_ms = None
         after, raw_blocks, more = payload.get("after"), payload.get("blocks"), payload.get("more")
@@ -770,26 +799,31 @@ class NodeCore:
 
     # -- plumbing ---------------------------------------------------------------------
 
-    def envelope(self, conn, kind: str, payload) -> MessageEnvelope:
+    def envelope(self, conn, kind: str, payload, body: bytes | None = None) -> MessageEnvelope:
         """`payload` as it leaves on `conn`: tagged as the link's next frame
-        once the link is keyed, signed otherwise."""
+        once the link is keyed, signed otherwise. `body` is the payload's
+        canonical JSON, if the caller has it."""
         link = self._links.get(id(conn))
         if link is None or link.keys is None:
-            return sign_envelope(kind, self.clock(), payload, self.identity)
+            return sign_envelope(kind, self.clock(), payload, self.identity, body=body)
         link.sent += 1
         return sign_envelope(kind, self.clock(), payload, self.identity, link.keys[0],
-                             link.sent)
+                             link.sent, body)
 
     def frames(self, kind: str, payload, exclude_conn=None) -> list[tuple[object, bytes]]:
         """`payload` for every established link but `exclude_conn`, as (conn,
         wire bytes): encoded once, and tagged as each link's next frame."""
-        links = [link for link in self._links.values()
-                 if link.established and link.conn is not exclude_conn]
-        for link in links:
-            link.sent += 1
-        raws = tagged_frames(kind, self.clock(), payload, self.identity,
-                             [(link.keys[0], link.sent) for link in links])
-        return [(link.conn, raw) for link, raw in zip(links, raws)]
+        conns = [conn for conn in self.connected() if conn is not exclude_conn]
+        if not conns:
+            return []
+        body = canonical_json(payload)
+        return [(conn, self.envelope(conn, kind, payload, body).encode()) for conn in conns]
+
+    def _hello(self) -> dict:
+        """A new link end's handshake fields, from the node's one key share."""
+        if self._share is None:
+            self._share = KeyShare(self.random_bytes)
+        return self._share.hello()
 
     def _send(self, conn, kind: str, payload) -> bool:
         return self._send_raw(conn, self.envelope(conn, kind, payload).encode())

@@ -3,19 +3,18 @@
 Every message between nodes travels as a MessageEnvelope over the kind,
 timestamp and canonicalized payload. A link between two nodes opens with
 two Ed25519-signed messages, the dialer's first GET_BLOCKS and the
-listener's BLOCKS reply, and each carries an ephemeral X25519 key share.
-From the shared secret, both shares and both node ids, each end derives one
-HMAC-SHA256 key per direction (HKDF, RFC 5869). Every later envelope on the
-link carries a counter that rises with each send and, in place of the
-signature, a tag over the counter, kind, timestamp and canonical payload
-under its direction's key. A client's request and its reply stay signed.
-Envelopes failing their check are dropped at this boundary and never reach
-a handler.
+listener's BLOCKS reply, and each carries its node's X25519 key, made once
+per process, and a fresh nonce. From the shared secret, both keys, both
+nonces and both node ids, each end derives one HMAC-SHA256 key per
+direction (HKDF, RFC 5869). Every later envelope on the link carries a
+counter that rises with each send and, in place of the signature, a tag
+over the counter, kind, timestamp and canonical payload under its
+direction's key. A client's request and its reply stay signed. Envelopes
+failing their check are dropped at this boundary and never reach a handler.
 """
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import json
 import os
@@ -198,25 +197,20 @@ class MessageEnvelope:
         sign_envelope encoded.
 
         The keys sort as counter, kind, payload, sender, signature, timestamp.
+        An envelope with those bytes came from sign_envelope, so its kind is
+        one of KINDS and its sender and signature are hex: no escaping.
         """
         body, counter = self._payload_json, self.counter
         if (body is None or type(self.timestamp) is not int
                 or (counter is not None and type(counter) is not int)):
             return canonical_json(self.to_json())
         head = b"" if counter is None else b'"counter":%d,' % counter
-        return b'{%b"kind":%b,"payload":%b,"sender":%b,"signature":%b,"timestamp":%d}' % (
-            head, _json_str(self.kind), body, _json_str(self.sender),
-            _json_str(self.signature), self.timestamp)
+        return b'{%b"kind":"%b","payload":%b,"sender":"%b","signature":"%b","timestamp":%d}' % (
+            head, self.kind.encode(), body, self.sender.encode(), self.signature.encode(),
+            self.timestamp)
 
 
 _FIELDS = frozenset({"sender", "kind", "timestamp", "payload", "signature"})
-
-
-def _json_str(text: str) -> bytes:
-    """`text` as canonical_json writes it."""
-    if text.isascii() and (text.isalnum() or text.isidentifier()):
-        return b'"%b"' % text.encode()  # a kind, or hex: nothing to escape
-    return json.dumps(text, ensure_ascii=False).encode("utf-8", "backslashreplace")
 
 
 def _preimage(kind: str, timestamp: int, body: bytes) -> bytes:
@@ -229,35 +223,30 @@ def signing_bytes(kind: str, timestamp: int, payload) -> bytes:
 
 
 class LinkKey:
-    """One direction's HMAC-SHA256 key. The inner and outer padded keys are
-    hashed once, as RFC 2104 section 4 suggests, so a tag costs two hash
-    copies instead of two extra compressions."""
-
-    _IPAD = bytes(b ^ 0x36 for b in range(256))  # translate tables: XOR every byte
-    _OPAD = bytes(b ^ 0x5C for b in range(256))
+    """One direction's HMAC-SHA256 key."""
 
     def __init__(self, key: bytes):
-        padded = key.ljust(64, b"\0")  # SHA-256's block size; link keys are 32 bytes
-        self._inner = hashlib.sha256(padded.translate(self._IPAD))
-        self._outer = hashlib.sha256(padded.translate(self._OPAD))
+        self._mac = hmac.new(key, digestmod="sha256")
 
     def tag(self, counter: int, preimage: bytes) -> str:
         """The tag over the counter and the signature preimage, as hex."""
-        inner = self._inner.copy()
-        inner.update(b"%d" % counter + SEP)
-        inner.update(preimage)
-        outer = self._outer.copy()
-        outer.update(inner.digest())
-        return outer.hexdigest()
+        mac = self._mac.copy()  # the keyed state, hashed once per key
+        mac.update(b"%d" % counter + SEP)
+        mac.update(preimage)
+        return mac.hexdigest()
 
 
 def sign_envelope(kind: str, timestamp: int, payload, identity: NodeIdentity,
-                  key: LinkKey | None = None, counter: int | None = None) -> MessageEnvelope:
+                  key: LinkKey | None = None, counter: int | None = None,
+                  body: bytes | None = None) -> MessageEnvelope:
     """An envelope from `identity`, Ed25519-signed; or, given a link's send
-    `key`, tagged as that direction's frame `counter`."""
+    `key`, tagged as that direction's frame `counter`. `body` is
+    canonical_json(payload) when the caller has it, as a broadcast, which
+    encodes its payload once for every link."""
     if kind not in KINDS:
         raise EncodingError(f"unknown message kind {kind!r}")
-    body = canonical_json(payload)
+    if body is None:
+        body = canonical_json(payload)
     preimage = _preimage(kind, timestamp, body)
     if key is None:
         signature = identity.sign(preimage).hex()
@@ -267,25 +256,6 @@ def sign_envelope(kind: str, timestamp: int, payload, identity: NodeIdentity,
                           payload=payload, signature=signature, counter=counter)
     object.__setattr__(env, "_payload_json", body)
     return env
-
-
-def tagged_frames(kind: str, timestamp: int, payload, identity: NodeIdentity,
-                  tags: list[tuple[LinkKey, int]]) -> list[bytes]:
-    """The wire bytes of `payload` for each (send key, counter) in `tags`,
-    as a broadcast sends it on every link. Each equals sign_envelope(kind,
-    timestamp, payload, identity, key, counter).encode(); the payload is
-    encoded once and no envelope is built."""
-    if kind not in KINDS:
-        raise EncodingError(f"unknown message kind {kind!r}")
-    if not tags:
-        return []
-    body = canonical_json(payload)
-    preimage = _preimage(kind, timestamp, body)
-    middle = b',"kind":%b,"payload":%b,"sender":%b,"signature":"' % (
-        _json_str(kind), body, _json_str(identity.node_id))
-    tail = b'","timestamp":%d}' % timestamp
-    return [b'{"counter":%d%b%b%b' % (counter, middle, key.tag(counter, preimage).encode(), tail)
-            for key, counter in tags]
 
 
 def verify_envelope(env: MessageEnvelope, key: LinkKey | None = None) -> bool:
@@ -319,33 +289,47 @@ def verify_signature(env: MessageEnvelope) -> bool:
 
 
 class KeyShare:
-    """One end's ephemeral X25519 key for one link's handshake."""
+    """A node's X25519 key for the handshakes of its links. A node makes one
+    at its first link open and keeps it in memory only, so a restarted node
+    has a new one. Each link end adds a fresh nonce, so every link gets its
+    own keys."""
 
-    # HKDF's extract salt; fixed, as the shares make each secret fresh
+    # HKDF's extract salt; fixed, as the nonces make each link's keys fresh
     SALT = b"powdb link keys v1"
+    NONCE_BYTES = 16
 
     def __init__(self, random_bytes):
         """`random_bytes(n)` gives n random bytes: os.urandom for a live node."""
+        self._random_bytes = random_bytes
         self._secret = X25519PrivateKey.from_private_bytes(random_bytes(32))
-        self.public = self._secret.public_key().public_bytes_raw().hex()
+        self._public = self._secret.public_key().public_bytes_raw()
+        self.public = self._public.hex()
 
-    def link_keys(self, peer_public, own_id: str, peer_id: str,
+    def hello(self) -> dict:
+        """One link end's handshake fields: the key and a fresh nonce, in hex."""
+        return {"key": self.public, "nonce": self._random_bytes(self.NONCE_BYTES).hex()}
+
+    def link_keys(self, own: dict, peer, own_id: str, peer_id: str,
                   dialer: bool) -> tuple[LinkKey, LinkKey] | None:
-        """This end's (send key, receive key), or None when the peer's share
-        is not a hex X25519 key or yields no shared secret.
+        """This end's (send key, receive key) for a link whose handshake
+        fields are `own`, from hello(), and the peer's `peer`; or None when
+        `peer` lacks a hex X25519 key that yields a shared secret or a hex
+        nonce of NONCE_BYTES.
 
         HKDF-SHA256 (RFC 5869) over the shared secret: one extract, then one
-        expand block per direction, whose info names both node ids and both
-        shares, dialer first, and the direction.
+        expand block per direction, whose info names both node ids, keys and
+        nonces, dialer first, and the direction.
         """
         try:
-            peer_raw = bytes.fromhex(peer_public)
-            shared = self._secret.exchange(X25519PublicKey.from_public_bytes(peer_raw))
-        except (ValueError, TypeError):
+            peer_key, peer_nonce = bytes.fromhex(peer["key"]), bytes.fromhex(peer["nonce"])
+            shared = self._secret.exchange(X25519PublicKey.from_public_bytes(peer_key))
+        except (KeyError, ValueError, TypeError):
             return None
-        own = own_id.encode() + bytes.fromhex(self.public)
-        peer = peer_id.encode() + peer_raw
-        transcript = own + peer if dialer else peer + own
+        if len(peer_nonce) != self.NONCE_BYTES:
+            return None
+        mine = own_id.encode() + self._public + bytes.fromhex(own["nonce"])
+        theirs = peer_id.encode() + peer_key + peer_nonce
+        transcript = mine + theirs if dialer else theirs + mine
         prk = hmac.digest(self.SALT, shared, "sha256")
         to_listener = LinkKey(hmac.digest(prk, transcript + b"dialer to listener\x01", "sha256"))
         to_dialer = LinkKey(hmac.digest(prk, transcript + b"listener to dialer\x01", "sha256"))

@@ -102,8 +102,8 @@ class PeerEnd:
     """A peer's end of one link to `core`, played by hand.
 
     `open` dials `core` over `conn` and runs the handshake as a node does:
-    a signed GET_BLOCKS with this end's key share opens the link, and the
-    node's signed BLOCKS reply, with its share, keys it. After that each
+    a signed GET_BLOCKS with this end's key share and nonce opens the link,
+    and the node's signed BLOCKS reply, with its own, keys it. After that each
     frame from `envelope` or `send` carries this end's next counter and a
     tag. `conn` keeps what the node sends in `conn.sent`, as Capture does.
     """
@@ -112,15 +112,16 @@ class PeerEnd:
         self.core, self.identity = core, identity
         self.conn = Capture() if conn is None else conn
         self.share = KeyShare(random.Random(seed).randbytes)
+        self.hello = self.share.hello()  # this end's key and nonce
         self.keys = None  # (send, receive), once the node has answered
         self.sent = 0
 
     def opening(self, **fields):
         """The link-open GET_BLOCKS: a locator of the node's own tip, so the
-        node does not pull back, and this end's share; `fields` replace
-        entries of that payload."""
+        node does not pull back, and this end's key and nonce; `fields`
+        replace entries of that payload."""
         tip = self.core.store.tip()
-        payload = {"locator": [[tip.index, tip.hash]], "key": self.share.public, **fields}
+        payload = {"locator": [[tip.index, tip.hash]], **self.hello, **fields}
         return sign_envelope(wire.GET_BLOCKS, 1, payload, self.identity)
 
     def open(self, **fields):
@@ -130,7 +131,7 @@ class PeerEnd:
         assert self.core.on_message(self.conn, self.opening(**fields).encode()) == "handled"
         reply = decode_envelope(self.conn.sent.pop(0))
         assert reply.kind == wire.BLOCKS and wire.verify_envelope(reply)
-        self.keys = self.share.link_keys(reply.payload["key"], self.identity.node_id,
+        self.keys = self.share.link_keys(self.hello, reply.payload, self.identity.node_id,
                                          reply.sender, dialer=True)
         return self
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import socket
 import queue
+import random
 import sys
 import threading
 import time
@@ -22,7 +23,7 @@ from powdb.contracts import contract_id_for
 from powdb.net import RecentSet
 from powdb.simnet import MemNetwork
 from powdb.transport import TcpTransport, parse_hostport
-from powdb.wire import MessageEnvelope, NodeIdentity, sign_envelope
+from powdb.wire import KeyShare, MessageEnvelope, NodeIdentity, sign_envelope
 
 from conftest import Capture, PeerEnd, extend
 
@@ -111,6 +112,7 @@ class TestLinkTeardown:
     AHEAD = [[5, "ab" * 32], [0, genesis_block().hash]]
     # an X25519 share of the all-zero point, which yields no shared secret
     LOW_ORDER = "00" * 32
+    NONCE = "ab" * 16
 
     def on_disconnect(self, cluster, node, peer):
         node.on_disconnect(peer.conn)
@@ -128,7 +130,8 @@ class TestLinkTeardown:
 
     def bad_reply_share(self, cluster, node, peer):
         # the BLOCKS reply to the node's link-open request
-        reply = {"after": 0, "blocks": [], "more": False, "key": self.LOW_ORDER}
+        reply = {"after": 0, "blocks": [], "more": False, "key": self.LOW_ORDER,
+                 "nonce": self.NONCE}
         node.on_message(peer.conn, sign_envelope(wire.BLOCKS, 1, reply, self.PEER).encode())
 
     def handshake_timeout(self, cluster, node, peer):
@@ -177,26 +180,27 @@ class TestLinkTeardown:
         assert id(peer.conn) not in node._links
         assert peer.conn.closed and peer.conn.sent == []
 
+    KEY = KeyShare(random.Random(7).randbytes).public
     BAD_SHARES = {
-        "missing": None,
-        "not-a-string": 5,
-        "31-bytes": "ab" * 31,
-        "not-hex": "zz" * 32,
-        "low-order-point": LOW_ORDER,
+        "missing": {"nonce": NONCE},
+        "not-a-string": {"key": 5, "nonce": NONCE},
+        "31-bytes": {"key": "ab" * 31, "nonce": NONCE},
+        "not-hex": {"key": "zz" * 32, "nonce": NONCE},
+        "low-order-point": {"key": LOW_ORDER, "nonce": NONCE},
+        "nonce-missing": {"key": KEY},
+        "nonce-15-bytes": {"key": KEY, "nonce": "ab" * 15},
     }
 
     @pytest.mark.parametrize("share", BAD_SHARES.values(), ids=BAD_SHARES.keys())
     def test_malformed_key_share_drops_the_link(self, cluster_factory, share):
-        # a link-open request, or the reply to one, whose share yields no keys
+        # a link-open request, or the reply to one, whose share and nonce
+        # yield no keys
         node = cluster_factory(1).nodes[0]
         listening, dialing = self.Link(), self.Link()
         node.on_inbound_connection(listening)
         node.connect_peer(dialing)
-        request = {"locator": [[0, genesis_block().hash]], "key": share}
-        reply = {"after": 0, "blocks": [], "more": False, "key": share}
-        for payload in (request, reply):
-            if share is None:
-                del payload["key"]
+        request = {"locator": [[0, genesis_block().hash]], **share}
+        reply = {"after": 0, "blocks": [], "more": False, **share}
         node.on_message(listening, sign_envelope(wire.GET_BLOCKS, 1, request,
                                                  self.PEER).encode())
         node.on_message(dialing, sign_envelope(wire.BLOCKS, 1, reply, self.PEER).encode())
@@ -241,7 +245,8 @@ class TestBroadcast:
             delivered.append((dst, message))
             real_deliver(src, dst, message)
 
-        monkeypatch.setattr(wire, "canonical_json", counting_canonical)
+        for module in (wire, node_module):  # the node encodes, and wire would re-encode
+            monkeypatch.setattr(module, "canonical_json", counting_canonical)
         monkeypatch.setattr(cluster.net, "deliver", recording_deliver)
         monkeypatch.setattr(NodeIdentity, "sign", lambda *args: ed25519.append(args))
         block = mine_block(create_new_block("x", node.store.tip(), 4, 1))
@@ -878,6 +883,47 @@ class TestSync:
                    for lost, later in zip(sent, sent[1:]))
         assert gaps > 0
         assert [core.dropped_envelopes for core in cluster.nodes] == [0, 0, 0, 0]
+        # a lost link-open request or reply is sent again, so every link
+        # ends keyed at both ends and every node on one chain
+        assert all(link.established for core in cluster.nodes for link in core._links.values())
+        assert len(set(cluster.heads())) == 1
+        assert len({core.store.get_block_count() for core in cluster.nodes}) == 1
+
+    @pytest.mark.parametrize("lost", [wire.GET_BLOCKS, wire.BLOCKS])
+    def test_lost_link_open_message_is_sent_again(self, cluster_factory, monkeypatch, lost):
+        # the dialer sends its link-open request again once SYNC_RETRY_MS has
+        # passed: when it gossips a block, or when it hears a tagged frame,
+        # which shows the listener's end is keyed. The listener answers the
+        # same request with the same fields, so its keys stay as they are
+        cluster = cluster_factory(2)
+        dialer, listener = cluster.nodes
+        real_deliver, dropped = cluster.net.deliver, []
+
+        def lossy_deliver(src, dst, message):
+            if not dropped and wire.decode_envelope(message).kind == lost:
+                dropped.append(message)
+            else:
+                real_deliver(src, dst, message)
+
+        monkeypatch.setattr(cluster.net, "deliver", lossy_deliver)
+        cluster.connect(0, 1)
+        cluster.pump()
+        assert dropped and dialer.connected() == []
+        keys = [link.keys for link in listener._links.values()]
+        assert (keys == [None]) == (lost == wire.GET_BLOCKS)
+        cluster.queue.now += node_module.SYNC_RETRY_MS
+        # first a block from the end whose gossip sets off the request again,
+        # then one from the other end, which crosses the link tagged
+        first = 0 if lost == wire.GET_BLOCKS else 1
+        for i in (first, 1 - first):
+            results = cluster.submit(i, {"kind": "raw", "data": f"after the loss {i}"})
+            cluster.pump()
+            assert results[0]["ok"]
+        assert len(dialer.connected()) == len(listener.connected()) == 1
+        if lost == wire.BLOCKS:
+            assert [link.keys for link in listener._links.values()] == keys
+        assert len(set(cluster.heads())) == 1 and dialer.store.get_block_count() == 3
+        assert dialer.dropped_envelopes == listener.dropped_envelopes == 0
 
     def test_ten_node_line_gossip_converges(self, cluster_factory):
         # worst-case connectivity: a 10-node line; a block committed at one

@@ -587,6 +587,28 @@ class TestIntakeOrder:
         assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
         assert core.store.get_all_blocks() == chain
 
+    @pytest.mark.parametrize("fields", [{}, {"nonce": "cd" * 16}], ids=["same", "new-nonce"])
+    def test_link_open_request_sent_again(self, core, fields):
+        # a dialer that lost the reply sends its link-open request again:
+        # the same key and nonce get the same fields back, signed, and the
+        # link keeps its keys; any other signed request on it is dropped
+        link = core._links[id(self.conn)]
+        keys = link.keys
+        raw = self.peer.opening(**fields).encode()
+        if fields:
+            assert core.on_message(self.conn, raw) == "dropped"
+            assert self.verifies == 0 and self.conn.sent == []
+            assert core.dropped_envelopes == 1
+        else:
+            assert core.on_message(self.conn, raw) == "handled"
+            assert self.verifies == self.signatures == 1
+            reply = decode_envelope(self.conn.sent.pop())
+            assert reply.kind == wire.BLOCKS and reply.counter is None
+            assert {"key": reply.payload["key"], "nonce": reply.payload["nonce"]} == link.hello
+            assert wire.verify_envelope(reply) and core.dropped_envelopes == 0
+        assert link.keys is keys and core.connected() == [self.conn]
+        assert self.peer.send(wire.QUERY, {"what": "stats"}) == "handled"
+
     @pytest.mark.parametrize("frame", ["other-direction", "reflected"])
     @pytest.mark.parametrize("kind", [wire.NEW_BLOCK, wire.GET_BLOCKS])
     def test_frame_under_the_wrong_key_is_dropped(self, core, kind, frame):

@@ -226,14 +226,9 @@ class TestEncodeReusesSignedBytes:
             hand_built = MessageEnvelope(env.sender, env.kind, env.timestamp, env.payload,
                                          env.signature, env.counter)
             assert hand_built.encode() == raw
-
-    @pytest.mark.parametrize("payload", PAYLOADS)
-    def test_tagged_frames_are_the_tagged_envelopes(self, payload):
-        tags = [(LinkKey(bytes([i]) * 32), counter) for i, counter in ((1, 1), (2, 2**63))]
-        frames = wire.tagged_frames("NEW_BLOCK", 77, payload, self.identity, tags)
-        assert frames == [sign_envelope("NEW_BLOCK", 77, payload, self.identity, key,
-                                        counter).encode() for key, counter in tags]
-        assert wire.tagged_frames("NEW_BLOCK", 77, payload, self.identity, []) == []
+            # a broadcast hands its one encoding of the payload to every link
+            assert sign_envelope("QUERY", 1234, payload, self.identity, key, counter,
+                                 canonical_json(payload)).encode() == raw
 
     def test_replaced_envelope_carries_no_stale_bytes(self):
         env = sign_envelope("TX", 5, {"tx": {"kind": "raw", "data": "é"}}, self.identity)
@@ -349,8 +344,9 @@ class TestLinkKeys:
 
     def pair(self, dialer_seed=1, listener_seed=2):
         dialer, listener = self.share(dialer_seed), self.share(listener_seed)
-        return (dialer.link_keys(listener.public, self.DIALER, self.LISTENER, dialer=True),
-                listener.link_keys(dialer.public, self.LISTENER, self.DIALER, dialer=False))
+        d_hello, l_hello = dialer.hello(), listener.hello()
+        return (dialer.link_keys(d_hello, l_hello, self.DIALER, self.LISTENER, dialer=True),
+                listener.link_keys(l_hello, d_hello, self.LISTENER, self.DIALER, dialer=False))
 
     @staticmethod
     def tag(key, counter=1, message=b"m"):
@@ -362,18 +358,45 @@ class TestLinkKeys:
         assert self.tag(l_send) == self.tag(d_recv)
         assert self.tag(d_send) != self.tag(l_send)
 
-    def test_keys_bind_the_shares_and_the_node_ids(self):
-        (d_send, _), _ = self.pair()
-        (fresh_send, _), _ = self.pair(dialer_seed=3)
-        dialer, listener = self.share(1), self.share(2)
+    def test_keys_bind_the_keys_the_nonces_and_the_node_ids(self):
+        # a node keeps one key for all its links: each link's nonces make
+        # its keys its own
+        dialer, listener, other = self.share(1), self.share(2), self.share(3)
+        d_hello, l_hello = dialer.hello(), listener.hello()
         other_id = NodeIdentity.from_seed(b"\x09" * 32).node_id
-        renamed_send, _ = dialer.link_keys(listener.public, self.DIALER, other_id, dialer=True)
-        assert len({self.tag(d_send), self.tag(fresh_send), self.tag(renamed_send)}) == 3
 
-    @pytest.mark.parametrize("peer_public", [None, 5, "ab" * 31, "zz" * 32, "00" * 32],
-                             ids=["none", "int", "31-bytes", "not-hex", "low-order-point"])
-    def test_malformed_share_gives_no_keys(self, peer_public):
-        assert self.share(1).link_keys(peer_public, self.DIALER, self.LISTENER, True) is None
+        def send_key(share, own, peer, listener_id=self.LISTENER):
+            return share.link_keys(own, peer, self.DIALER, listener_id, dialer=True)[0]
+
+        assert d_hello["key"] == dialer.hello()["key"] != l_hello["key"]
+        tags = {self.tag(send_key(dialer, d_hello, l_hello)),
+                self.tag(send_key(other, d_hello, l_hello)),  # another key, the same nonce
+                self.tag(send_key(dialer, dialer.hello(), l_hello)),  # a new nonce here
+                self.tag(send_key(dialer, d_hello, listener.hello())),  # and there
+                self.tag(send_key(dialer, d_hello, l_hello, other_id))}  # another peer
+        assert len(tags) == 5
+
+    KEY = KeyShare(random.Random(2).randbytes).public
+    BAD_HELLOS = {
+        "none": None,
+        "not-a-dict": ["00" * 32, "00" * 16],
+        "key-missing": {"nonce": "ab" * 16},
+        "key-int": {"key": 5, "nonce": "ab" * 16},
+        "key-31-bytes": {"key": "ab" * 31, "nonce": "ab" * 16},
+        "key-not-hex": {"key": "zz" * 32, "nonce": "ab" * 16},
+        "low-order-point": {"key": "00" * 32, "nonce": "ab" * 16},
+        "nonce-missing": {"key": KEY},
+        "nonce-int": {"key": KEY, "nonce": 5},
+        "nonce-15-bytes": {"key": KEY, "nonce": "ab" * 15},
+        "nonce-not-hex": {"key": KEY, "nonce": "zz" * 16},
+    }
+
+    @pytest.mark.parametrize("peer", BAD_HELLOS.values(), ids=BAD_HELLOS.keys())
+    def test_malformed_share_gives_no_keys(self, peer):
+        share = self.share(1)
+        assert share.link_keys(share.hello(), peer, self.DIALER, self.LISTENER, True) is None
+        good = {"key": self.KEY, "nonce": "ab" * 16}
+        assert share.link_keys(share.hello(), good, self.DIALER, self.LISTENER, True)
 
     def test_tag_is_hmac_sha256_over_the_counter_and_preimage(self):
         raw = bytes(range(32))
