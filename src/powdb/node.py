@@ -24,6 +24,16 @@ all run first, and the tag is checked only before the block changes the
 chain, is kept as no heavier, or sets off a sync; an unlinked block that
 arrives while the link's sync is pending sets off none and is not checked.
 Every other message is checked as it arrives.
+
+A block goes to each peer once, as in Plumtree's eager push (Leitão et al.,
+SRDS 2007): its NEW_BLOCK names, in "have", the nodes its sender knows hold
+it, and a node relays an adopted block only to the established links whose
+peer it does not know to hold it. Only a reliable link's peer is named or
+skipped (a connection's `reliable`); over any other link a block is relayed
+as if no list came with it, to every peer but its sender. A false list can
+only delay a block: the live node sends a locator on every link that has
+carried none of its own for RESYNC_MS, and the sync repairs what the push
+missed (anti-entropy, Demers et al., PODC 1987).
 """
 
 from __future__ import annotations
@@ -74,12 +84,15 @@ from powdb.net import RecentSet
 from powdb.store import BlockStore, NotFoundError
 from powdb.transport import TICK_S, TcpTransport
 from powdb.wire import (
+    MAX_HOLDERS,
     KeyShare,
     LinkKey,
     MessageEnvelope,
     NodeIdentity,
     canonical_json,
     decode_envelope,
+    parse_holders,
+    short_id,
     sign_envelope,
     verify_envelope,
 )
@@ -105,6 +118,10 @@ BLOCK_JSON_BYTES = 320
 # tick. After each failed dial the wait before the next one doubles, from
 # one tick (TICK_S) up to this many seconds; a dial that connects resets it.
 REDIAL_MAX_S = 30.0
+# The live node's tick sends a GET_BLOCKS on each established link on which
+# this node has sent none for this long, so a block a false holder list kept
+# from it arrives at most this late.
+RESYNC_MS = 30_000
 
 
 class BadConfigError(Exception):
@@ -154,11 +171,16 @@ class _Link:
     hello: dict | None = None  # this end's handshake fields: the node's key and a nonce
     opened_by: tuple | None = None  # an inbound link's: the key and nonce that opened it
     keys: tuple[LinkKey, LinkKey] | None = None  # (send, receive) once the handshake is done
+    peer: str | None = None  # the peer's node id, from its signed link-open message
     sent: int = 0  # the counter of the last frame tagged for this link
     received: int = 0  # the counter of the last frame on it whose tag checked
     sync_sent_ms: int | None = None
     wanted: str | None = None  # hash of the gossiped block that set off the pending sync
     unserved: int = 0  # syncs in a row whose reply did not reach their `wanted`
+    synced_ms: int = field(init=False)  # when this end last sent a GET_BLOCKS, or opened
+
+    def __post_init__(self):
+        self.synced_ms = self.opened_ms
 
     @property
     def established(self) -> bool:
@@ -205,6 +227,12 @@ def _repeats_open(link: _Link, env: MessageEnvelope) -> bool:
     payload = env.payload
     return (env.kind == wire.GET_BLOCKS and env.counter is None and isinstance(payload, dict)
             and link.opened_by == (payload.get("key"), payload.get("nonce")))
+
+
+def _reliable(conn) -> bool:
+    """Whether every frame sent on `conn` arrives, or the link closes and
+    opens again with a sync: a connection without `reliable` is not."""
+    return getattr(conn, "reliable", False)
 
 
 def _unkeyed_may_carry(link: _Link | None, env: MessageEnvelope) -> bool:
@@ -343,6 +371,16 @@ class NodeCore:
                     and now - link.opened_ms > HANDSHAKE_TIMEOUT_MS):
                 self._drop_conn(link.conn)
 
+    def resync_links(self) -> None:
+        """A GET_BLOCKS on each established link on which this node has sent
+        none for RESYNC_MS; the live node's tick calls this. The reply
+        brings whatever the gossip push missed, so a false holder list
+        delays a block by at most RESYNC_MS."""
+        now = self.clock()
+        for link in list(self._links.values()):
+            if link.established and now - link.synced_ms >= RESYNC_MS:
+                self.request_sync(link.conn)
+
     def connected(self) -> list:
         """The conns of established links, oldest first."""
         return [link.conn for link in self._links.values() if link.established]
@@ -393,13 +431,31 @@ class NodeCore:
 
     # -- gossip ----------------------------------------------------------------
 
-    def broadcast_block(self, block: Block, exclude_conn=None) -> int:
-        """NEW_BLOCK on every established link, once per block hash ever. A
-        dialed link still without keys has its link-open request sent again,
-        once SYNC_RETRY_MS has passed: the request or its reply may be lost."""
+    def broadcast_block(self, block: Block,
+                        gossip: tuple[_Link | None, MessageEnvelope] | None = None) -> int:
+        """NEW_BLOCK on every established link whose peer is not known to hold
+        the block, once per block hash ever. `gossip` is the link and the
+        envelope a gossiped block came in: its peer and the ones its holder
+        list names are known holders. The link it came in is skipped, and so
+        is a reliable link to a known holder. The list sent names this node,
+        the known holders and the peers it goes to over reliable links, in
+        that order, up to MAX_HOLDERS. A dialed link still without keys has
+        its link-open request sent again, once SYNC_RETRY_MS has passed: the
+        request or its reply may be lost."""
         if not self._dedup.add(block.hash):
             return 0
-        frames = self.frames(wire.NEW_BLOCK, {"block": block_to_json(block)}, exclude_conn)
+        source, env = gossip or (None, None)
+        known = [short_id(self.identity.node_id)]
+        if source is not None:
+            known += [short_id(source.peer), *parse_holders(env.payload)]
+        skip = set(known)
+        targets = [link for link in self._links.values()
+                   if link.established and link is not source
+                   and not (_reliable(link.conn) and short_id(link.peer) in skip)]
+        known += [short_id(link.peer) for link in targets if _reliable(link.conn)]
+        have = list(dict.fromkeys(known))[:MAX_HOLDERS]
+        frames = self.frames(wire.NEW_BLOCK, {"block": block_to_json(block), "have": have},
+                             [link.conn for link in targets])
         sent = sum(self._send_raw(conn, raw) for conn, raw in frames)
         for link in list(self._links.values()):
             if link.outbound and not link.established:
@@ -424,8 +480,7 @@ class NodeCore:
             self._count_reject(VerifyReason.MALFORMED_BLOCK)
             return "ignored"
         link = self._links.get(id(conn))
-        outcome = self.adopt_if_heavier(block.index - 1, [block], exclude_conn=conn,
-                                        unverified=(link, env))
+        outcome = self.adopt_if_heavier(block.index - 1, [block], unverified=(link, env))
         if outcome == "unlinked":
             # a gap, or the sender is on another fork: pull its chain, unless
             # its last MAX_UNSERVED syncs never reached the block behind them
@@ -483,7 +538,7 @@ class NodeCore:
         if link is not None:
             if self._sync_pending(link):
                 return False
-            link.sync_sent_ms = self.clock()
+            link.sync_sent_ms = link.synced_ms = self.clock()
         heights = locator_heights(self.store.get_block_count() - 1)
         hashes = self.store.get_hashes(heights)
         payload = {"locator": [[height, hashes[height]] for height in heights]}
@@ -545,7 +600,7 @@ class NodeCore:
             raw = self.envelope(conn, wire.BLOCKS, reply).encode()
         self._send_raw(conn, raw)
         if opening:
-            link.keys = keys
+            link.keys, link.peer = keys, env.sender
             link.opened_by = (env.payload["key"], env.payload["nonce"])
             height, tip_hash = locator[0]
             if ours.get(height) != tip_hash:
@@ -561,6 +616,7 @@ class NodeCore:
             if link.keys is None:
                 self._drop_conn(conn)
                 return "ignored"
+            link.peer = env.sender
         if link is not None:
             link.sync_sent_ms = None
         after, raw_blocks, more = payload.get("after"), payload.get("blocks"), payload.get("more")
@@ -587,7 +643,7 @@ class NodeCore:
         # or left our tip below it, so the reply no longer fits
         return "ignored" if outcome == "unlinked" else outcome
 
-    def adopt_if_heavier(self, after: int, blocks: list[Block], *, exclude_conn=None,
+    def adopt_if_heavier(self, after: int, blocks: list[Block], *,
                          unverified: tuple[_Link | None, MessageEnvelope] | None = None) -> str:
         """The one way blocks join the chain, gossiped, synced or mined here.
 
@@ -595,8 +651,9 @@ class NodeCore:
         `after`. Otherwise only the stored blocks after `after` and `blocks`
         are verified and weighed, never the whole chain. A failed check is a
         counted reject ("rejected"). `unverified` is the link and the
-        envelope that carried `blocks`, if the envelope is not yet checked:
-        it is checked now, and a forged one is "dropped". Then no more work keeps the
+        envelope that carried `blocks`, a gossiped block, whose envelope is
+        not yet checked: it is checked now, and a forged one is "dropped";
+        an adopted block's relay skips its known holders. Then no more work keeps the
         chain ("unchanged"); a heavier suffix is "adopted": mining stops, and
         one transaction drops the stored blocks past the fork point and appends.
         """
@@ -615,7 +672,7 @@ class NodeCore:
         self._cancel_mining()
         # the new tip's broadcast sends neighbors to the usual sync trigger
         self._commit(selected[common - 1], selected[common:], local[common:],
-                     exclude_conn=exclude_conn)
+                     gossip=unverified)
         return "adopted"
 
     # -- transaction pipeline ----------------------------------------------------
@@ -676,17 +733,18 @@ class NodeCore:
 
     # -- the commit path (steps 3..6 of the request flow) -------------------------
 
-    def _commit(self, prev: Block, blocks: list[Block], dropped=(), *, exclude_conn=None):
+    def _commit(self, prev: Block, blocks: list[Block], dropped=(), *, gossip=None):
         """Every chain change: drop the stored tail `dropped` (empty when `blocks`
         extend the tip), then append `blocks` on top of `prev` with their contract
-        effects, all in one transaction. Only the last block is broadcast."""
+        effects, all in one transaction. Only the last block is broadcast, past
+        the holders `gossip` shows (see broadcast_block)."""
         with self.store.transaction():
             difficulty = self.store.replace_chain(dropped) if dropped else self.difficulty
             for block in blocks:
                 difficulty = difficulty_after_append(difficulty, block, prev, self.params)
                 self.store.add_block(block, difficulty)
                 if block is blocks[-1]:
-                    self.broadcast_block(block, exclude_conn=exclude_conn)
+                    self.broadcast_block(block, gossip)
                 self._apply_block_payload(block)
                 prev = block
         if self.on_chain_change:
@@ -810,10 +868,9 @@ class NodeCore:
         return sign_envelope(kind, self.clock(), payload, self.identity, link.keys[0],
                              link.sent, body)
 
-    def frames(self, kind: str, payload, exclude_conn=None) -> list[tuple[object, bytes]]:
-        """`payload` for every established link but `exclude_conn`, as (conn,
+    def frames(self, kind: str, payload, conns: list) -> list[tuple[object, bytes]]:
+        """`payload` for each of `conns`, established links' conns, as (conn,
         wire bytes): encoded once, and tagged as each link's next frame."""
-        conns = [conn for conn in self.connected() if conn is not exclude_conn]
         if not conns:
             return []
         body = canonical_json(payload)
@@ -928,6 +985,7 @@ class NodeRuntime:
         self.core.check_timeouts()
         if self._stop.is_set():
             return  # the core is closing: open no new links
+        self.core.resync_links()
         now = time.monotonic()
         for peer in self._peers:
             if (peer.conn is None or peer.conn.closed) and now >= peer.due:

@@ -56,6 +56,12 @@ class MemConnection:
         self.closed = False
         self.label = f"{local_addr}->{remote_addr}"
 
+    @property
+    def reliable(self) -> bool:
+        """Whether every message sent arrives, unless a partition cuts the
+        link: only on a network that loses none."""
+        return self.network.loss_rate == 0
+
     def send_message(self, message: bytes) -> None:
         wire.check_frame_size(message)  # the cap a TCP frame has, checked first as there
         if self.closed or self.peer is None or self.peer.closed:

@@ -40,6 +40,10 @@ def _guarded(fn, *args) -> None:
 class TcpConnection:
     """One framed, bidirectional message stream."""
 
+    # a frame sent either arrives or the link closes, and the dial that
+    # opens it again starts with a sync
+    reliable = True
+
     def __init__(self, sock: socket.socket, label: str, selector: selectors.BaseSelector):
         self._sock = sock
         self._selector = selector

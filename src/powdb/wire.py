@@ -18,6 +18,7 @@ from __future__ import annotations
 import hmac
 import json
 import os
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,7 +35,9 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 
 SEP = b"\x1f"
 
-# Envelope kinds; the kind fixes the payload schema.
+# Envelope kinds; the kind fixes the payload schema. A NEW_BLOCK carries
+# {"block": a block's JSON, "have": [...]}, where "have" names, by short id,
+# up to MAX_HOLDERS nodes that its sender knows hold the block.
 NEW_BLOCK = "NEW_BLOCK"
 GET_BLOCKS = "GET_BLOCKS"
 BLOCKS = "BLOCKS"
@@ -45,12 +48,19 @@ RESPONSE = "RESPONSE"
 KINDS = frozenset({NEW_BLOCK, GET_BLOCKS, BLOCKS, TX, QUERY, RESPONSE})
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+# A holder list names a node by its short id, the first SHORT_ID_HEX hex
+# digits of its node id, and names at most MAX_HOLDERS: a full list takes
+# 427 bytes.
+SHORT_ID_HEX = 8
+MAX_HOLDERS = 38
 # What a frame that carries one block (NEW_BLOCK, a one-block BLOCKS page, a
-# block query's RESPONSE) takes besides the block's escaped data: at most
-# 600 bytes with every field at its maximum, rounded up.
+# block query's RESPONSE) takes besides the block's escaped data, with every
+# field at its maximum: at most 1,015 bytes, for a NEW_BLOCK whose holder
+# list is full (715 for a link-open BLOCKS reply), rounded up.
 BLOCK_ENVELOPE_BYTES = 1024
 
 _LEN = struct.Struct(">I")
+_SHORT_ID = re.compile(f"[0-9a-f]{{{SHORT_ID_HEX}}}")
 
 
 class EncodingError(ValueError):
@@ -127,6 +137,22 @@ def fits_block_frame(data: str) -> bool:
     shorter than a sixth of that is never encoded here."""
     limit = MAX_FRAME_BYTES - BLOCK_ENVELOPE_BYTES
     return 6 * len(data) + 2 <= limit or len(canonical_json(data)) <= limit
+
+
+def short_id(node_id: str) -> str:
+    """The short id a holder list names a node by."""
+    return node_id[:SHORT_ID_HEX]
+
+
+def parse_holders(payload) -> list[str]:
+    """The short ids a NEW_BLOCK payload's "have" list names; none when the
+    list is missing, is not a list, is over MAX_HOLDERS or holds anything
+    but short ids."""
+    have = payload.get("have") if isinstance(payload, dict) else None
+    if (isinstance(have, list) and len(have) <= MAX_HOLDERS
+            and all(type(h) is str and _SHORT_ID.fullmatch(h) for h in have)):
+        return have
+    return []
 
 
 class NodeIdentity:

@@ -17,7 +17,7 @@ import pytest
 from powdb import consensus
 from powdb import node as node_module
 from powdb import wire
-from powdb.chain import Block, block_to_json, genesis_block
+from powdb.chain import MAX_BLOCK_INT, MAX_DIFFICULTY_BITS, Block, block_to_json, genesis_block
 from powdb.consensus import create_new_block, effective_bits, mine_block, replay_difficulty
 from powdb.contracts import contract_id_for
 from powdb.net import RecentSet
@@ -251,14 +251,17 @@ class TestBroadcast:
         monkeypatch.setattr(NodeIdentity, "sign", lambda *args: ed25519.append(args))
         block = mine_block(create_new_block("x", node.store.tip(), 4, 1))
         assert node.broadcast_block(block) == 4
-        assert encoded == [{"block": block_to_json(block)}] and ed25519 == []
+        # one holder list for every peer: this node, then each peer sent to
+        have = [wire.short_id(core.identity.node_id) for core in cluster.nodes]
+        payload = {"block": block_to_json(block), "have": have}
+        assert encoded == [payload] and ed25519 == []
         assert sorted(dst.local_addr for dst, _ in delivered) == ["mem:1", "mem:2", "mem:3",
                                                                   "mem:4"]
         for dst, message in delivered:  # each under its own link's key
             env = wire.decode_envelope(message)
             keys = dst.owner._links[id(dst)].keys
             assert wire.verify_envelope(env, keys[1])
-            assert env.payload == {"block": block_to_json(block)}
+            assert env.payload == payload
         assert len({message for _, message in delivered}) == 4
 
     def test_no_peers_signs_nothing(self, cluster_factory, monkeypatch):
@@ -387,14 +390,19 @@ class TestBlockSizeRule:
         monkeypatch.setattr(consensus, "verify_block",
                             counting("block", consensus.verify_block))
 
-    def block(self, core, escaped_bytes):
-        """The next block on `core`'s tip, whose escaped data takes `escaped_bytes`."""
+    @staticmethod
+    def data(escaped_bytes):
+        """Block data that takes `escaped_bytes` JSON-escaped."""
         quotes, plain = divmod(escaped_bytes - 2, 2)  # a quote escapes to 2 bytes
         data = '"' * quotes + "x" * plain
         assert len(wire.canonical_json(data)) == escaped_bytes
+        return data
+
+    def block(self, core, escaped_bytes):
+        """The next block on `core`'s tip, whose escaped data takes `escaped_bytes`."""
         tip = core.store.tip()
-        return mine_block(create_new_block(data, tip, effective_bits(core.difficulty),
-                                           tip.timestamp + 1))
+        return mine_block(create_new_block(self.data(escaped_bytes), tip,
+                                           effective_bits(core.difficulty), tip.timestamp + 1))
 
     @pytest.mark.parametrize("kind", [wire.NEW_BLOCK, wire.BLOCKS])
     def test_block_one_byte_over_the_bound_is_malformed(self, cluster_factory, kind):
@@ -415,6 +423,37 @@ class TestBlockSizeRule:
         # a sync reply's tag is checked as it arrives, a gossiped block's
         # only after its block passes; no block is verified
         assert self.calls == (Counter(envelope=1) if kind == wire.BLOCKS else Counter())
+
+    def test_new_block_at_the_bound_with_a_full_holder_list_fits_one_frame(
+            self, cluster_factory, monkeypatch):
+        # every field at its maximum, and a signature's length in place of a
+        # tag's: BLOCK_ENVELOPE_BYTES holds the frame around the data
+        top = MAX_BLOCK_INT
+        block = Block(index=top, timestamp=top, data=self.data(self.BOUND), prev_hash="f" * 64,
+                      hash="f" * 64, difficulty=MAX_DIFFICULTY_BITS, nonce=top)
+        payload = {"block": block_to_json(block),
+                   "have": ["f" * wire.SHORT_ID_HEX] * wire.MAX_HOLDERS}
+        env = MessageEnvelope(sender="f" * 64, kind=wire.NEW_BLOCK, timestamp=top,
+                              payload=payload, signature="f" * 128, counter=top)
+        assert len(env.encode()) <= self.CAP
+        # a relay of such a block, with a full list, leaves B for C
+        cluster = cluster_factory(3)
+        a, b, c = cluster.nodes
+        cluster.connect(0, 1)
+        cluster.connect(1, 2)
+        cluster.pump()
+        sent = TestHolderList.new_block_frames(cluster, monkeypatch)
+        largest = self.block(a, self.BOUND)
+        [conn] = a.connected()
+        fillers = ["%08x" % i for i in range(wire.MAX_HOLDERS - 1)]
+        payload = {"block": block_to_json(largest),
+                   "have": [wire.short_id(a.identity.node_id)] + fillers}
+        raw = a.envelope(conn, wire.NEW_BLOCK, payload).encode()
+        assert b.on_message(conn.peer, raw) == "appended"
+        cluster.pump()
+        assert c.store.tip() == largest
+        [(_, to, relayed)] = sent
+        assert to == "mem:2" and len(relayed["have"]) == wire.MAX_HOLDERS
 
     def test_block_at_the_bound_reaches_a_node_that_missed_it_by_sync(self, cluster_factory):
         cluster = cluster_factory(2)
@@ -534,6 +573,167 @@ class TestForkChoiceOnGossip:
         cluster.pump()
         assert cluster.heads() == [heavy[-1].hash] * 2
         assert a.rejects_by_reason == b.rejects_by_reason == {}
+
+
+class TestHolderList:
+    """A NEW_BLOCK names the nodes its sender knows hold the block, and a
+    node relays an adopted block only to the peers it does not know to hold
+    it, and only skips a peer over a reliable link."""
+
+    @staticmethod
+    def new_block_frames(cluster, monkeypatch):
+        """(from, to, payload) of each NEW_BLOCK the cluster's network carries
+        from now on, recorded as it is sent."""
+        sent, real_deliver = [], cluster.net.deliver
+
+        def recording_deliver(src, dst, message):
+            env = wire.decode_envelope(message)
+            if env.kind == wire.NEW_BLOCK:
+                sent.append((src.local_addr, dst.local_addr, env.payload))
+            real_deliver(src, dst, message)
+
+        monkeypatch.setattr(cluster.net, "deliver", recording_deliver)
+        return sent
+
+    @staticmethod
+    def short(*cores):
+        return [wire.short_id(core.identity.node_id) for core in cores]
+
+    @staticmethod
+    def next_block(core, data):
+        tip = core.store.tip()
+        return mine_block(create_new_block(data, tip, effective_bits(core.difficulty),
+                                           tip.timestamp + 1))
+
+    def test_block_mined_at_one_end_of_a_line_reaches_the_other(self, cluster_factory,
+                                                               monkeypatch):
+        # A-B-C-D: each hop adds itself and the peer it sends to
+        cluster = cluster_factory(4)
+        for i in range(3):
+            cluster.connect(i, i + 1)
+        cluster.pump()
+        sent = self.new_block_frames(cluster, monkeypatch)
+        results = cluster.submit(0, {"kind": "raw", "data": "down the line"})
+        cluster.pump()
+        assert results[0]["ok"]
+        assert len(set(cluster.heads())) == 1
+        assert cluster.nodes[3].store.get_block_count() == 2
+        a, b, c, d = cluster.nodes
+        assert [(src, dst, payload["have"]) for src, dst, payload in sent] == [
+            ("mem:0", "mem:1", self.short(a, b)),
+            ("mem:1", "mem:2", self.short(b, a, c)),
+            ("mem:2", "mem:3", self.short(c, b, a, d)),
+        ]
+
+    def test_false_list_delays_a_block_until_the_periodic_sync(self, cluster_factory,
+                                                               monkeypatch):
+        # a peer's list names every node, so C relays to no one; D gets the
+        # block from the locator sync its tick sends after RESYNC_MS
+        cluster = cluster_factory(2)
+        c, d = cluster.nodes
+        cluster.connect(1, 0)
+        cluster.pump()
+        sent = self.new_block_frames(cluster, monkeypatch)
+        liar = PeerEnd(c, NodeIdentity.from_seed(b"\x05" * 32)).open()
+        block = self.next_block(c, "named to no one")
+        have = self.short(c, d) + [wire.short_id(liar.identity.node_id)]
+        assert liar.send(wire.NEW_BLOCK, {"block": block_to_json(block), "have": have}) \
+            == "appended"
+        cluster.pump()
+        assert sent == [] and liar.conn.sent == []
+        d.resync_links()  # too soon: the link-open sync was just sent
+        cluster.pump()
+        assert d.store.get_block_count() == 1
+        cluster.queue.at(cluster.queue.now + node_module.RESYNC_MS, d.resync_links)
+        cluster.pump()
+        assert d.store.tip() == block
+        assert c.rejects_by_reason == d.rejects_by_reason == {}
+
+    def test_periodic_sync_waits_until_a_link_carried_none_for_resync_ms(
+            self, cluster_factory, monkeypatch):
+        cluster = cluster_factory(2)
+        cluster.connect(0, 1)
+        cluster.pump()
+        a, b = cluster.nodes
+        requests = []
+        real_deliver = cluster.net.deliver
+
+        def recording_deliver(src, dst, message):
+            if wire.decode_envelope(message).kind == wire.GET_BLOCKS:
+                requests.append((cluster.queue.now, src.local_addr))
+            real_deliver(src, dst, message)
+
+        monkeypatch.setattr(cluster.net, "deliver", recording_deliver)
+        resync = node_module.RESYNC_MS
+        for at in (resync - 1, resync, resync + 1, 2 * resync - 1, 2 * resync):
+            cluster.queue.at(at, a.resync_links)
+        cluster.pump()
+        # a dialed, so its link-open request at 0 was its last until then
+        assert requests == [(resync, "mem:0"), (2 * resync, "mem:0")]
+
+    @pytest.mark.parametrize("have", ["none", "not-a-list", "over-the-cap", "not-strings",
+                                      "not-short-ids"])
+    def test_malformed_list_is_ignored(self, cluster_factory, monkeypatch, have):
+        # each list names D and E, which a well-formed list would keep from
+        # the relay; a malformed one is read as no list at all
+        cluster = cluster_factory(3)
+        c, d, e = cluster.nodes
+        cluster.connect(0, 1)
+        cluster.connect(0, 2)
+        cluster.pump()
+        sent = self.new_block_frames(cluster, monkeypatch)
+        peer = PeerEnd(c, NodeIdentity.from_seed(b"\x06" * 32)).open()
+        named = self.short(d, e)
+        lists = {
+            "not-a-list": "".join(named),
+            "over-the-cap": named + ["0" * wire.SHORT_ID_HEX] * (wire.MAX_HOLDERS - 1),
+            "not-strings": named + [1],
+            "not-short-ids": [d.identity.node_id, e.identity.node_id],
+        }
+        block = self.next_block(c, f"list {have}")
+        payload = {"block": block_to_json(block)}
+        if have in lists:
+            payload["have"] = lists[have]
+        assert peer.send(wire.NEW_BLOCK, payload) == "appended"
+        cluster.pump()
+        assert sorted(dst for _, dst, _ in sent) == ["mem:1", "mem:2"]
+        relayed = self.short(c) + [wire.short_id(peer.identity.node_id)] + named
+        assert [payload["have"] for _, _, payload in sent] == [relayed, relayed]
+        assert d.store.tip() == e.store.tip() == block
+
+    @pytest.mark.parametrize("loss_rate", [0.0, 0.3])
+    def test_lossy_links_relay_to_every_peer_but_the_sender(self, cluster_factory,
+                                                            monkeypatch, loss_rate):
+        # a list that names every node stops the relay only where no frame is lost
+        cluster = cluster_factory(4)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                cluster.connect(i, j)
+        cluster.pump()
+        cluster.net.loss_rate = loss_rate
+        a, b, c, d = cluster.nodes
+        sent = self.new_block_frames(cluster, monkeypatch)
+        [conn] = [conn for conn in a.connected() if conn.remote_addr == "mem:2"]
+        block = self.next_block(c, "over lossy links")
+        payload = {"block": block_to_json(block), "have": self.short(a, b, c, d)}
+        assert c.on_message(conn.peer, a.envelope(conn, wire.NEW_BLOCK, payload).encode()) \
+            == "appended"
+        expected = [] if loss_rate == 0 else [("mem:2", "mem:1"), ("mem:2", "mem:3")]
+        assert sorted((src, dst) for src, dst, _ in sent) == expected
+
+    @pytest.mark.parametrize("loss_rate", [0.0, 0.3])
+    def test_only_peers_over_reliable_links_are_named(self, cluster_factory, monkeypatch,
+                                                      loss_rate):
+        cluster = cluster_factory(3)
+        cluster.connect(0, 1)
+        cluster.connect(0, 2)
+        cluster.pump()
+        cluster.net.loss_rate = loss_rate
+        sent = self.new_block_frames(cluster, monkeypatch)
+        a, b, c = cluster.nodes
+        assert a.broadcast_block(self.next_block(a, "named or not")) == 2
+        have = self.short(a, b, c) if loss_rate == 0 else self.short(a)
+        assert [payload["have"] for _, _, payload in sent] == [have, have]
 
 
 class TestLinkOpenSync:

@@ -276,7 +276,8 @@ class TestHostileInput:
     """No signed peer message, whatever its payload, raises or moves the chain."""
 
     VALUES = (None, 0, -1, 2**70, True, "x", [], [1], {})
-    HANDLER_KEYS = ("block", "blocks", "tx", "what", "params", "locator", "after", "more")
+    HANDLER_KEYS = ("block", "blocks", "tx", "what", "params", "locator", "after", "more",
+                    "have")
 
     @classmethod
     def payloads(cls):
@@ -1367,6 +1368,37 @@ class TestTcpRuntime:
             b.stop()
             if a is not None:
                 a.stop()
+
+    def test_tick_syncs_a_block_the_push_missed(self, tmp_path, monkeypatch):
+        # a's blocks are not pushed, as a false holder list would keep them
+        # from b; b's tick sends a locator once RESYNC_MS passes on its link
+        monkeypatch.setattr(transport_module, "TICK_S", 0.05)
+        monkeypatch.setattr(node_module, "RESYNC_MS", 200)
+        params = ChainParams(initial_difficulty=6, min_difficulty=4, max_difficulty=10)
+        a = NodeRuntime(NodeConfig(listen_addr="127.0.0.1:0", params=params,
+                                   db_path=str(tmp_path / "a.db"), mine_enabled=False))
+        a.start()
+        b = NodeRuntime(NodeConfig(listen_addr="127.0.0.1:0", peers=[a.listen_addr],
+                                   params=params, db_path=str(tmp_path / "b.db"),
+                                   mine_enabled=False))
+        b.start()
+        try:
+            assert self.wait_until(
+                lambda: len(b.core.connected()) == 1
+                and len(a.core.connected()) == 1), "an established link on each side"
+            assert all(conn.reliable for conn in a.core.connected() + b.core.connected())
+            chain = extend([genesis_block()], ["unpushed"], params.min_difficulty)
+
+            def grow_unpushed():
+                a.core.broadcast_block = lambda *args: 0
+                assert a.core.adopt_if_heavier(0, chain[1:]) == "adopted"
+
+            a.submit(grow_unpushed)
+            assert self.wait_until(lambda: b.core.store.tip().hash == chain[-1].hash,
+                                   timeout=10), "b's tick pulled a's tip"
+        finally:
+            b.stop()
+            a.stop()
 
     @staticmethod
     def request(sock, kind, payload, step=None):

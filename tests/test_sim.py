@@ -472,6 +472,27 @@ class TestScenarios:
         n, length = config.node_count, report["canonical"]["length"]
         assert block_verifies <= 2 * (n - 1) * length
 
+    def test_mesh_sends_each_block_to_each_node_about_once(self, monkeypatch):
+        # a NEW_BLOCK names the nodes known to hold its block, so a full mesh
+        # carries a block n - 1 times (measured), where relaying it on every
+        # link took (n - 1) ** 2
+        frames = 0
+        real_deliver = MemNetwork.deliver
+
+        def counting_deliver(net, src, dst, message):
+            nonlocal frames
+            frames += wire.decode_envelope(message).kind == wire.NEW_BLOCK
+            real_deliver(net, src, dst, message)
+
+        monkeypatch.setattr(MemNetwork, "deliver", counting_deliver)
+        shape = json.loads((SCENARIOS / "partition_short.json").read_text())
+        config = replace(ScenarioConfig.from_json(shape), node_count=20, partitions=[])
+        report = run_scenario(config)
+        assert report["consistency"]["final_sample_c"] == 1.0
+        n, blocks = config.node_count, report["canonical"]["length"] - 1
+        assert blocks > 0
+        assert frames <= 2 * n * blocks
+
     def test_report_files(self, tmp_path):
         report = run_scenario(quick_config(duration_ms=10_000))
         json_path, csv_path = write_report(report, tmp_path / "out" / "report.json")
