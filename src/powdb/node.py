@@ -13,10 +13,10 @@ chain: its blocks, and the difficulty after each of them.
 A link between nodes is authenticated once: its first GET_BLOCKS and the
 BLOCKS reply are Ed25519-signed and carry each node's key share and a fresh
 nonce, and every later frame on it carries a rising counter and an HMAC tag
-under the direction's link key (see wire). A dialer that lost the reply
-sends the same request again, and gets the same reply. A client's link
-never runs the handshake, so its requests and replies stay signed, and it
-carries no blocks.
+under the direction's link key (see wire). A dialed link whose request or
+reply is lost is closed by the tick and dialed again. A client's link never
+runs the handshake, so its requests and replies stay signed, and it carries
+no blocks.
 
 A gossiped block pays for its tag check last: the held check, the block's
 shape, its parent lookup, the limited-link cut and the fork choice's checks
@@ -30,10 +30,11 @@ SRDS 2007): its NEW_BLOCK names, in "have", the nodes its sender knows hold
 it, and a node relays an adopted block only to the established links whose
 peer it does not know to hold it. Only a reliable link's peer is named or
 skipped (a connection's `reliable`); over any other link a block is relayed
-as if no list came with it, to every peer but its sender. A false list can
-only delay a block: the live node sends a locator on every link that has
-carried none of its own for RESYNC_MS, and the sync repairs what the push
-missed (anti-entropy, Demers et al., PODC 1987).
+as if no list came with it, to every peer but its sender. A false list or a
+lost frame only delays a block: `NodeCore.tick`, which both runtimes call
+every TICK_S, sends a locator on each link quiet for RESYNC_MS, with no
+GET_BLOCKS sent and no NEW_BLOCK read on it, and the sync repairs what the
+push missed (anti-entropy, Demers et al., PODC 1987).
 """
 
 from __future__ import annotations
@@ -118,9 +119,8 @@ BLOCK_JSON_BYTES = 320
 # tick. After each failed dial the wait before the next one doubles, from
 # one tick (TICK_S) up to this many seconds; a dial that connects resets it.
 REDIAL_MAX_S = 30.0
-# The live node's tick sends a GET_BLOCKS on each established link on which
-# this node has sent none for this long, so a block a false holder list kept
-# from it arrives at most this late.
+# The tick sends a GET_BLOCKS on each established link quiet this long (see
+# tick), so a block the push missed arrives at most this late.
 RESYNC_MS = 30_000
 
 
@@ -168,8 +168,7 @@ class _Link:
     conn: object
     outbound: bool
     opened_ms: int
-    hello: dict | None = None  # this end's handshake fields: the node's key and a nonce
-    opened_by: tuple | None = None  # an inbound link's: the key and nonce that opened it
+    hello: dict | None = None  # a dialer's handshake fields: the node's key and a nonce
     keys: tuple[LinkKey, LinkKey] | None = None  # (send, receive) once the handshake is done
     peer: str | None = None  # the peer's node id, from its signed link-open message
     sent: int = 0  # the counter of the last frame tagged for this link
@@ -177,10 +176,10 @@ class _Link:
     sync_sent_ms: int | None = None
     wanted: str | None = None  # hash of the gossiped block that set off the pending sync
     unserved: int = 0  # syncs in a row whose reply did not reach their `wanted`
-    synced_ms: int = field(init=False)  # when this end last sent a GET_BLOCKS, or opened
+    quiet_since_ms: int = field(init=False)  # last GET_BLOCKS sent or NEW_BLOCK read, or opened
 
     def __post_init__(self):
-        self.synced_ms = self.opened_ms
+        self.quiet_since_ms = self.opened_ms
 
     @property
     def established(self) -> bool:
@@ -218,15 +217,6 @@ def _rises(link: _Link, env: MessageEnvelope) -> bool:
     """Whether a keyed link's envelope carries a counter past the last one
     whose tag checked: a replayed or reflected frame does not."""
     return type(env.counter) is int and env.counter > link.received
-
-
-def _repeats_open(link: _Link, env: MessageEnvelope) -> bool:
-    """Whether `env` is the request that opened an inbound link, sent again
-    because the dialer lost our reply: a signed GET_BLOCKS with the same
-    key and nonce."""
-    payload = env.payload
-    return (env.kind == wire.GET_BLOCKS and env.counter is None and isinstance(payload, dict)
-            and link.opened_by == (payload.get("key"), payload.get("nonce")))
 
 
 def _reliable(conn) -> bool:
@@ -363,23 +353,22 @@ class NodeCore:
     def on_disconnect(self, conn) -> None:
         self._forget(conn)
 
-    def check_timeouts(self) -> None:
-        """Close outbound links whose link-open GET_BLOCKS got no BLOCKS reply."""
+    def tick(self) -> None:
+        """The one repair path, which both runtimes call every TICK_S: close a
+        dialed link with no link-open reply for HANDSHAKE_TIMEOUT_MS, so it
+        is dialed again, and send a GET_BLOCKS on each established link that
+        is quiet: no GET_BLOCKS sent and no NEW_BLOCK read on it for
+        RESYNC_MS. A GET_BLOCKS received does not count, or the two ends of a
+        quiet link would keep restarting each other's timers and the end
+        that lacks a block would never ask. A peer at MAX_UNSERVED that keeps
+        pushing blocks also keeps its link from being resynced."""
         now = self.clock()
         for link in list(self._links.values()):
-            if (link.outbound and not link.established
-                    and now - link.opened_ms > HANDSHAKE_TIMEOUT_MS):
+            if link.established:
+                if now - link.quiet_since_ms >= RESYNC_MS:
+                    self.request_sync(link.conn)
+            elif link.outbound and now - link.opened_ms >= HANDSHAKE_TIMEOUT_MS:
                 self._drop_conn(link.conn)
-
-    def resync_links(self) -> None:
-        """A GET_BLOCKS on each established link on which this node has sent
-        none for RESYNC_MS; the live node's tick calls this. The reply
-        brings whatever the gossip push missed, so a false holder list
-        delays a block by at most RESYNC_MS."""
-        now = self.clock()
-        for link in list(self._links.values()):
-            if link.established and now - link.synced_ms >= RESYNC_MS:
-                self.request_sync(link.conn)
 
     def connected(self) -> list:
         """The conns of established links, oldest first."""
@@ -389,22 +378,19 @@ class NodeCore:
 
     def on_message(self, conn, raw: bytes) -> str:
         """Single entry point for wire input. On a keyed link, a frame whose
-        counter does not rise is dropped and counted at once, unless it
-        repeats the request that opened the link. A link without keys
-        carries no block, and a sync message only to open the link; any
-        other block or sync frame on it cannot be checked and is ignored.
-        A NEW_BLOCK then goes on unchecked, for handle_new_block to check
-        its tag last; any other envelope is checked here."""
+        counter does not rise, such as a link-open request sent again, is
+        dropped and counted at once. A link without keys carries no block,
+        and a sync message only to open the link; any other block or sync
+        frame on it cannot be checked and is ignored. A NEW_BLOCK then goes
+        on unchecked, for handle_new_block to check its tag last and restart
+        the link's quiet timer (see tick); any other envelope is checked here."""
         env = decode_envelope(raw)
         link = self._links.get(id(conn))
         keyed = link is not None and link.keys is not None
-        if env is None or (keyed and not _rises(link, env) and not _repeats_open(link, env)):
+        if env is None or (keyed and not _rises(link, env)):
             self.dropped_envelopes += 1
             return "dropped"
         if not keyed and not _unkeyed_may_carry(link, env):
-            if link is not None and link.outbound and env.counter is not None:
-                # the peer's end is keyed, so our link-open reply was lost: ask again
-                self.request_sync(conn)
             return "ignored"
         if env.kind != wire.NEW_BLOCK and not self._authentic(link, env):
             return "dropped"
@@ -439,9 +425,9 @@ class NodeCore:
         list names are known holders. The link it came in is skipped, and so
         is a reliable link to a known holder. The list sent names this node,
         the known holders and the peers it goes to over reliable links, in
-        that order, up to MAX_HOLDERS. A dialed link still without keys has
-        its link-open request sent again, once SYNC_RETRY_MS has passed: the
-        request or its reply may be lost."""
+        that order, up to MAX_HOLDERS. A peer the push misses, through a
+        false list or a lost frame, gets the block from the locator the
+        tick sends once its link has been quiet for RESYNC_MS."""
         if not self._dedup.add(block.hash):
             return 0
         source, env = gossip or (None, None)
@@ -456,11 +442,7 @@ class NodeCore:
         have = list(dict.fromkeys(known))[:MAX_HOLDERS]
         frames = self.frames(wire.NEW_BLOCK, {"block": block_to_json(block), "have": have},
                              [link.conn for link in targets])
-        sent = sum(self._send_raw(conn, raw) for conn, raw in frames)
-        for link in list(self._links.values()):
-            if link.outbound and not link.established:
-                self.request_sync(link.conn)
-        return sent
+        return sum(self._send_raw(conn, raw) for conn, raw in frames)
 
     def handle_new_block(self, conn, env: MessageEnvelope) -> str:
         """A gossiped block, cheapest check first: the held check, the shape,
@@ -469,7 +451,10 @@ class NodeCore:
         check. The envelope's tag is checked only after all of them,
         before the block is adopted or sets off a sync, so a block that
         fails a check is counted under its reason even when its envelope is
-        forged."""
+        forged. Reading it restarts the link's quiet timer (see tick)."""
+        link = self._links.get(id(conn))
+        if link is not None:
+            link.quiet_since_ms = self.clock()
         payload = env.payload if isinstance(env.payload, dict) else {}
         raw = payload.get("block")
         if isinstance(raw, dict) and self._is_held(raw.get("index"), raw.get("hash")):
@@ -479,7 +464,6 @@ class NodeCore:
         except MalformedBlockError:
             self._count_reject(VerifyReason.MALFORMED_BLOCK)
             return "ignored"
-        link = self._links.get(id(conn))
         outcome = self.adopt_if_heavier(block.index - 1, [block], unverified=(link, env))
         if outcome == "unlinked":
             # a gap, or the sender is on another fork: pull its chain, unless
@@ -515,9 +499,9 @@ class NodeCore:
     def _authentic(self, link: _Link | None, env: MessageEnvelope) -> bool:
         """Check an envelope: on a keyed link, its counter rises and its tag
         checks under the link's receive key, and the counter is kept; on any
-        other, or when it repeats the link's opening request, its Ed25519
-        signature checks. A forged or replayed envelope is counted."""
-        if link is None or link.keys is None or _repeats_open(link, env):
+        other, its Ed25519 signature checks. A forged or replayed envelope is
+        counted; a lost link-open reply is repaired by a new link (see tick)."""
+        if link is None or link.keys is None:
             ok = verify_envelope(env)
         else:
             ok = _rises(link, env) and verify_envelope(env, link.keys[1])
@@ -538,7 +522,7 @@ class NodeCore:
         if link is not None:
             if self._sync_pending(link):
                 return False
-            link.sync_sent_ms = link.synced_ms = self.clock()
+            link.sync_sent_ms = link.quiet_since_ms = self.clock()
         heights = locator_heights(self.store.get_block_count() - 1)
         hashes = self.store.get_hashes(heights)
         payload = {"locator": [[height, hashes[height]] for height in heights]}
@@ -562,16 +546,15 @@ class NodeCore:
         A link's first request opens it: an empty or malformed locator, or a
         key share and nonce that yield no link keys, drop the link. The reply
         is signed and carries our share and nonce, and we pull back when we
-        lack the locator's first entry, the peer's tip. The same request
-        sent again gets the same fields in a signed reply.
+        lack the locator's first entry, the peer's tip. Serving a request
+        restarts no quiet timer (see tick).
         """
         link = self._links.get(id(conn))
         opening = link is not None and not link.established
-        repeat = link is not None and link.established and _repeats_open(link, env)
         locator = _parse_locator(env.payload)
         if opening:
-            link.hello = self._hello()
-            keys = locator and self._share.link_keys(link.hello, env.payload,
+            hello = self._hello()
+            keys = locator and self._share.link_keys(hello, env.payload,
                                                      self.identity.node_id, env.sender,
                                                      dialer=False)
             if not keys:  # no locator, or no keys
@@ -592,8 +575,8 @@ class NodeCore:
                 break
             page.append(block_to_json(block))
         reply = {"after": after, "blocks": page, "more": len(page) < len(rows)}
-        if opening or repeat:
-            reply.update(link.hello)
+        if opening:
+            reply.update(hello)
             # signed: the dialer's end of the link has no keys before it reads this
             raw = sign_envelope(wire.BLOCKS, self.clock(), reply, self.identity).encode()
         else:
@@ -601,7 +584,6 @@ class NodeCore:
         self._send_raw(conn, raw)
         if opening:
             link.keys, link.peer = keys, env.sender
-            link.opened_by = (env.payload["key"], env.payload["nonce"])
             height, tip_hash = locator[0]
             if ours.get(height) != tip_hash:
                 self.request_sync(conn)
@@ -982,10 +964,9 @@ class NodeRuntime:
         self.transport.start(tick=self._tick)
 
     def _tick(self) -> None:
-        self.core.check_timeouts()
         if self._stop.is_set():
             return  # the core is closing: open no new links
-        self.core.resync_links()
+        self.core.tick()
         now = time.monotonic()
         for peer in self._peers:
             if (peer.conn is None or peer.conn.closed) and now >= peer.due:

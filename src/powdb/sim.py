@@ -31,6 +31,7 @@ from powdb.consensus import create_new_block, effective_bits, mine_block
 from powdb.node import NodeCore, parse_tx_data
 from powdb.simnet import EventQueue, MemConnection, MemNetwork, SimMiner
 from powdb.store import BlockStore
+from powdb.transport import TICK_S
 # sign_envelope is not called here: malicious nodes send through their
 # cores' links; the name is bound for perfbench/spans.py, which wraps it
 from powdb.wire import NEW_BLOCK, NodeIdentity, sign_envelope  # noqa: F401
@@ -307,6 +308,10 @@ class _Harness:
                 self.queue.at(t, self._make_malicious_step(node_index, behavior))
                 t += config.write_interval_ms
 
+        step = int(TICK_S * 1000)
+        for t in range(step, config.duration_ms, step):
+            self.queue.at(t, self._tick)
+
     def _connect(self) -> None:
         """Dial every pair of nodes without an open link; each new link opens
         with a sync request both ways, unless an end already holds the other's tip."""
@@ -320,6 +325,13 @@ class _Harness:
                 if conn is not None:
                     self.links[i, j] = conn
                     self.nodes[i].connect_peer(conn)
+
+    def _tick(self) -> None:
+        """What a live node's loop does every TICK_S: the core's tick, then a
+        dial of each closed link, as a runtime dials its configured peers."""
+        for core in self.nodes:
+            core.tick()
+        self._connect()
 
     def _heal(self) -> None:
         """End a partition: the links it cut are dialed again, as on TCP."""

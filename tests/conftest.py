@@ -16,6 +16,7 @@ from powdb.node import NodeCore
 from powdb.simnet import EventQueue, MemNetwork, SimMiner
 from powdb.sim import sim_hashrate_per_ms
 from powdb.store import BlockStore
+from powdb.transport import TICK_S
 from powdb import wire
 from powdb.wire import KeyShare, NodeIdentity, decode_envelope, sign_envelope
 
@@ -154,7 +155,8 @@ class PeerEnd:
 
 
 class Cluster:
-    """A handful of NodeCores over the in-memory transport, pumped manually."""
+    """A handful of NodeCores over the in-memory transport, pumped manually,
+    or run with ticks as live nodes run (`run_until`)."""
 
     def __init__(self, n, params=TEST_PARAMS, seed=1, latency_ms=5, loss_rate=0.0,
                  mine_enabled=True):
@@ -164,6 +166,7 @@ class Cluster:
         self.params = params
         self.addrs = [f"mem:{i}" for i in range(n)]
         self.nodes = []
+        self.links = {}  # (dialer, listener) -> the dialer's end of their last link
         rate = sim_hashrate_per_ms(params)
         for i in range(n):
             identity = NodeIdentity.from_seed(
@@ -178,11 +181,28 @@ class Cluster:
     def connect(self, i, j):
         conn = self.net.dial(self.nodes[i], self.addrs[i], self.addrs[j])
         assert conn is not None
+        self.links[i, j] = conn
         self.nodes[i].connect_peer(conn)
         return conn
 
     def pump(self):
         self.queue.run()
+
+    def run_until(self, end_ms):
+        """Run to `end_ms` of virtual time as live nodes run: every TICK_S
+        each node ticks, then each recorded link that has closed is dialed
+        again. The queue is drained, so the run may end past `end_ms`."""
+        step = int(TICK_S * 1000)
+        for t in range(self.queue.now // step * step + step, end_ms + 1, step):
+            self.queue.at(t, self.tick)
+        self.queue.run()
+
+    def tick(self):
+        for core in self.nodes:
+            core.tick()
+        for (i, j), conn in list(self.links.items()):
+            if conn.closed:
+                self.connect(i, j)
 
     def heads(self):
         return [core.store.chain_info()[1] for core in self.nodes]

@@ -17,7 +17,14 @@ import pytest
 from powdb import consensus
 from powdb import node as node_module
 from powdb import wire
-from powdb.chain import MAX_BLOCK_INT, MAX_DIFFICULTY_BITS, Block, block_to_json, genesis_block
+from powdb.chain import (
+    MAX_BLOCK_INT,
+    MAX_DIFFICULTY_BITS,
+    Block,
+    block_to_json,
+    cumulative_work,
+    genesis_block,
+)
 from powdb.consensus import create_new_block, effective_bits, mine_block, replay_difficulty
 from powdb.contracts import contract_id_for
 from powdb.net import RecentSet
@@ -89,7 +96,7 @@ class TestHandshake:
         conn = BlackholeConn()
         node.connect_peer(conn)
         cluster.queue.now = 10_000
-        node.check_timeouts()
+        node.tick()
         assert id(conn) not in node._links
         assert conn.closed
 
@@ -135,8 +142,8 @@ class TestLinkTeardown:
         node.on_message(peer.conn, sign_envelope(wire.BLOCKS, 1, reply, self.PEER).encode())
 
     def handshake_timeout(self, cluster, node, peer):
-        cluster.queue.now += node_module.HANDSHAKE_TIMEOUT_MS + 1
-        node.check_timeouts()
+        cluster.queue.now += node_module.HANDSHAKE_TIMEOUT_MS
+        node.tick()
 
     @pytest.mark.parametrize("teardown", ["on_disconnect", "send_failure", "bad_locator",
                                           "bad_share", "bad_reply_share",
@@ -641,10 +648,10 @@ class TestHolderList:
             == "appended"
         cluster.pump()
         assert sent == [] and liar.conn.sent == []
-        d.resync_links()  # too soon: the link-open sync was just sent
+        d.tick()  # too soon: the link-open sync was just sent
         cluster.pump()
         assert d.store.get_block_count() == 1
-        cluster.queue.at(cluster.queue.now + node_module.RESYNC_MS, d.resync_links)
+        cluster.queue.at(cluster.queue.now + node_module.RESYNC_MS, d.tick)
         cluster.pump()
         assert d.store.tip() == block
         assert c.rejects_by_reason == d.rejects_by_reason == {}
@@ -666,10 +673,42 @@ class TestHolderList:
         monkeypatch.setattr(cluster.net, "deliver", recording_deliver)
         resync = node_module.RESYNC_MS
         for at in (resync - 1, resync, resync + 1, 2 * resync - 1, 2 * resync):
-            cluster.queue.at(at, a.resync_links)
+            cluster.queue.at(at, a.tick)
         cluster.pump()
         # a dialed, so its link-open request at 0 was its last until then
         assert requests == [(resync, "mem:0"), (2 * resync, "mem:0")]
+
+    @pytest.mark.parametrize("kind", [wire.NEW_BLOCK, wire.GET_BLOCKS])
+    def test_only_a_new_block_read_restarts_the_quiet_timer(self, cluster_factory,
+                                                            monkeypatch, kind):
+        # b's frame reaches a at RESYNC_MS - 1. A NEW_BLOCK read leaves a
+        # lacking nothing b held, so a's next locator waits RESYNC_MS more; a
+        # GET_BLOCKS received does not, or the two ends would keep
+        # restarting each other's timers and neither would ever ask
+        cluster = cluster_factory(2, latency_ms=0)
+        a, b = cluster.nodes
+        cluster.connect(0, 1)
+        cluster.pump()
+        requests = []
+        real_deliver = cluster.net.deliver
+
+        def recording_deliver(src, dst, message):
+            if src.local_addr == "mem:0" and wire.decode_envelope(message).kind == wire.GET_BLOCKS:
+                requests.append(cluster.queue.now)
+            real_deliver(src, dst, message)
+
+        monkeypatch.setattr(cluster.net, "deliver", recording_deliver)
+        resync = node_module.RESYNC_MS
+        if kind == wire.NEW_BLOCK:
+            block = self.next_block(b, "read just in time")
+            cluster.queue.at(resync - 1, lambda: b.adopt_if_heavier(0, [block]))
+        else:
+            cluster.queue.at(resync - 1, lambda: b.request_sync(b.connected()[0]))
+        for at in (resync, 2 * resync - 2, 2 * resync - 1):
+            cluster.queue.at(at, a.tick)
+        cluster.pump()
+        assert requests == ([2 * resync - 1] if kind == wire.NEW_BLOCK else [resync])
+        assert a.store.tip() == b.store.tip()
 
     @pytest.mark.parametrize("have", ["none", "not-a-list", "over-the-cap", "not-strings",
                                       "not-short-ids"])
@@ -1057,6 +1096,36 @@ class TestSync:
         assert len(pages) >= 5
         assert max(pages) <= wire.MAX_FRAME_BYTES
 
+    @staticmethod
+    def run_lossy_mesh(cluster):
+        """Dial a 4-node mesh, then make 12 writes, each followed by 2 s of
+        ticked run, then run 2 * RESYNC_MS + 5 s more, for the ticks to
+        repair every loss."""
+        for i in range(4):
+            for j in range(i + 1, 4):
+                cluster.connect(i, j)
+        for seq in range(12):
+            cluster.submit(seq % 4, {"kind": "raw", "data": f"lossy-{seq}"})
+            cluster.run_until(cluster.queue.now + 2000)
+        cluster.run_until(cluster.queue.now + 2 * node_module.RESYNC_MS + 5000)
+
+    @pytest.mark.parametrize("seed", [1, 3, 9, 16, 26, 47, 61, 66, 92])
+    def test_lossy_mesh_ends_with_every_block_on_every_node(self, cluster_factory, seed):
+        # the ticks redial each link whose link-open message was lost and
+        # resync each quiet link, so a NEW_BLOCK lost on every link is still
+        # fetched; heads may differ only by an equal-work tie at the tip,
+        # which first-seen fork choice keeps until the next block
+        cluster = cluster_factory(4, loss_rate=0.2, seed=seed)
+        self.run_lossy_mesh(cluster)
+        for core in cluster.nodes:
+            assert len(core.connected()) == 3
+            assert all(link.established for link in core._links.values())
+        assert [core.dropped_envelopes for core in cluster.nodes] == [0, 0, 0, 0]
+        chains = [core.store.get_all_blocks() for core in cluster.nodes]
+        assert all(chain[:-1] == chains[0][:-1] for chain in chains)
+        assert len({len(chain) for chain in chains}) == 1
+        assert len({cumulative_work(chain) for chain in chains}) == 1
+
     def test_lossy_links_refuse_no_frame_after_a_gap(self, cluster_factory, monkeypatch):
         # a lost frame leaves a gap in its link's counters; the frames after
         # it still rise, so none is refused
@@ -1072,29 +1141,23 @@ class TestSync:
                 frames.setdefault(id(src), []).append(net.dropped_by_loss > lost)
 
         monkeypatch.setattr(net, "deliver", recording_deliver)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                cluster.connect(i, j)
-        cluster.pump()
-        for seq in range(12):
-            cluster.submit(seq % 4, {"kind": "raw", "data": f"lossy-{seq}"})
-            cluster.pump()
+        self.run_lossy_mesh(cluster)
         gaps = sum(lost and not later for sent in frames.values()
                    for lost, later in zip(sent, sent[1:]))
         assert gaps > 0
         assert [core.dropped_envelopes for core in cluster.nodes] == [0, 0, 0, 0]
-        # a lost link-open request or reply is sent again, so every link
-        # ends keyed at both ends and every node on one chain
+        # a link whose link-open request or reply was lost is dialed again,
+        # so every link ends keyed at both ends and every node on one chain
         assert all(link.established for core in cluster.nodes for link in core._links.values())
         assert len(set(cluster.heads())) == 1
         assert len({core.store.get_block_count() for core in cluster.nodes}) == 1
 
     @pytest.mark.parametrize("lost", [wire.GET_BLOCKS, wire.BLOCKS])
-    def test_lost_link_open_message_is_sent_again(self, cluster_factory, monkeypatch, lost):
-        # the dialer sends its link-open request again once SYNC_RETRY_MS has
-        # passed: when it gossips a block, or when it hears a tagged frame,
-        # which shows the listener's end is keyed. The listener answers the
-        # same request with the same fields, so its keys stay as they are
+    def test_lost_link_open_message_is_repaired_by_a_redial(self, cluster_factory,
+                                                           monkeypatch, lost):
+        # the dialer's tick closes a link whose link-open request got no
+        # reply for HANDSHAKE_TIMEOUT_MS, as a TCP dial times out, and the
+        # link dialed in its place is keyed at both ends
         cluster = cluster_factory(2)
         dialer, listener = cluster.nodes
         real_deliver, dropped = cluster.net.deliver, []
@@ -1106,22 +1169,22 @@ class TestSync:
                 real_deliver(src, dst, message)
 
         monkeypatch.setattr(cluster.net, "deliver", lossy_deliver)
-        cluster.connect(0, 1)
+        first = cluster.connect(0, 1)
         cluster.pump()
         assert dropped and dialer.connected() == []
         keys = [link.keys for link in listener._links.values()]
         assert (keys == [None]) == (lost == wire.GET_BLOCKS)
-        cluster.queue.now += node_module.SYNC_RETRY_MS
-        # first a block from the end whose gossip sets off the request again,
-        # then one from the other end, which crosses the link tagged
-        first = 0 if lost == wire.GET_BLOCKS else 1
-        for i in (first, 1 - first):
+        timeout = node_module.HANDSHAKE_TIMEOUT_MS
+        cluster.run_until(timeout - 1000)
+        assert not first.closed
+        cluster.run_until(timeout)
+        assert first.closed and cluster.links[0, 1] is not first
+        assert dialer.connected() == [cluster.links[0, 1]]
+        assert len(listener.connected()) == len(listener._links) == 1
+        for i in (0, 1):
             results = cluster.submit(i, {"kind": "raw", "data": f"after the loss {i}"})
             cluster.pump()
             assert results[0]["ok"]
-        assert len(dialer.connected()) == len(listener.connected()) == 1
-        if lost == wire.BLOCKS:
-            assert [link.keys for link in listener._links.values()] == keys
         assert len(set(cluster.heads())) == 1 and dialer.store.get_block_count() == 3
         assert dialer.dropped_envelopes == listener.dropped_envelopes == 0
 

@@ -353,6 +353,17 @@ class TestScenarios:
         assert report["rejected_invalid_blocks"] > 0
         assert report["consistency"]["final_sample_c"] == 1.0
 
+    @pytest.mark.parametrize("seed", [11, 13, 16, 23, 27])
+    def test_lossy_network_converges_between_sparse_writes(self, seed):
+        # a write every 40 s over links that lose a fifth of their frames:
+        # a block whose NEW_BLOCK is lost on every link is fetched by the
+        # nodes' ticks, not by the next write, so every node ends on it
+        config = quick_config(node_count=4, duration_ms=200_000, seed=seed,
+                              write_interval_ms=40_000, link_loss_rate=0.2)
+        report = run_scenario(config)
+        assert report["consistency"]["final_sample_c"] == 1.0
+        assert report["writes"]["submitted"] == report["writes"]["committed"] == 4
+
     def test_adversarial_sync_traffic_stays_small(self, monkeypatch):
         # a link opens with one GET_BLOCKS and its BLOCKS reply; links open
         # while every node holds only genesis, so none pulls back. Past
