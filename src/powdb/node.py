@@ -18,12 +18,12 @@ reply is lost is closed by the tick and dialed again. A client's link never
 runs the handshake, so its requests and replies stay signed, and it carries
 no blocks.
 
-A gossiped block pays for its tag check last: the held check, the block's
-shape, its parent lookup, the limited-link cut and the fork choice's checks
-all run first, and the tag is checked only before the block changes the
-chain, is kept as no heavier, or sets off a sync; an unlinked block that
-arrives while the link's sync is pending sets off none and is not checked.
-Every other message is checked as it arrives.
+Every frame is checked as it arrives, before any handler reads it: its tag
+on a keyed link, its Ed25519 signature on any other, and one that fails is
+dropped and counted. Only then are a gossiped block's own checks run,
+cheapest first: the held check, its shape, its parent lookup, then the fork
+choice's checks or, for an unlinked block, the limited-link cut and the
+pending-sync check.
 
 A block goes to each peer once, as in Plumtree's eager push (Leitão et al.,
 SRDS 2007): its NEW_BLOCK names, in "have", the nodes its sender knows hold
@@ -81,7 +81,6 @@ from powdb.contracts import (
     contract_id_for,
     execute,
 )
-from powdb.net import RecentSet
 from powdb.store import BlockStore, NotFoundError
 from powdb.transport import TICK_S, TcpTransport
 from powdb.wire import (
@@ -213,12 +212,6 @@ def _parse_locator(payload) -> list[tuple[int, str]] | None:
     return entries
 
 
-def _rises(link: _Link, env: MessageEnvelope) -> bool:
-    """Whether a keyed link's envelope carries a counter past the last one
-    whose tag checked: a replayed or reflected frame does not."""
-    return type(env.counter) is int and env.counter > link.received
-
-
 def _reliable(conn) -> bool:
     """Whether every frame sent on `conn` arrives, or the link closes and
     opens again with a sync: a connection without `reliable` is not."""
@@ -315,7 +308,6 @@ class NodeCore:
         self.dropped_envelopes = 0
 
         self._links: dict[int, _Link] = {}  # by id(conn), oldest first
-        self._dedup = RecentSet(1024)
         # accepted, unmined transactions in arrival order; the head is mining
         self._queue: deque[_MiningTask] = deque()
         self._closed = False
@@ -377,28 +369,29 @@ class NodeCore:
     # -- message intake ------------------------------------------------------
 
     def on_message(self, conn, raw: bytes) -> str:
-        """Single entry point for wire input. On a keyed link, a frame whose
-        counter does not rise, such as a link-open request sent again, is
-        dropped and counted at once. A link without keys carries no block,
-        and a sync message only to open the link; any other block or sync
-        frame on it cannot be checked and is ignored. A NEW_BLOCK then goes
-        on unchecked, for handle_new_block to check its tag last and restart
-        the link's quiet timer (see tick); any other envelope is checked here."""
+        """Single entry point for wire input, and the one place an envelope
+        is checked: every kind is checked here, before any handler reads it
+        (see _authentic). A frame that does not decode is dropped and
+        counted. A link without keys carries no block, and a sync message
+        only to open the link; any other block or sync frame on it cannot be
+        checked and is ignored. Reading a NEW_BLOCK restarts the link's quiet
+        timer (see tick) whether its tag checks or not: a peer that keeps
+        pushing blocks, forged or not, is not resynced."""
         env = decode_envelope(raw)
-        link = self._links.get(id(conn))
-        keyed = link is not None and link.keys is not None
-        if env is None or (keyed and not _rises(link, env)):
+        if env is None:
             self.dropped_envelopes += 1
             return "dropped"
-        if not keyed and not _unkeyed_may_carry(link, env):
+        link = self._links.get(id(conn))
+        if (link is None or link.keys is None) and not _unkeyed_may_carry(link, env):
             return "ignored"
-        if env.kind != wire.NEW_BLOCK and not self._authentic(link, env):
+        if env.kind == wire.NEW_BLOCK:  # only a keyed link gets this far with one
+            link.quiet_since_ms = self.clock()
+        if not self._authentic(link, env):
             return "dropped"
         return self.on_envelope(conn, env)
 
     def on_envelope(self, conn, env: MessageEnvelope) -> str:
-        """Act on an envelope that is already checked, unless it is a
-        NEW_BLOCK: handle_new_block checks that one itself."""
+        """Act on an envelope that on_message has checked."""
         if env.sender == self.identity.node_id and env.counter is None:
             return "self"  # our own link-open request: we dialed ourselves
         kind = env.kind
@@ -420,16 +413,14 @@ class NodeCore:
     def broadcast_block(self, block: Block,
                         gossip: tuple[_Link | None, MessageEnvelope] | None = None) -> int:
         """NEW_BLOCK on every established link whose peer is not known to hold
-        the block, once per block hash ever. `gossip` is the link and the
-        envelope a gossiped block came in: its peer and the ones its holder
-        list names are known holders. The link it came in is skipped, and so
-        is a reliable link to a known holder. The list sent names this node,
-        the known holders and the peers it goes to over reliable links, in
-        that order, up to MAX_HOLDERS. A peer the push misses, through a
-        false list or a lost frame, gets the block from the locator the
-        tick sends once its link has been quiet for RESYNC_MS."""
-        if not self._dedup.add(block.hash):
-            return 0
+        the block. `gossip` is the link and the envelope a gossiped block
+        came in: its peer and the ones its holder list names are known
+        holders. The link it came in is skipped, and so is a reliable link
+        to a known holder. The list sent names this node, the known holders
+        and the peers it goes to over reliable links, in that order, up to
+        MAX_HOLDERS. A peer the push misses, through a false list or a lost
+        frame, gets the block from the locator the tick sends once its link
+        has been quiet for RESYNC_MS."""
         source, env = gossip or (None, None)
         known = [short_id(self.identity.node_id)]
         if source is not None:
@@ -445,16 +436,12 @@ class NodeCore:
         return sum(self._send_raw(conn, raw) for conn, raw in frames)
 
     def handle_new_block(self, conn, env: MessageEnvelope) -> str:
-        """A gossiped block, cheapest check first: the held check, the shape,
-        the parent lookup and, for a linked block, the fork choice's checks,
-        or, for an unlinked one, the limited-link cut and the pending-sync
-        check. The envelope's tag is checked only after all of them,
-        before the block is adopted or sets off a sync, so a block that
-        fails a check is counted under its reason even when its envelope is
-        forged. Reading it restarts the link's quiet timer (see tick)."""
+        """A gossiped block whose envelope has checked, cheapest check first:
+        the held check, the shape, the parent lookup and, for a linked block,
+        the fork choice's checks, or, for an unlinked one, the limited-link
+        cut and the pending-sync check (in request_sync). A block that fails
+        one is counted under its reason."""
         link = self._links.get(id(conn))
-        if link is not None:
-            link.quiet_since_ms = self.clock()
         payload = env.payload if isinstance(env.payload, dict) else {}
         raw = payload.get("block")
         if isinstance(raw, dict) and self._is_held(raw.get("index"), raw.get("hash")):
@@ -464,17 +451,15 @@ class NodeCore:
         except MalformedBlockError:
             self._count_reject(VerifyReason.MALFORMED_BLOCK)
             return "ignored"
-        outcome = self.adopt_if_heavier(block.index - 1, [block], unverified=(link, env))
+        outcome = self.adopt_if_heavier(block.index - 1, [block], gossip=(link, env))
         if outcome == "unlinked":
             # a gap, or the sender is on another fork: pull its chain, unless
             # its last MAX_UNSERVED syncs never reached the block behind them
             if link is not None and link.unserved >= MAX_UNSERVED:
                 self._count_reject(VerifyReason.PARENT_NOT_SERVED)
                 return "ignored"
-            if link is not None and self._sync_pending(link):
-                return "sync_triggered"  # the sync in flight may reach it
-            if not self._authentic(link, env):
-                return "dropped"
+            # request_sync sends none while the link's last sync is pending,
+            # which may reach it
             if self.request_sync(conn) and link is not None:
                 link.wanted = block.hash
             return "sync_triggered"
@@ -482,13 +467,15 @@ class NodeCore:
             if link is not None:
                 link.unserved = 0  # the link serves linked blocks again
             return "appended"
-        return outcome if outcome == "dropped" else "ignored"
+        return "ignored"
 
     def _is_held(self, index, hash_hex) -> bool:
-        """Whether a block, read unverified, cannot change the chain: it is at
-        index 0, where every chain holds genesis, or the store holds a block at
-        its index and its hash is that block's or malformed. Any other block at
-        a held height may start a heavier fork."""
+        """Whether a block, read before its shape is checked, cannot change the
+        chain: it is at index 0, where every chain holds genesis, or the store
+        holds a block at its index and its hash is that block's or malformed.
+        It reads at most one stored hash, so a relay of an old block loads no
+        stored suffix. Any other block at a held height may start a heavier
+        fork."""
         if not is_block_int(index):
             return False
         if index == 0:
@@ -497,14 +484,18 @@ class NodeCore:
         return stored is not None and (stored == hash_hex or not is_hex_hash(hash_hex))
 
     def _authentic(self, link: _Link | None, env: MessageEnvelope) -> bool:
-        """Check an envelope: on a keyed link, its counter rises and its tag
-        checks under the link's receive key, and the counter is kept; on any
-        other, its Ed25519 signature checks. A forged or replayed envelope is
-        counted; a lost link-open reply is repaired by a new link (see tick)."""
+        """Check an envelope as it arrives: on a keyed link, its counter rises
+        past the last one whose tag checked and its tag checks under the
+        link's receive key, and the counter is kept; on any other, its Ed25519
+        signature checks. A frame whose counter does not rise, such as a
+        replayed or reflected one or a link-open request sent again, fails
+        before any tag is computed. A failed envelope is counted; a lost
+        link-open reply is repaired by a new link (see tick)."""
         if link is None or link.keys is None:
             ok = verify_envelope(env)
         else:
-            ok = _rises(link, env) and verify_envelope(env, link.keys[1])
+            ok = (type(env.counter) is int and env.counter > link.received
+                  and verify_envelope(env, link.keys[1]))
             if ok:
                 link.received = env.counter
         if not ok:
@@ -626,18 +617,17 @@ class NodeCore:
         return "ignored" if outcome == "unlinked" else outcome
 
     def adopt_if_heavier(self, after: int, blocks: list[Block], *,
-                         unverified: tuple[_Link | None, MessageEnvelope] | None = None) -> str:
+                         gossip: tuple[_Link | None, MessageEnvelope] | None = None) -> str:
         """The one way blocks join the chain, gossiped, synced or mined here.
 
         "unlinked" when `blocks[0]` does not follow the stored block at
         `after`. Otherwise only the stored blocks after `after` and `blocks`
         are verified and weighed, never the whole chain. A failed check is a
-        counted reject ("rejected"). `unverified` is the link and the
-        envelope that carried `blocks`, a gossiped block, whose envelope is
-        not yet checked: it is checked now, and a forged one is "dropped";
-        an adopted block's relay skips its known holders. Then no more work keeps the
-        chain ("unchanged"); a heavier suffix is "adopted": mining stops, and
-        one transaction drops the stored blocks past the fork point and appends.
+        counted reject ("rejected"). Then no more work keeps the chain
+        ("unchanged"); a heavier suffix is "adopted": mining stops, and one
+        transaction drops the stored blocks past the fork point and appends.
+        `gossip` is the link and the envelope a gossiped block came in: the
+        adopted block's relay skips its known holders (see broadcast_block).
         """
         local = self.store.get_blocks(after)
         if not local or (blocks and blocks[0].prev_hash != local[0].hash):
@@ -646,15 +636,13 @@ class NodeCore:
         if err is not None:
             self._count_reject(err.reason)
             return "rejected"
-        if unverified is not None and not self._authentic(*unverified):
-            return "dropped"
         if selected is local:
             return "unchanged"
         common = shared_prefix(local, selected)
         self._cancel_mining()
         # the new tip's broadcast sends neighbors to the usual sync trigger
         self._commit(selected[common - 1], selected[common:], local[common:],
-                     gossip=unverified)
+                     gossip=gossip)
         return "adopted"
 
     # -- transaction pipeline ----------------------------------------------------

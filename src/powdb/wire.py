@@ -9,8 +9,9 @@ nonces and both node ids, each end derives one HMAC-SHA256 key per
 direction (HKDF, RFC 5869). Every later envelope on the link carries a
 counter that rises with each send and, in place of the signature, a tag
 over the counter, kind, timestamp and canonical payload under its
-direction's key. A client's request and its reply stay signed. Envelopes
-failing their check are dropped at this boundary and never reach a handler.
+direction's key. A client's request and its reply stay signed. A node
+checks every envelope, of any kind, as it arrives (NodeCore.on_message): one
+failing its check is dropped there and never reaches a handler.
 """
 
 from __future__ import annotations

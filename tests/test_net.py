@@ -231,13 +231,6 @@ class TestBroadcast:
         block = mine_block(create_new_block("x", node.store.tip(), 4, 1))
         assert node.broadcast_block(block) == 4
 
-    def test_second_broadcast_is_noop(self, cluster_factory):
-        cluster = self.mesh(cluster_factory, 3)
-        node = cluster.nodes[0]
-        block = mine_block(create_new_block("x", node.store.tip(), 4, 1))
-        assert node.broadcast_block(block) == 2
-        assert node.broadcast_block(block) == 0
-
     def test_one_payload_encoding_and_one_tag_per_peer(self, cluster_factory, monkeypatch):
         cluster = self.mesh(cluster_factory, 5)
         node = cluster.nodes[0]
@@ -427,9 +420,8 @@ class TestBlockSizeRule:
         assert b.on_message(b_conn, raw) == "ignored"
         assert b.rejects_by_reason == {"MalformedBlock": 1}
         assert b.store.get_block_count() == 1
-        # a sync reply's tag is checked as it arrives, a gossiped block's
-        # only after its block passes; no block is verified
-        assert self.calls == (Counter(envelope=1) if kind == wire.BLOCKS else Counter())
+        # the tag is checked as the frame arrives; no block is verified
+        assert self.calls == Counter(envelope=1)
 
     def test_new_block_at_the_bound_with_a_full_holder_list_fits_one_frame(
             self, cluster_factory, monkeypatch):

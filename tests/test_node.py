@@ -390,17 +390,16 @@ def next_block(core, data="peer"):
 
 
 class TestIntakeOrder:
-    """A NEW_BLOCK's tag is its last check: the held check, the shape,
-    the parent lookup, the limited-link cut and the fork choice's checks
-    all run first. The tag is checked only before a block is adopted
-    or kept as "unchanged", or before an unlinked one sets off a sync; while
-    the link's last sync is pending, an unlinked block sends nothing and is
-    not checked at all.
-    Every test sends on a link PEER opened with the handshake, and most send
-    a forged frame, its tag changed, so the count they expect shows that the
-    cheaper check ran, and decided, before the tag's. `verifies` counts the
-    node's checks of an envelope, tag or signature; `signatures` the Ed25519
-    verifies among them, which a keyed link never needs."""
+    """Every frame's tag is its first check: a forged frame of any kind is
+    dropped and counted as it arrives, before its block is parsed or a row
+    of the store is read. A NEW_BLOCK whose tag checks then meets its
+    block's checks, cheapest first: the held check, the shape, the parent
+    lookup, and then the fork choice's checks or, for an unlinked block, the
+    limited-link cut and the pending-sync check.
+    Every test sends on a link PEER opened with the handshake. `checks`
+    counts the node's checks of an envelope, tag or signature; `signatures`
+    the Ed25519 verifies among them, which a keyed link never needs;
+    `verifies` the blocks the fork choice verified (consensus.verify_block)."""
 
     @pytest.fixture
     def core(self, monkeypatch):
@@ -409,48 +408,107 @@ class TestIntakeOrder:
             submit_and_run(core, queue, {"kind": "raw", "data": f"r{i}"})
         self.peer = PeerEnd(core, PEER).open()
         self.conn = self.peer.conn
-        self.verifies = self.signatures = 0
-        real_verify, real_signature = node_module.verify_envelope, wire.verify_signature
+        self.checks = self.signatures = self.verifies = 0
+        real_check, real_signature = node_module.verify_envelope, wire.verify_signature
+        real_verify = consensus.verify_block
 
-        def counting_verify(*args):
-            self.verifies += 1
-            return real_verify(*args)
+        def counting_check(*args):
+            self.checks += 1
+            return real_check(*args)
 
         def counting_signature(env):
             self.signatures += 1
             return real_signature(env)
 
-        monkeypatch.setattr(node_module, "verify_envelope", counting_verify)
+        def counting_verify(*args):
+            self.verifies += 1
+            return real_verify(*args)
+
+        monkeypatch.setattr(node_module, "verify_envelope", counting_check)
         monkeypatch.setattr(wire, "verify_signature", counting_signature)
+        monkeypatch.setattr(consensus, "verify_block", counting_verify)
         return core
 
     def second_link(self, core):
         """Another established link, whose sent frames the test reads."""
         conn = PeerEnd(core, PEER, seed=1).open().conn
         assert core.connected() == [self.conn, conn]
-        self.verifies = self.signatures = 0
+        self.checks = self.signatures = 0
         return conn
 
     def forged(self, kind, payload):
         return self.peer.forged(kind, payload)
 
+    @staticmethod
+    def cheap_block(core):
+        """The next block on `core`'s tip, with a hash that misses its difficulty."""
+        tip = core.store.tip()
+        bits = effective_bits(core.difficulty)
+        block = create_new_block("cheap", tip, bits, tip.timestamp + 1)
+        while meets_difficulty(block_hash(block), bits):
+            block = block.with_nonce(block.nonce + 1)
+        return block.with_hash(block_hash(block))
+
+    @staticmethod
+    def rival_of_genesis():
+        return mine_block(Block(index=0, timestamp=1, data="rival", hash="", difficulty=4,
+                                nonce=0, prev_hash=genesis_block().hash))
+
+    def frame(self, core, case):
+        """(kind, payload) of a frame that, with its tag intact, meets the
+        check `case` names, or is a message of kind `case`."""
+        tip = core.store.tip()
+        blocks = {
+            "held": lambda: block_to_json(core.store.get_block(3)),
+            "index-0": lambda: block_to_json(self.rival_of_genesis()),
+            "malformed": lambda: "block",
+            "invalid-pow": lambda: block_to_json(self.cheap_block(core)),
+            "unlinked": lambda: block_to_json(unlinked_block(core)),
+            "next": lambda: block_to_json(next_block(core)),
+        }
+        if case in blocks:
+            return wire.NEW_BLOCK, {"block": blocks[case]()}
+        return case, {
+            wire.GET_BLOCKS: {"locator": [[tip.index, tip.hash]]},
+            wire.BLOCKS: {"after": tip.index, "blocks": [block_to_json(next_block(core))],
+                          "more": False},
+            wire.TX: {"tx": {"kind": "raw", "data": "forged"}},
+            wire.QUERY: {"what": "stats"},
+        }[case]
+
+    @pytest.mark.parametrize("case", ["held", "index-0", "malformed", "invalid-pow", "unlinked",
+                                      "next", wire.GET_BLOCKS, wire.BLOCKS, wire.TX, wire.QUERY])
+    def test_forged_frame_is_dropped_before_it_is_read(self, core, monkeypatch, case):
+        # whatever check its block would have met next, a forged frame is
+        # dropped at its tag: nothing parses its block or reads the store
+        kind, payload = self.frame(core, case)
+        raw = self.forged(kind, payload)
+        link = core._links[id(self.conn)]
+        link.quiet_since_ms = -1
+        store = core.store
+        monkeypatch.setattr(core, "store", None)  # any read would fail
+        monkeypatch.setattr(node_module, "block_from_json", None)  # so would a parse
+        assert core.on_message(self.conn, raw) == "dropped"
+        assert self.checks == 1 and self.signatures == 0 and self.verifies == 0
+        assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
+        assert self.conn.sent == [] and not core._queue
+        # reading a NEW_BLOCK restarts the quiet timer whether its tag checks or not
+        assert link.quiet_since_ms == (core.clock() if kind == wire.NEW_BLOCK else -1)
+        monkeypatch.setattr(core, "store", store)
+        assert self.peer.send(wire.QUERY, {"what": "stats"}) == "handled"  # the link lives
+
     @pytest.mark.parametrize("fields", [{}, {"hash": "not hex"}], ids=["valid", "malformed"])
-    def test_signed_stale_block_costs_no_verify(self, core, fields):
+    def test_signed_stale_block_costs_no_verify(self, core, monkeypatch, fields):
         # at a held height, the stored hash or a malformed one is ignored
-        # before anything else about the block is read
+        # once the tag checks, after one stored hash is read
         stale = {**block_to_json(core.store.get_block(2)), **fields}
+        monkeypatch.setattr(core.store, "get_blocks", None)  # no suffix is loaded
         assert self.peer.send(wire.NEW_BLOCK, {"block": stale}) == "ignored"
-        assert self.verifies == 0
+        assert self.checks == 1 and self.verifies == 0
         assert core.dropped_envelopes == 0 and core.rejects_by_reason == {}
 
-    def test_forged_stale_block_is_ignored_not_counted(self, core):
-        stale = block_to_json(core.store.get_block(3))
-        raw = self.forged(wire.NEW_BLOCK, {"block": stale})
-        assert core.on_message(self.conn, raw) == "ignored"
-        assert core.dropped_envelopes == 0
-
     def test_forged_next_block_is_dropped(self, core):
-        # the block passes every check and is heavier: only the tag keeps
+        # the block would pass every check and is heavier: only the tag keeps
         # it off the chain, away from peers and from the miner, and its
         # check is no Ed25519 verify
         chain = core.store.get_all_blocks()
@@ -459,7 +517,7 @@ class TestIntakeOrder:
         [task] = core._queue
         raw = self.forged(wire.NEW_BLOCK, {"block": block_to_json(next_block(core))})
         assert core.on_message(self.conn, raw) == "dropped"
-        assert self.verifies == 1 and self.signatures == 0
+        assert self.checks == 1 and self.signatures == 0
         assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
         assert core.store.get_all_blocks() == chain
         assert other.sent == []  # no relay
@@ -473,7 +531,7 @@ class TestIntakeOrder:
         rival = mine_block(create_new_block("rival", parent, tip.difficulty, tip.timestamp))
         raw = self.forged(wire.NEW_BLOCK, {"block": block_to_json(rival)})
         assert core.on_message(self.conn, raw) == "dropped"
-        assert self.verifies == 1 and self.signatures == 0
+        assert self.checks == 1 and self.signatures == 0
         assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
         assert core.store.get_all_blocks() == chain
 
@@ -491,22 +549,17 @@ class TestIntakeOrder:
     @pytest.mark.parametrize("block", HOSTILE_BLOCKS.values(), ids=HOSTILE_BLOCKS.keys())
     def test_hostile_shape_is_counted_before_any_verify(self, core, block):
         chain = core.store.get_all_blocks()
-        assert core.on_message(self.conn, self.forged(wire.NEW_BLOCK, {"block": block})) == "ignored"
-        assert self.verifies == 0
+        assert self.peer.send(wire.NEW_BLOCK, {"block": block}) == "ignored"
+        assert self.checks == 1 and self.verifies == 0
         assert core.rejects_by_reason == {"MalformedBlock": 1}
         assert core.dropped_envelopes == 0
         assert core.store.get_all_blocks() == chain
 
-    def test_invalid_pow_is_counted_before_any_verify(self, core):
+    def test_invalid_pow_is_counted_by_the_fork_choice(self, core):
         tip = core.store.tip()
-        bits = effective_bits(core.difficulty)
-        block = create_new_block("cheap", tip, bits, tip.timestamp + 1)
-        while meets_difficulty(block_hash(block), bits):
-            block = block.with_nonce(block.nonce + 1)
-        block = block.with_hash(block_hash(block))
-        raw = self.forged(wire.NEW_BLOCK, {"block": block_to_json(block)})
-        assert core.on_message(self.conn, raw) == "ignored"
-        assert self.verifies == 0
+        block = self.cheap_block(core)
+        assert self.peer.send(wire.NEW_BLOCK, {"block": block_to_json(block)}) == "ignored"
+        assert self.checks == 1 and self.verifies == 1
         assert core.rejects_by_reason == {"InsufficientWork": 1}
         assert core.dropped_envelopes == 0
         assert core.store.tip() == tip
@@ -514,23 +567,21 @@ class TestIntakeOrder:
     def test_new_block_at_index_0_reads_no_chain(self, core, monkeypatch):
         # every chain holds genesis: a rival at index 0 is held whatever its
         # hash, so it costs neither a read of the chain nor a verify
-        rival = mine_block(Block(index=0, timestamp=1, data="rival", hash="", difficulty=4,
-                                 nonce=0, prev_hash=genesis_block().hash))
         reads = []
         real_get_blocks = core.store.get_blocks
         monkeypatch.setattr(core.store, "get_blocks",
                             lambda *args: reads.append(args) or real_get_blocks(*args))
-        raw = self.forged(wire.NEW_BLOCK, {"block": block_to_json(rival)})
-        assert core.on_message(self.conn, raw) == "ignored"
-        assert reads == [] and self.verifies == 0
+        payload = {"block": block_to_json(self.rival_of_genesis())}
+        assert self.peer.send(wire.NEW_BLOCK, payload) == "ignored"
+        assert reads == [] and self.checks == 1 and self.verifies == 0
         assert core.rejects_by_reason == {} and core.dropped_envelopes == 0
 
     def test_unlinked_block_on_a_limited_link_is_counted_before_any_verify(self, core):
         conn = self.conn
         core._links[id(conn)].unserved = node_module.MAX_UNSERVED
-        raw = self.forged(wire.NEW_BLOCK, {"block": block_to_json(unlinked_block(core))})
-        assert core.on_message(conn, raw) == "ignored"
-        assert self.verifies == 0
+        payload = {"block": block_to_json(unlinked_block(core))}
+        assert self.peer.send(wire.NEW_BLOCK, payload) == "ignored"
+        assert self.checks == 1 and self.verifies == 0
         assert core.rejects_by_reason == {"ParentNotServed": 1}
         assert core.dropped_envelopes == 0
         assert conn.sent == []
@@ -539,42 +590,71 @@ class TestIntakeOrder:
         conn = self.conn
         raw = self.forged(wire.NEW_BLOCK, {"block": block_to_json(unlinked_block(core))})
         assert core.on_message(conn, raw) == "dropped"
-        assert self.verifies == 1 and self.signatures == 0
+        assert self.checks == 1 and self.signatures == 0
         assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
         assert conn.sent == []  # no GET_BLOCKS
         assert core._links[id(conn)].wanted is None
 
     def test_unlinked_block_during_a_pending_sync_costs_no_verify(self, core):
         # the first unlinked block sets off a sync; until it is answered or
-        # due a retry, another one could send nothing, so it is not verified
+        # due a retry, another one sends nothing and leaves `wanted` as it is
         conn = self.conn
         block = unlinked_block(core)
         assert self.peer.send(wire.NEW_BLOCK, {"block": block_to_json(block)}) == "sync_triggered"
-        assert self.verifies == 1 and len(conn.sent) == 1
-        raw = self.forged(wire.NEW_BLOCK, {"block": block_to_json(block)})
-        assert core.on_message(conn, raw) == "sync_triggered"
-        assert self.verifies == 1 and len(conn.sent) == 1
+        assert self.checks == 1 and len(conn.sent) == 1
+        assert self.peer.send(wire.NEW_BLOCK, {"block": block_to_json(block)}) == "sync_triggered"
+        assert self.checks == 2 and self.verifies == 0 and len(conn.sent) == 1
         assert core.dropped_envelopes == 0 and core.rejects_by_reason == {}
         assert core._links[id(conn)].wanted == block.hash
 
+    @pytest.mark.parametrize("case", ["held-malformed", "malformed-unlinked",
+                                      "unlinked-invalid-pow", "limited-pending"])
+    def test_the_earlier_check_decides(self, core, case):
+        # each block fails two adjacent checks, and the earlier one's outcome
+        # is the one seen: held before shape, shape before parent lookup,
+        # parent lookup before the fork choice, limited-link cut before the
+        # pending-sync check
+        link = core._links[id(self.conn)]
+        if case == "held-malformed":
+            block = {**block_to_json(core.store.get_block(3)), "nonce": "not an int"}
+            expect, rejects, sent = "ignored", {}, 0
+        elif case == "malformed-unlinked":
+            block = {**block_to_json(unlinked_block(core)), "nonce": "not an int"}
+            expect, rejects, sent = "ignored", {"MalformedBlock": 1}, 0
+        elif case == "unlinked-invalid-pow":
+            block = block_to_json(replace(self.cheap_block(core), prev_hash="f" * 64))
+            expect, rejects, sent = "sync_triggered", {}, 1
+        else:
+            link.unserved = node_module.MAX_UNSERVED
+            link.sync_sent_ms = core.clock()
+            block = block_to_json(unlinked_block(core))
+            expect, rejects, sent = "ignored", {"ParentNotServed": 1}, 0
+        assert self.peer.send(wire.NEW_BLOCK, {"block": block}) == expect
+        assert self.checks == 1 and self.verifies == 0
+        assert core.rejects_by_reason == rejects and core.dropped_envelopes == 0
+        assert len(self.conn.sent) == sent
+
     def test_each_block_envelope_is_verified_once(self, core):
-        # a NEW_BLOCK's tag is checked once, by handle_new_block, whether it
-        # comes in through on_message or on_envelope
+        # a NEW_BLOCK's tag is checked once, by on_message, whatever its
+        # block's checks decide; on_envelope takes an envelope already checked
         conn = self.conn
-        block = unlinked_block(core)
-        assert self.peer.send(wire.NEW_BLOCK, {"block": block_to_json(block)}) == "sync_triggered"
-        assert self.verifies == 1
+        outcomes = []
+        for block in (unlinked_block(core), core.store.get_block(2), self.cheap_block(core),
+                      next_block(core)):
+            outcomes.append(self.peer.send(wire.NEW_BLOCK, {"block": block_to_json(block)}))
+        assert outcomes == ["sync_triggered", "ignored", "ignored", "appended"]
+        assert self.checks == 4 and self.signatures == 0
         block = next_block(core)
         env = self.peer.envelope(wire.NEW_BLOCK, {"block": block_to_json(block)})
         assert core.on_envelope(conn, env) == "appended"
-        assert self.verifies == 2 and self.signatures == 0
+        assert self.checks == 4
         assert core.store.tip() == block
 
     @pytest.mark.parametrize("counter", ["same", "lower"])
     @pytest.mark.parametrize("kind", [wire.NEW_BLOCK, wire.GET_BLOCKS])
     def test_replayed_frame_is_dropped(self, core, kind, counter):
-        # a frame whose counter does not rise is dropped before any check:
-        # the same frame again, or an earlier one held back
+        # a frame whose counter does not rise is dropped before its tag is
+        # computed: the same frame again, or an earlier one held back
         tip = core.store.tip()
         payload = ({"block": block_to_json(next_block(core))} if kind == wire.NEW_BLOCK
                    else {"locator": [[tip.index, tip.hash]]})
@@ -584,7 +664,7 @@ class TestIntakeOrder:
         chain, sent = core.store.get_all_blocks(), list(self.conn.sent)
         replayed = raw if counter == "same" else earlier
         assert core.on_message(self.conn, replayed) == "dropped"
-        assert self.verifies == 1 and self.conn.sent == sent
+        assert self.checks == 1 and self.conn.sent == sent
         assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
         assert core.store.get_all_blocks() == chain
 
@@ -598,7 +678,7 @@ class TestIntakeOrder:
         keys = link.keys
         raw = self.peer.opening(**fields).encode()
         assert core.on_message(self.conn, raw) == "dropped"
-        assert self.verifies == 0 and self.conn.sent == []
+        assert self.checks == 0 and self.conn.sent == []
         assert core.dropped_envelopes == 1
         assert link.keys is keys and core.connected() == [self.conn]
         assert self.peer.send(wire.QUERY, {"what": "stats"}) == "handled"
@@ -619,7 +699,7 @@ class TestIntakeOrder:
             core._send(self.conn, kind, payload)
             raw = self.conn.sent.pop()
         assert core.on_message(self.conn, raw) == "dropped"
-        assert self.verifies == 1 and self.signatures == 0
+        assert self.checks == 1 and self.signatures == 0
         assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
         assert self.conn.sent == []
         assert core.store.get_all_blocks() == chain
@@ -636,7 +716,7 @@ class TestIntakeOrder:
                    else {"after": chain[-1].index, "blocks": [block], "more": False})
         raw = sign_envelope(kind, 1, payload, PEER).encode()
         assert core.on_message(conn, raw) == "ignored"
-        assert self.verifies == 0 and conn.sent == []
+        assert self.checks == 0 and conn.sent == []
         assert core.dropped_envelopes == 0 and core.rejects_by_reason == {}
         assert core.store.get_all_blocks() == chain
 
