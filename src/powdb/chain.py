@@ -158,13 +158,6 @@ def meets_difficulty(hash_hex: str, difficulty_bits: int) -> bool:
     return prefix >> (32 - difficulty_bits) == 0
 
 
-def digest_meets_difficulty(digest: bytes, difficulty_bits: int) -> bool:
-    """Same predicate over a raw 32-byte digest (used by the nonce search),
-    for `difficulty_bits` in [0, 32]: the first 32 bits, shifted past the
-    ones that may be set, leave zero."""
-    return int.from_bytes(digest[:4], "big") >> (32 - difficulty_bits) == 0
-
-
 def genesis_block() -> Block:
     """The fixed chain root every node shares; exempt from proof of work."""
     blk = Block(index=0, timestamp=0, data=GENESIS_DATA, prev_hash=ZERO_HASH,

@@ -2,9 +2,13 @@
 
 One sqlite file per node holds the block table, the contract key-value
 state and deployed contract sources. The block table is the only record
-of the chain: count and tip are read from it, so an append is one insert.
-A block row keeps the difficulty after it, and a state or contract row the
-index of the block that wrote it, so dropping a tail deletes only its rows.
+of the chain, so an append is one insert. Its last row, the tip block and
+the difficulty after it, is read once and kept until a write: reads of
+the tip, the count and the tip's height are answered from that copy, which
+an append sets and a tail drop or a transaction that does not commit
+clears. A block row keeps the difficulty after it, and a state or contract
+row the index of the block that wrote it, so dropping a tail deletes only
+its rows.
 Every mutation runs inside a transaction guarded by one lock, so a crash
 at any point leaves the previous committed state. Transactions nest: a
 caller that wraps a tail drop, block appends and the contract effects of
@@ -48,7 +52,11 @@ CREATE TABLE contracts (
 PRAGMA user_version = {LAYOUT}
 """
 
-_SELECT_BLOCKS = "SELECT idx, timestamp, data, prev_hash, hash, difficulty, nonce FROM blocks"
+_COLUMNS = "idx, timestamp, data, prev_hash, hash, difficulty, nonce"
+_SELECT_BLOCKS = f"SELECT {_COLUMNS} FROM blocks"
+_SELECT_TIP = f"SELECT {_COLUMNS}, retarget FROM blocks ORDER BY idx DESC LIMIT 1"
+# The tip copy before it is read, or after a write path clears it.
+_UNREAD = object()
 
 
 class StoreError(Exception):
@@ -66,7 +74,9 @@ class BlockStore:
     committed state. An append is one insert inside one transaction, with
     an optional crash hook before its commit for fault-injection tests. The
     store never executes payloads: a block and the state its payload writes
-    are atomic because the caller runs both in one `transaction()`.
+    are atomic because the caller runs both in one `transaction()`. The
+    store is its file's only writer, so its copy of the tip row always
+    equals the table's last row.
     """
 
     def __init__(self, path: str | Path = ":memory:"):
@@ -74,6 +84,7 @@ class BlockStore:
         self._lock = threading.RLock()
         self._txn_depth = 0
         self._crash_hook = None  # test-only: callable(step_label)
+        self._tip = _UNREAD  # (tip block, retarget), or None for an empty store
         try:
             self._conn = sqlite3.connect(self.path, check_same_thread=False,
                                          isolation_level=None)
@@ -95,7 +106,8 @@ class BlockStore:
 
     @contextmanager
     def transaction(self):
-        """Reentrant exclusive transaction; rolls back on any exception."""
+        """Reentrant exclusive transaction; rolls back on any exception. Any
+        exit but a commit that returns clears the tip copy."""
         with self._lock:
             if self._txn_depth > 0:
                 self._txn_depth += 1
@@ -110,11 +122,16 @@ class BlockStore:
                 yield
             except BaseException:
                 self._txn_depth = 0
+                self._tip = _UNREAD
                 self._conn.execute("ROLLBACK")
                 raise
             else:
                 self._txn_depth = 0
-                self._conn.execute("COMMIT")
+                try:
+                    self._conn.execute("COMMIT")
+                except BaseException:
+                    self._tip = _UNREAD
+                    raise
 
     def _hook(self, step: str) -> None:
         if self._crash_hook is not None:
@@ -134,20 +151,28 @@ class BlockStore:
                         "INSERT INTO blocks VALUES (?,?,?,?,?,?,?,?)",
                         (block.index, block.timestamp, block.data, block.prev_hash,
                          block.hash, block.difficulty, block.nonce, retarget))
+                    self._tip = (block, retarget)
                     self._hook("block_inserted")
             except sqlite3.Error as exc:
                 raise StoreError(f"append failed: {exc}") from exc
+
+    def _tip_row(self) -> tuple[Block, float] | None:
+        """The tip block and the difficulty after it, or None for an empty
+        store: read from the table once, then kept until a write clears it."""
+        with self._lock:
+            if self._tip is _UNREAD:
+                row = self._conn.execute(_SELECT_TIP).fetchone()
+                self._tip = None if row is None else (_row_to_block(row[:7]), row[7])
+            return self._tip
 
     def get_block_count(self) -> int:
         return self.chain_info()[0]
 
     def chain_info(self) -> tuple[int, str | None]:
-        """Count and tip hash, read from the tip row in one query."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT idx, hash FROM blocks ORDER BY idx DESC LIMIT 1").fetchone()
+        """Count and tip hash."""
+        tip = self._tip_row()
         # indices are dense from 0 (add_block appends, replace_chain drops a tail)
-        return (row[0] + 1, row[1]) if row is not None else (0, None)
+        return (tip[0].index + 1, tip[0].hash) if tip is not None else (0, None)
 
     def get_block(self, index: int) -> Block:
         with self._lock:
@@ -162,31 +187,40 @@ class BlockStore:
     def get_blocks(self, start: int, stop: int = 2**63 - 1) -> list[Block]:
         """The blocks with start <= index < stop, in order; to the tip by default."""
         with self._lock:
+            tip = self._tip_row()
+            if tip is None:
+                return []
+            block = tip[0]
+            if start >= block.index:  # at most the tip
+                return [block] if start == block.index < stop else []
             rows = self._conn.execute(
                 _SELECT_BLOCKS + " WHERE idx >= ? AND idx < ? ORDER BY idx",
                 (start, stop)).fetchall()
         return [_row_to_block(r) for r in rows]
 
     def get_hashes(self, indices: list[int]) -> dict[int, str]:
-        """The hash of each stored block among `indices`, by index, in one query."""
+        """The hash of each stored block among `indices`, by index, in at most one query."""
         with self._lock:
+            tip = self._tip_row()
+            if tip is None:
+                return {}
+            block = tip[0]
+            if all(index >= block.index for index in indices):  # at most the tip
+                return {block.index: block.hash} if block.index in indices else {}
             rows = self._conn.execute(
                 "SELECT idx, hash FROM blocks WHERE idx IN (%s)" % ",".join("?" * len(indices)),
                 indices).fetchall()
         return dict(rows)
 
     def tip(self) -> Block:
-        with self._lock:
-            row = self._conn.execute(_SELECT_BLOCKS + " ORDER BY idx DESC LIMIT 1").fetchone()
-        if row is None:
+        tip = self._tip_row()
+        if tip is None:
             raise NotFoundError("store holds no blocks")
-        return _row_to_block(row)
+        return tip[0]
 
     def tip_retarget(self) -> float:
         """The chain's difficulty after the tip block; the store holds a block."""
-        with self._lock:
-            return self._conn.execute(
-                "SELECT retarget FROM blocks ORDER BY idx DESC LIMIT 1").fetchone()[0]
+        return self._tip_row()[1]
 
     def replace_chain(self, tail: list[Block]) -> float:
         """Drop `tail`, the stored blocks from some index >= 1 to the tip, and
@@ -202,12 +236,14 @@ class BlockStore:
                 raise StoreError(f"the blocks from index {start} are not the stored tail")
             try:
                 with self.transaction():
+                    self._tip = _UNREAD
                     for table, index in (("blocks", "idx"), ("state", "version"),
                                          ("contracts", "deployed_at")):
                         self._conn.execute(f"DELETE FROM {table} WHERE {index} >= ?", (start,))
+                    return self._conn.execute("SELECT retarget FROM blocks WHERE idx = ?",
+                                              (start - 1,)).fetchone()[0]
             except sqlite3.Error as exc:
                 raise StoreError(f"replace failed: {exc}") from exc
-            return self.tip_retarget()
 
     # -- contract state ---------------------------------------------------
 
@@ -225,13 +261,6 @@ class BlockStore:
                 "INSERT INTO state VALUES (?,?,?,?)"
                 " ON CONFLICT (contract_id, key, version) DO UPDATE SET value = excluded.value",
                 (contract_id, key, value, version))
-
-    def get_state_version(self, contract_id: str, key: str) -> int | None:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT MAX(version) FROM state WHERE contract_id = ? AND key = ?",
-                (contract_id, key)).fetchone()
-        return row[0]
 
     def all_state(self) -> dict[tuple[str, str], int]:
         with self._lock:

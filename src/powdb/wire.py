@@ -12,6 +12,13 @@ over the counter, kind, timestamp and canonical payload under its
 direction's key. A client's request and its reply stay signed. A node
 checks every envelope, of any kind, as it arrives (NodeCore.on_message): one
 failing its check is dropped there and never reaches a handler.
+
+An envelope travels in one layout, the canonical JSON that encode() writes,
+and decode_envelope accepts no other. A received envelope's tag or
+signature is checked over its payload bytes as they arrived, which an
+honest sender wrote as the payload's canonical JSON, so intake never
+re-encodes a payload; a frame whose payload is laid out any other way fails
+its check.
 """
 
 from __future__ import annotations
@@ -202,8 +209,9 @@ class MessageEnvelope:
     payload: object  # kind-specific JSON value
     signature: str  # 128 hex chars of an Ed25519 signature, or 64 of a link tag
     counter: int | None = None  # a tagged envelope's place in its link's direction
-    # canonical payload bytes, set only by sign_envelope; a replaced or
-    # hand-built envelope starts without them
+    # the payload bytes the envelope was signed or received with, set by
+    # sign_envelope and decode_envelope; a replaced or hand-built envelope
+    # starts without them
     _payload_json: bytes | None = field(default=None, init=False, compare=False,
                                         repr=False)
 
@@ -220,12 +228,13 @@ class MessageEnvelope:
         return obj
 
     def encode(self) -> bytes:
-        """canonical_json(self.to_json()), reusing the payload bytes that
-        sign_envelope encoded.
+        """canonical_json(self.to_json()), reusing the payload bytes the
+        envelope was signed or received with.
 
         The keys sort as counter, kind, payload, sender, signature, timestamp.
-        An envelope with those bytes came from sign_envelope, so its kind is
-        one of KINDS and its sender and signature are hex: no escaping.
+        An envelope with those bytes came from sign_envelope or
+        decode_envelope, so its kind is one of KINDS and its sender and
+        signature need no escaping.
         """
         body, counter = self._payload_json, self.counter
         if (body is None or type(self.timestamp) is not int
@@ -237,9 +246,6 @@ class MessageEnvelope:
             self.timestamp)
 
 
-_FIELDS = frozenset({"sender", "kind", "timestamp", "payload", "signature"})
-
-
 def _preimage(kind: str, timestamp: int, body: bytes) -> bytes:
     return SEP.join([kind.encode(), str(timestamp).encode(), body])
 
@@ -247,6 +253,15 @@ def _preimage(kind: str, timestamp: int, body: bytes) -> bytes:
 def signing_bytes(kind: str, timestamp: int, payload) -> bytes:
     """The signature preimage: kind, timestamp, canonical payload."""
     return _preimage(kind, timestamp, canonical_json(payload))
+
+
+def _signed_bytes(env: MessageEnvelope) -> bytes:
+    """The preimage an envelope's tag or signature is checked over: its
+    payload bytes as signed or received, or, for an envelope built in
+    memory, its canonical payload."""
+    if env._payload_json is None:
+        return signing_bytes(env.kind, env.timestamp, env.payload)
+    return _preimage(env.kind, env.timestamp, env._payload_json)
 
 
 class LinkKey:
@@ -287,14 +302,16 @@ def sign_envelope(kind: str, timestamp: int, payload, identity: NodeIdentity,
 
 def verify_envelope(env: MessageEnvelope, key: LinkKey | None = None) -> bool:
     """True iff the envelope checks: given a link's receive `key`, its tag
-    over its counter; otherwise its Ed25519 signature. A malformed tag or
-    counter, or a payload that cannot be re-encoded, fails, never raises."""
+    over its counter; otherwise its Ed25519 signature. A received envelope
+    is checked over its payload bytes as they arrived, so a payload laid out
+    other than canonically fails. A malformed tag or counter, or a payload
+    that cannot be encoded, fails, never raises."""
     if key is None:
         return verify_signature(env)
     if type(env.counter) is not int:
         return False
     try:
-        expected = key.tag(env.counter, signing_bytes(env.kind, env.timestamp, env.payload))
+        expected = key.tag(env.counter, _signed_bytes(env))
         return hmac.compare_digest(expected, env.signature)
     except (ValueError, TypeError, EncodingError, RecursionError):
         return False
@@ -303,13 +320,13 @@ def verify_envelope(env: MessageEnvelope, key: LinkKey | None = None) -> bool:
 def verify_signature(env: MessageEnvelope) -> bool:
     """True iff the signature verifies under the sender's public key.
 
-    Malformed hex or keys, and payloads nested too deep to re-encode, count
+    Malformed hex or keys, and payloads nested too deep to encode, count
     as verification failure, never an exception.
     """
     try:
         public = Ed25519PublicKey.from_public_bytes(bytes.fromhex(env.sender))
         sig = bytes.fromhex(env.signature)
-        public.verify(sig, signing_bytes(env.kind, env.timestamp, env.payload))
+        public.verify(sig, _signed_bytes(env))
         return True
     except (InvalidSignature, ValueError, TypeError, EncodingError, RecursionError):
         return False
@@ -363,27 +380,48 @@ class KeyShare:
         return (to_listener, to_dialer) if dialer else (to_dialer, to_listener)
 
 
+def _no_float(text: str):
+    raise ValueError(f"non-integer number {text}")
+
+
+# The one layout encode() writes: keys in sorted order, no whitespace, the
+# kind a bare name and the sender and signature strings without escapes,
+# as an envelope signed or tagged by sign_envelope has them. The payload is
+# read where that layout puts it, so its bytes are exactly the bytes between
+# its key and the sender's.
+_HEAD = re.compile(r'\{(?:"counter":(-?(?:0|[1-9][0-9]*)),)?"kind":"([A-Z_]+)","payload":')
+_TAIL = re.compile(r',"sender":"([^"\\\x00-\x1f]*)","signature":"([^"\\\x00-\x1f]*)",'
+                   r'"timestamp":(-?(?:0|[1-9][0-9]*))\}')
+_scan_value = json.JSONDecoder(parse_float=_no_float, parse_constant=_no_float).scan_once
+
+
 def decode_envelope(raw: bytes) -> MessageEnvelope | None:
-    """Parse one wire message; None when the JSON or shape is invalid."""
+    """Parse one wire message in the layout encode() writes; None for any
+    other layout or invalid JSON. The envelope keeps the payload's bytes as
+    they arrived, so its check hashes them and never re-encodes the payload.
+    A payload number that is not an integer fails here, as it could never
+    be encoded."""
     try:
-        obj = json.loads(raw.decode("utf-8"))
-    except (ValueError, RecursionError):  # bad UTF-8 or JSON, or an integer too long to read
+        text = raw.decode("utf-8")
+        head = _HEAD.match(text)
+        if head is None or head[2] not in KINDS:
+            return None
+        start = head.end()
+        payload, end = _scan_value(text, start)
+        tail = _TAIL.fullmatch(text, end)
+        if tail is None:
+            return None
+        counter = None if head[1] is None else int(head[1])
+        timestamp = int(tail[3])
+    except (ValueError, RecursionError, StopIteration):
+        # bad UTF-8 or JSON, a float, or an integer too long to read
         return None
-    if not isinstance(obj, dict):
-        return None
-    tagged = "counter" in obj
-    counter = obj.pop("counter", None)
-    if set(obj) != _FIELDS or (tagged and type(counter) is not int):
-        return None
-    if not isinstance(obj["sender"], str) or not isinstance(obj["signature"], str):
-        return None
-    if not isinstance(obj["kind"], str) or obj["kind"] not in KINDS:
-        return None
-    if not isinstance(obj["timestamp"], int) or isinstance(obj["timestamp"], bool):
-        return None
-    return MessageEnvelope(sender=obj["sender"], kind=obj["kind"],
-                           timestamp=obj["timestamp"], payload=obj["payload"],
-                           signature=obj["signature"], counter=counter)
+    env = MessageEnvelope(sender=tail[1], kind=head[2], timestamp=timestamp,
+                          payload=payload, signature=tail[2], counter=counter)
+    # the head is ASCII, so the payload starts at the same byte as character
+    body_end = len(raw) - len(text[end:].encode("utf-8"))
+    object.__setattr__(env, "_payload_json", raw[start:body_end])
+    return env
 
 
 def check_frame_size(message: bytes) -> None:

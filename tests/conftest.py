@@ -76,6 +76,15 @@ def store_path(tmp_path):
     return tmp_path / "node.db"
 
 
+def state_version(store, contract_id, key):
+    """The index of the block that last wrote a state cell, read from the
+    `state` table: None when no block wrote it."""
+    with store._lock:
+        return store._conn.execute(
+            "SELECT MAX(version) FROM state WHERE contract_id = ? AND key = ?",
+            (contract_id, key)).fetchone()[0]
+
+
 TEST_PARAMS = ChainParams(target_block_interval_ms=2000, initial_difficulty=6,
                           min_difficulty=4, max_difficulty=10)
 

@@ -2,9 +2,11 @@
 
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from powdb import _minepure
 from powdb.chain import (
     Block,
     ChainParams,
@@ -15,7 +17,6 @@ from powdb.chain import (
     block_to_json,
     canonical_block_bytes,
     cumulative_work,
-    digest_meets_difficulty,
     genesis_block,
     is_hex_hash,
     meets_difficulty,
@@ -118,6 +119,22 @@ class TestBlockHash:
                 canonical_block_bytes(mutated)).hexdigest()
 
 
+class FixedDigest:
+    """A stand-in for a hashlib SHA-256 context whose digest is fixed."""
+
+    def __init__(self, digest):
+        self._digest = digest
+
+    def copy(self):
+        return self
+
+    def update(self, _data):
+        pass
+
+    def digest(self):
+        return self._digest
+
+
 class TestMeetsDifficulty:
     def test_zero_bits_always_true(self):
         assert meets_difficulty("f" * 64, 0)
@@ -140,23 +157,32 @@ class TestMeetsDifficulty:
                     break
 
     def test_hex_and_digest_forms_agree(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            digest = bytes(rng.randrange(256) for _ in range(32))
-            d = rng.randrange(33)
-            assert meets_difficulty(digest.hex(), d) == digest_meets_difficulty(digest, d)
+        # the nonce search's hit or miss on each nonce of a window, against
+        # the predicate over the hex of the same digest, for every difficulty
+        prefix = b"1\x1f2\x1fdata\x1f" + b"0" * 64 + b"\x1f"
+        for nonce in range(300):
+            digest = hashlib.sha256(prefix + b"%d" % nonce).digest()
+            for d in range(33):
+                hit = _minepure.search_nonce(prefix, d, nonce, 1)
+                assert (hit is not None) == meets_difficulty(digest.hex(), d)
+                assert hit is None or hit == (nonce, digest)
 
-    def test_digest_form_agrees_at_every_boundary(self):
-        # digests whose first set bit is bit p, for p from 0 to 32, or that
-        # are all zero, against every difficulty from 0 to 32
+    def test_digest_form_agrees_at_every_boundary(self, monkeypatch):
+        # digests whose first set bit is bit p, for p from 0 to 32, with
+        # every later bit clear, random or set, or that are all zero, handed
+        # to the nonce search by a stand-in for SHA-256, against every
+        # difficulty from 0 to 32
         rng = random.Random(7)
-        values = [0] + [(1 << (255 - p)) | (tail >> (p + 1))
-                        for p in range(33) for tail in (0, rng.getrandbits(256))]
+        values = [0] + [(1 << (255 - p)) | (tail >> (p + 1)) for p in range(33)
+                        for tail in (0, rng.getrandbits(256), 2**256 - 1)]
         for value in values:
             digest = value.to_bytes(32, "big")
+            monkeypatch.setattr(_minepure, "hashlib", SimpleNamespace(
+                sha256=lambda _prefix, _d=digest: FixedDigest(_d)))
             for d in range(33):
                 expected = meets_difficulty(digest.hex(), d)
-                assert digest_meets_difficulty(digest, d) == expected
+                hit = _minepure.search_nonce(b"prefix", d, 5, 1)
+                assert hit == ((5, digest) if expected else None)
                 assert expected == (value >> (256 - d) == 0)
 
     def test_malformed_hex_raises(self):

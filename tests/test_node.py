@@ -1,5 +1,6 @@
 """Node orchestration: the request flow, state replay, durability, TCP runtime."""
 
+import json
 import socket
 import threading
 import time
@@ -37,7 +38,7 @@ from powdb.store import BlockStore
 from powdb.transport import parse_hostport
 from powdb.wire import NodeIdentity, canonical_json, decode_envelope, sign_envelope
 
-from conftest import TEST_PARAMS, Capture, PeerEnd, extend
+from conftest import TEST_PARAMS, Capture, PeerEnd, extend, state_version
 
 COUNTER = [["add", "count", 1], ["add", "total", ["arg", 0]]]
 COUNTER_ID = contract_id_for(COUNTER)
@@ -123,7 +124,7 @@ class TestSingleNodeFlow:
         assert core.store.get_state(COUNTER_ID, "count") == 2
         assert core.store.get_state(COUNTER_ID, "total") == 42
         # state version records the writing block
-        assert core.store.get_state_version(COUNTER_ID, "count") == 3
+        assert state_version(core.store, COUNTER_ID, "count") == 3
 
     def test_redeploy_is_idempotent(self):
         core, queue = make_node()
@@ -703,6 +704,45 @@ class TestIntakeOrder:
         assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
         assert self.conn.sent == []
         assert core.store.get_all_blocks() == chain
+
+    @pytest.mark.parametrize("layout", ["space-after-comma", "reordered-keys"])
+    def test_frame_with_its_payload_laid_out_anew_is_dropped(self, core, layout):
+        # a frame is checked over its payload bytes as they arrived: a frame
+        # whose payload holds the same value laid out other than the bytes
+        # its honest tag covers is dropped and counted; the frame as tagged,
+        # with the same counter, is then taken
+        chain = core.store.get_all_blocks()
+        payload = {"block": block_to_json(next_block(core)), "have": []}
+        raw = self.peer.envelope(wire.NEW_BLOCK, payload).encode()
+        canonical = canonical_json(payload)
+        if layout == "space-after-comma":
+            relaid = canonical.replace(b",", b", ", 1)
+        else:
+            relaid = json.dumps(dict(reversed(payload.items())), separators=(",", ":")).encode()
+        assert relaid != canonical and json.loads(relaid) == payload
+        assert raw.count(canonical) == 1
+        assert core.on_message(self.conn, raw.replace(canonical, relaid)) == "dropped"
+        assert self.checks == 1 and core.dropped_envelopes == 1
+        assert core.store.get_all_blocks() == chain
+        assert core.on_message(self.conn, raw) == "appended"
+
+    def test_tagged_block_intake_encodes_no_payload(self, core, monkeypatch):
+        # a NEW_BLOCK's tag is computed over its payload bytes as received,
+        # so taking one in, held or appended, never runs canonical_json
+        raws = [self.peer.envelope(*self.frame(core, case)).encode()
+                for case in ("held", "next")]
+        calls = 0
+        real = wire.canonical_json
+
+        def counting(value):
+            nonlocal calls
+            calls += 1
+            return real(value)
+
+        monkeypatch.setattr(wire, "canonical_json", counting)
+        monkeypatch.setattr(node_module, "canonical_json", counting)
+        assert [core.on_message(self.conn, raw) for raw in raws] == ["ignored", "appended"]
+        assert self.checks == 2 and calls == 0
 
     @pytest.mark.parametrize("kind", [wire.NEW_BLOCK, wire.BLOCKS])
     def test_block_on_a_link_without_keys_is_ignored(self, core, kind):

@@ -12,7 +12,7 @@ import pytest
 from powdb.chain import genesis_block
 from powdb.store import LAYOUT, BlockStore, NotFoundError, StoreError
 
-from conftest import RETARGET, linked_chain
+from conftest import RETARGET, linked_chain, state_version
 
 
 class SimulatedCrash(Exception):
@@ -221,7 +221,7 @@ class TestReplaceChain:
                 raise SimulatedCrash()
         assert store.get_all_blocks() == old
         assert store.get_state(self.CID, "keep") == 7
-        assert store.get_state_version(self.CID, "keep") == 2
+        assert state_version(store, self.CID, "keep") == 2
         assert store.get_contract(self.CID) == "[]"
         assert store.tip_retarget() == RETARGET + 2
 
@@ -233,7 +233,7 @@ class TestReplaceChain:
         store.put_state(self.CID, "y", 1, 3)
         store.replace_chain(chain[2:])
         assert store.get_state(self.CID, "x") == 5
-        assert store.get_state_version(self.CID, "x") == 1
+        assert state_version(store, self.CID, "x") == 1
         assert store.get_state(self.CID, "y") is None
         assert store.all_state() == {(self.CID, "x"): 5}
 
@@ -272,13 +272,35 @@ class TestChainRecord:
 
     @pytest.mark.parametrize("read", ["tip", "chain_info"])
     def test_tip_read_is_one_select(self, store_path, read):
+        """The first tip read after opening runs one SELECT, of the tip row,
+        which the store keeps: later reads run none until a tail drop or a
+        rollback clears it, and the first read after one runs one again."""
+        chain = linked_chain([4, 4, 4])
         store = BlockStore(store_path)
-        for blk in linked_chain([4, 4]):
+        for blk in chain[:3]:
             store.add_block(blk, RETARGET)
-        statements = traced(store)
-        getattr(store, read)()
-        assert len(statements) == 1
-        assert statements[0].startswith("SELECT")
+        store.close()
+        store = BlockStore(store_path)
+
+        def statements():
+            run = traced(store)
+            getattr(store, read)()
+            return [sql.split()[0].upper() for sql in run]
+
+        assert statements() == ["SELECT"]
+        assert statements() == []
+        store.add_block(chain[3], RETARGET)  # an append sets the kept row
+        assert statements() == []
+        store.replace_chain(chain[3:])
+        assert statements() == ["SELECT"]
+        assert statements() == []
+        with pytest.raises(SimulatedCrash):
+            with store.transaction():
+                store.add_block(chain[3], RETARGET)
+                raise SimulatedCrash()
+        assert statements() == ["SELECT"]
+        assert statements() == []
+        assert store.tip() == chain[2]
 
     def test_new_file_carries_the_layout(self, store_path):
         BlockStore(store_path).close()
@@ -323,6 +345,62 @@ class TestChainRecord:
             BlockStore(store_path)
 
 
+class TestTipCopy:
+    """The tip row the store keeps always equals the block table's last row:
+    after each write path, every read it answers equals what a new store on
+    the same file reads from the table."""
+
+    @staticmethod
+    def reads(store):
+        tip = store.tip()
+        return (tip, store.chain_info(), store.get_block_count(), store.tip_retarget(),
+                store.get_blocks(tip.index), store.get_blocks(tip.index + 1),
+                store.get_hashes([tip.index]), store.get_hashes([tip.index + 1]))
+
+    def assert_coherent(self, store, path):
+        fresh = BlockStore(path)
+        try:
+            assert self.reads(store) == self.reads(fresh)
+        finally:
+            fresh.close()
+
+    def test_every_write_path_keeps_the_copy_equal_to_the_table(self, store_path):
+        chain = linked_chain([4, 4, 4])
+        fork = linked_chain([4, 4, 4], data_prefix="fork")
+        store = BlockStore(store_path)
+        for i, blk in enumerate(chain):
+            store.add_block(blk, RETARGET + i)
+            self.assert_coherent(store, store_path)
+
+        store.replace_chain(chain[2:])  # a tail drop on its own
+        self.assert_coherent(store, store_path)
+        assert store.tip() == chain[1] and store.tip_retarget() == RETARGET + 1
+
+        with store.transaction():  # a tail drop and the fork's appends
+            store.replace_chain(chain[1:2])
+            for i, blk in enumerate(fork[1:], start=1):
+                store.add_block(blk, RETARGET + 10 + i)
+        self.assert_coherent(store, store_path)
+        assert store.tip() == fork[3]
+
+        def crash(label):
+            if label == "block_inserted":
+                raise SimulatedCrash(label)
+
+        store._crash_hook = crash
+        with pytest.raises(SimulatedCrash):  # rolled back after its insert
+            store.add_block(linked_chain([4] * 4, data_prefix="fork")[4], RETARGET)
+        store._crash_hook = None
+        self.assert_coherent(store, store_path)
+        assert store.tip() == fork[3]
+
+        store.tip()
+        with pytest.raises(StoreError):  # an append at a wrong index
+            store.add_block(chain[2], RETARGET)
+        self.assert_coherent(store, store_path)
+        assert store.tip() == fork[3] and store.tip_retarget() == RETARGET + 13
+
+
 class TestState:
     CID = "ab" * 32
 
@@ -334,14 +412,14 @@ class TestState:
         store = BlockStore(store_path)
         store.put_state(self.CID, "x", 5, 3)
         assert store.get_state(self.CID, "x") == 5
-        assert store.get_state_version(self.CID, "x") == 3
+        assert state_version(store, self.CID, "x") == 3
 
     def test_overwrite_updates_version(self, store_path):
         store = BlockStore(store_path)
         store.put_state(self.CID, "x", 5, 3)
         store.put_state(self.CID, "x", -9, 8)
         assert store.get_state(self.CID, "x") == -9
-        assert store.get_state_version(self.CID, "x") == 8
+        assert state_version(store, self.CID, "x") == 8
 
     def test_state_survives_reopen(self, store_path):
         store = BlockStore(store_path)

@@ -519,3 +519,51 @@ class TestEnvelopeRoundTrip:
         obj = good.to_json()
         obj["timestamp"] = "12"
         assert decode_envelope(json.dumps(obj).encode()) is None
+
+
+class TestOneLayout:
+    """decode_envelope accepts only the layout encode() writes, and a decoded
+    envelope is checked over its payload bytes as they arrived."""
+
+    def setup_method(self):
+        self.identity = NodeIdentity.from_seed(b"\x33" * 32)
+
+    def test_any_other_layout_of_the_same_value_is_refused(self):
+        env = sign_envelope("QUERY", 7, {"what": "stats"}, self.identity,
+                            LinkKey(b"\x22" * 32), 3)
+        raw = env.encode()
+        obj = json.loads(raw)
+        others = {
+            "spaces": json.dumps(obj).encode(),
+            "unsorted": json.dumps(dict(reversed(obj.items())), separators=(",", ":")).encode(),
+            "leading-space": b" " + raw,
+            "trailing-newline": raw + b"\n",
+            "space-before-payload": raw.replace(b'"payload":', b'"payload": '),
+            "escaped-kind": raw.replace(b'"QUERY"', b'"\\u0051UERY"'),
+            "escaped-sender": raw.replace(b'"sender":"', b'"sender":"\\u0030'),
+        }
+        for name, other in others.items():
+            assert other != raw and json.loads(other)["kind"] == "QUERY", name
+            assert decode_envelope(other) is None, name
+        assert decode_envelope(raw) == env
+
+    @pytest.mark.parametrize("number", [b"1.0", b"1e3", b"NaN", b"-Infinity",
+                                        b"1" + b"0" * 5000])
+    def test_payload_number_that_cannot_be_encoded_is_refused(self, number):
+        raw = sign_envelope("QUERY", 7, {"n": 1}, self.identity).encode()
+        assert decode_envelope(raw.replace(b'"n":1', b'"n":' + number)) is None
+
+    @pytest.mark.parametrize("keyed", [False, True], ids=["signed", "tagged"])
+    def test_check_is_over_the_payload_bytes_received(self, keyed):
+        key, counter = (LinkKey(b"\x22" * 32), 1) if keyed else (None, None)
+        payload = {"a": "é", "b": [2, 3]}
+        raw = sign_envelope("QUERY", 7, payload, self.identity, key, counter).encode()
+        canonical = canonical_json(payload)
+        assert verify_envelope(decode_envelope(raw), key)
+        for relaid in ('{"a":"é","b":[2, 3]}'.encode(), '{"b":[2,3],"a":"é"}'.encode(),
+                       b'{"a":"\\u00e9","b":[2,3]}'):
+            decoded = decode_envelope(raw.replace(canonical, relaid))
+            assert decoded.payload == payload
+            assert not verify_envelope(decoded, key)
+            # the same value built in memory is encoded canonically, and checks
+            assert verify_envelope(replace(decoded), key)
