@@ -149,8 +149,12 @@ def _cmd_client(args) -> int:
     if command == "put":
         kind, payload = TX, {"tx": {"kind": "raw", "data": args.data}}
     elif command == "deploy":
-        with open(args.file) as handle:
-            source = json.load(handle)
+        try:
+            with open(args.file) as handle:
+                source = json.load(handle)
+        except (OSError, ValueError) as exc:  # a JSONDecodeError or UnicodeDecodeError
+            print(f"bad contract file: {exc}", file=sys.stderr)
+            return EXIT_BAD_CONFIG
         kind, payload = TX, {"tx": {"kind": "deploy", "contract": source}}
     elif command == "call":
         kind, payload = TX, {"tx": {"kind": "call", "contract_id": args.contract_id,
@@ -179,7 +183,7 @@ def _cmd_sim_run(args) -> int:
     try:
         with open(args.scenario) as handle:
             scenario = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a JSONDecodeError or UnicodeDecodeError
         print(f"bad scenario file: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     try:

@@ -18,6 +18,10 @@ reply is lost is closed by the tick and dialed again. A client's link never
 runs the handshake, so its requests and replies stay signed, and it carries
 no blocks.
 
+Each core keeps its own links: its runtime gives it the peers it is
+configured with and a `dial(addr)`, and `NodeCore.tick` dials each of them
+whose link is unset or closed, so the simulator runs the live node's redial.
+
 Every frame is checked as it arrives, before any handler reads it: its tag
 on a keyed link, its Ed25519 signature on any other, and one that fails is
 dropped and counted. Only then are a gossiped block's own checks run,
@@ -82,7 +86,7 @@ from powdb.contracts import (
     execute,
 )
 from powdb.store import BlockStore, NotFoundError
-from powdb.transport import TICK_S, TcpTransport
+from powdb.transport import TICK_S, TcpTransport, parse_hostport
 from powdb.wire import (
     MAX_HOLDERS,
     KeyShare,
@@ -114,9 +118,9 @@ MAX_LOCATOR = 128
 # What a block's JSON takes on the wire besides its data, rounded up; it
 # sizes a BLOCKS page against its byte budget.
 BLOCK_JSON_BYTES = 320
-# A configured peer whose link is closed is dialed again from the loop's
-# tick. After each failed dial the wait before the next one doubles, from
-# one tick (TICK_S) up to this many seconds; a dial that connects resets it.
+# A live node's dial of a configured peer waits after each failed dial; the
+# wait doubles, from one tick (TICK_S) up to this many seconds, and a dial
+# that connects resets it.
 REDIAL_MAX_S = 30.0
 # The tick sends a GET_BLOCKS on each established link quiet this long (see
 # tick), so a block the push missed arrives at most this late.
@@ -147,6 +151,8 @@ class NodeConfig:
     def validate(self) -> None:
         try:
             self.params.validate()
+            for peer in self.peers:
+                parse_hostport(peer)
         except ValueError as exc:
             raise BadConfigError(str(exc)) from exc
 
@@ -289,7 +295,8 @@ class NodeCore:
     """All node behavior behind transport-, clock- and miner-abstractions."""
 
     def __init__(self, identity: NodeIdentity, store: BlockStore, params: ChainParams,
-                 clock, miner, *, mine_enabled: bool = True, random_bytes=os.urandom):
+                 clock, miner, *, mine_enabled: bool = True, random_bytes=os.urandom,
+                 peers=(), dial=None):
         params.validate()
         self.identity = identity
         self.random_bytes = random_bytes  # fn(n) -> n bytes, for link keys and nonces
@@ -299,6 +306,10 @@ class NodeCore:
         self.clock = clock
         self.miner = miner
         self.mine_enabled = mine_enabled
+        # each configured peer's address, with the conn its last dial returned;
+        # dial(addr) -> a conn, or None when the peer cannot be dialed now
+        self.peers: dict[str, object] = dict.fromkeys(peers)
+        self.dial = dial
 
         self.cache = ContractCache()
         # fn(node, new_blocks, reorg_depth), called once per chain change
@@ -347,13 +358,14 @@ class NodeCore:
 
     def tick(self) -> None:
         """The one repair path, which both runtimes call every TICK_S: close a
-        dialed link with no link-open reply for HANDSHAKE_TIMEOUT_MS, so it
-        is dialed again, and send a GET_BLOCKS on each established link that
-        is quiet: no GET_BLOCKS sent and no NEW_BLOCK read on it for
-        RESYNC_MS. A GET_BLOCKS received does not count, or the two ends of a
-        quiet link would keep restarting each other's timers and the end
-        that lacks a block would never ask. A peer at MAX_UNSERVED that keeps
-        pushing blocks also keeps its link from being resynced."""
+        dialed link with no link-open reply for HANDSHAKE_TIMEOUT_MS, and send
+        a GET_BLOCKS on each established link that is quiet: no GET_BLOCKS
+        sent and no NEW_BLOCK read on it for RESYNC_MS. A GET_BLOCKS received
+        does not count, or the two ends of a quiet link would keep restarting
+        each other's timers and the end that lacks a block would never ask. A
+        peer at MAX_UNSERVED that keeps pushing blocks also keeps its link
+        from being resynced. Last, each configured peer whose conn is unset
+        or closed is dialed, and a conn the dial returns opens a link."""
         now = self.clock()
         for link in list(self._links.values()):
             if link.established:
@@ -361,6 +373,11 @@ class NodeCore:
                     self.request_sync(link.conn)
             elif link.outbound and now - link.opened_ms >= HANDSHAKE_TIMEOUT_MS:
                 self._drop_conn(link.conn)
+        for addr, conn in self.peers.items():
+            if conn is None or conn.closed:
+                conn = self.peers[addr] = self.dial(addr)
+                if conn is not None:
+                    self.connect_peer(conn)
 
     def connected(self) -> list:
         """The conns of established links, oldest first."""
@@ -877,15 +894,6 @@ class NodeCore:
         self._links.pop(id(conn), None)
 
 
-@dataclass
-class _Peer:
-    """A configured peer address, its link, and when to dial it again."""
-    addr: str
-    conn: object = None
-    backoff_s: float = 0.0  # the wait the last failed dial set; 0 after a dial connects
-    due: float = 0.0  # time.monotonic() before which it is not dialed again
-
-
 class _ThreadMinerHandle(threading.Event):
     """The cancel signal of one mining job; the core calls `cancel()`."""
     cancel = threading.Event.set
@@ -915,7 +923,9 @@ class NodeRuntime:
         config.validate()
         self.config = config
         self._stop = threading.Event()
-        self._peers = [_Peer(addr) for addr in config.peers]
+        # a peer's (wait, time.monotonic() before which it is not dialed) after
+        # a failed dial; a dial that connects removes its entry
+        self._backoff: dict[str, tuple[float, float]] = {}
 
         self.store = BlockStore(config.db_path)
         try:
@@ -934,6 +944,8 @@ class NodeRuntime:
             clock=lambda: int(time.time() * 1000),
             miner=ThreadMiner(self.submit),
             mine_enabled=config.mine_enabled,
+            peers=config.peers,
+            dial=self._dial,
         )
         self.transport = TcpTransport(self.core)
         try:
@@ -947,30 +959,25 @@ class NodeRuntime:
         self.transport.submit(fn)
 
     def start(self) -> None:
-        for peer in self._peers:
-            self.submit(lambda peer=peer: self._dial(peer))
-        self.transport.start(tick=self._tick)
+        self.submit(self.core.tick)  # the first dials
+        self.transport.start(tick=self.core.tick)
 
-    def _tick(self) -> None:
-        if self._stop.is_set():
-            return  # the core is closing: open no new links
-        self.core.tick()
-        now = time.monotonic()
-        for peer in self._peers:
-            if (peer.conn is None or peer.conn.closed) and now >= peer.due:
-                self._dial(peer)
-
-    def _dial(self, peer: _Peer) -> None:
+    def _dial(self, addr: str):
+        """The core's dial of a configured peer: a connection, or None while
+        the node stops, while the wait after a failed dial runs, or when the
+        dial fails."""
+        wait, due = self._backoff.get(addr, (0.0, 0.0))
+        if self._stop.is_set() or time.monotonic() < due:
+            return None
         try:
-            peer.conn = self.transport.dial(peer.addr)
+            conn = self.transport.dial(addr)
         except OSError as exc:
-            peer.backoff_s = min(2 * peer.backoff_s or TICK_S, REDIAL_MAX_S)
-            peer.due = time.monotonic() + peer.backoff_s
-            logger.warning("cannot dial peer %s: %s; next try in %.0f s",
-                           peer.addr, exc, peer.backoff_s)
-            return
-        peer.backoff_s = 0.0
-        self.core.connect_peer(peer.conn)
+            wait = min(2 * wait or TICK_S, REDIAL_MAX_S)
+            self._backoff[addr] = (wait, time.monotonic() + wait)
+            logger.warning("cannot dial peer %s: %s; next try in %.0f s", addr, exc, wait)
+            return None
+        self._backoff.pop(addr, None)
+        return conn
 
     def run_forever(self) -> None:
         try:

@@ -29,7 +29,7 @@ from powdb.chain import (
 )
 from powdb.consensus import create_new_block, effective_bits, mine_block
 from powdb.node import NodeCore, parse_tx_data
-from powdb.simnet import EventQueue, MemConnection, MemNetwork, SimMiner
+from powdb.simnet import EventQueue, MemNetwork, SimMiner
 from powdb.store import BlockStore
 from powdb.transport import TICK_S
 # sign_envelope is not called here: malicious nodes send through their
@@ -228,7 +228,6 @@ class _Harness:
                               loss_rate=config.link_loss_rate)
         self.addrs = [f"sim:{i}" for i in range(config.node_count)]
         self.nodes: list[NodeCore] = []
-        self.links: dict[tuple[int, int], MemConnection] = {}  # (dialer, listener) -> dialer's end
 
         count = config.malicious_count
         self.malicious = sorted(self.rng_roles.sample(range(config.node_count), count))
@@ -260,6 +259,8 @@ class _Harness:
                 miner=SimMiner(self.queue, rate),
                 mine_enabled=True,
                 random_bytes=self.rng_keys.randbytes,
+                peers=self.addrs[i + 1:],  # the full mesh: each pair is dialed by its lower index
+                dial=lambda addr, i=i: self.net.dial(self.nodes[i], self.addrs[i], addr),
             )
             core.node_index = i
             if i in self.honest:
@@ -281,7 +282,7 @@ class _Harness:
 
     def schedule(self) -> None:
         config = self.config
-        self.queue.at(0, self._connect)  # the full mesh
+        self.queue.at(0, self._tick)  # the first dials, before any other event at 0
 
         writer_seq = 0
         t = config.write_interval_ms
@@ -299,7 +300,8 @@ class _Harness:
         for window in config.partitions:
             groups = [set(self.addrs[i] for i in group) for group in window.groups]
             self.queue.at(window.start_ms, lambda g=groups: self.net.set_partition(g))
-            self.queue.at(min(window.end_ms, config.duration_ms), self._heal)
+            # the nodes dial the links it cut again at their next tick
+            self.queue.at(min(window.end_ms, config.duration_ms), self.net.heal)
 
         for node_index in self.malicious:
             behavior = self.behavior_of[node_index]
@@ -312,31 +314,11 @@ class _Harness:
         for t in range(step, config.duration_ms, step):
             self.queue.at(t, self._tick)
 
-    def _connect(self) -> None:
-        """Dial every pair of nodes without an open link; each new link opens
-        with a sync request both ways, unless an end already holds the other's tip."""
-        n = self.config.node_count
-        for i in range(n):
-            for j in range(i + 1, n):
-                link = self.links.get((i, j))
-                if link is not None and not link.closed:
-                    continue
-                conn = self.net.dial(self.nodes[i], self.addrs[i], self.addrs[j])
-                if conn is not None:
-                    self.links[i, j] = conn
-                    self.nodes[i].connect_peer(conn)
-
     def _tick(self) -> None:
-        """What a live node's loop does every TICK_S: the core's tick, then a
-        dial of each closed link, as a runtime dials its configured peers."""
+        """What a live node's loop does every TICK_S: the core's tick, which
+        also dials each of its peers whose link is unset or closed."""
         for core in self.nodes:
             core.tick()
-        self._connect()
-
-    def _heal(self) -> None:
-        """End a partition: the links it cut are dialed again, as on TCP."""
-        self.net.heal()
-        self._connect()
 
     def _make_write(self, seq: int, node_index: int):
         def write():

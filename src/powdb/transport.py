@@ -25,8 +25,8 @@ TICK_S = 1.0  # seconds between two calls of the loop's tick
 
 def parse_hostport(addr: str) -> tuple[str, int]:
     host, sep, port = addr.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"address must be host:port, got {addr!r}")
+    if not sep or not host or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"address must be host:port with a port in 0..65535, got {addr!r}")
     return host, int(port)
 
 

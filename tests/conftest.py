@@ -175,7 +175,6 @@ class Cluster:
         self.params = params
         self.addrs = [f"mem:{i}" for i in range(n)]
         self.nodes = []
-        self.links = {}  # (dialer, listener) -> the dialer's end of their last link
         rate = sim_hashrate_per_ms(params)
         for i in range(n):
             identity = NodeIdentity.from_seed(
@@ -183,14 +182,18 @@ class Cluster:
             core = NodeCore(identity=identity, store=BlockStore(":memory:"),
                             params=params, clock=lambda: self.queue.now,
                             miner=SimMiner(self.queue, rate), mine_enabled=mine_enabled,
-                            random_bytes=random.Random(f"cluster|{seed}|{i}").randbytes)
+                            random_bytes=random.Random(f"cluster|{seed}|{i}").randbytes,
+                            dial=lambda addr, i=i: self.net.dial(self.nodes[i], self.addrs[i],
+                                                                 addr))
             self.nodes.append(core)
             self.net.listen(self.addrs[i], core)
 
     def connect(self, i, j):
+        """Dial node j from node i now; j becomes one of i's peers, so i's
+        tick dials it again whenever their link closes."""
         conn = self.net.dial(self.nodes[i], self.addrs[i], self.addrs[j])
         assert conn is not None
-        self.links[i, j] = conn
+        self.nodes[i].peers[self.addrs[j]] = conn
         self.nodes[i].connect_peer(conn)
         return conn
 
@@ -199,8 +202,8 @@ class Cluster:
 
     def run_until(self, end_ms):
         """Run to `end_ms` of virtual time as live nodes run: every TICK_S
-        each node ticks, then each recorded link that has closed is dialed
-        again. The queue is drained, so the run may end past `end_ms`."""
+        each node ticks, which dials again each of its peers whose link has
+        closed. The queue is drained, so the run may end past `end_ms`."""
         step = int(TICK_S * 1000)
         for t in range(self.queue.now // step * step + step, end_ms + 1, step):
             self.queue.at(t, self.tick)
@@ -209,9 +212,6 @@ class Cluster:
     def tick(self):
         for core in self.nodes:
             core.tick()
-        for (i, j), conn in list(self.links.items()):
-            if conn.closed:
-                self.connect(i, j)
 
     def heads(self):
         return [core.store.chain_info()[1] for core in self.nodes]

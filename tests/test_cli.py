@@ -88,6 +88,13 @@ class TestSimCli:
         assert result.returncode == 2
         assert "bad scenario" in result.stderr
 
+    def test_scenario_file_not_utf8_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"node_count": \xff}')
+        result = powdb("sim", "run", str(bad), "--out", str(tmp_path / "r.json"))
+        assert result.returncode == 2
+        assert "bad scenario file" in result.stderr
+
     def test_shipped_scenarios_parse(self, tmp_path):
         from powdb.sim import ScenarioConfig
 
@@ -191,6 +198,25 @@ class TestNodeAndClientCli:
         result = powdb("node", "run", "--listen", "127.0.0.1:0",
                        "--db", str(tmp_path / "x.db"), "--difficulty", "40")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("peer", ["nohost", "127.0.0.1:notaport"])
+    def test_malformed_peer_exits_2(self, tmp_path, peer):
+        result = powdb("node", "run", "--listen", "127.0.0.1:0",
+                       "--db", str(tmp_path / "x.db"), "--peer", peer, timeout=60)
+        assert result.returncode == 2
+        assert "bad configuration" in result.stderr and peer in result.stderr
+
+    @pytest.mark.parametrize("content", [None, b"[[\"add\", ", b"\xff\xfe"],
+                             ids=["missing", "not_json", "not_utf8"])
+    def test_unreadable_contract_file_exits_2(self, tmp_path, content):
+        path = tmp_path / "contract.json"
+        if content is not None:
+            path.write_bytes(content)
+        # the file is read before any connection, so no node is needed
+        result = powdb("client", "--node", "127.0.0.1:1", "deploy", str(path), timeout=60)
+        assert result.returncode == 2
+        assert result.stderr.startswith("bad contract file: ")
+        assert "Traceback" not in result.stderr
 
     def test_corrupt_key_file_exits_2(self, tmp_path):
         key = tmp_path / "bad.key"

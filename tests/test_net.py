@@ -28,11 +28,13 @@ from powdb.chain import (
 from powdb.consensus import create_new_block, effective_bits, mine_block, replay_difficulty
 from powdb.contracts import contract_id_for
 from powdb.net import RecentSet
+from powdb.node import NodeCore
 from powdb.simnet import MemNetwork
+from powdb.store import BlockStore
 from powdb.transport import TcpTransport, parse_hostport
-from powdb.wire import KeyShare, MessageEnvelope, NodeIdentity, sign_envelope
+from powdb.wire import KeyShare, MessageEnvelope, NodeIdentity, decode_envelope, sign_envelope
 
-from conftest import Capture, PeerEnd, extend
+from conftest import TEST_PARAMS, Capture, PeerEnd, extend
 
 
 class TestRecentSet:
@@ -99,6 +101,69 @@ class TestHandshake:
         node.tick()
         assert id(conn) not in node._links
         assert conn.closed
+
+
+class TestRedial:
+    """A node dials its configured peers from its own tick, through the dial
+    its runtime gives it."""
+
+    @pytest.fixture
+    def make_node(self):
+        made = []
+
+        def make(peers, refused=()):
+            dialed = []
+
+            def dial(addr):
+                dialed.append(addr)
+                return None if addr in refused else Capture()
+
+            core = NodeCore(identity=NodeIdentity.from_seed(b"\x31" * 32),
+                            store=BlockStore(":memory:"), params=TEST_PARAMS,
+                            clock=lambda: 0, miner=None, peers=peers, dial=dial)
+            made.append(core)
+            return core, dialed
+
+        yield make
+        for core in made:
+            core.close()
+            core.store.close()
+
+    def test_tick_dials_each_peer_that_is_unset_or_closed(self, make_node):
+        node, dialed = make_node(["a:1", "b:2", "c:3"])
+        node.tick()
+        assert dialed == ["a:1", "b:2", "c:3"]
+        for conn in node.peers.values():
+            opening = decode_envelope(conn.sent[0])  # each dial opens a link
+            assert opening.kind == wire.GET_BLOCKS and "key" in opening.payload
+        closed = node.peers["b:2"]
+        closed.close()
+        node.on_disconnect(closed)
+        node.tick()
+        assert dialed == ["a:1", "b:2", "c:3", "b:2"]
+        assert node.peers["b:2"] is not closed and len(node._links) == 3
+
+    def test_open_link_is_left_alone(self, make_node):
+        node, dialed = make_node(["a:1"])
+        node.tick()
+        conn = node.peers["a:1"]
+        node.tick()
+        node.tick()
+        assert dialed == ["a:1"] and node.peers["a:1"] is conn
+        assert len(conn.sent) == 1 and not conn.closed
+
+    def test_peer_whose_dial_failed_is_dialed_at_the_next_tick(self, make_node):
+        node, dialed = make_node(["a:1", "b:2"], refused={"a:1"})
+        node.tick()
+        assert node.peers["a:1"] is None and node.peers["b:2"] is not None
+        node.tick()
+        assert dialed == ["a:1", "b:2", "a:1"]
+        assert len(node._links) == 1
+
+    def test_repeated_address_is_one_peer(self, make_node):
+        node, dialed = make_node(["a:1", "b:2", "a:1"])
+        node.tick()
+        assert dialed == ["a:1", "b:2"] and len(node._links) == 2
 
 
 class TestLinkTeardown:
@@ -1170,8 +1235,9 @@ class TestSync:
         cluster.run_until(timeout - 1000)
         assert not first.closed
         cluster.run_until(timeout)
-        assert first.closed and cluster.links[0, 1] is not first
-        assert dialer.connected() == [cluster.links[0, 1]]
+        redialed = dialer.peers[cluster.addrs[1]]
+        assert first.closed and redialed is not first
+        assert dialer.connected() == [redialed]
         assert len(listener.connected()) == len(listener._links) == 1
         for i in (0, 1):
             results = cluster.submit(i, {"kind": "raw", "data": f"after the loss {i}"})

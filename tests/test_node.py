@@ -25,6 +25,7 @@ from powdb.chain import (
 from powdb.consensus import create_new_block, effective_bits, mine_block, replay_difficulty
 from powdb.contracts import ContractCache, cached_lookup, contract_id_for, execute
 from powdb.node import (
+    BadConfigError,
     NodeConfig,
     NodeCore,
     NodeRuntime,
@@ -55,6 +56,17 @@ def make_node(store=None, params=TEST_PARAMS, mine=True, miner=None):
         mine_enabled=mine,
     )
     return core, queue
+
+
+class TestNodeConfig:
+    def test_well_formed_peers_pass(self):
+        NodeConfig(peers=["127.0.0.1:4000", "localhost:0", "127.0.0.1:65535"]).validate()
+
+    @pytest.mark.parametrize("peer", ["nohost", "127.0.0.1:notaport", ":4000", "127.0.0.1:",
+                                      "127.0.0.1:65536", "127.0.0.1:-1"])
+    def test_malformed_peer_is_a_bad_config(self, peer):
+        with pytest.raises(BadConfigError, match="host:port"):
+            NodeConfig(peers=["127.0.0.1:4000", peer]).validate()
 
 
 def submit_and_run(core, queue, tx):
