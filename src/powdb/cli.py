@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import socket
 import sys
 import time
@@ -145,6 +146,14 @@ def _cmd_node_run(args) -> int:
 
 
 def _cmd_client(args) -> int:
+    try:
+        parse_hostport(args.node)
+        if not 0 < args.timeout < math.inf:  # NaN compares false too
+            raise ValueError(f"--timeout must be a positive finite number of seconds, "
+                             f"got {args.timeout}")
+    except ValueError as exc:
+        print(f"bad configuration: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     command = args.client_command
     if command == "put":
         kind, payload = TX, {"tx": {"kind": "raw", "data": args.data}}

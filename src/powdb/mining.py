@@ -1,4 +1,4 @@
-"""Batched, cancellable nonce search: find_nonce runs the hashlib search window by window."""
+"""Cancellable nonce search: find_nonce runs the hashlib search window by window."""
 
 from __future__ import annotations
 
@@ -20,20 +20,18 @@ class NonceSpaceExhausted(RuntimeError):
     """No nonce in [0, MAX_NONCE] gave a qualifying hash."""
 
 
-def find_nonce(prefix: bytes, difficulty_bits: int, cancel=None,
-               batch: int = CANCEL_CHECK_INTERVAL) -> tuple[int, bytes] | None:
+def find_nonce(prefix: bytes, difficulty_bits: int, cancel=None) -> tuple[int, bytes] | None:
     """Search nonces from 0 upward; returns (nonce, digest) or None on cancel.
 
     `cancel` is anything with an `is_set()` method (a threading.Event in the
-    live node); it is polled between batches, never mid-batch.
+    live node); it is polled between windows of CANCEL_CHECK_INTERVAL
+    nonces, never mid-window.
     """
-    if not 0 < batch <= 2**16:
-        raise ValueError("batch must be in (0, 65536]")
     nonce = 0
     while True:
         if cancel is not None and cancel.is_set():
             return None
-        window = min(batch, MAX_NONCE - nonce + 1)
+        window = min(CANCEL_CHECK_INTERVAL, MAX_NONCE - nonce + 1)
         hit = _search(prefix, difficulty_bits, nonce, window)
         if hit is not None:
             return hit

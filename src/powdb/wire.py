@@ -13,12 +13,13 @@ direction's key. A client's request and its reply stay signed. A node
 checks every envelope, of any kind, as it arrives (NodeCore.on_message): one
 failing its check is dropped there and never reaches a handler.
 
-An envelope travels in one layout, the canonical JSON that encode() writes,
-and decode_envelope accepts no other. A received envelope's tag or
-signature is checked over its payload bytes as they arrived, which an
-honest sender wrote as the payload's canonical JSON, so intake never
-re-encodes a payload; a frame whose payload is laid out any other way fails
-its check.
+An envelope is made only by sign_envelope or decode_envelope, and always
+carries its payload's bytes: as signed, the payload's canonical JSON, or as
+they arrived. encode() writes those bytes and a tag or signature is checked
+over them, so a payload is encoded once, by its signer. An envelope travels
+in one layout, the canonical JSON that encode() writes, and decode_envelope
+accepts no other; a frame whose payload is laid out any other way fails its
+check.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import json
 import os
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from cryptography.exceptions import InvalidSignature
@@ -203,65 +205,40 @@ class NodeIdentity:
 
 @dataclass(frozen=True)
 class MessageEnvelope:
+    """A message as signed or received; only sign_envelope and
+    decode_envelope make one. Its payload is the value its `body` holds, so
+    no envelope carries a payload apart from its bytes."""
+
     sender: str  # node id, hex public key
     kind: str
     timestamp: int  # Unix milliseconds, informational
-    payload: object  # kind-specific JSON value
+    body: bytes  # the payload's JSON, as signed or received
     signature: str  # 128 hex chars of an Ed25519 signature, or 64 of a link tag
     counter: int | None = None  # a tagged envelope's place in its link's direction
-    # the payload bytes the envelope was signed or received with, set by
-    # sign_envelope and decode_envelope; a replaced or hand-built envelope
-    # starts without them
-    _payload_json: bytes | None = field(default=None, init=False, compare=False,
-                                        repr=False)
 
-    def to_json(self) -> dict:
-        obj = {
-            "sender": self.sender,
-            "kind": self.kind,
-            "timestamp": self.timestamp,
-            "payload": self.payload,
-            "signature": self.signature,
-        }
-        if self.counter is not None:
-            obj["counter"] = self.counter
-        return obj
+    @cached_property
+    def payload(self):
+        """The kind-specific JSON value `body` holds, set by the maker that
+        encoded or read it."""
+        return _scan_value(self.body.decode("utf-8"), 0)[0]
 
     def encode(self) -> bytes:
-        """canonical_json(self.to_json()), reusing the payload bytes the
-        envelope was signed or received with.
+        """The envelope's canonical JSON, around the payload bytes it was
+        signed or received with.
 
         The keys sort as counter, kind, payload, sender, signature, timestamp.
-        An envelope with those bytes came from sign_envelope or
-        decode_envelope, so its kind is one of KINDS and its sender and
+        Its maker checked its kind is one of KINDS and its sender and
         signature need no escaping.
         """
-        body, counter = self._payload_json, self.counter
-        if (body is None or type(self.timestamp) is not int
-                or (counter is not None and type(counter) is not int)):
-            return canonical_json(self.to_json())
-        head = b"" if counter is None else b'"counter":%d,' % counter
+        head = b"" if self.counter is None else b'"counter":%d,' % self.counter
         return b'{%b"kind":"%b","payload":%b,"sender":"%b","signature":"%b","timestamp":%d}' % (
-            head, self.kind.encode(), body, self.sender.encode(), self.signature.encode(),
+            head, self.kind.encode(), self.body, self.sender.encode(), self.signature.encode(),
             self.timestamp)
 
 
 def _preimage(kind: str, timestamp: int, body: bytes) -> bytes:
+    """What a tag or signature covers: kind, timestamp, payload bytes."""
     return SEP.join([kind.encode(), str(timestamp).encode(), body])
-
-
-def signing_bytes(kind: str, timestamp: int, payload) -> bytes:
-    """The signature preimage: kind, timestamp, canonical payload."""
-    return _preimage(kind, timestamp, canonical_json(payload))
-
-
-def _signed_bytes(env: MessageEnvelope) -> bytes:
-    """The preimage an envelope's tag or signature is checked over: its
-    payload bytes as signed or received, or, for an envelope built in
-    memory, its canonical payload."""
-    if env._payload_json is None:
-        return signing_bytes(env.kind, env.timestamp, env.payload)
-    return _preimage(env.kind, env.timestamp, env._payload_json)
 
 
 class LinkKey:
@@ -295,40 +272,40 @@ def sign_envelope(kind: str, timestamp: int, payload, identity: NodeIdentity,
     else:
         signature = key.tag(counter, preimage)
     env = MessageEnvelope(sender=identity.node_id, kind=kind, timestamp=timestamp,
-                          payload=payload, signature=signature, counter=counter)
-    object.__setattr__(env, "_payload_json", body)
+                          body=body, signature=signature, counter=counter)
+    vars(env)["payload"] = payload  # the value `body` encodes
     return env
 
 
 def verify_envelope(env: MessageEnvelope, key: LinkKey | None = None) -> bool:
     """True iff the envelope checks: given a link's receive `key`, its tag
-    over its counter; otherwise its Ed25519 signature. A received envelope
-    is checked over its payload bytes as they arrived, so a payload laid out
-    other than canonically fails. A malformed tag or counter, or a payload
-    that cannot be encoded, fails, never raises."""
+    over its counter; otherwise its Ed25519 signature. Either is checked
+    over the payload bytes as signed or received, so a payload laid out
+    other than canonically fails. A missing counter or a malformed tag
+    fails, never raises."""
     if key is None:
         return verify_signature(env)
-    if type(env.counter) is not int:
+    if env.counter is None:
         return False
+    expected = key.tag(env.counter, _preimage(env.kind, env.timestamp, env.body))
     try:
-        expected = key.tag(env.counter, _signed_bytes(env))
         return hmac.compare_digest(expected, env.signature)
-    except (ValueError, TypeError, EncodingError, RecursionError):
+    except TypeError:  # a tag with a non-ASCII character
         return False
 
 
 def verify_signature(env: MessageEnvelope) -> bool:
     """True iff the signature verifies under the sender's public key.
 
-    Malformed hex or keys, and payloads nested too deep to encode, count
-    as verification failure, never an exception.
+    A malformed hex sender or signature, or a key of the wrong length,
+    counts as verification failure, never an exception.
     """
     try:
         public = Ed25519PublicKey.from_public_bytes(bytes.fromhex(env.sender))
         sig = bytes.fromhex(env.signature)
-        public.verify(sig, _signed_bytes(env))
+        public.verify(sig, _preimage(env.kind, env.timestamp, env.body))
         return True
-    except (InvalidSignature, ValueError, TypeError, EncodingError, RecursionError):
+    except (InvalidSignature, ValueError):
         return False
 
 
@@ -416,11 +393,11 @@ def decode_envelope(raw: bytes) -> MessageEnvelope | None:
     except (ValueError, RecursionError, StopIteration):
         # bad UTF-8 or JSON, a float, or an integer too long to read
         return None
-    env = MessageEnvelope(sender=tail[1], kind=head[2], timestamp=timestamp,
-                          payload=payload, signature=tail[2], counter=counter)
     # the head is ASCII, so the payload starts at the same byte as character
     body_end = len(raw) - len(text[end:].encode("utf-8"))
-    object.__setattr__(env, "_payload_json", raw[start:body_end])
+    env = MessageEnvelope(sender=tail[1], kind=head[2], timestamp=timestamp,
+                          body=raw[start:body_end], signature=tail[2], counter=counter)
+    vars(env)["payload"] = payload  # as read from `body`
     return env
 
 

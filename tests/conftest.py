@@ -5,7 +5,6 @@ import os
 import random
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -160,7 +159,7 @@ class PeerEnd:
     def forged(self, kind, payload):
         """Wire bytes of this end's next frame with its tag changed."""
         env = self.envelope(kind, payload)
-        return replace(env, signature=flipped(env.signature)).encode()
+        return env.encode().replace(env.signature.encode(), flipped(env.signature).encode())
 
 
 class Cluster:

@@ -206,6 +206,21 @@ class TestNodeAndClientCli:
         assert result.returncode == 2
         assert "bad configuration" in result.stderr and peer in result.stderr
 
+    @pytest.mark.parametrize("option", [("--node", "nohost"), ("--node", "127.0.0.1:notaport"),
+                                        ("--timeout", "-1"), ("--timeout", "0"),
+                                        ("--timeout", "nan"), ("--timeout", "inf")],
+                             ids=["node-nohost", "node-notaport", "timeout-negative",
+                                  "timeout-zero", "timeout-nan", "timeout-inf"])
+    def test_malformed_client_option_exits_2(self, option):
+        # checked before any connection, so no node is needed
+        args = {"--node": "127.0.0.1:1", "--timeout": "5"}
+        args.update([option])
+        result = powdb("client", *(arg for pair in args.items() for arg in pair), "stats",
+                       timeout=60)
+        assert result.returncode == 2
+        assert result.stderr.startswith("bad configuration: ") and option[1] in result.stderr
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("content", [None, b"[[\"add\", ", b"\xff\xfe"],
                              ids=["missing", "not_json", "not_utf8"])
     def test_unreadable_contract_file_exits_2(self, tmp_path, content):

@@ -66,23 +66,20 @@ class TestDriver:
         ref = reference_search(prefix, 6, 0, nonce + 1)
         assert ref == (nonce, digest)
 
-    def test_cancel_stops_search(self):
-        # difficulty 32 will essentially never hit within a few batches
+    def test_cancel_stops_search(self, monkeypatch):
+        # difficulty 32 will essentially never hit within a few windows
+        monkeypatch.setattr(mining, "CANCEL_CHECK_INTERVAL", 256)
         cancel = FlagCancel(after_polls=2)
-        assert mining.find_nonce(b"never", 32, cancel=cancel, batch=256) is None
+        assert mining.find_nonce(b"never", 32, cancel=cancel) is None
         assert cancel.polls >= 3
 
     def test_cancel_checked_at_least_every_interval(self):
         assert mining.CANCEL_CHECK_INTERVAL <= 2**16
 
-    def test_bad_batch_rejected(self):
-        with pytest.raises(ValueError):
-            mining.find_nonce(b"x", 4, batch=0)
-        with pytest.raises(ValueError):
-            mining.find_nonce(b"x", 4, batch=2**17)
-
     def test_exhausted_nonce_space_raises(self, monkeypatch):
-        # shrink the space so a 32-bit target provably has no hit inside it
+        # shrink the space so a 32-bit target provably has no hit inside it,
+        # searched over several windows
         monkeypatch.setattr(mining, "MAX_NONCE", 2**10 - 1)
+        monkeypatch.setattr(mining, "CANCEL_CHECK_INTERVAL", 256)
         with pytest.raises(mining.NonceSpaceExhausted):
-            mining.find_nonce(b"nobody-home", 32, batch=256)
+            mining.find_nonce(b"nobody-home", 32)

@@ -32,7 +32,7 @@ from powdb.node import NodeCore
 from powdb.simnet import MemNetwork
 from powdb.store import BlockStore
 from powdb.transport import TcpTransport, parse_hostport
-from powdb.wire import KeyShare, MessageEnvelope, NodeIdentity, decode_envelope, sign_envelope
+from powdb.wire import KeyShare, NodeIdentity, decode_envelope, sign_envelope
 
 from conftest import TEST_PARAMS, Capture, PeerEnd, extend
 
@@ -65,8 +65,7 @@ class TestHandshake:
         target = cluster.nodes[0]
         rogue = NodeIdentity.from_seed(b"\x55" * 32)
         env = sign_envelope(wire.GET_BLOCKS, 1, {"locator": [[0, genesis_block().hash]]}, rogue)
-        tampered = MessageEnvelope(env.sender, env.kind, env.timestamp, {"forged": 1},
-                                   env.signature)
+        tampered = env.encode().replace(env.body, b'{"forged":1}')
 
         class FakeConn:
             def send_message(self, _raw):
@@ -77,7 +76,7 @@ class TestHandshake:
 
         conn = FakeConn()
         target.on_inbound_connection(conn)
-        outcome = target.on_message(conn, tampered.encode())
+        outcome = target.on_message(conn, tampered)
         assert outcome == "dropped"
         assert target.connected() == []
         assert target.dropped_envelopes == 1
@@ -491,15 +490,17 @@ class TestBlockSizeRule:
     def test_new_block_at_the_bound_with_a_full_holder_list_fits_one_frame(
             self, cluster_factory, monkeypatch):
         # every field at its maximum, and a signature's length in place of a
-        # tag's: BLOCK_ENVELOPE_BYTES holds the frame around the data
+        # tag's, as a signed frame with a tagged frame's counter spliced in:
+        # BLOCK_ENVELOPE_BYTES holds the frame around the data
         top = MAX_BLOCK_INT
         block = Block(index=top, timestamp=top, data=self.data(self.BOUND), prev_hash="f" * 64,
                       hash="f" * 64, difficulty=MAX_DIFFICULTY_BITS, nonce=top)
         payload = {"block": block_to_json(block),
                    "have": ["f" * wire.SHORT_ID_HEX] * wire.MAX_HOLDERS}
-        env = MessageEnvelope(sender="f" * 64, kind=wire.NEW_BLOCK, timestamp=top,
-                              payload=payload, signature="f" * 128, counter=top)
-        assert len(env.encode()) <= self.CAP
+        signed = sign_envelope(wire.NEW_BLOCK, top, payload, NodeIdentity.from_seed(b"\x07" * 32))
+        raw = b'{"counter":%d,' % top + signed.encode()[1:]
+        assert decode_envelope(raw).counter == top
+        assert len(raw) <= self.CAP
         # a relay of such a block, with a full list, leaves B for C
         cluster = cluster_factory(3)
         a, b, c = cluster.nodes

@@ -491,6 +491,29 @@ class TestScenarios:
         assert report["rejects_by_reason"]["InsufficientWork"] > 0
         assert counts["frames"] > 0 and counts["tags"] == counts["frames"]
 
+    def test_every_delivered_frame_encodes_back_to_its_bytes(self, monkeypatch):
+        # an envelope keeps the bytes it was signed or received with: each
+        # frame on the wire, signed or tagged, the adversary's tampered ones
+        # too, decodes to an envelope that encodes to the same bytes
+        frames = Counter()
+        real_deliver = MemNetwork.deliver
+
+        def checking_deliver(net, src, dst, message):
+            env = wire.decode_envelope(message)
+            assert env.encode() == message
+            frames[env.kind, "tagged" if env.counter is not None else "signed"] += 1
+            real_deliver(net, src, dst, message)
+
+        monkeypatch.setattr(MemNetwork, "deliver", checking_deliver)
+        config = replace(ScenarioConfig.from_json(
+            json.loads((SCENARIOS / "adversarial.json").read_text())), duration_ms=30_000)
+        report = run_scenario(config)
+        assert frames[wire.GET_BLOCKS, "signed"] > 0 and frames[wire.BLOCKS, "signed"] > 0
+        for kind in (wire.NEW_BLOCK, wire.GET_BLOCKS, wire.BLOCKS):
+            assert frames[kind, "tagged"] > 0, kind
+        assert "tampered_signature" in report["malicious_behavior_by_node"].values()
+        assert report["dropped_envelopes"] > 0
+
     def test_mesh_checks_each_new_block_signature_about_once(self, monkeypatch):
         # each NEW_BLOCK frame's tag is checked once, as it arrives, and the
         # holder list keeps a block from reaching a node much more than once

@@ -11,6 +11,7 @@ from enum import IntEnum
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from powdb import wire
 from powdb.wire import (
@@ -26,7 +27,6 @@ from powdb.wire import (
     deframe,
     frame,
     sign_envelope,
-    signing_bytes,
     split_frames,
     verify_envelope,
 )
@@ -98,6 +98,12 @@ def rfc8032_verify(signature: bytes, message: bytes, public_key: bytes) -> bool:
     h = int.from_bytes(
         hashlib.sha512(signature[:32] + public_key + message).digest(), "little") % _L
     return _scalarmult(_B, s) == _edwards_add(r_point, _scalarmult(a_point, h))
+
+
+def preimage(kind, timestamp, payload) -> bytes:
+    """What a signature covers, built here from its layout: kind,
+    timestamp and canonical payload, split by 0x1f."""
+    return b"\x1f".join([kind.encode(), str(timestamp).encode(), canonical_json(payload)])
 
 
 # ---------------------------------------------------------------------------
@@ -218,28 +224,36 @@ class TestEncodeReusesSignedBytes:
         for key, counter in ((None, None), (LinkKey(b"\x22" * 32), 2**63)):
             env = sign_envelope("QUERY", 1234, payload, self.identity, key, counter)
             raw = env.encode()
-            assert raw == canonical_json(env.to_json())
             decoded = decode_envelope(raw)
-            assert decoded == env
+            assert decoded == env and decoded.payload == payload
             assert decoded.encode() == raw
             assert verify_envelope(decoded, key)
-            hand_built = MessageEnvelope(env.sender, env.kind, env.timestamp, env.payload,
-                                         env.signature, env.counter)
-            assert hand_built.encode() == raw
+            # the envelope's JSON built by hand from its decoded form
+            hand_built = {"sender": decoded.sender, "kind": decoded.kind,
+                          "timestamp": decoded.timestamp, "payload": decoded.payload,
+                          "signature": decoded.signature}
+            if counter is not None:
+                hand_built["counter"] = decoded.counter
+            assert canonical_json(hand_built) == raw
             # a broadcast hands its one encoding of the payload to every link
             assert sign_envelope("QUERY", 1234, payload, self.identity, key, counter,
                                  canonical_json(payload)).encode() == raw
 
     def test_replaced_envelope_carries_no_stale_bytes(self):
+        # an envelope's payload is the value its bytes hold: no envelope can
+        # be built, or replaced, with a payload apart from them
         env = sign_envelope("TX", 5, {"tx": {"kind": "raw", "data": "é"}}, self.identity)
-        for tampered in (replace(env, payload={"tx": {"kind": "raw", "data": "e"}}),
-                         replace(env, signature="00" * 64),
-                         replace(env, timestamp=6),
-                         replace(env, kind="QUERY"),
-                         MessageEnvelope(env.sender, env.kind, True, env.payload,
-                                         env.signature)):
-            assert tampered.encode() == canonical_json(tampered.to_json())
-            assert tampered.encode() != env.encode()
+        other = {"tx": {"kind": "raw", "data": "e"}}
+        with pytest.raises(TypeError):
+            replace(env, payload=other)
+        with pytest.raises(TypeError):
+            MessageEnvelope(env.sender, env.kind, env.timestamp, env.body, env.signature,
+                            payload=other)
+        assert replace(env, body=canonical_json(other)).payload == other
+        # changed bytes are read as a peer reads them, and fail the check
+        tampered = decode_envelope(env.encode().replace("é".encode(), b"e"))
+        assert tampered.payload == other and tampered.body == canonical_json(other)
+        assert not verify_envelope(tampered)
 
 
 class TestSigning:
@@ -247,15 +261,18 @@ class TestSigning:
         self.identity = NodeIdentity.from_seed(bytes(range(32)))
 
     def test_signing_bytes_layout(self):
-        assert signing_bytes(QUERY, 0, {}) == b"QUERY\x1f0\x1f{}"
+        env = sign_envelope(QUERY, 0, {}, self.identity)
+        public = Ed25519PublicKey.from_public_bytes(self.identity.public_bytes)
+        public.verify(bytes.fromhex(env.signature), b"QUERY\x1f0\x1f{}")
 
     def test_payload_key_order_irrelevant(self):
-        a = signing_bytes("QUERY", 5, {"b": 1, "a": 2})
-        b = signing_bytes("QUERY", 5, {"a": 2, "b": 1})
-        assert a == b
+        a = sign_envelope("QUERY", 5, {"b": 1, "a": 2}, self.identity)
+        b = sign_envelope("QUERY", 5, {"a": 2, "b": 1}, self.identity)
+        assert a.encode() == b.encode()
 
     def test_kind_changes_bytes(self):
-        assert signing_bytes("QUERY", 0, {}) != signing_bytes("RESPONSE", 0, {})
+        assert (sign_envelope("QUERY", 0, {}, self.identity).signature
+                != sign_envelope("RESPONSE", 0, {}, self.identity).signature)
 
     def test_sign_then_verify(self):
         env = sign_envelope(QUERY, 12, {}, self.identity)
@@ -272,41 +289,41 @@ class TestSigning:
                             (9, {"nested": {"a": None, "b": "é"}})]:
             env = sign_envelope("QUERY", ts, payload, self.identity)
             assert rfc8032_verify(bytes.fromhex(env.signature),
-                                  signing_bytes(env.kind, env.timestamp, env.payload),
+                                  preimage(env.kind, env.timestamp, payload),
                                   bytes.fromhex(env.sender))
         # and the oracle agrees on rejection
         env = sign_envelope("QUERY", 1, {"k": 1}, self.identity)
         assert not rfc8032_verify(bytes.fromhex(env.signature),
-                                  signing_bytes(env.kind, env.timestamp, {"k": 2}),
+                                  preimage(env.kind, env.timestamp, {"k": 2}),
                                   bytes.fromhex(env.sender))
 
     def test_payload_tamper_detected(self):
         env = sign_envelope("TX", 3, {"tx": {"kind": "raw", "data": "hi"}}, self.identity)
-        tampered = MessageEnvelope(env.sender, env.kind, env.timestamp,
-                                   {"tx": {"kind": "raw", "data": "hI"}}, env.signature)
+        tampered = decode_envelope(env.encode().replace(b'"hi"', b'"hI"'))
+        assert tampered.payload == {"tx": {"kind": "raw", "data": "hI"}}
         assert not verify_envelope(tampered)
 
     def test_sender_swap_detected(self):
         other = NodeIdentity.from_seed(bytes(reversed(range(32))))
         env = sign_envelope("QUERY", 3, {}, self.identity)
-        swapped = MessageEnvelope(other.node_id, env.kind, env.timestamp,
-                                  env.payload, env.signature)
+        swapped = decode_envelope(env.encode().replace(env.sender.encode(),
+                                                       other.node_id.encode()))
+        assert swapped.sender == other.node_id
         assert not verify_envelope(swapped)
 
     def test_malformed_hex_is_failure_not_crash(self):
         env = sign_envelope("QUERY", 3, {}, self.identity)
-        assert not verify_envelope(MessageEnvelope("zz", env.kind, env.timestamp,
-                                                   env.payload, env.signature))
-        assert not verify_envelope(MessageEnvelope(env.sender, env.kind, env.timestamp,
-                                                   env.payload, "nothex"))
+        raw = env.encode()
+        for field, bad in ((env.sender, "zz"), (env.signature, "nothex"),
+                           (env.sender, "é" * 32), (env.signature, "ab")):
+            decoded = decode_envelope(raw.replace(field.encode(), bad.encode()))
+            assert bad in (decoded.sender, decoded.signature)
+            assert not verify_envelope(decoded)
 
     def test_too_deep_payload_is_failure_not_crash(self):
-        env = sign_envelope("QUERY", 3, {}, self.identity)
-        payload = []
-        for _ in range(5000):
-            payload = [payload]
-        assert not verify_envelope(MessageEnvelope(env.sender, env.kind, env.timestamp,
-                                                   payload, env.signature))
+        raw = sign_envelope("QUERY", 3, {}, self.identity).encode()
+        deep = b"[" * 5000 + b"]" * 5000
+        assert decode_envelope(raw.replace(b'"payload":{}', b'"payload":' + deep)) is None
 
     def test_identity_file_round_trip(self, tmp_path):
         path = tmp_path / "node.key"
@@ -400,32 +417,36 @@ class TestLinkKeys:
 
     def test_tag_is_hmac_sha256_over_the_counter_and_preimage(self):
         raw = bytes(range(32))
-        preimage = signing_bytes("NEW_BLOCK", 5, {"block": 1})
-        expected = hmac.digest(raw, b"17\x1f" + preimage, "sha256").hex()
-        assert LinkKey(raw).tag(17, preimage) == expected
+        expected = hmac.digest(raw, b'17\x1fNEW_BLOCK\x1f5\x1f{"block":1}', "sha256").hex()
+        env = sign_envelope("NEW_BLOCK", 5, {"block": 1}, NodeIdentity.from_seed(b"\x01" * 32),
+                            LinkKey(raw), 17)
+        assert env.signature == expected
 
     def test_any_change_to_a_tagged_envelope_fails_its_check(self):
         (send, other), (_, recv) = self.pair()
         identity = NodeIdentity.from_seed(b"\x01" * 32)
         env = sign_envelope("NEW_BLOCK", 5, {"block": {"index": 1}}, identity, send, 3)
-        assert verify_envelope(env, recv)
-        for changed in (replace(env, counter=4), replace(env, counter=None),
-                        replace(env, timestamp=6), replace(env, kind="BLOCKS"),
-                        replace(env, payload={"block": {"index": 2}}),
-                        replace(env, signature="é" + env.signature[1:]),
-                        replace(env, signature=env.signature[:-2])):
-            assert not verify_envelope(changed, recv)
+        raw, tag = env.encode(), env.signature.encode()
+        assert verify_envelope(decode_envelope(raw), recv)
+        for changed in (raw.replace(b'"counter":3', b'"counter":4'),
+                        raw.replace(b'"counter":3,', b""),
+                        raw.replace(b'"timestamp":5', b'"timestamp":6'),
+                        raw.replace(b'"NEW_BLOCK"', b'"BLOCKS"'),
+                        raw.replace(b'"index":1', b'"index":2'),
+                        raw.replace(tag, "é".encode() + tag[1:]),
+                        raw.replace(tag, tag[:-2])):
+            assert changed != raw
+            assert not verify_envelope(decode_envelope(changed), recv)
         assert not verify_envelope(env, other)  # the other direction's key
         assert not verify_envelope(env)  # a tag is no signature
 
     def test_decode_keeps_the_counter_and_refuses_a_bad_one(self):
         (send, _), _ = self.pair()
         env = sign_envelope("QUERY", 1, {}, NodeIdentity.from_seed(b"\x01" * 32), send, 9)
-        assert decode_envelope(env.encode()).counter == 9
-        for counter in (None, True, "9", 9.0):
-            obj = env.to_json()
-            obj["counter"] = counter
-            assert decode_envelope(json.dumps(obj).encode()) is None
+        raw = env.encode()
+        assert decode_envelope(raw).counter == 9
+        for counter in (b"null", b"true", b'"9"', b"9.0", b"09"):
+            assert decode_envelope(raw.replace(b'"counter":9', b'"counter":' + counter)) is None
 
 
 class TestFraming:
@@ -513,12 +534,12 @@ class TestEnvelopeRoundTrip:
         assert decode_envelope(b'{"sender":"a"}') is None
         good = sign_envelope("QUERY", 1, {}, NodeIdentity.from_seed(b"\x01" * 32))
         for kind in ("NOPE", [1], {"a": 1}):
-            obj = good.to_json()
+            obj = json.loads(good.encode())
             obj["kind"] = kind
-            assert decode_envelope(json.dumps(obj).encode()) is None
-        obj = good.to_json()
+            assert decode_envelope(canonical_json(obj)) is None
+        obj = json.loads(good.encode())
         obj["timestamp"] = "12"
-        assert decode_envelope(json.dumps(obj).encode()) is None
+        assert decode_envelope(canonical_json(obj)) is None
 
 
 class TestOneLayout:
@@ -563,7 +584,6 @@ class TestOneLayout:
         for relaid in ('{"a":"é","b":[2, 3]}'.encode(), '{"b":[2,3],"a":"é"}'.encode(),
                        b'{"a":"\\u00e9","b":[2,3]}'):
             decoded = decode_envelope(raw.replace(canonical, relaid))
-            assert decoded.payload == payload
+            assert decoded.payload == payload and canonical_json(decoded.payload) == canonical
+            assert decoded.body == relaid and decoded.encode() != raw
             assert not verify_envelope(decoded, key)
-            # the same value built in memory is encoded canonically, and checks
-            assert verify_envelope(replace(decoded), key)
