@@ -9,6 +9,7 @@ import argparse
 import json
 import logging
 import math
+import signal
 import socket
 import sys
 import time
@@ -138,9 +139,12 @@ def _cmd_node_run(args) -> int:
     except StoreError as exc:
         print(f"store failure: {exc}", file=sys.stderr)
         return EXIT_STORE
+    # both stop the node through run_forever, which closes the store, even
+    # if the process was started with SIGINT ignored (as an `&` job is)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     print(f"listening on {runtime.listen_addr}, "
           f"node id {runtime.core.identity.node_id}", flush=True)
-    runtime.start()
     runtime.run_forever()
     return EXIT_OK
 

@@ -980,7 +980,10 @@ class NodeRuntime:
         return conn
 
     def run_forever(self) -> None:
+        """Start, and serve until KeyboardInterrupt or `stop()`; the node is
+        stopped and its store closed however this returns."""
         try:
+            self.start()
             self._stop.wait()
         except KeyboardInterrupt:
             pass

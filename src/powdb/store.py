@@ -13,6 +13,14 @@ Every mutation runs inside a transaction guarded by one lock, so a crash
 at any point leaves the previous committed state. Transactions nest: a
 caller that wraps a tail drop, block appends and the contract effects of
 their payloads in one `transaction()` commits them together or not at all.
+
+A file store writes ahead (SQLite WAL mode): a commit is one append to
+`<db>-wal` and one fsync, so a write is on disk when its commit returns.
+`synchronous=FULL` is kept on purpose, as `NORMAL` could lose acknowledged
+writes on power loss. `<db>-wal` and `<db>-shm` belong to the running
+store; `close()` folds the log back into `<db>` and removes both, and a
+store opened after a crash replays what the log holds. A memory store
+keeps SQLite's memory journal.
 """
 
 from __future__ import annotations
@@ -95,6 +103,8 @@ class BlockStore:
                     for statement in _SCHEMA.split(";"):  # executescript would commit
                         self._conn.execute(statement)
                     layout = LAYOUT
+            if layout == LAYOUT:  # only now, as WAL mode rewrites the file header
+                self._conn.execute("PRAGMA journal_mode=WAL")  # a memory store ignores it
         except sqlite3.Error as exc:
             raise StoreError(f"cannot open store at {self.path}: {exc}") from exc
         if layout != LAYOUT:  # any other layout is refused, the file unchanged

@@ -84,6 +84,12 @@ def state_version(store, contract_id, key):
             (contract_id, key)).fetchone()[0]
 
 
+def assert_no_log(path) -> None:
+    """No write-ahead log or its index is left next to the store file."""
+    assert not os.path.exists(f"{path}-wal")
+    assert not os.path.exists(f"{path}-shm")
+
+
 TEST_PARAMS = ChainParams(target_block_interval_ms=2000, initial_difficulty=6,
                           min_difficulty=4, max_difficulty=10)
 

@@ -11,6 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from powdb.chain import block_from_json
+from powdb.store import BlockStore
+
+from conftest import assert_no_log
+
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
 
@@ -23,23 +28,26 @@ def powdb(*args, timeout=120):
 
 
 class NodeProc:
-    def __init__(self, tmp_path, name, peers=()):
+    def __init__(self, tmp_path, name, peers=(), sigint_ignored=False):
+        self.db = tmp_path / f"{name}.db"
         args = [sys.executable, "-m", "powdb.cli", "node", "run",
                 "--listen", "127.0.0.1:0",
-                "--db", str(tmp_path / f"{name}.db"),
+                "--db", str(self.db),
                 "--key", str(tmp_path / f"{name}.key"),
                 "--difficulty", "6", "--min-difficulty", "4",
                 "--max-difficulty", "10", "--target-interval", "2000"]
         for peer in peers:
             args += ["--peer", peer]
+        if sigint_ignored:  # as a non-interactive `&` job starts it
+            args = ["sh", "-c", 'trap "" INT; exec "$@"', "sh", *args]
         self.proc = subprocess.Popen(args, stdout=subprocess.PIPE,
                                      stderr=subprocess.PIPE, text=True)
         line = self.proc.stdout.readline()
         assert "listening on" in line, line
         self.addr = line.split("listening on ")[1].split(",")[0].strip()
 
-    def stop(self):
-        self.proc.send_signal(signal.SIGINT)
+    def stop(self, sig=signal.SIGINT):
+        self.proc.send_signal(sig)
         try:
             self.proc.wait(timeout=10)
         except subprocess.TimeoutExpired:
@@ -47,6 +55,7 @@ class NodeProc:
             self.proc.wait()
         self.proc.stdout.close()
         self.proc.stderr.close()
+        return self.proc.returncode
 
 
 @pytest.fixture
@@ -165,6 +174,30 @@ class TestNodeAndClientCli:
         finally:
             a.stop()
             b.stop()
+
+    @pytest.mark.parametrize("sigint_ignored, sig", [
+        (True, signal.SIGINT), (False, signal.SIGTERM),
+    ], ids=["sigint-inherited-ignored", "sigterm"])
+    def test_signal_stops_the_node_and_closes_its_store(self, tmp_path, sigint_ignored, sig):
+        """The node exits 0 and its store is closed: the write-ahead log is
+        folded back into the file, which reopens with every block."""
+        node = NodeProc(tmp_path, "signalled", sigint_ignored=sigint_ignored)
+        try:
+            put = json.loads(powdb("client", "--node", node.addr, "put", "kept").stdout)
+            assert put["ok"] is True
+            chain = json.loads(powdb("client", "--node", node.addr, "chain").stdout)
+        finally:
+            returncode = node.stop(sig)
+        assert returncode == 0
+        assert_no_log(node.db)
+        store = BlockStore(node.db)
+        try:
+            assert store.get_all_blocks() == [block_from_json(b)
+                                              for b in chain["result"]["blocks"]]
+            index = put["result"]["block_index"]
+            assert store.get_block(index).hash == put["result"]["block_hash"]
+        finally:
+            store.close()
 
     def test_client_against_dead_node_exits_3(self):
         with socket.socket() as probe:

@@ -12,7 +12,7 @@ import pytest
 from powdb.chain import genesis_block
 from powdb.store import LAYOUT, BlockStore, NotFoundError, StoreError
 
-from conftest import RETARGET, linked_chain, state_version
+from conftest import RETARGET, assert_no_log, linked_chain, state_version
 
 
 class SimulatedCrash(Exception):
@@ -336,13 +336,36 @@ class TestChainRecord:
         with pytest.raises(StoreError, match="layout"):
             BlockStore(store_path)
         assert store_path.read_bytes() == before
+        assert_no_log(store_path)
 
     def test_file_of_a_newer_layout_is_refused(self, store_path):
         conn = sqlite3.connect(store_path)
         conn.execute(f"PRAGMA user_version = {LAYOUT + 1}")
         conn.close()
+        before = store_path.read_bytes()
         with pytest.raises(StoreError, match="layout"):
             BlockStore(store_path)
+        assert store_path.read_bytes() == before
+        assert_no_log(store_path)
+
+
+class TestWriteAhead:
+    """A file store writes ahead: a commit is one append to `<db>-wal` and
+    one fsync, which a clean close folds back into `<db>`."""
+
+    def test_file_store_writes_ahead_and_syncs_every_commit(self, store_path):
+        store = BlockStore(store_path)
+        assert store._conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        assert store._conn.execute("PRAGMA synchronous").fetchone()[0] == 2  # FULL
+        store.add_block(genesis_block(), RETARGET)
+        assert os.path.exists(f"{store_path}-wal")
+        store.close()
+        assert_no_log(store_path)
+        assert BlockStore(store_path).get_all_blocks() == [genesis_block()]
+
+    def test_memory_store_keeps_its_memory_journal(self):
+        store = BlockStore(":memory:")
+        assert store._conn.execute("PRAGMA journal_mode").fetchone()[0] == "memory"
 
 
 class TestTipCopy:
@@ -500,6 +523,29 @@ store.add_block(chain[3], RETARGET)
         assert count == 3
         assert store.get_block(2).hash == tip
         assert store.get_all_blocks() == linked_chain([4] * 4)[:3]
+
+    def test_hard_kill_after_commits_keeps_every_block(self, tmp_path):
+        """SIGKILL the process right after its appends return, before any
+        close: every returned append is in the file on reopen."""
+        path = tmp_path / "killed.db"
+        script = f"""
+import os, signal, sys
+sys.path.insert(0, {str(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))!r})
+from powdb.store import BlockStore
+from tests.conftest import RETARGET, linked_chain
+
+store = BlockStore({str(path)!r})
+for blk in linked_chain([4] * 9):
+    store.add_block(blk, RETARGET)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+        assert os.path.exists(f"{path}-wal")  # not folded back: the log holds the commits
+        chain = linked_chain([4] * 9)
+        store = BlockStore(path)
+        assert store.chain_info() == (10, chain[-1].hash)
+        assert store.get_all_blocks() == chain
 
 
 class TestSerializedAccess:
