@@ -97,14 +97,12 @@ def create_new_block(data: str, head: Block, difficulty: int, timestamp: int) ->
                  prev_hash=head.hash, hash="", difficulty=difficulty, nonce=0)
 
 
-def mine_block(block: Block, cancel=None) -> Block | None:
-    """Search nonces from 0 upward until the hash meets the block's difficulty.
-
-    Returns the mined block (smallest qualifying nonce, hash filled in) or
-    None when the cancel signal fired first.
-    """
+def mine_block(block: Block, start: int = 0, count: int | None = None) -> Block | None:
+    """The block mined with the smallest nonce in [start, start+count) whose
+    hash meets its difficulty, or None if the range holds none; `count`
+    None searches up to MAX_NONCE."""
     prefix = mining_prefix_bytes(block)
-    hit = mining.find_nonce(prefix, block.difficulty, cancel=cancel)
+    hit = mining.find_nonce(prefix, block.difficulty, start, count)
     if hit is None:
         return None
     nonce, digest = hit

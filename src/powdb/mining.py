@@ -1,4 +1,4 @@
-"""Cancellable nonce search: find_nonce runs the hashlib search window by window."""
+"""Nonce search over one range of nonces, in one call of the hashlib search."""
 
 from __future__ import annotations
 
@@ -11,31 +11,26 @@ _search = _minepure.search_nonce
 # Kept as a constant, because perfbench/run.py and backends.py read it.
 BACKEND = "pure"
 
-# Nonce attempts between cancel polls. Must stay at or below 2**16 so a
-# competing block can stop a miner promptly.
-CANCEL_CHECK_INTERVAL = 4096
+# Nonces a live node searches per turn of its loop, about 0.5 ms at ~1 µs
+# per nonce: a request that arrives while a window runs waits at most that
+# long, and a competing block stops the search at the next window. With 512,
+# a stats query's p95 while the node mines stays within 2x its idle p95;
+# with 1024 it did not.
+CANCEL_CHECK_INTERVAL = 512
 
 
 class NonceSpaceExhausted(RuntimeError):
     """No nonce in [0, MAX_NONCE] gave a qualifying hash."""
 
 
-def find_nonce(prefix: bytes, difficulty_bits: int, cancel=None) -> tuple[int, bytes] | None:
-    """Search nonces from 0 upward; returns (nonce, digest) or None on cancel.
-
-    `cancel` is anything with an `is_set()` method (a threading.Event in the
-    live node); it is polled between windows of CANCEL_CHECK_INTERVAL
-    nonces, never mid-window.
-    """
-    nonce = 0
-    while True:
-        if cancel is not None and cancel.is_set():
-            return None
-        window = min(CANCEL_CHECK_INTERVAL, MAX_NONCE - nonce + 1)
-        hit = _search(prefix, difficulty_bits, nonce, window)
-        if hit is not None:
-            return hit
-        nonce += window
-        if nonce > MAX_NONCE:
-            raise NonceSpaceExhausted(
-                f"no nonce meets {difficulty_bits} bits for this prefix")
+def find_nonce(prefix: bytes, difficulty_bits: int, start: int = 0,
+               count: int | None = None) -> tuple[int, bytes] | None:
+    """The smallest (nonce, digest) in [start, start+count) that meets the
+    difficulty, or None if the range holds none. `count` None searches up to
+    MAX_NONCE; a range without a hit that reaches past MAX_NONCE raises
+    NonceSpaceExhausted."""
+    end = MAX_NONCE + 1 if count is None else start + count
+    hit = _search(prefix, difficulty_bits, start, min(end, MAX_NONCE + 1) - start)
+    if hit is None and end > MAX_NONCE:
+        raise NonceSpaceExhausted(f"no nonce meets {difficulty_bits} bits for this prefix")
+    return hit

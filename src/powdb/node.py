@@ -2,7 +2,8 @@
 
 NodeCore is a single-threaded state machine. Runtimes feed it events
 (connections, messages, mining completions) from exactly one execution
-context: the TCP runtime from its selector loop, the simulator from its
+context: the TCP runtime from its selector loop, which also runs
+LoopMiner's nonce search one window per turn, and the simulator from its
 event queue. Because of that the core itself needs no locks and behaves
 identically in both worlds.
 
@@ -85,6 +86,7 @@ from powdb.contracts import (
     contract_id_for,
     execute,
 )
+from powdb.mining import CANCEL_CHECK_INTERVAL
 from powdb.store import BlockStore, NotFoundError
 from powdb.transport import TICK_S, TcpTransport, parse_hostport
 from powdb.wire import (
@@ -894,30 +896,43 @@ class NodeCore:
         self._links.pop(id(conn), None)
 
 
-class _ThreadMinerHandle(threading.Event):
-    """The cancel signal of one mining job; the core calls `cancel()`."""
-    cancel = threading.Event.set
+class _LoopJob:
+    """One mining job of a LoopMiner; the core calls `cancel()`."""
+    cancelled = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
 
 
-class ThreadMiner:
-    """Background mining thread for the live node; one task at a time."""
+class LoopMiner:
+    """The live node's miner: one loop call per window of CANCEL_CHECK_INTERVAL
+    nonces, as SimMiner runs in the simulator's event queue. A miss submits
+    the next window and a hit submits `done(mined)`, each behind the input
+    that arrived meanwhile; the first window after `cancel()` calls
+    `done(None)` and searches nothing."""
 
     def __init__(self, submit):
         self._submit = submit  # fn(closure) -> runs it on the node's loop
 
-    def start(self, block: Block, done) -> _ThreadMinerHandle:
-        handle = _ThreadMinerHandle()
+    def start(self, block: Block, done) -> _LoopJob:
+        job = _LoopJob()
 
-        def work():
-            mined = mine_block(block, cancel=handle)
-            self._submit(lambda: done(mined))
+        def window(start: int) -> None:
+            if job.cancelled:
+                return done(None)
+            mined = mine_block(block, start, CANCEL_CHECK_INTERVAL)
+            if mined is None:
+                self._submit(lambda: window(start + CANCEL_CHECK_INTERVAL))
+            else:
+                self._submit(lambda: done(mined))
 
-        threading.Thread(target=work, name=f"miner:{block.index}", daemon=True).start()
-        return handle
+        self._submit(lambda: window(0))
+        return job
 
 
 class NodeRuntime:
-    """TCP wiring: one selector loop drives the core; the miner is the only other thread."""
+    """TCP wiring: one selector loop thread drives the core and runs its
+    miner's windows; the node starts no other thread."""
 
     def __init__(self, config: NodeConfig):
         config.validate()
@@ -942,7 +957,7 @@ class NodeRuntime:
             store=self.store,
             params=config.params,
             clock=lambda: int(time.time() * 1000),
-            miner=ThreadMiner(self.submit),
+            miner=LoopMiner(self.submit),
             mine_enabled=config.mine_enabled,
             peers=config.peers,
             dial=self._dial,

@@ -4,7 +4,9 @@ The node core only ever sees objects with `send_message` / `close`; the
 in-memory transport used by the simulator lives in `powdb.simnet` and obeys
 the same contract. TCP connections frame each message with a 4-byte length.
 One selector loop on one thread owns the listening socket, every connection
-and a wake-up socket pair, and calls the owner as `MemNetwork` does.
+and a wake-up socket pair, and calls the owner as `MemNetwork` does. It runs
+the calls given to `submit`, such as the node's mining windows, between
+polls, so input is served before a call that a call submitted.
 """
 
 from __future__ import annotations

@@ -88,13 +88,12 @@ class TestMineBlock:
         for n in range(mined.nonce):
             assert not meets_difficulty(block_hash(mined.with_nonce(n)), 8)
 
-    def test_cancelled_returns_none(self):
-        class Always:
-            def is_set(self):
-                return True
-
-        blk = create_new_block("never", GENESIS, 32, 1)
-        assert mine_block(blk, cancel=Always()) is None
+    def test_window_without_hit_returns_none(self):
+        blk = create_new_block("window", GENESIS, 8, 77)
+        mined = mine_block(blk)
+        assert mine_block(blk, 0, mined.nonce) is None
+        assert mine_block(blk, mined.nonce, 1) == mined
+        assert mine_block(create_new_block("never", GENESIS, 32, 1), 0, 64) is None
 
 
 class TestVerifyBlock:

@@ -49,16 +49,6 @@ class TestSearch:
         assert search_nonce(b"xyz", 30, 0, 64) is None
 
 
-class FlagCancel:
-    def __init__(self, after_polls):
-        self.polls = 0
-        self.after = after_polls
-
-    def is_set(self):
-        self.polls += 1
-        return self.polls > self.after
-
-
 class TestDriver:
     def test_find_nonce_returns_smallest(self):
         prefix = b"5\x1f9\x1fbody\x1f" + b"1" * 64 + b"\x1f6\x1f"
@@ -66,20 +56,43 @@ class TestDriver:
         ref = reference_search(prefix, 6, 0, nonce + 1)
         assert ref == (nonce, digest)
 
-    def test_cancel_stops_search(self, monkeypatch):
-        # difficulty 32 will essentially never hit within a few windows
-        monkeypatch.setattr(mining, "CANCEL_CHECK_INTERVAL", 256)
-        cancel = FlagCancel(after_polls=2)
-        assert mining.find_nonce(b"never", 32, cancel=cancel) is None
-        assert cancel.polls >= 3
+    @pytest.mark.parametrize("bits", [6, 10, 12])
+    def test_windows_find_the_smallest_nonce(self, bits):
+        # window by window, as the live node searches, the first window with
+        # a hit holds the nonce one whole search finds
+        prefix = b"7\x1f3\x1fwindows\x1f" + b"2" * 64 + b"\x1f%d\x1f" % bits
+        whole = mining.find_nonce(prefix, bits)
+        for window in (1, 100, mining.CANCEL_CHECK_INTERVAL):
+            start = 0
+            while (hit := mining.find_nonce(prefix, bits, start, window)) is None:
+                start += window
+            assert hit == whole
+            assert start <= whole[0] < start + window
 
     def test_cancel_checked_at_least_every_interval(self):
         assert mining.CANCEL_CHECK_INTERVAL <= 2**16
 
     def test_exhausted_nonce_space_raises(self, monkeypatch):
-        # shrink the space so a 32-bit target provably has no hit inside it,
-        # searched over several windows
+        # shrink the space so a 32-bit target provably has no hit inside it
         monkeypatch.setattr(mining, "MAX_NONCE", 2**10 - 1)
-        monkeypatch.setattr(mining, "CANCEL_CHECK_INTERVAL", 256)
         with pytest.raises(mining.NonceSpaceExhausted):
             mining.find_nonce(b"nobody-home", 32)
+        # a window that ends at the last nonce, or reaches past it
+        with pytest.raises(mining.NonceSpaceExhausted):
+            mining.find_nonce(b"nobody-home", 32, 2**10 - 256, 256)
+        with pytest.raises(mining.NonceSpaceExhausted):
+            mining.find_nonce(b"nobody-home", 32, 2**10 - 100, 256)
+        # a window that stops short of it only misses
+        assert mining.find_nonce(b"nobody-home", 32, 2**10 - 256, 255) is None
+
+    def test_range_past_max_nonce_searches_only_up_to_it(self, monkeypatch):
+        calls = []
+
+        def search(prefix, bits, start, count):
+            calls.append((start, count))
+            return None
+
+        monkeypatch.setattr(mining, "_search", search)
+        with pytest.raises(mining.NonceSpaceExhausted):
+            mining.find_nonce(b"x", 8, mining.MAX_NONCE - 9, 4096)
+        assert calls == [(mining.MAX_NONCE - 9, 10)]

@@ -1388,6 +1388,71 @@ class TestMiningRetry:
         assert (core.store.chain_info(), a, b, len(miner.jobs)) == before
 
 
+class TestLoopMiner:
+    """The live node's miner: one loop call per window of nonces, and the
+    result as a call of its own, run here by draining the submitted calls."""
+
+    # about 16 windows a block, so a search spans several calls
+    PARAMS = ChainParams(initial_difficulty=13, min_difficulty=13, max_difficulty=13)
+
+    @pytest.fixture
+    def loop(self, monkeypatch):
+        calls, windows = [], []
+        real = node_module.mine_block
+
+        def mine_window(block, start=0, count=None):
+            windows.append((block.prev_hash, start, count))
+            return real(block, start, count)
+
+        monkeypatch.setattr(node_module, "mine_block", mine_window)
+        core, _queue = make_node(params=self.PARAMS,
+                                 miner=node_module.LoopMiner(calls.append))
+        return core, calls, windows
+
+    def test_each_call_searches_one_window_and_the_result_is_its_own_call(self, loop):
+        core, calls, windows = loop
+        replies = []
+        core.submit_tx({"kind": "raw", "data": "loop"}, replies.append)
+        assert windows == [] and len(calls) == 1  # the search waits for the loop
+        searched = []  # per call, whether it searched
+        while calls:
+            before = len(windows)
+            calls.pop(0)()
+            assert len(windows) - before <= 1
+            searched.append(len(windows) > before)
+            if replies:
+                assert calls == []
+        # every call but the last searched a window; the last only committed
+        assert searched == [True] * (len(searched) - 1) + [False]
+        assert len(windows) >= 2
+        window = node_module.CANCEL_CHECK_INTERVAL
+        assert windows == [(genesis_block().hash, i * window, window)
+                           for i in range(len(windows))]
+        tip = core.store.tip()
+        assert windows[-1][1] <= tip.nonce < windows[-1][1] + window
+        assert replies == [{"ok": True, "what": "tx",
+                            "result": {"block_index": 1, "block_hash": tip.hash}}]
+
+    def test_competing_block_ends_the_search_and_the_task_is_mined_again(self, loop):
+        core, calls, windows = loop
+        replies = []
+        core.submit_tx({"kind": "raw", "data": "loop"}, replies.append)
+        calls.pop(0)()
+        assert len(windows) == 1 and len(calls) == 1  # a miss: the next window waits
+        peer = mine_block(create_new_block("peer", genesis_block(), 13, 1))
+        assert from_peer(core, Capture(), wire.NEW_BLOCK,
+                         {"block": block_to_json(peer)}) == "appended"
+        calls.pop(0)()  # the next window hands back None and searches nothing
+        assert len(windows) == 1 and replies == []
+        assert core.store.tip() == peer
+        while calls:
+            calls.pop(0)()
+        assert {prev for prev, _start, _count in windows[1:]} == {peer.hash}
+        assert windows[1][1] == 0
+        assert replies[0]["ok"] is True and replies[0]["result"]["block_index"] == 2
+        assert core.store.get_block(2).prev_hash == peer.hash
+
+
 class TestTcpRuntime:
     def wait_until(self, predicate, timeout=30.0, interval=0.05):
         deadline = time.monotonic() + timeout
@@ -1548,6 +1613,28 @@ class TestTcpRuntime:
     def stats(self, runtime):
         with self.client(runtime) as sock:
             return self.request(sock, wire.QUERY, {"what": "stats"}).payload
+
+    def test_mining_starts_no_thread_and_queries_are_served(self, tmp_path):
+        # at 32 bits the put is still mining when the node stops
+        params = ChainParams(initial_difficulty=32, min_difficulty=32, max_difficulty=32)
+        runtime = NodeRuntime(NodeConfig(listen_addr="127.0.0.1:0", params=params,
+                                         db_path=str(tmp_path / "n.db")))
+        before = set(threading.enumerate())
+        runtime.start()
+        try:
+            with self.client(runtime) as writer:
+                put = sign_envelope(wire.TX, 1, {"tx": {"kind": "raw", "data": "put"}}, PEER)
+                writer.sendall(wire.frame(put.encode()))
+                assert self.wait_until(lambda: self.stats(runtime)["result"]["pending_txs"] == 1,
+                                       timeout=5)
+                assert self.stats(runtime)["result"]["count"] == 1
+                started = [t.name for t in threading.enumerate() if t not in before]
+                assert started == ["node-loop"]
+        finally:
+            stopping = time.monotonic()
+            runtime.stop()
+        assert time.monotonic() - stopping < 2.0
+        assert not any(thread.is_alive() for thread in runtime.transport._threads)
 
     def test_idle_clients_start_no_threads(self, runtime):
         threads = threading.active_count()
