@@ -11,7 +11,7 @@ _search = _minepure.search_nonce
 # Kept as a constant, because perfbench/run.py and backends.py read it.
 BACKEND = "pure"
 
-# Nonces a live node searches per turn of its loop, about 0.5 ms at ~1 µs
+# Nonces a live node searches per turn of its loop, about 0.4 ms at ~0.75 µs
 # per nonce: a request that arrives while a window runs waits at most that
 # long, and a competing block stops the search at the next window. With 512,
 # a stats query's p95 while the node mines stays within 2x its idle p95;

@@ -100,6 +100,7 @@ from powdb.wire import (
     parse_holders,
     short_id,
     sign_envelope,
+    tag_frames,
     verify_envelope,
 )
 
@@ -242,8 +243,11 @@ def parse_tx_data(data: str) -> dict | None:
 
     Returns None for opaque strings (the genesis payload, foreign data) and
     for any payload that `validate_tx_payload` rejects; those blocks simply
-    carry no contract action, on every node alike.
+    carry no contract action, on every node alike. Only an object validates,
+    so data that does not start with one after JSON whitespace is not parsed.
     """
+    if not data.lstrip(" \t\n\r").startswith("{"):
+        return None
     try:
         obj = json.loads(data)
         validate_tx_payload(obj, lambda _cid: True)
@@ -590,7 +594,7 @@ class NodeCore:
             # signed: the dialer's end of the link has no keys before it reads this
             raw = sign_envelope(wire.BLOCKS, self.clock(), reply, self.identity).encode()
         else:
-            raw = self.envelope(conn, wire.BLOCKS, reply).encode()
+            raw = self.frame(conn, wire.BLOCKS, reply)
         self._send_raw(conn, raw)
         if opening:
             link.keys, link.peer = keys, env.sender
@@ -792,13 +796,13 @@ class NodeCore:
         payload = env.payload if isinstance(env.payload, dict) else {}
         what = payload.get("what")
         params = payload.get("params") or {}
-        raw = self.envelope(conn, wire.RESPONSE, self.handle_query(what, params)).encode()
+        raw = self.frame(conn, wire.RESPONSE, self.handle_query(what, params))
         try:
             wire.check_frame_size(raw)
         except wire.ProtocolError as exc:
             # e.g. a chain too long for one frame: answer, never leave the client waiting
-            raw = self.envelope(conn, wire.RESPONSE,
-                                {"ok": False, "what": what, "error": str(exc)}).encode()
+            raw = self.frame(conn, wire.RESPONSE,
+                             {"ok": False, "what": what, "error": str(exc)})
         self._send_raw(conn, raw)
 
     def handle_query(self, what, params) -> dict:
@@ -846,24 +850,24 @@ class NodeCore:
 
     # -- plumbing ---------------------------------------------------------------------
 
-    def envelope(self, conn, kind: str, payload, body: bytes | None = None) -> MessageEnvelope:
-        """`payload` as it leaves on `conn`: tagged as the link's next frame
-        once the link is keyed, signed otherwise. `body` is the payload's
-        canonical JSON, if the caller has it."""
+    def frame(self, conn, kind: str, payload) -> bytes:
+        """`payload` as it leaves on `conn`, as wire bytes: tagged as the
+        link's next frame once the link is keyed, signed otherwise."""
         link = self._links.get(id(conn))
         if link is None or link.keys is None:
-            return sign_envelope(kind, self.clock(), payload, self.identity, body=body)
-        link.sent += 1
-        return sign_envelope(kind, self.clock(), payload, self.identity, link.keys[0],
-                             link.sent, body)
+            return sign_envelope(kind, self.clock(), payload, self.identity).encode()
+        return self.frames(kind, payload, [conn])[0][1]
 
     def frames(self, kind: str, payload, conns: list) -> list[tuple[object, bytes]]:
         """`payload` for each of `conns`, established links' conns, as (conn,
         wire bytes): encoded once, and tagged as each link's next frame."""
         if not conns:
             return []
-        body = canonical_json(payload)
-        return [(conn, self.envelope(conn, kind, payload, body).encode()) for conn in conns]
+        links = [self._links[id(conn)] for conn in conns]
+        for link in links:
+            link.sent += 1
+        return list(zip(conns, tag_frames(kind, self.clock(), payload, self.identity.node_id,
+                                          [(link.keys[0], link.sent) for link in links])))
 
     def _hello(self) -> dict:
         """A new link end's handshake fields, from the node's one key share."""
@@ -872,7 +876,7 @@ class NodeCore:
         return self._share.hello()
 
     def _send(self, conn, kind: str, payload) -> bool:
-        return self._send_raw(conn, self.envelope(conn, kind, payload).encode())
+        return self._send_raw(conn, self.frame(conn, kind, payload))
 
     def _send_raw(self, conn, raw: bytes) -> bool:
         try:

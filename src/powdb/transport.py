@@ -4,9 +4,10 @@ The node core only ever sees objects with `send_message` / `close`; the
 in-memory transport used by the simulator lives in `powdb.simnet` and obeys
 the same contract. TCP connections frame each message with a 4-byte length.
 One selector loop on one thread owns the listening socket, every connection
-and a wake-up socket pair, and calls the owner as `MemNetwork` does. It runs
-the calls given to `submit`, such as the node's mining windows, between
-polls, so input is served before a call that a call submitted.
+and a socket pair by which other threads wake it, and calls the owner as
+`MemNetwork` does. It runs the calls given to `submit`, such as the node's
+mining windows, between polls, and never waits while calls are queued, so
+input is served before a call that a call submitted.
 """
 
 from __future__ import annotations
@@ -110,10 +111,11 @@ class TcpTransport:
     def submit(self, fn) -> None:
         """Run `fn()` on the loop thread; safe from any thread."""
         self._calls.append(fn)
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:
-            pass  # the pair is full, so the loop wakes anyway, or it is closed
+        if threading.current_thread() not in self._threads:  # the loop needs no wake
+            try:
+                self._wake_w.send(b"\0")
+            except OSError:
+                pass  # the pair is full, so the loop wakes anyway, or it is closed
 
     def start(self, tick) -> None:
         """Start the loop; it calls `tick()` every TICK_S seconds."""

@@ -13,13 +13,13 @@ direction's key. A client's request and its reply stay signed. A node
 checks every envelope, of any kind, as it arrives (NodeCore.on_message): one
 failing its check is dropped there and never reaches a handler.
 
-An envelope is made only by sign_envelope or decode_envelope, and always
-carries its payload's bytes: as signed, the payload's canonical JSON, or as
-they arrived. encode() writes those bytes and a tag or signature is checked
-over them, so a payload is encoded once, by its signer. An envelope travels
-in one layout, the canonical JSON that encode() writes, and decode_envelope
-accepts no other; a frame whose payload is laid out any other way fails its
-check.
+Each kind of frame has one maker: sign_envelope a signed envelope,
+tag_frames a payload's tagged frames for one or more links, and
+decode_envelope a received one. A frame carries its payload's bytes, the
+canonical JSON its sender encoded once or the bytes as they arrived, and its
+tag or signature is checked over them. It travels in one layout, _LAYOUT,
+and decode_envelope accepts no other; a frame whose payload is laid out any
+other way fails its check.
 """
 
 from __future__ import annotations
@@ -203,6 +203,11 @@ class NodeIdentity:
         return self._private.sign(message)
 
 
+# The one frame layout, around the payload's bytes; only a tagged frame has a counter.
+_LAYOUT = b'{%b"kind":"%b","payload":%b,"sender":"%b","signature":"%b","timestamp":%d}'
+_COUNTER = b'"counter":%d,'
+
+
 @dataclass(frozen=True)
 class MessageEnvelope:
     """A message as signed or received; only sign_envelope and
@@ -223,17 +228,12 @@ class MessageEnvelope:
         return _scan_value(self.body.decode("utf-8"), 0)[0]
 
     def encode(self) -> bytes:
-        """The envelope's canonical JSON, around the payload bytes it was
-        signed or received with.
-
-        The keys sort as counter, kind, payload, sender, signature, timestamp.
-        Its maker checked its kind is one of KINDS and its sender and
-        signature need no escaping.
-        """
-        head = b"" if self.counter is None else b'"counter":%d,' % self.counter
-        return b'{%b"kind":"%b","payload":%b,"sender":"%b","signature":"%b","timestamp":%d}' % (
-            head, self.kind.encode(), self.body, self.sender.encode(), self.signature.encode(),
-            self.timestamp)
+        """The envelope's canonical JSON, in _LAYOUT, around the payload
+        bytes it was signed or received with. Its maker checked its kind is
+        one of KINDS and its sender and signature need no escaping."""
+        head = b"" if self.counter is None else _COUNTER % self.counter
+        return _LAYOUT % (head, self.kind.encode(), self.body, self.sender.encode(),
+                          self.signature.encode(), self.timestamp)
 
 
 def _preimage(kind: str, timestamp: int, body: bytes) -> bytes:
@@ -255,26 +255,30 @@ class LinkKey:
         return mac.hexdigest()
 
 
-def sign_envelope(kind: str, timestamp: int, payload, identity: NodeIdentity,
-                  key: LinkKey | None = None, counter: int | None = None,
-                  body: bytes | None = None) -> MessageEnvelope:
-    """An envelope from `identity`, Ed25519-signed; or, given a link's send
-    `key`, tagged as that direction's frame `counter`. `body` is
-    canonical_json(payload) when the caller has it, as a broadcast, which
-    encodes its payload once for every link."""
+def sign_envelope(kind: str, timestamp: int, payload,
+                  identity: NodeIdentity) -> MessageEnvelope:
+    """An envelope from `identity`, Ed25519-signed."""
     if kind not in KINDS:
         raise EncodingError(f"unknown message kind {kind!r}")
-    if body is None:
-        body = canonical_json(payload)
-    preimage = _preimage(kind, timestamp, body)
-    if key is None:
-        signature = identity.sign(preimage).hex()
-    else:
-        signature = key.tag(counter, preimage)
-    env = MessageEnvelope(sender=identity.node_id, kind=kind, timestamp=timestamp,
-                          body=body, signature=signature, counter=counter)
+    body = canonical_json(payload)
+    env = MessageEnvelope(sender=identity.node_id, kind=kind, timestamp=timestamp, body=body,
+                          signature=identity.sign(_preimage(kind, timestamp, body)).hex())
     vars(env)["payload"] = payload  # the value `body` encodes
     return env
+
+
+def tag_frames(kind: str, timestamp: int, payload, sender: str,
+               links: list[tuple[LinkKey, int]]) -> list[bytes]:
+    """`payload` from node `sender` as one frame per (send key, counter) in
+    `links`, tagged as that direction's frame `counter`. The payload is
+    encoded and its preimage built once; each frame costs its tag."""
+    if kind not in KINDS:
+        raise EncodingError(f"unknown message kind {kind!r}")
+    body = canonical_json(payload)
+    preimage = _preimage(kind, timestamp, body)
+    return [_LAYOUT % (_COUNTER % counter, kind.encode(), body, sender.encode(),
+                       key.tag(counter, preimage).encode(), timestamp)
+            for key, counter in links]
 
 
 def verify_envelope(env: MessageEnvelope, key: LinkKey | None = None) -> bool:
@@ -361,9 +365,9 @@ def _no_float(text: str):
     raise ValueError(f"non-integer number {text}")
 
 
-# The one layout encode() writes: keys in sorted order, no whitespace, the
-# kind a bare name and the sender and signature strings without escapes,
-# as an envelope signed or tagged by sign_envelope has them. The payload is
+# The one layout encode() and tag_frames write: keys in sorted order, no
+# whitespace, the kind a bare name and the sender and signature strings
+# without escapes, as their makers write them. The payload is
 # read where that layout puts it, so its bytes are exactly the bytes between
 # its key and the sender's.
 _HEAD = re.compile(r'\{(?:"counter":(-?(?:0|[1-9][0-9]*)),)?"kind":"([A-Z_]+)","payload":')

@@ -17,7 +17,7 @@ from powdb.sim import sim_hashrate_per_ms
 from powdb.store import BlockStore
 from powdb.transport import TICK_S
 from powdb import wire
-from powdb.wire import KeyShare, NodeIdentity, decode_envelope, sign_envelope
+from powdb.wire import KeyShare, NodeIdentity, decode_envelope, sign_envelope, tag_frames
 
 
 def pytest_configure(config):
@@ -119,7 +119,7 @@ class PeerEnd:
     `open` dials `core` over `conn` and runs the handshake as a node does:
     a signed GET_BLOCKS with this end's key share and nonce opens the link,
     and the node's signed BLOCKS reply, with its own, keys it. After that each
-    frame from `envelope` or `send` carries this end's next counter and a
+    frame from `frame` or `send` carries this end's next counter and a
     tag. `conn` keeps what the node sends in `conn.sent`, as Capture does.
     """
 
@@ -150,22 +150,24 @@ class PeerEnd:
                                          reply.sender, dialer=True)
         return self
 
-    def envelope(self, kind, payload, counter=None, key=None):
-        """`payload` tagged as this end's next frame, or with the `counter`
-        and `key` given."""
+    def frame(self, kind, payload, counter=None, key=None):
+        """Wire bytes of `payload` tagged as this end's next frame, or with
+        the `counter` and `key` given."""
         if counter is None:
             self.sent += 1
             counter = self.sent
-        return sign_envelope(kind, 1, payload, self.identity, key or self.keys[0], counter)
+        return tag_frames(kind, 1, payload, self.identity.node_id,
+                          [(key or self.keys[0], counter)])[0]
 
     def send(self, kind, payload):
         """The node's outcome for `payload` sent as this end's next frame."""
-        return self.core.on_message(self.conn, self.envelope(kind, payload).encode())
+        return self.core.on_message(self.conn, self.frame(kind, payload))
 
     def forged(self, kind, payload):
         """Wire bytes of this end's next frame with its tag changed."""
-        env = self.envelope(kind, payload)
-        return env.encode().replace(env.signature.encode(), flipped(env.signature).encode())
+        raw = self.frame(kind, payload)
+        tag = decode_envelope(raw).signature
+        return raw.replace(tag.encode(), flipped(tag).encode())
 
 
 class Cluster:

@@ -45,6 +45,43 @@ class TestSearch:
         ref = reference_search(prefix, 8, first + 1, 1 << 14)
         assert nxt == ref
 
+    # the search seeds one context per thousand nonces, so windows that
+    # start at, end at and cross a thousand's edge and a digit count's
+    BOUNDARIES = [1000, 10_000, 10**6]
+    PREFIX = b"3\x1f4\x1fedges\x1f" + b"5" * 64 + b"\x1f4\x1f"
+
+    @pytest.mark.parametrize("edge", BOUNDARIES)
+    def test_every_nonce_near_an_edge_hashes_its_decimal_digits(self, edge):
+        # at 0 bits the first nonce of a window hits, so each start's digest
+        # is the one-shot hash of the prefix and that nonce's digits
+        for start in range(edge - 3, edge + 3):
+            assert search_nonce(self.PREFIX, 0, start, 5) == reference_search(
+                self.PREFIX, 0, start, 5)
+
+    @pytest.mark.parametrize("bits", [4, 8, 32])
+    @pytest.mark.parametrize("edge", BOUNDARIES)
+    def test_windows_at_and_across_an_edge_match_the_oracle(self, edge, bits):
+        windows = [(edge, 300), (edge - 300, 300), (edge - 1, 2), (edge - 150, 300),
+                   (max(0, edge - 1500), 3000), (edge + 437, 1200)]
+        for start, count in windows:
+            assert search_nonce(self.PREFIX, bits, start, count) == reference_search(
+                self.PREFIX, bits, start, count), (start, count)
+
+    @pytest.mark.parametrize("bits", [0, 4, 32])
+    def test_window_ending_at_max_nonce(self, bits):
+        for start in (mining.MAX_NONCE, mining.MAX_NONCE - 2, mining.MAX_NONCE - 1999):
+            count = mining.MAX_NONCE + 1 - start
+            assert search_nonce(self.PREFIX, bits, start, count) == reference_search(
+                self.PREFIX, bits, start, count), start
+
+    def test_window_starting_mid_thousand_matches_the_oracle(self):
+        rng = random.Random(28)
+        for _ in range(20):
+            start = rng.randrange(10**9) * 1000 + rng.randrange(1, 1000)
+            count = rng.randrange(1, 2500)
+            assert search_nonce(self.PREFIX, 6, start, count) == reference_search(
+                self.PREFIX, 6, start, count), (start, count)
+
     def test_empty_window_misses(self):
         assert search_nonce(b"xyz", 30, 0, 64) is None
 

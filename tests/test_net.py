@@ -328,6 +328,32 @@ class TestBroadcast:
             assert env.payload == payload
         assert len({message for _, message in delivered}) == 4
 
+    def test_each_link_counts_its_own_frames(self, cluster_factory, monkeypatch):
+        # two broadcasts: every frame decodes and checks under its receiving
+        # link's key, and on each link the counter rises by one per frame
+        cluster = self.mesh(cluster_factory, 4)
+        node = cluster.nodes[0]
+        delivered, real_deliver = [], cluster.net.deliver
+
+        def recording_deliver(src, dst, message):
+            delivered.append((dst, message))
+            real_deliver(src, dst, message)
+
+        monkeypatch.setattr(cluster.net, "deliver", recording_deliver)
+        sent = {link.conn.remote_addr: link.sent for link in node._links.values()}
+        assert len(sent) == 3
+        for data in ("first", "second"):
+            block = mine_block(create_new_block(data, node.store.tip(), 4, 1))
+            assert node.broadcast_block(block) == 3
+        counters = {}
+        for dst, message in delivered:
+            env = wire.decode_envelope(message)
+            assert wire.verify_envelope(env, dst.owner._links[id(dst)].keys[1])
+            counters.setdefault(dst.local_addr, []).append(env.counter)
+        assert counters == {addr: [sent[addr] + 1, sent[addr] + 2] for addr in sent}
+        assert {link.conn.remote_addr: link.sent for link in node._links.values()} \
+            == {addr: sent[addr] + 2 for addr in sent}
+
     def test_no_peers_signs_nothing(self, cluster_factory, monkeypatch):
         node = cluster_factory(1).nodes[0]
         monkeypatch.setattr(node_module, "sign_envelope", None)  # any call would fail
@@ -479,7 +505,7 @@ class TestBlockSizeRule:
         big = block_to_json(self.block(b, self.BOUND + 1))
         payload = ({"block": big} if kind == wire.NEW_BLOCK
                    else {"after": 0, "blocks": [big], "more": False})
-        raw = a.envelope(a_conn, kind, payload).encode()
+        raw = a.frame(a_conn, kind, payload)
         assert len(raw) < self.CAP  # the frame itself is allowed
         assert b.on_message(b_conn, raw) == "ignored"
         assert b.rejects_by_reason == {"MalformedBlock": 1}
@@ -513,7 +539,7 @@ class TestBlockSizeRule:
         fillers = ["%08x" % i for i in range(wire.MAX_HOLDERS - 1)]
         payload = {"block": block_to_json(largest),
                    "have": [wire.short_id(a.identity.node_id)] + fillers}
-        raw = a.envelope(conn, wire.NEW_BLOCK, payload).encode()
+        raw = a.frame(conn, wire.NEW_BLOCK, payload)
         assert b.on_message(conn.peer, raw) == "appended"
         cluster.pump()
         assert c.store.tip() == largest
@@ -535,7 +561,8 @@ class TestHandleNewBlock:
     def envelope_for(self, sender_core, block):
         """`block` gossiped as the next frame on `sender_core`'s one link."""
         [conn] = sender_core.connected()
-        return sender_core.envelope(conn, wire.NEW_BLOCK, {"block": block_to_json(block)})
+        return decode_envelope(sender_core.frame(conn, wire.NEW_BLOCK,
+                                                 {"block": block_to_json(block)}))
 
     def test_next_index_block_appended_and_relayed(self, cluster_factory):
         # line topology 0-1-2: a block committed at 0 must reach 2 via 1
@@ -813,8 +840,7 @@ class TestHolderList:
         [conn] = [conn for conn in a.connected() if conn.remote_addr == "mem:2"]
         block = self.next_block(c, "over lossy links")
         payload = {"block": block_to_json(block), "have": self.short(a, b, c, d)}
-        assert c.on_message(conn.peer, a.envelope(conn, wire.NEW_BLOCK, payload).encode()) \
-            == "appended"
+        assert c.on_message(conn.peer, a.frame(conn, wire.NEW_BLOCK, payload)) == "appended"
         expected = [] if loss_rate == 0 else [("mem:2", "mem:1"), ("mem:2", "mem:3")]
         assert sorted((src, dst) for src, dst, _ in sent) == expected
 
@@ -936,8 +962,8 @@ class TestUnservedParents:
 
     def gossip(self, block):
         """a relays `block` to b."""
-        self.a_conn.send_message(self.a.envelope(self.a_conn, wire.NEW_BLOCK,
-                                                 {"block": block_to_json(block)}).encode())
+        self.a_conn.send_message(self.a.frame(self.a_conn, wire.NEW_BLOCK,
+                                              {"block": block_to_json(block)}))
         self.cluster.pump()
 
     def gap(self, n):
@@ -949,8 +975,8 @@ class TestUnservedParents:
 
     def reply(self, payload):
         """b takes a BLOCKS reply from a."""
-        return self.b.on_envelope(self.link.conn,
-                                  self.a.envelope(self.a_conn, wire.BLOCKS, payload))
+        raw = self.a.frame(self.a_conn, wire.BLOCKS, payload)
+        return self.b.on_envelope(self.link.conn, decode_envelope(raw))
 
     def test_peer_that_never_serves_the_parent_stops_setting_off_syncs(self):
         b, link = self.b, self.link
@@ -1026,8 +1052,8 @@ class TestUnservedParents:
     def test_rate_limited_request_sets_no_wanted(self):
         b, link = self.b, self.link
         assert b.request_sync(link.conn)  # a sync of b's own is pending
-        outcome = b.handle_new_block(link.conn, self.a.envelope(
-            self.a_conn, wire.NEW_BLOCK, {"block": block_to_json(orphan(b, 0))}))
+        outcome = b.handle_new_block(link.conn, decode_envelope(self.a.frame(
+            self.a_conn, wire.NEW_BLOCK, {"block": block_to_json(orphan(b, 0))})))
         assert outcome == "sync_triggered"
         assert link.wanted is None
         self.cluster.pump()
@@ -1386,6 +1412,74 @@ class TestTcpTransport:
         finally:
             sys.setswitchinterval(interval)
             transport.stop()
+
+    @staticmethod
+    def watched(transport):
+        """Record each poll's timeout and the sockets it woke on, and count
+        the wake pair's sends; returns (polls, sends)."""
+        polls, sends = [], []
+        real_select, real_wake = transport._selector.select, transport._wake_w
+
+        def select(timeout):
+            events = real_select(timeout)
+            polls.append((timeout, [key.fileobj for key, _ in events]))
+            return events
+
+        class Wake:
+            def send(self, data):
+                sends.append(data)
+                return real_wake.send(data)
+
+            def close(self):
+                real_wake.close()
+
+        transport._selector.select = select
+        transport._wake_w = Wake()
+        return polls, sends
+
+    def test_a_call_submitted_on_the_loop_sends_no_wake_byte(self):
+        # while calls are queued the loop polls without waiting, so a call
+        # the loop submits writes nothing to the wake pair and runs next turn
+        transport = TcpTransport(Recorder())
+        polls, sends = self.watched(transport)
+        order, done = [], threading.Event()
+
+        def second():
+            order.append((len(polls), len(sends)))
+            done.set()
+
+        def first():
+            order.append((len(polls), len(sends)))
+            transport.submit(second)
+
+        transport.start(tick=lambda: None)
+        try:
+            transport.submit(first)
+            assert done.wait(timeout=5)
+        finally:
+            transport.stop()
+        [(polled_first, sent_first), (polled_second, sent_second)] = order
+        assert sent_first == sent_second == 1  # the submit from this thread
+        assert polled_second == polled_first + 1 and polls[polled_first][0] == 0
+
+    def test_a_call_from_another_thread_wakes_a_blocked_loop(self):
+        transport = TcpTransport(Recorder())
+        polls, sends = self.watched(transport)
+        ran = threading.Event()
+        transport.start(tick=lambda: None)
+        try:
+            time.sleep(0.1)  # the loop is blocked in its poll, up to a tick away
+            polled = len(polls)
+            submitter = threading.Thread(target=transport.submit, args=(ran.set,))
+            submitter.start()
+            submitter.join(timeout=5)
+            assert not submitter.is_alive()
+            assert ran.wait(timeout=5)
+        finally:
+            transport.stop()
+        assert sends[0] == b"\0"
+        timeout, woken = polls[polled]
+        assert timeout > 0 and woken == [transport._wake_r]
 
     def test_input_that_arrives_first_is_served_before_a_later_call(self):
         # While A's handler runs, it queues a call C and message B arrives.

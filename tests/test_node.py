@@ -108,6 +108,29 @@ class TestTxValidation:
         assert parse_tx_data('{"kind":"unknown"}') is None
 
 
+def parse_by_json(data):
+    """parse_tx_data as a full parse, the reference for its short cut."""
+    try:
+        obj = json.loads(data)
+        validate_tx_payload(obj, lambda _cid: True)
+    except (ValueError, RecursionError):
+        return None
+    return obj
+
+
+@pytest.mark.parametrize("data", [
+    ' \t\n\r{"data":"x","kind":"raw"}', '{"data":"x","kind":"raw"}',
+    '\ufeff{"data":"x","kind":"raw"}', '\u00a0{"data":"x","kind":"raw"}',
+    '\x0b{"data":"x","kind":"raw"}', '[{"data":"x","kind":"raw"}]', "12", "-1",
+    '"{\\"data\\":\\"x\\",\\"kind\\":\\"raw\\"}"', "w12@2000", "GENESIS", "MAL:3:7",
+    "", " ", "{", '{"kind":"unknown"}', "null", "true",
+])
+def test_parse_tx_data_agrees_with_a_full_parse(data):
+    # the short cut before json.loads gives every node the result a full
+    # parse gives, whitespace-led objects and non-objects alike
+    assert parse_tx_data(data) == parse_by_json(data)
+
+
 class TestSingleNodeFlow:
     def test_raw_put_commits_with_canonical_data(self):
         core, queue = make_node()
@@ -658,7 +681,8 @@ class TestIntakeOrder:
         assert outcomes == ["sync_triggered", "ignored", "ignored", "appended"]
         assert self.checks == 4 and self.signatures == 0
         block = next_block(core)
-        env = self.peer.envelope(wire.NEW_BLOCK, {"block": block_to_json(block)})
+        env = decode_envelope(self.peer.frame(wire.NEW_BLOCK,
+                                              {"block": block_to_json(block)}))
         assert core.on_envelope(conn, env) == "appended"
         assert self.checks == 4
         assert core.store.tip() == block
@@ -671,8 +695,8 @@ class TestIntakeOrder:
         tip = core.store.tip()
         payload = ({"block": block_to_json(next_block(core))} if kind == wire.NEW_BLOCK
                    else {"locator": [[tip.index, tip.hash]]})
-        earlier = self.peer.envelope(wire.QUERY, {"what": "stats"}).encode()
-        raw = self.peer.envelope(kind, payload).encode()
+        earlier = self.peer.frame(wire.QUERY, {"what": "stats"})
+        raw = self.peer.frame(kind, payload)
         assert core.on_message(self.conn, raw) in ("appended", "handled")
         chain, sent = core.store.get_all_blocks(), list(self.conn.sent)
         replayed = raw if counter == "same" else earlier
@@ -707,7 +731,7 @@ class TestIntakeOrder:
         payload = ({"block": block_to_json(next_block(core))} if kind == wire.NEW_BLOCK
                    else {"locator": [[tip.index, tip.hash]]})
         if frame == "other-direction":
-            raw = self.peer.envelope(kind, payload, key=self.peer.keys[1]).encode()
+            raw = self.peer.frame(kind, payload, key=self.peer.keys[1])
         else:
             core._send(self.conn, kind, payload)
             raw = self.conn.sent.pop()
@@ -725,7 +749,7 @@ class TestIntakeOrder:
         # with the same counter, is then taken
         chain = core.store.get_all_blocks()
         payload = {"block": block_to_json(next_block(core)), "have": []}
-        raw = self.peer.envelope(wire.NEW_BLOCK, payload).encode()
+        raw = self.peer.frame(wire.NEW_BLOCK, payload)
         canonical = canonical_json(payload)
         if layout == "space-after-comma":
             relaid = canonical.replace(b",", b", ", 1)
@@ -741,7 +765,7 @@ class TestIntakeOrder:
     def test_tagged_block_intake_encodes_no_payload(self, core, monkeypatch):
         # a NEW_BLOCK's tag is computed over its payload bytes as received,
         # so taking one in, held or appended, never runs canonical_json
-        raws = [self.peer.envelope(*self.frame(core, case)).encode()
+        raws = [self.peer.frame(*self.frame(core, case))
                 for case in ("held", "next")]
         calls = 0
         real = wire.canonical_json
@@ -781,7 +805,7 @@ class TestIntakeOrder:
         block = replace(next_block(core), data="\ud800")
         payload = ({"block": block_to_json(block)} if kind == wire.NEW_BLOCK
                    else {"after": tip.index, "blocks": [block_to_json(block)], "more": False})
-        raw = self.peer.envelope(kind, payload).encode()
+        raw = self.peer.frame(kind, payload)
         assert b"\\ud800" in raw  # the escape, as a peer would send it
         assert core.on_message(self.conn, raw) == "ignored"
         assert core.rejects_by_reason == {"MalformedBlock": 1}

@@ -28,6 +28,7 @@ from powdb.wire import (
     frame,
     sign_envelope,
     split_frames,
+    tag_frames,
     verify_envelope,
 )
 
@@ -221,13 +222,18 @@ class TestEncodeReusesSignedBytes:
     @pytest.mark.parametrize("payload", PAYLOADS)
     def test_signed_decoded_and_hand_built_envelopes(self, payload):
         # signed, and tagged as a link's frame
-        for key, counter in ((None, None), (LinkKey(b"\x22" * 32), 2**63)):
-            env = sign_envelope("QUERY", 1234, payload, self.identity, key, counter)
-            raw = env.encode()
+        key = LinkKey(b"\x22" * 32)
+        signed = sign_envelope("QUERY", 1234, payload, self.identity)
+        [tagged] = tag_frames("QUERY", 1234, payload, self.identity.node_id, [(key, 2**63)])
+        assert decode_envelope(signed.encode()) == signed
+        for raw, check_key, counter in ((signed.encode(), None, None), (tagged, key, 2**63)):
             decoded = decode_envelope(raw)
-            assert decoded == env and decoded.payload == payload
+            assert decoded.payload == payload
+            assert (decoded.sender, decoded.kind, decoded.timestamp, decoded.counter,
+                    decoded.body) == (self.identity.node_id, "QUERY", 1234, counter,
+                                      canonical_json(payload))
             assert decoded.encode() == raw
-            assert verify_envelope(decoded, key)
+            assert verify_envelope(decoded, check_key)
             # the envelope's JSON built by hand from its decoded form
             hand_built = {"sender": decoded.sender, "kind": decoded.kind,
                           "timestamp": decoded.timestamp, "payload": decoded.payload,
@@ -235,9 +241,11 @@ class TestEncodeReusesSignedBytes:
             if counter is not None:
                 hand_built["counter"] = decoded.counter
             assert canonical_json(hand_built) == raw
-            # a broadcast hands its one encoding of the payload to every link
-            assert sign_envelope("QUERY", 1234, payload, self.identity, key, counter,
-                                 canonical_json(payload)).encode() == raw
+        # a broadcast hands its one encoding of the payload to every link,
+        # and each link's frame is the one it would get alone
+        other = LinkKey(b"\x33" * 32)
+        assert tag_frames("QUERY", 1234, payload, self.identity.node_id,
+                          [(other, 1), (key, 2**63)])[1] == tagged
 
     def test_replaced_envelope_carries_no_stale_bytes(self):
         # an envelope's payload is the value its bytes hold: no envelope can
@@ -418,15 +426,17 @@ class TestLinkKeys:
     def test_tag_is_hmac_sha256_over_the_counter_and_preimage(self):
         raw = bytes(range(32))
         expected = hmac.digest(raw, b'17\x1fNEW_BLOCK\x1f5\x1f{"block":1}', "sha256").hex()
-        env = sign_envelope("NEW_BLOCK", 5, {"block": 1}, NodeIdentity.from_seed(b"\x01" * 32),
-                            LinkKey(raw), 17)
-        assert env.signature == expected
+        [frame_bytes] = tag_frames("NEW_BLOCK", 5, {"block": 1},
+                                   NodeIdentity.from_seed(b"\x01" * 32).node_id,
+                                   [(LinkKey(raw), 17)])
+        assert decode_envelope(frame_bytes).signature == expected
 
     def test_any_change_to_a_tagged_envelope_fails_its_check(self):
         (send, other), (_, recv) = self.pair()
         identity = NodeIdentity.from_seed(b"\x01" * 32)
-        env = sign_envelope("NEW_BLOCK", 5, {"block": {"index": 1}}, identity, send, 3)
-        raw, tag = env.encode(), env.signature.encode()
+        [raw] = tag_frames("NEW_BLOCK", 5, {"block": {"index": 1}}, identity.node_id, [(send, 3)])
+        env = decode_envelope(raw)
+        tag = env.signature.encode()
         assert verify_envelope(decode_envelope(raw), recv)
         for changed in (raw.replace(b'"counter":3', b'"counter":4'),
                         raw.replace(b'"counter":3,', b""),
@@ -442,11 +452,53 @@ class TestLinkKeys:
 
     def test_decode_keeps_the_counter_and_refuses_a_bad_one(self):
         (send, _), _ = self.pair()
-        env = sign_envelope("QUERY", 1, {}, NodeIdentity.from_seed(b"\x01" * 32), send, 9)
-        raw = env.encode()
+        [raw] = tag_frames("QUERY", 1, {}, NodeIdentity.from_seed(b"\x01" * 32).node_id,
+                           [(send, 9)])
         assert decode_envelope(raw).counter == 9
         for counter in (b"null", b"true", b'"9"', b"9.0", b"09"):
             assert decode_envelope(raw.replace(b'"counter":9', b'"counter":' + counter)) is None
+
+
+class TestTagFrames:
+    """tag_frames, the one maker of tagged frames."""
+
+    PAYLOAD = {"block": {"index": 1, "data": "naïve"}, "have": ["0123abcd"]}
+
+    def test_bytes_are_pinned(self):
+        # the frame for a fixed key, counter, timestamp and payload, byte for
+        # byte as the layout and the tag were first written
+        sender = NodeIdentity.from_seed(b"\x44" * 32).node_id
+        [raw] = tag_frames("NEW_BLOCK", 1700000000123, self.PAYLOAD, sender,
+                           [(LinkKey(b"\x55" * 32), 41)])
+        assert raw == (
+            b'{"counter":41,"kind":"NEW_BLOCK","payload":{"block":{"data":"na\xc3\xafve",'
+            b'"index":1},"have":["0123abcd"]},"sender":"d759793bbc13a2819a827c76adb6fba8a49ae'
+            b'e007f49f2d0992d99b825ad2c48","signature":"54b8355893cf577178f79436431116d5ca0726'
+            b'926673d995750d0e931d7b1432","timestamp":1700000000123}')
+
+    def test_each_link_gets_its_own_tag_and_counter(self):
+        # one payload for three links: every frame decodes to the same
+        # payload bytes and checks under its own receiving key only
+        pairs = [TestLinkKeys().pair(seed, seed + 10) for seed in range(3)]
+        sender = NodeIdentity.from_seed(b"\x01" * 32).node_id
+        counters = [1, 7, 2**63 - 1]
+        raws = tag_frames("NEW_BLOCK", 9, self.PAYLOAD, sender,
+                          [(dialer[0], counter) for (dialer, _), counter in zip(pairs, counters)])
+        assert len(raws) == 3 and len(set(raws)) == 3
+        for i, raw in enumerate(raws):
+            env = decode_envelope(raw)
+            assert env.counter == counters[i] and env.body == canonical_json(self.PAYLOAD)
+            assert (env.sender, env.kind, env.timestamp) == (sender, "NEW_BLOCK", 9)
+            assert [verify_envelope(env, listener[1]) for _, listener in pairs] \
+                == [j == i for j in range(3)]
+        assert tag_frames("NEW_BLOCK", 9, self.PAYLOAD, sender, []) == []
+
+    def test_unknown_kind_is_refused_by_both_makers(self):
+        identity = NodeIdentity.from_seed(b"\x01" * 32)
+        with pytest.raises(EncodingError):
+            tag_frames("NOPE", 1, {}, identity.node_id, [(LinkKey(b"\x22" * 32), 1)])
+        with pytest.raises(EncodingError):
+            sign_envelope("NOPE", 1, {}, identity)
 
 
 class TestFraming:
@@ -550,9 +602,8 @@ class TestOneLayout:
         self.identity = NodeIdentity.from_seed(b"\x33" * 32)
 
     def test_any_other_layout_of_the_same_value_is_refused(self):
-        env = sign_envelope("QUERY", 7, {"what": "stats"}, self.identity,
-                            LinkKey(b"\x22" * 32), 3)
-        raw = env.encode()
+        [raw] = tag_frames("QUERY", 7, {"what": "stats"}, self.identity.node_id,
+                           [(LinkKey(b"\x22" * 32), 3)])
         obj = json.loads(raw)
         others = {
             "spaces": json.dumps(obj).encode(),
@@ -566,7 +617,8 @@ class TestOneLayout:
         for name, other in others.items():
             assert other != raw and json.loads(other)["kind"] == "QUERY", name
             assert decode_envelope(other) is None, name
-        assert decode_envelope(raw) == env
+        env = decode_envelope(raw)
+        assert (env.counter, env.payload, env.encode()) == (3, {"what": "stats"}, raw)
 
     @pytest.mark.parametrize("number", [b"1.0", b"1e3", b"NaN", b"-Infinity",
                                         b"1" + b"0" * 5000])
@@ -576,9 +628,12 @@ class TestOneLayout:
 
     @pytest.mark.parametrize("keyed", [False, True], ids=["signed", "tagged"])
     def test_check_is_over_the_payload_bytes_received(self, keyed):
-        key, counter = (LinkKey(b"\x22" * 32), 1) if keyed else (None, None)
+        key = LinkKey(b"\x22" * 32) if keyed else None
         payload = {"a": "é", "b": [2, 3]}
-        raw = sign_envelope("QUERY", 7, payload, self.identity, key, counter).encode()
+        if keyed:
+            [raw] = tag_frames("QUERY", 7, payload, self.identity.node_id, [(key, 1)])
+        else:
+            raw = sign_envelope("QUERY", 7, payload, self.identity).encode()
         canonical = canonical_json(payload)
         assert verify_envelope(decode_envelope(raw), key)
         for relaid in ('{"a":"é","b":[2, 3]}'.encode(), '{"b":[2,3],"a":"é"}'.encode(),
