@@ -243,11 +243,8 @@ def parse_tx_data(data: str) -> dict | None:
 
     Returns None for opaque strings (the genesis payload, foreign data) and
     for any payload that `validate_tx_payload` rejects; those blocks simply
-    carry no contract action, on every node alike. Only an object validates,
-    so data that does not start with one after JSON whitespace is not parsed.
+    carry no contract action, on every node alike.
     """
-    if not data.lstrip(" \t\n\r").startswith("{"):
-        return None
     try:
         obj = json.loads(data)
         validate_tx_payload(obj, lambda _cid: True)

@@ -108,29 +108,6 @@ class TestTxValidation:
         assert parse_tx_data('{"kind":"unknown"}') is None
 
 
-def parse_by_json(data):
-    """parse_tx_data as a full parse, the reference for its short cut."""
-    try:
-        obj = json.loads(data)
-        validate_tx_payload(obj, lambda _cid: True)
-    except (ValueError, RecursionError):
-        return None
-    return obj
-
-
-@pytest.mark.parametrize("data", [
-    ' \t\n\r{"data":"x","kind":"raw"}', '{"data":"x","kind":"raw"}',
-    '\ufeff{"data":"x","kind":"raw"}', '\u00a0{"data":"x","kind":"raw"}',
-    '\x0b{"data":"x","kind":"raw"}', '[{"data":"x","kind":"raw"}]', "12", "-1",
-    '"{\\"data\\":\\"x\\",\\"kind\\":\\"raw\\"}"', "w12@2000", "GENESIS", "MAL:3:7",
-    "", " ", "{", '{"kind":"unknown"}', "null", "true",
-])
-def test_parse_tx_data_agrees_with_a_full_parse(data):
-    # the short cut before json.loads gives every node the result a full
-    # parse gives, whitespace-led objects and non-objects alike
-    assert parse_tx_data(data) == parse_by_json(data)
-
-
 class TestSingleNodeFlow:
     def test_raw_put_commits_with_canonical_data(self):
         core, queue = make_node()
