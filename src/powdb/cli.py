@@ -16,7 +16,6 @@ import time
 
 from powdb.chain import ChainParams
 from powdb.node import BadConfigError, NetworkStartupError, NodeConfig, NodeRuntime
-from powdb.sim import ConfigError, ScenarioConfig, run_scenario, write_report
 from powdb.store import StoreError
 from powdb.transport import parse_hostport
 from powdb.wire import (
@@ -193,6 +192,8 @@ def _cmd_client(args) -> int:
 
 
 def _cmd_sim_run(args) -> int:
+    # imported here, so a node or client command does not load the simulator
+    from powdb.sim import ConfigError, ScenarioConfig, run_scenario, write_report
     try:
         with open(args.scenario) as handle:
             scenario = json.load(handle)

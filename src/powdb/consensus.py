@@ -13,7 +13,6 @@ from powdb.chain import (
     MalformedBlockError,
     SEP_CHAR,
     block_hash,
-    cumulative_work,
     genesis_block,
     meets_difficulty,
     mining_prefix_bytes,
@@ -164,18 +163,21 @@ def shared_prefix(a: list[Block], b: list[Block]) -> int:
     return common
 
 
-def choose_chain(local: list[Block], candidate: list[Block],
-                 params: ChainParams) -> tuple[list[Block], VerifyError | None]:
+def choose_chain(local: list[Block], candidate: list[Block], params: ChainParams,
+                 common: int | None = None) -> tuple[list[Block], VerifyError | None]:
     """Greatest cumulative work wins; ties and lesser work keep the local chain.
 
     Returns (selected chain, error); the error is set when the candidate
     failed verification, in which case the local chain is kept. The local
-    chain holds only verified blocks, so the prefix the candidate shares with
-    it is not verified again.
-    """
-    err = verify_chain(candidate, params, shared_prefix(local, candidate))
+    chain holds only verified blocks, so the `common` blocks the candidate
+    shares with it (shared_prefix when None) are neither verified nor
+    weighed again. Linkage is checked once, in verify_chain."""
+    common = shared_prefix(local, candidate) if common is None else common
+    err = verify_chain(candidate, params, common)
     if err is not None:
         return local, err
-    if cumulative_work(candidate) > cumulative_work(local):
+    start = max(common, 1)  # as cumulative_work, the first block carries no weight
+    if (sum(1 << b.difficulty for b in candidate[start:])
+            > sum(1 << b.difficulty for b in local[start:])):
         return candidate, None
     return local, None

@@ -242,23 +242,29 @@ def parse_tx_data(data: str) -> dict | None:
     """Recover the structured payload from a block's data string.
 
     Returns None for opaque strings (the genesis payload, foreign data) and
-    for any payload that `validate_tx_payload` rejects; those blocks simply
+    for any payload that `check_tx_payload` rejects; those blocks simply
     carry no contract action, on every node alike.
     """
     try:
         obj = json.loads(data)
-        validate_tx_payload(obj, lambda _cid: True)
+        check_tx_payload(obj, lambda _cid: True)
     except (ValueError, RecursionError):  # JSONDecodeError and TxRejected included
         return None
     return obj
 
 
 def validate_tx_payload(tx, known_contract) -> str:
-    """Shape-check a transaction and return the block data string.
+    """Shape-check a transaction and return the block data string. A checked
+    transaction always encodes, so parse_tx_data only checks: raw data and
+    call args are checked for type, and compile_contract takes integer
+    literals only."""
+    check_tx_payload(tx, known_contract)
+    return canonical_json(tx).decode("utf-8")
 
-    `known_contract(contract_id)` says whether a call target exists or its
-    deploy is already queued. Raises TxRejected.
-    """
+
+def check_tx_payload(tx, known_contract) -> None:
+    """Shape-check a transaction; raises TxRejected. `known_contract(cid)`
+    says whether a call target exists or its deploy is already queued."""
     if not isinstance(tx, dict) or "kind" not in tx:
         raise TxRejected("transaction must be an object with a 'kind'")
     kind = tx["kind"]
@@ -288,10 +294,6 @@ def validate_tx_payload(tx, known_contract) -> str:
             raise TxRejected(f"unknown contract {tx['contract_id'][:16]}...")
     else:
         raise TxRejected(f"unknown transaction kind {kind!r}")
-    try:
-        return canonical_json(tx).decode("utf-8")
-    except wire.EncodingError as exc:
-        raise TxRejected(str(exc)) from exc
 
 
 class NodeCore:
@@ -438,9 +440,9 @@ class NodeCore:
         holders. The link it came in is skipped, and so is a reliable link
         to a known holder. The list sent names this node, the known holders
         and the peers it goes to over reliable links, in that order, up to
-        MAX_HOLDERS. A peer the push misses, through a false list or a lost
-        frame, gets the block from the locator the tick sends once its link
-        has been quiet for RESYNC_MS."""
+        MAX_HOLDERS, and only when the block goes to some link. A peer the
+        push misses, through a false list or a lost frame, gets the block
+        from the locator the tick sends once its link is quiet for RESYNC_MS."""
         source, env = gossip or (None, None)
         known = [short_id(self.identity.node_id)]
         if source is not None:
@@ -448,7 +450,9 @@ class NodeCore:
         skip = set(known)
         targets = [link for link in self._links.values()
                    if link.established and link is not source
-                   and not (_reliable(link.conn) and short_id(link.peer) in skip)]
+                   and not (short_id(link.peer) in skip and _reliable(link.conn))]
+        if not targets:
+            return 0
         known += [short_id(link.peer) for link in targets if _reliable(link.conn)]
         have = list(dict.fromkeys(known))[:MAX_HOLDERS]
         frames = self.frames(wire.NEW_BLOCK, {"block": block_to_json(block), "have": have},
@@ -493,15 +497,14 @@ class NodeCore:
         """Whether a block, read before its shape is checked, cannot change the
         chain: it is at index 0, where every chain holds genesis, or the store
         holds a block at its index and its hash is that block's or malformed.
-        It reads at most one stored hash, so a relay of an old block loads no
-        stored suffix. Any other block at a held height may start a heavier
-        fork."""
-        if not is_block_int(index):
+        A block above the tip is answered from the tip; any other reads at
+        most one stored hash, so a relay of an old block loads no stored
+        suffix. Any other block at a held height may start a heavier fork."""
+        if not is_block_int(index) or index > self.store.tip().index:
             return False
-        if index == 0:
-            return True
-        stored = self.store.get_hashes([index]).get(index)
-        return stored is not None and (stored == hash_hex or not is_hex_hash(hash_hex))
+        # the store holds a block at every index up to the tip
+        return (index == 0 or self.store.get_hashes([index])[index] == hash_hex
+                or not is_hex_hash(hash_hex))
 
     def _authentic(self, link: _Link | None, env: MessageEnvelope) -> bool:
         """Check an envelope as it arrives: on a keyed link, its counter rises
@@ -652,13 +655,14 @@ class NodeCore:
         local = self.store.get_blocks(after)
         if not local or (blocks and blocks[0].prev_hash != local[0].hash):
             return "unlinked"
-        selected, err = choose_chain(local, local[:1] + blocks, self.params)
+        candidate = local[:1] + blocks
+        common = shared_prefix(local, candidate)
+        selected, err = choose_chain(local, candidate, self.params, common)
         if err is not None:
             self._count_reject(err.reason)
             return "rejected"
         if selected is local:
             return "unchanged"
-        common = shared_prefix(local, selected)
         self._cancel_mining()
         # the new tip's broadcast sends neighbors to the usual sync trigger
         self._commit(selected[common - 1], selected[common:], local[common:],

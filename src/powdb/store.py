@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-from contextlib import contextmanager
 from pathlib import Path
 
 from powdb.chain import Block
@@ -114,34 +113,11 @@ class BlockStore:
     def close(self) -> None:
         self._conn.close()
 
-    @contextmanager
-    def transaction(self):
+    def transaction(self) -> _Transaction:
         """Reentrant exclusive transaction; rolls back on any exception. Any
-        exit but a commit that returns clears the tip copy."""
-        with self._lock:
-            if self._txn_depth > 0:
-                self._txn_depth += 1
-                try:
-                    yield
-                finally:
-                    self._txn_depth -= 1
-                return
-            self._conn.execute("BEGIN IMMEDIATE")
-            self._txn_depth = 1
-            try:
-                yield
-            except BaseException:
-                self._txn_depth = 0
-                self._tip = _UNREAD
-                self._conn.execute("ROLLBACK")
-                raise
-            else:
-                self._txn_depth = 0
-                try:
-                    self._conn.execute("COMMIT")
-                except BaseException:
-                    self._tip = _UNREAD
-                    raise
+        exit but a commit that returns clears the tip copy. The lock is held
+        from the outermost entry to its exit; a nested one runs no SQL."""
+        return _Transaction(self)
 
     def _hook(self, step: str) -> None:
         if self._crash_hook is not None:
@@ -294,6 +270,36 @@ class BlockStore:
             self._conn.execute(
                 "INSERT OR IGNORE INTO contracts VALUES (?,?,?)",
                 (contract_id, source_json, deployed_at))
+
+
+class _Transaction:
+    """What `BlockStore.transaction()` returns: the outermost entry begins,
+    and its exit commits, or rolls back on an exception."""
+
+    def __init__(self, store: BlockStore):
+        self.store = store
+
+    def __enter__(self) -> None:
+        store = self.store
+        store._lock.acquire()
+        if store._txn_depth == 0:
+            try:
+                store._conn.execute("BEGIN IMMEDIATE")
+            except BaseException:
+                store._lock.release()
+                raise
+        store._txn_depth += 1
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        store = self.store
+        try:
+            store._txn_depth -= 1
+            if store._txn_depth == 0:
+                tip, store._tip = store._tip, _UNREAD  # kept by a commit that returns
+                store._conn.execute("ROLLBACK" if exc_type else "COMMIT")
+                store._tip = _UNREAD if exc_type else tip
+        finally:
+            store._lock.release()
 
 
 def _row_to_block(row) -> Block:

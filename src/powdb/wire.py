@@ -70,7 +70,8 @@ MAX_HOLDERS = 38
 BLOCK_ENVELOPE_BYTES = 1024
 
 _LEN = struct.Struct(">I")
-_SHORT_ID = re.compile(f"[0-9a-f]{{{SHORT_ID_HEX}}}")
+# A holder list's entries, each followed by a comma: one fullmatch checks all.
+_HOLDERS = re.compile(f"(?:[0-9a-f]{{{SHORT_ID_HEX}}},)*")
 
 
 class EncodingError(ValueError):
@@ -157,10 +158,16 @@ def short_id(node_id: str) -> str:
 def parse_holders(payload) -> list[str]:
     """The short ids a NEW_BLOCK payload's "have" list names; none when the
     list is missing, is not a list, is over MAX_HOLDERS or holds anything
-    but short ids."""
+    but short ids. A match as long as the entries and a comma after each
+    leaves no comma inside an entry, so each entry is one id."""
     have = payload.get("have") if isinstance(payload, dict) else None
-    if (isinstance(have, list) and len(have) <= MAX_HOLDERS
-            and all(type(h) is str and _SHORT_ID.fullmatch(h) for h in have)):
+    if not isinstance(have, list) or len(have) > MAX_HOLDERS:
+        return []
+    try:
+        joined = ",".join(have + [""])
+    except TypeError:  # an entry that is not a string
+        return []
+    if len(joined) == (SHORT_ID_HEX + 1) * len(have) and _HOLDERS.fullmatch(joined):
         return have
     return []
 

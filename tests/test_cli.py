@@ -115,6 +115,15 @@ class TestSimCli:
 
 
 class TestNodeAndClientCli:
+    def test_importing_the_cli_loads_no_simulator(self):
+        # a node or client command imports powdb.cli; only `sim run` needs the simulator
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, powdb.cli; "
+             "print(sorted(m for m in ('powdb.sim', 'powdb.simnet') if m in sys.modules))"],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_put_then_stats_and_chain(self, node):
         result = powdb("client", "--node", node.addr, "put", "hello-cli")
         assert result.returncode == 0, result.stderr

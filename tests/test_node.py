@@ -108,6 +108,89 @@ class TestTxValidation:
         assert parse_tx_data('{"kind":"unknown"}') is None
 
 
+def parse_and_encode(data: str):
+    """The reference parse: a payload counts only if it passes the checks
+    and also encodes again."""
+    try:
+        obj = json.loads(data)
+        validate_tx_payload(obj, lambda _cid: True)
+    except (ValueError, RecursionError):
+        return None
+    return obj
+
+
+CALL = '{"args":[%s],"contract_id":"' + COUNTER_ID + '","kind":"call"}'
+DEPLOY = '{"contract":%s,"kind":"deploy"}'
+NOT_INTEGERS = ["1.0", "1.5", "NaN", "Infinity", "-Infinity", "1e3"]
+
+
+class TestParseRefusesWhatEncodingRefused:
+    """parse_tx_data does not encode a payload again, and refuses every
+    payload whose encoding would have failed."""
+
+    TXS = {
+        "raw": {"kind": "raw", "data": "hello"},
+        "raw-lone-surrogate": {"kind": "raw", "data": "a\ud800b\udfff"},
+        "deploy": {"kind": "deploy", "contract": COUNTER},
+        "deploy-every-form": {"kind": "deploy", "contract": [
+            ["if", ["lt", ["get", "x"], -2**63], [["set", "x", ["mul", ["arg", 2], 7]]],
+             [["sub", "y", 2**63 - 1], ["if", ["eq", 1, ["get", "é"]], [], []]]]]},
+        "call": {"kind": "call", "contract_id": COUNTER_ID, "args": [5, -2**63, 2**63 - 1]},
+        "call-no-args": {"kind": "call", "contract_id": COUNTER_ID, "args": []},
+    }
+
+    @pytest.mark.parametrize("tx", TXS.values(), ids=TXS.keys())
+    def test_validated_data_parses_back(self, tx):
+        data = validate_tx_payload(tx, lambda _cid: True)
+        assert parse_tx_data(data) == tx == parse_and_encode(data)
+
+    def test_a_lone_surrogate_travels_escaped(self):
+        data = validate_tx_payload(self.TXS["raw-lone-surrogate"], lambda _cid: True)
+        assert data == '{"data":"a\\ud800b\\udfff","kind":"raw"}'
+
+    REFUSED = {
+        **{f"call-arg-{n}": CALL % f"1,{n}" for n in NOT_INTEGERS},
+        **{f"deploy-literal-{n}": DEPLOY % f'[["set","k",{n}]]' for n in NOT_INTEGERS},
+        **{f"deploy-arg-index-{n}": DEPLOY % f'[["add","k",["arg",{n}]]]'
+           for n in NOT_INTEGERS},
+        "deploy-nested-literal": DEPLOY % '[["if",["eq",["mul",2,NaN],1],[],[]]]',
+        "deploy-condition-op": DEPLOY % '[["if",[NaN,1,2],[],[]]]',
+        "deploy-statement-op": DEPLOY % '[[1.0,"k",1]]',
+        "deploy-key": DEPLOY % '[["set",1.0,1]]',
+        "raw-data": '{"data":1.0,"kind":"raw"}',
+        "kind": '{"kind":NaN}',
+        "contract-id": '{"args":[],"contract_id":1.0,"kind":"call"}',
+    }
+
+    @pytest.mark.parametrize("data", REFUSED.values(), ids=REFUSED.keys())
+    def test_a_number_that_is_not_an_integer_is_refused(self, data):
+        assert parse_tx_data(data) is None
+        assert parse_and_encode(data) is None
+
+    @pytest.mark.parametrize("tx", TXS.values(), ids=TXS.keys())
+    def test_every_integer_swapped_for_a_float_is_refused(self, tx):
+        def paths(value, path=()):
+            if isinstance(value, int) and not isinstance(value, bool):
+                yield path
+            elif isinstance(value, (list, dict)):
+                items = value.items() if isinstance(value, dict) else enumerate(value)
+                for key, item in items:
+                    yield from paths(item, path + (key,))
+
+        def swapped(value, path, number):
+            if not path:
+                return number
+            copy = dict(value) if isinstance(value, dict) else list(value)
+            copy[path[0]] = swapped(value[path[0]], path[1:], number)
+            return copy
+
+        for path in paths(tx):
+            for number in (1.0, float("nan"), float("inf")):
+                data = json.dumps(swapped(tx, path, number))
+                assert parse_tx_data(data) is None, (path, number)
+                assert parse_and_encode(data) is None
+
+
 class TestSingleNodeFlow:
     def test_raw_put_commits_with_canonical_data(self):
         core, queue = make_node()

@@ -1,10 +1,12 @@
-"""Byte-identical sim reports: every shipped scenario at its file seed.
+"""Byte-identical sim reports: every shipped scenario at its file seed, and
+the benchmark's sim_adversarial scenario at seeds 1-3.
 
 A change that alters protocol behaviour on purpose updates these digests
 and says why; any other change must leave them alone.
 """
 
 import hashlib
+import importlib
 import json
 from pathlib import Path
 
@@ -12,7 +14,9 @@ import pytest
 
 from powdb.sim import ScenarioConfig, report_to_json_bytes, run_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+PERFBENCH = ROOT / "perfbench"
 
 REPORT_SHA256 = {
     "adversarial": "9415c5e5170eddb141dfab29cd1a78d074e8eecf55a0b32a35bc178c90eb6a1d",
@@ -32,3 +36,21 @@ def test_report_bytes_unchanged(name):
     config = ScenarioConfig.from_json(json.loads((SCENARIOS / f"{name}.json").read_text()))
     report = report_to_json_bytes(run_scenario(config))
     assert hashlib.sha256(report).hexdigest() == REPORT_SHA256[name]
+
+
+# The benchmark's sim_adversarial report for its first seeds, built from the
+# scenario perfbench/simload.py runs: a speed-up must leave them unchanged.
+SIM_ADVERSARIAL_SHA256 = {
+    1: "07509a8a40237655e59ee15954fdb6f5702558b268478b5538140edf494bb881",
+    2: "4b27e86c2907ae55ef8edc889668f7393b058ba7e3eb53f97f9e4aaa900d3882",
+    3: "bf082e0f4ab83501fa2b8e4d35c855bdf429d11c4ca092f9f03c2b880d50600d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SIM_ADVERSARIAL_SHA256))
+def test_sim_adversarial_report_bytes_unchanged(monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    simload = importlib.import_module("simload")
+    config = ScenarioConfig.from_json(simload.scenario("sim_adversarial", seed))
+    report = report_to_json_bytes(run_scenario(config))
+    assert hashlib.sha256(report).hexdigest() == SIM_ADVERSARIAL_SHA256[seed]

@@ -424,6 +424,126 @@ class TestTipCopy:
         assert store.tip() == fork[3] and store.tip_retarget() == RETARGET + 13
 
 
+class FailingConnection:
+    """A store connection whose `statement` raises, as a failed COMMIT does;
+    every other statement runs on the real connection."""
+
+    def __init__(self, conn, statement: str):
+        self.conn, self.statement = conn, statement
+
+    def execute(self, sql, *args):
+        if sql == self.statement:
+            raise sqlite3.OperationalError(f"{sql} failed")
+        return self.conn.execute(sql, *args)
+
+
+def free_for_another_thread(lock) -> bool:
+    """Whether a second thread can take `lock` within two seconds."""
+    taken = []
+
+    def take():
+        if lock.acquire(timeout=2):
+            lock.release()
+            taken.append(True)
+
+    thread = threading.Thread(target=take)
+    thread.start()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    return taken == [True]
+
+
+class TestTransaction:
+    """`transaction()` nests, holds the store's lock from the outermost entry
+    to its exit, and any exit but a commit that returns clears the tip copy."""
+
+    CID = "ab" * 32
+
+    @staticmethod
+    def tip_statements(store) -> list[str]:
+        run = traced(store)
+        store.tip()
+        store._conn.set_trace_callback(None)
+        return [sql.split()[0].upper() for sql in run]
+
+    def test_depth_is_one_in_the_outermost_transaction_and_zero_after(self, store_path):
+        store = BlockStore(store_path)
+        assert store._txn_depth == 0
+        with store.transaction():
+            assert store._txn_depth == 1
+            with store.transaction():
+                assert store._txn_depth == 2
+            assert store._txn_depth == 1
+        assert store._txn_depth == 0
+        with pytest.raises(SimulatedCrash):
+            with store.transaction():
+                raise SimulatedCrash()
+        assert store._txn_depth == 0
+
+    def test_an_exception_in_a_nested_transaction_rolls_back_the_outer_one(self, store_path):
+        chain = linked_chain([4, 4])
+        store = BlockStore(store_path)
+        store.add_block(chain[0], RETARGET)
+        assert self.tip_statements(store) == []
+        with pytest.raises(SimulatedCrash):
+            with store.transaction():
+                store.add_block(chain[1], RETARGET)  # sets the tip copy
+                store.put_state(self.CID, "k", 1, 1)
+                with store.transaction():
+                    store.add_block(chain[2], RETARGET)
+                    raise SimulatedCrash()
+        assert store._txn_depth == 0
+        assert self.tip_statements(store) == ["SELECT"]  # the copy was cleared
+        assert store.get_all_blocks() == chain[:1]
+        assert store.get_state(self.CID, "k") is None
+        assert free_for_another_thread(store._lock)
+        store.add_block(chain[1], RETARGET)
+        assert store.tip() == chain[1]
+
+    @pytest.mark.parametrize("statement", ["BEGIN IMMEDIATE", "COMMIT"])
+    def test_a_statement_that_raises_clears_the_tip_copy_and_releases_the_lock(
+            self, store_path, statement):
+        chain = linked_chain([4])
+        store = BlockStore(store_path)
+        store.add_block(chain[0], RETARGET)
+        real = store._conn
+        store._conn = FailingConnection(real, statement)
+        with pytest.raises(sqlite3.OperationalError):
+            with store.transaction():
+                store.add_block(chain[1], RETARGET)
+        store._conn = real
+        assert store._txn_depth == 0
+        assert free_for_another_thread(store._lock)
+        if statement == "COMMIT":
+            real.execute("ROLLBACK")  # the transaction the COMMIT left open
+            assert self.tip_statements(store) == ["SELECT"]
+        assert store.get_all_blocks() == chain[:1]
+        store.add_block(chain[1], RETARGET)
+        assert store.tip() == chain[1]
+
+    def test_a_second_thread_waits_for_the_outer_transaction(self, store_path):
+        chain = linked_chain([4])
+        store = BlockStore(store_path)
+        store.add_block(chain[0], RETARGET)
+        entered = threading.Event()
+
+        def other():
+            with store.transaction():
+                entered.set()
+
+        thread = threading.Thread(target=other)
+        with store.transaction():
+            with store.transaction():
+                thread.start()
+                assert not entered.wait(0.2)
+            assert not entered.wait(0.1)  # a nested exit releases nothing
+            store.add_block(chain[1], RETARGET)
+        assert entered.wait(5)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert store.get_all_blocks() == chain
+
+
 class TestState:
     CID = "ab" * 32
 

@@ -5,6 +5,7 @@ import hmac
 import io
 import json
 import random
+import re
 import stat
 from dataclasses import replace
 from enum import IntEnum
@@ -499,6 +500,55 @@ class TestTagFrames:
             tag_frames("NOPE", 1, {}, identity.node_id, [(LinkKey(b"\x22" * 32), 1)])
         with pytest.raises(EncodingError):
             sign_envelope("NOPE", 1, {}, identity)
+
+
+def parse_holders_per_entry(payload) -> list[str]:
+    """The reference holder-list check: one fullmatch per entry."""
+    have = payload.get("have") if isinstance(payload, dict) else None
+    if (isinstance(have, list) and len(have) <= wire.MAX_HOLDERS
+            and all(type(h) is str and re.fullmatch("[0-9a-f]{8}", h) for h in have)):
+        return have
+    return []
+
+
+class TestParseHolders:
+    """parse_holders checks a whole list at once and returns what the
+    per-entry check returns."""
+
+    IDS = [f"{i:08x}" for i in range(wire.MAX_HOLDERS + 1)]
+    LISTS = {
+        "empty": [],
+        "one": IDS[:1],
+        "full": IDS[:wire.MAX_HOLDERS],
+        "over-the-cap": IDS,
+        "seven-digits": IDS[:2] + ["abcdef0"],
+        "nine-digits": ["abcdef012"] + IDS[:2],
+        "seven-then-nine": ["abcdef0", "123456789"],
+        "uppercase": IDS[:1] + ["ABCDEF01"],
+        "comma-inside": ["01234567,89abcdef"],
+        "comma-at-an-end": ["0123456,", "89abcdef"],
+        "two-commas": ["01234567,", ",89abcdef"],
+        "newline-inside": ["01234567\n89abcdef"],
+        "newline-at-the-end": IDS[:1] + ["89abcdef\n"],
+        "int": IDS[:1] + [12345678],
+        "none": [None],
+        "nested-list": [IDS[:1]],
+    }
+
+    @pytest.mark.parametrize("have", LISTS.values(), ids=LISTS.keys())
+    def test_result_equals_the_per_entry_check(self, have):
+        payload = {"block": {}, "have": have}
+        assert wire.parse_holders(payload) == parse_holders_per_entry(payload)
+
+    def test_accepts_up_to_max_holders_and_refuses_the_rest(self):
+        accepted = {name for name, have in self.LISTS.items()
+                    if wire.parse_holders({"have": have}) == have}
+        assert accepted == {"empty", "one", "full"}
+
+    @pytest.mark.parametrize("payload", [None, [], {}, {"have": "01234567"},
+                                         {"have": None}, {"have": {"01234567": 1}}])
+    def test_no_list_names_no_holder(self, payload):
+        assert wire.parse_holders(payload) == parse_holders_per_entry(payload) == []
 
 
 class TestFraming:
