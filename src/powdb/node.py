@@ -23,12 +23,15 @@ Each core keeps its own links: its runtime gives it the peers it is
 configured with and a `dial(addr)`, and `NodeCore.tick` dials each of them
 whose link is unset or closed, so the simulator runs the live node's redial.
 
-Every frame is checked as it arrives, before any handler reads it: its tag
-on a keyed link, its Ed25519 signature on any other, and one that fails is
-dropped and counted. Only then are a gossiped block's own checks run,
-cheapest first: the held check, its shape, its parent lookup, then the fork
-choice's checks or, for an unlinked block, the limited-link cut and the
-pending-sync check.
+Every frame is checked as it arrives, on the link the runtime opened for
+its conn, before any handler reads it: its tag once the link is keyed, its
+Ed25519 signature before, and one that fails is dropped and counted. Both
+runtimes hand the core each conn (connect_peer, on_inbound_connection)
+before its first frame, so a frame on any other conn is ignored. Handlers,
+replies and relays take that `_Link` and never look it up again. Only then
+are a gossiped block's own checks run, cheapest first: the held check, its
+shape, its parent lookup, then the fork choice's checks or, for an unlinked
+block, the limited-link cut and the pending-sync check.
 
 A block goes to each peer once, as in Plumtree's eager push (Leitão et al.,
 SRDS 2007): its NEW_BLOCK names, in "have", the nodes its sender knows hold
@@ -227,14 +230,14 @@ def _reliable(conn) -> bool:
     return getattr(conn, "reliable", False)
 
 
-def _unkeyed_may_carry(link: _Link | None, env: MessageEnvelope) -> bool:
+def _unkeyed_may_carry(link: _Link, env: MessageEnvelope) -> bool:
     """Whether a link the handshake has not keyed may carry `env`: no
     NEW_BLOCK, and a sync message only at link open, the dialer's GET_BLOCKS
     on an inbound link or the BLOCKS reply on an outbound one."""
     if env.kind == wire.GET_BLOCKS:
-        return link is not None and not link.outbound
+        return not link.outbound
     if env.kind == wire.BLOCKS:
-        return link is not None and link.outbound
+        return link.outbound
     return env.kind != wire.NEW_BLOCK
 
 
@@ -351,9 +354,9 @@ class NodeCore:
 
     def connect_peer(self, conn) -> None:
         """An outbound connection we dialed: its first GET_BLOCKS opens the link."""
-        self._links[id(conn)] = _Link(conn, outbound=True, opened_ms=self.clock(),
-                                      hello=self._hello())
-        self.request_sync(conn)
+        link = self._links[id(conn)] = _Link(conn, outbound=True, opened_ms=self.clock(),
+                                             hello=self._hello())
+        self.request_sync(link)
 
     def on_inbound_connection(self, conn) -> None:
         self._links[id(conn)] = _Link(conn, outbound=False, opened_ms=self.clock())
@@ -375,7 +378,7 @@ class NodeCore:
         for link in list(self._links.values()):
             if link.established:
                 if now - link.quiet_since_ms >= RESYNC_MS:
-                    self.request_sync(link.conn)
+                    self.request_sync(link)
             elif link.outbound and now - link.opened_ms >= HANDSHAKE_TIMEOUT_MS:
                 self._drop_conn(link.conn)
         for addr, conn in self.peers.items():
@@ -384,56 +387,57 @@ class NodeCore:
                 if conn is not None:
                     self.connect_peer(conn)
 
-    def connected(self) -> list:
-        """The conns of established links, oldest first."""
-        return [link.conn for link in self._links.values() if link.established]
+    def connected(self) -> list[_Link]:
+        """The established links, oldest first."""
+        return [link for link in self._links.values() if link.established]
 
     # -- message intake ------------------------------------------------------
 
     def on_message(self, conn, raw: bytes) -> str:
         """Single entry point for wire input, and the one place an envelope
-        is checked: every kind is checked here, before any handler reads it
-        (see _authentic). A frame that does not decode is dropped and
-        counted. A link without keys carries no block, and a sync message
-        only to open the link; any other block or sync frame on it cannot be
-        checked and is ignored. Reading a NEW_BLOCK restarts the link's quiet
-        timer (see tick) whether its tag checks or not: a peer that keeps
-        pushing blocks, forged or not, is not resynced."""
+        is checked: every kind is checked here, on its conn's link, before
+        any handler reads it (see _authentic). A frame that does not decode
+        is dropped and counted, and one on a conn with no link is ignored. A
+        link without keys carries no block, and a sync message only to open
+        the link; any other block or sync frame on it cannot be checked and
+        is ignored. Reading a NEW_BLOCK restarts the link's quiet timer (see
+        tick) whether its tag checks or not: a peer that keeps pushing
+        blocks, forged or not, is not resynced."""
         env = decode_envelope(raw)
         if env is None:
             self.dropped_envelopes += 1
             return "dropped"
         link = self._links.get(id(conn))
-        if (link is None or link.keys is None) and not _unkeyed_may_carry(link, env):
+        if link is None or (link.keys is None and not _unkeyed_may_carry(link, env)):
             return "ignored"
         if env.kind == wire.NEW_BLOCK:  # only a keyed link gets this far with one
             link.quiet_since_ms = self.clock()
         if not self._authentic(link, env):
             return "dropped"
-        return self.on_envelope(conn, env)
+        return self.on_envelope(link, env)
 
-    def on_envelope(self, conn, env: MessageEnvelope) -> str:
-        """Act on an envelope that on_message has checked."""
+    def on_envelope(self, link: _Link, env: MessageEnvelope) -> str:
+        """Act on an envelope that on_message has checked on `link`."""
         if env.sender == self.identity.node_id and env.counter is None:
             return "self"  # our own link-open request: we dialed ourselves
         kind = env.kind
         if kind == wire.NEW_BLOCK:
-            return self.handle_new_block(conn, env)
+            return self.handle_new_block(link, env)
         elif kind == wire.GET_BLOCKS:
-            self._serve_sync(conn, env)
+            self._serve_sync(link, env)
         elif kind == wire.BLOCKS:
-            return self._handle_sync_response(conn, env)
+            return self._handle_sync_response(link, env)
         elif kind == wire.TX:
-            self._handle_tx(conn, env)
+            self._handle_tx(link, env)
         elif kind == wire.QUERY:
-            self._handle_query(conn, env)
+            self._handle_query(link, env)
         # RESPONSE needs no action on a server
         return "handled"
 
     # -- gossip ----------------------------------------------------------------
 
     def broadcast_block(self, block: Block,
-                        gossip: tuple[_Link | None, MessageEnvelope] | None = None) -> int:
+                        gossip: tuple[_Link, MessageEnvelope] | None = None) -> int:
         """NEW_BLOCK on every established link whose peer is not known to hold
         the block. `gossip` is the link and the envelope a gossiped block
         came in: its peer and the ones its holder list names are known
@@ -456,16 +460,15 @@ class NodeCore:
         known += [short_id(link.peer) for link in targets if _reliable(link.conn)]
         have = list(dict.fromkeys(known))[:MAX_HOLDERS]
         frames = self.frames(wire.NEW_BLOCK, {"block": block_to_json(block), "have": have},
-                             [link.conn for link in targets])
-        return sum(self._send_raw(conn, raw) for conn, raw in frames)
+                             targets)
+        return sum(self._send_raw(link, raw) for link, raw in frames)
 
-    def handle_new_block(self, conn, env: MessageEnvelope) -> str:
+    def handle_new_block(self, link: _Link, env: MessageEnvelope) -> str:
         """A gossiped block whose envelope has checked, cheapest check first:
         the held check, the shape, the parent lookup and, for a linked block,
         the fork choice's checks, or, for an unlinked one, the limited-link
         cut and the pending-sync check (in request_sync). A block that fails
         one is counted under its reason."""
-        link = self._links.get(id(conn))
         payload = env.payload if isinstance(env.payload, dict) else {}
         raw = payload.get("block")
         if isinstance(raw, dict) and self._is_held(raw.get("index"), raw.get("hash")):
@@ -479,17 +482,16 @@ class NodeCore:
         if outcome == "unlinked":
             # a gap, or the sender is on another fork: pull its chain, unless
             # its last MAX_UNSERVED syncs never reached the block behind them
-            if link is not None and link.unserved >= MAX_UNSERVED:
+            if link.unserved >= MAX_UNSERVED:
                 self._count_reject(VerifyReason.PARENT_NOT_SERVED)
                 return "ignored"
             # request_sync sends none while the link's last sync is pending,
             # which may reach it
-            if self.request_sync(conn) and link is not None:
+            if self.request_sync(link):
                 link.wanted = block.hash
             return "sync_triggered"
         if outcome == "adopted":
-            if link is not None:
-                link.unserved = 0  # the link serves linked blocks again
+            link.unserved = 0  # the link serves linked blocks again
             return "appended"
         return "ignored"
 
@@ -506,7 +508,7 @@ class NodeCore:
         return (index == 0 or self.store.get_hashes([index])[index] == hash_hex
                 or not is_hex_hash(hash_hex))
 
-    def _authentic(self, link: _Link | None, env: MessageEnvelope) -> bool:
+    def _authentic(self, link: _Link, env: MessageEnvelope) -> bool:
         """Check an envelope as it arrives: on a keyed link, its counter rises
         past the last one whose tag checked and its tag checks under the
         link's receive key, and the counter is kept; on any other, its Ed25519
@@ -514,7 +516,7 @@ class NodeCore:
         replayed or reflected one or a link-open request sent again, fails
         before any tag is computed. A failed envelope is counted; a lost
         link-open reply is repaired by a new link (see tick)."""
-        if link is None or link.keys is None:
+        if link.keys is None:
             ok = verify_envelope(env)
         else:
             ok = (type(env.counter) is int and env.counter > link.received
@@ -530,26 +532,24 @@ class NodeCore:
 
     # -- sync --------------------------------------------------------------------
 
-    def request_sync(self, conn) -> bool:
+    def request_sync(self, link: _Link) -> bool:
         """Send a locator of our chain, tip first; the peer answers with what follows it."""
-        link = self._links.get(id(conn))
-        if link is not None:
-            if self._sync_pending(link):
-                return False
-            link.sync_sent_ms = link.quiet_since_ms = self.clock()
+        if self._sync_pending(link):
+            return False
+        link.sync_sent_ms = link.quiet_since_ms = self.clock()
         heights = locator_heights(self.store.get_block_count() - 1)
         hashes = self.store.get_hashes(heights)
         payload = {"locator": [[height, hashes[height]] for height in heights]}
-        if link is not None and link.outbound and not link.established:
+        if link.outbound and not link.established:
             payload.update(link.hello)  # the link-open request
-        return self._send(conn, wire.GET_BLOCKS, payload)
+        return self._send(link, wire.GET_BLOCKS, payload)
 
     def _sync_pending(self, link: _Link) -> bool:
         """Whether the link's last GET_BLOCKS is unanswered and not yet due a retry."""
         return (link.sync_sent_ms is not None
                 and self.clock() - link.sync_sent_ms < SYNC_RETRY_MS)
 
-    def _serve_sync(self, conn, env: MessageEnvelope) -> None:
+    def _serve_sync(self, link: _Link, env: MessageEnvelope) -> None:
         """Answer a locator with one page of the blocks after the fork point.
 
         The fork point is the highest locator height whose hash is ours;
@@ -563,8 +563,7 @@ class NodeCore:
         lack the locator's first entry, the peer's tip. Serving a request
         restarts no quiet timer (see tick).
         """
-        link = self._links.get(id(conn))
-        opening = link is not None and not link.established
+        opening = not link.established
         locator = _parse_locator(env.payload)
         if opening:
             hello = self._hello()
@@ -572,7 +571,7 @@ class NodeCore:
                                                      self.identity.node_id, env.sender,
                                                      dialer=False)
             if not keys:  # no locator, or no keys
-                self._drop_conn(conn)
+                self._drop_conn(link.conn)
                 return
         if locator is None:
             return  # no reply: a request costs at most MAX_LOCATOR lookups
@@ -591,30 +590,26 @@ class NodeCore:
         reply = {"after": after, "blocks": page, "more": len(page) < len(rows)}
         if opening:
             reply.update(hello)
-            # signed: the dialer's end of the link has no keys before it reads this
-            raw = sign_envelope(wire.BLOCKS, self.clock(), reply, self.identity).encode()
-        else:
-            raw = self.frame(conn, wire.BLOCKS, reply)
-        self._send_raw(conn, raw)
+        # signed at link open, as the keys are set only after the send: the
+        # dialer's end of the link has none before it reads this
+        self._send(link, wire.BLOCKS, reply)
         if opening:
             link.keys, link.peer = keys, env.sender
             height, tip_hash = locator[0]
             if ours.get(height) != tip_hash:
-                self.request_sync(conn)
+                self.request_sync(link)
 
-    def _handle_sync_response(self, conn, env: MessageEnvelope) -> str:
-        link = self._links.get(id(conn))
+    def _handle_sync_response(self, link: _Link, env: MessageEnvelope) -> str:
         payload = env.payload if isinstance(env.payload, dict) else {}
-        if link is not None and not link.established:
+        if not link.established:
             # the reply to our link-open request: its share and nonce key the link
             link.keys = link.hello and self._share.link_keys(
                 link.hello, payload, self.identity.node_id, env.sender, dialer=True)
             if link.keys is None:
-                self._drop_conn(conn)
+                self._drop_conn(link.conn)
                 return "ignored"
             link.peer = env.sender
-        if link is not None:
-            link.sync_sent_ms = None
+        link.sync_sent_ms = None
         after, raw_blocks, more = payload.get("after"), payload.get("blocks"), payload.get("more")
         blocks, outcome = [], "ignored"
         if is_block_int(after) and isinstance(raw_blocks, list) and isinstance(more, bool):
@@ -625,8 +620,8 @@ class NodeCore:
             else:
                 outcome = self.adopt_if_heavier(after, blocks)
         if more and outcome == "adopted":
-            self.request_sync(conn)  # the next page: the sync goes on
-        elif link is not None and link.wanted is not None:
+            self.request_sync(link)  # the next page: the sync goes on
+        elif link.wanted is not None:
             # this reply ends a sync a gossiped block set off: it either
             # reached that block or the block's parent was not served
             if outcome == "adopted" or any(b.hash == link.wanted for b in blocks):
@@ -640,7 +635,7 @@ class NodeCore:
         return "ignored" if outcome == "unlinked" else outcome
 
     def adopt_if_heavier(self, after: int, blocks: list[Block], *,
-                         gossip: tuple[_Link | None, MessageEnvelope] | None = None) -> str:
+                         gossip: tuple[_Link, MessageEnvelope] | None = None) -> str:
         """The one way blocks join the chain, gossiped, synced or mined here.
 
         "unlinked" when `blocks[0]` does not follow the stored block at
@@ -760,51 +755,45 @@ class NodeCore:
                                     canonical_json(tx["contract"]).decode("utf-8"),
                                     block.index)
             return
-        error = self._execute_call(block, tx)
-        if error is not None:
-            reason = (error.reason.value if isinstance(error, ContractError)
-                      else type(error).__name__)
-            self.exec_errors[reason] = self.exec_errors.get(reason, 0) + 1
-
-    def _execute_call(self, block: Block, tx: dict):
         cid = tx["contract_id"]
-        # The store decides whether the contract exists on this chain; a
-        # cached compile may outlive its deploy across a reorg.
-        source = self.store.get_contract(cid)
-        if source is None:
-            return ContractNotFound(cid)
         try:
+            # The store decides whether the contract exists on this chain; a
+            # cached compile may outlive its deploy across a reorg.
+            source = self.store.get_contract(cid)
+            if source is None:
+                raise ContractNotFound(cid)
             compiled = cached_lookup(self.cache, cid, lambda _cid: json.loads(source))
             execute(compiled, tx["args"],
                     lambda key: self.store.get_state(cid, key),
                     lambda key, value: self.store.put_state(cid, key, value, block.index))
-            return None
-        except ContractError as exc:
-            return exc
+        except (ContractError, ContractNotFound) as exc:
+            reason = (exc.reason.value if isinstance(exc, ContractError)
+                      else type(exc).__name__)
+            self.exec_errors[reason] = self.exec_errors.get(reason, 0) + 1
 
     # -- client surface -------------------------------------------------------------
 
-    def _handle_tx(self, conn, env: MessageEnvelope) -> None:
+    def _handle_tx(self, link: _Link, env: MessageEnvelope) -> None:
         payload = env.payload if isinstance(env.payload, dict) else {}
         tx = payload.get("tx")
 
         def reply(result: dict) -> None:
-            self._send(conn, wire.RESPONSE, result)
+            self._send(link, wire.RESPONSE, result)
 
         self.submit_tx(tx if isinstance(tx, dict) else {}, reply)
 
-    def _handle_query(self, conn, env: MessageEnvelope) -> None:
+    def _handle_query(self, link: _Link, env: MessageEnvelope) -> None:
         payload = env.payload if isinstance(env.payload, dict) else {}
         what = payload.get("what")
         params = payload.get("params") or {}
-        raw = self.frame(conn, wire.RESPONSE, self.handle_query(what, params))
+        raw = self.frame(link, wire.RESPONSE, self.handle_query(what, params))
         try:
             wire.check_frame_size(raw)
         except wire.ProtocolError as exc:
             # e.g. a chain too long for one frame: answer, never leave the client waiting
-            raw = self.frame(conn, wire.RESPONSE,
+            raw = self.frame(link, wire.RESPONSE,
                              {"ok": False, "what": what, "error": str(exc)})
-        self._send_raw(conn, raw)
+        self._send_raw(link, raw)
 
     def handle_query(self, what, params) -> dict:
         if not isinstance(params, dict):
@@ -851,23 +840,21 @@ class NodeCore:
 
     # -- plumbing ---------------------------------------------------------------------
 
-    def frame(self, conn, kind: str, payload) -> bytes:
-        """`payload` as it leaves on `conn`, as wire bytes: tagged as the
+    def frame(self, link: _Link, kind: str, payload) -> bytes:
+        """`payload` as it leaves on `link`, as wire bytes: tagged as the
         link's next frame once the link is keyed, signed otherwise."""
-        link = self._links.get(id(conn))
-        if link is None or link.keys is None:
+        if link.keys is None:
             return sign_envelope(kind, self.clock(), payload, self.identity).encode()
-        return self.frames(kind, payload, [conn])[0][1]
+        return self.frames(kind, payload, [link])[0][1]
 
-    def frames(self, kind: str, payload, conns: list) -> list[tuple[object, bytes]]:
-        """`payload` for each of `conns`, established links' conns, as (conn,
-        wire bytes): encoded once, and tagged as each link's next frame."""
-        if not conns:
+    def frames(self, kind: str, payload, links: list[_Link]) -> list[tuple[_Link, bytes]]:
+        """`payload` for each of `links`, established ones, as (link, wire
+        bytes): encoded once, and tagged as each link's next frame."""
+        if not links:
             return []
-        links = [self._links[id(conn)] for conn in conns]
         for link in links:
             link.sent += 1
-        return list(zip(conns, tag_frames(kind, self.clock(), payload, self.identity.node_id,
+        return list(zip(links, tag_frames(kind, self.clock(), payload, self.identity.node_id,
                                           [(link.keys[0], link.sent) for link in links])))
 
     def _hello(self) -> dict:
@@ -876,17 +863,17 @@ class NodeCore:
             self._share = KeyShare(self.random_bytes)
         return self._share.hello()
 
-    def _send(self, conn, kind: str, payload) -> bool:
-        return self._send_raw(conn, self.frame(conn, kind, payload))
+    def _send(self, link: _Link, kind: str, payload) -> bool:
+        return self._send_raw(link, self.frame(link, kind, payload))
 
-    def _send_raw(self, conn, raw: bytes) -> bool:
+    def _send_raw(self, link: _Link, raw: bytes) -> bool:
         try:
-            conn.send_message(raw)
+            link.conn.send_message(raw)
             return True
         except wire.ProtocolError:
             return False  # the frame is over the size cap; the link itself is fine
         except (ConnectionError, OSError):
-            self._forget(conn)
+            self._forget(link.conn)
             return False
 
     def _drop_conn(self, conn) -> None:

@@ -385,13 +385,13 @@ class _Harness:
             tamper_envelope = True
 
         self.malicious_emitted.add(block.hash)
-        for conn, raw in core.frames(NEW_BLOCK, {"block": block_to_json(block)},
+        for link, raw in core.frames(NEW_BLOCK, {"block": block_to_json(block)},
                                      core.connected()):
             if tamper_envelope:  # change the first hex digit of the link's tag
                 at = raw.rindex(b'"signature":"') + len(b'"signature":"')
                 raw = raw[:at] + (b"1" if raw[at:at + 1] == b"0" else b"0") + raw[at + 1:]
             try:
-                conn.send_message(raw)
+                link.conn.send_message(raw)
             except ConnectionError:
                 pass
 

@@ -274,7 +274,7 @@ class BlockStore:
 
 class _Transaction:
     """What `BlockStore.transaction()` returns: the outermost entry begins,
-    and its exit commits, or rolls back on an exception."""
+    and its exit commits, or rolls back on an exception or a failed commit."""
 
     def __init__(self, store: BlockStore):
         self.store = store
@@ -296,7 +296,13 @@ class _Transaction:
             store._txn_depth -= 1
             if store._txn_depth == 0:
                 tip, store._tip = store._tip, _UNREAD  # kept by a commit that returns
-                store._conn.execute("ROLLBACK" if exc_type else "COMMIT")
+                try:
+                    store._conn.execute("ROLLBACK" if exc_type else "COMMIT")
+                except BaseException:
+                    # SQLite can keep the transaction of a COMMIT that fails open
+                    if store._conn.in_transaction:
+                        store._conn.execute("ROLLBACK")
+                    raise
                 store._tip = _UNREAD if exc_type else tip
         finally:
             store._lock.release()

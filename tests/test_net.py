@@ -57,8 +57,8 @@ class TestHandshake:
         conn = cluster.connect(0, 1)
         cluster.pump()
         a, b = cluster.nodes
-        assert a.connected() == [conn]
-        assert b.connected() == [conn.peer]
+        assert [link.conn for link in a.connected()] == [conn]
+        assert [link.conn for link in b.connected()] == [conn.peer]
 
     def test_bad_signature_request_adds_no_record(self, cluster_factory):
         cluster = cluster_factory(2)
@@ -224,7 +224,7 @@ class TestLinkTeardown:
         else:
             peer.open(locator=self.AHEAD)  # keyed, and the node pulls back
             link = node._links[id(peer.conn)]
-            assert node.connected() == [peer.conn]
+            assert node.connected() == [link]
             assert link.keys is not None and link.sync_sent_ms is not None
 
         getattr(self, teardown)(cluster, node, peer)
@@ -364,9 +364,9 @@ class TestBroadcast:
         cluster = self.mesh(cluster_factory, 5)
         node = cluster.nodes[0]
         # break the link to node 3 without telling node 0
-        links = {conn.remote_addr: conn for conn in node.connected()}
-        links["mem:3"].closed = True
-        links["mem:3"].peer.closed = True
+        links = {link.conn.remote_addr: link for link in node.connected()}
+        links["mem:3"].conn.closed = True
+        links["mem:3"].conn.peer.closed = True
         block = mine_block(create_new_block("x", node.store.tip(), 4, 1))
         assert node.broadcast_block(block) == 3
         assert links["mem:3"] not in node.connected()
@@ -396,12 +396,14 @@ class TestSimFrameCap:
         monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 64)  # every envelope is over it
         with pytest.raises(wire.ProtocolError):
             conn.send_message(b"x" * 65)
-        assert node._send(conn, wire.QUERY, {}) is False
+        [link] = node.connected()
+        assert link.conn is conn
+        assert node._send(link, wire.QUERY, {}) is False
         assert len(cluster.queue) == queued  # nothing went on the link
         monkeypatch.undo()
         assert not conn.closed
-        assert node.connected() == [conn]
-        assert node._send(conn, wire.QUERY, {}) is True
+        assert node.connected() == [link]
+        assert node._send(link, wire.QUERY, {}) is True
 
 
 class TestTxSizeLimit:
@@ -500,14 +502,14 @@ class TestBlockSizeRule:
         a, b = cluster.nodes
         cluster.connect(0, 1)
         cluster.pump()
-        [a_conn], [b_conn] = a.connected(), b.connected()
+        [a_link], [b_link] = a.connected(), b.connected()
         self.calls.clear()
         big = block_to_json(self.block(b, self.BOUND + 1))
         payload = ({"block": big} if kind == wire.NEW_BLOCK
                    else {"after": 0, "blocks": [big], "more": False})
-        raw = a.frame(a_conn, kind, payload)
+        raw = a.frame(a_link, kind, payload)
         assert len(raw) < self.CAP  # the frame itself is allowed
-        assert b.on_message(b_conn, raw) == "ignored"
+        assert b.on_message(b_link.conn, raw) == "ignored"
         assert b.rejects_by_reason == {"MalformedBlock": 1}
         assert b.store.get_block_count() == 1
         # the tag is checked as the frame arrives; no block is verified
@@ -535,12 +537,12 @@ class TestBlockSizeRule:
         cluster.pump()
         sent = TestHolderList.new_block_frames(cluster, monkeypatch)
         largest = self.block(a, self.BOUND)
-        [conn] = a.connected()
+        [link] = a.connected()
         fillers = ["%08x" % i for i in range(wire.MAX_HOLDERS - 1)]
         payload = {"block": block_to_json(largest),
                    "have": [wire.short_id(a.identity.node_id)] + fillers}
-        raw = a.frame(conn, wire.NEW_BLOCK, payload)
-        assert b.on_message(conn.peer, raw) == "appended"
+        raw = a.frame(link, wire.NEW_BLOCK, payload)
+        assert b.on_message(link.conn.peer, raw) == "appended"
         cluster.pump()
         assert c.store.tip() == largest
         [(_, to, relayed)] = sent
@@ -560,8 +562,8 @@ class TestBlockSizeRule:
 class TestHandleNewBlock:
     def envelope_for(self, sender_core, block):
         """`block` gossiped as the next frame on `sender_core`'s one link."""
-        [conn] = sender_core.connected()
-        return decode_envelope(sender_core.frame(conn, wire.NEW_BLOCK,
+        [link] = sender_core.connected()
+        return decode_envelope(sender_core.frame(link, wire.NEW_BLOCK,
                                                  {"block": block_to_json(block)}))
 
     def test_next_index_block_appended_and_relayed(self, cluster_factory):
@@ -588,8 +590,8 @@ class TestHandleNewBlock:
             blk = mine_block(create_new_block(f"p{i}", tip, 4, 10 + i))
             blocks.append(blk)
             tip = blk
-        [conn] = b.connected()
-        outcome = b.handle_new_block(conn, self.envelope_for(a, blocks[-1]))
+        [link] = b.connected()
+        outcome = b.handle_new_block(link, self.envelope_for(a, blocks[-1]))
         assert outcome == "sync_triggered"
 
     def test_invalid_pow_counted_and_ignored(self, cluster_factory):
@@ -606,8 +608,8 @@ class TestHandleNewBlock:
                 break
             data += "."
         before = b.store.get_block_count()
-        [conn] = b.connected()
-        outcome = b.handle_new_block(conn, self.envelope_for(a, fake))
+        [link] = b.connected()
+        outcome = b.handle_new_block(link, self.envelope_for(a, fake))
         assert outcome == "ignored"
         assert b.rejects_by_reason == {"InsufficientWork": 1}
         assert b.store.get_block_count() == before
@@ -618,8 +620,8 @@ class TestHandleNewBlock:
         cluster.pump()
         a, b = cluster.nodes
         env = self.envelope_for(a, genesis_block())
-        [conn] = b.connected()
-        assert b.handle_new_block(conn, env) == "ignored"
+        [link] = b.connected()
+        assert b.handle_new_block(link, env) == "ignored"
         assert b.rejects_by_reason == {}
 
     def test_delivered_block_reads_the_tip_height_once(self, cluster_factory, monkeypatch):
@@ -644,8 +646,8 @@ class TestHandleNewBlock:
 
         monkeypatch.setattr(b.store, "chain_info", counting_chain_info)
         monkeypatch.setattr(b, "adopt_if_heavier", recording_adopt)
-        [conn] = b.connected()
-        assert b.on_message(conn, self.envelope_for(a, block).encode()) == "appended"
+        [link] = b.connected()
+        assert b.on_message(link.conn, self.envelope_for(a, block).encode()) == "appended"
         assert tip_queries == ["adopt", "chain_info"]
 
 
@@ -837,10 +839,10 @@ class TestHolderList:
         cluster.net.loss_rate = loss_rate
         a, b, c, d = cluster.nodes
         sent = self.new_block_frames(cluster, monkeypatch)
-        [conn] = [conn for conn in a.connected() if conn.remote_addr == "mem:2"]
+        [link] = [link for link in a.connected() if link.conn.remote_addr == "mem:2"]
         block = self.next_block(c, "over lossy links")
         payload = {"block": block_to_json(block), "have": self.short(a, b, c, d)}
-        assert c.on_message(conn.peer, a.frame(conn, wire.NEW_BLOCK, payload)) == "appended"
+        assert c.on_message(link.conn.peer, a.frame(link, wire.NEW_BLOCK, payload)) == "appended"
         expected = [] if loss_rate == 0 else [("mem:2", "mem:1"), ("mem:2", "mem:3")]
         assert sorted((src, dst) for src, dst, _ in sent) == expected
 
@@ -957,13 +959,12 @@ class TestUnservedParents:
             real_deliver(src, dst, message)
 
         monkeypatch.setattr(cluster.net, "deliver", recording_deliver)
-        [self.a_conn], [b_conn] = a.connected(), b.connected()
-        self.link = b._links[id(b_conn)]
+        [self.a_link], [self.link] = a.connected(), b.connected()
 
     def gossip(self, block):
         """a relays `block` to b."""
-        self.a_conn.send_message(self.a.frame(self.a_conn, wire.NEW_BLOCK,
-                                              {"block": block_to_json(block)}))
+        self.a_link.conn.send_message(self.a.frame(self.a_link, wire.NEW_BLOCK,
+                                                   {"block": block_to_json(block)}))
         self.cluster.pump()
 
     def gap(self, n):
@@ -975,8 +976,8 @@ class TestUnservedParents:
 
     def reply(self, payload):
         """b takes a BLOCKS reply from a."""
-        raw = self.a.frame(self.a_conn, wire.BLOCKS, payload)
-        return self.b.on_envelope(self.link.conn, decode_envelope(raw))
+        raw = self.a.frame(self.a_link, wire.BLOCKS, payload)
+        return self.b.on_envelope(self.link, decode_envelope(raw))
 
     def test_peer_that_never_serves_the_parent_stops_setting_off_syncs(self):
         b, link = self.b, self.link
@@ -1039,10 +1040,9 @@ class TestUnservedParents:
         self.cluster.pump()
         assert self.a.connected() == self.b.connected() == []
         net.heal()
-        self.a_conn = self.cluster.connect(0, 1)
+        self.cluster.connect(0, 1)
         self.cluster.pump()
-        [b_conn] = self.b.connected()
-        link = self.b._links[id(b_conn)]
+        [self.a_link], [link] = self.a.connected(), self.b.connected()
         assert link.unserved == 0
         assert len(self.requests) == self.LIMIT  # both hold genesis only: no link-open sync
         self.gossip(orphan(self.b, self.LIMIT + 1))
@@ -1051,9 +1051,9 @@ class TestUnservedParents:
 
     def test_rate_limited_request_sets_no_wanted(self):
         b, link = self.b, self.link
-        assert b.request_sync(link.conn)  # a sync of b's own is pending
-        outcome = b.handle_new_block(link.conn, decode_envelope(self.a.frame(
-            self.a_conn, wire.NEW_BLOCK, {"block": block_to_json(orphan(b, 0))})))
+        assert b.request_sync(link)  # a sync of b's own is pending
+        outcome = b.handle_new_block(link, decode_envelope(self.a.frame(
+            self.a_link, wire.NEW_BLOCK, {"block": block_to_json(orphan(b, 0))})))
         assert outcome == "sync_triggered"
         assert link.wanted is None
         self.cluster.pump()
@@ -1117,16 +1117,13 @@ class TestSync:
         a, b = cluster.nodes
         self.grow(a, 2, "a")
         chain = a.store.get_all_blocks()
+        peer = PeerEnd(a, b.identity).open()
+        link, sent = a._links[id(peer.conn)], peer.conn.sent
 
         def serve(locator):
-            sent = []
-
-            class Capture:
-                def send_message(self, raw):
-                    sent.append(raw)
-
-            a.on_envelope(Capture(), sign_envelope(wire.GET_BLOCKS, 1,
-                                                   {"locator": locator}, b.identity))
+            sent.clear()
+            a.on_envelope(link, sign_envelope(wire.GET_BLOCKS, 1,
+                                              {"locator": locator}, b.identity))
             assert len(sent) == 1
             reply = json.loads(sent[0])
             assert reply["kind"] == "BLOCKS"
@@ -1264,7 +1261,7 @@ class TestSync:
         cluster.run_until(timeout)
         redialed = dialer.peers[cluster.addrs[1]]
         assert first.closed and redialed is not first
-        assert dialer.connected() == [redialed]
+        assert [link.conn for link in dialer.connected()] == [redialed]
         assert len(listener.connected()) == len(listener._links) == 1
         for i in (0, 1):
             results = cluster.submit(i, {"kind": "raw", "data": f"after the loss {i}"})

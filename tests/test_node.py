@@ -297,8 +297,11 @@ def peer_end(core, conn):
 
 def from_peer(core, conn, kind, payload):
     """The outcome of PEER sending `payload` on `conn`: a client request
-    signed, any other message tagged on the link PEER opened there."""
+    signed, on a client's link the node is handed first as a runtime hands
+    it every conn, and any other message tagged on the link PEER opened
+    there."""
     if kind in (wire.TX, wire.QUERY):
+        core.on_inbound_connection(conn)
         return core.on_message(conn, sign_envelope(kind, 1, payload, PEER).encode())
     return peer_end(core, conn).send(kind, payload)
 
@@ -504,6 +507,7 @@ class TestIntakeOrder:
             submit_and_run(core, queue, {"kind": "raw", "data": f"r{i}"})
         self.peer = PeerEnd(core, PEER).open()
         self.conn = self.peer.conn
+        self.link = core._links[id(self.conn)]
         self.checks = self.signatures = self.verifies = 0
         real_check, real_signature = node_module.verify_envelope, wire.verify_signature
         real_verify = consensus.verify_block
@@ -528,7 +532,7 @@ class TestIntakeOrder:
     def second_link(self, core):
         """Another established link, whose sent frames the test reads."""
         conn = PeerEnd(core, PEER, seed=1).open().conn
-        assert core.connected() == [self.conn, conn]
+        assert [link.conn for link in core.connected()] == [self.conn, conn]
         self.checks = self.signatures = 0
         return conn
 
@@ -733,7 +737,6 @@ class TestIntakeOrder:
     def test_each_block_envelope_is_verified_once(self, core):
         # a NEW_BLOCK's tag is checked once, by on_message, whatever its
         # block's checks decide; on_envelope takes an envelope already checked
-        conn = self.conn
         outcomes = []
         for block in (unlinked_block(core), core.store.get_block(2), self.cheap_block(core),
                       next_block(core)):
@@ -743,7 +746,7 @@ class TestIntakeOrder:
         block = next_block(core)
         env = decode_envelope(self.peer.frame(wire.NEW_BLOCK,
                                               {"block": block_to_json(block)}))
-        assert core.on_envelope(conn, env) == "appended"
+        assert core.on_envelope(self.link, env) == "appended"
         assert self.checks == 4
         assert core.store.tip() == block
 
@@ -771,13 +774,13 @@ class TestIntakeOrder:
         # or another: it carries no counter, so it is dropped and counted
         # before any check, and the link keeps its keys. A dialer that lost
         # the reply is keyed by the link it dials once its tick closes this one
-        link = core._links[id(self.conn)]
+        link = self.link
         keys = link.keys
         raw = self.peer.opening(**fields).encode()
         assert core.on_message(self.conn, raw) == "dropped"
         assert self.checks == 0 and self.conn.sent == []
         assert core.dropped_envelopes == 1
-        assert link.keys is keys and core.connected() == [self.conn]
+        assert link.keys is keys and core.connected() == [link]
         assert self.peer.send(wire.QUERY, {"what": "stats"}) == "handled"
 
     @pytest.mark.parametrize("frame", ["other-direction", "reflected"])
@@ -793,7 +796,7 @@ class TestIntakeOrder:
         if frame == "other-direction":
             raw = self.peer.frame(kind, payload, key=self.peer.keys[1])
         else:
-            core._send(self.conn, kind, payload)
+            core._send(self.link, kind, payload)
             raw = self.conn.sent.pop()
         assert core.on_message(self.conn, raw) == "dropped"
         assert self.checks == 1 and self.signatures == 0
@@ -854,6 +857,31 @@ class TestIntakeOrder:
         assert core.on_message(conn, raw) == "ignored"
         assert self.checks == 0 and conn.sent == []
         assert core.dropped_envelopes == 0 and core.rejects_by_reason == {}
+        assert core.store.get_all_blocks() == chain
+
+    @pytest.mark.parametrize("frame", ["signed", "tagged"])
+    @pytest.mark.parametrize("kind", [wire.NEW_BLOCK, wire.GET_BLOCKS, wire.BLOCKS, wire.TX,
+                                      wire.QUERY])
+    def test_frame_on_a_conn_with_no_link_is_ignored(self, core, kind, frame):
+        # both runtimes hand the core every conn before its first frame, so
+        # a conn it was never handed has no link, and nothing on it is
+        # checked, counted or answered
+        conn = Capture()
+        chain, links = core.store.get_all_blocks(), dict(core._links)
+        block = block_to_json(next_block(core))
+        payload = {
+            wire.NEW_BLOCK: {"block": block},
+            wire.GET_BLOCKS: PeerEnd(core, PEER, seed=2).opening().payload,
+            wire.BLOCKS: {"after": chain[-1].index, "blocks": [block], "more": False},
+            wire.TX: {"tx": {"kind": "raw", "data": "unlinked"}},
+            wire.QUERY: {"what": "stats"},
+        }[kind]
+        raw = (sign_envelope(kind, 1, payload, PEER).encode() if frame == "signed"
+               else self.peer.frame(kind, payload))
+        assert core.on_message(conn, raw) == "ignored"
+        assert self.checks == 0 and conn.sent == [] and self.conn.sent == []
+        assert core.dropped_envelopes == 0 and core.rejects_by_reason == {}
+        assert core._links == links and not core._queue
         assert core.store.get_all_blocks() == chain
 
     @pytest.mark.parametrize("kind", [wire.NEW_BLOCK, wire.BLOCKS])
@@ -1249,7 +1277,7 @@ class TestStaleSyncReply:
         heavier = self.chain([genesis_block()], 2, 10, "c")
         self.adopt(requester, heavier)
         assert requester.on_message(conn, reply) == "ignored"
-        assert requester.connected() == [conn]
+        assert [link.conn for link in requester.connected()] == [conn]
         assert requester.store.get_all_blocks() == heavier
         assert requester.rejects_by_reason == {}
 
@@ -1311,11 +1339,13 @@ class TestOversizedFrame:
         core.on_inbound_connection(conn)
         # the link opens, though the node's reply is refused too
         assert core.on_message(conn, PeerEnd(core, PEER, conn).opening().encode()) == "handled"
-        assert core._send(conn, "QUERY", {}) is False
+        [link] = core.connected()
+        assert link.conn is conn
+        assert core._send(link, "QUERY", {}) is False
         result = submit_and_run(core, queue, {"kind": "raw", "data": "big"})
         assert result["ok"] is True
         assert core.store.get_block_count() == 2
-        assert core.connected() == [conn]
+        assert core.connected() == [link]
 
 
 class TestOversizedQueryResponse:
@@ -1630,8 +1660,8 @@ class TestTcpRuntime:
             longer = extend(chain, ["a2", "a3"], params.min_difficulty)
 
             def drop_then_grow():
-                for conn in a.core.connected():
-                    a.core._drop_conn(conn)
+                for link in a.core.connected():
+                    a.core._drop_conn(link.conn)
                 a.core.adopt_if_heavier(2, longer[3:])
 
             a.submit(drop_then_grow)
@@ -1660,7 +1690,8 @@ class TestTcpRuntime:
             assert self.wait_until(
                 lambda: len(b.core.connected()) == 1
                 and len(a.core.connected()) == 1), "an established link on each side"
-            assert all(conn.reliable for conn in a.core.connected() + b.core.connected())
+            assert all(link.conn.reliable
+                       for link in a.core.connected() + b.core.connected())
             chain = extend([genesis_block()], ["unpushed"], params.min_difficulty)
 
             def grow_unpushed():

@@ -436,6 +436,10 @@ class FailingConnection:
             raise sqlite3.OperationalError(f"{sql} failed")
         return self.conn.execute(sql, *args)
 
+    @property
+    def in_transaction(self) -> bool:
+        return self.conn.in_transaction
+
 
 def free_for_another_thread(lock) -> bool:
     """Whether a second thread can take `lock` within two seconds."""
@@ -513,9 +517,9 @@ class TestTransaction:
                 store.add_block(chain[1], RETARGET)
         store._conn = real
         assert store._txn_depth == 0
+        assert not real.in_transaction  # a failed COMMIT's transaction is rolled back
         assert free_for_another_thread(store._lock)
         if statement == "COMMIT":
-            real.execute("ROLLBACK")  # the transaction the COMMIT left open
             assert self.tip_statements(store) == ["SELECT"]
         assert store.get_all_blocks() == chain[:1]
         store.add_block(chain[1], RETARGET)
