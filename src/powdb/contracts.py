@@ -9,16 +9,21 @@ identically on every node:
               | ["add"|"sub"|"mul", expr, expr]
     cond      = ["eq"|"lt", expr, expr]
 
-All arithmetic is checked 64-bit signed; any error discards every write of
-the execution. A contract is addressed by the SHA-256 of its canonical JSON.
+A program runs only as compiled: its bounds are checked once, at compile
+time, and each statement, condition and expression node costs one step of
+STEP_BUDGET. All arithmetic is checked 64-bit signed; any error discards
+every write of the execution. A contract is addressed by the SHA-256 of its
+canonical JSON.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 from powdb.wire import canonical_json
 
@@ -29,13 +34,12 @@ MAX_NESTING = 32
 MAX_STATEMENTS = 1024
 STEP_BUDGET = 100_000
 
-_BIN_OPS = ("add", "sub", "mul")
-_COND_OPS = ("eq", "lt")
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_COND_OPS = {"eq": operator.eq, "lt": operator.lt}
 
 
 class ExecReason(Enum):
     OVERFLOW = "Overflow"
-    DEPTH_EXCEEDED = "DepthExceeded"
     STEP_LIMIT = "StepLimit"
     BAD_ARG_INDEX = "BadArgIndex"
     MALFORMED_SOURCE = "MalformedSource"
@@ -57,7 +61,7 @@ class ContractNotFound(KeyError):
 @dataclass(frozen=True)
 class CompiledContract:
     contract_id: str  # 64-char hex, SHA-256 of the canonical source
-    statements: tuple  # validated program
+    run: Callable  # run(ctx): the whole program, compiled
     arg_count: int  # max ["arg", i] index + 1
 
 
@@ -73,55 +77,81 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class _Validator:
+def _checked(value: int) -> int:
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise ContractError(ExecReason.OVERFLOW, f"{value} outside signed 64-bit range")
+    return value
+
+
+class _Compiler:
+    """Checks each node once and returns a function that ticks, then runs it."""
+
     def __init__(self):
         self.max_arg = -1
         self.statement_count = 0
 
-    def check_key(self, key, position: str) -> None:
+    def check_key(self, key, position: str) -> str:
         if not isinstance(key, str):
             raise _malformed(f"key must be a string, got {type(key).__name__}", position)
         if "\x1f" in key:
             raise _malformed("key must not contain the 0x1f byte", position)
+        return key
 
-    def expr(self, node, position: str, depth: int) -> None:
+    def expr(self, node, position: str, depth: int):
         if depth > MAX_NESTING:
             raise _malformed(f"nesting depth exceeds {MAX_NESTING}", position)
         if _is_int(node):
             if not INT64_MIN <= node <= INT64_MAX:
                 raise _malformed(f"literal {node} outside signed 64-bit range", position)
-            return
+            def literal(ctx):
+                ctx.tick()
+                return node
+            return literal
         if not isinstance(node, list) or not node or not isinstance(node[0], str):
             raise _malformed("expression must be an integer or an operator list", position)
         op = node[0]
         if op == "get":
             if len(node) != 2:
                 raise _malformed('["get", key] takes one key', position)
-            self.check_key(node[1], position)
-        elif op == "arg":
+            key = self.check_key(node[1], position)
+            def get(ctx):
+                ctx.tick()
+                return ctx.read(key)
+            return get
+        if op == "arg":
             if len(node) != 2 or not _is_int(node[1]) or node[1] < 0:
                 raise _malformed('["arg", i] takes one non-negative index', position)
-            self.max_arg = max(self.max_arg, node[1])
-        elif op in _BIN_OPS:
+            index = node[1]
+            self.max_arg = max(self.max_arg, index)
+            def arg(ctx):  # execute() has checked that every index is supplied
+                ctx.tick()
+                return ctx.args[index]
+            return arg
+        if op in _ARITH:
             if len(node) != 3:
                 raise _malformed(f'["{op}", a, b] takes two operands', position)
-            self.expr(node[1], f"{position}[1]", depth + 1)
-            self.expr(node[2], f"{position}[2]", depth + 1)
-        else:
-            raise _malformed(f"unknown expression operator {op!r}", position)
+            a = self.expr(node[1], f"{position}[1]", depth + 1)
+            b = self.expr(node[2], f"{position}[2]", depth + 1)
+            apply = _ARITH[op]
+            def arith(ctx):
+                ctx.tick()
+                return _checked(apply(a(ctx), b(ctx)))
+            return arith
+        raise _malformed(f"unknown expression operator {op!r}", position)
 
-    def cond(self, node, position: str, depth: int) -> None:
-        if depth > MAX_NESTING:
-            raise _malformed(f"nesting depth exceeds {MAX_NESTING}", position)
+    def cond(self, node, position: str, depth: int):
         if (not isinstance(node, list) or len(node) != 3
-                or node[0] not in _COND_OPS):
+                or not isinstance(node[0], str) or node[0] not in _COND_OPS):
             raise _malformed('condition must be ["eq"|"lt", expr, expr]', position)
-        self.expr(node[1], f"{position}[1]", depth + 1)
-        self.expr(node[2], f"{position}[2]", depth + 1)
+        a = self.expr(node[1], f"{position}[1]", depth + 1)
+        b = self.expr(node[2], f"{position}[2]", depth + 1)
+        compare = _COND_OPS[node[0]]
+        def test(ctx):
+            ctx.tick()
+            return compare(a(ctx), b(ctx))
+        return test
 
-    def statement(self, node, position: str, depth: int) -> None:
-        if depth > MAX_NESTING:
-            raise _malformed(f"nesting depth exceeds {MAX_NESTING}", position)
+    def statement(self, node, position: str, depth: int):
         self.statement_count += 1
         if self.statement_count > MAX_STATEMENTS:
             raise _malformed(f"more than {MAX_STATEMENTS} statements", position)
@@ -131,42 +161,49 @@ class _Validator:
         if op in ("set", "add", "sub"):
             if len(node) != 3:
                 raise _malformed(f'["{op}", key, expr] takes a key and an expression', position)
-            self.check_key(node[1], position)
-            self.expr(node[2], f"{position}[2]", depth + 1)
-        elif op == "if":
+            key = self.check_key(node[1], position)
+            value = self.expr(node[2], f"{position}[2]", depth + 1)
+            if op == "set":
+                def assign(ctx):
+                    ctx.tick()
+                    ctx.writes[key] = value(ctx)
+                return assign
+            apply = _ARITH[op]
+            def update(ctx):
+                ctx.tick()
+                ctx.writes[key] = _checked(apply(ctx.read(key), value(ctx)))
+            return update
+        if op == "if":
             if len(node) != 4:
                 raise _malformed('["if", cond, then, else] takes three parts', position)
-            self.cond(node[1], f"{position}[1]", depth + 1)
-            self.block(node[2], f"{position}[2]", depth + 1)
-            self.block(node[3], f"{position}[3]", depth + 1)
-        else:
-            raise _malformed(f"unknown statement operator {op!r}", position)
+            test = self.cond(node[1], f"{position}[1]", depth + 1)
+            then = self.block(node[2], f"{position}[2]", depth + 1)
+            orelse = self.block(node[3], f"{position}[3]", depth + 1)
+            def branch(ctx):
+                ctx.tick()
+                (then if test(ctx) else orelse)(ctx)
+            return branch
+        raise _malformed(f"unknown statement operator {op!r}", position)
 
-    def block(self, node, position: str, depth: int) -> None:
+    def block(self, node, position: str, depth: int):
         if not isinstance(node, list):
             raise _malformed("statement block must be a list", position)
-        for i, stmt in enumerate(node):
-            self.statement(stmt, f"{position}[{i}]", depth)
+        statements = [self.statement(stmt, f"{position}[{i}]", depth)
+                      for i, stmt in enumerate(node)]
+        def run(ctx):
+            for statement in statements:
+                statement(ctx)
+        return run
 
 
 def compile_contract(source) -> CompiledContract:
-    """Validate a source program and derive its content address.
+    """Check a source program, compile it and derive its content address.
 
     Raises ContractError(MalformedSource) with the offending position.
     """
-    validator = _Validator()
-    validator.block(source, "$", 1)
-    return CompiledContract(
-        contract_id=contract_id_for(source),
-        statements=_freeze(source),
-        arg_count=validator.max_arg + 1,
-    )
-
-
-def _freeze(node):
-    if isinstance(node, list):
-        return tuple(_freeze(item) for item in node)
-    return node
+    compiler = _Compiler()
+    run = compiler.block(source, "$", 1)
+    return CompiledContract(contract_id_for(source), run, compiler.max_arg + 1)
 
 
 class _ExecContext:
@@ -189,61 +226,6 @@ class _ExecContext:
         return 0 if value is None else value
 
 
-def _checked(value: int) -> int:
-    if not INT64_MIN <= value <= INT64_MAX:
-        raise ContractError(ExecReason.OVERFLOW, f"{value} outside signed 64-bit range")
-    return value
-
-
-def _eval(node, ctx: _ExecContext, depth: int) -> int:
-    ctx.tick()
-    if depth > MAX_NESTING:
-        raise ContractError(ExecReason.DEPTH_EXCEEDED, f"evaluation deeper than {MAX_NESTING}")
-    if _is_int(node):
-        return node
-    op = node[0]
-    if op == "get":
-        return ctx.read(node[1])
-    if op == "arg":
-        index = node[1]
-        if index >= len(ctx.args):
-            raise ContractError(ExecReason.BAD_ARG_INDEX,
-                                f"arg {index} with only {len(ctx.args)} supplied")
-        return ctx.args[index]
-    a = _eval(node[1], ctx, depth + 1)
-    b = _eval(node[2], ctx, depth + 1)
-    if op == "add":
-        return _checked(a + b)
-    if op == "sub":
-        return _checked(a - b)
-    return _checked(a * b)  # "mul": validation admits nothing else
-
-
-def _test(cond, ctx: _ExecContext, depth: int) -> bool:
-    ctx.tick()
-    a = _eval(cond[1], ctx, depth + 1)
-    b = _eval(cond[2], ctx, depth + 1)
-    return a == b if cond[0] == "eq" else a < b
-
-
-def _run_block(stmts, ctx: _ExecContext, depth: int) -> None:
-    for stmt in stmts:
-        ctx.tick()
-        if depth > MAX_NESTING:
-            raise ContractError(ExecReason.DEPTH_EXCEEDED,
-                                f"execution deeper than {MAX_NESTING}")
-        op = stmt[0]
-        if op == "set":
-            ctx.writes[stmt[1]] = _eval(stmt[2], ctx, depth + 1)
-        elif op == "add":
-            ctx.writes[stmt[1]] = _checked(ctx.read(stmt[1]) + _eval(stmt[2], ctx, depth + 1))
-        elif op == "sub":
-            ctx.writes[stmt[1]] = _checked(ctx.read(stmt[1]) - _eval(stmt[2], ctx, depth + 1))
-        else:  # "if"
-            branch = stmt[2] if _test(stmt[1], ctx, depth + 1) else stmt[3]
-            _run_block(branch, ctx, depth + 1)
-
-
 def execute(contract: CompiledContract, args: list[int], read_state,
             write_state) -> dict[str, int]:
     """Run the program; all writes land or none do.
@@ -257,7 +239,7 @@ def execute(contract: CompiledContract, args: list[int], read_state,
         raise ContractError(ExecReason.BAD_ARG_INDEX,
                             f"contract needs {contract.arg_count} args, got {len(args)}")
     ctx = _ExecContext(args, read_state)
-    _run_block(contract.statements, ctx, 1)
+    contract.run(ctx)
     for key, value in ctx.writes.items():
         write_state(key, value)
     return dict(ctx.writes)

@@ -850,8 +850,6 @@ class NodeCore:
     def frames(self, kind: str, payload, links: list[_Link]) -> list[tuple[_Link, bytes]]:
         """`payload` for each of `links`, established ones, as (link, wire
         bytes): encoded once, and tagged as each link's next frame."""
-        if not links:
-            return []
         for link in links:
             link.sent += 1
         return list(zip(links, tag_frames(kind, self.clock(), payload, self.identity.node_id,

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from powdb import contracts
 from powdb.contracts import (
-    CompiledContract,
     ContractCache,
     ContractError,
     ContractNotFound,
@@ -89,6 +89,32 @@ class TestCompile:
         assert err.value.reason is ExecReason.MALFORMED_SOURCE
         compile_contract([["set", "k", 1]] * 1024)  # exactly at the cap is fine
 
+    def test_set_without_expression_is_refused(self):
+        with pytest.raises(ContractError) as err:
+            compile_contract([["set", "x"]])
+        assert err.value.reason is ExecReason.MALFORMED_SOURCE
+        assert err.value.position == "$[0]"
+        assert err.value.detail == '["set", key, expr] takes a key and an expression'
+
+    @staticmethod
+    def if_chain(depth):
+        body = [["set", "x", 1]]
+        for _ in range(depth):
+            body = [["if", ["eq", 1, 1], body, []]]
+        return body
+
+    def test_if_chain_30_deep_compiles_and_runs(self):
+        state, err = run(self.if_chain(30))
+        assert (state, err) == ({"x": 1}, None)
+
+    def test_if_chain_31_deep_is_refused_at_its_condition_operand(self):
+        # the 31st if sits at depth 31, so its condition's operands sit at 33
+        with pytest.raises(ContractError) as err:
+            compile_contract(self.if_chain(31))
+        assert err.value.reason is ExecReason.MALFORMED_SOURCE
+        assert err.value.position == "$[0]" + "[2][0]" * 30 + "[1][1]"
+        assert err.value.detail == "nesting depth exceeds 32"
+
     def test_equal_sources_share_id(self):
         assert (compile_contract([["add", "x", 1]]).contract_id
                 == compile_contract([["add", "x", 1]]).contract_id)
@@ -155,22 +181,37 @@ class TestExecute:
         assert err.value.reason is ExecReason.STEP_LIMIT
         assert state == {}
 
-    def test_depth_guard_on_handbuilt_form(self):
-        # bypasses compile(): the interpreter still refuses runaway nesting
-        expr = 1
-        for _ in range(40):
-            expr = ("add", expr, 1)
-        contract = CompiledContract(contract_id="0" * 64,
-                                    statements=(("set", "x", expr),), arg_count=0)
-        with pytest.raises(ContractError) as err:
-            execute(contract, [], {}.get, {}.__setitem__)
-        assert err.value.reason is ExecReason.DEPTH_EXCEEDED
-
     def test_missing_args_rejected_upfront(self):
         contract = compile_contract([["set", "x", ["arg", 3]]])
         with pytest.raises(ContractError) as err:
             execute(contract, [1, 2], {}.get, {}.__setitem__)
         assert err.value.reason is ExecReason.BAD_ARG_INDEX
+
+
+class TestSteps:
+    """One step per statement, condition and expression node, in run order."""
+
+    @pytest.mark.parametrize("source, args, steps, after", [
+        ([["set", "x", 5]], [], 2, {"x": 5}),
+        ([["set", "x", ["get", "y"]]], [], 2, {"x": 1}),
+        ([["set", "x", ["arg", 1]]], [4, 5], 2, {"x": 5}),
+        ([["set", "x", ["add", 1, 2]]], [], 4, {"x": 3}),
+        ([["set", "x", ["sub", ["get", "y"], 2]]], [], 4, {"x": -1}),
+        ([["set", "x", ["mul", ["arg", 0], ["add", 2, 3]]]], [4], 6, {"x": 20}),
+        ([["set", "x", 1], ["set", "z", 2]], [], 4, {"x": 1, "z": 2}),
+        ([["add", "x", 3]], [], 2, {"x": 3}),
+        ([["sub", "x", 3], ["sub", "x", 1]], [], 4, {"x": -4}),
+        ([["if", ["eq", ["get", "y"], 1], [["set", "x", 1]], [["set", "x", 2], ["set", "z", 3]]]],
+         [], 6, {"x": 1}),
+        ([["if", ["lt", 5, 2], [["set", "x", 1]], [["set", "x", 2], ["set", "z", 3]]]],
+         [], 8, {"x": 2, "z": 3}),
+    ], ids=["literal", "get", "arg", "add", "sub", "mul", "set", "add-stmt", "sub-stmt",
+            "if-eq", "if-lt"])
+    def test_budget_stops_one_step_short(self, monkeypatch, source, args, steps, after):
+        monkeypatch.setattr(contracts, "STEP_BUDGET", steps - 1)
+        assert run(source, args, state={"y": 1}) == ({"y": 1}, ExecReason.STEP_LIMIT)
+        monkeypatch.setattr(contracts, "STEP_BUDGET", steps)
+        assert run(source, args, state={"y": 1}) == ({"y": 1, **after}, None)
 
 
 class TestCache:

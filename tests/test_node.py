@@ -901,6 +901,20 @@ class TestIntakeOrder:
         assert core.store.get_all_blocks() == chain
 
 
+class TestSelfDial:
+    def test_own_link_open_request_is_not_answered(self):
+        # a node that dials its own address (a --peer equal to --listen)
+        # reads its own link-open request on the conn it accepted: it
+        # answers nothing and keys no link to itself
+        core, _queue = make_node()
+        conn = Capture()
+        core.on_inbound_connection(conn)
+        raw = PeerEnd(core, core.identity).opening(**core._hello()).encode()
+        assert core.on_message(conn, raw) == "self"
+        assert conn.sent == [] and core.connected() == []
+        assert core.dropped_envelopes == 0 and core.rejects_by_reason == {}
+
+
 class TestSixStepOrder:
     STEP_OF = {
         "client_request": 1,

@@ -12,6 +12,7 @@ from pathlib import Path
 import powdb.node
 import powdb.wire
 from powdb.chain import genesis_block
+from powdb.contracts import contract_id_for
 from powdb.node import NodeCore
 from powdb.sim import ScenarioConfig, run_scenario, sim_hashrate_per_ms
 from powdb.simnet import EventQueue, SimMiner
@@ -79,3 +80,34 @@ def test_adversarial_scenario_leaves_no_traced_layer_idle(monkeypatch):
         tracer.uninstall()
     metrics = spans.layer_metrics(tracer.summary(), puts=report["writes"]["submitted"])
     spans.check_busy("sim_adversarial", metrics)
+
+
+def test_node_contract_layers_are_busy(monkeypatch):
+    """The contract metrics MUST_BE_BUSY asks of node_tcp, counted on a
+    NodeCore through one deploy and three calls, so a lost wrapper fails
+    here and not only in a traced TCP run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    queue = EventQueue()
+    core = NodeCore(identity=NodeIdentity.from_seed(b"\x07" * 32),
+                    store=BlockStore(":memory:"), params=TEST_PARAMS, clock=lambda: queue.now,
+                    miner=SimMiner(queue, sim_hashrate_per_ms(TEST_PARAMS)))
+    source = [["add", "count", 1], ["add", "total", ["arg", 0]]]
+    txs = [{"kind": "deploy", "contract": source}] + [
+        {"kind": "call", "contract_id": contract_id_for(source), "args": [i]} for i in range(3)]
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, live_node=False)
+        for tx in txs:
+            replies = []
+            core.submit_tx(tx, replies.append)
+            queue.run()
+            assert replies and replies[-1]["ok"], replies
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.summary(), puts=len(txs))
+    assert metrics["contracts.execute.calls"] == 3
+    assert metrics["contracts.compile.calls"] >= 1
+    assert metrics["contracts.cache_hit_ratio"] > 0
+    assert core.store.get_state(contract_id_for(source), "total") == 3
+    core.store.close()

@@ -136,6 +136,32 @@ class TestConfigValidation:
                 ScenarioConfig.from_json({"node_count": 3, "duration_ms": 1000,
                                           key: bogus})
 
+    BASE = {"node_count": 3, "duration_ms": 1000}
+
+    @pytest.mark.parametrize("obj, message", [
+        ({**BASE, "duration_ms": 0}, "duration_ms must be positive"),
+        ({**BASE, "chain_params": {"min_difficulty": 9, "initial_difficulty": 8,
+                                   "max_difficulty": 10}},
+         "difficulty bounds must satisfy 1 <= min <= initial <= max <= 32, "
+         "got min=9 initial=8 max=10"),
+        ({**BASE, "workload": {"read_interval_ms": 0}}, "workload intervals must be positive"),
+        ({**BASE, "partitions": [{"start_ms": 10, "end_ms": 5, "groups": [[0, 1, 2]]}]},
+         "bad partition window [10, 5)"),
+        ({**BASE, "partitions": [{"start_ms": 0, "end_ms": 5, "groups": [[0, 1, 2], []]}]},
+         "partition groups must be non-empty"),
+        ({**BASE, "malicious": {"fraction": 0.5}},
+         "malicious fraction set but no behavior given"),
+        ({**BASE, "link": {"latency_ms": -1}},
+         "link latency must be >= 0 and loss rate in [0, 1)"),
+        ([BASE], "scenario must be a JSON object"),
+        ({**BASE, "partitions": {"start_ms": 0}}, "partitions must be a JSON list"),
+    ], ids=["duration", "chain-params", "interval", "window", "empty-group", "no-behavior",
+            "link", "not-an-object", "partitions-not-a-list"])
+    def test_malformed_scenario_names_its_fault(self, obj, message):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_json(obj)
+        assert str(err.value) == message
+
     def test_overlapping_groups_rejected(self):
         with pytest.raises(ConfigError):
             quick_config(partitions=[PartitionWindow(0, 10, [[0, 1], [1, 2, 3, 4]])]).validate()
