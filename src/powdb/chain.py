@@ -22,6 +22,7 @@ ZERO_HASH = "0" * 64
 GENESIS_DATA = "GENESIS"
 
 _HEX_HASH = re.compile(r"[0-9a-f]{64}")
+_BLOCK_KEYS = frozenset({"index", "timestamp", "data", "prev_hash", "hash", "difficulty", "nonce"})
 
 # The largest index, timestamp and nonce a block may carry: SQLite's largest
 # integer, so that every block that passes the shape check can be stored.
@@ -34,7 +35,7 @@ class MalformedBlockError(ValueError):
     """Raised when a block (usually off the wire) violates the field contracts."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Block:
     index: int
     timestamp: int  # Unix seconds, set by the block creator
@@ -43,6 +44,11 @@ class Block:
     hash: str
     difficulty: int  # leading zero bits required of `hash`
     nonce: int
+
+    def __init__(self, index, timestamp, data, prev_hash, hash, difficulty, nonce):
+        # one dict update: a frozen dataclass's own __init__ sets each field apart
+        self.__dict__.update(index=index, timestamp=timestamp, data=data, prev_hash=prev_hash,
+                             hash=hash, difficulty=difficulty, nonce=nonce)
 
     def with_nonce(self, nonce: int) -> "Block":
         return replace(self, nonce=nonce)
@@ -198,9 +204,8 @@ def block_from_json(obj: object) -> Block:
     """Parse and shape-check a Block JSON object; raises MalformedBlockError."""
     if not isinstance(obj, dict):
         raise MalformedBlockError("block JSON must be an object")
-    expected = {"index", "timestamp", "data", "prev_hash", "hash", "difficulty", "nonce"}
-    if set(obj) != expected:
-        raise MalformedBlockError(f"block JSON keys must be {sorted(expected)}, got {sorted(obj)}")
+    if obj.keys() != _BLOCK_KEYS:
+        raise MalformedBlockError(f"block JSON keys must be {sorted(_BLOCK_KEYS)}, got {sorted(obj)}")
     blk = Block(
         index=obj["index"],
         timestamp=obj["timestamp"],

@@ -30,10 +30,13 @@ class VerifyReason(Enum):
     PARENT_NOT_SERVED = "ParentNotServed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VerifyError:
     reason: VerifyReason
     detail: str = ""
+
+    def __init__(self, reason, detail=""):
+        self.__dict__.update(reason=reason, detail=detail)  # not one setattr per field
 
     def __str__(self) -> str:
         return f"{self.reason.value}: {self.detail}" if self.detail else self.reason.value
@@ -105,7 +108,8 @@ def mine_block(block: Block, start: int = 0, count: int | None = None) -> Block 
     if hit is None:
         return None
     nonce, digest = hit
-    return block.with_nonce(nonce).with_hash(digest.hex())
+    return Block(block.index, block.timestamp, block.data, block.prev_hash, digest.hex(),
+                 block.difficulty, nonce)
 
 
 def verify_block(block: Block, current_head: Block,

@@ -182,6 +182,7 @@ class _Link:
     hello: dict | None = None  # a dialer's handshake fields: the node's key and a nonce
     keys: tuple[LinkKey, LinkKey] | None = None  # (send, receive) once the handshake is done
     peer: str | None = None  # the peer's node id, from its signed link-open message
+    short: str | None = None  # the peer's short id, read by the relay's holder checks
     sent: int = 0  # the counter of the last frame tagged for this link
     received: int = 0  # the counter of the last frame on it whose tag checked
     sync_sent_ms: int | None = None
@@ -196,6 +197,10 @@ class _Link:
     def established(self) -> bool:
         """The handshake is done: the link carries blocks."""
         return self.keys is not None
+
+    def establish(self, keys: tuple[LinkKey, LinkKey], peer: str) -> None:
+        """The handshake is done: key the link to `peer`."""
+        self.keys, self.peer, self.short = keys, peer, short_id(peer)
 
 
 def locator_heights(tip: int) -> list[int]:
@@ -450,14 +455,14 @@ class NodeCore:
         source, env = gossip or (None, None)
         known = [short_id(self.identity.node_id)]
         if source is not None:
-            known += [short_id(source.peer), *parse_holders(env.payload)]
+            known += [source.short, *parse_holders(env.payload)]
         skip = set(known)
         targets = [link for link in self._links.values()
                    if link.established and link is not source
-                   and not (short_id(link.peer) in skip and _reliable(link.conn))]
+                   and not (link.short in skip and _reliable(link.conn))]
         if not targets:
             return 0
-        known += [short_id(link.peer) for link in targets if _reliable(link.conn)]
+        known += [link.short for link in targets if _reliable(link.conn)]
         have = list(dict.fromkeys(known))[:MAX_HOLDERS]
         frames = self.frames(wire.NEW_BLOCK, {"block": block_to_json(block), "have": have},
                              targets)
@@ -594,7 +599,7 @@ class NodeCore:
         # dialer's end of the link has none before it reads this
         self._send(link, wire.BLOCKS, reply)
         if opening:
-            link.keys, link.peer = keys, env.sender
+            link.establish(keys, env.sender)
             height, tip_hash = locator[0]
             if ours.get(height) != tip_hash:
                 self.request_sync(link)
@@ -603,12 +608,12 @@ class NodeCore:
         payload = env.payload if isinstance(env.payload, dict) else {}
         if not link.established:
             # the reply to our link-open request: its share and nonce key the link
-            link.keys = link.hello and self._share.link_keys(
+            keys = link.hello and self._share.link_keys(
                 link.hello, payload, self.identity.node_id, env.sender, dialer=True)
-            if link.keys is None:
+            if keys is None:
                 self._drop_conn(link.conn)
                 return "ignored"
-            link.peer = env.sender
+            link.establish(keys, env.sender)
         link.sync_sent_ms = None
         after, raw_blocks, more = payload.get("after"), payload.get("blocks"), payload.get("more")
         blocks, outcome = [], "ignored"

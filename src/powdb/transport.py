@@ -153,6 +153,8 @@ class TcpTransport:
                 _guarded(tick)
 
     def _register(self, sock: socket.socket, label: str) -> TcpConnection:
+        # each frame goes out whole; Nagle's algorithm would hold the next until an ack
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = TcpConnection(sock, label, self._selector)
         self._selector.register(sock, selectors.EVENT_READ, lambda: self._read(conn))
         return conn

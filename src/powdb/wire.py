@@ -24,6 +24,7 @@ other way fails its check.
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 import json
 import os
@@ -215,7 +216,7 @@ _LAYOUT = b'{%b"kind":"%b","payload":%b,"sender":"%b","signature":"%b","timestam
 _COUNTER = b'"counter":%d,'
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MessageEnvelope:
     """A message as signed or received; only sign_envelope and
     decode_envelope make one. Its payload is the value its `body` holds, so
@@ -227,6 +228,11 @@ class MessageEnvelope:
     body: bytes  # the payload's JSON, as signed or received
     signature: str  # 128 hex chars of an Ed25519 signature, or 64 of a link tag
     counter: int | None = None  # a tagged envelope's place in its link's direction
+
+    def __init__(self, sender, kind, timestamp, body, signature, counter=None):
+        # one dict update: a frozen dataclass's own __init__ sets each field apart
+        self.__dict__.update(sender=sender, kind=kind, timestamp=timestamp, body=body,
+                             signature=signature, counter=counter)
 
     @cached_property
     def payload(self):
@@ -249,17 +255,24 @@ def _preimage(kind: str, timestamp: int, body: bytes) -> bytes:
 
 
 class LinkKey:
-    """One direction's HMAC-SHA256 key."""
+    """One direction's HMAC-SHA256 key, kept as the SHA-256 states after
+    the key's inner and outer pad blocks (RFC 2104 §4), so a tag hashes only
+    its message and the inner digest. A key over SHA-256's 64-byte block is
+    hashed first, as HMAC does; a link's keys are 32 bytes."""
 
     def __init__(self, key: bytes):
-        self._mac = hmac.new(key, digestmod="sha256")
+        key = (hashlib.sha256(key).digest() if len(key) > 64 else key).ljust(64, b"\0")
+        self._inner = hashlib.sha256(bytes(x ^ 0x36 for x in key))
+        self._outer = hashlib.sha256(bytes(x ^ 0x5C for x in key))
 
     def tag(self, counter: int, preimage: bytes) -> str:
-        """The tag over the counter and the signature preimage, as hex."""
-        mac = self._mac.copy()  # the keyed state, hashed once per key
-        mac.update(b"%d" % counter + SEP)
-        mac.update(preimage)
-        return mac.hexdigest()
+        """HMAC-SHA256 over the counter and the signature preimage, as hex."""
+        inner = self._inner.copy()
+        inner.update(b"%d\x1f" % counter)
+        inner.update(preimage)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.hexdigest()
 
 
 def sign_envelope(kind: str, timestamp: int, payload,

@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -16,6 +16,7 @@ from powdb.chain import (
     meets_difficulty,
 )
 from powdb.consensus import (
+    VerifyError,
     VerifyReason,
     adjust_difficulty,
     choose_chain,
@@ -88,12 +89,48 @@ class TestMineBlock:
         for n in range(mined.nonce):
             assert not meets_difficulty(block_hash(mined.with_nonce(n)), 8)
 
+    def test_mined_block_keeps_every_other_field(self):
+        blk = create_new_block("fields", GENESIS, 8, 77)
+        mined = mine_block(blk)
+        assert mined == blk.with_nonce(mined.nonce).with_hash(block_hash(mined))
+
     def test_window_without_hit_returns_none(self):
         blk = create_new_block("window", GENESIS, 8, 77)
         mined = mine_block(blk)
         assert mine_block(blk, 0, mined.nonce) is None
         assert mine_block(blk, mined.nonce, 1) == mined
         assert mine_block(create_new_block("never", GENESIS, 32, 1), 0, 64) is None
+
+
+class TestRecords:
+    """Block and VerifyError are frozen records: a field cannot be set,
+    equal fields make equal records with equal hashes, and replace works."""
+
+    def test_block(self):
+        blk = mine_block(create_new_block("record", GENESIS, 4, 9))
+        for name in ("index", "hash", "nonce", "data"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(blk, name, getattr(blk, name))
+        twin = Block(blk.index, blk.timestamp, blk.data, blk.prev_hash, blk.hash,
+                     blk.difficulty, blk.nonce)
+        assert twin == blk and hash(twin) == hash(blk) and twin is not blk
+        assert {blk: 1}[twin] == 1
+        changed = replace(blk, data="other")
+        assert changed.data == "other" and changed != blk
+        assert replace(changed, data=blk.data) == blk
+        assert [getattr(changed, f.name) for f in fields(Block)] == [
+            blk.index, blk.timestamp, "other", blk.prev_hash, blk.hash, blk.difficulty, blk.nonce]
+        with pytest.raises(TypeError):
+            Block(1, 2, "x", "p", "h", 3)  # every field is required
+
+    def test_verify_error(self):
+        err = VerifyError(VerifyReason.WRONG_INDEX, "expected 2")
+        with pytest.raises(FrozenInstanceError):
+            err.detail = "other"
+        assert err == VerifyError(reason=VerifyReason.WRONG_INDEX, detail="expected 2")
+        assert hash(err) == hash(VerifyError(VerifyReason.WRONG_INDEX, "expected 2"))
+        assert VerifyError(VerifyReason.WRONG_INDEX).detail == ""
+        assert str(err) == "WrongIndex: expected 2" and str(replace(err, detail="")) == "WrongIndex"
 
 
 class TestVerifyBlock:

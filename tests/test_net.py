@@ -699,6 +699,17 @@ class TestHolderList:
         return mine_block(create_new_block(data, tip, effective_bits(core.difficulty),
                                            tip.timestamp + 1))
 
+    def test_handshake_keeps_each_peers_short_id(self, cluster_factory):
+        # the relay's holder checks read it from the link
+        cluster = cluster_factory(3)
+        cluster.connect(0, 1)
+        cluster.connect(2, 1)
+        cluster.pump()
+        for core in cluster.nodes:
+            links = list(core._links.values())
+            assert links and all(link.established for link in links)
+            assert all(link.short == wire.short_id(link.peer) for link in links)
+
     def test_block_mined_at_one_end_of_a_line_reaches_the_other(self, cluster_factory,
                                                                monkeypatch):
         # A-B-C-D: each hop adds itself and the peer it sends to
@@ -1343,6 +1354,21 @@ def started(owner):
 
 
 class TestTcpTransport:
+    def test_dialed_and_accepted_sockets_send_without_delay(self):
+        # a node writes a frame whole; Nagle's algorithm would hold the
+        # next frame on the link until the first is acked
+        owner = Recorder()
+        transport = TcpTransport(owner)
+        addr = transport.listen("127.0.0.1:0")
+        try:
+            dialed = transport.dial(addr)  # before the loop starts, as dial allows
+            transport.start(tick=lambda: None)
+            _, accepted, _ = owner.next("inbound")
+            for conn in (dialed, accepted):
+                assert conn._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        finally:
+            transport.stop()
+
     def test_connections_start_no_threads(self):
         owner = Recorder()
         transport, addr = started(owner)

@@ -7,7 +7,7 @@ import json
 import random
 import re
 import stat
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from enum import IntEnum
 from pathlib import Path
 
@@ -248,6 +248,20 @@ class TestEncodeReusesSignedBytes:
         assert tag_frames("QUERY", 1234, payload, self.identity.node_id,
                           [(other, 1), (key, 2**63)])[1] == tagged
 
+    def test_envelope_is_a_frozen_record(self):
+        env = sign_envelope("TX", 5, {"tx": {"kind": "raw", "data": "x"}}, self.identity)
+        with pytest.raises(FrozenInstanceError):
+            env.kind = "QUERY"
+        with pytest.raises(FrozenInstanceError):
+            env.counter = 3
+        twin = MessageEnvelope(env.sender, env.kind, env.timestamp, env.body, env.signature)
+        assert twin == env and hash(twin) == hash(env) and twin.counter is None
+        assert twin.payload == env.payload  # read from `body`
+        assert replace(env, counter=4) != env
+        assert replace(env, counter=4) == MessageEnvelope(
+            sender=env.sender, kind=env.kind, timestamp=env.timestamp, body=env.body,
+            signature=env.signature, counter=4)
+
     def test_replaced_envelope_carries_no_stale_bytes(self):
         # an envelope's payload is the value its bytes hold: no envelope can
         # be built, or replaced, with a payload apart from them
@@ -431,6 +445,25 @@ class TestLinkKeys:
                                    NodeIdentity.from_seed(b"\x01" * 32).node_id,
                                    [(LinkKey(raw), 17)])
         assert decode_envelope(frame_bytes).signature == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tag_equals_hmac_for_any_key_counter_and_preimage(self, seed):
+        # the kept inner and outer states give HMAC-SHA256's digest; a key
+        # over SHA-256's 64-byte block is hashed first, as HMAC does
+        rng = random.Random(seed)
+        counters = [0, 1, 2**63 - 1] + [rng.randrange(2**63) for _ in range(3)]
+        lengths = [0, 1, 63, 64, 65, 64 * 1024] + [rng.randrange(64 * 1024) for _ in range(4)]
+
+        def check(key, counter, preimage):
+            expected = hmac.digest(key, b"%d\x1f" % counter + preimage, "sha256").hex()
+            assert LinkKey(key).tag(counter, preimage) == expected
+
+        for key_len in [*range(65), 65, 100, 200]:
+            check(rng.randbytes(key_len), rng.choice(counters), rng.randbytes(rng.choice(lengths)))
+        key = rng.randbytes(32)  # a link key's length, with every counter and length
+        for counter in counters:
+            for length in lengths:
+                check(key, counter, rng.randbytes(length))
 
     def test_any_change_to_a_tagged_envelope_fails_its_check(self):
         (send, other), (_, recv) = self.pair()
