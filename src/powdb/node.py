@@ -178,7 +178,7 @@ class _Link:
     """Everything the node keeps about one connection."""
     conn: object
     outbound: bool
-    opened_ms: int
+    quiet_since_ms: int  # last GET_BLOCKS sent or NEW_BLOCK read, or when the link opened
     hello: dict | None = None  # a dialer's handshake fields: the node's key and a nonce
     keys: tuple[LinkKey, LinkKey] | None = None  # (send, receive) once the handshake is done
     peer: str | None = None  # the peer's node id, from its signed link-open message
@@ -188,10 +188,6 @@ class _Link:
     sync_sent_ms: int | None = None
     wanted: str | None = None  # hash of the gossiped block that set off the pending sync
     unserved: int = 0  # syncs in a row whose reply did not reach their `wanted`
-    quiet_since_ms: int = field(init=False)  # last GET_BLOCKS sent or NEW_BLOCK read, or opened
-
-    def __post_init__(self):
-        self.quiet_since_ms = self.opened_ms
 
     @property
     def established(self) -> bool:
@@ -325,7 +321,8 @@ class NodeCore:
         self.dial = dial
 
         self.cache = ContractCache()
-        # fn(node, new_blocks, reorg_depth), called once per chain change
+        # fn(new_blocks, reorg_depth), called once per chain change; a caller
+        # that watches several cores binds which core it is into each callback
         self.on_chain_change = None
         self.exec_errors: dict[str, int] = {}
         self.rejects_by_reason: dict[str, int] = {}
@@ -359,15 +356,15 @@ class NodeCore:
 
     def connect_peer(self, conn) -> None:
         """An outbound connection we dialed: its first GET_BLOCKS opens the link."""
-        link = self._links[id(conn)] = _Link(conn, outbound=True, opened_ms=self.clock(),
+        link = self._links[id(conn)] = _Link(conn, outbound=True, quiet_since_ms=self.clock(),
                                              hello=self._hello())
         self.request_sync(link)
 
     def on_inbound_connection(self, conn) -> None:
-        self._links[id(conn)] = _Link(conn, outbound=False, opened_ms=self.clock())
+        self._links[id(conn)] = _Link(conn, outbound=False, quiet_since_ms=self.clock())
 
     def on_disconnect(self, conn) -> None:
-        self._forget(conn)
+        self._links.pop(id(conn), None)
 
     def tick(self) -> None:
         """The one repair path, which both runtimes call every TICK_S: close a
@@ -384,7 +381,7 @@ class NodeCore:
             if link.established:
                 if now - link.quiet_since_ms >= RESYNC_MS:
                     self.request_sync(link)
-            elif link.outbound and now - link.opened_ms >= HANDSHAKE_TIMEOUT_MS:
+            elif link.outbound and now - link.quiet_since_ms >= HANDSHAKE_TIMEOUT_MS:
                 self._drop_conn(link.conn)
         for addr, conn in self.peers.items():
             if conn is None or conn.closed:
@@ -742,7 +739,7 @@ class NodeCore:
                 self._apply_block_payload(block)
                 prev = block
         if self.on_chain_change:
-            self.on_chain_change(self, blocks, len(dropped))
+            self.on_chain_change(blocks, len(dropped))
 
     def _apply_block_payload(self, block: Block) -> None:
         """Steps 5 and 6: execute the contract payload, persist the state.
@@ -876,19 +873,15 @@ class NodeCore:
         except wire.ProtocolError:
             return False  # the frame is over the size cap; the link itself is fine
         except (ConnectionError, OSError):
-            self._forget(link.conn)
+            self._links.pop(id(link.conn), None)
             return False
 
     def _drop_conn(self, conn) -> None:
-        self._forget(conn)
+        self._links.pop(id(conn), None)
         try:
             conn.close()
         except OSError:
             pass
-
-    def _forget(self, conn) -> None:
-        """Drop all per-link state."""
-        self._links.pop(id(conn), None)
 
 
 class _LoopJob:

@@ -4,13 +4,17 @@ A scenario builds `node_count` full nodes over the in-memory transport,
 drives a write/read workload, applies partition windows and malicious
 emissions on schedule, and reports throughput, latency percentiles, fork
 statistics and the consistency level (the fraction of sampled reads that
-agree with the modal head across honest nodes). Identical (config, seed)
-inputs produce byte-identical reports.
+agree with the modal head across honest nodes). A client read is modelled
+as one round trip over a link. Partition windows come one at a time, in
+start order, and each starts before `duration_ms`, since a window's end
+heals the whole network. Identical (config, seed) inputs produce
+byte-identical reports.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -78,6 +82,10 @@ class PartitionWindow:
     start_ms: int
     end_ms: int
     groups: list[list[int]]
+
+    @property
+    def span(self) -> str:
+        return f"[{self.start_ms}, {self.end_ms})"
 
 
 # Scenario file key -> ScenarioConfig field, at the top level and per
@@ -151,12 +159,22 @@ class ScenarioConfig:
             raise ConfigError("workload intervals must be positive")
         for window in self.partitions:
             if window.start_ms < 0 or window.end_ms < window.start_ms:
-                raise ConfigError(f"bad partition window [{window.start_ms}, {window.end_ms})")
+                raise ConfigError(f"bad partition window {window.span}")
+            if window.start_ms >= self.duration_ms:
+                raise ConfigError(f"partition window {window.span} starts at or after "
+                                  f"duration_ms {self.duration_ms}")
             members = [i for group in window.groups for i in group]
             if sorted(members) != list(range(self.node_count)):
                 raise ConfigError("partition groups must be disjoint and cover all nodes")
             if any(not group for group in window.groups):
                 raise ConfigError("partition groups must be non-empty")
+        # one window at a time, in start order: each end heals the network
+        for before, window in zip(self.partitions, self.partitions[1:]):
+            if window.start_ms < before.start_ms:
+                raise ConfigError(f"partition window {window.span} is listed after "
+                                  f"{before.span}, which starts later")
+            if window.start_ms < before.end_ms:
+                raise ConfigError(f"partition window {window.span} overlaps {before.span}")
         if not 0 <= self.malicious_fraction <= 1:
             raise ConfigError("malicious fraction must be in [0, 1]")
         for behavior in self.malicious_behaviors:
@@ -220,17 +238,15 @@ class _Harness:
         self.config = config
         self.queue = EventQueue()
         master = random.Random(config.seed)
-        self.rng_link = random.Random(master.randrange(2**63))
-        self.rng_roles = random.Random(master.randrange(2**63))
-        self.rng_keys = random.Random(master.randrange(2**63))  # ephemeral link keys
-        self.net = MemNetwork(self.queue, self.rng_link,
-                              latency_ms=config.link_latency_ms,
-                              loss_rate=config.link_loss_rate)
+        rng_link, rng_roles, rng_keys = (random.Random(master.randrange(2**63))
+                                         for _ in range(3))
+        self.net = MemNetwork(self.queue, rng_link, config.link_latency_ms,
+                              config.link_loss_rate)
         self.addrs = [f"sim:{i}" for i in range(config.node_count)]
         self.nodes: list[NodeCore] = []
 
         count = config.malicious_count
-        self.malicious = sorted(self.rng_roles.sample(range(config.node_count), count))
+        self.malicious = sorted(rng_roles.sample(range(config.node_count), count))
         self.honest = [i for i in range(config.node_count) if i not in self.malicious]
         self.behavior_of = {
             node: config.malicious_behaviors[slot % len(config.malicious_behaviors)]
@@ -241,11 +257,9 @@ class _Harness:
         self.accept_times: dict[str, dict[int, int]] = {}
         self.reorgs = 0
         self.max_reorg_depth = 0
-        self.samples: list[dict] = []
-        self.writes = []  # dicts: submitted_ms, node, status, block_hash
-        self.read_latencies: list[int] = []
+        self.samples: list[dict] = []  # one per client read, then the final one
+        self.writes = []  # dicts: submitted_ms, status, block_hash
         self.malicious_emitted: set[str] = set()
-        self.malicious_emissions = 0
 
         rate = sim_hashrate_per_ms(config.params)
         for i in range(config.node_count):
@@ -258,25 +272,23 @@ class _Harness:
                 clock=lambda: self.queue.now,
                 miner=SimMiner(self.queue, rate),
                 mine_enabled=True,
-                random_bytes=self.rng_keys.randbytes,
+                random_bytes=rng_keys.randbytes,  # ephemeral link keys
                 peers=self.addrs[i + 1:],  # the full mesh: each pair is dialed by its lower index
                 dial=lambda addr, i=i: self.net.dial(self.nodes[i], self.addrs[i], addr),
             )
-            core.node_index = i
             if i in self.honest:
-                core.on_chain_change = self._on_chain_change
+                core.on_chain_change = functools.partial(self._on_chain_change, i)
             self.nodes.append(core)
             self.net.listen(self.addrs[i], core)
 
     # -- chain changes -----------------------------------------------------
 
-    def _on_chain_change(self, core: NodeCore, blocks: list[Block], reorg_depth: int) -> None:
+    def _on_chain_change(self, node_index: int, blocks: list[Block], reorg_depth: int) -> None:
         if reorg_depth > 0:
             self.reorgs += 1
             self.max_reorg_depth = max(self.max_reorg_depth, reorg_depth)
         for block in blocks:
-            per_node = self.accept_times.setdefault(block.hash, {})
-            per_node.setdefault(core.node_index, self.queue.now)
+            self.accept_times.setdefault(block.hash, {}).setdefault(node_index, self.queue.now)
 
     # -- schedule ----------------------------------------------------------
 
@@ -284,18 +296,13 @@ class _Harness:
         config = self.config
         self.queue.at(0, self._tick)  # the first dials, before any other event at 0
 
-        writer_seq = 0
-        t = config.write_interval_ms
-        while t < config.duration_ms:
-            node_index = self.honest[writer_seq % len(self.honest)]
-            self.queue.at(t, self._make_write(writer_seq, node_index))
-            writer_seq += 1
-            t += config.write_interval_ms
-
-        t = config.read_interval_ms
-        while t < config.duration_ms:
-            self.queue.at(t, self._sample_consistency)
-            t += config.read_interval_ms
+        write_times = range(config.write_interval_ms, config.duration_ms,
+                            config.write_interval_ms)
+        for seq, t in enumerate(write_times):
+            self.queue.at(t, functools.partial(self._write, seq,
+                                               self.honest[seq % len(self.honest)]))
+        for t in range(config.read_interval_ms, config.duration_ms, config.read_interval_ms):
+            self.queue.at(t, self._record_sample)  # a client read
 
         for window in config.partitions:
             groups = [set(self.addrs[i] for i in group) for group in window.groups]
@@ -304,11 +311,10 @@ class _Harness:
             self.queue.at(min(window.end_ms, config.duration_ms), self.net.heal)
 
         for node_index in self.malicious:
-            behavior = self.behavior_of[node_index]
-            t = config.write_interval_ms // 2 or 1
-            while t < config.duration_ms:
-                self.queue.at(t, self._make_malicious_step(node_index, behavior))
-                t += config.write_interval_ms
+            emit = functools.partial(self.malicious_step, node_index, self.behavior_of[node_index])
+            for t in range(config.write_interval_ms // 2 or 1, config.duration_ms,
+                           config.write_interval_ms):
+                self.queue.at(t, emit)
 
         step = int(TICK_S * 1000)
         for t in range(step, config.duration_ms, step):
@@ -320,34 +326,22 @@ class _Harness:
         for core in self.nodes:
             core.tick()
 
-    def _make_write(self, seq: int, node_index: int):
-        def write():
-            record = {"seq": seq, "node": node_index, "submitted_ms": self.queue.now,
-                      "status": "pending", "block_hash": None}
-            self.writes.append(record)
+    def _write(self, seq: int, node_index: int) -> None:
+        record = {"submitted_ms": self.queue.now, "status": "pending", "block_hash": None}
+        self.writes.append(record)
 
-            def reply(result: dict) -> None:
-                if result.get("ok"):
-                    record["status"] = "committed"
-                    record["block_hash"] = result["result"]["block_hash"]
-                else:
-                    record["status"] = "failed"
+        def reply(result: dict) -> None:
+            if result.get("ok"):
+                record["status"] = "committed"
+                record["block_hash"] = result["result"]["block_hash"]
+            else:
+                record["status"] = "failed"
 
-            self.nodes[node_index].submit_tx(
-                {"kind": "raw", "data": f"w{seq}@{self.queue.now}"}, reply)
-
-        return write
-
-    def _sample_consistency(self) -> None:
-        # one modeled client read per tick: request out, response back
-        self.read_latencies.append(2 * self.config.link_latency_ms)
-        self._record_sample()
+        self.nodes[node_index].submit_tx(
+            {"kind": "raw", "data": f"w{seq}@{self.queue.now}"}, reply)
 
     def _record_sample(self) -> dict:
-        heads = []
-        for i in self.honest:
-            _count, tip = self.nodes[i].store.chain_info()
-            heads.append(tip)
+        heads = [self.nodes[i].store.chain_info()[1] for i in self.honest]
         mode, inconsistent = modal_head(heads)
         sample = {"t_ms": self.queue.now, "heads": heads, "mode_hash": mode,
                   "n_inconsistent": inconsistent, "n_nodes": len(heads)}
@@ -356,18 +350,13 @@ class _Harness:
 
     # -- adversary ---------------------------------------------------------
 
-    def _make_malicious_step(self, node_index: int, behavior: str):
-        return lambda: self.malicious_step(node_index, behavior)
-
     def malicious_step(self, node_index: int, behavior: str) -> None:
         """Emit one protocol-violating message from `node_index` to its peers."""
         core = self.nodes[node_index]
         tip = core.store.tip()
-        bits = max(effective_bits(core.difficulty), self.config.params.min_difficulty)
-        marker = f"MAL:{node_index}:{self.malicious_emissions}"
-        self.malicious_emissions += 1
+        bits = effective_bits(core.difficulty)  # the retarget keeps it >= min_difficulty
+        marker = f"MAL:{node_index}:{len(self.malicious_emitted)}"
         ts = self.queue.now // 1000
-        tamper_envelope = False
 
         if behavior == "invalid_pow":
             block = create_new_block(marker, tip, bits, ts)
@@ -377,17 +366,15 @@ class _Harness:
                 block = block.with_hash(block_hash(block))
         elif behavior == "bad_prev_hash":
             fake_parent = hashlib.sha256(marker.encode()).hexdigest()
-            block = Block(index=tip.index + 1, timestamp=ts, data=marker,
-                          prev_hash=fake_parent, hash="", difficulty=bits, nonce=0)
-            block = mine_block(block)
+            block = mine_block(Block(index=tip.index + 1, timestamp=ts, data=marker,
+                                     prev_hash=fake_parent, hash="", difficulty=bits, nonce=0))
         else:  # tampered_signature: a perfectly valid block in a broken envelope
             block = mine_block(create_new_block(marker, tip, bits, ts))
-            tamper_envelope = True
 
         self.malicious_emitted.add(block.hash)
         for link, raw in core.frames(NEW_BLOCK, {"block": block_to_json(block)},
                                      core.connected()):
-            if tamper_envelope:  # change the first hex digit of the link's tag
+            if behavior == "tampered_signature":  # change the tag's first hex digit
                 at = raw.rindex(b'"signature":"') + len(b'"signature":"')
                 raw = raw[:at] + (b"1" if raw[at:at + 1] == b"0" else b"0") + raw[at + 1:]
             try:
@@ -403,10 +390,11 @@ class _Harness:
         # the run ends at duration_ms even when the last event comes earlier,
         # so events that only observe the run (a benchmark's marks) move nothing
         self.queue.now = max(self.queue.now, self.config.duration_ms)
+        reads = len(self.samples)  # each takes its modelled round trip, request and reply
+        read_ms = 2 * self.config.link_latency_ms if reads else None
         final_sample = self._record_sample()
 
-        chains = {i: self.nodes[i].store.get_all_blocks() for i in self.honest}
-        canonical = max(chains.values(),
+        canonical = max((self.nodes[i].store.get_all_blocks() for i in self.honest),
                         key=lambda c: (cumulative_work(c), c[-1].hash))
         canonical_hashes = {b.hash for b in canonical}
         tx_blocks = sum(1 for b in canonical[1:] if parse_tx_data(b.data) is not None)
@@ -414,15 +402,11 @@ class _Harness:
 
         majority = len(self.honest) // 2 + 1
         write_latencies = []
-        unconfirmed = 0
         for record in self.writes:
-            block_hash_hex = record["block_hash"]
-            times = sorted(self.accept_times.get(block_hash_hex, {}).values())
+            times = sorted(self.accept_times.get(record["block_hash"], {}).values())
             if (record["status"] == "committed" and len(times) >= majority
-                    and block_hash_hex in canonical_hashes):
+                    and record["block_hash"] in canonical_hashes):
                 write_latencies.append(times[majority - 1] - record["submitted_ms"])
-            else:
-                unconfirmed += 1
 
         dropped = sum(self.nodes[i].dropped_envelopes for i in self.honest)
         rejects_by_reason: dict[str, int] = {}
@@ -433,8 +417,6 @@ class _Harness:
         duration_s = self.config.duration_ms / 1000
         n_total_reads = sum(s["n_nodes"] for s in self.samples)
         n_inconsistent_reads = sum(s["n_inconsistent"] for s in self.samples)
-        c_value = (consistency_level(n_inconsistent_reads, n_total_reads)
-                   if n_total_reads else None)
         report = {
             "config": self.config.to_json(),
             "seed": self.config.seed,
@@ -443,23 +425,18 @@ class _Harness:
             "throughput_tx_per_s": tx_blocks / duration_s,
             "write_latency_ms": {
                 "count": len(write_latencies),
-                "unconfirmed": unconfirmed,
+                "unconfirmed": len(self.writes) - len(write_latencies),
                 "p50": percentile(write_latencies, 0.50),
                 "p95": percentile(write_latencies, 0.95),
                 "max": max(write_latencies) if write_latencies else None,
             },
-            "read_latency_ms": {
-                "count": len(self.read_latencies),
-                "p50": percentile(self.read_latencies, 0.50),
-                "p95": percentile(self.read_latencies, 0.95),
-            },
+            "read_latency_ms": {"count": reads, "p50": read_ms, "p95": read_ms},
             "consistency": {
                 "n_total": n_total_reads,
                 "n_inconsistent": n_inconsistent_reads,
-                "c": c_value,
-                "final_sample_c": (consistency_level(final_sample["n_inconsistent"],
-                                                     final_sample["n_nodes"])
-                                   if final_sample["n_nodes"] else None),
+                "c": consistency_level(n_inconsistent_reads, n_total_reads),
+                "final_sample_c": consistency_level(final_sample["n_inconsistent"],
+                                                    final_sample["n_nodes"]),
                 "samples": self.samples,
             },
             "fork_count": self.reorgs,

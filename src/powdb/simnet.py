@@ -92,8 +92,8 @@ class MemNetwork:
     links are untouched. `heal` reopens nothing: the owners dial again.
     """
 
-    def __init__(self, queue: EventQueue, rng: random.Random,
-                 latency_ms: int = 10, loss_rate: float = 0.0):
+    def __init__(self, queue: EventQueue, rng: random.Random, latency_ms: int,
+                 loss_rate: float):
         self.queue = queue
         self.rng = rng
         self.latency_ms = latency_ms

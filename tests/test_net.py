@@ -6,6 +6,7 @@ import json
 import socket
 import queue
 import random
+import selectors
 import sys
 import threading
 import time
@@ -31,7 +32,7 @@ from powdb.net import RecentSet
 from powdb.node import NodeCore
 from powdb.simnet import MemNetwork
 from powdb.store import BlockStore
-from powdb.transport import TcpTransport, parse_hostport
+from powdb.transport import TcpConnection, TcpTransport, parse_hostport
 from powdb.wire import KeyShare, NodeIdentity, decode_envelope, sign_envelope
 
 from conftest import TEST_PARAMS, Capture, PeerEnd, extend
@@ -932,7 +933,7 @@ class TestLinkOpenSync:
         chain = extend([genesis_block()], ["a0", "a1", "a2"], cluster.params.min_difficulty)
         assert ahead.adopt_if_heavier(0, chain[1:]) == "adopted"
         adopted_at = []
-        behind.on_chain_change = lambda _node, _blocks, _depth: adopted_at.append(
+        behind.on_chain_change = lambda _blocks, _depth: adopted_at.append(
             cluster.queue.now)
         cluster.connect(1, 0)
         cluster.pump()
@@ -1526,3 +1527,84 @@ class TestTcpTransport:
         finally:
             transport.stop()
         assert order == [b"A", b"B", b"C"]
+
+    def test_an_owner_that_raises_on_one_frame_gets_the_next(self, caplog):
+        # the loop guards each callback: one that fails is logged, and the
+        # next frame on the same conn still reaches the owner
+        class Owner(Recorder):
+            def on_message(self, conn, raw):
+                if raw == b"bad":
+                    raise RuntimeError("the handler failed")
+                super().on_message(conn, raw)
+
+        owner = Owner()
+        transport, addr = started(owner)
+        try:
+            with socket.create_connection(parse_hostport(addr), timeout=5) as client:
+                _, conn, _ = owner.next("inbound")
+                client.sendall(wire.frame(b"bad") + wire.frame(b"good"))
+                assert owner.next("message") == ("message", conn, b"good")
+                assert transport._threads[0].is_alive()
+        finally:
+            transport.stop()
+        assert not transport._threads[0].is_alive()
+        assert [r.getMessage() for r in caplog.records] == ["callback failed"]
+
+    def test_a_submitted_call_that_raises_does_not_stop_the_next(self, caplog):
+        transport = TcpTransport(Recorder())
+        ran = threading.Event()
+
+        def fail():
+            raise RuntimeError("the call failed")
+
+        transport.start(tick=lambda: None)
+        try:
+            transport.submit(fail)
+            transport.submit(ran.set)
+            assert ran.wait(timeout=5)
+            assert transport._threads[0].is_alive()
+        finally:
+            transport.stop()
+        assert not transport._threads[0].is_alive()
+        assert [r.getMessage() for r in caplog.records] == ["callback failed"]
+
+    @staticmethod
+    def socket_conn():
+        """A TcpConnection on one end of a socket pair, registered with its
+        own selector as the transport registers it; returns (conn, far end,
+        selector)."""
+        near, far = socket.socketpair()
+        selector = selectors.DefaultSelector()
+        selector.register(near, selectors.EVENT_READ)
+        return TcpConnection(near, "pair", selector), far, selector
+
+    def test_a_send_on_a_failed_socket_raises_and_closes_the_conn(self):
+        conn, far, selector = self.socket_conn()
+        far.close()  # the peer's end is gone: the next send breaks the pipe
+        try:
+            with pytest.raises(ConnectionError, match="send to pair failed"):
+                conn.send_message(b"hello")
+            assert conn.closed and selector.get_map() == {}
+        finally:
+            conn.close()
+            selector.close()
+
+    def test_a_node_drops_the_link_whose_socket_failed(self):
+        conn, far, selector = self.socket_conn()
+        core = NodeCore(identity=NodeIdentity.from_seed(b"\x42" * 32),
+                        store=BlockStore(":memory:"), params=TEST_PARAMS, clock=lambda: 0,
+                        miner=None, mine_enabled=False)
+        peer = NodeIdentity.from_seed(b"\x07" * 32)
+        try:
+            core.on_inbound_connection(conn)
+            assert core.on_message(conn, PeerEnd(core, peer, conn).opening().encode()) == "handled"
+            [link] = core.connected()
+            far.close()
+            assert core._send(link, wire.QUERY, {"what": "stats"}) is False
+            assert conn.closed and core.connected() == [] and core._links == {}
+        finally:
+            core.close()
+            core.store.close()
+            conn.close()
+            far.close()
+            selector.close()

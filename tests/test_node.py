@@ -1221,7 +1221,7 @@ class TestLateOwnBlock:
         miner = HeldMiner()
         core, _queue = make_node(miner=miner)
         depths, replies = [], []
-        core.on_chain_change = lambda _core, _blocks, depth: depths.append(depth)
+        core.on_chain_change = lambda _blocks, depth: depths.append(depth)
         core.submit_tx(self.TX, replies.append)
         [job] = miner.jobs
         assert job.block.difficulty == 6

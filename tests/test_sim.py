@@ -155,8 +155,24 @@ class TestConfigValidation:
          "link latency must be >= 0 and loss rate in [0, 1)"),
         ([BASE], "scenario must be a JSON object"),
         ({**BASE, "partitions": {"start_ms": 0}}, "partitions must be a JSON list"),
+        # each window's end heals the whole network, so windows come one at
+        # a time, in start order, and each starts within the run
+        ({**BASE, "duration_ms": 30_000, "partitions": [
+            {"start_ms": 1_000, "end_ms": 10_000, "groups": [[0], [1, 2]]},
+            {"start_ms": 5_000, "end_ms": 20_000, "groups": [[1], [0, 2]]}]},
+         "partition window [5000, 20000) overlaps [1000, 10000)"),
+        ({**BASE, "duration_ms": 30_000, "partitions": [
+            {"start_ms": 5_000, "end_ms": 9_000, "groups": [[1], [0, 2]]},
+            {"start_ms": 1_000, "end_ms": 5_000, "groups": [[0], [1, 2]]}]},
+         "partition window [1000, 5000) is listed after [5000, 9000), which starts later"),
+        ({**BASE, "duration_ms": 30_000, "partitions": [
+            {"start_ms": 40_000, "end_ms": 50_000, "groups": [[0], [1, 2]]}]},
+         "partition window [40000, 50000) starts at or after duration_ms 30000"),
+        ({**BASE, "partitions": [{"start_ms": 1000, "end_ms": 1000, "groups": [[0, 1, 2]]}]},
+         "partition window [1000, 1000) starts at or after duration_ms 1000"),
     ], ids=["duration", "chain-params", "interval", "window", "empty-group", "no-behavior",
-            "link", "not-an-object", "partitions-not-a-list"])
+            "link", "not-an-object", "partitions-not-a-list", "windows-overlap",
+            "windows-out-of-order", "window-after-run", "window-at-end"])
     def test_malformed_scenario_names_its_fault(self, obj, message):
         with pytest.raises(ConfigError) as err:
             ScenarioConfig.from_json(obj)
@@ -172,6 +188,13 @@ class TestConfigValidation:
 
     def test_zero_length_window_allowed(self):
         quick_config(partitions=[PartitionWindow(10, 10, [[0, 1], [2, 3, 4]])]).validate()
+
+    def test_in_order_touching_windows_allowed(self):
+        # a window may start where the one before it ends, or be empty there
+        quick_config(partitions=[PartitionWindow(1_000, 5_000, [[0, 1], [2, 3, 4]]),
+                                 PartitionWindow(5_000, 5_000, [[0], [1, 2, 3, 4]]),
+                                 PartitionWindow(5_000, 9_000, [[0, 4], [1, 2, 3]]),
+                                 PartitionWindow(20_000, 40_000, [[0, 1, 2, 3, 4]])]).validate()
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ConfigError):
@@ -205,7 +228,7 @@ class TestSimnet:
 
     def test_partition_blocks_cross_group_delivery(self):
         queue = EventQueue()
-        net = MemNetwork(queue, random.Random(1), latency_ms=1)
+        net = MemNetwork(queue, random.Random(1), latency_ms=1, loss_rate=0.0)
         got = {"a": [], "b": []}
         gone = {"a": [], "b": []}
 
@@ -334,6 +357,13 @@ class TestScenarios:
         assert len(set(report["final_heads"])) == 1
         # everyone ends on the heaviest chain produced
         assert all(h == report["canonical"]["tip_hash"] for h in report["final_heads"])
+
+    def test_a_run_with_no_client_read_reports_no_read_latency(self):
+        # the final sample still counts towards the consistency level
+        report = run_scenario(quick_config(duration_ms=4_000, read_interval_ms=4_000))
+        assert report["read_latency_ms"] == {"count": 0, "p50": None, "p95": None}
+        assert report["consistency"]["n_total"] == 5
+        assert report["consistency"]["c"] == report["consistency"]["final_sample_c"] == 1.0
 
     def test_zero_length_window_has_no_effect(self):
         base = quick_config(duration_ms=20_000, seed=42)
