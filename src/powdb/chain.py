@@ -14,7 +14,6 @@ from powdb import wire
 
 # Field separator inside the hash preimage. Block data must never contain
 # this byte or the serialization would stop being injective.
-SEP = b"\x1f"
 SEP_CHAR = "\x1f"
 
 ZERO_HASH = "0" * 64
@@ -44,6 +43,9 @@ class Block:
     hash: str
     difficulty: int  # leading zero bits required of `hash`
     nonce: int
+    # set on an instance that has passed validate_block_shape; not a field, so
+    # ==, hash() and repr() ignore it, and a dataclasses.replace copy is unchecked
+    shape_checked = False
 
     def __init__(self, index, timestamp, data, prev_hash, hash, difficulty, nonce):
         # one dict update: a frozen dataclass's own __init__ sets each field apart
@@ -94,12 +96,13 @@ def validate_block_shape(block: Block) -> None:
     """Check field-level contracts; raises MalformedBlockError.
 
     This is the structural gate run before the consensus checks, so garbage
-    off the wire never reaches the hashing code.
+    off the wire never reaches the hashing code. A block that passes is
+    marked `shape_checked`, and verify_block does not check it again.
     """
-    for name in ("index", "timestamp"):
-        value = getattr(block, name)
-        if not is_block_int(value):
-            raise MalformedBlockError(f"{name} must be an integer in [0, 2**63), got {value!r}")
+    if not is_block_int(block.index):
+        raise MalformedBlockError(f"index must be an integer in [0, 2**63), got {block.index!r}")
+    if not is_block_int(block.timestamp):
+        raise MalformedBlockError(f"timestamp must be an integer in [0, 2**63), got {block.timestamp!r}")
     if not isinstance(block.data, str):
         raise MalformedBlockError("data must be a string")
     if SEP_CHAR in block.data:
@@ -119,6 +122,7 @@ def validate_block_shape(block: Block) -> None:
         raise MalformedBlockError(f"difficulty must be an integer in [0, 32], got {block.difficulty!r}")
     if not is_block_int(block.nonce):
         raise MalformedBlockError(f"nonce must be an integer in [0, 2**63), got {block.nonce!r}")
+    block.__dict__["shape_checked"] = True  # the record is frozen
 
 
 def mining_prefix_bytes(block: Block) -> bytes:
@@ -129,14 +133,8 @@ def mining_prefix_bytes(block: Block) -> bytes:
     """
     if SEP_CHAR in block.data:
         raise MalformedBlockError("data must not contain the 0x1f separator byte")
-    return SEP.join([
-        str(block.index).encode(),
-        str(block.timestamp).encode(),
-        block.data.encode("utf-8"),
-        block.prev_hash.encode(),
-        str(block.difficulty).encode(),
-        b"",
-    ])
+    return (f"{block.index}{SEP_CHAR}{block.timestamp}{SEP_CHAR}{block.data}{SEP_CHAR}"
+            f"{block.prev_hash}{SEP_CHAR}{block.difficulty}{SEP_CHAR}").encode()
 
 
 def canonical_block_bytes(block: Block) -> bytes:

@@ -14,7 +14,6 @@ from powdb.chain import (
     SEP_CHAR,
     block_hash,
     genesis_block,
-    meets_difficulty,
     mining_prefix_bytes,
     validate_block_shape,
 )
@@ -114,24 +113,30 @@ def mine_block(block: Block, start: int = 0, count: int | None = None) -> Block 
 
 def verify_block(block: Block, current_head: Block,
                  min_difficulty: int = 1) -> VerifyError | None:
-    """The four acceptance conditions, checked in a fixed order.
+    """The shape gate, then the four acceptance conditions, in a fixed order.
 
     Returns None when the block extends `current_head`, else the first
-    failing condition so rejection reasons are deterministic.
+    failing condition so rejection reasons are deterministic. A block
+    already marked `shape_checked` (block_from_json marks every block it
+    returns) is not shape-checked again; the hash check shows `block.hash`
+    is a SHA-256 hexdigest, so the work test reads that digest unchecked.
     """
-    try:
-        validate_block_shape(block)
-    except MalformedBlockError as exc:
-        return VerifyError(VerifyReason.MALFORMED_BLOCK, str(exc))
+    if not block.shape_checked:
+        try:
+            validate_block_shape(block)
+        except MalformedBlockError as exc:
+            return VerifyError(VerifyReason.MALFORMED_BLOCK, str(exc))
     if block.index != current_head.index + 1:
         return VerifyError(VerifyReason.WRONG_INDEX,
                            f"expected {current_head.index + 1}, got {block.index}")
     if block.prev_hash != current_head.hash:
         return VerifyError(VerifyReason.PREV_HASH_MISMATCH,
                            f"head is {current_head.hash[:16]}..., block links {block.prev_hash[:16]}...")
-    if block.hash != block_hash(block):
+    digest = block_hash(block)
+    if block.hash != digest:
         return VerifyError(VerifyReason.HASH_MISMATCH, "stored hash differs from computed hash")
-    if block.difficulty < min_difficulty or not meets_difficulty(block.hash, block.difficulty):
+    # difficulty is in [0, 32]: the digest's first 32 bits, shifted, are 0 iff they meet it
+    if block.difficulty < min_difficulty or int(digest[:8], 16) >> (32 - block.difficulty):
         return VerifyError(VerifyReason.INSUFFICIENT_WORK,
                            f"hash does not carry {block.difficulty} leading zero bits "
                            f"(minimum {min_difficulty})")
@@ -161,7 +166,7 @@ def shared_prefix(a: list[Block], b: list[Block]) -> int:
     """How many leading blocks the two chains have in common."""
     common = 0
     for ours, theirs in zip(a, b):
-        if ours != theirs:
+        if ours is not theirs and ours != theirs:  # one object needs no field compare
             break
         common += 1
     return common
@@ -181,7 +186,9 @@ def choose_chain(local: list[Block], candidate: list[Block], params: ChainParams
     if err is not None:
         return local, err
     start = max(common, 1)  # as cumulative_work, the first block carries no weight
-    if (sum(1 << b.difficulty for b in candidate[start:])
-            > sum(1 << b.difficulty for b in local[start:])):
-        return candidate, None
-    return local, None
+    gain = 0  # the candidate's work past `start`, less the local chain's
+    for b in candidate[start:]:
+        gain += 1 << b.difficulty
+    for b in local[start:]:
+        gain -= 1 << b.difficulty
+    return (candidate, None) if gain > 0 else (local, None)

@@ -308,6 +308,7 @@ class NodeCore:
                  peers=(), dial=None):
         params.validate()
         self.identity = identity
+        self.short = short_id(identity.node_id)  # what holder lists name this node by
         self.random_bytes = random_bytes  # fn(n) -> n bytes, for link keys and nonces
         self._share: KeyShare | None = None  # made at the first link open
         self.store = store
@@ -378,7 +379,7 @@ class NodeCore:
         or closed is dialed, and a conn the dial returns opens a link."""
         now = self.clock()
         for link in list(self._links.values()):
-            if link.established:
+            if link.keys is not None:  # established
                 if now - link.quiet_since_ms >= RESYNC_MS:
                     self.request_sync(link)
             elif link.outbound and now - link.quiet_since_ms >= HANDSHAKE_TIMEOUT_MS:
@@ -450,13 +451,13 @@ class NodeCore:
         push misses, through a false list or a lost frame, gets the block
         from the locator the tick sends once its link is quiet for RESYNC_MS."""
         source, env = gossip or (None, None)
-        known = [short_id(self.identity.node_id)]
+        known = [self.short]
         if source is not None:
             known += [source.short, *parse_holders(env.payload)]
         skip = set(known)
         targets = [link for link in self._links.values()
-                   if link.established and link is not source
-                   and not (link.short in skip and _reliable(link.conn))]
+                   if link.keys is not None and link is not source  # established
+                   and (link.short not in skip or not _reliable(link.conn))]
         if not targets:
             return 0
         known += [link.short for link in targets if _reliable(link.conn)]

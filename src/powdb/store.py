@@ -92,6 +92,7 @@ class BlockStore:
         self._txn_depth = 0
         self._crash_hook = None  # test-only: callable(step_label)
         self._tip = _UNREAD  # (tip block, retarget), or None for an empty store
+        self._txn = _Transaction(self)  # keeps no state of its own, so every entry shares it
         try:
             self._conn = sqlite3.connect(self.path, check_same_thread=False,
                                          isolation_level=None)
@@ -117,7 +118,7 @@ class BlockStore:
         """Reentrant exclusive transaction; rolls back on any exception. Any
         exit but a commit that returns clears the tip copy. The lock is held
         from the outermost entry to its exit; a nested one runs no SQL."""
-        return _Transaction(self)
+        return self._txn
 
     def _hook(self, step: str) -> None:
         if self._crash_hook is not None:
@@ -127,20 +128,19 @@ class BlockStore:
 
     def add_block(self, block: Block, retarget: float) -> None:
         """Append one block and the chain's difficulty after it at index == count."""
-        with self._lock:
-            count = self.get_block_count()
-            if block.index != count:
-                raise StoreError(f"append at index {block.index} but store holds {count} blocks")
-            try:
-                with self.transaction():
-                    self._conn.execute(
-                        "INSERT INTO blocks VALUES (?,?,?,?,?,?,?,?)",
-                        (block.index, block.timestamp, block.data, block.prev_hash,
-                         block.hash, block.difficulty, block.nonce, retarget))
-                    self._tip = (block, retarget)
-                    self._hook("block_inserted")
-            except sqlite3.Error as exc:
-                raise StoreError(f"append failed: {exc}") from exc
+        try:
+            with self.transaction():  # holds the lock, so the count cannot move
+                count = self.get_block_count()
+                if block.index != count:
+                    raise StoreError(f"append at index {block.index} but store holds {count} blocks")
+                self._conn.execute(
+                    "INSERT INTO blocks VALUES (?,?,?,?,?,?,?,?)",
+                    (block.index, block.timestamp, block.data, block.prev_hash,
+                     block.hash, block.difficulty, block.nonce, retarget))
+                self._tip = (block, retarget)
+                self._hook("block_inserted")
+        except sqlite3.Error as exc:
+            raise StoreError(f"append failed: {exc}") from exc
 
     def _tip_row(self) -> tuple[Block, float] | None:
         """The tip block and the difficulty after it, or None for an empty

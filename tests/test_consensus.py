@@ -6,7 +6,9 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
+from powdb import consensus
 from powdb.chain import (
+    MAX_DIFFICULTY_BITS,
     Block,
     ChainParams,
     MalformedBlockError,
@@ -173,6 +175,24 @@ class TestVerifyBlock:
                 break
             data += "."
         assert verify_block(blk, GENESIS).reason is VerifyReason.INSUFFICIENT_WORK
+
+    def test_work_test_agrees_with_meets_difficulty_at_every_boundary(self, monkeypatch):
+        # verify_block reads the digest it computed without meets_difficulty's
+        # hex check; digests whose first set bit is bit p, p from 0 to 32, with
+        # every later bit clear, random or set, or all zero, at every difficulty
+        rng = random.Random(34)
+        digests = [0]
+        for p in range(33):
+            top = 1 << (255 - p)
+            digests += [top, top | rng.getrandbits(255 - p), top | (top - 1)]
+        for value in digests:
+            digest = f"{value:064x}"
+            monkeypatch.setattr(consensus, "block_hash", lambda _blk, _d=digest: _d)
+            for d in range(MAX_DIFFICULTY_BITS + 1):
+                blk = replace(self.block, hash=digest, difficulty=d)
+                err = verify_block(blk, GENESIS, min_difficulty=0)
+                assert (err is None) == meets_difficulty(digest, d), (digest, d)
+                assert err is None or err.reason is VerifyReason.INSUFFICIENT_WORK
 
     def test_below_min_difficulty_rejected(self):
         blk = mine_block(create_new_block("weak", GENESIS, 2, 60))

@@ -1,5 +1,6 @@
 """Peer management, handshake, block gossip and chain synchronization."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -15,6 +16,7 @@ from collections import Counter
 
 import pytest
 
+from powdb import chain as chain_module
 from powdb import consensus
 from powdb import node as node_module
 from powdb import wire
@@ -651,6 +653,48 @@ class TestHandleNewBlock:
         assert b.on_message(link.conn, self.envelope_for(a, block).encode()) == "appended"
         assert tip_queries == ["adopt", "chain_info"]
 
+    def test_joining_block_is_shape_checked_and_hashed_once(self, cluster_factory,
+                                                            monkeypatch):
+        # block_from_json shape-checks the block and marks it, so verify_block
+        # skips the shape gate and hashes it once; the mark is no field
+        cluster = cluster_factory(2)
+        cluster.connect(0, 1)
+        cluster.pump()
+        a, b = cluster.nodes
+        head = b.store.tip()
+        block = mine_block(create_new_block("checked once", head, 4, 10))
+        frame = self.envelope_for(a, block).encode()
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        shape = counted("shape", chain_module.validate_block_shape)
+        digest = counted("hash", chain_module.block_hash)
+        for module in (chain_module, consensus):
+            monkeypatch.setattr(module, "validate_block_shape", shape)
+            monkeypatch.setattr(module, "block_hash", digest)
+        [link] = b.connected()
+        assert b.on_message(link.conn, frame) == "appended"
+        assert b.store.tip() == block
+        assert calls == {"shape": 1, "hash": 1}
+        monkeypatch.undo()
+
+        checked = chain_module.block_from_json(block_to_json(block))
+        assert checked.shape_checked and not block.shape_checked
+        assert consensus.verify_block(checked, head, 4) is None
+        # a copy is a new record: its fields are checked again
+        err = consensus.verify_block(dataclasses.replace(checked, hash="zz"), head, 4)
+        assert err.reason is consensus.VerifyReason.MALFORMED_BLOCK
+        assert not dataclasses.replace(checked).shape_checked
+        # the mark changes no comparison, hash or text of the record
+        assert checked == block and hash(checked) == hash(block)
+        assert repr(checked) == repr(block)
+        assert {checked: 1}[block] == 1
+
 
 class TestForkChoiceOnGossip:
     def test_heavier_fork_at_held_heights_wins(self, cluster_factory):
@@ -857,6 +901,35 @@ class TestHolderList:
         assert c.on_message(link.conn.peer, a.frame(link, wire.NEW_BLOCK, payload)) == "appended"
         expected = [] if loss_rate == 0 else [("mem:2", "mem:1"), ("mem:2", "mem:3")]
         assert sorted((src, dst) for src, dst, _ in sent) == expected
+
+    def test_receiver_named_with_every_peer_frames_nothing(self, cluster_factory,
+                                                          monkeypatch):
+        # a reliable full mesh, and the sender's list names every node: the
+        # receiver appends the block and finds no relay target before any frame
+        cluster = cluster_factory(4)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                cluster.connect(i, j)
+        cluster.pump()
+        a, b, c, d = cluster.nodes
+        sent = self.new_block_frames(cluster, monkeypatch)
+        tagged = []
+        real_tag_frames = node_module.tag_frames
+
+        def counting_tag_frames(*args):
+            tagged.append(args[0])
+            return real_tag_frames(*args)
+
+        [link] = [link for link in a.connected() if link.conn.remote_addr == "mem:2"]
+        block = self.next_block(c, "named everywhere")
+        raw = a.frame(link, wire.NEW_BLOCK,
+                      {"block": block_to_json(block), "have": self.short(a, b, c, d)})
+        monkeypatch.setattr(node_module, "tag_frames", counting_tag_frames)
+        assert c.on_message(link.conn.peer, raw) == "appended"
+        assert c.store.tip() == block
+        cluster.pump()
+        assert tagged == [] and sent == []
+        assert c.broadcast_block(block) == 3 and tagged == [wire.NEW_BLOCK]
 
     @pytest.mark.parametrize("loss_rate", [0.0, 0.3])
     def test_only_peers_over_reliable_links_are_named(self, cluster_factory, monkeypatch,
