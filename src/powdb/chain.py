@@ -52,9 +52,6 @@ class Block:
         self.__dict__.update(index=index, timestamp=timestamp, data=data, prev_hash=prev_hash,
                              hash=hash, difficulty=difficulty, nonce=nonce)
 
-    def with_nonce(self, nonce: int) -> "Block":
-        return replace(self, nonce=nonce)
-
     def with_hash(self, hash_hex: str) -> "Block":
         return replace(self, hash=hash_hex)
 

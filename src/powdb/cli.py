@@ -19,6 +19,7 @@ from powdb.node import BadConfigError, NetworkStartupError, NodeConfig, NodeRunt
 from powdb.store import StoreError
 from powdb.transport import parse_hostport
 from powdb.wire import (
+    EncodingError,
     NodeIdentity,
     ProtocolError,
     QUERY,
@@ -41,10 +42,10 @@ EXIT_STORE = 4
 def client_request(addr: str, kind: str, payload, timeout: float = 300.0) -> dict:
     """Send one signed request and wait for the node's RESPONSE payload."""
     identity = NodeIdentity.generate()
+    env = sign_envelope(kind, int(time.time() * 1000), payload, identity)
     sock = socket.create_connection(parse_hostport(addr), timeout=timeout)
     sock.settimeout(timeout)
     try:
-        env = sign_envelope(kind, int(time.time() * 1000), payload, identity)
         sock.sendall(frame(env.encode()))
         read_exact = socket_read_exact(sock)
         while True:
@@ -164,7 +165,7 @@ def _cmd_client(args) -> int:
         try:
             with open(args.file) as handle:
                 source = json.load(handle)
-        except (OSError, ValueError) as exc:  # a JSONDecodeError or UnicodeDecodeError
+        except (OSError, ValueError, RecursionError) as exc:  # undecodable, or too deep
             print(f"bad contract file: {exc}", file=sys.stderr)
             return EXIT_BAD_CONFIG
         kind, payload = TX, {"tx": {"kind": "deploy", "contract": source}}
@@ -184,6 +185,9 @@ def _cmd_client(args) -> int:
 
     try:
         result = client_request(args.node, kind, payload, timeout=args.timeout)
+    except (EncodingError, RecursionError) as exc:  # only a deployed contract can raise these
+        print(f"bad contract file: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     except (OSError, ConnectionError, ProtocolError) as exc:
         print(f"network failure: {exc}", file=sys.stderr)
         return EXIT_NETWORK
@@ -197,7 +201,7 @@ def _cmd_sim_run(args) -> int:
     try:
         with open(args.scenario) as handle:
             scenario = json.load(handle)
-    except (OSError, ValueError) as exc:  # a JSONDecodeError or UnicodeDecodeError
+    except (OSError, ValueError, RecursionError) as exc:  # undecodable, or too deep
         print(f"bad scenario file: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     try:

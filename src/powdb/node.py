@@ -54,6 +54,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 from powdb import wire
 from powdb.chain import (
@@ -181,7 +182,6 @@ class _Link:
     quiet_since_ms: int  # last GET_BLOCKS sent or NEW_BLOCK read, or when the link opened
     hello: dict | None = None  # a dialer's handshake fields: the node's key and a nonce
     keys: tuple[LinkKey, LinkKey] | None = None  # (send, receive) once the handshake is done
-    peer: str | None = None  # the peer's node id, from its signed link-open message
     short: str | None = None  # the peer's short id, read by the relay's holder checks
     sent: int = 0  # the counter of the last frame tagged for this link
     received: int = 0  # the counter of the last frame on it whose tag checked
@@ -196,7 +196,7 @@ class _Link:
 
     def establish(self, keys: tuple[LinkKey, LinkKey], peer: str) -> None:
         """The handshake is done: key the link to `peer`."""
-        self.keys, self.peer, self.short = keys, peer, short_id(peer)
+        self.keys, self.short = keys, short_id(peer)
 
 
 def locator_heights(tip: int) -> list[int]:
@@ -223,12 +223,6 @@ def _parse_locator(payload) -> list[tuple[int, str]] | None:
             return None
         entries.append((entry[0], entry[1]))
     return entries
-
-
-def _reliable(conn) -> bool:
-    """Whether every frame sent on `conn` arrives, or the link closes and
-    opens again with a sync: a connection without `reliable` is not."""
-    return getattr(conn, "reliable", False)
 
 
 def _unkeyed_may_carry(link: _Link, env: MessageEnvelope) -> bool:
@@ -457,10 +451,10 @@ class NodeCore:
         skip = set(known)
         targets = [link for link in self._links.values()
                    if link.keys is not None and link is not source  # established
-                   and (link.short not in skip or not _reliable(link.conn))]
+                   and (link.short not in skip or not link.conn.reliable)]
         if not targets:
             return 0
-        known += [link.short for link in targets if _reliable(link.conn)]
+        known += [link.short for link in targets if link.conn.reliable]
         have = list(dict.fromkeys(known))[:MAX_HOLDERS]
         frames = self.frames(wire.NEW_BLOCK, {"block": block_to_json(block), "have": have},
                              targets)
@@ -606,8 +600,8 @@ class NodeCore:
         payload = env.payload if isinstance(env.payload, dict) else {}
         if not link.established:
             # the reply to our link-open request: its share and nonce key the link
-            keys = link.hello and self._share.link_keys(
-                link.hello, payload, self.identity.node_id, env.sender, dialer=True)
+            keys = self._share.link_keys(link.hello, payload, self.identity.node_id,
+                                         env.sender, dialer=True)
             if keys is None:
                 self._drop_conn(link.conn)
                 return "ignored"
@@ -777,25 +771,22 @@ class NodeCore:
     # -- client surface -------------------------------------------------------------
 
     def _handle_tx(self, link: _Link, env: MessageEnvelope) -> None:
-        payload = env.payload if isinstance(env.payload, dict) else {}
-        tx = payload.get("tx")
-
-        def reply(result: dict) -> None:
-            self._send(link, wire.RESPONSE, result)
-
-        self.submit_tx(tx if isinstance(tx, dict) else {}, reply)
+        tx = env.payload.get("tx") if isinstance(env.payload, dict) else None
+        self.submit_tx(tx if isinstance(tx, dict) else {}, partial(self._reply, link))
 
     def _handle_query(self, link: _Link, env: MessageEnvelope) -> None:
         payload = env.payload if isinstance(env.payload, dict) else {}
-        what = payload.get("what")
-        params = payload.get("params") or {}
-        raw = self.frame(link, wire.RESPONSE, self.handle_query(what, params))
+        self._reply(link, self.handle_query(payload.get("what"), payload.get("params") or {}))
+
+    def _reply(self, link: _Link, result: dict) -> None:
+        """Answer a client's TX or QUERY with one RESPONSE; one over the frame cap,
+        say a whole chain or an echoed huge tx, becomes a small error in its place."""
+        raw = self.frame(link, wire.RESPONSE, result)
         try:
             wire.check_frame_size(raw)
         except wire.ProtocolError as exc:
-            # e.g. a chain too long for one frame: answer, never leave the client waiting
             raw = self.frame(link, wire.RESPONSE,
-                             {"ok": False, "what": what, "error": str(exc)})
+                             {"ok": False, "what": result["what"], "error": str(exc)})
         self._send_raw(link, raw)
 
     def handle_query(self, what, params) -> dict:

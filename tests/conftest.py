@@ -97,6 +97,8 @@ TEST_PARAMS = ChainParams(target_block_interval_ms=2000, initial_difficulty=6,
 class Capture:
     """A connection that keeps what the node sends on it."""
 
+    reliable = False
+
     def __init__(self):
         self.sent = []
         self.closed = False

@@ -90,6 +90,14 @@ class TestSimCli:
         result = powdb("sim", "run", str(bad), "--out", str(tmp_path / "r.json"))
         assert result.returncode == 2
 
+    def test_scenario_too_deep_to_read_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"node_count": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        result = powdb("sim", "run", str(bad), "--out", str(tmp_path / "r.json"))
+        assert result.returncode == 2
+        assert result.stderr.startswith("bad scenario file: ")
+        assert "Traceback" not in result.stderr
+
     def test_mistyped_scenario_value_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"node_count": 3, "duration_ms": "5000"}')
@@ -263,13 +271,17 @@ class TestNodeAndClientCli:
         assert result.stderr.startswith("bad configuration: ") and option[1] in result.stderr
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("content", [None, b"[[\"add\", ", b"\xff\xfe"],
-                             ids=["missing", "not_json", "not_utf8"])
+    @pytest.mark.parametrize("content", [
+        None, b"[[\"add\", ", b"\xff\xfe", b'[["set", "k", 1.5]]',
+        # json.load reads 987 levels at the CLI's depth; canonical_json cannot encode them
+        b"[" * 987 + b"]" * 987, b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["missing", "not_json", "not_utf8", "float", "too_deep", "too_deep_to_read"])
     def test_unreadable_contract_file_exits_2(self, tmp_path, content):
         path = tmp_path / "contract.json"
         if content is not None:
             path.write_bytes(content)
-        # the file is read before any connection, so no node is needed
+        # the file is read and encoded before any connection, so no node is
+        # needed: a connection tried would fail with exit 3
         result = powdb("client", "--node", "127.0.0.1:1", "deploy", str(path), timeout=60)
         assert result.returncode == 2
         assert result.stderr.startswith("bad contract file: ")

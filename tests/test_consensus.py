@@ -89,12 +89,12 @@ class TestMineBlock:
         assert block_hash(mined) == mined.hash
         # smallest qualifying nonce: everything below fails the predicate
         for n in range(mined.nonce):
-            assert not meets_difficulty(block_hash(mined.with_nonce(n)), 8)
+            assert not meets_difficulty(block_hash(replace(mined, nonce=n)), 8)
 
     def test_mined_block_keeps_every_other_field(self):
         blk = create_new_block("fields", GENESIS, 8, 77)
         mined = mine_block(blk)
-        assert mined == blk.with_nonce(mined.nonce).with_hash(block_hash(mined))
+        assert mined == replace(blk, nonce=mined.nonce).with_hash(block_hash(mined))
 
     def test_window_without_hit_returns_none(self):
         blk = create_new_block("window", GENESIS, 8, 77)

@@ -447,7 +447,7 @@ class TestHostileInput:
                                          tip.timestamp + 1), **{field: 2**63})
         nonce, digest = search_nonce(mining_prefix_bytes(block), block.difficulty,
                                      block.nonce, 2**16)
-        block = block.with_nonce(nonce).with_hash(digest.hex())
+        block = replace(block, nonce=nonce).with_hash(digest.hex())
         payload = ({"block": block_to_json(block)} if kind == wire.NEW_BLOCK
                    else {"after": tip.index, "blocks": [block_to_json(block)], "more": False})
         assert from_peer(core, Capture(), kind, payload) == "ignored"
@@ -546,7 +546,7 @@ class TestIntakeOrder:
         bits = effective_bits(core.difficulty)
         block = create_new_block("cheap", tip, bits, tip.timestamp + 1)
         while meets_difficulty(block_hash(block), bits):
-            block = block.with_nonce(block.nonce + 1)
+            block = replace(block, nonce=block.nonce + 1)
         return block.with_hash(block_hash(block))
 
     @staticmethod
@@ -1343,6 +1343,8 @@ class TestOversizedFrame:
         core, queue = make_node()
 
         class CappedConn:
+            reliable = False
+
             def send_message(self, raw):
                 raise ProtocolError("frame exceeds the 16 MiB cap")
 
@@ -1362,7 +1364,7 @@ class TestOversizedFrame:
         assert core.connected() == [link]
 
 
-class TestOversizedQueryResponse:
+class TestOversizedResponse:
     def test_answer_over_the_frame_cap_becomes_a_small_error(self, monkeypatch):
         core, queue = make_node()
         for data in ("one", "two"):
@@ -1384,6 +1386,15 @@ class TestOversizedQueryResponse:
         assert "exceeds the 16 MiB cap" in response.payload["error"]
         from_peer(core, conn, wire.QUERY, {"what": "block", "params": {"index": 1}})
         assert decode_envelope(conn.sent[1]).payload["ok"] is True
+        # a TX rejection that echoes its kind: the same small error, not silence
+        conn = CappedConn()
+        from_peer(core, conn, wire.TX, {"tx": {"kind": "k" * 1000}})
+        [raw] = conn.sent
+        response = decode_envelope(raw)
+        assert response.kind == wire.RESPONSE
+        assert response.payload["ok"] is False
+        assert response.payload["what"] == "tx"
+        assert "exceeds the 16 MiB cap" in response.payload["error"]
 
 
 class TestQueries:
