@@ -9,10 +9,10 @@ import argparse
 import json
 import logging
 import math
-import signal
 import socket
 import sys
 import time
+from pathlib import Path
 
 from powdb.chain import ChainParams
 from powdb.node import BadConfigError, NetworkStartupError, NodeConfig, NodeRuntime
@@ -139,12 +139,6 @@ def _cmd_node_run(args) -> int:
     except StoreError as exc:
         print(f"store failure: {exc}", file=sys.stderr)
         return EXIT_STORE
-    # both stop the node through run_forever, which closes the store, even
-    # if the process was started with SIGINT ignored (as an `&` job is)
-    signal.signal(signal.SIGINT, signal.default_int_handler)
-    signal.signal(signal.SIGTERM, signal.default_int_handler)
-    print(f"listening on {runtime.listen_addr}, "
-          f"node id {runtime.core.identity.node_id}", flush=True)
     runtime.run_forever()
     return EXIT_OK
 
@@ -206,12 +200,20 @@ def _cmd_sim_run(args) -> int:
         return EXIT_BAD_CONFIG
     try:
         config = ScenarioConfig.from_json(scenario)
-        if args.seed is not None:
-            config.seed = args.seed
-        report = run_scenario(config)
     except ConfigError as exc:
         print(f"bad scenario: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    if args.seed is not None:
+        config.seed = args.seed
+    out = Path(args.out)
+    try:  # the files write_report writes, checked before the run it would waste
+        out.parent.mkdir(parents=True, exist_ok=True)
+        for path in (out, out.with_suffix(".csv")):
+            open(path, "a").close()
+    except OSError as exc:
+        print(f"bad configuration: cannot write --out: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    report = run_scenario(config)
     json_path, csv_path = write_report(report, args.out)
     consistency = report["consistency"]["c"]
     print(f"report written to {json_path} and {csv_path}")

@@ -50,6 +50,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import signal
 import threading
 import time
 from collections import deque
@@ -188,11 +189,6 @@ class _Link:
     sync_sent_ms: int | None = None
     wanted: str | None = None  # hash of the gossiped block that set off the pending sync
     unserved: int = 0  # syncs in a row whose reply did not reach their `wanted`
-
-    @property
-    def established(self) -> bool:
-        """The handshake is done: the link carries blocks."""
-        return self.keys is not None
 
     def establish(self, keys: tuple[LinkKey, LinkKey], peer: str) -> None:
         """The handshake is done: key the link to `peer`."""
@@ -373,7 +369,7 @@ class NodeCore:
         or closed is dialed, and a conn the dial returns opens a link."""
         now = self.clock()
         for link in list(self._links.values()):
-            if link.keys is not None:  # established
+            if link.keys is not None:
                 if now - link.quiet_since_ms >= RESYNC_MS:
                     self.request_sync(link)
             elif link.outbound and now - link.quiet_since_ms >= HANDSHAKE_TIMEOUT_MS:
@@ -386,7 +382,7 @@ class NodeCore:
 
     def connected(self) -> list[_Link]:
         """The established links, oldest first."""
-        return [link for link in self._links.values() if link.established]
+        return [link for link in self._links.values() if link.keys is not None]
 
     # -- message intake ------------------------------------------------------
 
@@ -450,7 +446,7 @@ class NodeCore:
             known += [source.short, *parse_holders(env.payload)]
         skip = set(known)
         targets = [link for link in self._links.values()
-                   if link.keys is not None and link is not source  # established
+                   if link.keys is not None and link is not source
                    and (link.short not in skip or not link.conn.reliable)]
         if not targets:
             return 0
@@ -537,9 +533,9 @@ class NodeCore:
         heights = locator_heights(self.store.get_block_count() - 1)
         hashes = self.store.get_hashes(heights)
         payload = {"locator": [[height, hashes[height]] for height in heights]}
-        if link.outbound and not link.established:
+        if link.outbound and link.keys is None:
             payload.update(link.hello)  # the link-open request
-        return self._send(link, wire.GET_BLOCKS, payload)
+        return self._send_raw(link, self.frame(link, wire.GET_BLOCKS, payload))
 
     def _sync_pending(self, link: _Link) -> bool:
         """Whether the link's last GET_BLOCKS is unanswered and not yet due a retry."""
@@ -560,7 +556,7 @@ class NodeCore:
         lack the locator's first entry, the peer's tip. Serving a request
         restarts no quiet timer (see tick).
         """
-        opening = not link.established
+        opening = link.keys is None
         locator = _parse_locator(env.payload)
         if opening:
             hello = self._hello()
@@ -589,7 +585,7 @@ class NodeCore:
             reply.update(hello)
         # signed at link open, as the keys are set only after the send: the
         # dialer's end of the link has none before it reads this
-        self._send(link, wire.BLOCKS, reply)
+        self._send_raw(link, self.frame(link, wire.BLOCKS, reply))
         if opening:
             link.establish(keys, env.sender)
             height, tip_hash = locator[0]
@@ -598,7 +594,7 @@ class NodeCore:
 
     def _handle_sync_response(self, link: _Link, env: MessageEnvelope) -> str:
         payload = env.payload if isinstance(env.payload, dict) else {}
-        if not link.established:
+        if link.keys is None:
             # the reply to our link-open request: its share and nonce key the link
             keys = self._share.link_keys(link.hello, payload, self.identity.node_id,
                                          env.sender, dialer=True)
@@ -780,13 +776,16 @@ class NodeCore:
 
     def _reply(self, link: _Link, result: dict) -> None:
         """Answer a client's TX or QUERY with one RESPONSE; one over the frame cap,
-        say a whole chain or an echoed huge tx, becomes a small error in its place."""
+        say a whole chain or an echoed huge tx, becomes a small error in its place,
+        which echoes `what` only when it is a short string, so that it fits too."""
         raw = self.frame(link, wire.RESPONSE, result)
         try:
             wire.check_frame_size(raw)
         except wire.ProtocolError as exc:
-            raw = self.frame(link, wire.RESPONSE,
-                             {"ok": False, "what": result["what"], "error": str(exc)})
+            what = result["what"]
+            if not isinstance(what, str) or len(what) > 64:
+                what = None
+            raw = self.frame(link, wire.RESPONSE, {"ok": False, "what": what, "error": str(exc)})
         self._send_raw(link, raw)
 
     def handle_query(self, what, params) -> dict:
@@ -854,9 +853,6 @@ class NodeCore:
         if self._share is None:
             self._share = KeyShare(self.random_bytes)
         return self._share.hello()
-
-    def _send(self, link: _Link, kind: str, payload) -> bool:
-        return self._send_raw(link, self.frame(link, kind, payload))
 
     def _send_raw(self, link: _Link, raw: bytes) -> bool:
         try:
@@ -975,9 +971,15 @@ class NodeRuntime:
         return conn
 
     def run_forever(self) -> None:
-        """Start, and serve until KeyboardInterrupt or `stop()`; the node is
-        stopped and its store closed however this returns."""
+        """Run on the main thread, the only one that sets signal handlers, until
+        SIGINT, SIGTERM (both raise KeyboardInterrupt, even if SIGINT started
+        ignored, as in an `&` job) or `stop()`. From the handlers on, the node
+        is stopped and its store closed however this returns."""
         try:
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+            signal.signal(signal.SIGTERM, signal.default_int_handler)
+            print(f"listening on {self.listen_addr}, node id {self.core.identity.node_id}",
+                  flush=True)
             self.start()
             self._stop.wait()
         except KeyboardInterrupt:

@@ -120,10 +120,6 @@ class BlockStore:
         from the outermost entry to its exit; a nested one runs no SQL."""
         return self._txn
 
-    def _hook(self, step: str) -> None:
-        if self._crash_hook is not None:
-            self._crash_hook(step)
-
     # -- block chain ------------------------------------------------------
 
     def add_block(self, block: Block, retarget: float) -> None:
@@ -138,7 +134,8 @@ class BlockStore:
                     (block.index, block.timestamp, block.data, block.prev_hash,
                      block.hash, block.difficulty, block.nonce, retarget))
                 self._tip = (block, retarget)
-                self._hook("block_inserted")
+                if self._crash_hook is not None:
+                    self._crash_hook("block_inserted")
         except sqlite3.Error as exc:
             raise StoreError(f"append failed: {exc}") from exc
 

@@ -98,6 +98,16 @@ class TestSimCli:
         assert result.stderr.startswith("bad scenario file: ")
         assert "Traceback" not in result.stderr
 
+    def test_out_that_cannot_be_written_exits_2(self, tmp_path):
+        blocker = tmp_path / "F"
+        blocker.write_text("a file where --out needs a directory")
+        result = powdb("sim", "run", str(SCENARIOS / "baseline.json"),
+                       "--out", str(blocker / "report.json"))
+        assert result.returncode == 2
+        assert result.stderr.startswith("bad configuration: ")
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""  # checked before the scenario runs
+
     def test_mistyped_scenario_value_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"node_count": 3, "duration_ms": "5000"}')
@@ -215,6 +225,31 @@ class TestNodeAndClientCli:
             assert store.get_block(index).hash == put["result"]["block_hash"]
         finally:
             store.close()
+
+    def test_interrupt_right_after_the_ready_line_exits_0(self, tmp_path):
+        """A signal that lands as the ready line is printed stops the node
+        cleanly too: here print raises KeyboardInterrupt once it has written
+        the line, as SIGINT or SIGTERM would then."""
+        script = """
+import builtins, sys
+from powdb import cli
+
+def print_then_interrupt(*args, **kwargs):
+    real_print(*args, **kwargs)
+    if str(args[0]).startswith("listening on "):
+        raise KeyboardInterrupt
+
+real_print, builtins.print = builtins.print, print_then_interrupt
+sys.exit(cli.main(sys.argv[1:]))
+"""
+        db = tmp_path / "raced.db"
+        result = subprocess.run(
+            [sys.executable, "-c", script, "node", "run", "--listen", "127.0.0.1:0",
+             "--db", str(db)], capture_output=True, text=True, timeout=60)
+        assert result.stdout.startswith("listening on ")
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert_no_log(db)
 
     def test_client_against_dead_node_exits_3(self):
         with socket.socket() as probe:

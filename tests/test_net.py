@@ -401,12 +401,12 @@ class TestSimFrameCap:
             conn.send_message(b"x" * 65)
         [link] = node.connected()
         assert link.conn is conn
-        assert node._send(link, wire.QUERY, {}) is False
+        assert node._send_raw(link, node.frame(link, wire.QUERY, {})) is False
         assert len(cluster.queue) == queued  # nothing went on the link
         monkeypatch.undo()
         assert not conn.closed
         assert node.connected() == [link]
-        assert node._send(link, wire.QUERY, {}) is True
+        assert node._send_raw(link, node.frame(link, wire.QUERY, {})) is True
 
 
 class TestTxSizeLimit:
@@ -753,7 +753,7 @@ class TestHolderList:
         ids = [wire.short_id(core.identity.node_id) for core in cluster.nodes]
         for core, peers in zip(cluster.nodes, [[1], [0, 2], [1]]):
             links = list(core._links.values())
-            assert links and all(link.established for link in links)
+            assert links and all(link.keys is not None for link in links)
             assert sorted(link.short for link in links) == sorted(ids[i] for i in peers)
 
     def test_block_mined_at_one_end_of_a_line_reaches_the_other(self, cluster_factory,
@@ -1286,7 +1286,7 @@ class TestSync:
         self.run_lossy_mesh(cluster)
         for core in cluster.nodes:
             assert len(core.connected()) == 3
-            assert all(link.established for link in core._links.values())
+            assert all(link.keys is not None for link in core._links.values())
         assert [core.dropped_envelopes for core in cluster.nodes] == [0, 0, 0, 0]
         chains = [core.store.get_all_blocks() for core in cluster.nodes]
         assert all(chain[:-1] == chains[0][:-1] for chain in chains)
@@ -1315,7 +1315,7 @@ class TestSync:
         assert [core.dropped_envelopes for core in cluster.nodes] == [0, 0, 0, 0]
         # a link whose link-open request or reply was lost is dialed again,
         # so every link ends keyed at both ends and every node on one chain
-        assert all(link.established for core in cluster.nodes for link in core._links.values())
+        assert all(link.keys is not None for core in cluster.nodes for link in core._links.values())
         assert len(set(cluster.heads())) == 1
         assert len({core.store.get_block_count() for core in cluster.nodes}) == 1
 
@@ -1674,7 +1674,7 @@ class TestTcpTransport:
             assert core.on_message(conn, PeerEnd(core, peer, conn).opening().encode()) == "handled"
             [link] = core.connected()
             far.close()
-            assert core._send(link, wire.QUERY, {"what": "stats"}) is False
+            assert core._send_raw(link, core.frame(link, wire.QUERY, {"what": "stats"})) is False
             assert conn.closed and core.connected() == [] and core._links == {}
         finally:
             core.close()

@@ -796,7 +796,7 @@ class TestIntakeOrder:
         if frame == "other-direction":
             raw = self.peer.frame(kind, payload, key=self.peer.keys[1])
         else:
-            core._send(self.link, kind, payload)
+            core._send_raw(self.link, core.frame(self.link, kind, payload))
             raw = self.conn.sent.pop()
         assert core.on_message(self.conn, raw) == "dropped"
         assert self.checks == 1 and self.signatures == 0
@@ -1357,7 +1357,7 @@ class TestOversizedFrame:
         assert core.on_message(conn, PeerEnd(core, PEER, conn).opening().encode()) == "handled"
         [link] = core.connected()
         assert link.conn is conn
-        assert core._send(link, "QUERY", {}) is False
+        assert core._send_raw(link, core.frame(link, "QUERY", {})) is False
         result = submit_and_run(core, queue, {"kind": "raw", "data": "big"})
         assert result["ok"] is True
         assert core.store.get_block_count() == 2
@@ -1394,6 +1394,22 @@ class TestOversizedResponse:
         assert response.kind == wire.RESPONSE
         assert response.payload["ok"] is False
         assert response.payload["what"] == "tx"
+        assert "exceeds the 16 MiB cap" in response.payload["error"]
+
+    @pytest.mark.parametrize("what", ["w" * 600, ["x"] * 200], ids=["long-string", "list"])
+    def test_small_error_fits_when_what_fills_the_frame(self, monkeypatch, what):
+        """A query whose `what` alone fills most of a frame gets the small
+        error too: it echoes no `what`, so it is under the cap and is sent."""
+        core, _queue = make_node()
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 900)
+        conn = Capture()
+        from_peer(core, conn, wire.QUERY, {"what": what, "params": {}})
+        [raw] = conn.sent
+        wire.check_frame_size(raw)  # a connection would drop it otherwise
+        response = decode_envelope(raw)
+        assert response.kind == wire.RESPONSE
+        assert response.payload["ok"] is False
+        assert response.payload["what"] is None
         assert "exceeds the 16 MiB cap" in response.payload["error"]
 
 

@@ -535,7 +535,7 @@ class TestScenarios:
 
         def counting_on_message(core, conn, raw):
             link = core._links.get(id(conn))
-            keyed = link is not None and link.established
+            keyed = link is not None and link.keys is not None
             counts["frames"] += keyed and wire.decode_envelope(raw).kind == wire.NEW_BLOCK
             return real_on_message(core, conn, raw)
 
