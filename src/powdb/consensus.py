@@ -13,6 +13,7 @@ from powdb.chain import (
     MalformedBlockError,
     SEP_CHAR,
     block_hash,
+    cumulative_work,
     genesis_block,
     mining_prefix_bytes,
     validate_block_shape,
@@ -185,10 +186,7 @@ def choose_chain(local: list[Block], candidate: list[Block], params: ChainParams
     err = verify_chain(candidate, params, common)
     if err is not None:
         return local, err
-    start = max(common, 1)  # as cumulative_work, the first block carries no weight
-    gain = 0  # the candidate's work past `start`, less the local chain's
-    for b in candidate[start:]:
-        gain += 1 << b.difficulty
-    for b in local[start:]:
-        gain -= 1 << b.difficulty
-    return (candidate, None) if gain > 0 else (local, None)
+    root = max(common, 1) - 1  # the last block both chains hold
+    if cumulative_work(candidate[root:]) > cumulative_work(local[root:]):
+        return candidate, None
+    return local, None

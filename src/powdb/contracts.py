@@ -95,6 +95,10 @@ class _Compiler:
             raise _malformed(f"key must be a string, got {type(key).__name__}", position)
         if "\x1f" in key:
             raise _malformed("key must not contain the 0x1f byte", position)
+        try:
+            key.encode("utf-8")  # a lone surrogate, which JSON can carry, does not
+        except UnicodeEncodeError:
+            raise _malformed("key must be Unicode text that encodes as UTF-8", position) from None
         return key
 
     def expr(self, node, position: str, depth: int):

@@ -159,8 +159,8 @@ class NodeConfig:
     def validate(self) -> None:
         try:
             self.params.validate()
-            for peer in self.peers:
-                parse_hostport(peer)
+            for addr in [self.listen_addr, *self.peers]:
+                parse_hostport(addr)
         except ValueError as exc:
             raise BadConfigError(str(exc)) from exc
 
@@ -390,18 +390,20 @@ class NodeCore:
         """Single entry point for wire input, and the one place an envelope
         is checked: every kind is checked here, on its conn's link, before
         any handler reads it (see _authentic). A frame that does not decode
-        is dropped and counted, and one on a conn with no link is ignored. A
-        link without keys carries no block, and a sync message only to open
-        the link; any other block or sync frame on it cannot be checked and
-        is ignored. Reading a NEW_BLOCK restarts the link's quiet timer (see
-        tick) whether its tag checks or not: a peer that keeps pushing
-        blocks, forged or not, is not resynced."""
+        is dropped and counted, and one on a conn with no link is ignored, as
+        is a RESPONSE, which no node reads. A link without keys carries no
+        block, and a sync message only to open the link; any other block or
+        sync frame on it cannot be checked and is ignored. Reading a
+        NEW_BLOCK restarts the link's quiet timer (see tick) whether its tag
+        checks or not: a peer that keeps pushing blocks, forged or not, is
+        not resynced."""
         env = decode_envelope(raw)
         if env is None:
             self.dropped_envelopes += 1
             return "dropped"
         link = self._links.get(id(conn))
-        if link is None or (link.keys is None and not _unkeyed_may_carry(link, env)):
+        if (link is None or env.kind == wire.RESPONSE
+                or (link.keys is None and not _unkeyed_may_carry(link, env))):
             return "ignored"
         if env.kind == wire.NEW_BLOCK:  # only a keyed link gets this far with one
             link.quiet_since_ms = self.clock()
@@ -424,7 +426,6 @@ class NodeCore:
             self._handle_tx(link, env)
         elif kind == wire.QUERY:
             self._handle_query(link, env)
-        # RESPONSE needs no action on a server
         return "handled"
 
     # -- gossip ----------------------------------------------------------------
@@ -810,7 +811,10 @@ class NodeCore:
             if not isinstance(cid, str) or not isinstance(key, str):
                 return {"ok": False, "what": what,
                         "error": "params must carry contract_id and key strings"}
-            value = self.store.get_state(cid, key)
+            try:
+                value = self.store.get_state(cid, key)
+            except UnicodeEncodeError:  # a lone surrogate names no stored cell
+                value = None
             if value is None:
                 return {"ok": False, "what": what, "error": "not-found"}
             return {"ok": True, "what": what, "result": {"value": value}}

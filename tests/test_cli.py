@@ -291,6 +291,15 @@ sys.exit(cli.main(sys.argv[1:]))
         assert result.returncode == 2
         assert "bad configuration" in result.stderr and peer in result.stderr
 
+    @pytest.mark.parametrize("listen", ["nohost", "127.0.0.1:notaport"])
+    def test_malformed_listen_exits_2_before_opening_anything(self, tmp_path, listen):
+        db, key = tmp_path / "p.db", tmp_path / "p.key"
+        result = powdb("node", "run", "--listen", listen, "--db", str(db), "--key", str(key),
+                       timeout=60)
+        assert result.returncode == 2
+        assert result.stderr.startswith("bad configuration: ") and listen in result.stderr
+        assert not db.exists() and not key.exists()
+
     @pytest.mark.parametrize("option", [("--node", "nohost"), ("--node", "127.0.0.1:notaport"),
                                         ("--timeout", "-1"), ("--timeout", "0"),
                                         ("--timeout", "nan"), ("--timeout", "inf")],

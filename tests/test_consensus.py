@@ -351,15 +351,25 @@ class TestChooseChain:
         assert err.reason is VerifyReason.MALFORMED_BLOCK
 
     def test_adoption_never_decreases_work(self):
+        def work(chain):  # inline, so the oracle does not share choose_chain's cumulative_work
+            return sum(1 << b.difficulty for b in chain[1:])
+
+        def extend(prefix, count, tag):
+            blocks = list(prefix)
+            for i in range(count):
+                blk = create_new_block(f"{tag}-{i}", blocks[-1], rng.choice([3, 4, 5]), 2000 + i)
+                blocks.append(mine_block(blk))
+            return blocks
+
         rng = random.Random(77)
-        for _ in range(20):
-            local = mined_chain([rng.choice([3, 4, 5]) for _ in range(rng.randrange(1, 4))],
-                                data_prefix=f"l{rng.randrange(100)}")
-            candidate = mined_chain([rng.choice([3, 4, 5]) for _ in range(rng.randrange(1, 5))],
-                                    data_prefix=f"c{rng.randrange(100)}")
+        # 20 forks at genesis, then 20 past a shared run of 1-4 mined blocks
+        for shared in [0] * 20 + [rng.randint(1, 4) for _ in range(20)]:
+            prefix = extend([GENESIS], shared, "s")
+            local = extend(prefix, rng.randrange(0, 4), "l")
+            candidate = extend(prefix, rng.randrange(0, 5), "c")
             selected, err = choose_chain(local, candidate, self.PARAMS)
             assert err is None
-            assert cumulative_work(selected) >= cumulative_work(local)
+            assert selected is (candidate if work(candidate) > work(local) else local)
 
 
 class TestChooseChainSharedPrefix:

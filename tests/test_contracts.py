@@ -74,6 +74,20 @@ class TestCompile:
             compile_contract(source)
         assert err.value.reason is ExecReason.MALFORMED_SOURCE
 
+    @pytest.mark.parametrize("source,position", [
+        ([["set", "\ud800", 1]], "$[0]"),
+        ([["add", "a\udfffb", 1]], "$[0]"),
+        ([["sub", "\udc00", 1]], "$[0]"),
+        ([["set", "x", ["add", 1, ["get", "\ud800"]]]], "$[0][2][2]"),
+        ([["if", ["lt", ["get", "\ud800"], 1], [], []]], "$[0][1][1]"),
+    ])
+    def test_key_that_does_not_encode_as_utf8_is_refused(self, source, position):
+        # SQLite cannot bind a lone surrogate, so a state cell could never hold it
+        with pytest.raises(ContractError, match="encodes as UTF-8") as err:
+            compile_contract(source)
+        assert err.value.reason is ExecReason.MALFORMED_SOURCE
+        assert err.value.position == position
+
     def test_nesting_depth_limit(self):
         expr = 1
         for _ in range(40):

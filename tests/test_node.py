@@ -68,6 +68,11 @@ class TestNodeConfig:
         with pytest.raises(BadConfigError, match="host:port"):
             NodeConfig(peers=["127.0.0.1:4000", peer]).validate()
 
+    @pytest.mark.parametrize("addr", ["nohost", "127.0.0.1:notaport", "127.0.0.1:65536"])
+    def test_malformed_listen_addr_is_a_bad_config(self, addr):
+        with pytest.raises(BadConfigError, match="host:port"):
+            NodeConfig(listen_addr=addr).validate()
+
 
 def submit_and_run(core, queue, tx):
     results = []
@@ -240,6 +245,16 @@ class TestSingleNodeFlow:
         assert core.store.get_state(cid, "x") is None
         assert core.exec_errors == {"Overflow": 1}
 
+    def test_deploy_with_a_key_that_does_not_encode_is_refused(self):
+        # SQLite cannot bind a lone surrogate: mined, the deploy's calls raised on every node
+        core, queue = make_node()
+        deploy = submit_and_run(core, queue, {"kind": "deploy", "contract": [["set", "\ud800", 1]]})
+        assert deploy["ok"] is False
+        assert "encodes as UTF-8" in deploy["error"]
+        put = submit_and_run(core, queue, {"kind": "raw", "data": "after"})
+        assert put["ok"] is True
+        assert core.store.get_block_count() == 2
+
     def test_rejected_payload_never_mines(self):
         core, queue = make_node()
         result = submit_and_run(core, queue, {"kind": "raw", "data": "bad\x1f"})
@@ -360,6 +375,8 @@ class TestQueryInput:
         ("block", {"index": 2**70}, "not-found"),
         ("block", {"index": 2**63}, "not-found"),
         ("block", {"index": -1}, "not-found"),
+        ("state", {"contract_id": "\ud800", "key": "k"}, "not-found"),
+        ("state", {"contract_id": COUNTER_ID, "key": "\ud800"}, "not-found"),
     ])
     def test_bad_params_answer_not_ok(self, what, params, error):
         core, _queue = make_node()
@@ -859,6 +876,22 @@ class TestIntakeOrder:
         assert core.dropped_envelopes == 0 and core.rejects_by_reason == {}
         assert core.store.get_all_blocks() == chain
 
+    @pytest.mark.parametrize("link_kind", ["client", "keyed"])
+    def test_response_is_ignored_before_any_check(self, core, link_kind):
+        # no node acts on a RESPONSE, so none is worth a tag or signature check
+        payload = {"ok": True, "what": "stats", "result": {}}
+        if link_kind == "client":
+            conn = Capture()
+            core.on_inbound_connection(conn)
+            raw = sign_envelope(wire.RESPONSE, 1, payload, PEER).encode()
+        else:
+            conn, raw = self.conn, self.peer.frame(wire.RESPONSE, payload)
+        link = core._links[id(conn)]
+        received = link.received
+        assert core.on_message(conn, raw) == "ignored"
+        assert self.checks == 0 and conn.sent == []
+        assert link.received == received and core.dropped_envelopes == 0
+
     @pytest.mark.parametrize("frame", ["signed", "tagged"])
     @pytest.mark.parametrize("kind", [wire.NEW_BLOCK, wire.GET_BLOCKS, wire.BLOCKS, wire.TX,
                                       wire.QUERY])
@@ -1055,6 +1088,20 @@ class TestReorgStateRebuild:
         assert b.adopt_if_heavier(0, heavier[1:]) == "adopted"
         assert a.store.tip().hash == b.store.tip().hash == heavier[-1].hash
         assert a.store.all_state() == b.store.all_state() == {}
+
+    def test_mined_deploy_with_a_key_that_does_not_encode_deploys_nothing(self):
+        source = [["set", "\ud800", 1]]
+        call = validate_tx_payload({"kind": "call", "contract_id": contract_id_for(source),
+                                    "args": []}, lambda _: True)
+        chain = [genesis_block()]
+        for i, data in enumerate([canonical_json({"kind": "deploy", "contract": source}).decode(),
+                                  call]):
+            chain.append(mine_block(create_new_block(data, chain[-1], 4, 1000 + i)))
+        core, _queue = make_node()
+        assert core.adopt_if_heavier(0, chain[1:]) == "adopted"
+        assert core.store.tip().hash == chain[-1].hash
+        assert core.store.get_contract(contract_id_for(source)) is None
+        assert core.exec_errors == {"ContractNotFound": 1}
 
     def test_replayed_block_counts_its_failed_call_once(self):
         core, _queue = make_node()
