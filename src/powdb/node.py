@@ -432,30 +432,41 @@ class NodeCore:
 
     def broadcast_block(self, block: Block,
                         gossip: tuple[_Link, MessageEnvelope] | None = None) -> int:
-        """NEW_BLOCK on every established link whose peer is not known to hold
-        the block. `gossip` is the link and the envelope a gossiped block
-        came in: its peer and the ones its holder list names are known
-        holders. The link it came in is skipped, and so is a reliable link
-        to a known holder. The list sent names this node, the known holders
-        and the peers it goes to over reliable links, in that order, up to
-        MAX_HOLDERS, and only when the block goes to some link. A peer the
-        push misses, through a false list or a lost frame, gets the block
-        from the locator the tick sends once its link is quiet for RESYNC_MS."""
+        """NEW_BLOCK to every established peer not known to hold the block,
+        once, on its oldest link whose send does not fail. `gossip` is the
+        link and the envelope a gossiped block came in: its peer and the ones
+        its holder list names are known holders. The peer it came from is
+        skipped on every link, and so is a reliable link to a known holder.
+        The list sent names this node, the known holders and the peers it
+        goes to over reliable links, in that order, up to MAX_HOLDERS, and
+        only when the block goes to some link. A peer the push misses,
+        through a false list or a lost frame, gets the block from the
+        locator the tick sends once its link is quiet for RESYNC_MS."""
         source, env = gossip or (None, None)
         known = [self.short]
         if source is not None:
             known += [source.short, *parse_holders(env.payload)]
         skip = set(known)
-        targets = [link for link in self._links.values()
-                   if link.keys is not None and link is not source
-                   and (link.short not in skip or not link.conn.reliable)]
+        sender = known[:2]  # this node, and the peer the block came from
+        targets: dict[str, _Link] = {}  # by peer, its oldest link the block may take
+        spares = []  # any other such links, each tried once its peer's send fails
+        for link in self._links.values():
+            if (link.keys is not None and (link.short not in skip or not link.conn.reliable)
+                    and link.short not in sender):
+                if link.short in targets:
+                    spares.append(link)
+                else:
+                    targets[link.short] = link
         if not targets:
             return 0
-        known += [link.short for link in targets if link.conn.reliable]
-        have = list(dict.fromkeys(known))[:MAX_HOLDERS]
-        frames = self.frames(wire.NEW_BLOCK, {"block": block_to_json(block), "have": have},
-                             targets)
-        return sum(self._send_raw(link, raw) for link, raw in frames)
+        known += [short for short, link in targets.items() if link.conn.reliable]
+        payload = {"block": block_to_json(block), "have": list(dict.fromkeys(known))[:MAX_HOLDERS]}
+        sent = 0
+        for link, raw in self.frames(wire.NEW_BLOCK, payload, list(targets.values())):
+            sent += self._send_raw(link, raw) or any(
+                self._send_raw(spare, self.frame(spare, wire.NEW_BLOCK, payload))
+                for spare in spares if spare.short == link.short)
+        return sent
 
     def handle_new_block(self, link: _Link, env: MessageEnvelope) -> str:
         """A gossiped block whose envelope has checked, cheapest check first:
@@ -823,7 +834,7 @@ class NodeCore:
             return {"ok": True, "what": what, "result": {
                 "count": count,
                 "tip_hash": tip,
-                "peer_count": len(self.connected()),
+                "peer_count": len({link.short for link in self.connected()}),
                 # envelopes carry integers only: milli-bits for the real value
                 "difficulty": effective_bits(self.difficulty),
                 "difficulty_milli": round(self.difficulty * 1000),

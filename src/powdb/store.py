@@ -6,7 +6,8 @@ of the chain, so an append is one insert. Its last row, the tip block and
 the difficulty after it, is read once and kept until a write: reads of
 the tip, the count and the tip's height are answered from that copy, which
 an append sets and a tail drop or a transaction that does not commit
-clears. A block row keeps the difficulty after it, and a state or contract
+clears; a store whose tables were just made starts it at "no blocks". A
+block row keeps the difficulty after it, and a state or contract
 row the index of the block that wrote it, so dropping a tail deletes only
 its rows.
 Every mutation runs inside a transaction guarded by one lock, so a crash
@@ -19,12 +20,18 @@ A file store writes ahead (SQLite WAL mode): a commit is one append to
 `synchronous=FULL` is kept on purpose, as `NORMAL` could lose acknowledged
 writes on power loss. `<db>-wal` and `<db>-shm` belong to the running
 store; `close()` folds the log back into `<db>` and removes both, and a
-store opened after a crash replays what the log holds. A memory store
-keeps SQLite's memory journal.
+store opened after a crash replays what the log holds. A file store
+creates its tables inside its own `BEGIN IMMEDIATE`, so a second process
+that opens the same new file waits for them.
+
+A memory store keeps no file and SQLite's memory journal. It is a copy of
+one empty image that each process builds from `_SCHEMA` at the first
+memory store it opens, so opening one runs no statement of the schema.
 """
 
 from __future__ import annotations
 
+import atexit
 import sqlite3
 import threading
 from pathlib import Path
@@ -64,6 +71,28 @@ _SELECT_BLOCKS = f"SELECT {_COLUMNS} FROM blocks"
 _SELECT_TIP = f"SELECT {_COLUMNS}, retarget FROM blocks ORDER BY idx DESC LIMIT 1"
 # The tip copy before it is read, or after a write path clears it.
 _UNREAD = object()
+# The empty memory store every memory store copies, built at the first one
+# a process opens; the lock guards its build and each copy.
+_image: sqlite3.Connection | None = None
+_image_lock = threading.Lock()
+
+
+def _create_tables(conn: sqlite3.Connection) -> None:
+    for statement in _SCHEMA.split(";"):  # executescript would commit
+        conn.execute(statement)
+
+
+def _copy_empty_image(conn: sqlite3.Connection) -> None:
+    """Fill `conn`, a new memory database, with the tables and layout of an empty store."""
+    global _image
+    with _image_lock:
+        if _image is None:
+            image = sqlite3.connect(":memory:", check_same_thread=False,
+                                    isolation_level=None)
+            atexit.register(image.close)
+            _create_tables(image)
+            _image = image
+        _image.backup(conn)
 
 
 class StoreError(Exception):
@@ -96,15 +125,19 @@ class BlockStore:
         try:
             self._conn = sqlite3.connect(self.path, check_same_thread=False,
                                          isolation_level=None)
-            self._conn.execute("PRAGMA synchronous=FULL")
-            with self.transaction():  # an empty file gets the tables
-                layout = self._conn.execute("PRAGMA user_version").fetchone()[0]
-                if not layout and not self._conn.execute("SELECT * FROM sqlite_master").fetchone():
-                    for statement in _SCHEMA.split(";"):  # executescript would commit
-                        self._conn.execute(statement)
-                    layout = LAYOUT
-            if layout == LAYOUT:  # only now, as WAL mode rewrites the file header
-                self._conn.execute("PRAGMA journal_mode=WAL")  # a memory store ignores it
+            if self.path == ":memory:":
+                _copy_empty_image(self._conn)
+                layout, self._tip = LAYOUT, None
+            else:
+                self._conn.execute("PRAGMA synchronous=FULL")
+                with self.transaction():  # an empty file gets the tables
+                    layout = self._conn.execute("PRAGMA user_version").fetchone()[0]
+                    if not layout and not self._conn.execute(
+                            "SELECT * FROM sqlite_master").fetchone():
+                        _create_tables(self._conn)
+                        layout, self._tip = LAYOUT, None  # the commit keeps the copy
+                if layout == LAYOUT:  # only now, as WAL mode rewrites the file header
+                    self._conn.execute("PRAGMA journal_mode=WAL")
         except sqlite3.Error as exc:
             raise StoreError(f"cannot open store at {self.path}: {exc}") from exc
         if layout != LAYOUT:  # any other layout is refused, the file unchanged

@@ -387,6 +387,41 @@ class TestBroadcast:
         cluster.pump()
         assert cluster.nodes[1].store.get_block_count() == 2
 
+    def test_mutual_dials_carry_each_block_once(self, cluster_factory, monkeypatch):
+        # both nodes dialed, so two links join the same pair of nodes
+        cluster = cluster_factory(2)
+        cluster.connect(0, 1)
+        cluster.connect(1, 0)
+        cluster.pump()
+        assert [len(core.connected()) for core in cluster.nodes] == [2, 2]
+        kinds, real_deliver = [], cluster.net.deliver
+
+        def recording_deliver(src, dst, message):
+            kinds.append(wire.decode_envelope(message).kind)
+            real_deliver(src, dst, message)
+
+        monkeypatch.setattr(cluster.net, "deliver", recording_deliver)
+        cluster.submit(0, {"kind": "raw", "data": "once"})
+        cluster.pump()
+        assert cluster.nodes[1].store.get_block_count() == 2
+        assert kinds.count(wire.NEW_BLOCK) == 1
+        for core in cluster.nodes:
+            assert core.handle_query("stats", {})["result"]["peer_count"] == 1
+
+    def test_no_frame_to_the_sender_on_its_other_link(self, cluster_factory):
+        # unreliable links, where a known holder is still sent the block
+        core = cluster_factory(1).nodes[0]
+        identity = NodeIdentity.from_seed(b"\x07" * 32)
+        ends = [PeerEnd(core, identity, seed=seed).open() for seed in (1, 2)]
+        assert not ends[0].conn.reliable
+        block = mine_block(create_new_block("x", core.store.tip(), 4, 1))
+        assert core.broadcast_block(block) == 1
+        assert [len(end.conn.sent) for end in ends] == [1, 0]
+        raw = ends[0].frame(wire.NEW_BLOCK, {"block": block_to_json(block), "have": []})
+        gossip = (core._links[id(ends[0].conn)], decode_envelope(raw))
+        assert core.broadcast_block(block, gossip=gossip) == 0
+        assert [len(end.conn.sent) for end in ends] == [1, 0]
+
 
 class TestSimFrameCap:
     def test_oversized_send_returns_false_and_keeps_the_link(self, cluster_factory,

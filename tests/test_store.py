@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from powdb import store as store_module
 from powdb.chain import genesis_block
 from powdb.store import LAYOUT, BlockStore, NotFoundError, StoreError
 
@@ -366,6 +367,85 @@ class TestWriteAhead:
     def test_memory_store_keeps_its_memory_journal(self):
         store = BlockStore(":memory:")
         assert store._conn.execute("PRAGMA journal_mode").fetchone()[0] == "memory"
+
+
+def layout(store):
+    """The schema rows and the layout number a store's database carries."""
+    with store._lock:
+        return (store._conn.execute("SELECT type, name, tbl_name, sql FROM sqlite_master"
+                                    " ORDER BY name").fetchall(),
+                store._conn.execute("PRAGMA user_version").fetchone()[0])
+
+
+class TestMemoryImage:
+    """A memory store is a copy of one empty image per process."""
+
+    def test_open_runs_no_create_and_no_select_before_the_first_append(self, store_path,
+                                                                       monkeypatch):
+        BlockStore(":memory:").close()  # the image exists from here on
+        statements, real_connect = [], sqlite3.connect
+
+        def traced_connect(*args, **kwargs):
+            conn = real_connect(*args, **kwargs)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        monkeypatch.setattr(sqlite3, "connect", traced_connect)
+        store = BlockStore(":memory:")
+        assert store.get_block_count() == 0
+        store.add_block(genesis_block(), RETARGET)
+        monkeypatch.undo()
+        assert [sql for sql in statements
+                if sql.split()[0].upper() in ("CREATE", "SELECT")] == []
+        assert store.get_all_blocks() == [genesis_block()]
+        file_store = BlockStore(store_path)
+        assert layout(store) == layout(file_store)
+        file_store.close()
+        store.close()
+
+    def test_new_file_store_reads_its_count_with_no_select(self, store_path):
+        store = BlockStore(store_path)
+        statements = traced(store)
+        assert store.get_block_count() == 0
+        assert statements == []
+        store.close()
+
+    def test_stores_opened_at_once_get_the_schema_and_only_their_own_rows(
+            self, store_path, monkeypatch):
+        monkeypatch.setattr(store_module, "_image", None)  # the threads race to build it
+        count = 8
+        start = threading.Barrier(count)
+        results = [None] * count
+
+        def open_and_write(i):
+            start.wait(timeout=10)
+            store = BlockStore(":memory:")
+            try:
+                chain = linked_chain([4] * (i % 3 + 1), data_prefix=f"store-{i}")
+                for block in chain:
+                    store.add_block(block, RETARGET)
+                store.put_state("1" * 64, "k", i, 1)
+                results[i] = (layout(store), store.get_all_blocks() == chain,
+                              store.all_state())
+            finally:
+                store.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=open_and_write, args=(i,))
+                       for i in range(count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        file_store = BlockStore(store_path)
+        expected = layout(file_store)
+        file_store.close()
+        assert results == [(expected, True, {("1" * 64, "k"): i}) for i in range(count)]
 
 
 class TestTipCopy:
