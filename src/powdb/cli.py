@@ -56,7 +56,10 @@ def client_request(addr: str, kind: str, payload, timeout: float = 300.0) -> dic
             if response is None or not verify_envelope(response):
                 raise ConnectionError("node sent an unverifiable envelope")
             if response.kind == RESPONSE:
-                return response.payload
+                try:
+                    return response.payload
+                except EncodingError:
+                    raise ConnectionError("node sent a payload that does not parse") from None
     finally:
         sock.close()
 

@@ -25,13 +25,16 @@ whose link is unset or closed, so the simulator runs the live node's redial.
 
 Every frame is checked as it arrives, on the link the runtime opened for
 its conn, before any handler reads it: its tag once the link is keyed, its
-Ed25519 signature before, and one that fails is dropped and counted. Both
-runtimes hand the core each conn (connect_peer, on_inbound_connection)
-before its first frame, so a frame on any other conn is ignored. Handlers,
-replies and relays take that `_Link` and never look it up again. Only then
-are a gossiped block's own checks run, cheapest first: the held check, its
-shape, its parent lookup, then the fork choice's checks or, for an unlinked
-block, the limited-link cut and the pending-sync check.
+Ed25519 signature before, and one that fails is dropped and counted. Only
+the frame's fixed header is read before that check, never its payload, so a
+forged frame costs its tag; a payload that is not one JSON value is dropped
+and counted once its frame has checked. Both runtimes hand the core each
+conn (connect_peer, on_inbound_connection) before its first frame, so a
+frame on any other conn is ignored. Handlers, replies and relays take that
+`_Link` and never look it up again. Only then are a gossiped block's own
+checks run, cheapest first: the held check, its shape, its parent lookup,
+then the fork choice's checks or, for an unlinked block, the limited-link
+cut and the pending-sync check.
 
 A block goes to each peer once, as in Plumtree's eager push (Leitão et al.,
 SRDS 2007): its NEW_BLOCK names, in "have", the nodes its sender knows hold
@@ -96,6 +99,7 @@ from powdb.store import BlockStore, NotFoundError
 from powdb.transport import TICK_S, TcpTransport, parse_hostport
 from powdb.wire import (
     MAX_HOLDERS,
+    EncodingError,
     KeyShare,
     LinkKey,
     MessageEnvelope,
@@ -389,14 +393,16 @@ class NodeCore:
     def on_message(self, conn, raw: bytes) -> str:
         """Single entry point for wire input, and the one place an envelope
         is checked: every kind is checked here, on its conn's link, before
-        any handler reads it (see _authentic). A frame that does not decode
-        is dropped and counted, and one on a conn with no link is ignored, as
-        is a RESPONSE, which no node reads. A link without keys carries no
-        block, and a sync message only to open the link; any other block or
-        sync frame on it cannot be checked and is ignored. Reading a
-        NEW_BLOCK restarts the link's quiet timer (see tick) whether its tag
-        checks or not: a peer that keeps pushing blocks, forged or not, is
-        not resynced."""
+        any handler reads it (see _authentic). A frame whose header does not
+        decode is dropped and counted, and one on a conn with no link is
+        ignored, as is a RESPONSE, which no node reads. A link without keys
+        carries no block, and a sync message only to open the link; any
+        other block or sync frame on it cannot be checked and is ignored.
+        The payload is read only once the frame has checked, and one that is
+        not one JSON value is dropped and counted. Reading a NEW_BLOCK
+        restarts the link's quiet timer (see tick) whether its tag checks or
+        not: a peer that keeps pushing blocks, forged or not, is not
+        resynced."""
         env = decode_envelope(raw)
         if env is None:
             self.dropped_envelopes += 1
@@ -408,6 +414,11 @@ class NodeCore:
         if env.kind == wire.NEW_BLOCK:  # only a keyed link gets this far with one
             link.quiet_since_ms = self.clock()
         if not self._authentic(link, env):
+            return "dropped"
+        try:
+            env.payload  # the first read of the payload: the frame has checked
+        except EncodingError:
+            self.dropped_envelopes += 1
             return "dropped"
         return self.on_envelope(link, env)
 
@@ -524,7 +535,7 @@ class NodeCore:
         if link.keys is None:
             ok = verify_envelope(env)
         else:
-            ok = (type(env.counter) is int and env.counter > link.received
+            ok = (env.counter is not None and env.counter > link.received
                   and verify_envelope(env, link.keys[1]))
             if ok:
                 link.received = env.counter

@@ -38,7 +38,7 @@ from powdb.store import BlockStore
 from powdb.transport import TICK_S
 # sign_envelope is not called here: malicious nodes send through their
 # cores' links; the name is bound for perfbench/spans.py, which wraps it
-from powdb.wire import NEW_BLOCK, NodeIdentity, sign_envelope  # noqa: F401
+from powdb.wire import HEADER, NEW_BLOCK, NodeIdentity, sign_envelope  # noqa: F401
 
 MAX_NODES = 64
 
@@ -374,9 +374,8 @@ class _Harness:
         self.malicious_emitted.add(block.hash)
         for link, raw in core.frames(NEW_BLOCK, {"block": block_to_json(block)},
                                      core.connected()):
-            if behavior == "tampered_signature":  # change the tag's first hex digit
-                at = raw.rindex(b'"signature":"') + len(b'"signature":"')
-                raw = raw[:at] + (b"1" if raw[at:at + 1] == b"0" else b"0") + raw[at + 1:]
+            if behavior == "tampered_signature":  # flip the low bit of the tag's first byte
+                raw = raw[:HEADER.size] + bytes([raw[HEADER.size] ^ 1]) + raw[HEADER.size + 1:]
             try:
                 link.conn.send_message(raw)
             except ConnectionError:

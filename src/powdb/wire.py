@@ -15,11 +15,13 @@ failing its check is dropped there and never reaches a handler.
 
 Each kind of frame has one maker: sign_envelope a signed envelope,
 tag_frames a payload's tagged frames for one or more links, and
-decode_envelope a received one. A frame carries its payload's bytes, the
-canonical JSON its sender encoded once or the bytes as they arrived, and its
-tag or signature is checked over them. It travels in one layout, _LAYOUT,
-and decode_envelope accepts no other; a frame whose payload is laid out any
-other way fails its check.
+decode_envelope a received one. A frame is a fixed binary HEADER, then the
+raw tag or signature, then the payload's canonical JSON, as Bitcoin's P2P
+messages put a fixed header before their payload. decode_envelope reads only
+the header, so a frame's tag or signature is checked over its payload's
+bytes as they arrived before anything in them is read (TLS 1.3's record
+rule, RFC 8446 §5.2); MessageEnvelope.payload reads them after, and a
+payload laid out other than canonically fails its check.
 """
 
 from __future__ import annotations
@@ -56,19 +58,30 @@ TX = "TX"
 QUERY = "QUERY"
 RESPONSE = "RESPONSE"
 
-KINDS = frozenset({NEW_BLOCK, GET_BLOCKS, BLOCKS, TX, QUERY, RESPONSE})
+# Every kind, in the order of its one-byte code on the wire, from 1.
+KINDS = (NEW_BLOCK, GET_BLOCKS, BLOCKS, TX, QUERY, RESPONSE)
+_CODES = {kind: code for code, kind in enumerate(KINDS, 1)}
+_KIND_OF = dict(enumerate(KINDS, 1))
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 # A holder list names a node by its short id, the first SHORT_ID_HEX hex
 # digits of its node id, and names at most MAX_HOLDERS: a full list takes
-# 427 bytes.
+# 625 bytes.
 SHORT_ID_HEX = 8
-MAX_HOLDERS = 38
+MAX_HOLDERS = 56
 # What a frame that carries one block (NEW_BLOCK, a one-block BLOCKS page, a
 # block query's RESPONSE) takes besides the block's escaped data, with every
 # field at its maximum: at most 1,015 bytes, for a NEW_BLOCK whose holder
-# list is full (715 for a link-open BLOCKS reply), rounded up.
+# list is full (550 for a link-open BLOCKS reply), rounded up.
 BLOCK_ENVELOPE_BYTES = 1024
+
+# A frame's header: its kind's code, its counter + 1 (0 for none, as in a
+# signed frame), its timestamp in Unix milliseconds, its sender's raw
+# Ed25519 key and the length of the tag or signature after it; then those
+# bytes, then the payload's.
+HEADER = struct.Struct(">BQq32sB")
+TAG_BYTES = 32  # an HMAC-SHA256 link tag
+SIGNATURE_BYTES = 64  # an Ed25519 signature
 
 _LEN = struct.Struct(">I")
 # A holder list's entries, each followed by a comma: one fullmatch checks all.
@@ -76,7 +89,9 @@ _HOLDERS = re.compile(f"(?:[0-9a-f]{{{SHORT_ID_HEX}}},)*")
 
 
 class EncodingError(ValueError):
-    """A value cannot be canonically encoded (non-integer number, bad type)."""
+    """A value cannot be canonically encoded (non-integer number, bad type),
+    a header field is out of its range, or a payload's bytes are not one
+    JSON value."""
 
 
 class ProtocolError(Exception):
@@ -211,9 +226,19 @@ class NodeIdentity:
         return self._private.sign(message)
 
 
-# The one frame layout, around the payload's bytes; only a tagged frame has a counter.
-_LAYOUT = b'{%b"kind":"%b","payload":%b,"sender":"%b","signature":"%b","timestamp":%d}'
-_COUNTER = b'"counter":%d,'
+def _head(kind: str, counter: int | None, timestamp: int, sender: bytes,
+          signature_bytes: int) -> bytes:
+    """A frame's HEADER; EncodingError for an unknown kind, a sender that is
+    not a 32-byte key, or a counter or timestamp out of its range."""
+    if len(sender) != 32 or (counter is not None and counter < 0):
+        raise EncodingError(f"no header for sender {sender.hex()} and counter {counter}")
+    try:
+        return HEADER.pack(_CODES[kind], 0 if counter is None else counter + 1, timestamp,
+                           sender, signature_bytes)
+    except KeyError:
+        raise EncodingError(f"unknown message kind {kind!r}") from None
+    except struct.error as exc:
+        raise EncodingError(f"header field out of range: {exc}") from None
 
 
 @dataclass(frozen=True, init=False)
@@ -226,7 +251,7 @@ class MessageEnvelope:
     kind: str
     timestamp: int  # Unix milliseconds, informational
     body: bytes  # the payload's JSON, as signed or received
-    signature: str  # 128 hex chars of an Ed25519 signature, or 64 of a link tag
+    signature: bytes  # a raw Ed25519 signature (64 bytes) or link tag (32)
     counter: int | None = None  # a tagged envelope's place in its link's direction
 
     def __init__(self, sender, kind, timestamp, body, signature, counter=None):
@@ -237,16 +262,28 @@ class MessageEnvelope:
     @cached_property
     def payload(self):
         """The kind-specific JSON value `body` holds, set by the maker that
-        encoded or read it."""
-        return _scan_value(self.body.decode("utf-8"), 0)[0]
+        encoded it, or read from a received frame's bytes on first use, which
+        NodeCore.on_message makes only once the frame has checked.
+        EncodingError when `body` is not exactly one JSON value, or holds a
+        number that is not an integer, as it could never be encoded."""
+        try:
+            text = self.body.decode("utf-8")
+            value, end = _scan_value(text, 0)
+            if end == len(text):
+                return value
+        except (ValueError, RecursionError, StopIteration):
+            pass  # bad UTF-8 or JSON, a float, or an integer too long to read
+        raise EncodingError("the payload is not one JSON value")
 
     def encode(self) -> bytes:
-        """The envelope's canonical JSON, in _LAYOUT, around the payload
-        bytes it was signed or received with. Its maker checked its kind is
-        one of KINDS and its sender and signature need no escaping."""
-        head = b"" if self.counter is None else _COUNTER % self.counter
-        return _LAYOUT % (head, self.kind.encode(), self.body, self.sender.encode(),
-                          self.signature.encode(), self.timestamp)
+        """The envelope's wire bytes: its HEADER, its signature or tag, and
+        the payload bytes it was signed or received with."""
+        try:
+            sender = bytes.fromhex(self.sender)
+        except ValueError:
+            raise EncodingError(f"sender {self.sender!r} is not a hex key") from None
+        return (_head(self.kind, self.counter, self.timestamp, sender, len(self.signature))
+                + self.signature + self.body)
 
 
 def _preimage(kind: str, timestamp: int, body: bytes) -> bytes:
@@ -265,24 +302,23 @@ class LinkKey:
         self._inner = hashlib.sha256(bytes(x ^ 0x36 for x in key))
         self._outer = hashlib.sha256(bytes(x ^ 0x5C for x in key))
 
-    def tag(self, counter: int, preimage: bytes) -> str:
-        """HMAC-SHA256 over the counter and the signature preimage, as hex."""
+    def tag(self, counter: int, preimage: bytes) -> bytes:
+        """HMAC-SHA256 over the counter and the signature preimage."""
         inner = self._inner.copy()
         inner.update(b"%d\x1f" % counter)
         inner.update(preimage)
         outer = self._outer.copy()
         outer.update(inner.digest())
-        return outer.hexdigest()
+        return outer.digest()
 
 
 def sign_envelope(kind: str, timestamp: int, payload,
                   identity: NodeIdentity) -> MessageEnvelope:
     """An envelope from `identity`, Ed25519-signed."""
-    if kind not in KINDS:
-        raise EncodingError(f"unknown message kind {kind!r}")
+    _head(kind, None, timestamp, identity.public_bytes, SIGNATURE_BYTES)  # raises before signing
     body = canonical_json(payload)
     env = MessageEnvelope(sender=identity.node_id, kind=kind, timestamp=timestamp, body=body,
-                          signature=identity.sign(_preimage(kind, timestamp, body)).hex())
+                          signature=identity.sign(_preimage(kind, timestamp, body)))
     vars(env)["payload"] = payload  # the value `body` encodes
     return env
 
@@ -291,13 +327,12 @@ def tag_frames(kind: str, timestamp: int, payload, sender: str,
                links: list[tuple[LinkKey, int]]) -> list[bytes]:
     """`payload` from node `sender` as one frame per (send key, counter) in
     `links`, tagged as that direction's frame `counter`. The payload is
-    encoded and its preimage built once; each frame costs its tag."""
-    if kind not in KINDS:
-        raise EncodingError(f"unknown message kind {kind!r}")
+    encoded and its preimage built once; each frame costs its header and tag."""
+    sender_key = bytes.fromhex(sender)
     body = canonical_json(payload)
     preimage = _preimage(kind, timestamp, body)
-    return [_LAYOUT % (_COUNTER % counter, kind.encode(), body, sender.encode(),
-                       key.tag(counter, preimage).encode(), timestamp)
+    return [_head(kind, counter, timestamp, sender_key, TAG_BYTES)
+            + key.tag(counter, preimage) + body
             for key, counter in links]
 
 
@@ -305,29 +340,25 @@ def verify_envelope(env: MessageEnvelope, key: LinkKey | None = None) -> bool:
     """True iff the envelope checks: given a link's receive `key`, its tag
     over its counter; otherwise its Ed25519 signature. Either is checked
     over the payload bytes as signed or received, so a payload laid out
-    other than canonically fails. A missing counter or a malformed tag
-    fails, never raises."""
+    other than canonically fails, and neither reads the payload. A missing
+    counter or a tag of the wrong length fails."""
     if key is None:
         return verify_signature(env)
     if env.counter is None:
         return False
     expected = key.tag(env.counter, _preimage(env.kind, env.timestamp, env.body))
-    try:
-        return hmac.compare_digest(expected, env.signature)
-    except TypeError:  # a tag with a non-ASCII character
-        return False
+    return hmac.compare_digest(expected, env.signature)
 
 
 def verify_signature(env: MessageEnvelope) -> bool:
     """True iff the signature verifies under the sender's public key.
 
-    A malformed hex sender or signature, or a key of the wrong length,
+    A malformed hex sender, or a key or signature of the wrong length,
     counts as verification failure, never an exception.
     """
     try:
         public = Ed25519PublicKey.from_public_bytes(bytes.fromhex(env.sender))
-        sig = bytes.fromhex(env.signature)
-        public.verify(sig, _preimage(env.kind, env.timestamp, env.body))
+        public.verify(env.signature, _preimage(env.kind, env.timestamp, env.body))
         return True
     except (InvalidSignature, ValueError):
         return False
@@ -385,44 +416,25 @@ def _no_float(text: str):
     raise ValueError(f"non-integer number {text}")
 
 
-# The one layout encode() and tag_frames write: keys in sorted order, no
-# whitespace, the kind a bare name and the sender and signature strings
-# without escapes, as their makers write them. The payload is
-# read where that layout puts it, so its bytes are exactly the bytes between
-# its key and the sender's.
-_HEAD = re.compile(r'\{(?:"counter":(-?(?:0|[1-9][0-9]*)),)?"kind":"([A-Z_]+)","payload":')
-_TAIL = re.compile(r',"sender":"([^"\\\x00-\x1f]*)","signature":"([^"\\\x00-\x1f]*)",'
-                   r'"timestamp":(-?(?:0|[1-9][0-9]*))\}')
 _scan_value = json.JSONDecoder(parse_float=_no_float, parse_constant=_no_float).scan_once
 
 
 def decode_envelope(raw: bytes) -> MessageEnvelope | None:
-    """Parse one wire message in the layout encode() writes; None for any
-    other layout or invalid JSON. The envelope keeps the payload's bytes as
-    they arrived, so its check hashes them and never re-encodes the payload.
-    A payload number that is not an integer fails here, as it could never
-    be encoded."""
-    try:
-        text = raw.decode("utf-8")
-        head = _HEAD.match(text)
-        if head is None or head[2] not in KINDS:
-            return None
-        start = head.end()
-        payload, end = _scan_value(text, start)
-        tail = _TAIL.fullmatch(text, end)
-        if tail is None:
-            return None
-        counter = None if head[1] is None else int(head[1])
-        timestamp = int(tail[3])
-    except (ValueError, RecursionError, StopIteration):
-        # bad UTF-8 or JSON, a float, or an integer too long to read
+    """Read one wire message's HEADER; None when the frame is shorter than
+    it, names no kind, or has a tag or signature of any length but
+    TAG_BYTES or SIGNATURE_BYTES or one that runs past the frame. The
+    payload is the bytes after the tag, kept as they arrived, so a check
+    hashes them and never re-encodes them; nothing here reads them."""
+    if len(raw) < HEADER.size:
         return None
-    # the head is ASCII, so the payload starts at the same byte as character
-    body_end = len(raw) - len(text[end:].encode("utf-8"))
-    env = MessageEnvelope(sender=tail[1], kind=head[2], timestamp=timestamp,
-                          body=raw[start:body_end], signature=tail[2], counter=counter)
-    vars(env)["payload"] = payload  # as read from `body`
-    return env
+    code, counter, timestamp, sender, length = HEADER.unpack_from(raw)
+    start = HEADER.size + length
+    kind = _KIND_OF.get(code)
+    if kind is None or length not in (TAG_BYTES, SIGNATURE_BYTES) or len(raw) < start:
+        return None
+    return MessageEnvelope(sender=sender.hex(), kind=kind, timestamp=timestamp,
+                           body=raw[start:], signature=raw[HEADER.size:start],
+                           counter=counter - 1 if counter else None)
 
 
 def check_frame_size(message: bytes) -> None:

@@ -6,6 +6,7 @@ import socket
 import sqlite3
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -13,6 +14,8 @@ import pytest
 
 from powdb.chain import block_from_json
 from powdb.store import BlockStore
+from powdb.wire import (RESPONSE, MessageEnvelope, NodeIdentity, deframe, frame,
+                        socket_read_exact)
 
 from conftest import assert_no_log
 
@@ -257,6 +260,32 @@ sys.exit(cli.main(sys.argv[1:]))
             free_port = probe.getsockname()[1]
         result = powdb("client", "--node", f"127.0.0.1:{free_port}", "stats")
         assert result.returncode == 3
+
+    @pytest.mark.parametrize("body", [b'{"ok":', b'{"ok":true} {}', b'{"ok":1.5}'],
+                             ids=["cut-short", "two-values", "float"])
+    def test_response_whose_payload_does_not_parse_exits_3(self, body):
+        # a node that answers with a RESPONSE whose signature checks and whose
+        # payload is not one JSON value
+        identity = NodeIdentity.from_seed(b"\x09" * 32)
+        signature = identity.sign(b"RESPONSE\x1f1\x1f" + body)
+        reply = MessageEnvelope(identity.node_id, RESPONSE, 1, body, signature).encode()
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            def answer():
+                conn, _addr = server.accept()
+                with conn:
+                    deframe(socket_read_exact(conn))
+                    conn.sendall(frame(reply))
+                    conn.recv(1)  # until the client closes
+
+            thread = threading.Thread(target=answer)
+            thread.start()
+            port = server.getsockname()[1]
+            result = powdb("client", "--node", f"127.0.0.1:{port}", "--timeout", "30", "stats",
+                           timeout=60)
+            thread.join()
+        assert result.returncode == 3
+        assert result.stderr.startswith("network failure: ") and "does not parse" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_busy_listen_addr_exits_3(self, tmp_path, node):
         result = powdb("node", "run", "--listen", node.addr,

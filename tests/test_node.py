@@ -473,19 +473,19 @@ class TestHostileInput:
         assert not task.handle.finished
 
     MALFORMED_RAW = {
-        "deep-nesting": (b'{"kind":"QUERY","payload":' + b"[" * 200_000 + b"]" * 200_000
-                         + b',"sender":"00","signature":"00","timestamp":1}'),
-        "kind-list": (b'{"kind":[1],"payload":{},"sender":"00","signature":"00",'
-                      b'"timestamp":1}'),
-        "kind-object": (b'{"kind":{"a":1},"payload":{},"sender":"00","signature":"00",'
+        "empty": b"",
+        "header-cut-short": sign_envelope(wire.QUERY, 1, {}, PEER).encode()[:wire.HEADER.size - 1],
+        "kind-code-0": wire.HEADER.pack(0, 0, 1, PEER.public_bytes, 64) + bytes(64) + b"{}",
+        "kind-code-7": wire.HEADER.pack(7, 0, 1, PEER.public_bytes, 64) + bytes(64) + b"{}",
+        "signature-of-33": wire.HEADER.pack(5, 0, 1, PEER.public_bytes, 33) + bytes(33) + b"{}",
+        "signature-past-the-end": wire.HEADER.pack(5, 0, 1, PEER.public_bytes, 64) + bytes(63),
+        # the JSON layout frames had before the binary header
+        "json-layout": (b'{"kind":"QUERY","payload":{},"sender":"00","signature":"00",'
                         b'"timestamp":1}'),
-        # past the digits Python reads into an int by default
-        "timestamp-5001-digits": (b'{"kind":"QUERY","payload":{},"sender":"00",'
-                                  b'"signature":"00","timestamp":1' + b"0" * 5000 + b"}"),
     }
 
     @pytest.mark.parametrize("raw", MALFORMED_RAW.values(), ids=MALFORMED_RAW.keys())
-    def test_deeply_nested_envelope_is_dropped(self, raw):
+    def test_frame_whose_header_does_not_decode_is_dropped(self, raw):
         core, _queue = make_node()
         assert core.on_message(Capture(), raw) == "dropped"
         assert core.dropped_envelopes == 1
@@ -593,19 +593,33 @@ class TestIntakeOrder:
             wire.QUERY: {"what": "stats"},
         }[case]
 
+    def count_parses(self, monkeypatch):
+        """Count the JSON values read from frames' payloads from now on."""
+        self.parses = 0
+        real_scan = wire._scan_value
+
+        def counting_scan(*args):
+            self.parses += 1
+            return real_scan(*args)
+
+        monkeypatch.setattr(wire, "_scan_value", counting_scan)
+
     @pytest.mark.parametrize("case", ["held", "index-0", "malformed", "invalid-pow", "unlinked",
                                       "next", wire.GET_BLOCKS, wire.BLOCKS, wire.TX, wire.QUERY])
     def test_forged_frame_is_dropped_before_it_is_read(self, core, monkeypatch, case):
         # whatever check its block would have met next, a forged frame is
-        # dropped at its tag: nothing parses its block or reads the store
+        # dropped at its tag: nothing parses its payload or its block, or
+        # reads the store
         kind, payload = self.frame(core, case)
         raw = self.forged(kind, payload)
         link = core._links[id(self.conn)]
         link.quiet_since_ms = -1
         store = core.store
+        self.count_parses(monkeypatch)
         monkeypatch.setattr(core, "store", None)  # any read would fail
         monkeypatch.setattr(node_module, "block_from_json", None)  # so would a parse
         assert core.on_message(self.conn, raw) == "dropped"
+        assert self.parses == 0
         assert self.checks == 1 and self.signatures == 0 and self.verifies == 0
         assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
         assert self.conn.sent == [] and not core._queue
@@ -623,6 +637,36 @@ class TestIntakeOrder:
         assert self.peer.send(wire.NEW_BLOCK, {"block": stale}) == "ignored"
         assert self.checks == 1 and self.verifies == 0
         assert core.dropped_envelopes == 0 and core.rejects_by_reason == {}
+
+    UNREADABLE = {
+        "empty": b"",
+        "cut-short": b'{"block":',
+        "two-values": b"{}{}",
+        "trailing-newline": b"{}\n",
+        "leading-space": b" {}",
+        "not-utf-8": b'{"block":"\xff"}',
+        "float": b'{"block":1.5}',
+        "nan": b'{"block":NaN}',
+        "5001-digits": b'{"block":1' + b"0" * 5000 + b"}",
+        "deep-nesting": b'{"block":' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+    }
+
+    @pytest.mark.parametrize("body", UNREADABLE.values(), ids=UNREADABLE.keys())
+    def test_payload_that_is_not_one_json_value_is_dropped_after_its_tag(
+            self, core, monkeypatch, body):
+        # the tag checks, so the frame's counter is taken; then its payload,
+        # read for the first time, is not one JSON value a frame can carry:
+        # the frame is dropped and counted once, and nothing else happens
+        chain = core.store.get_all_blocks()
+        self.count_parses(monkeypatch)
+        raw = self.peer.body_frame(wire.NEW_BLOCK, body)
+        assert core.on_message(self.conn, raw) == "dropped"
+        assert self.checks == 1 and self.signatures == 0 and self.verifies == 0
+        assert self.parses <= 1  # none when the bytes are not UTF-8
+        assert self.link.received == self.peer.sent
+        assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
+        assert self.conn.sent == [] and core.store.get_all_blocks() == chain
+        assert self.peer.send(wire.QUERY, {"what": "stats"}) == "handled"  # the link lives
 
     def test_forged_next_block_is_dropped(self, core):
         # the block would pass every check and is heavier: only the tag keeps
@@ -1422,7 +1466,8 @@ class TestOversizedResponse:
                 wire.check_frame_size(raw)
                 super().send_message(raw)
 
-        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 900)
+        # a cap the chain's answer, 883 bytes, is over and a block's, 409, under
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 750)
         conn = CappedConn()
         from_peer(core, conn, wire.QUERY, {"what": "chain", "params": {}})
         assert len(conn.sent) == 1

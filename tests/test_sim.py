@@ -610,6 +610,31 @@ class TestScenarios:
         assert blocks > 0
         assert frames <= 2 * n * blocks
 
+    def test_forty_node_mesh_sends_each_block_to_each_node_once(self, monkeypatch):
+        # a holder list names up to MAX_HOLDERS nodes, every node of a
+        # 40-node mesh, so each block reaches each other node once: 39
+        # frames, where a list of 38 left two nodes that got it from each
+        # named receiver, 115 frames a block
+        frames = Counter()
+        real_deliver = MemNetwork.deliver
+
+        def counting_deliver(net, src, dst, message):
+            env = wire.decode_envelope(message)
+            if env.kind == wire.NEW_BLOCK:
+                frames[env.payload["block"]["hash"], dst.local_addr] += 1
+            real_deliver(net, src, dst, message)
+
+        monkeypatch.setattr(MemNetwork, "deliver", counting_deliver)
+        shape = json.loads((SCENARIOS / "partition_short.json").read_text())
+        config = replace(ScenarioConfig.from_json(shape), node_count=40, partitions=[],
+                         duration_ms=10_000)
+        assert config.node_count <= wire.MAX_HOLDERS
+        report = run_scenario(config)
+        assert report["consistency"]["final_sample_c"] == 1.0
+        blocks = {block for block, _to in frames}
+        assert len(blocks) == report["canonical"]["length"] - 1 > 0
+        assert set(frames.values()) == {1} and len(frames) == 39 * len(blocks)
+
     def test_report_files(self, tmp_path):
         report = run_scenario(quick_config(duration_ms=10_000))
         json_path, csv_path = write_report(report, tmp_path / "out" / "report.json")

@@ -108,6 +108,21 @@ def preimage(kind, timestamp, payload) -> bytes:
     return b"\x1f".join([kind.encode(), str(timestamp).encode(), canonical_json(payload)])
 
 
+# each kind's one-byte code on the wire
+CODES = {"NEW_BLOCK": 1, "GET_BLOCKS": 2, "BLOCKS": 3, "TX": 4, "QUERY": 5, "RESPONSE": 6}
+
+
+def frame_by_hand(code, counter, timestamp, sender: bytes, signature: bytes, body: bytes) -> bytes:
+    """A frame built here from the header's description, not from
+    wire.HEADER: the kind's code (1 byte), the counter + 1 (8 bytes, 0 for
+    none), the timestamp (8, signed) and the sender's key (32), all
+    big-endian, then the signature's length (1), the signature and the
+    payload's bytes."""
+    return (bytes([code]) + (0 if counter is None else counter + 1).to_bytes(8, "big")
+            + timestamp.to_bytes(8, "big", signed=True) + sender + bytes([len(signature)])
+            + signature + body)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -235,13 +250,10 @@ class TestEncodeReusesSignedBytes:
                                       canonical_json(payload))
             assert decoded.encode() == raw
             assert verify_envelope(decoded, check_key)
-            # the envelope's JSON built by hand from its decoded form
-            hand_built = {"sender": decoded.sender, "kind": decoded.kind,
-                          "timestamp": decoded.timestamp, "payload": decoded.payload,
-                          "signature": decoded.signature}
-            if counter is not None:
-                hand_built["counter"] = decoded.counter
-            assert canonical_json(hand_built) == raw
+            # the frame built by hand from its decoded form
+            assert frame_by_hand(CODES["QUERY"], decoded.counter, decoded.timestamp,
+                                 self.identity.public_bytes, decoded.signature,
+                                 canonical_json(decoded.payload)) == raw
         # a broadcast hands its one encoding of the payload to every link,
         # and each link's frame is the one it would get alone
         other = LinkKey(b"\x33" * 32)
@@ -286,7 +298,8 @@ class TestSigning:
     def test_signing_bytes_layout(self):
         env = sign_envelope(QUERY, 0, {}, self.identity)
         public = Ed25519PublicKey.from_public_bytes(self.identity.public_bytes)
-        public.verify(bytes.fromhex(env.signature), b"QUERY\x1f0\x1f{}")
+        assert len(env.signature) == wire.SIGNATURE_BYTES
+        public.verify(env.signature, b"QUERY\x1f0\x1f{}")
 
     def test_payload_key_order_irrelevant(self):
         a = sign_envelope("QUERY", 5, {"b": 1, "a": 2}, self.identity)
@@ -311,12 +324,12 @@ class TestSigning:
         for ts, payload in [(0, {}), (42, {"blocks": [1, 2, 3]}),
                             (9, {"nested": {"a": None, "b": "é"}})]:
             env = sign_envelope("QUERY", ts, payload, self.identity)
-            assert rfc8032_verify(bytes.fromhex(env.signature),
+            assert rfc8032_verify(env.signature,
                                   preimage(env.kind, env.timestamp, payload),
                                   bytes.fromhex(env.sender))
         # and the oracle agrees on rejection
         env = sign_envelope("QUERY", 1, {"k": 1}, self.identity)
-        assert not rfc8032_verify(bytes.fromhex(env.signature),
+        assert not rfc8032_verify(env.signature,
                                   preimage(env.kind, env.timestamp, {"k": 2}),
                                   bytes.fromhex(env.sender))
 
@@ -329,24 +342,31 @@ class TestSigning:
     def test_sender_swap_detected(self):
         other = NodeIdentity.from_seed(bytes(reversed(range(32))))
         env = sign_envelope("QUERY", 3, {}, self.identity)
-        swapped = decode_envelope(env.encode().replace(env.sender.encode(),
-                                                       other.node_id.encode()))
+        swapped = decode_envelope(env.encode().replace(self.identity.public_bytes,
+                                                       other.public_bytes))
         assert swapped.sender == other.node_id
         assert not verify_envelope(swapped)
 
     def test_malformed_hex_is_failure_not_crash(self):
+        # a sender that is no hex key, or a signature of the wrong length, in
+        # an envelope built by hand: the check fails and raises nothing
         env = sign_envelope("QUERY", 3, {}, self.identity)
-        raw = env.encode()
-        for field, bad in ((env.sender, "zz"), (env.signature, "nothex"),
-                           (env.sender, "é" * 32), (env.signature, "ab")):
-            decoded = decode_envelope(raw.replace(field.encode(), bad.encode()))
-            assert bad in (decoded.sender, decoded.signature)
-            assert not verify_envelope(decoded)
+        for field, bad in (("sender", "zz"), ("sender", "é" * 32), ("sender", "ab" * 31),
+                           ("signature", b"ab"), ("signature", env.signature[:32]),
+                           ("signature", b"")):
+            assert not verify_envelope(replace(env, **{field: bad}))
+        # a frame carries any 32 bytes as its sender's key
+        decoded = decode_envelope(env.encode().replace(self.identity.public_bytes, b"\xff" * 32))
+        assert decoded.sender == "ff" * 32
+        assert not verify_envelope(decoded)
 
     def test_too_deep_payload_is_failure_not_crash(self):
         raw = sign_envelope("QUERY", 3, {}, self.identity).encode()
         deep = b"[" * 5000 + b"]" * 5000
-        assert decode_envelope(raw.replace(b'"payload":{}', b'"payload":' + deep)) is None
+        decoded = decode_envelope(raw.replace(b"{}", deep))
+        assert decoded.body == deep and not verify_envelope(decoded)
+        with pytest.raises(EncodingError):
+            decoded.payload
 
     def test_identity_file_round_trip(self, tmp_path):
         path = tmp_path / "node.key"
@@ -369,8 +389,8 @@ class TestSigning:
     def test_private_key_never_in_envelope(self):
         env = sign_envelope("GET_BLOCKS", 1, {"locator": [], "node_id": self.identity.node_id},
                             self.identity)
-        blob = env.encode().decode("utf-8")
-        assert bytes(range(32)).hex() not in blob
+        blob = env.encode()
+        assert bytes(range(32)) not in blob and bytes(range(32)).hex().encode() not in blob
 
 
 class TestLinkKeys:
@@ -440,7 +460,7 @@ class TestLinkKeys:
 
     def test_tag_is_hmac_sha256_over_the_counter_and_preimage(self):
         raw = bytes(range(32))
-        expected = hmac.digest(raw, b'17\x1fNEW_BLOCK\x1f5\x1f{"block":1}', "sha256").hex()
+        expected = hmac.digest(raw, b'17\x1fNEW_BLOCK\x1f5\x1f{"block":1}', "sha256")
         [frame_bytes] = tag_frames("NEW_BLOCK", 5, {"block": 1},
                                    NodeIdentity.from_seed(b"\x01" * 32).node_id,
                                    [(LinkKey(raw), 17)])
@@ -455,7 +475,7 @@ class TestLinkKeys:
         lengths = [0, 1, 63, 64, 65, 64 * 1024] + [rng.randrange(64 * 1024) for _ in range(4)]
 
         def check(key, counter, preimage):
-            expected = hmac.digest(key, b"%d\x1f" % counter + preimage, "sha256").hex()
+            expected = hmac.digest(key, b"%d\x1f" % counter + preimage, "sha256")
             assert LinkKey(key).tag(counter, preimage) == expected
 
         for key_len in [*range(65), 65, 100, 200]:
@@ -470,15 +490,18 @@ class TestLinkKeys:
         identity = NodeIdentity.from_seed(b"\x01" * 32)
         [raw] = tag_frames("NEW_BLOCK", 5, {"block": {"index": 1}}, identity.node_id, [(send, 3)])
         env = decode_envelope(raw)
-        tag = env.signature.encode()
+        sender, tag, body = identity.public_bytes, env.signature, env.body
+        assert frame_by_hand(CODES["NEW_BLOCK"], 3, 5, sender, tag, body) == raw
         assert verify_envelope(decode_envelope(raw), recv)
-        for changed in (raw.replace(b'"counter":3', b'"counter":4'),
-                        raw.replace(b'"counter":3,', b""),
-                        raw.replace(b'"timestamp":5', b'"timestamp":6'),
-                        raw.replace(b'"NEW_BLOCK"', b'"BLOCKS"'),
-                        raw.replace(b'"index":1', b'"index":2'),
-                        raw.replace(tag, "é".encode() + tag[1:]),
-                        raw.replace(tag, tag[:-2])):
+        for changed in (frame_by_hand(CODES["NEW_BLOCK"], 4, 5, sender, tag, body),
+                        frame_by_hand(CODES["NEW_BLOCK"], None, 5, sender, tag, body),
+                        frame_by_hand(CODES["NEW_BLOCK"], 3, 6, sender, tag, body),
+                        frame_by_hand(CODES["BLOCKS"], 3, 5, sender, tag, body),
+                        frame_by_hand(CODES["NEW_BLOCK"], 3, 5, sender, tag,
+                                      body.replace(b'"index":1', b'"index":2')),
+                        frame_by_hand(CODES["NEW_BLOCK"], 3, 5, sender,
+                                      bytes([tag[0] ^ 1]) + tag[1:], body),
+                        frame_by_hand(CODES["NEW_BLOCK"], 3, 5, sender, tag + tag, body)):
             assert changed != raw
             assert not verify_envelope(decode_envelope(changed), recv)
         assert not verify_envelope(env, other)  # the other direction's key
@@ -489,8 +512,12 @@ class TestLinkKeys:
         [raw] = tag_frames("QUERY", 1, {}, NodeIdentity.from_seed(b"\x01" * 32).node_id,
                            [(send, 9)])
         assert decode_envelope(raw).counter == 9
-        for counter in (b"null", b"true", b'"9"', b"9.0", b"09"):
-            assert decode_envelope(raw.replace(b'"counter":9', b'"counter":' + counter)) is None
+        # the counter field holds counter + 1: 0 for a frame with none, and
+        # its top value for the highest counter
+        for field, counter in ((0, None), (1, 0), (2**64 - 1, 2**64 - 2)):
+            assert decode_envelope(raw[:1] + field.to_bytes(8, "big") + raw[9:]).counter == counter
+        # a frame cut short in its counter is refused (TestHeader cuts it anywhere)
+        assert decode_envelope(raw[:5]) is None
 
 
 class TestTagFrames:
@@ -504,11 +531,14 @@ class TestTagFrames:
         sender = NodeIdentity.from_seed(b"\x44" * 32).node_id
         [raw] = tag_frames("NEW_BLOCK", 1700000000123, self.PAYLOAD, sender,
                            [(LinkKey(b"\x55" * 32), 41)])
-        assert raw == (
-            b'{"counter":41,"kind":"NEW_BLOCK","payload":{"block":{"data":"na\xc3\xafve",'
-            b'"index":1},"have":["0123abcd"]},"sender":"d759793bbc13a2819a827c76adb6fba8a49ae'
-            b'e007f49f2d0992d99b825ad2c48","signature":"54b8355893cf577178f79436431116d5ca0726'
-            b'926673d995750d0e931d7b1432","timestamp":1700000000123}')
+        assert raw == bytes.fromhex(
+            "01"  # NEW_BLOCK
+            "000000000000002a"  # counter 41, + 1
+            "0000018bcfe5687b"  # the timestamp
+            "d759793bbc13a2819a827c76adb6fba8a49aee007f49f2d0992d99b825ad2c48"  # the sender
+            "20"  # the tag's length, 32
+            "54b8355893cf577178f79436431116d5ca0726926673d995750d0e931d7b1432"  # the tag
+        ) + b'{"block":{"data":"na\xc3\xafve","index":1},"have":["0123abcd"]}'
 
     def test_each_link_gets_its_own_tag_and_counter(self):
         # one payload for three links: every frame decodes to the same
@@ -668,13 +698,74 @@ class TestEnvelopeRoundTrip:
         assert decode_envelope(b"[1,2]") is None
         assert decode_envelope(b'{"sender":"a"}') is None
         good = sign_envelope("QUERY", 1, {}, NodeIdentity.from_seed(b"\x01" * 32))
-        for kind in ("NOPE", [1], {"a": 1}):
-            obj = json.loads(good.encode())
-            obj["kind"] = kind
+        # the JSON layout of a frame, with a kind or a timestamp of each type
+        for field, value in (("kind", "QUERY"), ("kind", "NOPE"), ("kind", [1]),
+                             ("kind", {"a": 1}), ("timestamp", "12")):
+            obj = {"kind": "QUERY", "payload": {}, "sender": good.sender,
+                   "signature": good.signature.hex(), "timestamp": 1, field: value}
             assert decode_envelope(canonical_json(obj)) is None
-        obj = json.loads(good.encode())
-        obj["timestamp"] = "12"
-        assert decode_envelope(canonical_json(obj)) is None
+
+
+class TestHeader:
+    """The fixed header decode_envelope reads, and the ranges its fields
+    keep: no frame is read past a header it cannot hold, and no maker packs
+    a value out of its field's range."""
+
+    def setup_method(self):
+        self.identity = NodeIdentity.from_seed(b"\x05" * 32)
+        self.key = LinkKey(b"\x22" * 32)
+        self.signed = sign_envelope(QUERY, 1, {}, self.identity)
+        [self.tagged] = tag_frames(QUERY, 1, {}, self.identity.node_id, [(self.key, 1)])
+
+    def test_fifty_bytes_in_network_order_with_one_code_per_kind(self):
+        assert (wire.HEADER.format, wire.HEADER.size) == (">BQq32sB", 50)
+        assert {kind: code for code, kind in enumerate(wire.KINDS, 1)} == CODES
+
+    def test_truncated_header_or_signature_is_refused(self):
+        for raw in (self.signed.encode(), self.tagged):
+            end = wire.HEADER.size + raw[wire.HEADER.size - 1]  # where the payload starts
+            for cut in range(end):  # the header cut short, or a tag that runs past the frame
+                assert decode_envelope(raw[:cut]) is None
+            # no payload at all: the header decodes, and the payload reads as nothing
+            empty = decode_envelope(raw[:end])
+            assert empty.body == b"" and decode_envelope(raw).body == b"{}"
+            with pytest.raises(EncodingError):
+                empty.payload
+
+    @pytest.mark.parametrize("code", [0, 7, ord("{"), 255])
+    def test_unknown_kind_code_is_refused(self, code):
+        for raw in (self.signed.encode(), self.tagged):
+            assert decode_envelope(bytes([code]) + raw[1:]) is None
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 33, 63, 65, 255])
+    def test_signature_length_other_than_a_tag_or_a_signature_is_refused(self, length):
+        at = wire.HEADER.size - 1
+        for raw in (self.signed.encode(), self.tagged):
+            padded = raw[:at] + bytes([length]) + raw[at + 1:] + bytes(255)
+            assert decode_envelope(padded) is None
+
+    def test_out_of_range_timestamp_or_counter_raises_encoding_error(self):
+        # EncodingError, which every maker raises, and never struct.error
+        node_id = self.identity.node_id
+        for timestamp in (2**63, -2**63 - 1, 2**100):
+            with pytest.raises(EncodingError):
+                sign_envelope(QUERY, timestamp, {}, self.identity)
+            with pytest.raises(EncodingError):
+                tag_frames(QUERY, timestamp, {}, node_id, [(self.key, 1)])
+            with pytest.raises(EncodingError):
+                replace(self.signed, timestamp=timestamp).encode()
+        for counter in (-1, -2, 2**64 - 1, 2**100):
+            with pytest.raises(EncodingError):
+                tag_frames(QUERY, 1, {}, node_id, [(self.key, 1), (self.key, counter)])
+            with pytest.raises(EncodingError):
+                replace(self.signed, counter=counter).encode()
+        # each field's limits pack and read back
+        for timestamp in (2**63 - 1, -2**63):
+            raw = sign_envelope(QUERY, timestamp, {}, self.identity).encode()
+            assert decode_envelope(raw).timestamp == timestamp
+        [raw] = tag_frames(QUERY, 1, {}, node_id, [(self.key, 2**64 - 2)])
+        assert decode_envelope(raw).counter == 2**64 - 2
+        assert verify_envelope(decode_envelope(raw), self.key)
 
 
 class TestOneLayout:
@@ -685,29 +776,40 @@ class TestOneLayout:
         self.identity = NodeIdentity.from_seed(b"\x33" * 32)
 
     def test_any_other_layout_of_the_same_value_is_refused(self):
-        [raw] = tag_frames("QUERY", 7, {"what": "stats"}, self.identity.node_id,
-                           [(LinkKey(b"\x22" * 32), 3)])
-        obj = json.loads(raw)
+        # refused as it is decoded, or by its check
+        key = LinkKey(b"\x22" * 32)
+        [raw] = tag_frames("QUERY", 7, {"what": "stats"}, self.identity.node_id, [(key, 3)])
+        env = decode_envelope(raw)
+        json_layout = {"counter": 3, "kind": "QUERY", "payload": {"what": "stats"},
+                       "sender": env.sender, "signature": env.signature.hex(), "timestamp": 7}
+        sender = self.identity.public_bytes
         others = {
-            "spaces": json.dumps(obj).encode(),
-            "unsorted": json.dumps(dict(reversed(obj.items())), separators=(",", ":")).encode(),
-            "leading-space": b" " + raw,
+            "json": canonical_json(json_layout),
+            "json-spaces": json.dumps(json_layout).encode(),
+            "leading-zero-byte": b"\x00" + raw,
             "trailing-newline": raw + b"\n",
-            "space-before-payload": raw.replace(b'"payload":', b'"payload": '),
-            "escaped-kind": raw.replace(b'"QUERY"', b'"\\u0051UERY"'),
-            "escaped-sender": raw.replace(b'"sender":"', b'"sender":"\\u0030'),
+            "space-in-payload": raw.replace(b'"what":', b'"what": '),
+            "escaped-payload": raw.replace(b'"stats"', b'"\\u0073tats"'),
+            "little-endian-counter": raw[:1] + (4).to_bytes(8, "little") + raw[9:],
+            "little-endian-timestamp": frame_by_hand(CODES["QUERY"], 3,
+                                                     int.from_bytes((7).to_bytes(8, "big"),
+                                                                    "little"),
+                                                     sender, env.signature, env.body),
         }
         for name, other in others.items():
-            assert other != raw and json.loads(other)["kind"] == "QUERY", name
-            assert decode_envelope(other) is None, name
-        env = decode_envelope(raw)
+            decoded = decode_envelope(other)
+            assert other != raw and (decoded is None or not verify_envelope(decoded, key)), name
         assert (env.counter, env.payload, env.encode()) == (3, {"what": "stats"}, raw)
 
     @pytest.mark.parametrize("number", [b"1.0", b"1e3", b"NaN", b"-Infinity",
                                         b"1" + b"0" * 5000])
     def test_payload_number_that_cannot_be_encoded_is_refused(self, number):
+        # the header decodes; the payload, read after the check, does not
         raw = sign_envelope("QUERY", 7, {"n": 1}, self.identity).encode()
-        assert decode_envelope(raw.replace(b'"n":1', b'"n":' + number)) is None
+        decoded = decode_envelope(raw.replace(b'"n":1', b'"n":' + number))
+        assert not verify_envelope(decoded)
+        with pytest.raises(EncodingError):
+            decoded.payload
 
     @pytest.mark.parametrize("keyed", [False, True], ids=["signed", "tagged"])
     def test_check_is_over_the_payload_bytes_received(self, keyed):
