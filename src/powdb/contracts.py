@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import operator
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -257,7 +256,6 @@ class ContractCache:
     hits: int = 0
     misses: int = 0
     compiles: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def counters(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "compiles": self.compiles}
@@ -269,12 +267,11 @@ def cached_lookup(cache: ContractCache, contract_id: str, source_provider) -> Co
     `source_provider(contract_id)` returns the parsed source or None; a None
     raises ContractNotFound.
     """
-    with cache._lock:
-        hit = cache.entries.get(contract_id)
-        if hit is not None:
-            cache.hits += 1
-            return hit
-        cache.misses += 1
+    hit = cache.entries.get(contract_id)
+    if hit is not None:
+        cache.hits += 1
+        return hit
+    cache.misses += 1
     source = source_provider(contract_id)
     if source is None:
         raise ContractNotFound(contract_id)
@@ -283,7 +280,6 @@ def cached_lookup(cache: ContractCache, contract_id: str, source_provider) -> Co
         raise ContractError(ExecReason.MALFORMED_SOURCE,
                             f"source hashes to {compiled.contract_id[:16]}..., "
                             f"not the requested id")
-    with cache._lock:
-        cache.compiles += 1
-        cache.entries[contract_id] = compiled
+    cache.compiles += 1
+    cache.entries[contract_id] = compiled
     return compiled

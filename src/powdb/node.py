@@ -4,8 +4,8 @@ NodeCore is a single-threaded state machine. Runtimes feed it events
 (connections, messages, mining completions) from exactly one execution
 context: the TCP runtime from its selector loop, which also runs
 LoopMiner's nonce search one window per turn, and the simulator from its
-event queue. Because of that the core itself needs no locks and behaves
-identically in both worlds.
+event queue. Because of that the core, its store and its contract cache
+need no locks, and the core behaves identically in both worlds.
 
 Every block joins the chain through `NodeCore.adopt_if_heavier`, whether
 gossiped, synced or mined here, and the store is the only record of the
@@ -934,7 +934,9 @@ class LoopMiner:
 
 class NodeRuntime:
     """TCP wiring: one selector loop thread drives the core and runs its
-    miner's windows; the node starts no other thread."""
+    miner's windows; the node starts no other thread. The thread that builds
+    a runtime owns its core, store and sockets until `start()`, and the loop
+    until `stop()` has waited for it to end; other threads only `submit`."""
 
     def __init__(self, config: NodeConfig):
         config.validate()
@@ -1014,6 +1016,8 @@ class NodeRuntime:
             self.stop()
 
     def stop(self) -> None:
+        """Close the core on the loop, wait for the loop to end after its current
+        call, however long it runs, then close the store; a second call does nothing."""
         if self._stop.is_set():
             return
         self._stop.set()

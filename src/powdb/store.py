@@ -10,10 +10,11 @@ clears; a store whose tables were just made starts it at "no blocks". A
 block row keeps the difficulty after it, and a state or contract
 row the index of the block that wrote it, so dropping a tail deletes only
 its rows.
-Every mutation runs inside a transaction guarded by one lock, so a crash
-at any point leaves the previous committed state. Transactions nest: a
-caller that wraps a tail drop, block appends and the contract effects of
-their payloads in one `transaction()` commits them together or not at all.
+A store has one user at a time, so it takes no lock. Every mutation runs
+inside a transaction, so a crash at any point leaves the previous committed
+state. Transactions nest: a caller that wraps a tail drop, block appends and
+the contract effects of their payloads in one `transaction()` commits them
+together or not at all.
 
 A file store writes ahead (SQLite WAL mode): a commit is one append to
 `<db>-wal` and one fsync, so a write is on disk when its commit returns.
@@ -72,7 +73,8 @@ _SELECT_TIP = f"SELECT {_COLUMNS}, retarget FROM blocks ORDER BY idx DESC LIMIT 
 # The tip copy before it is read, or after a write path clears it.
 _UNREAD = object()
 # The empty memory store every memory store copies, built at the first one
-# a process opens; the lock guards its build and each copy.
+# a process opens. Stores are opened on many threads (each node's builder,
+# tests), so the lock guards its build and each copy.
 _image: sqlite3.Connection | None = None
 _image_lock = threading.Lock()
 
@@ -106,8 +108,9 @@ class NotFoundError(StoreError):
 class BlockStore:
     """Single-file embedded store owned by one node process.
 
-    All mutations are serialized behind one reentrant lock; readers see only
-    committed state. An append is one insert inside one transaction, with
+    One thread uses a store at a time, handed over only where a thread's
+    start or join orders it; readers see only committed state. An append is
+    one insert inside one transaction, with
     an optional crash hook before its commit for fault-injection tests. The
     store never executes payloads: a block and the state its payload writes
     are atomic because the caller runs both in one `transaction()`. The
@@ -117,40 +120,43 @@ class BlockStore:
 
     def __init__(self, path: str | Path = ":memory:"):
         self.path = str(path)
-        self._lock = threading.RLock()
         self._txn_depth = 0
         self._crash_hook = None  # test-only: callable(step_label)
         self._tip = _UNREAD  # (tip block, retarget), or None for an empty store
         self._txn = _Transaction(self)  # keeps no state of its own, so every entry shares it
         try:
+            # not tied to one thread: a node writes genesis, then its loop takes the store
             self._conn = sqlite3.connect(self.path, check_same_thread=False,
                                          isolation_level=None)
-            if self.path == ":memory:":
-                _copy_empty_image(self._conn)
-                layout, self._tip = LAYOUT, None
-            else:
-                self._conn.execute("PRAGMA synchronous=FULL")
-                with self.transaction():  # an empty file gets the tables
-                    layout = self._conn.execute("PRAGMA user_version").fetchone()[0]
-                    if not layout and not self._conn.execute(
-                            "SELECT * FROM sqlite_master").fetchone():
-                        _create_tables(self._conn)
-                        layout, self._tip = LAYOUT, None  # the commit keeps the copy
-                if layout == LAYOUT:  # only now, as WAL mode rewrites the file header
-                    self._conn.execute("PRAGMA journal_mode=WAL")
+            try:
+                if self.path == ":memory:":
+                    _copy_empty_image(self._conn)
+                    layout, self._tip = LAYOUT, None
+                else:
+                    self._conn.execute("PRAGMA synchronous=FULL")
+                    with self.transaction():  # an empty file gets the tables
+                        layout = self._conn.execute("PRAGMA user_version").fetchone()[0]
+                        if not layout and not self._conn.execute(
+                                "SELECT * FROM sqlite_master").fetchone():
+                            _create_tables(self._conn)
+                            layout, self._tip = LAYOUT, None  # the commit keeps the copy
+                    if layout == LAYOUT:  # only now, as WAL mode rewrites the file header
+                        self._conn.execute("PRAGMA journal_mode=WAL")
+                if layout != LAYOUT:  # any other layout is refused, the file unchanged
+                    raise StoreError(f"{self.path} does not hold store layout {LAYOUT}")
+            except BaseException:
+                self._conn.close()  # a store that fails to open keeps no connection
+                raise
         except sqlite3.Error as exc:
             raise StoreError(f"cannot open store at {self.path}: {exc}") from exc
-        if layout != LAYOUT:  # any other layout is refused, the file unchanged
-            self._conn.close()
-            raise StoreError(f"{self.path} does not hold store layout {LAYOUT}")
 
     def close(self) -> None:
         self._conn.close()
 
     def transaction(self) -> _Transaction:
         """Reentrant exclusive transaction; rolls back on any exception. Any
-        exit but a commit that returns clears the tip copy. The lock is held
-        from the outermost entry to its exit; a nested one runs no SQL."""
+        exit but a commit that returns clears the tip copy. Only the
+        outermost entry and exit run SQL."""
         return self._txn
 
     # -- block chain ------------------------------------------------------
@@ -158,7 +164,7 @@ class BlockStore:
     def add_block(self, block: Block, retarget: float) -> None:
         """Append one block and the chain's difficulty after it at index == count."""
         try:
-            with self.transaction():  # holds the lock, so the count cannot move
+            with self.transaction():
                 count = self.get_block_count()
                 if block.index != count:
                     raise StoreError(f"append at index {block.index} but store holds {count} blocks")
@@ -175,11 +181,10 @@ class BlockStore:
     def _tip_row(self) -> tuple[Block, float] | None:
         """The tip block and the difficulty after it, or None for an empty
         store: read from the table once, then kept until a write clears it."""
-        with self._lock:
-            if self._tip is _UNREAD:
-                row = self._conn.execute(_SELECT_TIP).fetchone()
-                self._tip = None if row is None else (_row_to_block(row[:7]), row[7])
-            return self._tip
+        if self._tip is _UNREAD:
+            row = self._conn.execute(_SELECT_TIP).fetchone()
+            self._tip = None if row is None else (_row_to_block(row[:7]), row[7])
+        return self._tip
 
     def get_block_count(self) -> int:
         return self.chain_info()[0]
@@ -191,8 +196,7 @@ class BlockStore:
         return (tip[0].index + 1, tip[0].hash) if tip is not None else (0, None)
 
     def get_block(self, index: int) -> Block:
-        with self._lock:
-            row = self._conn.execute(_SELECT_BLOCKS + " WHERE idx = ?", (index,)).fetchone()
+        row = self._conn.execute(_SELECT_BLOCKS + " WHERE idx = ?", (index,)).fetchone()
         if row is None:
             raise NotFoundError(f"no block at index {index}")
         return _row_to_block(row)
@@ -202,30 +206,28 @@ class BlockStore:
 
     def get_blocks(self, start: int, stop: int = 2**63 - 1) -> list[Block]:
         """The blocks with start <= index < stop, in order; to the tip by default."""
-        with self._lock:
-            tip = self._tip_row()
-            if tip is None:
-                return []
-            block = tip[0]
-            if start >= block.index:  # at most the tip
-                return [block] if start == block.index < stop else []
-            rows = self._conn.execute(
-                _SELECT_BLOCKS + " WHERE idx >= ? AND idx < ? ORDER BY idx",
-                (start, stop)).fetchall()
+        tip = self._tip_row()
+        if tip is None:
+            return []
+        block = tip[0]
+        if start >= block.index:  # at most the tip
+            return [block] if start == block.index < stop else []
+        rows = self._conn.execute(
+            _SELECT_BLOCKS + " WHERE idx >= ? AND idx < ? ORDER BY idx",
+            (start, stop)).fetchall()
         return [_row_to_block(r) for r in rows]
 
     def get_hashes(self, indices: list[int]) -> dict[int, str]:
         """The hash of each stored block among `indices`, by index, in at most one query."""
-        with self._lock:
-            tip = self._tip_row()
-            if tip is None:
-                return {}
-            block = tip[0]
-            if all(index >= block.index for index in indices):  # at most the tip
-                return {block.index: block.hash} if block.index in indices else {}
-            rows = self._conn.execute(
-                "SELECT idx, hash FROM blocks WHERE idx IN (%s)" % ",".join("?" * len(indices)),
-                indices).fetchall()
+        tip = self._tip_row()
+        if tip is None:
+            return {}
+        block = tip[0]
+        if all(index >= block.index for index in indices):  # at most the tip
+            return {block.index: block.hash} if block.index in indices else {}
+        rows = self._conn.execute(
+            "SELECT idx, hash FROM blocks WHERE idx IN (%s)" % ",".join("?" * len(indices)),
+            indices).fetchall()
         return dict(rows)
 
     def tip(self) -> Block:
@@ -247,27 +249,25 @@ class BlockStore:
         if not tail or tail[0].index < 1:
             raise StoreError("the dropped tail must start after genesis")
         start = tail[0].index
-        with self._lock:
-            if self.get_blocks(start) != tail:
-                raise StoreError(f"the blocks from index {start} are not the stored tail")
-            try:
-                with self.transaction():
-                    self._tip = _UNREAD
-                    for table, index in (("blocks", "idx"), ("state", "version"),
-                                         ("contracts", "deployed_at")):
-                        self._conn.execute(f"DELETE FROM {table} WHERE {index} >= ?", (start,))
-                    return self._conn.execute("SELECT retarget FROM blocks WHERE idx = ?",
-                                              (start - 1,)).fetchone()[0]
-            except sqlite3.Error as exc:
-                raise StoreError(f"replace failed: {exc}") from exc
+        if self.get_blocks(start) != tail:
+            raise StoreError(f"the blocks from index {start} are not the stored tail")
+        try:
+            with self.transaction():
+                self._tip = _UNREAD
+                for table, index in (("blocks", "idx"), ("state", "version"),
+                                     ("contracts", "deployed_at")):
+                    self._conn.execute(f"DELETE FROM {table} WHERE {index} >= ?", (start,))
+                return self._conn.execute("SELECT retarget FROM blocks WHERE idx = ?",
+                                          (start - 1,)).fetchone()[0]
+        except sqlite3.Error as exc:
+            raise StoreError(f"replace failed: {exc}") from exc
 
     # -- contract state ---------------------------------------------------
 
     def get_state(self, contract_id: str, key: str) -> int | None:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT value FROM state WHERE contract_id = ? AND key = ?"
-                " ORDER BY version DESC LIMIT 1", (contract_id, key)).fetchone()
+        row = self._conn.execute(
+            "SELECT value FROM state WHERE contract_id = ? AND key = ?"
+            " ORDER BY version DESC LIMIT 1", (contract_id, key)).fetchone()
         return row[0] if row is not None else None
 
     def put_state(self, contract_id: str, key: str, value: int, version: int) -> None:
@@ -279,20 +279,18 @@ class BlockStore:
                 (contract_id, key, value, version))
 
     def all_state(self) -> dict[tuple[str, str], int]:
-        with self._lock:
-            # sqlite takes the bare `value` from the row that holds the MAX
-            rows = self._conn.execute(
-                "SELECT contract_id, key, value, MAX(version) FROM state"
-                " GROUP BY contract_id, key").fetchall()
+        # sqlite takes the bare `value` from the row that holds the MAX
+        rows = self._conn.execute(
+            "SELECT contract_id, key, value, MAX(version) FROM state"
+            " GROUP BY contract_id, key").fetchall()
         return {(cid, key): value for cid, key, value, _version in rows}
 
     # -- contract sources -------------------------------------------------
 
     def get_contract(self, contract_id: str) -> str | None:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT source FROM contracts WHERE contract_id = ?",
-                (contract_id,)).fetchone()
+        row = self._conn.execute(
+            "SELECT source FROM contracts WHERE contract_id = ?",
+            (contract_id,)).fetchone()
         return row[0] if row is not None else None
 
     def put_contract(self, contract_id: str, source_json: str, deployed_at: int) -> None:
@@ -311,31 +309,23 @@ class _Transaction:
 
     def __enter__(self) -> None:
         store = self.store
-        store._lock.acquire()
         if store._txn_depth == 0:
-            try:
-                store._conn.execute("BEGIN IMMEDIATE")
-            except BaseException:
-                store._lock.release()
-                raise
+            store._conn.execute("BEGIN IMMEDIATE")
         store._txn_depth += 1
 
     def __exit__(self, exc_type, exc, tb) -> None:
         store = self.store
-        try:
-            store._txn_depth -= 1
-            if store._txn_depth == 0:
-                tip, store._tip = store._tip, _UNREAD  # kept by a commit that returns
-                try:
-                    store._conn.execute("ROLLBACK" if exc_type else "COMMIT")
-                except BaseException:
-                    # SQLite can keep the transaction of a COMMIT that fails open
-                    if store._conn.in_transaction:
-                        store._conn.execute("ROLLBACK")
-                    raise
-                store._tip = _UNREAD if exc_type else tip
-        finally:
-            store._lock.release()
+        store._txn_depth -= 1
+        if store._txn_depth == 0:
+            tip, store._tip = store._tip, _UNREAD  # kept by a commit that returns
+            try:
+                store._conn.execute("ROLLBACK" if exc_type else "COMMIT")
+            except BaseException:
+                # SQLite can keep the transaction of a COMMIT that fails open
+                if store._conn.in_transaction:
+                    store._conn.execute("ROLLBACK")
+                raise
+            store._tip = _UNREAD if exc_type else tip
 
 
 def _row_to_block(row) -> Block:

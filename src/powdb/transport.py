@@ -7,7 +7,9 @@ One selector loop on one thread owns the listening socket, every connection
 and a socket pair by which other threads wake it, and calls the owner as
 `MemNetwork` does. It runs the calls given to `submit`, such as the node's
 mining windows, between polls, and never waits while calls are queued, so
-input is served before a call that a call submitted.
+input is served before a call that a call submitted. `stop()` waits for the
+loop to end, however long its current call runs, before it closes what the
+loop owned.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from powdb.wire import ProtocolError, frame, split_frames
 logger = logging.getLogger(__name__)
 
 TICK_S = 1.0  # seconds between two calls of the loop's tick
+DIAL_TIMEOUT_S = 5.0  # how long a dial waits for the peer to accept
 
 
 def parse_hostport(addr: str) -> tuple[str, int]:
@@ -102,9 +105,9 @@ class TcpTransport:
         self._selector.register(server, selectors.EVENT_READ, lambda: self._accept(server))
         return f"{host}:{server.getsockname()[1]}"
 
-    def dial(self, addr: str, timeout: float = 5.0) -> TcpConnection:
+    def dial(self, addr: str) -> TcpConnection:
         """Connect to `addr`; call it on the loop thread or before `start`."""
-        sock = socket.create_connection(parse_hostport(addr), timeout=timeout)
+        sock = socket.create_connection(parse_hostport(addr), timeout=DIAL_TIMEOUT_S)
         sock.settimeout(None)
         return self._register(sock, addr)
 
@@ -125,10 +128,10 @@ class TcpTransport:
         thread.start()
 
     def stop(self) -> None:
-        """End the loop after the calls submitted so far; close every socket."""
+        """End the loop after the calls submitted so far, wait for it, close every socket."""
         self.submit(self._halt)
         for thread in self._threads:
-            thread.join(timeout=2.0)
+            thread.join()  # the loop owns the sockets until it returns
         for key in list(self._selector.get_map().values()):
             key.fileobj.close()
         self._wake_w.close()

@@ -5,6 +5,7 @@ import os
 import random
 import threading
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,22 @@ def no_leaked_node_loop():
                 pytest.fail("a node-loop thread outlived its test; stop() every runtime")
 
 
+def on_loop(runtime, fn):
+    """Run `fn()` on a started runtime's loop thread, the only thread that
+    may touch its core and store, and return what it returns or raise what
+    it raises."""
+    result = Future()
+
+    def call():
+        try:
+            result.set_result(fn())
+        except BaseException as exc:
+            result.set_exception(exc)
+
+    runtime.submit(call)
+    return result.result(timeout=30)
+
+
 def linked_chain(difficulties, data_prefix="data", start_ts=1000):
     """A structurally valid chain with honest hashes but no mining.
 
@@ -79,10 +96,9 @@ def store_path(tmp_path):
 def state_version(store, contract_id, key):
     """The index of the block that last wrote a state cell, read from the
     `state` table: None when no block wrote it."""
-    with store._lock:
-        return store._conn.execute(
-            "SELECT MAX(version) FROM state WHERE contract_id = ? AND key = ?",
-            (contract_id, key)).fetchone()[0]
+    return store._conn.execute(
+        "SELECT MAX(version) FROM state WHERE contract_id = ? AND key = ?",
+        (contract_id, key)).fetchone()[0]
 
 
 def assert_no_log(path) -> None:

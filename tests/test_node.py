@@ -39,7 +39,7 @@ from powdb.store import BlockStore
 from powdb.transport import parse_hostport
 from powdb.wire import NodeIdentity, canonical_json, decode_envelope, sign_envelope
 
-from conftest import TEST_PARAMS, Capture, PeerEnd, extend, state_version
+from conftest import TEST_PARAMS, Capture, PeerEnd, extend, on_loop, state_version
 
 COUNTER = [["add", "count", 1], ["add", "total", ["arg", 0]]]
 COUNTER_ID = contract_id_for(COUNTER)
@@ -1709,6 +1709,11 @@ class TestTcpRuntime:
             time.sleep(interval)
         return False
 
+    @staticmethod
+    def linked(*runtimes):
+        """Whether each runtime has one established link, read on its loop."""
+        return all(on_loop(r, lambda r=r: len(r.core.connected())) == 1 for r in runtimes)
+
     def test_two_process_loopback(self, tmp_path):
         from powdb.cli import client_request
 
@@ -1723,9 +1728,7 @@ class TestTcpRuntime:
                                    key_path=str(tmp_path / "b.key"), params=params))
         b.start()
         try:
-            assert self.wait_until(
-                lambda: len(b.core.connected()) == 1
-                and len(a.core.connected()) == 1), "an established link on each side"
+            assert self.wait_until(lambda: self.linked(a, b)), "an established link on each side"
 
             result = client_request(b.listen_addr, "TX",
                                     {"tx": {"kind": "raw", "data": "over-tcp"}})
@@ -1733,8 +1736,10 @@ class TestTcpRuntime:
             index = result["result"]["block_index"]
 
             assert self.wait_until(
-                lambda: a.core.store.get_block_count() == index + 1), "replication to a"
-            assert a.core.store.get_block(index).hash == result["result"]["block_hash"]
+                lambda: on_loop(a, lambda: a.core.store.get_block_count()) == index + 1), \
+                "replication to a"
+            assert on_loop(a, lambda: a.core.store.get_block(index).hash) == \
+                result["result"]["block_hash"]
 
             stats = client_request(a.listen_addr, "QUERY",
                                    {"what": "stats", "params": {}})
@@ -1751,20 +1756,43 @@ class TestTcpRuntime:
                                    db_path=str(tmp_path / "b.db"), mine_enabled=False))
         b.start()
         try:
-            assert self.wait_until(
-                lambda: len(b.core.connected()) == 1
-                and len(a.core.connected()) == 1), "an established link on each side"
+            assert self.wait_until(lambda: self.linked(a, b)), "an established link on each side"
             threads = [t for runtime in (a, b) for t in runtime.transport._threads]
             assert [t.name for t in threads] == ["node-loop", "node-loop"]
             a.stop()
-            assert self.wait_until(lambda: b.core.connected() == [], timeout=2.0), \
-                "the peer saw the link close"
+            assert self.wait_until(lambda: on_loop(b, lambda: b.core.connected()) == [],
+                                   timeout=2.0), "the peer saw the link close"
         finally:
             a.stop()
             b.stop()
         for thread in threads:
             thread.join(timeout=2.0)
         assert [t.name for t in threads if t.is_alive()] == []
+
+    def test_stop_waits_for_a_loop_call_that_runs_past_two_seconds(self, tmp_path,
+                                                                   monkeypatch):
+        runtime = NodeRuntime(NodeConfig(listen_addr="127.0.0.1:0",
+                                         db_path=str(tmp_path / "n.db"), mine_enabled=False))
+        raised, closes = [], []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        close = runtime.store.close
+        monkeypatch.setattr(runtime.store, "close", lambda: (closes.append(1), close()))
+        busy, done = threading.Event(), threading.Event()
+
+        def long_call():  # as a deploy's compile at intake holds the loop
+            busy.set()
+            time.sleep(2.5)
+            done.set()
+
+        runtime.start()
+        runtime.submit(long_call)
+        assert busy.wait(timeout=5)
+        runtime.stop()
+        assert done.is_set()
+        assert not any(thread.is_alive() for thread in runtime.transport._threads)
+        assert raised == [] and closes == [1]
+        runtime.stop()
+        assert closes == [1]
 
     def test_configured_peer_is_dialed_again_until_it_answers(self, tmp_path, monkeypatch,
                                                               caplog):
@@ -1786,7 +1814,7 @@ class TestTcpRuntime:
             chain = extend([genesis_block()], ["a0", "a1"], params.min_difficulty)
             assert a.core.adopt_if_heavier(0, chain[1:]) == "adopted"
             a.start()
-            assert self.wait_until(lambda: b.core.store.tip().hash == chain[-1].hash,
+            assert self.wait_until(lambda: on_loop(b, lambda: b.core.store.tip()) == chain[-1],
                                    timeout=10), "b linked up and pulled a's chain"
 
             # a drops the link, then grows while no link carries its gossip
@@ -1798,9 +1826,9 @@ class TestTcpRuntime:
                 a.core.adopt_if_heavier(2, longer[3:])
 
             a.submit(drop_then_grow)
-            assert self.wait_until(lambda: b.core.store.tip().hash == longer[-1].hash,
+            assert self.wait_until(lambda: on_loop(b, lambda: b.core.store.tip()) == longer[-1],
                                    timeout=10), "b dialed again and pulled the new tip"
-            assert self.wait_until(lambda: len(a.core.connected()) == 1, timeout=5)
+            assert self.wait_until(lambda: self.linked(a), timeout=5)
         finally:
             b.stop()
             if a is not None:
@@ -1820,11 +1848,10 @@ class TestTcpRuntime:
                                    mine_enabled=False))
         b.start()
         try:
-            assert self.wait_until(
-                lambda: len(b.core.connected()) == 1
-                and len(a.core.connected()) == 1), "an established link on each side"
-            assert all(link.conn.reliable
-                       for link in a.core.connected() + b.core.connected())
+            assert self.wait_until(lambda: self.linked(a, b)), "an established link on each side"
+            assert all(on_loop(r, lambda r=r: all(link.conn.reliable
+                                                  for link in r.core.connected()))
+                       for r in (a, b))
             chain = extend([genesis_block()], ["unpushed"], params.min_difficulty)
 
             def grow_unpushed():
@@ -1832,7 +1859,7 @@ class TestTcpRuntime:
                 assert a.core.adopt_if_heavier(0, chain[1:]) == "adopted"
 
             a.submit(grow_unpushed)
-            assert self.wait_until(lambda: b.core.store.tip().hash == chain[-1].hash,
+            assert self.wait_until(lambda: on_loop(b, lambda: b.core.store.tip()) == chain[-1],
                                    timeout=10), "b's tick pulled a's tip"
         finally:
             b.stop()
@@ -1888,7 +1915,8 @@ class TestTcpRuntime:
         threads = threading.active_count()
         clients = [self.client(runtime) for _ in range(16)]
         try:
-            assert self.wait_until(lambda: len(runtime.core._links) == 16, timeout=5)
+            assert self.wait_until(lambda: on_loop(runtime, lambda: len(runtime.core._links))
+                                   == 16, timeout=5)
             assert threading.active_count() == threads
             assert self.stats(runtime)["ok"] is True
         finally:
@@ -1938,11 +1966,11 @@ class TestTcpRuntime:
         config = NodeConfig(listen_addr="127.0.0.1:0", db_path=str(tmp_path / "n.db"),
                             key_path=str(tmp_path / "n.key"), params=params)
         runtime = NodeRuntime(config)
+        node_id = runtime.core.identity.node_id
         runtime.start()
         result = client_request(runtime.listen_addr, "TX",
                                 {"tx": {"kind": "raw", "data": "persist-me"}})
         tip = result["result"]["block_hash"]
-        node_id = runtime.core.identity.node_id
         runtime.stop()
 
         again = NodeRuntime(config)

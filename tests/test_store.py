@@ -339,6 +339,22 @@ class TestChainRecord:
         assert store_path.read_bytes() == before
         assert_no_log(store_path)
 
+    def test_file_that_is_no_database_is_refused_with_its_connection_closed(
+            self, store_path, monkeypatch):
+        store_path.write_text("a text file, not a database\n" * 20)
+        opened, real_connect = [], sqlite3.connect
+
+        def captured_connect(*args, **kwargs):
+            opened.append(real_connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", captured_connect)
+        with pytest.raises(StoreError, match="cannot open store"):
+            BlockStore(store_path)
+        [conn] = opened
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            conn.execute("SELECT 1")
+
     def test_file_of_a_newer_layout_is_refused(self, store_path):
         conn = sqlite3.connect(store_path)
         conn.execute(f"PRAGMA user_version = {LAYOUT + 1}")
@@ -371,10 +387,9 @@ class TestWriteAhead:
 
 def layout(store):
     """The schema rows and the layout number a store's database carries."""
-    with store._lock:
-        return (store._conn.execute("SELECT type, name, tbl_name, sql FROM sqlite_master"
-                                    " ORDER BY name").fetchall(),
-                store._conn.execute("PRAGMA user_version").fetchone()[0])
+    return (store._conn.execute("SELECT type, name, tbl_name, sql FROM sqlite_master"
+                                " ORDER BY name").fetchall(),
+            store._conn.execute("PRAGMA user_version").fetchone()[0])
 
 
 class TestMemoryImage:
@@ -521,25 +536,9 @@ class FailingConnection:
         return self.conn.in_transaction
 
 
-def free_for_another_thread(lock) -> bool:
-    """Whether a second thread can take `lock` within two seconds."""
-    taken = []
-
-    def take():
-        if lock.acquire(timeout=2):
-            lock.release()
-            taken.append(True)
-
-    thread = threading.Thread(target=take)
-    thread.start()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
-    return taken == [True]
-
-
 class TestTransaction:
-    """`transaction()` nests, holds the store's lock from the outermost entry
-    to its exit, and any exit but a commit that returns clears the tip copy."""
+    """`transaction()` nests, only its outermost entry and exit run SQL, and
+    any exit but a commit that returns clears the tip copy."""
 
     CID = "ab" * 32
 
@@ -580,12 +579,11 @@ class TestTransaction:
         assert self.tip_statements(store) == ["SELECT"]  # the copy was cleared
         assert store.get_all_blocks() == chain[:1]
         assert store.get_state(self.CID, "k") is None
-        assert free_for_another_thread(store._lock)
         store.add_block(chain[1], RETARGET)
         assert store.tip() == chain[1]
 
     @pytest.mark.parametrize("statement", ["BEGIN IMMEDIATE", "COMMIT"])
-    def test_a_statement_that_raises_clears_the_tip_copy_and_releases_the_lock(
+    def test_a_statement_that_raises_clears_the_tip_copy_and_ends_the_transaction(
             self, store_path, statement):
         chain = linked_chain([4])
         store = BlockStore(store_path)
@@ -598,34 +596,11 @@ class TestTransaction:
         store._conn = real
         assert store._txn_depth == 0
         assert not real.in_transaction  # a failed COMMIT's transaction is rolled back
-        assert free_for_another_thread(store._lock)
         if statement == "COMMIT":
             assert self.tip_statements(store) == ["SELECT"]
         assert store.get_all_blocks() == chain[:1]
         store.add_block(chain[1], RETARGET)
         assert store.tip() == chain[1]
-
-    def test_a_second_thread_waits_for_the_outer_transaction(self, store_path):
-        chain = linked_chain([4])
-        store = BlockStore(store_path)
-        store.add_block(chain[0], RETARGET)
-        entered = threading.Event()
-
-        def other():
-            with store.transaction():
-                entered.set()
-
-        thread = threading.Thread(target=other)
-        with store.transaction():
-            with store.transaction():
-                thread.start()
-                assert not entered.wait(0.2)
-            assert not entered.wait(0.1)  # a nested exit releases nothing
-            store.add_block(chain[1], RETARGET)
-        assert entered.wait(5)
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert store.get_all_blocks() == chain
 
 
 class TestState:
@@ -750,42 +725,3 @@ os.kill(os.getpid(), signal.SIGKILL)
         store = BlockStore(path)
         assert store.chain_info() == (10, chain[-1].hash)
         assert store.get_all_blocks() == chain
-
-
-class TestSerializedAccess:
-    def test_concurrent_appends_and_reads(self, store_path):
-        store = BlockStore(store_path)
-        chain = linked_chain([4] * 60)
-        errors = []
-        done = threading.Event()
-
-        def writer():
-            try:
-                for blk in chain:
-                    store.add_block(blk, RETARGET)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-            finally:
-                done.set()
-
-        def reader():
-            try:
-                while not done.is_set():
-                    count, tip = store.chain_info()
-                    assert (count == 0) == (tip is None)
-                    if count > 0:
-                        # committed blocks are immutable, so this holds even
-                        # if more appends landed since the snapshot
-                        assert store.get_block(count - 1).hash == tip
-                        assert len(store.get_all_blocks()) >= count
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=writer)] + [
-            threading.Thread(target=reader) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not errors
-        assert store.get_block_count() == 61
