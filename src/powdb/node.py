@@ -36,6 +36,15 @@ checks run, cheapest first: the held check, its shape, its parent lookup,
 then the fork choice's checks or, for an unlinked block, the limited-link
 cut and the pending-sync check.
 
+A frame that checks but carries what no honest node sends, a payload that
+is not one JSON value or a block that is malformed or that the fork choice
+rejects, cuts its link off, as Bitcoin Core disconnects the sender of an
+invalid block: every later frame on it is dropped and counted undecoded,
+and no block or resync goes out on it. A forged tag, which an on-path
+attacker can inject, a held or unlinked block and a ParentNotServed reject
+leave a link live. The conn stays open: a closed one would be dialed again,
+by the tick or by the peer, at the price of a signed link open at each end.
+
 A block goes to each peer once, as in Plumtree's eager push (Leitão et al.,
 SRDS 2007): its NEW_BLOCK names, in "have", the nodes its sender knows hold
 it, and a node relays an adopted block only to the established links whose
@@ -193,6 +202,7 @@ class _Link:
     sync_sent_ms: int | None = None
     wanted: str | None = None  # hash of the gossiped block that set off the pending sync
     unserved: int = 0  # syncs in a row whose reply did not reach their `wanted`
+    cut_off: bool = False  # its peer sent what no honest node sends (see on_message)
 
     def establish(self, keys: tuple[LinkKey, LinkKey], peer: str) -> None:
         """The handshake is done: key the link to `peer`."""
@@ -374,7 +384,7 @@ class NodeCore:
         now = self.clock()
         for link in list(self._links.values()):
             if link.keys is not None:
-                if now - link.quiet_since_ms >= RESYNC_MS:
+                if now - link.quiet_since_ms >= RESYNC_MS and not link.cut_off:
                     self.request_sync(link)
             elif link.outbound and now - link.quiet_since_ms >= HANDSHAKE_TIMEOUT_MS:
                 self._drop_conn(link.conn)
@@ -402,12 +412,16 @@ class NodeCore:
         not one JSON value is dropped and counted. Reading a NEW_BLOCK
         restarts the link's quiet timer (see tick) whether its tag checks or
         not: a peer that keeps pushing blocks, forged or not, is not
-        resynced."""
+        resynced. Any frame on a link that is cut off (see the module
+        docstring) is dropped and counted before its header is decoded."""
+        link = self._links.get(id(conn))
+        if link is not None and link.cut_off:
+            self.dropped_envelopes += 1
+            return "dropped"
         env = decode_envelope(raw)
         if env is None:
             self.dropped_envelopes += 1
             return "dropped"
-        link = self._links.get(id(conn))
         if (link is None or env.kind == wire.RESPONSE
                 or (link.keys is None and not _unkeyed_may_carry(link, env))):
             return "ignored"
@@ -419,6 +433,7 @@ class NodeCore:
             env.payload  # the first read of the payload: the frame has checked
         except EncodingError:
             self.dropped_envelopes += 1
+            link.cut_off = True
             return "dropped"
         return self.on_envelope(link, env)
 
@@ -462,7 +477,8 @@ class NodeCore:
         targets: dict[str, _Link] = {}  # by peer, its oldest link the block may take
         spares = []  # any other such links, each tried once its peer's send fails
         for link in self._links.values():
-            if (link.keys is not None and (link.short not in skip or not link.conn.reliable)
+            if (link.keys is not None and not link.cut_off
+                    and (link.short not in skip or not link.conn.reliable)
                     and link.short not in sender):
                 if link.short in targets:
                     spares.append(link)
@@ -484,7 +500,8 @@ class NodeCore:
         the held check, the shape, the parent lookup and, for a linked block,
         the fork choice's checks, or, for an unlinked one, the limited-link
         cut and the pending-sync check (in request_sync). A block that fails
-        one is counted under its reason."""
+        one is counted under its reason, and one that is malformed or that
+        the fork choice rejects, invalid on any chain, cuts its link off."""
         payload = env.payload if isinstance(env.payload, dict) else {}
         raw = payload.get("block")
         if isinstance(raw, dict) and self._is_held(raw.get("index"), raw.get("hash")):
@@ -493,8 +510,10 @@ class NodeCore:
             block = block_from_json(raw)
         except MalformedBlockError:
             self._count_reject(VerifyReason.MALFORMED_BLOCK)
-            return "ignored"
-        outcome = self.adopt_if_heavier(block.index - 1, [block], gossip=(link, env))
+            outcome = "rejected"
+        else:
+            outcome = self.adopt_if_heavier(block.index - 1, [block], gossip=(link, env))
+        link.cut_off = outcome == "rejected"
         if outcome == "unlinked":
             # a gap, or the sender is on another fork: pull its chain, unless
             # its last MAX_UNSERVED syncs never reached the block behind them
@@ -633,8 +652,10 @@ class NodeCore:
                 blocks = [block_from_json(b) for b in raw_blocks]
             except MalformedBlockError:
                 self._count_reject(VerifyReason.MALFORMED_BLOCK)
+                link.cut_off = True
             else:
                 outcome = self.adopt_if_heavier(after, blocks)
+                link.cut_off = outcome == "rejected"
         if more and outcome == "adopted":
             self.request_sync(link)  # the next page: the sync goes on
         elif link.wanted is not None:
@@ -657,7 +678,11 @@ class NodeCore:
         "unlinked" when `blocks[0]` does not follow the stored block at
         `after`. Otherwise only the stored blocks after `after` and `blocks`
         are verified and weighed, never the whole chain. A failed check is a
-        counted reject ("rejected"). Then no more work keeps the chain
+        counted reject ("rejected"). Each check has the same outcome on every
+        node, so no honest peer sends such blocks, and the caller cuts their
+        link off; a check an honest peer can fail, such as a timestamp bound
+        against this node's clock, must give another outcome. Then no more
+        work keeps the chain
         ("unchanged"); a heavier suffix is "adopted": mining stops, and one
         transaction drops the stored blocks past the fork point and appends.
         `gossip` is the link and the envelope a gossiped block came in: the
@@ -853,6 +878,7 @@ class NodeCore:
                 "pending_txs": len(self._queue),
                 "rejected_invalid_blocks": sum(self.rejects_by_reason.values()),
                 "dropped_envelopes": self.dropped_envelopes,
+                "cut_off_links": sum(link.cut_off for link in self._links.values()),
                 "exec_errors": sum(self.exec_errors.values()),
             }}
         return {"ok": False, "what": what, "error": f"unknown query {what!r}"}

@@ -656,7 +656,7 @@ class TestIntakeOrder:
             self, core, monkeypatch, body):
         # the tag checks, so the frame's counter is taken; then its payload,
         # read for the first time, is not one JSON value a frame can carry:
-        # the frame is dropped and counted once, and nothing else happens
+        # the frame is dropped and counted once, and the link is cut off
         chain = core.store.get_all_blocks()
         self.count_parses(monkeypatch)
         raw = self.peer.body_frame(wire.NEW_BLOCK, body)
@@ -666,7 +666,7 @@ class TestIntakeOrder:
         assert self.link.received == self.peer.sent
         assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
         assert self.conn.sent == [] and core.store.get_all_blocks() == chain
-        assert self.peer.send(wire.QUERY, {"what": "stats"}) == "handled"  # the link lives
+        assert self.link.cut_off  # see TestCutOff
 
     def test_forged_next_block_is_dropped(self, core):
         # the block would pass every check and is heavier: only the tag keeps
@@ -797,19 +797,20 @@ class TestIntakeOrder:
 
     def test_each_block_envelope_is_verified_once(self, core):
         # a NEW_BLOCK's tag is checked once, by on_message, whatever its
-        # block's checks decide; on_envelope takes an envelope already checked
-        outcomes = []
-        for block in (unlinked_block(core), core.store.get_block(2), self.cheap_block(core),
-                      next_block(core)):
-            outcomes.append(self.peer.send(wire.NEW_BLOCK, {"block": block_to_json(block)}))
-        assert outcomes == ["sync_triggered", "ignored", "ignored", "appended"]
-        assert self.checks == 4 and self.signatures == 0
+        # block's checks decide; on_envelope takes an envelope already
+        # checked. The invalid block comes last, as it cuts the link off
         block = next_block(core)
         env = decode_envelope(self.peer.frame(wire.NEW_BLOCK,
                                               {"block": block_to_json(block)}))
         assert core.on_envelope(self.link, env) == "appended"
-        assert self.checks == 4
+        assert self.checks == 0
         assert core.store.tip() == block
+        outcomes = []
+        for block in (unlinked_block(core), core.store.get_block(2), next_block(core),
+                      self.cheap_block(core)):
+            outcomes.append(self.peer.send(wire.NEW_BLOCK, {"block": block_to_json(block)}))
+        assert outcomes == ["sync_triggered", "ignored", "appended", "ignored"]
+        assert self.checks == 4 and self.signatures == 0
 
     @pytest.mark.parametrize("counter", ["same", "lower"])
     @pytest.mark.parametrize("kind", [wire.NEW_BLOCK, wire.GET_BLOCKS])
@@ -976,6 +977,122 @@ class TestIntakeOrder:
         assert core.rejects_by_reason == {"MalformedBlock": 1}
         assert core.dropped_envelopes == 0
         assert core.store.get_all_blocks() == chain
+
+
+class TestCutOff:
+    """A frame whose tag checks but whose content no honest node sends, an
+    invalid block or a payload that is not one JSON value, cuts its link
+    off: the node decodes nothing more from it and sends nothing on it, and
+    the conn stays open. What an honest peer can send, or an on-path
+    attacker forge, leaves the link live. Every test sends on a link PEER
+    opened with the handshake; `checks` counts the node's tag checks and
+    `decodes` the frames whose header it decoded."""
+
+    @pytest.fixture
+    def core(self, monkeypatch):
+        core, self.queue = make_node()
+        for i in range(3):
+            submit_and_run(core, self.queue, {"kind": "raw", "data": f"r{i}"})
+        self.peer = PeerEnd(core, PEER).open()
+        self.conn = self.peer.conn
+        self.checks = self.decodes = 0
+        real_check, real_decode = node_module.verify_envelope, node_module.decode_envelope
+
+        def counting_check(*args):
+            self.checks += 1
+            return real_check(*args)
+
+        def counting_decode(raw):
+            self.decodes += 1
+            return real_decode(raw)
+
+        monkeypatch.setattr(node_module, "verify_envelope", counting_check)
+        monkeypatch.setattr(node_module, "decode_envelope", counting_decode)
+        return core
+
+    def trigger(self, core, case):
+        """Wire bytes of PEER's next frame, whose tag checks, meeting `case`."""
+        if case == "invalid-pow":
+            block = block_to_json(TestIntakeOrder.cheap_block(core))
+        elif case == "hash-mismatch":
+            block = {**block_to_json(next_block(core)), "data": "not what was mined"}
+        elif case == "malformed":
+            block = {**block_to_json(next_block(core)), "nonce": "not an int"}
+        elif case == "unchained-page":  # its second block names another parent
+            first = next_block(core)
+            second = mine_block(replace(create_new_block("second", first, first.difficulty,
+                                                         first.timestamp + 1),
+                                        prev_hash="f" * 64))
+            return self.peer.frame(wire.BLOCKS, {
+                "after": core.store.tip().index,
+                "blocks": [block_to_json(first), block_to_json(second)], "more": False})
+        else:  # unreadable
+            return self.peer.body_frame(wire.NEW_BLOCK, b"{}{}")
+        return self.peer.frame(wire.NEW_BLOCK, {"block": block})
+
+    # each trigger -> the reject it is counted as
+    TRIGGERS = {
+        "invalid-pow": {"InsufficientWork": 1},
+        "hash-mismatch": {"HashMismatch": 1},
+        "malformed": {"MalformedBlock": 1},
+        "unchained-page": {"PrevHashMismatch": 1},
+        "unreadable": {},  # dropped and counted as an envelope
+    }
+
+    @pytest.mark.parametrize("case,rejects", TRIGGERS.items(), ids=TRIGGERS.keys())
+    def test_link_is_cut_off_at_its_first_invalid_frame(self, core, case, rejects):
+        chain = core.store.get_all_blocks()
+        core.on_message(self.conn, self.trigger(core, case))
+        assert core.rejects_by_reason == rejects
+        assert core.dropped_envelopes == (case == "unreadable")
+        assert core.store.get_all_blocks() == chain
+        dropped = core.dropped_envelopes
+        assert core.handle_query("stats", {})["result"]["cut_off_links"] == 1
+        # the peer's next frame, a valid next block, is dropped undecoded
+        self.checks = self.decodes = 0
+        block = next_block(core)
+        raw = self.peer.frame(wire.NEW_BLOCK, {"block": block_to_json(block)})
+        assert core.on_message(self.conn, raw) == "dropped"
+        assert self.checks == 0 and self.decodes == 0
+        assert core.dropped_envelopes == dropped + 1
+        assert core.store.get_all_blocks() == chain
+        # nothing is sent on the link: no relay and no resync
+        assert core.broadcast_block(block) == 0
+        self.queue.now += node_module.RESYNC_MS
+        core.tick()
+        assert self.conn.sent == [] and not self.conn.closed
+        # the same peer's new link is served
+        other = PeerEnd(core, PEER, seed=1).open()
+        assert other.send(wire.NEW_BLOCK, {"block": block_to_json(block)}) == "appended"
+        assert core.handle_query("stats", {})["result"]["cut_off_links"] == 1
+
+    @pytest.mark.parametrize("case", ["forged", "unlinked", "held", "parent-not-served"])
+    def test_link_stays_live(self, core, case):
+        link = core._links[id(self.conn)]
+        if case == "forged":
+            raw = self.peer.forged(wire.NEW_BLOCK, {"block": block_to_json(next_block(core))})
+            expect, rejects = "dropped", {}
+        elif case == "unlinked":
+            raw = self.peer.frame(wire.NEW_BLOCK, {"block": block_to_json(unlinked_block(core))})
+            expect, rejects = "sync_triggered", {}
+        elif case == "held":
+            raw = self.peer.frame(wire.NEW_BLOCK, {"block": block_to_json(core.store.tip())})
+            expect, rejects = "ignored", {}
+        else:
+            link.unserved = node_module.MAX_UNSERVED
+            raw = self.peer.frame(wire.NEW_BLOCK, {"block": block_to_json(unlinked_block(core))})
+            expect, rejects = "ignored", {"ParentNotServed": 1}
+        assert core.on_message(self.conn, raw) == expect
+        assert core.rejects_by_reason == rejects
+        assert core.handle_query("stats", {})["result"]["cut_off_links"] == 0
+        block = next_block(core)
+        assert self.peer.send(wire.NEW_BLOCK, {"block": block_to_json(block)}) == "appended"
+        self.conn.sent.clear()
+        assert core.broadcast_block(next_block(core)) == 1
+        self.queue.now += node_module.RESYNC_MS
+        core.tick()
+        assert [decode_envelope(raw).kind for raw in self.conn.sent] == [wire.NEW_BLOCK,
+                                                                         wire.GET_BLOCKS]
 
 
 class TestSelfDial:

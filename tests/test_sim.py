@@ -1,5 +1,6 @@
 """Simulation harness: determinism, partitions, adversaries, the consistency metric."""
 
+import importlib
 import json
 import random
 from collections import Counter
@@ -427,7 +428,8 @@ class TestScenarios:
         # while every node holds only genesis, so none pulls back. Past
         # that, a sync round costs the suffix after the fork point, not the
         # whole chain, and a bad_prev_hash peer sets off MAX_UNSERVED rounds
-        # per link and then none
+        # per link and then none. Only frames their receiver reads count: an
+        # invalid_pow peer's own resyncs on the links cut off from it are not
         link_open, sync_bytes, requests = Counter(), Counter(), 0
         link_open_bytes, opened = 0, set()
         real_deliver = MemNetwork.deliver
@@ -435,7 +437,8 @@ class TestScenarios:
         def counting_deliver(net, src, dst, message):
             nonlocal requests, link_open_bytes
             kind = wire.decode_envelope(message).kind
-            if kind in (wire.GET_BLOCKS, wire.BLOCKS):
+            link = dst.owner._links.get(id(dst))
+            if kind in (wire.GET_BLOCKS, wire.BLOCKS) and not (link and link.cut_off):
                 # the first of each kind on a link: the dialer's request and its reply
                 first = (kind, frozenset({id(src), id(dst)}))
                 if first not in opened:
@@ -521,10 +524,11 @@ class TestScenarios:
 
     def test_adversarial_checks_each_new_block_tag_once(self, monkeypatch):
         # every NEW_BLOCK's tag is checked as it arrives, before its block's
-        # own checks: one tag check per frame read on a keyed link (2,142
-        # measured), invalid_pow blocks and bad_prev_hash blocks past
-        # MAX_UNSERVED included. Checking the tag last, after those cheaper
-        # checks, took 1,089
+        # own checks: one tag check per frame read on a keyed link that is
+        # not cut off (1,553 measured; 2,142 before a link was cut off at
+        # its first invalid block), bad_prev_hash blocks past MAX_UNSERVED
+        # and each node's first invalid_pow block included. Checking the tag
+        # last, after those cheaper checks, took 1,089
         counts = Counter()
         real_verify = node_module.verify_envelope
         real_on_message = node_module.NodeCore.on_message
@@ -535,7 +539,7 @@ class TestScenarios:
 
         def counting_on_message(core, conn, raw):
             link = core._links.get(id(conn))
-            keyed = link is not None and link.keys is not None
+            keyed = link is not None and link.keys is not None and not link.cut_off
             counts["frames"] += keyed and wire.decode_envelope(raw).kind == wire.NEW_BLOCK
             return real_on_message(core, conn, raw)
 
@@ -643,3 +647,45 @@ class TestScenarios:
         assert lines[0] == "t_ms,mode_hash,n_inconsistent,n_nodes"
         assert len(lines) == len(report["consistency"]["samples"]) + 1
         assert json_path.read_bytes() == report_to_json_bytes(report)
+
+
+class TestCutOffLinks:
+    """Only a node that sends invalid content has its links cut off: no
+    honest scenario cuts one, and in the adversarial runs every peer of the
+    invalid_pow node cuts its link to it once, and no other link is cut."""
+
+    @staticmethod
+    def cut_offs(monkeypatch, config):
+        """The run's report, and a Counter of (node, peer) addresses, one for
+        each time the node cut off its link to the peer."""
+        cuts = Counter()
+
+        class WatchedLink(node_module._Link):
+            def __setattr__(self, name, value):
+                if name == "cut_off" and value:
+                    cuts[self.conn.local_addr, self.conn.remote_addr] += 1
+                super().__setattr__(name, value)
+
+        monkeypatch.setattr(node_module, "_Link", WatchedLink)
+        return run_scenario(config), cuts
+
+    @pytest.mark.parametrize("name", ["baseline", "partition_short", "partition_medium",
+                                      "partition_long"])
+    def test_honest_scenarios_cut_no_link(self, monkeypatch, name):
+        config = ScenarioConfig.from_json(json.loads((SCENARIOS / f"{name}.json").read_text()))
+        _report, cuts = self.cut_offs(monkeypatch, config)
+        assert cuts == Counter()
+
+    @pytest.mark.parametrize("seed", [None, *range(1, 11)],
+                             ids=["adversarial.json", *(f"sim_adversarial-{s}" for s in range(1, 11))])
+    def test_each_peer_cuts_off_the_invalid_pow_node_once(self, monkeypatch, seed):
+        if seed is None:
+            obj = json.loads((SCENARIOS / "adversarial.json").read_text())
+        else:
+            monkeypatch.syspath_prepend(str(SCENARIOS.parent / "perfbench"))
+            obj = importlib.import_module("simload").scenario("sim_adversarial", seed)
+        report, cuts = self.cut_offs(monkeypatch, ScenarioConfig.from_json(obj))
+        [bad] = [int(node) for node, behavior in report["malicious_behavior_by_node"].items()
+                 if behavior == "invalid_pow"]
+        n = report["config"]["node_count"]
+        assert cuts == Counter({(f"sim:{i}", f"sim:{bad}"): 1 for i in range(n) if i != bad})
