@@ -18,6 +18,7 @@ canonical JSON.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import operator
 from dataclasses import dataclass, field
@@ -203,10 +204,20 @@ def compile_contract(source) -> CompiledContract:
     """Check a source program, compile it and derive its content address.
 
     Raises ContractError(MalformedSource) with the offending position.
+    The cyclic garbage collector is paused while the closures are built: a
+    deep program allocates millions of them, none of them garbage, and each
+    collection would walk them all. Its previous state is restored on the
+    way out, a raise included.
     """
-    compiler = _Compiler()
-    run = compiler.block(source, "$", 1)
-    return CompiledContract(contract_id_for(source), run, compiler.max_arg + 1)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        compiler = _Compiler()
+        run = compiler.block(source, "$", 1)
+        return CompiledContract(contract_id_for(source), run, compiler.max_arg + 1)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 class _ExecContext:

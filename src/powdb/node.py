@@ -44,6 +44,10 @@ and no block or resync goes out on it. A forged tag, which an on-path
 attacker can inject, a held or unlinked block and a ParentNotServed reject
 leave a link live. The conn stays open: a closed one would be dialed again,
 by the tick or by the peer, at the price of a signed link open at each end.
+The node remembers the full node ids of the last MAX_CUT_OFF_PEERS peers it
+cut off, and a link whose handshake completes with one of them starts cut
+off: its link open gets a page with no block, and a page in its reply to
+ours is not read.
 
 A block goes to each peer once, as in Plumtree's eager push (Leitão et al.,
 SRDS 2007): its NEW_BLOCK names, in "have", the nodes its sender knows hold
@@ -146,6 +150,11 @@ REDIAL_MAX_S = 30.0
 # The tick sends a GET_BLOCKS on each established link quiet this long (see
 # tick), so a block the push missed arrives at most this late.
 RESYNC_MS = 30_000
+# A node remembers the full node ids of the last this many peers whose link
+# it cut off, the oldest forgotten first, so their next links start cut off.
+# A full id, never a short one: a key whose 32-bit short id matches an honest
+# peer's takes about 2**32 tries to find.
+MAX_CUT_OFF_PEERS = 1024
 
 
 class BadConfigError(Exception):
@@ -196,6 +205,7 @@ class _Link:
     quiet_since_ms: int  # last GET_BLOCKS sent or NEW_BLOCK read, or when the link opened
     hello: dict | None = None  # a dialer's handshake fields: the node's key and a nonce
     keys: tuple[LinkKey, LinkKey] | None = None  # (send, receive) once the handshake is done
+    peer: str | None = None  # the peer's node id, once the handshake is done
     short: str | None = None  # the peer's short id, read by the relay's holder checks
     sent: int = 0  # the counter of the last frame tagged for this link
     received: int = 0  # the counter of the last frame on it whose tag checked
@@ -203,10 +213,6 @@ class _Link:
     wanted: str | None = None  # hash of the gossiped block that set off the pending sync
     unserved: int = 0  # syncs in a row whose reply did not reach their `wanted`
     cut_off: bool = False  # its peer sent what no honest node sends (see on_message)
-
-    def establish(self, keys: tuple[LinkKey, LinkKey], peer: str) -> None:
-        """The handshake is done: key the link to `peer`."""
-        self.keys, self.short = keys, short_id(peer)
 
 
 def locator_heights(tip: int) -> list[int]:
@@ -334,6 +340,8 @@ class NodeCore:
         self.dropped_envelopes = 0
 
         self._links: dict[int, _Link] = {}  # by id(conn), oldest first
+        # node ids of peers whose link was cut off, oldest first (see _cut_off)
+        self._cut_off_peers: dict[str, None] = {}
         # accepted, unmined transactions in arrival order; the head is mining
         self._queue: deque[_MiningTask] = deque()
         self._closed = False
@@ -433,7 +441,8 @@ class NodeCore:
             env.payload  # the first read of the payload: the frame has checked
         except EncodingError:
             self.dropped_envelopes += 1
-            link.cut_off = True
+            # an unkeyed link's sender is the key its signature checked under
+            self._cut_off(link, link.peer or env.sender)
             return "dropped"
         return self.on_envelope(link, env)
 
@@ -513,7 +522,8 @@ class NodeCore:
             outcome = "rejected"
         else:
             outcome = self.adopt_if_heavier(block.index - 1, [block], gossip=(link, env))
-        link.cut_off = outcome == "rejected"
+        if outcome == "rejected":
+            self._cut_off(link, link.peer)
         if outcome == "unlinked":
             # a gap, or the sender is on another fork: pull its chain, unless
             # its last MAX_UNSERVED syncs never reached the block behind them
@@ -561,6 +571,21 @@ class NodeCore:
         if not ok:
             self.dropped_envelopes += 1
         return ok
+
+    def _cut_off(self, link: _Link, peer: str) -> None:
+        """Cut `link` off, and remember its peer's node id: a link whose
+        handshake completes with one of the last MAX_CUT_OFF_PEERS ids
+        remembered starts cut off (see _establish)."""
+        link.cut_off = True
+        self._cut_off_peers[peer] = None
+        if len(self._cut_off_peers) > MAX_CUT_OFF_PEERS:
+            del self._cut_off_peers[next(iter(self._cut_off_peers))]
+
+    def _establish(self, link: _Link, keys: tuple[LinkKey, LinkKey], peer: str) -> None:
+        """The handshake is done: key `link` to `peer`. The link starts cut
+        off if `peer` is one of the peers remembered as cut off."""
+        link.keys, link.peer, link.short = keys, peer, short_id(peer)
+        link.cut_off = peer in self._cut_off_peers
 
     def _count_reject(self, reason: VerifyReason) -> None:
         self.rejects_by_reason[reason.value] = self.rejects_by_reason.get(reason.value, 0) + 1
@@ -614,8 +639,11 @@ class NodeCore:
         after = max((height for height, hash_hex in locator if ours.get(height) == hash_hex),
                     default=0)
         budget = wire.MAX_FRAME_BYTES // 8
-        # one row past the most a page can hold tells whether more follow
-        rows = self.store.get_blocks(after + 1, after + 2 + budget // BLOCK_JSON_BYTES)
+        if opening and env.sender in self._cut_off_peers:
+            rows = []  # a peer cut off before gets its link opened, and no block
+        else:
+            # one row past the most a page can hold tells whether more follow
+            rows = self.store.get_blocks(after + 1, after + 2 + budget // BLOCK_JSON_BYTES)
         page, size = [], 0
         for block in rows:
             size += BLOCK_JSON_BYTES + len(block.data)
@@ -629,9 +657,9 @@ class NodeCore:
         # dialer's end of the link has none before it reads this
         self._send_raw(link, self.frame(link, wire.BLOCKS, reply))
         if opening:
-            link.establish(keys, env.sender)
+            self._establish(link, keys, env.sender)
             height, tip_hash = locator[0]
-            if ours.get(height) != tip_hash:
+            if ours.get(height) != tip_hash and not link.cut_off:
                 self.request_sync(link)
 
     def _handle_sync_response(self, link: _Link, env: MessageEnvelope) -> str:
@@ -643,7 +671,9 @@ class NodeCore:
             if keys is None:
                 self._drop_conn(link.conn)
                 return "ignored"
-            link.establish(keys, env.sender)
+            self._establish(link, keys, env.sender)
+            if link.cut_off:
+                return "ignored"  # a peer cut off before: its page is not read
         link.sync_sent_ms = None
         after, raw_blocks, more = payload.get("after"), payload.get("blocks"), payload.get("more")
         blocks, outcome = [], "ignored"
@@ -652,10 +682,11 @@ class NodeCore:
                 blocks = [block_from_json(b) for b in raw_blocks]
             except MalformedBlockError:
                 self._count_reject(VerifyReason.MALFORMED_BLOCK)
-                link.cut_off = True
+                self._cut_off(link, link.peer)
             else:
                 outcome = self.adopt_if_heavier(after, blocks)
-                link.cut_off = outcome == "rejected"
+                if outcome == "rejected":
+                    self._cut_off(link, link.peer)
         if more and outcome == "adopted":
             self.request_sync(link)  # the next page: the sync goes on
         elif link.wanted is not None:

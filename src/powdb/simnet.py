@@ -1,44 +1,81 @@
 """Deterministic simulation substrate: virtual clock, event queue, in-memory
 transport with seeded latency/loss and partition windows, virtual-time miner.
 
-Everything runs single-threaded over one event queue; ties in time are
-broken by insertion order, so a run is a pure function of its inputs.
+Everything runs single-threaded over one event queue, in (time, seq)
+order: ties in time are broken by the order events were scheduled, so a run
+is a pure function of its inputs. The network schedules each of its events
+(a delivery, an inbound connection, a disconnect) one fixed latency ahead,
+so it appends them to a FIFO rather than a heap, as a bound method and its
+arguments, with no closure built per frame.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 
 from powdb import wire
 from powdb.consensus import mine_block
 
 
 class EventQueue:
-    """Min-heap of (time, seq, fn); `now` only moves forward."""
+    """Events run in (time, seq) order, and `now` only moves forward.
+
+    `at` and `after` push an event onto a heap. `later(delay, fn, *args)`
+    appends one to the FIFO kept for that delay: as `now` never falls and
+    every event in a FIFO is the same delay ahead, each FIFO is already in
+    (time, seq) order, and appending to it costs no sift. One sequence
+    counter numbers every event, and `run` always takes the earliest head
+    of the heap and the FIFOs, so events run in the order one heap of them
+    all would give. `len` counts the events waiting, and `processed` the
+    events run.
+    """
 
     def __init__(self):
         self.now = 0
-        self._heap: list = []
+        self._heap: list = []  # (time, seq, fn, args)
+        self._fifos: dict[int, deque] = {}  # by delay, each in (time, seq) order
         self._seq = 0
         self.processed = 0
 
     def at(self, t_ms: int, fn) -> None:
-        heapq.heappush(self._heap, (max(t_ms, self.now), self._seq, fn))
+        heapq.heappush(self._heap, (max(t_ms, self.now), self._seq, fn, ()))
         self._seq += 1
 
     def after(self, delay_ms: int, fn) -> None:
         self.at(self.now + max(0, delay_ms), fn)
 
+    def later(self, delay_ms: int, fn, *args) -> None:
+        """Run `fn(*args)` `delay_ms` from now, from the FIFO of that delay."""
+        delay = max(0, delay_ms)
+        fifo = self._fifos.get(delay)
+        if fifo is None:
+            fifo = self._fifos[delay] = deque()
+        fifo.append((self.now + delay, self._seq, fn, args))
+        self._seq += 1
+
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + sum(map(len, self._fifos.values()))
 
     def run(self, max_events: int = 5_000_000) -> None:
         """Drain the queue completely."""
-        while self._heap:
-            t, _seq, fn = heapq.heappop(self._heap)
-            self.now = t
-            fn()
+        heap, fifos = self._heap, self._fifos.values()  # a view: it sees new delays
+        while True:
+            head = heap[0] if heap else None
+            lane = None
+            for fifo in fifos:
+                # seq is unique, so a comparison never reaches fn
+                if fifo and (head is None or fifo[0] < head):
+                    head, lane = fifo[0], fifo
+            if lane is not None:
+                lane.popleft()
+            elif head is not None:
+                heapq.heappop(heap)
+            else:
+                return
+            self.now, _seq, fn, args = head
+            fn(*args)
             self.processed += 1
             if self.processed > max_events:
                 raise RuntimeError(f"simulation exceeded {max_events} events")
@@ -75,8 +112,7 @@ class MemConnection:
         peer = self.peer
         if peer is not None and not peer.closed:
             peer.closed = True
-            self.network.queue.after(
-                self.network.latency_ms, lambda: peer.owner.on_disconnect(peer))
+            self.network.queue.later(self.network.latency_ms, peer.owner.on_disconnect, peer)
 
     def __repr__(self) -> str:
         return f"<MemConnection {self.label}>"
@@ -117,7 +153,7 @@ class MemNetwork:
         far = MemConnection(self, dst_addr, src_addr, dst_owner)
         near.peer, far.peer = far, near
         self._dialed.append(near)
-        self.queue.after(self.latency_ms, lambda: dst_owner.on_inbound_connection(far))
+        self.queue.later(self.latency_ms, dst_owner.on_inbound_connection, far)
         return near
 
     def reachable(self, addr_a: str, addr_b: str) -> bool:
@@ -132,14 +168,13 @@ class MemNetwork:
         if self.loss_rate > 0 and self.rng.random() < self.loss_rate:
             self.dropped_by_loss += 1
             return
+        self.queue.later(self.latency_ms, self._arrive, src, dst, message)
 
-        def arrive():
-            if not self.reachable(src.local_addr, dst.local_addr):
-                self.dropped_by_partition += 1  # the partition cut the link meanwhile
-            elif not dst.closed:
-                dst.owner.on_message(dst, message)
-
-        self.queue.after(self.latency_ms, arrive)
+    def _arrive(self, src: MemConnection, dst: MemConnection, message: bytes) -> None:
+        if not self.reachable(src.local_addr, dst.local_addr):
+            self.dropped_by_partition += 1  # the partition cut the link meanwhile
+        elif not dst.closed:
+            dst.owner.on_message(dst, message)
 
     def set_partition(self, groups: list[set[str]]) -> None:
         """Cut every link between groups; ScenarioConfig.validate checked them disjoint."""
@@ -148,7 +183,7 @@ class MemNetwork:
         for conn in self._dialed:
             if not self.reachable(conn.local_addr, conn.remote_addr):
                 conn.close()  # the far end's owner hears of it one latency later
-                self.queue.after(self.latency_ms, lambda c=conn: c.owner.on_disconnect(c))
+                self.queue.later(self.latency_ms, conn.owner.on_disconnect, conn)
 
     def heal(self) -> None:
         self._groups = None

@@ -162,10 +162,10 @@ class PeerEnd:
 
     def open(self, **fields):
         """Connect, open the link, and key this end from the node's reply,
-        which is taken off `conn.sent`."""
+        which is taken off `conn.sent` and kept in `reply`."""
         self.core.on_inbound_connection(self.conn)
         assert self.core.on_message(self.conn, self.opening(**fields).encode()) == "handled"
-        reply = decode_envelope(self.conn.sent.pop(0))
+        reply = self.reply = decode_envelope(self.conn.sent.pop(0))
         assert reply.kind == wire.BLOCKS and wire.verify_envelope(reply)
         self.keys = self.share.link_keys(self.hello, reply.payload, self.identity.node_id,
                                          reply.sender, dialer=True)

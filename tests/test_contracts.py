@@ -1,5 +1,6 @@
 """Contract language: compilation, execution semantics, atomicity, cache."""
 
+import gc
 import random
 
 import pytest
@@ -132,6 +133,45 @@ class TestCompile:
     def test_equal_sources_share_id(self):
         assert (compile_contract([["add", "x", 1]]).contract_id
                 == compile_contract([["add", "x", 1]]).contract_id)
+
+
+class TestCollectorPause:
+    """compile_contract pauses the cyclic garbage collector while it builds
+    the closures and leaves it as it found it, a raise included."""
+
+    @staticmethod
+    def set_collector(enabled):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.fixture
+    def restore_gc(self):
+        was = gc.isenabled()
+        yield
+        self.set_collector(was)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("source", [[["set", "x", 5]], [["bogus"]]], ids=["compiles", "raises"])
+    def test_collector_is_left_as_found(self, restore_gc, monkeypatch, enabled, source):
+        self.set_collector(enabled)
+        during = []
+        real_block = contracts._Compiler.block
+
+        def watched_block(self, *args):
+            during.append(gc.isenabled())
+            return real_block(self, *args)
+
+        monkeypatch.setattr(contracts._Compiler, "block", watched_block)
+        try:
+            compile_contract(source)
+        except ContractError as err:
+            assert err.reason is ExecReason.MALFORMED_SOURCE and source == [["bogus"]]
+        else:
+            assert source == [["set", "x", 5]]
+        assert during == [False]
+        assert gc.isenabled() is enabled
 
 
 class TestExecute:

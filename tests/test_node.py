@@ -45,10 +45,10 @@ COUNTER = [["add", "count", 1], ["add", "total", ["arg", 0]]]
 COUNTER_ID = contract_id_for(COUNTER)
 
 
-def make_node(store=None, params=TEST_PARAMS, mine=True, miner=None):
+def make_node(store=None, params=TEST_PARAMS, mine=True, miner=None, identity=None):
     queue = EventQueue()
     core = NodeCore(
-        identity=NodeIdentity.from_seed(b"\x42" * 32),
+        identity=identity or NodeIdentity.from_seed(b"\x42" * 32),
         store=store or BlockStore(":memory:"),
         params=params,
         clock=lambda: queue.now,
@@ -984,9 +984,10 @@ class TestCutOff:
     invalid block or a payload that is not one JSON value, cuts its link
     off: the node decodes nothing more from it and sends nothing on it, and
     the conn stays open. What an honest peer can send, or an on-path
-    attacker forge, leaves the link live. Every test sends on a link PEER
-    opened with the handshake; `checks` counts the node's tag checks and
-    `decodes` the frames whose header it decoded."""
+    attacker forge, leaves the link live. The node remembers the peer, by
+    its full node id, and the peer's next link starts cut off. Every test
+    sends on a link PEER opened with the handshake; `checks` counts the
+    node's tag checks and `decodes` the frames whose header it decoded."""
 
     @pytest.fixture
     def core(self, monkeypatch):
@@ -1061,10 +1062,79 @@ class TestCutOff:
         self.queue.now += node_module.RESYNC_MS
         core.tick()
         assert self.conn.sent == [] and not self.conn.closed
-        # the same peer's new link is served
-        other = PeerEnd(core, PEER, seed=1).open()
-        assert other.send(wire.NEW_BLOCK, {"block": block_to_json(block)}) == "appended"
-        assert core.handle_query("stats", {})["result"]["cut_off_links"] == 1
+        # the same peer's next link starts cut off
+        self.assert_starts_cut_off(core, PEER, block)
+        assert core.handle_query("stats", {})["result"]["cut_off_links"] == 2
+
+    def assert_starts_cut_off(self, core, identity, block):
+        """A link `identity` opens now starts cut off: its link open, whose
+        locator names a tip the node lacks, is answered with no block and no
+        pull-back; its next frame, `block`, is dropped undecoded; nothing is
+        sent on it."""
+        genesis = [0, core.store.get_hashes([0])[0]]
+        other = PeerEnd(core, identity, seed=1).open(locator=[[99, "ab" * 32], genesis])
+        assert other.reply.payload["blocks"] == [] and other.conn.sent == []
+        chain, dropped = core.store.get_all_blocks(), core.dropped_envelopes
+        self.checks = self.decodes = 0
+        assert other.send(wire.NEW_BLOCK, {"block": block_to_json(block)}) == "dropped"
+        assert self.checks == 0 and self.decodes == 0
+        assert core.dropped_envelopes == dropped + 1
+        assert core.store.get_all_blocks() == chain
+        core.broadcast_block(block)
+        self.queue.now += node_module.RESYNC_MS
+        core.tick()
+        assert other.conn.sent == [] and not other.conn.closed
+
+    def cut_off(self, core, identity):
+        """Open a link from `identity` and cut it off with a malformed block."""
+        end = PeerEnd(core, identity, seed=2).open()
+        block = {**block_to_json(next_block(core)), "nonce": "not an int"}
+        assert end.send(wire.NEW_BLOCK, {"block": block}) == "ignored"
+        assert core._links[id(end.conn)].cut_off
+
+    def test_a_peer_with_the_same_short_id_is_served(self, core, monkeypatch):
+        # the node remembers full node ids: a key ground to match a cut-off
+        # peer's 32-bit short id does not cut an honest peer off
+        monkeypatch.setattr(node_module, "short_id", lambda node_id: "same")
+        core.on_message(self.conn, self.trigger(core, "invalid-pow"))
+        assert core._links[id(self.conn)].cut_off
+        honest = PeerEnd(core, NodeIdentity.from_seed(b"\x08" * 32)).open()
+        block = next_block(core)
+        assert honest.send(wire.NEW_BLOCK, {"block": block_to_json(block)}) == "appended"
+
+    def test_the_oldest_cut_off_peer_is_forgotten_first(self, core, monkeypatch):
+        monkeypatch.setattr(node_module, "MAX_CUT_OFF_PEERS", 2)
+        first, second, third = (NodeIdentity.from_seed(bytes([seed]) * 32) for seed in (9, 10, 11))
+        for identity in (first, second, third):
+            self.cut_off(core, identity)
+        for identity in (second, third):
+            self.assert_starts_cut_off(core, identity, next_block(core))
+        again = PeerEnd(core, first, seed=3).open()
+        block = next_block(core)
+        assert again.send(wire.NEW_BLOCK, {"block": block_to_json(block)}) == "appended"
+
+    def test_a_dialed_link_to_a_cut_off_peer_starts_cut_off(self, core):
+        # the node dials PEER, which answers the link open with a page that
+        # would extend the node's chain: the link is keyed and cut off, and
+        # the page is not read
+        core.on_message(self.conn, self.trigger(core, "malformed"))
+        server, _queue = make_node(identity=PEER)
+        assert server.adopt_if_heavier(0, core.store.get_all_blocks()[1:] + [
+            next_block(core)]) == "adopted"
+        ask, answer = Capture(), Capture()
+        core.connect_peer(ask)
+        server.on_inbound_connection(answer)
+        server.on_message(answer, ask.sent.pop())
+        [reply] = answer.sent
+        assert decode_envelope(reply).payload["blocks"] != []
+        chain = core.store.get_all_blocks()
+        assert core.on_message(ask, reply) == "ignored"
+        assert core.store.get_all_blocks() == chain
+        assert core._links[id(ask)].keys is not None and core._links[id(ask)].cut_off
+        assert core.broadcast_block(next_block(core)) == 0
+        self.queue.now += node_module.RESYNC_MS
+        core.tick()
+        assert ask.sent == [] and not ask.closed
 
     @pytest.mark.parametrize("case", ["forged", "unlinked", "held", "parent-not-served"])
     def test_link_stays_live(self, core, case):

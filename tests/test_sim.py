@@ -227,6 +227,95 @@ class TestSimnet:
         queue.run()
         assert order == [0, 1, 2, 3, 4]
 
+    class Recorder:
+        """An owner of link ends that appends each event it hears to `log`."""
+
+        def __init__(self, name, log):
+            self.name, self.log = name, log
+
+        def on_inbound_connection(self, conn):
+            self.log.append(f"{self.name} inbound {conn.remote_addr}")
+
+        def on_message(self, conn, raw):
+            self.log.append(f"{self.name} message {raw.decode()}")
+
+        def on_disconnect(self, conn):
+            self.log.append(f"{self.name} disconnect {conn.remote_addr}")
+
+    def net_of(self, queue, latency_ms, log, *names):
+        net = MemNetwork(queue, random.Random(1), latency_ms=latency_ms, loss_rate=0.0)
+        owners = {name: self.Recorder(name, log) for name in names}
+        for name, owner in owners.items():
+            net.listen(name, owner)
+        return net, owners
+
+    def test_events_at_one_time_run_in_the_order_they_were_scheduled(self):
+        # at, after, a delivery, a dial and a close, scheduled 5 ms after
+        # start, all land 15 ms after it: the network's events sit in its
+        # FIFO and the others on the heap
+        queue, log = EventQueue(), []
+        net, owners = self.net_of(queue, 10, log, "a", "b", "c")
+        talk = net.dial(owners["a"], "a", "b")
+        hang_up = net.dial(owners["a"], "a", "c")
+        queue.run()
+        log.clear()
+        start = queue.now
+
+        def schedule():
+            queue.at(start + 15, lambda: log.append("at"))
+            talk.send_message(b"hello")
+            queue.after(10, lambda: log.append("after"))
+            net.dial(owners["b"], "b", "c")
+            hang_up.close()
+            queue.at(start + 15, lambda: log.append("at again"))
+            talk.peer.send_message(b"back")
+
+        queue.at(start + 5, schedule)
+        queue.run()
+        assert queue.now == start + 15
+        assert log == ["at", "b message hello", "after", "c inbound b", "c disconnect a",
+                       "at again", "a message back"]
+
+    def test_networks_of_two_latencies_share_one_queue_in_time_order(self):
+        queue, log = EventQueue(), []
+        slow, slow_owners = self.net_of(queue, 10, log, "a", "b")
+        fast, fast_owners = self.net_of(queue, 4, log, "x", "y")
+        slow_conn = slow.dial(slow_owners["a"], "a", "b")
+        fast_conn = fast.dial(fast_owners["x"], "x", "y")
+        queue.run()
+        log.clear()
+        start = queue.now
+        slow_conn.send_message(b"1")  # arrives at start + 10
+        fast_conn.send_message(b"2")  # arrives at start + 4
+        queue.at(start + 6, lambda: fast_conn.send_message(b"3"))  # arrives at start + 10
+        queue.at(start + 10, lambda: log.append("at"))
+        queue.run()
+        assert log == ["y message 2", "b message 1", "at", "y message 3"]
+
+    def test_a_partition_set_while_a_frame_is_in_flight_drops_it(self):
+        queue, log = EventQueue(), []
+        net, owners = self.net_of(queue, 10, log, "a", "b")
+        conn = net.dial(owners["a"], "a", "b")
+        queue.run()
+        log.clear()
+        conn.send_message(b"in flight")  # due one latency from now
+        queue.at(queue.now + 5, lambda: net.set_partition([{"a"}, {"b"}]))
+        queue.run()
+        assert net.dropped_by_partition == 1
+        assert log == ["b disconnect a", "a disconnect b"]
+
+    def test_len_counts_events_waiting_and_processed_events_run(self):
+        queue, log = EventQueue(), []
+        net, owners = self.net_of(queue, 10, log, "a", "b")
+        queue.at(3, lambda: None)
+        queue.after(30, lambda: None)
+        conn = net.dial(owners["a"], "a", "b")  # its inbound event waits too
+        assert (len(queue), queue.processed) == (3, 0)
+        queue.at(20, lambda: conn.send_message(b"later"))  # one more event, at 30
+        queue.run()
+        assert (len(queue), queue.processed) == (0, 5)
+        assert log == ["b inbound a", "b message later"]
+
     def test_partition_blocks_cross_group_delivery(self):
         queue = EventQueue()
         net = MemNetwork(queue, random.Random(1), latency_ms=1, loss_rate=0.0)
