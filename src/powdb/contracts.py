@@ -10,10 +10,11 @@ identically on every node:
     cond      = ["eq"|"lt", expr, expr]
 
 A program runs only as compiled: its bounds are checked once, at compile
-time, and each statement, condition and expression node costs one step of
-STEP_BUDGET. All arithmetic is checked 64-bit signed; any error discards
-every write of the execution. A contract is addressed by the SHA-256 of its
-canonical JSON.
+time. It holds at most STEP_BUDGET statement, condition and expression
+nodes, both branches of every `if` counted; with no loops and no calls, a
+run evaluates each node at most once, so nothing is counted at run time.
+All arithmetic is checked 64-bit signed; any error discards every write of
+the execution. A contract is addressed by the SHA-256 of its canonical JSON.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ _COND_OPS = {"eq": operator.eq, "lt": operator.lt}
 
 class ExecReason(Enum):
     OVERFLOW = "Overflow"
-    STEP_LIMIT = "StepLimit"
     BAD_ARG_INDEX = "BadArgIndex"
     MALFORMED_SOURCE = "MalformedSource"
 
@@ -84,11 +84,19 @@ def _checked(value: int) -> int:
 
 
 class _Compiler:
-    """Checks each node once and returns a function that ticks, then runs it."""
+    """Checks each node once and returns a function that runs it. The compile
+    stops at the first node past STEP_BUDGET, so a program over the budget
+    costs no more to refuse than one at it."""
 
     def __init__(self):
         self.max_arg = -1
         self.statement_count = 0
+        self.node_count = 0
+
+    def count_node(self, position: str) -> None:
+        self.node_count += 1
+        if self.node_count > STEP_BUDGET:
+            raise _malformed(f"more than {STEP_BUDGET} nodes", position)
 
     def check_key(self, key, position: str) -> str:
         if not isinstance(key, str):
@@ -102,13 +110,13 @@ class _Compiler:
         return key
 
     def expr(self, node, position: str, depth: int):
+        self.count_node(position)
         if depth > MAX_NESTING:
             raise _malformed(f"nesting depth exceeds {MAX_NESTING}", position)
         if _is_int(node):
             if not INT64_MIN <= node <= INT64_MAX:
                 raise _malformed(f"literal {node} outside signed 64-bit range", position)
             def literal(ctx):
-                ctx.tick()
                 return node
             return literal
         if not isinstance(node, list) or not node or not isinstance(node[0], str):
@@ -119,7 +127,6 @@ class _Compiler:
                 raise _malformed('["get", key] takes one key', position)
             key = self.check_key(node[1], position)
             def get(ctx):
-                ctx.tick()
                 return ctx.read(key)
             return get
         if op == "arg":
@@ -128,7 +135,6 @@ class _Compiler:
             index = node[1]
             self.max_arg = max(self.max_arg, index)
             def arg(ctx):  # execute() has checked that every index is supplied
-                ctx.tick()
                 return ctx.args[index]
             return arg
         if op in _ARITH:
@@ -138,12 +144,12 @@ class _Compiler:
             b = self.expr(node[2], f"{position}[2]", depth + 1)
             apply = _ARITH[op]
             def arith(ctx):
-                ctx.tick()
                 return _checked(apply(a(ctx), b(ctx)))
             return arith
         raise _malformed(f"unknown expression operator {op!r}", position)
 
     def cond(self, node, position: str, depth: int):
+        self.count_node(position)
         if (not isinstance(node, list) or len(node) != 3
                 or not isinstance(node[0], str) or node[0] not in _COND_OPS):
             raise _malformed('condition must be ["eq"|"lt", expr, expr]', position)
@@ -151,11 +157,11 @@ class _Compiler:
         b = self.expr(node[2], f"{position}[2]", depth + 1)
         compare = _COND_OPS[node[0]]
         def test(ctx):
-            ctx.tick()
             return compare(a(ctx), b(ctx))
         return test
 
     def statement(self, node, position: str, depth: int):
+        self.count_node(position)
         self.statement_count += 1
         if self.statement_count > MAX_STATEMENTS:
             raise _malformed(f"more than {MAX_STATEMENTS} statements", position)
@@ -169,12 +175,10 @@ class _Compiler:
             value = self.expr(node[2], f"{position}[2]", depth + 1)
             if op == "set":
                 def assign(ctx):
-                    ctx.tick()
                     ctx.writes[key] = value(ctx)
                 return assign
             apply = _ARITH[op]
             def update(ctx):
-                ctx.tick()
                 ctx.writes[key] = _checked(apply(ctx.read(key), value(ctx)))
             return update
         if op == "if":
@@ -184,7 +188,6 @@ class _Compiler:
             then = self.block(node[2], f"{position}[2]", depth + 1)
             orelse = self.block(node[3], f"{position}[3]", depth + 1)
             def branch(ctx):
-                ctx.tick()
                 (then if test(ctx) else orelse)(ctx)
             return branch
         raise _malformed(f"unknown statement operator {op!r}", position)
@@ -205,9 +208,9 @@ def compile_contract(source) -> CompiledContract:
 
     Raises ContractError(MalformedSource) with the offending position.
     The cyclic garbage collector is paused while the closures are built: a
-    deep program allocates millions of them, none of them garbage, and each
-    collection would walk them all. Its previous state is restored on the
-    way out, a raise included.
+    program at the node cap allocates hundreds of thousands of them, none of
+    them garbage, and each collection would walk them all. Its previous
+    state is restored on the way out, a raise included.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -225,13 +228,6 @@ class _ExecContext:
         self.args = args
         self.read_base = read_base  # committed state: key -> int | None
         self.writes: dict[str, int] = {}
-        self.steps = 0
-
-    def tick(self):
-        self.steps += 1
-        if self.steps > STEP_BUDGET:
-            raise ContractError(ExecReason.STEP_LIMIT,
-                                f"exceeded {STEP_BUDGET} evaluated nodes")
 
     def read(self, key: str) -> int:
         if key in self.writes:

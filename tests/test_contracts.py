@@ -224,16 +224,15 @@ class TestExecute:
         assert state == {}
 
     def test_step_limit(self):
-        # a balanced depth-18 expression walks > 100k nodes
+        # a balanced depth-18 expression has 524,287 nodes, past STEP_BUDGET:
+        # it never runs, as its compile stops at the first node past the cap
         expr = 1
         for _ in range(18):
             expr = ["add", expr, expr]
-        contract = compile_contract([["set", "x", expr]])
-        state = {}
         with pytest.raises(ContractError) as err:
-            execute(contract, [], state.get, state.__setitem__)
-        assert err.value.reason is ExecReason.STEP_LIMIT
-        assert state == {}
+            compile_contract([["set", "x", expr]])
+        assert err.value.reason is ExecReason.MALFORMED_SOURCE
+        assert err.value.detail == f"more than {contracts.STEP_BUDGET} nodes"
 
     def test_missing_args_rejected_upfront(self):
         contract = compile_contract([["set", "x", ["arg", 3]]])
@@ -242,10 +241,21 @@ class TestExecute:
         assert err.value.reason is ExecReason.BAD_ARG_INDEX
 
 
-class TestSteps:
-    """One step per statement, condition and expression node, in run order."""
+def sized_expr(nodes):
+    """A balanced `add` tree of exactly `nodes` nodes (an odd count), each
+    leaf the literal 1."""
+    if nodes == 1:
+        return 1
+    left = (nodes - 1) // 2 | 1
+    return ["add", sized_expr(left), sized_expr(nodes - 1 - left)]
 
-    @pytest.mark.parametrize("source, args, steps, after", [
+
+class TestSteps:
+    """The node cap: each statement, condition and expression node counts
+    one against STEP_BUDGET, both branches of an `if` included, so no run
+    can take more steps than the budget."""
+
+    @pytest.mark.parametrize("source, args, nodes, after", [
         ([["set", "x", 5]], [], 2, {"x": 5}),
         ([["set", "x", ["get", "y"]]], [], 2, {"x": 1}),
         ([["set", "x", ["arg", 1]]], [4, 5], 2, {"x": 5}),
@@ -256,16 +266,44 @@ class TestSteps:
         ([["add", "x", 3]], [], 2, {"x": 3}),
         ([["sub", "x", 3], ["sub", "x", 1]], [], 4, {"x": -4}),
         ([["if", ["eq", ["get", "y"], 1], [["set", "x", 1]], [["set", "x", 2], ["set", "z", 3]]]],
-         [], 6, {"x": 1}),
+         [], 10, {"x": 1}),
         ([["if", ["lt", 5, 2], [["set", "x", 1]], [["set", "x", 2], ["set", "z", 3]]]],
-         [], 8, {"x": 2, "z": 3}),
+         [], 10, {"x": 2, "z": 3}),
     ], ids=["literal", "get", "arg", "add", "sub", "mul", "set", "add-stmt", "sub-stmt",
             "if-eq", "if-lt"])
-    def test_budget_stops_one_step_short(self, monkeypatch, source, args, steps, after):
-        monkeypatch.setattr(contracts, "STEP_BUDGET", steps - 1)
-        assert run(source, args, state={"y": 1}) == ({"y": 1}, ExecReason.STEP_LIMIT)
-        monkeypatch.setattr(contracts, "STEP_BUDGET", steps)
+    def test_budget_stops_one_step_short(self, monkeypatch, source, args, nodes, after):
+        monkeypatch.setattr(contracts, "STEP_BUDGET", nodes - 1)
+        with pytest.raises(ContractError) as err:
+            compile_contract(source)
+        assert err.value.reason is ExecReason.MALFORMED_SOURCE
+        assert err.value.detail == f"more than {nodes - 1} nodes"
+        monkeypatch.setattr(contracts, "STEP_BUDGET", nodes)
         assert run(source, args, state={"y": 1}) == ({"y": 1, **after}, None)
+
+    def test_compile_stops_at_the_first_node_past_the_cap(self, monkeypatch):
+        # node 8, in compile order, is the if's condition's second operand;
+        # the bogus statement after it is never reached
+        monkeypatch.setattr(contracts, "STEP_BUDGET", 7)
+        source = [["set", "a", ["add", 1, 2]],
+                  ["if", ["eq", 1, 1], [["set", "b", 1]], [["bogus"]]]]
+        with pytest.raises(ContractError) as err:
+            compile_contract(source)
+        assert err.value.reason is ExecReason.MALFORMED_SOURCE
+        assert err.value.position == "$[1][1][2]"
+        assert err.value.detail == "more than 7 nodes"
+
+    def test_program_of_exactly_step_budget_nodes_compiles_and_runs_to_its_end(self):
+        # 100 statements of 1,000 nodes each, no if; one more statement is refused
+        assert contracts.STEP_BUDGET == 100_000
+        source = [["set", f"k{i}", sized_expr(999)] for i in range(100)]
+        state, err = run(source)
+        assert err is None
+        assert state == {f"k{i}": 500 for i in range(100)}
+        with pytest.raises(ContractError) as over:
+            compile_contract(source + [["set", "over", 1]])
+        assert over.value.reason is ExecReason.MALFORMED_SOURCE
+        assert over.value.position == "$[100]"
+        assert over.value.detail == "more than 100000 nodes"
 
 
 class TestCache:

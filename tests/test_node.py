@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from powdb import consensus
+from powdb import contracts as contracts_module
 from powdb import node as node_module
 from powdb import transport as transport_module
 from powdb import wire
@@ -40,6 +41,7 @@ from powdb.transport import parse_hostport
 from powdb.wire import NodeIdentity, canonical_json, decode_envelope, sign_envelope
 
 from conftest import TEST_PARAMS, Capture, PeerEnd, extend, on_loop, state_version
+from test_contracts import sized_expr
 
 COUNTER = [["add", "count", 1], ["add", "total", ["arg", 0]]]
 COUNTER_ID = contract_id_for(COUNTER)
@@ -362,6 +364,73 @@ class TestPeerBlockPayloads:
         assert parse_tx_data(block.data) is None
         assert core.store.all_state() == state
         assert core.store.get_contract(COUNTER_ID) == contracts
+
+
+def over_cap_contract():
+    """100 statements of 1,000 nodes each, which is STEP_BUDGET, and one more
+    statement: 0.5 MB of JSON, under the frame cap."""
+    return [["set", f"k{i}", sized_expr(999)] for i in range(100)] + [["set", "over", 1]]
+
+
+class TestNodeCap:
+    """A program over STEP_BUDGET nodes does not compile: refused at intake,
+    opaque data in a peer's block, and never run from an older store."""
+
+    CAP_ERROR = f"more than {contracts_module.STEP_BUDGET} nodes"
+
+    def test_over_cap_deploy_is_refused_at_intake(self):
+        core, queue = make_node()
+        replies = []
+        core.submit_tx({"kind": "deploy", "contract": over_cap_contract()}, replies.append)
+        assert len(replies) == 1 and replies[0]["ok"] is False
+        assert self.CAP_ERROR in replies[0]["error"]
+        assert not core._queue
+        queue.run()
+        assert core.store.get_block_count() == 1
+
+    def test_peer_block_with_an_over_cap_deploy_is_opaque_data_on_every_node(
+            self, cluster_factory):
+        cluster = cluster_factory(3)
+        cluster.connect(0, 1)
+        cluster.connect(1, 2)
+        cluster.pump()
+        source = over_cap_contract()
+        cid = contract_id_for(source)
+        data = canonical_json({"kind": "deploy", "contract": source}).decode()
+        first = cluster.nodes[0]
+        block = mine_block(create_new_block(data, first.store.tip(),
+                                            effective_bits(first.difficulty), 1000))
+        outcome = from_peer(first, Capture(), wire.NEW_BLOCK, {"block": block_to_json(block)})
+        assert outcome == "appended"
+        cluster.pump()
+        assert cluster.heads() == [block.hash] * 3
+        for i, core in enumerate(cluster.nodes):
+            assert core.store.get_contract(cid) is None
+            assert core.exec_errors == {}
+            [reply] = cluster.submit(i, {"kind": "call", "contract_id": cid, "args": []})
+            assert reply == {"ok": False, "what": "tx",
+                             "error": f"unknown contract {cid[:16]}..."}
+
+    def test_over_cap_contract_in_an_older_store_fails_every_call(self, store_path,
+                                                                  monkeypatch):
+        # an earlier version, which had no node cap, deployed it
+        source = over_cap_contract()
+        cid = contract_id_for(source)
+        monkeypatch.setattr(contracts_module, "STEP_BUDGET", 2**20)
+        older, queue = make_node(store=BlockStore(store_path))
+        assert submit_and_run(older, queue, {"kind": "deploy", "contract": source})["ok"]
+        older.store.close()
+        monkeypatch.undo()
+
+        core, queue = make_node(store=BlockStore(store_path))
+        assert core.store.get_contract(cid) is not None
+        for calls in (1, 2):
+            reply = submit_and_run(core, queue, {"kind": "call", "contract_id": cid,
+                                                 "args": []})
+            assert reply["ok"] is True  # the block commits; the call runs nothing
+            assert core.exec_errors == {"MalformedSource": calls}
+            assert core.store.all_state() == {}
+        core.store.close()
 
 
 class TestQueryInput:
