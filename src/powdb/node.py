@@ -193,6 +193,7 @@ class _MiningTask:
     tx: dict
     data: str  # the block data string validate_tx_payload returned
     reply: object  # fn(result dict)
+    contract_id: str | None = None  # a deploy's, kept for the intake of calls
     handle: object = None  # the miner's handle while a job runs
     retried: bool = False
 
@@ -260,11 +261,18 @@ def parse_tx_data(data: str) -> dict | None:
     carry no contract action, on every node alike.
     """
     try:
-        obj = json.loads(data)
+        # json.loads(data) through one decoder: whitespace may pad the value
+        obj, end = _scan_data(data, _space(data).end())
+        if end != len(data) and _space(data, end).end() != len(data):
+            return None
         check_tx_payload(obj, lambda _cid: True)
-    except (ValueError, RecursionError):  # JSONDecodeError and TxRejected included
+    except (ValueError, RecursionError, StopIteration):  # TxRejected included
         return None
     return obj
+
+
+_scan_data = json.JSONDecoder().scan_once
+_space = json.decoder.WHITESPACE.match
 
 
 def validate_tx_payload(tx, known_contract) -> str:
@@ -741,9 +749,7 @@ class NodeCore:
     def _known_contract(self, contract_id: str) -> bool:
         if self.store.get_contract(contract_id) is not None:
             return True
-        return any(task.tx["kind"] == "deploy"
-                   and contract_id_for(task.tx["contract"]) == contract_id
-                   for task in self._queue)
+        return any(task.contract_id == contract_id for task in self._queue)
 
     def submit_tx(self, tx, reply) -> None:
         """Validate and queue one transaction; mine it when it reaches the head."""
@@ -759,7 +765,8 @@ class NodeCore:
         if not self.mine_enabled:
             reply({"ok": False, "what": "tx", "error": "mining disabled on this node"})
             return
-        self._queue.append(_MiningTask(tx, data, reply))
+        deployed = contract_id_for(tx["contract"]) if tx["kind"] == "deploy" else None
+        self._queue.append(_MiningTask(tx, data, reply, deployed))
         self._mine_head()
 
     def _mine_head(self) -> None:

@@ -20,8 +20,11 @@ raw tag or signature, then the payload's canonical JSON, as Bitcoin's P2P
 messages put a fixed header before their payload. decode_envelope reads only
 the header, so a frame's tag or signature is checked over its payload's
 bytes as they arrived before anything in them is read (TLS 1.3's record
-rule, RFC 8446 §5.2); MessageEnvelope.payload reads them after, and a
-payload laid out other than canonically fails its check.
+rule, RFC 8446 §5.2); MessageEnvelope.payload reads them after, once and
+with no lock, and a payload laid out other than canonically fails its
+check. No frame pays codec set-up: canonical_json encodes through one
+encoder built at import, and tag_frames checks a header's kind, timestamp
+and sender once per payload, however many links it goes to.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import os
 import re
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 from cryptography.exceptions import InvalidSignature
@@ -143,6 +145,10 @@ def _is_plain(value) -> bool:
     return kind in _PLAIN_SCALARS
 
 
+# json.dumps with keywords builds an encoder per call; this one is built once
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(value) -> bytes:
     """UTF-8 JSON with bytewise-sorted keys and no insignificant whitespace.
 
@@ -153,8 +159,7 @@ def canonical_json(value) -> bytes:
     """
     if not _is_plain(value):
         _check_canonical(value)
-    return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8", "backslashreplace")
+    return _ENCODER.encode(value).encode("utf-8", "backslashreplace")
 
 
 def fits_block_frame(data: str) -> bool:
@@ -241,6 +246,28 @@ def _head(kind: str, counter: int | None, timestamp: int, sender: bytes,
         raise EncodingError(f"header field out of range: {exc}") from None
 
 
+class _Payload:
+    """The kind-specific JSON value `body` holds, set by the maker that
+    encoded it, or read from a received frame's bytes on first use, which
+    NodeCore.on_message makes only once the frame has checked, and kept in
+    the envelope's dict with no lock taken; a failed read keeps nothing.
+    EncodingError when `body` is not exactly one JSON value, or holds a
+    number that is not an integer, as it could never be encoded."""
+
+    def __get__(self, env, owner=None):
+        if env is None:
+            return self
+        try:
+            text = env.body.decode("utf-8")
+            value, end = _scan_value(text, 0)
+            if end == len(text):
+                vars(env)["payload"] = value
+                return value
+        except (ValueError, RecursionError, StopIteration):
+            pass  # bad UTF-8 or JSON, a float, or an integer too long to read
+        raise EncodingError("the payload is not one JSON value")
+
+
 @dataclass(frozen=True, init=False)
 class MessageEnvelope:
     """A message as signed or received; only sign_envelope and
@@ -259,21 +286,7 @@ class MessageEnvelope:
         self.__dict__.update(sender=sender, kind=kind, timestamp=timestamp, body=body,
                              signature=signature, counter=counter)
 
-    @cached_property
-    def payload(self):
-        """The kind-specific JSON value `body` holds, set by the maker that
-        encoded it, or read from a received frame's bytes on first use, which
-        NodeCore.on_message makes only once the frame has checked.
-        EncodingError when `body` is not exactly one JSON value, or holds a
-        number that is not an integer, as it could never be encoded."""
-        try:
-            text = self.body.decode("utf-8")
-            value, end = _scan_value(text, 0)
-            if end == len(text):
-                return value
-        except (ValueError, RecursionError, StopIteration):
-            pass  # bad UTF-8 or JSON, a float, or an integer too long to read
-        raise EncodingError("the payload is not one JSON value")
+    payload = _Payload()
 
     def encode(self) -> bytes:
         """The envelope's wire bytes: its HEADER, its signature or tag, and
@@ -327,13 +340,21 @@ def tag_frames(kind: str, timestamp: int, payload, sender: str,
                links: list[tuple[LinkKey, int]]) -> list[bytes]:
     """`payload` from node `sender` as one frame per (send key, counter) in
     `links`, tagged as that direction's frame `counter`. The payload is
-    encoded and its preimage built once; each frame costs its header and tag."""
+    encoded, its preimage built and its header's kind, timestamp and sender
+    checked once; each frame costs its counter's header and its tag."""
     sender_key = bytes.fromhex(sender)
     body = canonical_json(payload)
+    if not links:
+        return []
+    code = _head(kind, 0, timestamp, sender_key, TAG_BYTES)[0]
     preimage = _preimage(kind, timestamp, body)
-    return [_head(kind, counter, timestamp, sender_key, TAG_BYTES)
-            + key.tag(counter, preimage) + body
-            for key, counter in links]
+    frames = []
+    for key, counter in links:
+        if not 0 <= counter <= 2**64 - 2:  # counter + 1 fills the header's field
+            raise EncodingError(f"counter {counter} is out of its field's range")
+        frames.append(HEADER.pack(code, counter + 1, timestamp, sender_key, TAG_BYTES)
+                      + key.tag(counter, preimage) + body)
+    return frames
 
 
 def verify_envelope(env: MessageEnvelope, key: LinkKey | None = None) -> bool:

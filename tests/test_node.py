@@ -31,6 +31,7 @@ from powdb.node import (
     NodeCore,
     NodeRuntime,
     TxRejected,
+    check_tx_payload,
     parse_tx_data,
     validate_tx_payload,
 )
@@ -196,6 +197,77 @@ class TestParseRefusesWhatEncodingRefused:
                 data = json.dumps(swapped(tx, path, number))
                 assert parse_tx_data(data) is None, (path, number)
                 assert parse_and_encode(data) is None
+
+
+def loads_parse_tx_data(data: str):
+    """parse_tx_data written with json.loads, as it was before it kept one
+    decoder: the reference."""
+    try:
+        obj = json.loads(data)
+        check_tx_payload(obj, lambda _cid: True)
+    except (ValueError, RecursionError):
+        return None
+    return obj
+
+
+RAW = '{"data":"x","kind":"raw"}'
+
+
+class TestParseMatchesJsonLoads:
+    """parse_tx_data reads through one decoder exactly what json.loads
+    reads: JSON whitespace around the value, NaN and Infinity, and no BOM."""
+
+    DATA = {
+        **{f"tx-{name}": validate_tx_payload(tx, lambda _cid: True)
+           for name, tx in TestParseRefusesWhatEncodingRefused.TXS.items()},
+        "padded": " \t\n\r" + RAW + "\r\n\t ",
+        "padded-before": "\n" + RAW,
+        "padded-after": RAW + " ",
+        "padded-inside": '{ "data" : "x" ,\n"kind":"raw" }',
+        "no-break-space": "\u00a0" + RAW,
+        "vertical-tab": RAW + "\x0b",
+        "form-feed": "\x0c" + RAW,
+        "bom": "\ufeff" + RAW,
+        "bom-after-space": " \ufeff" + RAW,
+        "trailing-data": RAW + "x",
+        "trailing-value": RAW + " {}",
+        "trailing-nul": RAW + "\x00",
+        "nan": "NaN",
+        "infinity": "Infinity",
+        "minus-infinity": "-Infinity",
+        "nan-arg": CALL % "NaN",
+        "infinity-literal": DEPLOY % '[["set","k",Infinity]]',
+        "float": "1.5",
+        "float-arg": CALL % "1.5",
+        "exponent-arg": CALL % "1e3",
+        "integer-past-i64": CALL % str(2**63),
+        "deep-nesting": DEPLOY % ("[" * 100_000 + "]" * 100_000),
+        "deep-expression": DEPLOY % ('[["set","k",' + '["add",1,' * 30 + "1" + "]" * 30
+                                     + "]]"),
+        "empty": "",
+        "spaces-only": "  \n ",
+        "genesis": "GENESIS",
+        "string": '"raw"',
+        "integer": "7",
+        "list": "[]",
+        "duplicate-key": '{"data":"y","kind":"raw","data":"x"}',
+        "escaped-text": '{"data":"\\u00e9\\ud83d\\ude00","kind":"raw"}',
+        "control-in-string": '{"data":"a\x01","kind":"raw"}',
+        "single-quotes": "{'data':'x','kind':'raw'}",
+    }
+
+    @pytest.mark.parametrize("data", DATA.values(), ids=DATA.keys())
+    def test_same_result_as_json_loads(self, data):
+        assert parse_tx_data(data) == loads_parse_tx_data(data)
+
+    def test_the_table_holds_both_outcomes(self):
+        accepted = {name for name, data in self.DATA.items()
+                    if loads_parse_tx_data(data) is not None}
+        assert {"padded", "padded-before", "padded-after", "padded-inside", "duplicate-key",
+                "escaped-text", "deep-expression"} <= accepted
+        assert {"bom", "trailing-data", "nan-arg", "deep-nesting", "vertical-tab"}.isdisjoint(
+            accepted)
+        assert parse_tx_data(self.DATA["padded"]) == {"kind": "raw", "data": "x"}
 
 
 class TestSingleNodeFlow:
@@ -1554,6 +1626,84 @@ class TestOneIntakePath:
         core, queue, calls = spied
         assert submit_and_run(core, queue, {"kind": "raw", "data": "mined"})["ok"] is True
         assert calls == [(0, [1], "adopted")]
+
+
+class TestNoCodecSetUpPerFrame:
+    """A frame's path builds no JSON codec: canonical_json keeps one
+    encoder and parse_tx_data one decoder, so neither json.dumps nor
+    json.loads runs, and no json.JSONEncoder is made."""
+
+    @pytest.fixture
+    def codec_calls(self, monkeypatch):
+        calls = []
+        init, dumps, loads = json.JSONEncoder.__init__, json.dumps, json.loads
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return counted
+
+        def start():
+            monkeypatch.setattr(json.JSONEncoder, "__init__", counting("JSONEncoder", init))
+            monkeypatch.setattr(json, "dumps", counting("dumps", dumps))
+            monkeypatch.setattr(json, "loads", counting("loads", loads))
+            return calls
+
+        return start
+
+    def test_gossiped_block_intake_apply_and_relay(self, codec_calls):
+        core, _queue = make_node()
+        sender = PeerEnd(core, PEER).open()
+        other = PeerEnd(core, NodeIdentity.from_seed(b"\x08" * 32), seed=1).open()
+        data = validate_tx_payload({"kind": "raw", "data": "gossiped"}, lambda _cid: True)
+        block = next_block(core, data)
+        raw = sender.frame(wire.NEW_BLOCK, {"block": block_to_json(block)})
+        calls = codec_calls()
+        assert core.on_message(sender.conn, raw) == "appended"
+        [relayed] = other.conn.sent  # the one broadcast: the block goes on to the other peer
+        assert calls == []
+        assert core.store.tip().hash == block.hash
+        assert decode_envelope(relayed).payload["block"] == block_to_json(block)
+
+    def test_own_block_broadcast(self, codec_calls):
+        core, _queue = make_node()
+        peers = [PeerEnd(core, NodeIdentity.from_seed(bytes([9 + i]) * 32), seed=i).open()
+                 for i in range(3)]
+        block = next_block(core)
+        calls = codec_calls()
+        assert core.broadcast_block(block) == 3
+        assert calls == []
+        assert all(len(peer.conn.sent) == 1 for peer in peers)
+
+
+class TestQueuedDeployIds:
+    """A queued deploy keeps its contract id from intake, so a call's intake
+    hashes no queued source."""
+
+    def test_call_intake_runs_no_contract_id_for(self, monkeypatch):
+        core, queue = make_node()
+        programs = [[["add", "count", i]] for i in range(1, 4)]
+        replies = []
+        for program in programs:
+            core.submit_tx({"kind": "deploy", "contract": program}, replies.append)
+        assert len(core._queue) == 3 and replies == []
+        runs = []
+        real = node_module.contract_id_for
+        monkeypatch.setattr(node_module, "contract_id_for",
+                            lambda source: runs.append(source) or real(source))
+        # a call of the last deploy queued, and one of a contract not deployed
+        core.submit_tx({"kind": "call", "contract_id": contract_id_for(programs[-1]),
+                        "args": []}, replies.append)
+        core.submit_tx({"kind": "call", "contract_id": COUNTER_ID, "args": []},
+                       replies.append)
+        assert runs == []
+        assert len(core._queue) == 4
+        [refused] = replies
+        assert refused["ok"] is False and "unknown contract" in refused["error"]
+        queue.run()
+        assert [reply["ok"] for reply in replies[1:]] == [True] * 4
+        assert core.store.get_state(contract_id_for(programs[-1]), "count") == 3
 
 
 class TestLateOwnBlock:

@@ -220,6 +220,87 @@ class TestCanonicalFastPath:
             canonical_json({"a": [1, {"b": 2.5}]})
 
 
+def _dumps_canonical_json(value) -> bytes:
+    """canonical_json written with one json.dumps per call, as it was before
+    it kept one encoder: the reference for bytes and errors."""
+    if not wire._is_plain(value):
+        wire._check_canonical(value)
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False).encode("utf-8", "backslashreplace")
+
+
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+class TestOneEncoder:
+    """canonical_json encodes through one encoder, built once, and gives
+    the bytes and the errors of a json.dumps per call."""
+
+    CORPUS = {
+        "nested": {"b": [1, {"d": [], "c": {}}], "a": {"z": [[], [{}]], "y": None}},
+        "non-ascii": {"ключ": "値 naïve ✓  ", "é": ["ü"]},
+        "non-bmp": {"\U0001d11e": "\U0001f600 \U00010000"},
+        "lone-surrogate": {"k\udfff": ["a\ud800b", "\udbff"]},
+        "big-ints": [2**63, -2**63 - 1, 2**64, -2**70, 10**40],
+        "constants": [True, False, None, {"t": True, "f": False, "n": None}],
+        "empty-dict": {},
+        "empty-list": [],
+        "escapes": '"quoted" \\ \n\t\x00\x1f \x7f',
+        "scalar": 7,
+    }
+
+    @pytest.mark.parametrize("value", CORPUS.values(), ids=CORPUS.keys())
+    def test_bytes_are_json_dumps_bytes(self, value):
+        assert canonical_json(value) == json.dumps(
+            value, sort_keys=True, separators=(",", ":"),
+            ensure_ascii=False).encode("utf-8", "backslashreplace")
+
+    REFUSED = {
+        "float": {"a": [1, {"b": 2.5}]},
+        "nan": [float("nan")],
+        "int-key": {"a": {1: "x"}},
+        "bool-key": {True: "x"},
+        "tuple": {"a": (1, 2)},
+    }
+
+    @pytest.mark.parametrize("value", REFUSED.values(), ids=REFUSED.keys())
+    def test_refused_values_raise_as_before(self, value):
+        assert _outcome(canonical_json, value) == _outcome(_dumps_canonical_json, value)
+        with pytest.raises(EncodingError):
+            canonical_json(value)
+
+    @pytest.mark.parametrize("depth", [100, 5_000, 100_000])
+    def test_value_nested_too_deep_raises_as_before(self, depth):
+        def outcome(encode):
+            try:
+                return encode(_nested(depth))
+            except RecursionError:
+                return RecursionError
+
+        assert outcome(canonical_json) == outcome(_dumps_canonical_json)
+        assert (outcome(canonical_json) is RecursionError) == (depth > 1_000)
+        # a raise leaves the one encoder as it was
+        nested = self.CORPUS["nested"]
+        assert canonical_json(nested) == _dumps_canonical_json(nested)
+
+    def test_one_encoder_is_built_once(self, monkeypatch):
+        built = []
+        init = json.JSONEncoder.__init__
+
+        def counting_init(encoder, *args, **kwargs):
+            built.append(encoder)
+            init(encoder, *args, **kwargs)
+
+        monkeypatch.setattr(json.JSONEncoder, "__init__", counting_init)
+        for value in self.CORPUS.values():
+            canonical_json(value)
+        assert built == []
+
+
 class TestEncodeReusesSignedBytes:
     """encode() splices the signed payload bytes and must equal the full encoding."""
 
@@ -289,6 +370,66 @@ class TestEncodeReusesSignedBytes:
         tampered = decode_envelope(env.encode().replace("é".encode(), b"e"))
         assert tampered.payload == other and tampered.body == canonical_json(other)
         assert not verify_envelope(tampered)
+
+
+class TestLazyPayload:
+    """MessageEnvelope.payload: the maker's value, or `body` read once on
+    first use and kept in the envelope's dict; a read that fails keeps
+    nothing."""
+
+    PAYLOAD = {"tx": {"kind": "raw", "data": "é"}}
+
+    def setup_method(self):
+        self.identity = NodeIdentity.from_seed(b"\x12" * 32)
+
+    def counted_scans(self, monkeypatch):
+        calls = []
+        scan = wire._scan_value
+
+        def counting(text, at):
+            calls.append(text)
+            return scan(text, at)
+
+        monkeypatch.setattr(wire, "_scan_value", counting)
+        return calls
+
+    def test_a_makers_payload_is_returned_without_reading_body(self, monkeypatch):
+        calls = self.counted_scans(monkeypatch)
+        env = sign_envelope("TX", 5, self.PAYLOAD, self.identity)
+        assert env.payload is self.PAYLOAD and env.payload is self.PAYLOAD
+        assert calls == []
+
+    def test_a_decoded_body_is_read_once(self, monkeypatch):
+        raw = sign_envelope("TX", 5, self.PAYLOAD, self.identity).encode()
+        calls = self.counted_scans(monkeypatch)
+        env = decode_envelope(raw)
+        assert calls == [] and "payload" not in vars(env)
+        first = env.payload
+        assert first == self.PAYLOAD and env.payload is first and env.payload is first
+        assert len(calls) == 1 and vars(env)["payload"] is first
+
+    @pytest.mark.parametrize("body", [b"", b"{", b'{"a":1} ', b'{"a":1.5}', b"\xff",
+                                      b"[" * 100_000 + b"]" * 100_000])
+    def test_a_bad_body_raises_on_every_read_and_keeps_nothing(self, monkeypatch, body):
+        env = decode_envelope(sign_envelope("TX", 5, {}, self.identity).encode()[:-2] + body)
+        calls = self.counted_scans(monkeypatch)
+        scans = []
+        for _read in (1, 2):
+            with pytest.raises(EncodingError, match="not one JSON value"):
+                env.payload
+            assert "payload" not in vars(env)
+            scans.append(len(calls))
+        assert scans[1] == 2 * scans[0]  # each read reads `body` again
+
+    def test_equality_hash_and_repr_ignore_the_payload(self):
+        env = sign_envelope("TX", 5, self.PAYLOAD, self.identity)
+        unread, read = decode_envelope(env.encode()), decode_envelope(env.encode())
+        assert read.payload == self.PAYLOAD
+        assert unread == read == env and hash(unread) == hash(read) == hash(env)
+        expected = ("MessageEnvelope(sender=%r, kind='TX', timestamp=5, body=%r, "
+                    "signature=%r, counter=None)" % (env.sender, env.body, env.signature))
+        assert repr(unread) == repr(read) == repr(env) == expected
+        assert "payload" not in vars(unread)
 
 
 class TestSigning:
@@ -539,6 +680,39 @@ class TestTagFrames:
             "20"  # the tag's length, 32
             "54b8355893cf577178f79436431116d5ca0726926673d995750d0e931d7b1432"  # the tag
         ) + b'{"block":{"data":"na\xc3\xafve","index":1},"have":["0123abcd"]}'
+
+    def test_frames_for_many_links_and_a_signed_frame_are_pinned(self):
+        # digests of frames built from fixed inputs, as the makers wrote them
+        # when each link's header took every check and json.dumps encoded
+        payload = {"block": {"index": 9, "data": "naïve \U0001f600 \ud800", "nonce": 2**63},
+                   "have": ["0123abcd", "89abcdef"]}
+        identity = NodeIdentity.from_seed(b"\x46" * 32)
+        links = [(LinkKey(bytes([i]) * 32), counter)
+                 for i, counter in enumerate([0, 1, 41, 2**32, 2**64 - 2])]
+        raws = tag_frames("NEW_BLOCK", 1700000000123, payload, identity.node_id, links)
+        assert [len(raw) for raw in raws] == [190] * 5
+        assert hashlib.sha256(b"".join(raws)).hexdigest() == (
+            "3a845ff1c8350a26412f4c3e8d423b32d113d38e2244838485aef52a2384d3b2")
+        signed = sign_envelope("BLOCKS", -5, payload, identity).encode()
+        assert hashlib.sha256(signed).hexdigest() == (
+            "cdfbb6efe022c95b8f6f8bfa6a8afd533750b93c099ee7b5f016203c46f89fff")
+        # each frame is the one a link would get alone, header and all
+        for (key, counter), raw in zip(links, raws):
+            assert raw[:wire.HEADER.size] == wire._head(
+                "NEW_BLOCK", counter, 1700000000123, identity.public_bytes, wire.TAG_BYTES)
+            assert tag_frames("NEW_BLOCK", 1700000000123, payload, identity.node_id,
+                              [(key, counter)]) == [raw]
+
+    def test_a_bad_kind_sender_or_timestamp_raises_only_with_links(self):
+        # no link, no frame, and nothing to check a header against
+        identity = NodeIdentity.from_seed(b"\x01" * 32)
+        key = LinkKey(b"\x22" * 32)
+        for kind, sender, timestamp in (("NOPE", identity.node_id, 1),
+                                        ("QUERY", "ab" * 31, 1),
+                                        ("QUERY", identity.node_id, 2**63)):
+            assert tag_frames(kind, timestamp, {}, sender, []) == []
+            with pytest.raises(EncodingError):
+                tag_frames(kind, timestamp, {}, sender, [(key, 1), (key, 2)])
 
     def test_each_link_gets_its_own_tag_and_counter(self):
         # one payload for three links: every frame decodes to the same
