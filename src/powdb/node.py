@@ -13,11 +13,11 @@ chain: its blocks, and the difficulty after each of them.
 
 A link between nodes is authenticated once: its first GET_BLOCKS and the
 BLOCKS reply are Ed25519-signed and carry each node's key share and a fresh
-nonce, and every later frame on it carries a rising counter and an HMAC tag
-under the direction's link key (see wire). A dialed link whose request or
-reply is lost is closed by the tick and dialed again. A client's link never
-runs the handshake, so its requests and replies stay signed, and it carries
-no blocks.
+nonce, and every later frame on it carries a rising counter and a keyed
+BLAKE2b tag under the direction's link key (see wire). A dialed link whose
+request or reply is lost is closed by the tick and dialed again. A client's
+link never runs the handshake, so its requests and replies stay signed, and
+it carries no blocks.
 
 Each core keeps its own links: its runtime gives it the peers it is
 configured with and a `dial(addr)`, and `NodeCore.tick` dials each of them
@@ -104,7 +104,6 @@ from powdb.contracts import (
     INT64_MIN,
     cached_lookup,
     compile_contract,
-    contract_id_for,
     execute,
 )
 from powdb.mining import CANCEL_CHECK_INTERVAL
@@ -260,33 +259,38 @@ def parse_tx_data(data: str) -> dict | None:
     for any payload that `check_tx_payload` rejects; those blocks simply
     carry no contract action, on every node alike.
     """
+    return _read_tx_data(data)[0]
+
+
+def _read_tx_data(data: str) -> tuple[dict | None, str | None]:
+    """parse_tx_data's payload, and check_tx_payload's contract id."""
     try:
         # json.loads(data) through one decoder: whitespace may pad the value
         obj, end = _scan_data(data, _space(data).end())
         if end != len(data) and _space(data, end).end() != len(data):
-            return None
-        check_tx_payload(obj, lambda _cid: True)
+            return None, None
+        return obj, check_tx_payload(obj, lambda _cid: True)
     except (ValueError, RecursionError, StopIteration):  # TxRejected included
-        return None
-    return obj
+        return None, None
 
 
 _scan_data = json.JSONDecoder().scan_once
 _space = json.decoder.WHITESPACE.match
 
 
-def validate_tx_payload(tx, known_contract) -> str:
-    """Shape-check a transaction and return the block data string. A checked
-    transaction always encodes, so parse_tx_data only checks: raw data and
-    call args are checked for type, and compile_contract takes integer
-    literals only."""
-    check_tx_payload(tx, known_contract)
-    return canonical_json(tx).decode("utf-8")
+def validate_tx_payload(tx, known_contract) -> tuple[str, str | None]:
+    """Shape-check a transaction and return the block data string and, for
+    a deploy, its contract id (see check_tx_payload). A checked transaction
+    always encodes, so parse_tx_data only checks: raw data and call args are
+    checked for type, and compile_contract takes integer literals only."""
+    deployed = check_tx_payload(tx, known_contract)
+    return canonical_json(tx).decode("utf-8"), deployed
 
 
-def check_tx_payload(tx, known_contract) -> None:
+def check_tx_payload(tx, known_contract) -> str | None:
     """Shape-check a transaction; raises TxRejected. `known_contract(cid)`
-    says whether a call target exists or its deploy is already queued."""
+    says whether a call target exists or its deploy is already queued.
+    Returns a deploy's contract id, from its compile, and None for others."""
     if not isinstance(tx, dict) or "kind" not in tx:
         raise TxRejected("transaction must be an object with a 'kind'")
     kind = tx["kind"]
@@ -299,7 +303,7 @@ def check_tx_payload(tx, known_contract) -> None:
         if set(tx) != {"kind", "contract"}:
             raise TxRejected("deploy transaction takes exactly {kind, contract}")
         try:
-            compile_contract(tx["contract"])
+            return compile_contract(tx["contract"]).contract_id
         except ContractError as exc:
             raise TxRejected(f"contract does not compile: {exc}") from exc
     elif kind == "call":
@@ -754,7 +758,7 @@ class NodeCore:
     def submit_tx(self, tx, reply) -> None:
         """Validate and queue one transaction; mine it when it reaches the head."""
         try:
-            data = validate_tx_payload(tx, self._known_contract)
+            data, deployed = validate_tx_payload(tx, self._known_contract)
             # a block carries its data JSON-escaped once more; past this size
             # its NEW_BLOCK or BLOCKS frame would exceed the cap and never leave
             if not wire.fits_block_frame(data):
@@ -765,7 +769,6 @@ class NodeCore:
         if not self.mine_enabled:
             reply({"ok": False, "what": "tx", "error": "mining disabled on this node"})
             return
-        deployed = contract_id_for(tx["contract"]) if tx["kind"] == "deploy" else None
         self._queue.append(_MiningTask(tx, data, reply, deployed))
         self._mine_head()
 
@@ -825,12 +828,12 @@ class NodeCore:
         with the block that carries them. A block is applied once, when it
         joins the chain; a reorg drops only the effects of the blocks it drops.
         """
-        tx = parse_tx_data(block.data)
+        tx, deployed = _read_tx_data(block.data)
         if tx is None or tx["kind"] == "raw":
             return
-        if tx["kind"] == "deploy":
-            # parse_tx_data has compiled the source, so the deploy cannot fail
-            self.store.put_contract(contract_id_for(tx["contract"]),
+        if deployed is not None:
+            # the source has compiled, so the deploy cannot fail
+            self.store.put_contract(deployed,
                                     canonical_json(tx["contract"]).decode("utf-8"),
                                     block.index)
             return

@@ -5,26 +5,28 @@ timestamp and canonicalized payload. A link between two nodes opens with
 two Ed25519-signed messages, the dialer's first GET_BLOCKS and the
 listener's BLOCKS reply, and each carries its node's X25519 key, made once
 per process, and a fresh nonce. From the shared secret, both keys, both
-nonces and both node ids, each end derives one HMAC-SHA256 key per
-direction (HKDF, RFC 5869). Every later envelope on the link carries a
-counter that rises with each send and, in place of the signature, a tag
-over the counter, kind, timestamp and canonical payload under its
-direction's key. A client's request and its reply stay signed. A node
-checks every envelope, of any kind, as it arrives (NodeCore.on_message): one
-failing its check is dropped there and never reaches a handler.
+nonces and both node ids, each end derives one 32-byte key per direction
+(HKDF-SHA256, RFC 5869). Every later envelope on the link carries a counter
+that rises with each send and, in place of the signature, a keyed BLAKE2b
+tag (RFC 7693) under its direction's key. A client's request and its reply
+stay signed. A node checks every envelope, of any kind, as it arrives
+(NodeCore.on_message): one failing its check is dropped there and never
+reaches a handler.
 
 Each kind of frame has one maker: sign_envelope a signed envelope,
 tag_frames a payload's tagged frames for one or more links, and
 decode_envelope a received one. A frame is a fixed binary HEADER, then the
 raw tag or signature, then the payload's canonical JSON, as Bitcoin's P2P
-messages put a fixed header before their payload. decode_envelope reads only
-the header, so a frame's tag or signature is checked over its payload's
-bytes as they arrived before anything in them is read (TLS 1.3's record
-rule, RFC 8446 §5.2); MessageEnvelope.payload reads them after, once and
-with no lock, and a payload laid out other than canonically fails its
-check. No frame pays codec set-up: canonical_json encodes through one
-encoder built at import, and tag_frames checks a header's kind, timestamp
-and sender once per payload, however many links it goes to.
+messages put a fixed header before their payload. The tag or signature
+covers the HEADER and the payload bytes exactly as sent and received, so
+no byte of a frame goes unchecked and no end builds a message to check.
+decode_envelope reads only the header, so a frame checks before anything
+in its payload is read (TLS 1.3's record rule, RFC 8446 §5.2);
+MessageEnvelope.payload reads it after, once and with no lock, and a
+payload laid out other than canonically fails its check. No frame pays
+codec set-up: canonical_json encodes through one encoder built at import,
+and tag_frames checks a header's kind, timestamp and sender once per
+payload, however many links it goes to.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
 )
-
-SEP = b"\x1f"
 
 # Envelope kinds; the kind fixes the payload schema. A NEW_BLOCK carries
 # {"block": a block's JSON, "have": [...]}, where "have" names, by short id,
@@ -82,7 +82,7 @@ BLOCK_ENVELOPE_BYTES = 1024
 # Ed25519 key and the length of the tag or signature after it; then those
 # bytes, then the payload's.
 HEADER = struct.Struct(">BQq32sB")
-TAG_BYTES = 32  # an HMAC-SHA256 link tag
+TAG_BYTES = 32  # a keyed BLAKE2b link tag
 SIGNATURE_BYTES = 64  # an Ed25519 signature
 
 _LEN = struct.Struct(">I")
@@ -231,19 +231,19 @@ class NodeIdentity:
         return self._private.sign(message)
 
 
-def _head(kind: str, counter: int | None, timestamp: int, sender: bytes,
+def _head(kind: str, counter: int | None, timestamp: int, sender: str,
           signature_bytes: int) -> bytes:
     """A frame's HEADER; EncodingError for an unknown kind, a sender that is
-    not a 32-byte key, or a counter or timestamp out of its range."""
-    if len(sender) != 32 or (counter is not None and counter < 0):
-        raise EncodingError(f"no header for sender {sender.hex()} and counter {counter}")
+    not a 32-byte key in hex, or a counter or timestamp out of its range."""
     try:
+        key = bytes.fromhex(sender)
+        if len(key) != 32 or (counter is not None and counter < 0):
+            raise ValueError("no 32-byte sender key, or a negative counter")
         return HEADER.pack(_CODES[kind], 0 if counter is None else counter + 1, timestamp,
-                           sender, signature_bytes)
-    except KeyError:
-        raise EncodingError(f"unknown message kind {kind!r}") from None
-    except struct.error as exc:
-        raise EncodingError(f"header field out of range: {exc}") from None
+                           key, signature_bytes)
+    except (KeyError, ValueError, struct.error) as exc:
+        raise EncodingError(f"no header for kind {kind!r}, counter {counter}, timestamp "
+                            f"{timestamp} and sender {sender!r}: {exc!r}") from None
 
 
 class _Payload:
@@ -271,8 +271,9 @@ class _Payload:
 @dataclass(frozen=True, init=False)
 class MessageEnvelope:
     """A message as signed or received; only sign_envelope and
-    decode_envelope make one. Its payload is the value its `body` holds, so
-    no envelope carries a payload apart from its bytes."""
+    decode_envelope make one. Its payload is the value its `body` holds and
+    its head the HEADER its other fields pack to, so it carries neither
+    apart from its fields."""
 
     sender: str  # node id, hex public key
     kind: str
@@ -288,51 +289,45 @@ class MessageEnvelope:
 
     payload = _Payload()
 
+    @property
+    def head(self) -> bytes:
+        """Its HEADER: as its maker packed it or as it arrived, or, built by
+        hand, as its fields pack; EncodingError when no header holds them."""
+        return vars(self).get("head") or _head(self.kind, self.counter, self.timestamp,
+                                               self.sender, len(self.signature))
+
     def encode(self) -> bytes:
         """The envelope's wire bytes: its HEADER, its signature or tag, and
         the payload bytes it was signed or received with."""
-        try:
-            sender = bytes.fromhex(self.sender)
-        except ValueError:
-            raise EncodingError(f"sender {self.sender!r} is not a hex key") from None
-        return (_head(self.kind, self.counter, self.timestamp, sender, len(self.signature))
-                + self.signature + self.body)
-
-
-def _preimage(kind: str, timestamp: int, body: bytes) -> bytes:
-    """What a tag or signature covers: kind, timestamp, payload bytes."""
-    return SEP.join([kind.encode(), str(timestamp).encode(), body])
+        return self.head + self.signature + self.body
 
 
 class LinkKey:
-    """One direction's HMAC-SHA256 key, kept as the SHA-256 states after
-    the key's inner and outer pad blocks (RFC 2104 §4), so a tag hashes only
-    its message and the inner digest. A key over SHA-256's 64-byte block is
-    hashed first, as HMAC does; a link's keys are 32 bytes."""
+    """One direction's 32-byte link key, as keyed BLAKE2b (RFC 7693), a MAC
+    by design, with a TAG_BYTES digest. The keyed state is made once, so a
+    tag copies it and hashes only a frame's HEADER and payload bytes."""
 
     def __init__(self, key: bytes):
-        key = (hashlib.sha256(key).digest() if len(key) > 64 else key).ljust(64, b"\0")
-        self._inner = hashlib.sha256(bytes(x ^ 0x36 for x in key))
-        self._outer = hashlib.sha256(bytes(x ^ 0x5C for x in key))
+        if len(key) != 32:
+            raise ValueError(f"a link key is 32 bytes, not {len(key)}")
+        self._state = hashlib.blake2b(key=key, digest_size=TAG_BYTES)
 
-    def tag(self, counter: int, preimage: bytes) -> bytes:
-        """HMAC-SHA256 over the counter and the signature preimage."""
-        inner = self._inner.copy()
-        inner.update(b"%d\x1f" % counter)
-        inner.update(preimage)
-        outer = self._outer.copy()
-        outer.update(inner.digest())
-        return outer.digest()
+    def tag(self, head: bytes, body: bytes) -> bytes:
+        """The tag of the frame whose HEADER is `head` and payload `body`."""
+        state = self._state.copy()
+        state.update(head)
+        state.update(body)
+        return state.digest()
 
 
 def sign_envelope(kind: str, timestamp: int, payload,
                   identity: NodeIdentity) -> MessageEnvelope:
-    """An envelope from `identity`, Ed25519-signed."""
-    _head(kind, None, timestamp, identity.public_bytes, SIGNATURE_BYTES)  # raises before signing
+    """An envelope from `identity`, Ed25519-signed over its head and body."""
+    head = _head(kind, None, timestamp, identity.node_id, SIGNATURE_BYTES)
     body = canonical_json(payload)
     env = MessageEnvelope(sender=identity.node_id, kind=kind, timestamp=timestamp, body=body,
-                          signature=identity.sign(_preimage(kind, timestamp, body)))
-    vars(env)["payload"] = payload  # the value `body` encodes
+                          signature=identity.sign(head + body))
+    vars(env).update(head=head, payload=payload)  # what its fields pack to and `body` encodes
     return env
 
 
@@ -340,35 +335,35 @@ def tag_frames(kind: str, timestamp: int, payload, sender: str,
                links: list[tuple[LinkKey, int]]) -> list[bytes]:
     """`payload` from node `sender` as one frame per (send key, counter) in
     `links`, tagged as that direction's frame `counter`. The payload is
-    encoded, its preimage built and its header's kind, timestamp and sender
-    checked once; each frame costs its counter's header and its tag."""
+    encoded and the header's kind, timestamp and sender checked once; each
+    frame costs its counter's header and its tag over them."""
     sender_key = bytes.fromhex(sender)
     body = canonical_json(payload)
     if not links:
         return []
-    code = _head(kind, 0, timestamp, sender_key, TAG_BYTES)[0]
-    preimage = _preimage(kind, timestamp, body)
+    code = _head(kind, 0, timestamp, sender, TAG_BYTES)[0]
     frames = []
     for key, counter in links:
         if not 0 <= counter <= 2**64 - 2:  # counter + 1 fills the header's field
             raise EncodingError(f"counter {counter} is out of its field's range")
-        frames.append(HEADER.pack(code, counter + 1, timestamp, sender_key, TAG_BYTES)
-                      + key.tag(counter, preimage) + body)
+        head = HEADER.pack(code, counter + 1, timestamp, sender_key, TAG_BYTES)
+        frames.append(head + key.tag(head, body) + body)
     return frames
 
 
 def verify_envelope(env: MessageEnvelope, key: LinkKey | None = None) -> bool:
-    """True iff the envelope checks: given a link's receive `key`, its tag
-    over its counter; otherwise its Ed25519 signature. Either is checked
-    over the payload bytes as signed or received, so a payload laid out
-    other than canonically fails, and neither reads the payload. A missing
-    counter or a tag of the wrong length fails."""
+    """True iff the envelope checks: given a link's receive `key`, its tag;
+    otherwise its Ed25519 signature. Either is checked over the head and
+    body as signed or received, so a payload laid out other than canonically
+    fails, and neither reads the payload. A missing counter, a tag of the
+    wrong length or fields no header holds fail."""
     if key is None:
         return verify_signature(env)
-    if env.counter is None:
+    try:
+        return (env.counter is not None
+                and hmac.compare_digest(key.tag(env.head, env.body), env.signature))
+    except EncodingError:
         return False
-    expected = key.tag(env.counter, _preimage(env.kind, env.timestamp, env.body))
-    return hmac.compare_digest(expected, env.signature)
 
 
 def verify_signature(env: MessageEnvelope) -> bool:
@@ -379,7 +374,7 @@ def verify_signature(env: MessageEnvelope) -> bool:
     """
     try:
         public = Ed25519PublicKey.from_public_bytes(bytes.fromhex(env.sender))
-        public.verify(env.signature, _preimage(env.kind, env.timestamp, env.body))
+        public.verify(env.signature, env.head + env.body)
         return True
     except (InvalidSignature, ValueError):
         return False
@@ -444,8 +439,8 @@ def decode_envelope(raw: bytes) -> MessageEnvelope | None:
     """Read one wire message's HEADER; None when the frame is shorter than
     it, names no kind, or has a tag or signature of any length but
     TAG_BYTES or SIGNATURE_BYTES or one that runs past the frame. The
-    payload is the bytes after the tag, kept as they arrived, so a check
-    hashes them and never re-encodes them; nothing here reads them."""
+    header and the payload, the bytes after the tag, are kept as they
+    arrived, so a check hashes them as they are; nothing here reads them."""
     if len(raw) < HEADER.size:
         return None
     code, counter, timestamp, sender, length = HEADER.unpack_from(raw)
@@ -453,9 +448,11 @@ def decode_envelope(raw: bytes) -> MessageEnvelope | None:
     kind = _KIND_OF.get(code)
     if kind is None or length not in (TAG_BYTES, SIGNATURE_BYTES) or len(raw) < start:
         return None
-    return MessageEnvelope(sender=sender.hex(), kind=kind, timestamp=timestamp,
-                           body=raw[start:], signature=raw[HEADER.size:start],
-                           counter=counter - 1 if counter else None)
+    env = MessageEnvelope(sender=sender.hex(), kind=kind, timestamp=timestamp,
+                          body=raw[start:], signature=raw[HEADER.size:start],
+                          counter=counter - 1 if counter else None)
+    vars(env)["head"] = raw[:HEADER.size]
+    return env
 
 
 def check_frame_size(message: bytes) -> None:

@@ -18,8 +18,7 @@ from powdb.sim import sim_hashrate_per_ms
 from powdb.store import BlockStore
 from powdb.transport import TICK_S
 from powdb import wire
-from powdb.wire import (KeyShare, MessageEnvelope, NodeIdentity, decode_envelope, sign_envelope,
-                        tag_frames)
+from powdb.wire import KeyShare, NodeIdentity, decode_envelope, sign_envelope, tag_frames
 
 
 def pytest_configure(config):
@@ -182,10 +181,10 @@ class PeerEnd:
 
     def body_frame(self, kind, body):
         """Wire bytes of `body`, any bytes at all, as this end's next frame,
-        whose tag checks: built around them, as no maker would."""
-        self.sent += 1
-        tag = self.keys[0].tag(self.sent, b"\x1f".join([kind.encode(), b"1", body]))
-        return MessageEnvelope(self.identity.node_id, kind, 1, body, tag, self.sent).encode()
+        whose tag checks: the header tag_frames makes, then the tag of that
+        header and `body`, as no maker would tag them."""
+        head = self.frame(kind, None)[:wire.HEADER.size]
+        return head + self.keys[0].tag(head, body) + body
 
     def send(self, kind, payload):
         """The node's outcome for `payload` sent as this end's next frame."""

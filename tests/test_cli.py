@@ -14,7 +14,7 @@ import pytest
 
 from powdb.chain import block_from_json
 from powdb.store import BlockStore
-from powdb.wire import (RESPONSE, MessageEnvelope, NodeIdentity, deframe, frame,
+from powdb.wire import (RESPONSE, NodeIdentity, deframe, frame, sign_envelope,
                         socket_read_exact)
 
 from conftest import assert_no_log
@@ -267,8 +267,8 @@ sys.exit(cli.main(sys.argv[1:]))
         # a node that answers with a RESPONSE whose signature checks and whose
         # payload is not one JSON value
         identity = NodeIdentity.from_seed(b"\x09" * 32)
-        signature = identity.sign(b"RESPONSE\x1f1\x1f" + body)
-        reply = MessageEnvelope(identity.node_id, RESPONSE, 1, body, signature).encode()
+        head = sign_envelope(RESPONSE, 1, {}, identity).head  # the same for any payload
+        reply = head + identity.sign(head + body) + body
         with socket.create_server(("127.0.0.1", 0)) as server:
             def answer():
                 conn, _addr = server.accept()

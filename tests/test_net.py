@@ -454,7 +454,7 @@ class TestTxSizeLimit:
         return {"kind": "raw", "data": '"' * n}
 
     def block_data_bytes(self, n):
-        data = node_module.validate_tx_payload(self.quotes(n), lambda _cid: True)
+        data, _ = node_module.validate_tx_payload(self.quotes(n), lambda _cid: True)
         return len(wire.canonical_json(data))
 
     def test_tx_whose_block_cannot_leave_is_refused(self, cluster_factory, monkeypatch):

@@ -110,7 +110,7 @@ class TestTxValidation:
 
     def test_parse_round_trip(self):
         tx = {"kind": "raw", "data": "hello"}
-        data = validate_tx_payload(tx, lambda _: True)
+        data, _ = validate_tx_payload(tx, lambda _: True)
         assert parse_tx_data(data) == tx
         assert parse_tx_data("GENESIS") is None
         assert parse_tx_data('{"kind":"unknown"}') is None
@@ -149,11 +149,11 @@ class TestParseRefusesWhatEncodingRefused:
 
     @pytest.mark.parametrize("tx", TXS.values(), ids=TXS.keys())
     def test_validated_data_parses_back(self, tx):
-        data = validate_tx_payload(tx, lambda _cid: True)
+        data, _ = validate_tx_payload(tx, lambda _cid: True)
         assert parse_tx_data(data) == tx == parse_and_encode(data)
 
     def test_a_lone_surrogate_travels_escaped(self):
-        data = validate_tx_payload(self.TXS["raw-lone-surrogate"], lambda _cid: True)
+        data, _ = validate_tx_payload(self.TXS["raw-lone-surrogate"], lambda _cid: True)
         assert data == '{"data":"a\\ud800b\\udfff","kind":"raw"}'
 
     REFUSED = {
@@ -218,7 +218,7 @@ class TestParseMatchesJsonLoads:
     reads: JSON whitespace around the value, NaN and Infinity, and no BOM."""
 
     DATA = {
-        **{f"tx-{name}": validate_tx_payload(tx, lambda _cid: True)
+        **{f"tx-{name}": validate_tx_payload(tx, lambda _cid: True)[0]
            for name, tx in TestParseRefusesWhatEncodingRefused.TXS.items()},
         "padded": " \t\n\r" + RAW + "\r\n\t ",
         "padded-before": "\n" + RAW,
@@ -824,6 +824,21 @@ class TestIntakeOrder:
         assert core.store.get_all_blocks() == chain
         assert other.sent == []  # no relay
         assert not task.handle.finished  # mining goes on
+
+    @pytest.mark.parametrize("at", [17, 30, 48], ids=["first", "middle", "last"])
+    def test_next_block_with_a_changed_sender_byte_is_dropped(self, core, at):
+        # the tag covers the whole header, the sender's key (offsets 17 to
+        # 48) included: a frame with one sender byte changed is dropped and
+        # counted at its tag, and its counter is not taken
+        chain = core.store.get_all_blocks()
+        raw = self.peer.frame(wire.NEW_BLOCK, {"block": block_to_json(next_block(core))})
+        changed = raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:]
+        assert core.on_message(self.conn, changed) == "dropped"
+        assert self.checks == 1 and self.signatures == 0 and self.verifies == 0
+        assert core.dropped_envelopes == 1 and core.rejects_by_reason == {}
+        assert core.store.get_all_blocks() == chain
+        assert self.link.received == self.peer.sent - 1 and not self.link.cut_off
+        assert core.on_message(self.conn, raw) == "appended"  # the frame as it was sent
 
     def test_forged_rival_of_equal_work_is_dropped(self, core):
         # a valid block that ties the tip would keep the chain "unchanged";
@@ -1449,8 +1464,8 @@ class TestReorgStateRebuild:
         assert a.cache.counters()["compiles"] == 1
 
         heavier = [genesis_block()]
-        call = validate_tx_payload({"kind": "call", "contract_id": COUNTER_ID, "args": [5]},
-                                   lambda _: True)
+        call, _ = validate_tx_payload({"kind": "call", "contract_id": COUNTER_ID, "args": [5]},
+                                      lambda _: True)
         for i, data in enumerate(["x", "y", call]):
             block = create_new_block(data, heavier[-1], 8, 1000 + i)
             heavier.append(mine_block(block))
@@ -1463,8 +1478,8 @@ class TestReorgStateRebuild:
 
     def test_mined_deploy_with_a_key_that_does_not_encode_deploys_nothing(self):
         source = [["set", "\ud800", 1]]
-        call = validate_tx_payload({"kind": "call", "contract_id": contract_id_for(source),
-                                    "args": []}, lambda _: True)
+        call, _ = validate_tx_payload({"kind": "call", "contract_id": contract_id_for(source),
+                                       "args": []}, lambda _: True)
         chain = [genesis_block()]
         for i, data in enumerate([canonical_json({"kind": "deploy", "contract": source}).decode(),
                                   call]):
@@ -1477,8 +1492,8 @@ class TestReorgStateRebuild:
 
     def test_replayed_block_counts_its_failed_call_once(self):
         core, _queue = make_node()
-        call = validate_tx_payload({"kind": "call", "contract_id": COUNTER_ID, "args": [1]},
-                                   lambda _: True)
+        call, _ = validate_tx_payload({"kind": "call", "contract_id": COUNTER_ID, "args": [1]},
+                                      lambda _: True)
         first = [genesis_block()]
         for i, data in enumerate([call, "x"]):
             first.append(mine_block(create_new_block(data, first[-1], 4, 1000 + i)))
@@ -1545,8 +1560,8 @@ class TestChainChange:
         chain, state, difficulty = (core.store.get_all_blocks(), core.store.all_state(),
                                     core.difficulty)
         audit = BlockStore(store_path)
-        call = validate_tx_payload({"kind": "call", "contract_id": COUNTER_ID, "args": [7]},
-                                   lambda _: True)
+        call, _ = validate_tx_payload({"kind": "call", "contract_id": COUNTER_ID, "args": [7]},
+                                      lambda _: True)
         # the fork keeps the deploy at block 1 and replaces the call and the
         # second deploy; its own call, in its second block, fails to persist
         fork = extend(chain[:2], ["x", call, "y"], 10, spacing=4)
@@ -1656,7 +1671,7 @@ class TestNoCodecSetUpPerFrame:
         core, _queue = make_node()
         sender = PeerEnd(core, PEER).open()
         other = PeerEnd(core, NodeIdentity.from_seed(b"\x08" * 32), seed=1).open()
-        data = validate_tx_payload({"kind": "raw", "data": "gossiped"}, lambda _cid: True)
+        data, _ = validate_tx_payload({"kind": "raw", "data": "gossiped"}, lambda _cid: True)
         block = next_block(core, data)
         raw = sender.frame(wire.NEW_BLOCK, {"block": block_to_json(block)})
         calls = codec_calls()
@@ -1679,7 +1694,21 @@ class TestNoCodecSetUpPerFrame:
 
 class TestQueuedDeployIds:
     """A queued deploy keeps its contract id from intake, so a call's intake
-    hashes no queued source."""
+    hashes no queued source, and a deploy's source is hashed once at intake
+    and once as its block is applied, by its compile."""
+
+    @staticmethod
+    def count_contract_ids(monkeypatch):
+        """The sources contract_id_for runs over from here on, through the
+        contracts module, which the compile calls it in, or the node's own
+        binding where it has one."""
+        runs = []
+        for module in (contracts_module, node_module):
+            real = getattr(module, "contract_id_for", None)
+            if real is not None:
+                monkeypatch.setattr(module, "contract_id_for",
+                                    lambda source, real=real: runs.append(source) or real(source))
+        return runs
 
     def test_call_intake_runs_no_contract_id_for(self, monkeypatch):
         core, queue = make_node()
@@ -1688,10 +1717,7 @@ class TestQueuedDeployIds:
         for program in programs:
             core.submit_tx({"kind": "deploy", "contract": program}, replies.append)
         assert len(core._queue) == 3 and replies == []
-        runs = []
-        real = node_module.contract_id_for
-        monkeypatch.setattr(node_module, "contract_id_for",
-                            lambda source: runs.append(source) or real(source))
+        runs = self.count_contract_ids(monkeypatch)
         # a call of the last deploy queued, and one of a contract not deployed
         core.submit_tx({"kind": "call", "contract_id": contract_id_for(programs[-1]),
                         "args": []}, replies.append)
@@ -1704,6 +1730,24 @@ class TestQueuedDeployIds:
         queue.run()
         assert [reply["ok"] for reply in replies[1:]] == [True] * 4
         assert core.store.get_state(contract_id_for(programs[-1]), "count") == 3
+
+    def test_a_deploy_is_hashed_once_at_intake_and_once_per_apply(self, monkeypatch):
+        core, queue = make_node()
+        other, _ = make_node(identity=NodeIdentity.from_seed(b"\x43" * 32))
+        peer = PeerEnd(other, NodeIdentity.from_seed(b"\x44" * 32)).open()
+        program = [["add", "count", 1]]
+        runs = self.count_contract_ids(monkeypatch)
+        replies = []
+        core.submit_tx({"kind": "deploy", "contract": program}, replies.append)
+        assert runs == [program] and replies == []  # intake
+        queue.run()
+        [reply] = replies
+        assert reply["ok"] is True and runs == [program] * 2  # applied where it was mined
+        block = core.store.tip()
+        assert peer.send(wire.NEW_BLOCK, {"block": block_to_json(block)}) == "appended"
+        assert runs == [program] * 3  # and where it arrived
+        cid = contract_id_for(program)
+        assert core.store.get_contract(cid) == other.store.get_contract(cid) is not None
 
 
 class TestLateOwnBlock:

@@ -1,7 +1,6 @@
 """Canonical JSON, envelope signing and stream framing."""
 
 import hashlib
-import hmac
 import io
 import json
 import random
@@ -102,25 +101,29 @@ def rfc8032_verify(signature: bytes, message: bytes, public_key: bytes) -> bool:
     return _scalarmult(_B, s) == _edwards_add(r_point, _scalarmult(a_point, h))
 
 
-def preimage(kind, timestamp, payload) -> bytes:
-    """What a signature covers, built here from its layout: kind,
-    timestamp and canonical payload, split by 0x1f."""
-    return b"\x1f".join([kind.encode(), str(timestamp).encode(), canonical_json(payload)])
-
-
 # each kind's one-byte code on the wire
 CODES = {"NEW_BLOCK": 1, "GET_BLOCKS": 2, "BLOCKS": 3, "TX": 4, "QUERY": 5, "RESPONSE": 6}
 
 
-def frame_by_hand(code, counter, timestamp, sender: bytes, signature: bytes, body: bytes) -> bytes:
-    """A frame built here from the header's description, not from
-    wire.HEADER: the kind's code (1 byte), the counter + 1 (8 bytes, 0 for
-    none), the timestamp (8, signed) and the sender's key (32), all
-    big-endian, then the signature's length (1), the signature and the
-    payload's bytes."""
+def header_by_hand(code, counter, timestamp, sender: bytes, length: int) -> bytes:
+    """A header built here from its description, not from wire.HEADER: the
+    kind's code (1 byte), the counter + 1 (8 bytes, 0 for none), the
+    timestamp (8, signed) and the sender's key (32), all big-endian, then
+    the signature's length (1)."""
     return (bytes([code]) + (0 if counter is None else counter + 1).to_bytes(8, "big")
-            + timestamp.to_bytes(8, "big", signed=True) + sender + bytes([len(signature)])
-            + signature + body)
+            + timestamp.to_bytes(8, "big", signed=True) + sender + bytes([length]))
+
+
+def frame_by_hand(code, counter, timestamp, sender: bytes, signature: bytes, body: bytes) -> bytes:
+    """A frame built here: its header, the signature and the payload's bytes."""
+    return header_by_hand(code, counter, timestamp, sender, len(signature)) + signature + body
+
+
+def signed_bytes(kind, timestamp, sender: bytes, payload) -> bytes:
+    """What a signature covers, built here from the layout: the signed
+    frame's header, then its canonical payload."""
+    return (header_by_hand(CODES[kind], None, timestamp, sender, wire.SIGNATURE_BYTES)
+            + canonical_json(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +443,11 @@ class TestSigning:
         env = sign_envelope(QUERY, 0, {}, self.identity)
         public = Ed25519PublicKey.from_public_bytes(self.identity.public_bytes)
         assert len(env.signature) == wire.SIGNATURE_BYTES
-        public.verify(env.signature, b"QUERY\x1f0\x1f{}")
+        # the header as the frame carries it: QUERY's code, no counter,
+        # timestamp 0, the sender's key and the signature's length; then the
+        # payload's bytes
+        public.verify(env.signature, b"\x05" + bytes(16) + self.identity.public_bytes
+                      + b"\x40" + b"{}")
 
     def test_payload_key_order_irrelevant(self):
         a = sign_envelope("QUERY", 5, {"b": 1, "a": 2}, self.identity)
@@ -466,12 +473,14 @@ class TestSigning:
                             (9, {"nested": {"a": None, "b": "é"}})]:
             env = sign_envelope("QUERY", ts, payload, self.identity)
             assert rfc8032_verify(env.signature,
-                                  preimage(env.kind, env.timestamp, payload),
+                                  signed_bytes(env.kind, env.timestamp,
+                                               self.identity.public_bytes, payload),
                                   bytes.fromhex(env.sender))
         # and the oracle agrees on rejection
         env = sign_envelope("QUERY", 1, {"k": 1}, self.identity)
         assert not rfc8032_verify(env.signature,
-                                  preimage(env.kind, env.timestamp, {"k": 2}),
+                                  signed_bytes(env.kind, env.timestamp,
+                                               self.identity.public_bytes, {"k": 2}),
                                   bytes.fromhex(env.sender))
 
     def test_payload_tamper_detected(self):
@@ -550,8 +559,8 @@ class TestLinkKeys:
                 listener.link_keys(l_hello, d_hello, self.LISTENER, self.DIALER, dialer=False))
 
     @staticmethod
-    def tag(key, counter=1, message=b"m"):
-        return key.tag(counter, message)
+    def tag(key):
+        return key.tag(b"head", b"body")
 
     def test_each_direction_has_one_key_both_ends_share(self):
         (d_send, d_recv), (l_send, l_recv) = self.pair()
@@ -599,32 +608,49 @@ class TestLinkKeys:
         good = {"key": self.KEY, "nonce": "ab" * 16}
         assert share.link_keys(share.hello(), good, self.DIALER, self.LISTENER, True)
 
-    def test_tag_is_hmac_sha256_over_the_counter_and_preimage(self):
+    def test_tag_is_keyed_blake2b_over_the_header_and_payload(self):
         raw = bytes(range(32))
-        expected = hmac.digest(raw, b'17\x1fNEW_BLOCK\x1f5\x1f{"block":1}', "sha256")
-        [frame_bytes] = tag_frames("NEW_BLOCK", 5, {"block": 1},
-                                   NodeIdentity.from_seed(b"\x01" * 32).node_id,
+        sender = NodeIdentity.from_seed(b"\x01" * 32).public_bytes
+        [frame_bytes] = tag_frames("NEW_BLOCK", 5, {"block": 1}, sender.hex(),
                                    [(LinkKey(raw), 17)])
-        assert decode_envelope(frame_bytes).signature == expected
+        head = header_by_hand(CODES["NEW_BLOCK"], 17, 5, sender, 32)
+        expected = hashlib.blake2b(head + b'{"block":1}', key=raw, digest_size=32).digest()
+        assert frame_bytes == head + expected + b'{"block":1}'
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_tag_equals_hmac_for_any_key_counter_and_preimage(self, seed):
-        # the kept inner and outer states give HMAC-SHA256's digest; a key
-        # over SHA-256's 64-byte block is hashed first, as HMAC does
+    def test_tag_equals_keyed_blake2b_for_any_key_counter_and_payload(self, seed):
+        # the one keyed state, copied per tag, gives the digest of a fresh
+        # keyed BLAKE2b over the frame's header and payload bytes
         rng = random.Random(seed)
-        counters = [0, 1, 2**63 - 1] + [rng.randrange(2**63) for _ in range(3)]
-        lengths = [0, 1, 63, 64, 65, 64 * 1024] + [rng.randrange(64 * 1024) for _ in range(4)]
+        sender = NodeIdentity.from_seed(bytes([seed + 1]) * 32).public_bytes
+        counters = [0, 1, 2**63 - 1, 2**64 - 2] + [rng.randrange(2**64 - 1) for _ in range(3)]
+        # 78 bytes of payload fill BLAKE2b's 128-byte block after the header
+        lengths = [0, 1, 2, 77, 78, 79, 206, 64 * 1024] + [rng.randrange(64 * 1024)
+                                                           for _ in range(4)]
 
-        def check(key, counter, preimage):
-            expected = hmac.digest(key, b"%d\x1f" % counter + preimage, "sha256")
-            assert LinkKey(key).tag(counter, preimage) == expected
+        def oracle(key, head, body):
+            return hashlib.blake2b(head + body, key=key, digest_size=32).digest()
 
-        for key_len in [*range(65), 65, 100, 200]:
-            check(rng.randbytes(key_len), rng.choice(counters), rng.randbytes(rng.choice(lengths)))
-        key = rng.randbytes(32)  # a link key's length, with every counter and length
         for counter in counters:
             for length in lengths:
-                check(key, counter, rng.randbytes(length))
+                key = rng.randbytes(32)
+                timestamp = rng.randrange(-2**63, 2**63)
+                head = header_by_hand(CODES["TX"], counter, timestamp, sender, 32)
+                body = rng.randbytes(length)
+                assert LinkKey(key).tag(head, body) == oracle(key, head, body)
+                # and a frame of about that length from the one maker
+                text = "".join(rng.choice("abcdé") for _ in range(max(length - 2, 0)))
+                [raw] = tag_frames("TX", timestamp, text, sender.hex(), [(LinkKey(key), counter)])
+                body = canonical_json(text)
+                assert raw[:50] == head and raw[82:] == body
+                assert raw[50:82] == oracle(key, head, body)
+                assert verify_envelope(decode_envelope(raw), LinkKey(key))
+
+    @pytest.mark.parametrize("length", [0, 1, 16, 31, 33, 64, 65])
+    def test_a_key_that_is_not_32_bytes_is_refused(self, length):
+        with pytest.raises(ValueError, match="32 bytes"):
+            LinkKey(bytes(length))
+        assert len(LinkKey(bytes(32)).tag(b"head", b"body")) == wire.TAG_BYTES
 
     def test_any_change_to_a_tagged_envelope_fails_its_check(self):
         (send, other), (_, recv) = self.pair()
@@ -634,7 +660,9 @@ class TestLinkKeys:
         sender, tag, body = identity.public_bytes, env.signature, env.body
         assert frame_by_hand(CODES["NEW_BLOCK"], 3, 5, sender, tag, body) == raw
         assert verify_envelope(decode_envelope(raw), recv)
+        other_sender = bytes([sender[0] ^ 1]) + sender[1:]
         for changed in (frame_by_hand(CODES["NEW_BLOCK"], 4, 5, sender, tag, body),
+                        frame_by_hand(CODES["NEW_BLOCK"], 3, 5, other_sender, tag, body),
                         frame_by_hand(CODES["NEW_BLOCK"], None, 5, sender, tag, body),
                         frame_by_hand(CODES["NEW_BLOCK"], 3, 6, sender, tag, body),
                         frame_by_hand(CODES["BLOCKS"], 3, 5, sender, tag, body),
@@ -661,6 +689,40 @@ class TestLinkKeys:
         assert decode_envelope(raw[:5]) is None
 
 
+class TestEveryByteCounts:
+    """A tag or signature covers every byte of its frame but its own: a
+    frame with any one byte changed, in its header, its tag or signature, or
+    its payload, is refused as it is decoded or fails its check."""
+
+    PAYLOAD = {"block": {"index": 1, "data": "naïve"}, "have": ["0123abcd"]}
+
+    @staticmethod
+    def each_change(raw):
+        """(offset, frame) for each byte of `raw` changed in its low bit,
+        its high bit, or all its bits."""
+        for at in range(len(raw)):
+            for mask in (0x01, 0x80, 0xFF):
+                yield at, raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:]
+
+    def test_any_byte_of_a_tagged_frame(self):
+        key = LinkKey(b"\x22" * 32)
+        identity = NodeIdentity.from_seed(b"\x07" * 32)
+        [raw] = tag_frames("NEW_BLOCK", 1700000000123, self.PAYLOAD, identity.node_id,
+                           [(key, 5)])
+        assert verify_envelope(decode_envelope(raw), key)
+        for at, changed in self.each_change(raw):
+            env = decode_envelope(changed)
+            assert env is None or not verify_envelope(env, key), at
+
+    def test_any_byte_of_a_signed_frame(self):
+        identity = NodeIdentity.from_seed(b"\x07" * 32)
+        raw = sign_envelope("QUERY", 1700000000123, self.PAYLOAD, identity).encode()
+        assert verify_envelope(decode_envelope(raw))
+        for at, changed in self.each_change(raw):
+            env = decode_envelope(changed)
+            assert env is None or not verify_envelope(env), at
+
+
 class TestTagFrames:
     """tag_frames, the one maker of tagged frames."""
 
@@ -668,7 +730,8 @@ class TestTagFrames:
 
     def test_bytes_are_pinned(self):
         # the frame for a fixed key, counter, timestamp and payload, byte for
-        # byte as the layout and the tag were first written
+        # byte: the layout as first written, and the tag since it became
+        # keyed BLAKE2b over the header and payload
         sender = NodeIdentity.from_seed(b"\x44" * 32).node_id
         [raw] = tag_frames("NEW_BLOCK", 1700000000123, self.PAYLOAD, sender,
                            [(LinkKey(b"\x55" * 32), 41)])
@@ -678,12 +741,13 @@ class TestTagFrames:
             "0000018bcfe5687b"  # the timestamp
             "d759793bbc13a2819a827c76adb6fba8a49aee007f49f2d0992d99b825ad2c48"  # the sender
             "20"  # the tag's length, 32
-            "54b8355893cf577178f79436431116d5ca0726926673d995750d0e931d7b1432"  # the tag
+            "c2b07a532b824543fc7fa40c497973c2c5e654803e5ebb5cbe333ae5923d95cc"  # the tag
         ) + b'{"block":{"data":"na\xc3\xafve","index":1},"have":["0123abcd"]}'
 
     def test_frames_for_many_links_and_a_signed_frame_are_pinned(self):
         # digests of frames built from fixed inputs, as the makers wrote them
-        # when each link's header took every check and json.dumps encoded
+        # when each link's header took every check and json.dumps encoded,
+        # with the tag and the signature over the header and payload bytes
         payload = {"block": {"index": 9, "data": "naïve \U0001f600 \ud800", "nonce": 2**63},
                    "have": ["0123abcd", "89abcdef"]}
         identity = NodeIdentity.from_seed(b"\x46" * 32)
@@ -692,14 +756,14 @@ class TestTagFrames:
         raws = tag_frames("NEW_BLOCK", 1700000000123, payload, identity.node_id, links)
         assert [len(raw) for raw in raws] == [190] * 5
         assert hashlib.sha256(b"".join(raws)).hexdigest() == (
-            "3a845ff1c8350a26412f4c3e8d423b32d113d38e2244838485aef52a2384d3b2")
+            "899e7a2e01b53bcd9ea42b62295b2559983b8809caac5cf31b4eb5760f4cc949")
         signed = sign_envelope("BLOCKS", -5, payload, identity).encode()
         assert hashlib.sha256(signed).hexdigest() == (
-            "cdfbb6efe022c95b8f6f8bfa6a8afd533750b93c099ee7b5f016203c46f89fff")
+            "54c27cc166c7a8e3248c11f44eb9fb51cf162b1c40e69f64192e5a835051f220")
         # each frame is the one a link would get alone, header and all
         for (key, counter), raw in zip(links, raws):
-            assert raw[:wire.HEADER.size] == wire._head(
-                "NEW_BLOCK", counter, 1700000000123, identity.public_bytes, wire.TAG_BYTES)
+            assert raw[:wire.HEADER.size] == header_by_hand(
+                CODES["NEW_BLOCK"], counter, 1700000000123, identity.public_bytes, wire.TAG_BYTES)
             assert tag_frames("NEW_BLOCK", 1700000000123, payload, identity.node_id,
                               [(key, counter)]) == [raw]
 
