@@ -9,22 +9,25 @@ identically on every node:
               | ["add"|"sub"|"mul", expr, expr]
     cond      = ["eq"|"lt", expr, expr]
 
-A program runs only as compiled: its bounds are checked once, at compile
-time. It holds at most STEP_BUDGET statement, condition and expression
-nodes, both branches of every `if` counted; with no loops and no calls, a
-run evaluates each node at most once, so nothing is counted at run time.
+A program runs only as compiled: the compile checks every node once, with
+its bounds, and keeps the checked program as nested tuples of operator
+strings, keys and integers, which one evaluator walks. It holds at most
+STEP_BUDGET statement, condition and expression nodes, both branches of
+every `if` counted; with no loops and no calls, a run evaluates each node at
+most once, so nothing is counted at run time. The cyclic collector untracks
+a tuple that holds only untracked items, one level of nesting a collection,
+so a kept form soon costs it nothing.
 All arithmetic is checked 64-bit signed; any error discards every write of
 the execution. A contract is addressed by the SHA-256 of its canonical JSON.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import operator
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable
 
 from powdb.wire import canonical_json
 
@@ -34,6 +37,7 @@ INT64_MAX = 2**63 - 1
 MAX_NESTING = 32
 MAX_STATEMENTS = 1024
 STEP_BUDGET = 100_000
+CACHE_ENTRIES = 32  # compiled forms a ContractCache keeps, least recently used dropped
 
 _ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 _COND_OPS = {"eq": operator.eq, "lt": operator.lt}
@@ -61,8 +65,10 @@ class ContractNotFound(KeyError):
 @dataclass(frozen=True)
 class CompiledContract:
     contract_id: str  # 64-char hex, SHA-256 of the canonical source
-    run: Callable  # run(ctx): the whole program, compiled
+    run: tuple  # the checked statements, as nested tuples (see _run)
     arg_count: int  # max ["arg", i] index + 1
+    # the canonical source the id hashes, for a deploy to store; not cached
+    source_json: bytes | None = field(default=None, repr=False, compare=False)
 
 
 def contract_id_for(source) -> str:
@@ -84,9 +90,9 @@ def _checked(value: int) -> int:
 
 
 class _Compiler:
-    """Checks each node once and returns a function that runs it. The compile
-    stops at the first node past STEP_BUDGET, so a program over the budget
-    costs no more to refuse than one at it."""
+    """Checks each node once and returns it as a tuple. The compile stops at
+    the first node past STEP_BUDGET, so a program over the budget costs no
+    more to refuse than one at it."""
 
     def __init__(self):
         self.max_arg = -1
@@ -116,36 +122,24 @@ class _Compiler:
         if _is_int(node):
             if not INT64_MIN <= node <= INT64_MAX:
                 raise _malformed(f"literal {node} outside signed 64-bit range", position)
-            def literal(ctx):
-                return node
-            return literal
+            return node
         if not isinstance(node, list) or not node or not isinstance(node[0], str):
             raise _malformed("expression must be an integer or an operator list", position)
         op = node[0]
         if op == "get":
             if len(node) != 2:
                 raise _malformed('["get", key] takes one key', position)
-            key = self.check_key(node[1], position)
-            def get(ctx):
-                return ctx.read(key)
-            return get
+            return (op, self.check_key(node[1], position))
         if op == "arg":
             if len(node) != 2 or not _is_int(node[1]) or node[1] < 0:
                 raise _malformed('["arg", i] takes one non-negative index', position)
-            index = node[1]
-            self.max_arg = max(self.max_arg, index)
-            def arg(ctx):  # execute() has checked that every index is supplied
-                return ctx.args[index]
-            return arg
+            self.max_arg = max(self.max_arg, node[1])
+            return (op, node[1])
         if op in _ARITH:
             if len(node) != 3:
                 raise _malformed(f'["{op}", a, b] takes two operands', position)
-            a = self.expr(node[1], f"{position}[1]", depth + 1)
-            b = self.expr(node[2], f"{position}[2]", depth + 1)
-            apply = _ARITH[op]
-            def arith(ctx):
-                return _checked(apply(a(ctx), b(ctx)))
-            return arith
+            return (op, self.expr(node[1], f"{position}[1]", depth + 1),
+                    self.expr(node[2], f"{position}[2]", depth + 1))
         raise _malformed(f"unknown expression operator {op!r}", position)
 
     def cond(self, node, position: str, depth: int):
@@ -153,12 +147,8 @@ class _Compiler:
         if (not isinstance(node, list) or len(node) != 3
                 or not isinstance(node[0], str) or node[0] not in _COND_OPS):
             raise _malformed('condition must be ["eq"|"lt", expr, expr]', position)
-        a = self.expr(node[1], f"{position}[1]", depth + 1)
-        b = self.expr(node[2], f"{position}[2]", depth + 1)
-        compare = _COND_OPS[node[0]]
-        def test(ctx):
-            return compare(a(ctx), b(ctx))
-        return test
+        return (node[0], self.expr(node[1], f"{position}[1]", depth + 1),
+                self.expr(node[2], f"{position}[2]", depth + 1))
 
     def statement(self, node, position: str, depth: int):
         self.count_node(position)
@@ -171,56 +161,59 @@ class _Compiler:
         if op in ("set", "add", "sub"):
             if len(node) != 3:
                 raise _malformed(f'["{op}", key, expr] takes a key and an expression', position)
-            key = self.check_key(node[1], position)
-            value = self.expr(node[2], f"{position}[2]", depth + 1)
-            if op == "set":
-                def assign(ctx):
-                    ctx.writes[key] = value(ctx)
-                return assign
-            apply = _ARITH[op]
-            def update(ctx):
-                ctx.writes[key] = _checked(apply(ctx.read(key), value(ctx)))
-            return update
+            return (op, self.check_key(node[1], position),
+                    self.expr(node[2], f"{position}[2]", depth + 1))
         if op == "if":
             if len(node) != 4:
                 raise _malformed('["if", cond, then, else] takes three parts', position)
-            test = self.cond(node[1], f"{position}[1]", depth + 1)
-            then = self.block(node[2], f"{position}[2]", depth + 1)
-            orelse = self.block(node[3], f"{position}[3]", depth + 1)
-            def branch(ctx):
-                (then if test(ctx) else orelse)(ctx)
-            return branch
+            return (op, self.cond(node[1], f"{position}[1]", depth + 1),
+                    self.block(node[2], f"{position}[2]", depth + 1),
+                    self.block(node[3], f"{position}[3]", depth + 1))
         raise _malformed(f"unknown statement operator {op!r}", position)
 
     def block(self, node, position: str, depth: int):
         if not isinstance(node, list):
             raise _malformed("statement block must be a list", position)
-        statements = [self.statement(stmt, f"{position}[{i}]", depth)
-                      for i, stmt in enumerate(node)]
-        def run(ctx):
-            for statement in statements:
-                statement(ctx)
-        return run
+        return tuple(self.statement(stmt, f"{position}[{i}]", depth)
+                     for i, stmt in enumerate(node))
 
 
 def compile_contract(source) -> CompiledContract:
-    """Check a source program, compile it and derive its content address.
+    """Check a source program, keep it as a tuple tree and derive its content
+    address from its canonical JSON, which the result carries too. Raises
+    ContractError(MalformedSource) with the offending position, before any
+    encode."""
+    compiler = _Compiler()
+    run = compiler.block(source, "$", 1)
+    encoded = canonical_json(source)
+    return CompiledContract(hashlib.sha256(encoded).hexdigest(), run,
+                            compiler.max_arg + 1, encoded)
 
-    Raises ContractError(MalformedSource) with the offending position.
-    The cyclic garbage collector is paused while the closures are built: a
-    program at the node cap allocates hundreds of thousands of them, none of
-    them garbage, and each collection would walk them all. Its previous
-    state is restored on the way out, a raise included.
-    """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        compiler = _Compiler()
-        run = compiler.block(source, "$", 1)
-        return CompiledContract(contract_id_for(source), run, compiler.max_arg + 1)
-    finally:
-        if collecting:
-            gc.enable()
+
+def _value(node, ctx) -> int:
+    """Evaluate a checked expression; a literal is its one non-tuple node."""
+    if type(node) is not tuple:
+        return node
+    op = node[0]
+    if op == "get":
+        return ctx.read(node[1])
+    if op == "arg":  # execute() has checked that every index is supplied
+        return ctx.args[node[1]]
+    return _checked(_ARITH[op](_value(node[1], ctx), _value(node[2], ctx)))
+
+
+def _run(block, ctx) -> None:
+    """Run a checked statement block; MAX_NESTING bounds the recursion."""
+    for statement in block:
+        op = statement[0]
+        if op == "if":
+            _, (compare, a, b), then, orelse = statement
+            _run(then if _COND_OPS[compare](_value(a, ctx), _value(b, ctx)) else orelse, ctx)
+        elif op == "set":
+            ctx.writes[statement[1]] = _value(statement[2], ctx)
+        else:
+            key = statement[1]
+            ctx.writes[key] = _checked(_ARITH[op](ctx.read(key), _value(statement[2], ctx)))
 
 
 class _ExecContext:
@@ -249,7 +242,7 @@ def execute(contract: CompiledContract, args: list[int], read_state,
         raise ContractError(ExecReason.BAD_ARG_INDEX,
                             f"contract needs {contract.arg_count} args, got {len(args)}")
     ctx = _ExecContext(args, read_state)
-    contract.run(ctx)
+    _run(contract.run, ctx)
     for key, value in ctx.writes.items():
         write_state(key, value)
     return dict(ctx.writes)
@@ -257,9 +250,10 @@ def execute(contract: CompiledContract, args: list[int], read_state,
 
 @dataclass
 class ContractCache:
-    """Compiled-form cache; a hit provably skips compilation (see counters)."""
+    """Compiled-form cache; a hit provably skips compilation (see counters).
+    It keeps the CACHE_ENTRIES forms used last; a dropped one recompiles."""
 
-    entries: dict[str, CompiledContract] = field(default_factory=dict)
+    entries: OrderedDict[str, CompiledContract] = field(default_factory=OrderedDict)
     hits: int = 0
     misses: int = 0
     compiles: int = 0
@@ -269,7 +263,7 @@ class ContractCache:
 
 
 def cached_lookup(cache: ContractCache, contract_id: str, source_provider) -> CompiledContract:
-    """Fetch the compiled form, compiling at most once per distinct id.
+    """Fetch the compiled form, compiling at most once per id while cached.
 
     `source_provider(contract_id)` returns the parsed source or None; a None
     raises ContractNotFound.
@@ -277,6 +271,7 @@ def cached_lookup(cache: ContractCache, contract_id: str, source_provider) -> Co
     hit = cache.entries.get(contract_id)
     if hit is not None:
         cache.hits += 1
+        cache.entries.move_to_end(contract_id)
         return hit
     cache.misses += 1
     source = source_provider(contract_id)
@@ -288,5 +283,7 @@ def cached_lookup(cache: ContractCache, contract_id: str, source_provider) -> Co
                             f"source hashes to {compiled.contract_id[:16]}..., "
                             f"not the requested id")
     cache.compiles += 1
-    cache.entries[contract_id] = compiled
+    cache.entries[contract_id] = compiled = replace(compiled, source_json=None)
+    if len(cache.entries) > CACHE_ENTRIES:
+        cache.entries.popitem(last=False)
     return compiled

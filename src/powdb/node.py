@@ -97,6 +97,7 @@ from powdb.consensus import (
     verify_block,  # noqa: F401
 )
 from powdb.contracts import (
+    CompiledContract,
     ContractCache,
     ContractError,
     ContractNotFound,
@@ -262,8 +263,8 @@ def parse_tx_data(data: str) -> dict | None:
     return _read_tx_data(data)[0]
 
 
-def _read_tx_data(data: str) -> tuple[dict | None, str | None]:
-    """parse_tx_data's payload, and check_tx_payload's contract id."""
+def _read_tx_data(data: str) -> tuple[dict | None, CompiledContract | None]:
+    """parse_tx_data's payload, and check_tx_payload's compiled deploy."""
     try:
         # json.loads(data) through one decoder: whitespace may pad the value
         obj, end = _scan_data(data, _space(data).end())
@@ -278,19 +279,20 @@ _scan_data = json.JSONDecoder().scan_once
 _space = json.decoder.WHITESPACE.match
 
 
-def validate_tx_payload(tx, known_contract) -> tuple[str, str | None]:
+def validate_tx_payload(tx, known_contract) -> tuple[str, CompiledContract | None]:
     """Shape-check a transaction and return the block data string and, for
-    a deploy, its contract id (see check_tx_payload). A checked transaction
+    a deploy, its compiled form (see check_tx_payload). A checked transaction
     always encodes, so parse_tx_data only checks: raw data and call args are
     checked for type, and compile_contract takes integer literals only."""
     deployed = check_tx_payload(tx, known_contract)
     return canonical_json(tx).decode("utf-8"), deployed
 
 
-def check_tx_payload(tx, known_contract) -> str | None:
+def check_tx_payload(tx, known_contract) -> CompiledContract | None:
     """Shape-check a transaction; raises TxRejected. `known_contract(cid)`
     says whether a call target exists or its deploy is already queued.
-    Returns a deploy's contract id, from its compile, and None for others."""
+    Returns a deploy's compiled form, which carries its id and its canonical
+    source, and None for others."""
     if not isinstance(tx, dict) or "kind" not in tx:
         raise TxRejected("transaction must be an object with a 'kind'")
     kind = tx["kind"]
@@ -303,7 +305,7 @@ def check_tx_payload(tx, known_contract) -> str | None:
         if set(tx) != {"kind", "contract"}:
             raise TxRejected("deploy transaction takes exactly {kind, contract}")
         try:
-            return compile_contract(tx["contract"]).contract_id
+            return compile_contract(tx["contract"])
         except ContractError as exc:
             raise TxRejected(f"contract does not compile: {exc}") from exc
     elif kind == "call":
@@ -769,7 +771,7 @@ class NodeCore:
         if not self.mine_enabled:
             reply({"ok": False, "what": "tx", "error": "mining disabled on this node"})
             return
-        self._queue.append(_MiningTask(tx, data, reply, deployed))
+        self._queue.append(_MiningTask(tx, data, reply, deployed and deployed.contract_id))
         self._mine_head()
 
     def _mine_head(self) -> None:
@@ -833,8 +835,7 @@ class NodeCore:
             return
         if deployed is not None:
             # the source has compiled, so the deploy cannot fail
-            self.store.put_contract(deployed,
-                                    canonical_json(tx["contract"]).decode("utf-8"),
+            self.store.put_contract(deployed.contract_id, deployed.source_json.decode("utf-8"),
                                     block.index)
             return
         cid = tx["contract_id"]

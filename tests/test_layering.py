@@ -71,6 +71,8 @@ UNREAD_IN_SRC = {
     "consensus.retarget_raw": "test oracle",
     "consensus.replay_difficulty": "test oracle",
     "store.BlockStore.all_state": "test oracle",
+    "contracts.contract_id_for": "read only by perfbench/ and the tests; the compile "
+                                 "hashes the canonical bytes it keeps",
     "net.RecentSet": "read only by perfbench/ (ROADMAP item 3 deletes it)",
     "mining.BACKEND": "read only by perfbench/ (ROADMAP item 3 deletes it)",
     "simnet.MemNetwork.dropped_by_loss": "read only by perfbench/ (ROADMAP item 3 deletes it)",

@@ -1694,33 +1694,34 @@ class TestNoCodecSetUpPerFrame:
 
 class TestQueuedDeployIds:
     """A queued deploy keeps its contract id from intake, so a call's intake
-    hashes no queued source, and a deploy's source is hashed once at intake
-    and once as its block is applied, by its compile."""
+    encodes no queued source, and a deploy's source is encoded once at
+    intake and once as its block is applied, by its compile, whose bytes
+    give the id and are what the store keeps."""
 
     @staticmethod
-    def count_contract_ids(monkeypatch):
-        """The sources contract_id_for runs over from here on, through the
-        contracts module, which the compile calls it in, or the node's own
-        binding where it has one."""
+    def count_source_encodes(monkeypatch, programs):
+        """The encodes of any of `programs` from here on, through the
+        contracts module, which the compile calls canonical_json in, and the
+        node's own binding."""
         runs = []
         for module in (contracts_module, node_module):
-            real = getattr(module, "contract_id_for", None)
-            if real is not None:
-                monkeypatch.setattr(module, "contract_id_for",
-                                    lambda source, real=real: runs.append(source) or real(source))
+            real = module.canonical_json
+            monkeypatch.setattr(module, "canonical_json",
+                                lambda value, real=real:
+                                (value in programs and runs.append(value)) or real(value))
         return runs
 
-    def test_call_intake_runs_no_contract_id_for(self, monkeypatch):
+    def test_call_intake_encodes_no_queued_source(self, monkeypatch):
         core, queue = make_node()
         programs = [[["add", "count", i]] for i in range(1, 4)]
         replies = []
         for program in programs:
             core.submit_tx({"kind": "deploy", "contract": program}, replies.append)
         assert len(core._queue) == 3 and replies == []
-        runs = self.count_contract_ids(monkeypatch)
+        last = contract_id_for(programs[-1])
+        runs = self.count_source_encodes(monkeypatch, programs + [COUNTER])
         # a call of the last deploy queued, and one of a contract not deployed
-        core.submit_tx({"kind": "call", "contract_id": contract_id_for(programs[-1]),
-                        "args": []}, replies.append)
+        core.submit_tx({"kind": "call", "contract_id": last, "args": []}, replies.append)
         core.submit_tx({"kind": "call", "contract_id": COUNTER_ID, "args": []},
                        replies.append)
         assert runs == []
@@ -1729,25 +1730,45 @@ class TestQueuedDeployIds:
         assert refused["ok"] is False and "unknown contract" in refused["error"]
         queue.run()
         assert [reply["ok"] for reply in replies[1:]] == [True] * 4
-        assert core.store.get_state(contract_id_for(programs[-1]), "count") == 3
+        assert core.store.get_state(last, "count") == 3
 
-    def test_a_deploy_is_hashed_once_at_intake_and_once_per_apply(self, monkeypatch):
+    def test_a_deploy_encodes_its_source_once_at_intake_and_once_per_apply(self, monkeypatch):
         core, queue = make_node()
         other, _ = make_node(identity=NodeIdentity.from_seed(b"\x43" * 32))
         peer = PeerEnd(other, NodeIdentity.from_seed(b"\x44" * 32)).open()
         program = [["add", "count", 1]]
-        runs = self.count_contract_ids(monkeypatch)
+        runs = self.count_source_encodes(monkeypatch, [program])
         replies = []
         core.submit_tx({"kind": "deploy", "contract": program}, replies.append)
         assert runs == [program] and replies == []  # intake
         queue.run()
         [reply] = replies
-        assert reply["ok"] is True and runs == [program] * 2  # applied where it was mined
+        # applied where it was mined: the store keeps the compile's bytes
+        assert reply["ok"] is True and runs == [program] * 2
         block = core.store.tip()
         assert peer.send(wire.NEW_BLOCK, {"block": block_to_json(block)}) == "appended"
         assert runs == [program] * 3  # and where it arrived
         cid = contract_id_for(program)
         assert core.store.get_contract(cid) == other.store.get_contract(cid) is not None
+        assert core.store.get_contract(cid) == canonical_json(program).decode("utf-8")
+
+
+class TestCacheBound:
+    def test_a_call_of_a_dropped_form_recompiles_and_writes_the_same_state(self, monkeypatch):
+        monkeypatch.setattr(contracts_module, "CACHE_ENTRIES", 1)
+        core, queue = make_node()
+        programs = [[["add", "count", ["arg", 0]]], [["add", "other", ["arg", 0]]]]
+        first, second = map(contract_id_for, programs)
+        for program in programs:
+            assert submit_and_run(core, queue, {"kind": "deploy", "contract": program})["ok"]
+        for cid in (first, second, first):
+            reply = submit_and_run(core, queue, {"kind": "call", "contract_id": cid, "args": [2]})
+            assert reply["ok"]
+        assert list(core.cache.entries) == [first]
+        assert core.cache.counters() == {"hits": 0, "misses": 3, "compiles": 3}
+        assert core.exec_errors == {}
+        assert core.store.get_state(first, "count") == 4
+        assert core.store.get_state(second, "other") == 2
 
 
 class TestLateOwnBlock:
